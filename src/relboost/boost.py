@@ -9,10 +9,6 @@ penalized asymmetrically.  With alpha = beta = 0 the two coincide exactly.
 
 Sign convention: positive beta punishes false positives harder; negative
 beta tolerates them (the high-recall setting for imbalanced data).
-
-Gradient generation and prediction only read the model and fact base, so
-they parallelize over examples; the training loop itself is sequential
-because each iteration depends on the previous model.
 """
 
 from __future__ import annotations
@@ -25,12 +21,13 @@ from typing import Callable, Optional, Union
 from .logic import Atom, ExampleSet, FactBase, PredicateSignature, ParseError, Schema
 from .regtree import (
     RegressionExample,
-    RegressionTree,
     TreeConfig,
-    evaluate,
-    fit_tree,
-    parse_tree,
-    serialize_tree,
+    boost_step,
+    parse_finite,
+    parse_header,
+    read_trees,
+    trees_value,
+    write_model,
 )
 
 PSI_CLAMP = 40.0  # |psi| beyond this saturates the sigmoid anyway
@@ -72,7 +69,7 @@ class BoostedModel:
     kind: GradientKind
 
     def psi(self, target: Atom, db: FactBase) -> float:
-        return self.psi0 + sum(evaluate(t, target, db) for t in self.trees)
+        return self.psi0 + trees_value(self.trees, target, db)
 
 
 def _clamped_exp(x: float) -> float:
@@ -163,15 +160,14 @@ def train(examples: ExampleSet, db: FactBase, modes: list, config: BoostConfig,
     the kept negatives are re-drawn each iteration from the seeded RNG.
     psi0 is 0 so an empty model predicts probability one half.
     """
-    pos = [(a, l) for a, l in examples.entries if l == 1]
-    neg = [(a, l) for a, l in examples.entries if l == 0]
-    if not pos or not neg:
+    pos_idx = [i for i, (_, l) in enumerate(examples.entries) if l == 1]
+    neg_idx = [i for i, (_, l) in enumerate(examples.entries) if l == 0]
+    if not pos_idx or not neg_idx:
         raise ValueError("training needs at least one positive and one negative")
     rng = random.Random(config.rng_seed)
     model = BoostedModel(examples.target, 0.0, [], kind)
-    psis = {i: 0.0 for i in range(len(examples.entries))}
-    pos_idx = [i for i, (_, l) in enumerate(examples.entries) if l == 1]
-    neg_idx = [i for i, (_, l) in enumerate(examples.entries) if l == 0]
+    rows = [(atom, db) for atom, _ in examples.entries]
+    psis = [0.0] * len(rows)
 
     for m in range(config.iterations):
         if config.neg_subsample_ratio is not None:
@@ -186,10 +182,7 @@ def train(examples: ExampleSet, db: FactBase, modes: list, config: BoostConfig,
             atom, label = examples.entries[i]
             p = sigmoid_prob(psis[i])
             regs.append(RegressionExample(atom, _gradient(kind, label, p)))
-        tree = fit_tree(regs, db, modes, config.tree)
-        model.trees.append(tree)
-        for i, (atom, _) in enumerate(examples.entries):
-            psis[i] += evaluate(tree, atom, db)
+        model.trees.append(boost_step(regs, db, modes, config.tree, rows, psis))
         if on_iteration is not None:
             objective = sum(
                 per_example_objective(label, psis[i], kind)
@@ -215,45 +208,19 @@ def _kind_token(kind: GradientKind) -> str:
 
 
 def serialize_model(model: BoostedModel) -> str:
-    lines = [f"model rfgb target={model.target.name}/{model.target.arity} "
-             f"kind={_kind_token(model.kind)} psi0={model.psi0!r}"]
-    for i, tree in enumerate(model.trees):
-        lines.append(f"tree {i}")
-        lines.append(serialize_tree(tree).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+    return write_model(f"model rfgb target={model.target.name}/{model.target.arity} "
+                       f"kind={_kind_token(model.kind)} psi0={model.psi0!r}",
+                       {None: model.trees})
 
 
 def parse_model(text: str, schema: Schema) -> BoostedModel:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("model rfgb "):
-        raise ParseError("not an rfgb model file", 1)
-    header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
-    name, arity = header["target"].split("/")
-    if name not in schema:
-        raise ParseError(f"model target {name!r} not in schema", 1)
-    target = schema.get(name)
-    if target.arity != int(arity):
-        raise ParseError("model target arity does not match schema", 1)
-    token = header["kind"]
+    fields, target = parse_header(text, "rfgb", schema, ("kind", "psi0"), ("psi0",))
+    token = fields["kind"]
     if token == "hard":
         kind: GradientKind = Hard()
-    elif token.startswith("soft:"):
+    elif token.startswith("soft:") and token.count(",") == 1:
         alpha, beta = token[5:].split(",")
-        kind = Soft(float(alpha), float(beta))
+        kind = Soft(parse_finite(alpha, "alpha", 1), parse_finite(beta, "beta", 1))
     else:
         raise ParseError(f"unknown gradient kind {token!r}", 1)
-    trees = []
-    block: list = []
-
-    def flush():
-        if block:
-            trees.append(parse_tree("\n".join(block), schema, target))
-            block.clear()
-
-    for raw in lines[1:]:
-        if raw.startswith("tree "):
-            flush()
-        elif raw.strip():
-            block.append(raw)
-    flush()
-    return BoostedModel(target, float(header["psi0"]), trees, kind)
+    return BoostedModel(target, fields["psi0"], read_trees(text, schema, target)[None], kind)

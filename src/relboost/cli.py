@@ -8,7 +8,6 @@ override defaults, and unknown keys are rejected.
 Exit codes: 0 success, 2 dataset errors, 3 configuration errors,
 4 internal errors.  Every command is deterministic given its inputs and
 seed, and all file writes are atomic (temp file plus rename).
-``RELBOOST_THREADS`` optionally caps internal scoring workers.
 """
 
 from __future__ import annotations
@@ -282,8 +281,7 @@ def cmd_train(opts: dict) -> int:
             facts = static
             working = schema
         modes = parse_modes(_read(opts["modes"]), working)
-        config = hybrid.HybridConfig(iterations=opts["iters"], tree=_tree_config(opts),
-                                     rng_seed=opts["seed"])
+        config = hybrid.HybridConfig(iterations=opts["iters"], tree=_tree_config(opts))
         if opts["eta"] is not None:
             config.eta_multinomial = config.eta_poisson = opts["eta"]
             config.eta_mu = config.eta_sigma = opts["eta"]
@@ -349,8 +347,6 @@ def cmd_eval(opts: dict) -> int:
 
     if header.startswith("model rfgb "):
         model = boost.parse_model(model_text, schema)
-        if model.target.name not in schema:
-            raise DataError("model target missing from schema")
         examples = _labelled_examples(opts, model.target)
         pairs = [(boost.predict(model, atom, facts), label)
                  for atom, label in examples.entries]

@@ -10,9 +10,6 @@ function per iteration; the step size eta multiplies leaf contributions.
 For mixed boolean-numeric parents the prediction is (log-)linear in the
 continuous parent values with tree-valued coefficients over the discrete
 context; see :class:`MixedParentModel`.
-
-Per-example gradient generation reads only immutable state and can run in
-parallel; iterations are sequential.
 """
 
 from __future__ import annotations
@@ -23,14 +20,13 @@ from typing import Callable, Optional, Union
 
 from .logic import Atom, Constant, ExampleSet, FactBase, ParseError, PredicateSignature, Schema
 from .regtree import (
-    Leaf,
     RegressionExample,
-    RegressionTree,
     TreeConfig,
-    evaluate,
-    fit_tree,
-    parse_tree,
-    serialize_tree,
+    boost_step,
+    parse_header,
+    read_trees,
+    trees_value,
+    write_model,
 )
 
 EXP_CLAMP = 40.0
@@ -158,7 +154,6 @@ class HybridConfig:
     eta_mu: float = 1.0
     eta_sigma: float = 0.5
     sigma0: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -183,7 +178,7 @@ class HybridModel:
     sigma0: float = 1.0
 
     def _psi(self, key: str, atom: Atom, db: FactBase) -> float:
-        return sum(evaluate(t, atom, db) for t in self.functions[key])
+        return trees_value(self.functions[key], atom, db)
 
     def class_probs(self, atom: Atom, db: FactBase) -> list:
         if not isinstance(self.kind, Multinomial):
@@ -224,19 +219,20 @@ def kind_for(target: PredicateSignature) -> DistributionKind:
     raise ValueError(f"{target.name} is boolean; use the rfgb learner")
 
 
-def _fit_scaled(regs: list, db: FactBase, modes: list, config: HybridConfig,
-                eta: float) -> RegressionTree:
-    tree = fit_tree(regs, db, modes, config.tree)
+def _function_keys(kind: DistributionKind) -> list:
+    if isinstance(kind, Multinomial):
+        return [f"class={k}" for k in range(kind.classes)]
+    return ["rate"] if isinstance(kind, Poisson) else ["mu", "sigma"]
 
-    def scale(node):
-        if isinstance(node, Leaf):
-            node.value *= eta
-        else:
-            scale(node.yes)
-            scale(node.no)
 
-    scale(tree.root)
-    return tree
+def _loglik(kind: DistributionKind, values: list, psis: dict) -> float:
+    if isinstance(kind, Multinomial):
+        cols = [psis[key] for key in _function_keys(kind)]
+        return sum(multinomial_ll(y, [c[i] for c in cols]) for i, y in enumerate(values))
+    if isinstance(kind, Poisson):
+        return sum(poisson_ll(y, psi) for y, psi in zip(values, psis["rate"]))
+    return sum(gaussian_ll(y, mu, sigma)
+               for y, mu, sigma in zip(values, psis["mu"], psis["sigma"]))
 
 
 def train_hybrid(dataset: dict, db: FactBase, modes: list,
@@ -257,63 +253,42 @@ def train_hybrid(dataset: dict, db: FactBase, modes: list,
         kind = kind_for(target)
         atoms = [a for a, _ in examples.entries]
         values = [v for _, v in examples.entries]
-        if isinstance(kind, Multinomial):
-            model = HybridModel(target, kind,
-                                {f"class={k}": [] for k in range(kind.classes)},
-                                config.eta_multinomial)
-            psis = [[0.0] * kind.classes for _ in atoms]
-            for m in range(config.iterations):
-                probs = [multinomial_prob(row) for row in psis]
-                for k in range(kind.classes):
-                    regs = [RegressionExample(a, (1.0 if values[i] == k else 0.0) - probs[i][k])
-                            for i, a in enumerate(atoms)]
-                    tree = _fit_scaled(regs, db, modes, config, config.eta_multinomial)
-                    model.functions[f"class={k}"].append(tree)
-                    for i, a in enumerate(atoms):
-                        psis[i][k] += evaluate(tree, a, db)
-                if on_iteration is not None:
-                    ll = sum(multinomial_ll(values[i], psis[i]) for i in range(len(atoms)))
-                    on_iteration(name, m + 1, ll)
-        elif isinstance(kind, Poisson):
-            model = HybridModel(target, kind, {"rate": []}, config.eta_poisson)
-            psis = [0.0] * len(atoms)
-            for m in range(config.iterations):
-                regs = [RegressionExample(a, poisson_gradient(values[i], psis[i]))
-                        for i, a in enumerate(atoms)]
-                tree = _fit_scaled(regs, db, modes, config, config.eta_poisson)
-                model.functions["rate"].append(tree)
-                for i, a in enumerate(atoms):
-                    psis[i] += evaluate(tree, a, db)
-                if on_iteration is not None:
-                    ll = sum(poisson_ll(values[i], psis[i]) for i in range(len(atoms)))
-                    on_iteration(name, m + 1, ll)
-        else:
-            model = HybridModel(target, kind, {"mu": [], "sigma": []},
-                                config.eta_mu, sigma0=config.sigma0)
-            mus = [0.0] * len(atoms)
-            sigmas = [config.sigma0] * len(atoms)
-            for m in range(config.iterations):
-                mu_regs = [RegressionExample(
-                    a, gaussian_gradients(values[i], mus[i], sigmas[i])[0])
-                    for i, a in enumerate(atoms)]
-                mu_tree = _fit_scaled(mu_regs, db, modes, config, config.eta_mu)
-                model.functions["mu"].append(mu_tree)
-                for i, a in enumerate(atoms):
-                    mus[i] += evaluate(mu_tree, a, db)
+        rows = [(a, db) for a in atoms]
+        eta = {Multinomial: config.eta_multinomial, Poisson: config.eta_poisson,
+               Gaussian: config.eta_mu}[type(kind)]
+        model = HybridModel(target, kind, {key: [] for key in _function_keys(kind)}, eta,
+                            config.sigma0)
+        psis = {key: [0.0] * len(atoms) for key in model.functions}
+        if isinstance(kind, Gaussian):
+            psis["sigma"] = [config.sigma0] * len(atoms)
+
+        def step(key, gradients, eta):
+            regs = [RegressionExample(a, g) for a, g in zip(atoms, gradients)]
+            model.functions[key].append(
+                boost_step(regs, db, modes, config.tree, rows, psis[key], eta))
+
+        for m in range(config.iterations):
+            if isinstance(kind, Multinomial):
+                keys = _function_keys(kind)
+                probs = [multinomial_prob([psis[key][i] for key in keys])
+                         for i in range(len(atoms))]
+                for k, key in enumerate(keys):
+                    step(key, [(1.0 if y == k else 0.0) - p[k] for y, p in zip(values, probs)],
+                         config.eta_multinomial)
+            elif isinstance(kind, Poisson):
+                step("rate", [poisson_gradient(y, psi) for y, psi in zip(values, psis["rate"])],
+                     config.eta_poisson)
+            else:
+                step("mu", [gaussian_gradients(y, mu, sigma)[0] for y, mu, sigma
+                            in zip(values, psis["mu"], psis["sigma"])], config.eta_mu)
                 # sigma gradients use the just-updated means; stale means
                 # inflate the squared residuals and blow sigma up
-                sg_regs = [RegressionExample(
-                    a, gaussian_gradients(values[i], mus[i], sigmas[i])[1])
-                    for i, a in enumerate(atoms)]
-                sg_tree = _fit_scaled(sg_regs, db, modes, config, config.eta_sigma)
-                model.functions["sigma"].append(sg_tree)
-                for i, a in enumerate(atoms):
-                    # project back to the floor after each boosting step
-                    sigmas[i] = max(SIGMA_FLOOR, sigmas[i] + evaluate(sg_tree, a, db))
-                if on_iteration is not None:
-                    ll = sum(gaussian_ll(values[i], mus[i], sigmas[i])
-                             for i in range(len(atoms)))
-                    on_iteration(name, m + 1, ll)
+                step("sigma", [gaussian_gradients(y, mu, sigma)[1] for y, mu, sigma
+                               in zip(values, psis["mu"], psis["sigma"])], config.eta_sigma)
+                # project back to the floor after each boosting step
+                psis["sigma"] = [max(SIGMA_FLOOR, sigma) for sigma in psis["sigma"]]
+            if on_iteration is not None:
+                on_iteration(name, m + 1, _loglik(kind, values, psis))
         models[name] = model
     return models
 
@@ -350,26 +325,24 @@ class MixedParentModel:
             xs.append(float(v))
         return xs
 
-    def _coeff(self, key, atom: Atom, db: FactBase) -> float:
-        return sum(evaluate(t, atom, db) for t in self.functions[key])
-
     def predict(self, atom: Atom, db: FactBase):
         """Class probabilities, rate, or (mu, sigma) depending on the kind."""
-        xs = self.parent_values(atom, db)
-        if isinstance(self.kind, Multinomial):
-            intercepts = [self._coeff((k, 0), atom, db) for k in range(self.kind.classes)]
-            coeffs = [[self._coeff((k, j + 1), atom, db) for j in range(len(self.parents))]
-                      for k in range(self.kind.classes)]
-            return [mixed_softmax_prob(intercepts, coeffs, xs, k)
-                    for k in range(self.kind.classes)]
-        if isinstance(self.kind, Poisson):
-            coeffs = [self._coeff((0, j + 1), atom, db) for j in range(len(self.parents))]
-            return mixed_poisson_rate(self._coeff((0, 0), atom, db), coeffs, xs)
-        coeffs = [self._coeff((0, j + 1), atom, db) for j in range(len(self.parents))]
-        mu = mixed_gaussian_mean(self._coeff((0, 0), atom, db), coeffs, xs)
-        sigma = max(SIGMA_FLOOR,
-                    self.sigma0 + sum(evaluate(t, atom, db) for t in self.sigma_trees))
-        return mu, sigma
+        coeffs = {key: trees_value(trees, atom, db) for key, trees in self.functions.items()}
+        return _mixed_output(self.kind, coeffs, self.parent_values(atom, db),
+                             self.sigma0 + trees_value(self.sigma_trees, atom, db))
+
+
+def _mixed_output(kind: DistributionKind, coeffs: dict, xs: list, sigma: float):
+    """MixedParentModel.predict from coefficient values ``coeffs[(k, j)]``,
+    parent values `xs`, and the unfloored Gaussian sigma."""
+    if isinstance(kind, Multinomial):
+        intercepts = [coeffs[(k, 0)] for k in range(kind.classes)]
+        slopes = [[coeffs[(k, j + 1)] for j in range(len(xs))] for k in range(kind.classes)]
+        return [mixed_softmax_prob(intercepts, slopes, xs, k) for k in range(kind.classes)]
+    slopes = [coeffs[(0, j + 1)] for j in range(len(xs))]
+    if isinstance(kind, Poisson):
+        return mixed_poisson_rate(coeffs[(0, 0)], slopes, xs)
+    return mixed_gaussian_mean(coeffs[(0, 0)], slopes, xs), max(SIGMA_FLOOR, sigma)
 
 
 def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
@@ -379,7 +352,8 @@ def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
     The gradient for coefficient function psi_j is the chain rule through
     the (log-)linear link: the distribution residual times x_j (x_0 = 1 for
     the intercept).  Coefficients fitted earlier in the same iteration feed
-    the residuals of later ones through the current model state.
+    the residuals of later ones.  Each example's coefficient and sigma sums
+    are updated tree by tree, so each tree is evaluated once per example.
     """
     config = config or HybridConfig()
     target = examples.target
@@ -392,34 +366,37 @@ def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
     atoms = [a for a, _ in examples.entries]
     values = [v for _, v in examples.entries]
     xs = [model.parent_values(a, db) for a in atoms]
+    rows = [(a, db) for a in atoms]
+    coeffs = {key: [0.0] * len(atoms) for key in model.functions}
+    sigma_sums = [0.0] * len(atoms)
 
-    def residual(i):
+    def outputs():
+        return [_mixed_output(kind, {key: col[i] for key, col in coeffs.items()}, xs[i],
+                              config.sigma0 + sigma_sums[i]) for i in range(len(atoms))]
+
+    def residual(y, out) -> list:
         if isinstance(kind, Multinomial):
-            probs = model.predict(atoms[i], db)
-            return [(1.0 if values[i] == k else 0.0) - probs[k]
-                    for k in range(n_classes)]
+            return [(1.0 if y == k else 0.0) - out[k] for k in range(n_classes)]
         if isinstance(kind, Poisson):
-            return [values[i] - model.predict(atoms[i], db)]
-        mu, sigma = model.predict(atoms[i], db)
-        return [(values[i] - mu) / sigma ** 2]
+            return [y - out]
+        mu, sigma = out
+        return [(y - mu) / sigma ** 2]
+
+    def step(trees, gradients, psis, eta):
+        regs = [RegressionExample(a, g) for a, g in zip(atoms, gradients)]
+        trees.append(boost_step(regs, db, modes, config.tree, rows, psis, eta))
 
     eta = {Multinomial: config.eta_multinomial, Poisson: config.eta_poisson,
            Gaussian: config.eta_mu}[type(kind)]
     for _ in range(config.iterations):
-        for k in range(n_classes):
-            for j in range(len(parents) + 1):
-                regs = []
-                for i, a in enumerate(atoms):
-                    xj = 1.0 if j == 0 else xs[i][j - 1]
-                    regs.append(RegressionExample(a, residual(i)[k] * xj))
-                tree = _fit_scaled(regs, db, modes, config, eta)
-                model.functions[(k, j)].append(tree)
+        for (k, j), trees in model.functions.items():
+            res = [residual(y, out)[k] for y, out in zip(values, outputs())]
+            step(trees, [r * (1.0 if j == 0 else x[j - 1]) for r, x in zip(res, xs)],
+                 coeffs[(k, j)], eta)
         if isinstance(kind, Gaussian):
-            regs = []
-            for i, a in enumerate(atoms):
-                mu, sigma = model.predict(atoms[i], db)
-                regs.append(RegressionExample(a, gaussian_gradients(values[i], mu, sigma)[1]))
-            model.sigma_trees.append(_fit_scaled(regs, db, modes, config, config.eta_sigma))
+            step(model.sigma_trees, [gaussian_gradients(y, *out)[1]
+                                     for y, out in zip(values, outputs())],
+                 sigma_sums, config.eta_sigma)
     return model
 
 
@@ -524,56 +501,25 @@ def _kind_token(kind: DistributionKind) -> str:
 
 
 def serialize_hybrid(model: HybridModel) -> str:
-    lines = [f"model hybrid target={model.target.name}/{model.target.arity} "
-             f"kind={_kind_token(model.kind)} eta={model.eta!r}"
-             + (f" sigma0={model.sigma0!r}" if isinstance(model.kind, Gaussian) else "")]
-    for key in sorted(model.functions):
-        lines.append(f"function {key}")
-        for i, tree in enumerate(model.functions[key]):
-            lines.append(f"tree {i}")
-            lines.append(serialize_tree(tree).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+    return write_model(f"model hybrid target={model.target.name}/{model.target.arity} "
+                       f"kind={_kind_token(model.kind)} eta={model.eta!r}"
+                       + (f" sigma0={model.sigma0!r}" if isinstance(model.kind, Gaussian) else ""),
+                       {key: model.functions[key] for key in sorted(model.functions)})
 
 
 def parse_hybrid(text: str, schema: Schema) -> HybridModel:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("model hybrid "):
-        raise ParseError("not a hybrid model file", 1)
-    header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
-    name, arity = header["target"].split("/")
-    if name not in schema:
-        raise ParseError(f"model target {name!r} not in schema", 1)
-    target = schema.get(name)
-    if target.arity != int(arity):
-        raise ParseError("model target arity does not match schema", 1)
-    token = header["kind"]
-    if token.startswith("multinomial:"):
-        kind: DistributionKind = Multinomial(int(token.split(":")[1]))
+    fields, target = parse_header(text, "hybrid", schema, ("kind", "eta"), ("eta", "sigma0"))
+    token = fields["kind"]
+    classes = token[len("multinomial:"):]
+    if token.startswith("multinomial:") and classes.isdigit() and int(classes) >= 2:
+        kind: DistributionKind = Multinomial(int(classes))
     elif token == "poisson":
         kind = Poisson()
     elif token == "gaussian":
         kind = Gaussian()
     else:
         raise ParseError(f"unknown distribution kind {token!r}", 1)
-    model = HybridModel(target, kind, {}, float(header["eta"]),
-                        sigma0=float(header.get("sigma0", "1.0")))
-    current: Optional[str] = None
-    block: list = []
-
-    def flush():
-        if current is not None and block:
-            model.functions[current].append(
-                parse_tree("\n".join(block), schema, target))
-            block.clear()
-
-    for raw in lines[1:]:
-        if raw.startswith("function "):
-            flush()
-            current = raw[len("function "):].strip()
-            model.functions.setdefault(current, [])
-        elif raw.startswith("tree "):
-            flush()
-        elif raw.strip():
-            block.append(raw)
-    flush()
-    return model
+    functions = read_trees(text, schema, target, keyed=True)
+    if sorted(functions) != sorted(_function_keys(kind)):
+        raise ParseError(f"{token} models need the functions {_function_keys(kind)}")
+    return HybridModel(target, kind, functions, fields["eta"], fields.get("sigma0", 1.0))

@@ -170,9 +170,6 @@ class Atom:
         return f"{head}={self.value!r}"
 
 
-GroundAtom = Atom  # alias: a ground atom is an Atom whose args are all constants
-
-
 def _check_payload(pred: PredicateSignature, value, line=None):
     """Validate a concrete fact payload against the predicate's value kind."""
     if pred.kind == "boolean":

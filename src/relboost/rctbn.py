@@ -14,10 +14,6 @@ The learned quantity is a boosted function phi with intensity q = e^phi;
 the segment gradients are qT/(e^(qT)-1) for positives and -qT for
 negatives, which are the exact stable forms of -(1-p)ln(1-p)/p and
 ln(1-p) at p = 1 - e^(-qT).
-
-Segment extraction and gradient computation are independent per
-trajectory, and sampling is independent per world (each gets an RNG
-stream derived from the seed); the boosting loop is sequential.
 """
 
 from __future__ import annotations
@@ -47,12 +43,12 @@ from .logic import (
 )
 from .regtree import (
     RegressionExample,
-    RegressionTree,
     TreeConfig,
-    evaluate,
-    fit_tree,
-    parse_tree,
-    serialize_tree,
+    boost_step,
+    parse_header,
+    read_trees,
+    trees_value,
+    write_model,
 )
 
 PHI_CLAMP = 40.0
@@ -129,14 +125,6 @@ class Trajectory:
 
     def streams(self) -> list:
         return sorted({e.stream() for e in self.events}, key=_stream_key)
-
-    def value_at(self, stream: tuple, t: float):
-        """Piecewise-constant lookup: the last value set at or before t."""
-        value = None
-        for ev in self.events:
-            if ev.stream() == stream and ev.time <= t:
-                value = ev.value
-        return value
 
     def transitions(self) -> list:
         initialized = set()
@@ -467,7 +455,7 @@ class RctbnModel:
     trees: list
 
     def phi(self, seg: Segment) -> float:
-        return self.phi0 + sum(evaluate(t, seg.target, seg.context) for t in self.trees)
+        return self.phi0 + trees_value(self.trees, seg.target, seg.context)
 
     def transition_probability(self, seg: Segment) -> float:
         return transition_prob(intensity(self, seg), seg.residence_time)
@@ -513,6 +501,7 @@ def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schem
             raise ValueError(f"no positive segments for {transition}")
         pred = schema.get(transition.pred).dropped_time()
         model = RctbnModel(transition, pred, 0.0, [])
+        rows = [(seg.target, seg.context) for seg in segments]
         phis = [0.0] * len(segments)
         for m in range(config.iterations):
             regs = []
@@ -521,10 +510,7 @@ def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schem
                 qt = q * seg.residence_time
                 grad = pos_gradient_rate(qt) if seg.positive else neg_gradient_rate(qt)
                 regs.append(RegressionExample(seg.target, grad, db=seg.context))
-            tree = fit_tree(regs, None, modes, config.tree)
-            model.trees.append(tree)
-            for i, seg in enumerate(segments):
-                phis[i] += evaluate(tree, seg.target, seg.context)
+            model.trees.append(boost_step(regs, None, modes, config.tree, rows, phis))
             if on_iteration is not None:
                 ll = sum(segment_loglik(seg.positive, phis[i], seg.residence_time)
                          for i, seg in enumerate(segments))
@@ -543,13 +529,10 @@ def _transition_value_text(v) -> str:
 
 def serialize_rctbn(model: RctbnModel) -> str:
     t = model.transition
-    lines = [f"model rctbn target={t.pred}/{model.target.arity + 1} "
-             f"from={_transition_value_text(t.from_value)} "
-             f"to={_transition_value_text(t.to_value)} phi0={model.phi0!r}"]
-    for i, tree in enumerate(model.trees):
-        lines.append(f"tree {i}")
-        lines.append(serialize_tree(tree).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+    return write_model(f"model rctbn target={t.pred}/{model.target.arity + 1} "
+                       f"from={_transition_value_text(t.from_value)} "
+                       f"to={_transition_value_text(t.to_value)} phi0={model.phi0!r}",
+                       {None: model.trees})
 
 
 def _parse_transition_value(pred: PredicateSignature, token: str):
@@ -561,34 +544,13 @@ def _parse_transition_value(pred: PredicateSignature, token: str):
 
 
 def parse_rctbn(text: str, schema: Schema) -> RctbnModel:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("model rctbn "):
-        raise ParseError("not an rctbn model file", 1)
-    header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
-    name = header["target"].split("/")[0]
-    if name not in schema:
-        raise ParseError(f"model target {name!r} not in schema", 1)
-    pred = schema.get(name)
-    transition = Transition(name,
-                            _parse_transition_value(pred, header["from"]),
-                            _parse_transition_value(pred, header["to"]))
+    fields, pred = parse_header(text, "rctbn", schema, ("from", "to", "phi0"), ("phi0",))
+    transition = Transition(pred.name,
+                            _parse_transition_value(pred, fields["from"]),
+                            _parse_transition_value(pred, fields["to"]))
     proj = pred.dropped_time()
-    model = RctbnModel(transition, proj, float(header["phi0"]), [])
-    block: list = []
-    proj_schema = projected_schema(schema)
-
-    def flush():
-        if block:
-            model.trees.append(parse_tree("\n".join(block), proj_schema, proj))
-            block.clear()
-
-    for raw in lines[1:]:
-        if raw.startswith("tree "):
-            flush()
-        elif raw.strip():
-            block.append(raw)
-    flush()
-    return model
+    return RctbnModel(transition, proj, fields["phi0"],
+                      read_trees(text, projected_schema(schema), proj)[None])
 
 
 # ---------------------------------------------------------------------------

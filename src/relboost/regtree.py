@@ -9,14 +9,17 @@ along the path, and evaluation takes the succeeds branch exactly when the
 extended clause is satisfiable (existential semantics over the groundings
 of path variables).
 
-Fitted trees are immutable; candidate scoring only reads the fact base, so
-one node expansion can score candidates from parallel workers.
+The module also holds the boosted-function core that every learner is
+built on: the summed value of a tree list (`trees_value`), one
+functional-gradient step (`boost_step`), and the model-file layout of a
+header line followed by optional `function <key>` lines and `tree <i>`
+blocks (`parse_header`, `write_model`, `read_trees`).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -139,16 +142,11 @@ def score_split(parent_examples: list, test: NodeTest, db: FactBase) -> float:
 
     The score is the summed weighted SSE of the two children about their
     means; lower is better, and splitting a pure node cannot improve on the
-    parent SSE.
+    parent SSE.  Routing is the fit's own (`_score_candidate`).
     """
-    yes, no = [], []
-    for ex in parent_examples:
-        base = ex.db if ex.db is not None else db
-        if next(solutions(test.literals, _seed_for(ex), base), None) is not None:
-            yes.append(ex)
-        else:
-            no.append(ex)
-    return _weighted_sse(yes) + _weighted_sse(no)
+    yes, no = _score_candidate([(ex, [_seed_for(ex)]) for ex in parent_examples],
+                               test, db)
+    return _weighted_sse([ex for ex, _ in yes]) + _weighted_sse([ex for ex, _ in no])
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +276,11 @@ class _GrowLeaf:
         self.sse = _weighted_sse([ex for ex, _ in self.rows])
 
 
-def _score_candidate(args):
-    leaf, test, shared_db = args
+def _score_candidate(rows: list, test: NodeTest, shared_db: FactBase) -> tuple:
+    """Route (example, bindings) rows by `test`: the yes side keeps the
+    extended bindings, the no side its old ones."""
     yes, no = [], []
-    for ex, substs in leaf.rows:
+    for ex, substs in rows:
         base = ex.db if ex.db is not None else shared_db
         ext = _extend_bindings(substs, test.literals, base)
         if ext:
@@ -289,13 +288,6 @@ def _score_candidate(args):
         else:
             no.append((ex, substs))
     return yes, no
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("RELBOOST_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def fit_tree(examples: list, db: FactBase, modes: list,
@@ -325,10 +317,8 @@ def fit_tree(examples: list, db: FactBase, modes: list,
     root_leaf = _GrowLeaf(0, [(ex, [_seed_for(ex)]) for ex in examples],
                           list(head_vars), 0, frozenset())
     beam = [root_leaf]
-    finished = []
     n_created = 1
     n_leaves = 1
-    links: dict = {}  # leaf object -> (parent leaf, test, branch) for assembly
     structure: dict = {id(root_leaf): None}
 
     while beam and n_leaves < config.max_leaves:
@@ -336,35 +326,25 @@ def fit_tree(examples: list, db: FactBase, modes: list,
         beam.sort(key=lambda l: (-l.sse, l.created))
         leaf = beam.pop(0)
         if leaf.sse <= 0.0:
-            finished.append(leaf)
             continue
         candidates = enumerate_tests(leaf.bound_vars,
                                      target.arity + leaf.fresh_used,
                                      modes, dbs, config, leaf.path_texts)
         best = None
-        if candidates:
-            workers = _worker_count()
-            if workers > 1:
-                from concurrent.futures import ThreadPoolExecutor
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    routed = list(pool.map(_score_candidate,
-                                           ((leaf, t, db) for t in candidates)))
-            else:
-                routed = [_score_candidate((leaf, t, db)) for t in candidates]
-            for test, (yes, no) in zip(candidates, routed):
-                if len(yes) < config.min_examples_per_leaf:
-                    continue
-                if len(no) < config.min_examples_per_leaf:
-                    continue
-                score = (_weighted_sse([ex for ex, _ in yes])
-                         + _weighted_sse([ex for ex, _ in no]))
-                if score >= leaf.sse - 1e-12:
-                    continue
-                key = (score, test.text())
-                if best is None or key < best[0]:
-                    best = (key, test, yes, no)
+        for test in candidates:
+            yes, no = _score_candidate(leaf.rows, test, db)
+            if len(yes) < config.min_examples_per_leaf:
+                continue
+            if len(no) < config.min_examples_per_leaf:
+                continue
+            score = (_weighted_sse([ex for ex, _ in yes])
+                     + _weighted_sse([ex for ex, _ in no]))
+            if score >= leaf.sse - 1e-12:
+                continue
+            key = (score, test.text())
+            if best is None or key < best[0]:
+                best = (key, test, yes, no)
         if best is None:
-            finished.append(leaf)
             continue
         _, test, yes_rows, no_rows = best
         fresh = [v for lit in test.literals for v in lit.atom.variables()
@@ -381,8 +361,6 @@ def fit_tree(examples: list, db: FactBase, modes: list,
         structure.setdefault(id(yes_leaf), None)
         structure.setdefault(id(no_leaf), None)
         beam.extend([yes_leaf, no_leaf])
-
-    finished.extend(beam)
 
     def build(leaf_or_root):
         entry = structure.get(id(leaf_or_root))
@@ -413,6 +391,42 @@ def evaluate(tree: RegressionTree, target: Atom, db: FactBase) -> float:
         else:
             node = node.no
     return node.value
+
+
+# ---------------------------------------------------------------------------
+# the boosted-function core: psi = offset + sum of tree values
+# ---------------------------------------------------------------------------
+
+
+def trees_value(trees: list, atom: Atom, db: FactBase) -> float:
+    """Summed value of `trees` at one atom, added in tree order from 0.0:
+    the order `boost_step` accumulates psi in, so the two agree exactly."""
+    total = 0.0
+    for tree in trees:
+        total += evaluate(tree, atom, db)
+    return total
+
+
+def _scaled(node, eta: float):
+    if isinstance(node, Leaf):
+        return Leaf(node.value * eta)
+    return Inner(node.test, _scaled(node.yes, eta), _scaled(node.no, eta))
+
+
+def boost_step(regs: list, db: Optional[FactBase], modes: list, tree_config: TreeConfig,
+               rows: list, psis: list, eta: float = 1.0) -> RegressionTree:
+    """One functional-gradient step of a boosted function.
+
+    Fits a tree to the gradient examples `regs`, scales its leaves by the
+    step size `eta`, and adds the tree's value at the i-th (atom, db) of
+    `rows` to ``psis[i]`` in place.  Leaves are scaled after the fit, never
+    the gradients, so eta = 1 leaves the fitted values exact.
+    """
+    fitted = fit_tree(regs, db, modes, tree_config)
+    tree = RegressionTree(fitted.target, _scaled(fitted.root, eta))
+    for i, (atom, row_db) in enumerate(rows):
+        psis[i] += evaluate(tree, atom, row_db)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +463,17 @@ def serialize_tree(tree: RegressionTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_finite(token: str, what: str, line: Optional[int] = None) -> float:
+    """`token` as a finite float; anything else is a ParseError naming `what`."""
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be a finite number, not {token!r}", line)
+    return value
+
+
 def parse_tree(text: str, schema: Schema, target: PredicateSignature) -> RegressionTree:
     import re as _re
 
@@ -459,27 +484,119 @@ def parse_tree(text: str, schema: Schema, target: PredicateSignature) -> Regress
         raw = raw.strip()
         if not raw:
             continue
-        m = node_re.match(raw)
-        if m:
-            nid, test_text, yes, no = m.groups()
+        node, leaf = node_re.match(raw), leaf_re.match(raw)
+        if node:
+            nid, test_text, yes, no = node.groups()
             literals = tuple(parse_literal_list(test_text, schema))
-            specs[int(nid)] = ("node", NodeTest(literals), int(yes), int(no))
-            continue
-        m = leaf_re.match(raw)
-        if m:
-            specs[int(m.group(1))] = ("leaf", float(m.group(2)))
-            continue
-        raise ParseError(f"bad tree line {raw!r}", lineno)
+            spec = ("node", NodeTest(literals), int(yes), int(no))
+        elif leaf:
+            nid = leaf.group(1)
+            spec = ("leaf", parse_finite(leaf.group(2), "leaf value", lineno))
+        else:
+            raise ParseError(f"bad tree line {raw!r}", lineno)
+        if int(nid) in specs:
+            raise ParseError(f"duplicate node id {nid}", lineno)
+        specs[int(nid)] = spec
     if 0 not in specs:
         raise ParseError("tree has no root node 0")
+    reached: set = set()
 
     def build(nid):
         spec = specs.get(nid)
         if spec is None:
             raise ParseError(f"dangling node id {nid}")
+        if nid in reached:
+            raise ParseError(f"node id {nid} is reached twice")
+        reached.add(nid)
         if spec[0] == "leaf":
             return Leaf(spec[1])
         _, test, yes, no = spec
         return Inner(test, build(yes), build(no))
 
     return RegressionTree(target, build(0))
+
+
+# ---------------------------------------------------------------------------
+# model files: a `model <kind> k=v ...` header line, then the trees of each
+# boosted function as `tree <i>` blocks, keyed formats naming each function
+# on a `function <key>` line first
+# ---------------------------------------------------------------------------
+
+
+def parse_header(text: str, kind: str, schema: Schema, required: tuple = (),
+                 numbers: tuple = ()) -> tuple:
+    """(fields, target signature) of a model file's header line.
+
+    ``target=<name>/<arity>`` and every field in `required` must be
+    present; every field in `numbers` that is present becomes a finite
+    float.  Every defect is a ParseError at line 1.
+    """
+    lines = text.splitlines()
+    tokens = lines[0].split() if lines else []
+    if tokens[:2] != ["model", kind]:
+        raise ParseError(f"expected a 'model {kind}' header", 1)
+    fields: dict = {}
+    for token in tokens[2:]:
+        key, eq, value = token.partition("=")
+        if not key or not eq or key in fields:
+            raise ParseError(f"malformed header field {token!r}", 1)
+        fields[key] = value
+    for key in ("target",) + required:
+        if key not in fields:
+            raise ParseError(f"model header lacks {key}=", 1)
+    for key in numbers:
+        if key in fields:
+            fields[key] = parse_finite(fields[key], key, 1)
+    name, _, arity = fields["target"].partition("/")
+    if name not in schema:
+        raise ParseError(f"model target {name!r} not in schema", 1)
+    target = schema.get(name)
+    if arity != str(target.arity):
+        raise ParseError("model target arity does not match schema", 1)
+    return fields, target
+
+
+def write_model(header: str, functions: dict) -> str:
+    """Model file text: the header line, then each function's trees in
+    order, after a `function <key>` line unless the key is None."""
+    lines = [header]
+    for key, trees in functions.items():
+        if key is not None:
+            lines.append(f"function {key}")
+        for i, tree in enumerate(trees):
+            lines.append(f"tree {i}")
+            lines.append(serialize_tree(tree).rstrip("\n"))
+    return "\n".join(lines) + "\n"
+
+
+def read_trees(text: str, schema: Schema, target: PredicateSignature,
+               keyed: bool = False) -> dict:
+    """Function key -> trees of a model file, read after its header line.
+
+    An unkeyed file holds the one function None and may not name any; in a
+    keyed file every tree must follow a `function <key>` line.
+    """
+    functions: dict = {} if keyed else {None: []}
+    current = None
+    block: list = []
+
+    def flush():
+        if block:
+            functions[current].append(parse_tree("\n".join(block), schema, target))
+            block.clear()
+
+    for lineno, raw in enumerate(text.splitlines()[1:], start=2):
+        if raw.startswith("function "):
+            if not keyed:
+                raise ParseError("this model format has no function lines", lineno)
+            flush()
+            current = raw[len("function "):].strip()
+            functions.setdefault(current, [])
+        elif raw.startswith("tree "):
+            flush()
+        elif raw.strip():
+            if current not in functions:
+                raise ParseError("tree before any function line", lineno)
+            block.append(raw)
+    flush()
+    return functions

@@ -451,7 +451,7 @@ predicate: grade/1 multiclass(3).
             int(rng.poisson(6.0 if sick[i] else 2.0))) for i in range(n)]
     pm = hybrid.train_hybrid(
         {"visits": ExampleSet(vt, vis)}, db, modes,
-        hybrid.HybridConfig(iterations=50, eta_poisson=0.2, rng_seed=1))["visits"]
+        hybrid.HybridConfig(iterations=50, eta_poisson=0.2))["visits"]
     for branch in (True, False):
         members = [(a, y) for (a, y), s in zip(vis, sick) if s == branch]
         branch_mean = sum(y for _, y in members) / len(members)
@@ -465,7 +465,7 @@ predicate: grade/1 multiclass(3).
            for i in range(2500)]
     gm = hybrid.train_hybrid(
         {"weight": ExampleSet(wt, wts)}, db, modes,
-        hybrid.HybridConfig(iterations=25, rng_seed=1))["weight"]
+        hybrid.HybridConfig(iterations=25))["weight"]
     for branch in (True, False):
         members = [(a, y) for (a, y), s in zip(wts, sick) if s == branch]
         sample_mean = sum(y for _, y in members) / len(members)
@@ -478,7 +478,7 @@ predicate: grade/1 multiclass(3).
                int(rng.choice(3, p=[0.5, 0.3, 0.2]))) for i in range(2000)]
     mm = hybrid.train_hybrid(
         {"grade": ExampleSet(gt, grades)}, db, modes,
-        hybrid.HybridConfig(iterations=30, rng_seed=1))["grade"]
+        hybrid.HybridConfig(iterations=30))["grade"]
     freq = [sum(1 for _, v in grades if v == k) / len(grades) for k in range(3)]
     probs = mm.class_probs(grades[0][0], db)
     assert max(abs(f - p) for f, p in zip(freq, probs)) < 0.02
@@ -660,7 +660,7 @@ end
     hmodel = hybrid.train_hybrid(
         {"visits": ExampleSet(hschema.get("visits"), ventries)}, hdb,
         parse_modes("mode: sick(+).", hschema),
-        hybrid.HybridConfig(iterations=3, rng_seed=0))["visits"]
+        hybrid.HybridConfig(iterations=3))["visits"]
     htext = hybrid.serialize_hybrid(hmodel)
     assert hybrid.serialize_hybrid(hybrid.parse_hybrid(htext, hschema)) == htext
 

@@ -166,6 +166,29 @@ class TestEvalAndMetrics:
         path = _write(tmp_path / "bad.csv", "a,b\n0.5,1\n")
         assert main(["metrics", "--csv", path]) == 2
 
+    @pytest.mark.parametrize("header", [
+        "model rfgb target=target/1 psi0=0.0",
+        "model rfgb kind=hard psi0=0.0",
+        "model rfgb target=target/1 kind=hard",
+        "model rfgb target=target/1 kind=hard psi0=nan",
+        "model rfgb target=target/1 kind=soft:1.0,inf psi0=0.0",
+        "model hybrid target=visits/1 kind=poisson",
+        "model hybrid kind=poisson eta=0.5",
+        "model hybrid target=visits/1 eta=0.5",
+        "model hybrid target=visits/1 kind=poisson eta=inf",
+        "model rctbn target=cvd/2 from=false to=true",
+        "model rctbn target=cvd/2 from=false phi0=0.0",
+        "model rctbn target=cvd/2 from=false to=true phi0=-inf",
+    ])
+    def test_malformed_model_header_is_line_1_data_error(self, tmp_path, capsys,
+                                                          header):
+        schema = _write(tmp_path / "schema.txt", LINKED_SCHEMA_TEXT
+                        + "predicate: visits/1 count.\n"
+                        + "predicate: cvd/2 boolean temporal.\n")
+        model = _write(tmp_path / "model.txt", header + "\ntree 0\nleaf 0 value=0.5\n")
+        assert main(["eval", "--model", model, "--schema", schema]) == 2
+        assert "data error: line 1:" in capsys.readouterr().err
+
 
 SAMPLE_SCHEMA = """
 predicate: cvd/2 boolean temporal.

@@ -33,6 +33,7 @@ from relboost.logic import (
     Constant,
     ExampleSet,
     FactBase,
+    ParseError,
     parse_facts,
     parse_modes,
     parse_schema,
@@ -209,7 +210,7 @@ class TestTrainHybrid:
         entries = [(Atom(target, (Constant(f"e{i:05d}"),)), int(y))
                    for i, y in enumerate(rng2.poisson(4.0, 2000))]
         examples = ExampleSet(target, entries)
-        config = HybridConfig(iterations=40, eta_poisson=0.25, rng_seed=0)
+        config = HybridConfig(iterations=40, eta_poisson=0.25)
         model = train_hybrid({"visits": examples}, db, [], config)["visits"]
         mean = sum(v for _, v in entries) / len(entries)
         rate = model.rate(entries[0][0], db)
@@ -223,7 +224,7 @@ class TestTrainHybrid:
         entries = [(Atom(target, (Constant(f"e{i:05d}"),)), int(y))
                    for i, y in enumerate(rng2.poisson(1.5, 1200))]
         examples = ExampleSet(target, entries)
-        config = HybridConfig(iterations=50, eta_poisson=0.5, rng_seed=0)
+        config = HybridConfig(iterations=50, eta_poisson=0.5)
         model = train_hybrid({"visits": examples}, db, [], config)["visits"]
         mean = sum(v for _, v in entries) / len(entries)
         rate = model.rate(entries[0][0], db)
@@ -240,7 +241,7 @@ class TestTrainHybrid:
                             float(rng2.normal(mu, 1.0))))
         examples = ExampleSet(target, entries)
         model = train_hybrid({"weight": examples}, db, modes,
-                             HybridConfig(iterations=25, rng_seed=0))["weight"]
+                             HybridConfig(iterations=25))["weight"]
         for branch in (True, False):
             members = [(a, v) for (a, v), s in zip(entries, sick_flags) if s == branch]
             sample_mean = sum(v for _, v in members) / len(members)
@@ -257,7 +258,7 @@ class TestTrainHybrid:
                                                      p=[0.5, 0.3, 0.2]))]
         examples = ExampleSet(target, entries)
         model = train_hybrid({"grade": examples}, db, modes,
-                             HybridConfig(iterations=30, rng_seed=0))["grade"]
+                             HybridConfig(iterations=30))["grade"]
         freq = [sum(1 for _, v in entries if v == k) / len(entries)
                 for k in range(3)]
         probs = model.class_probs(entries[0][0], db)
@@ -286,7 +287,7 @@ class TestHybridModelFiles:
         entries = [(Atom(target, (Constant(f"e{i:05d}"),)), int(y))
                    for i, y in enumerate(rng2.poisson(2.0, 200))]
         model = train_hybrid({"visits": ExampleSet(target, entries)}, db, modes,
-                             HybridConfig(iterations=5, rng_seed=0))["visits"]
+                             HybridConfig(iterations=5))["visits"]
         text = serialize_hybrid(model)
         again = parse_hybrid(text, schema)
         assert serialize_hybrid(again) == text
@@ -303,6 +304,17 @@ class TestHybridModelFiles:
         again = parse_hybrid(serialize_hybrid(model), schema)
         assert again.sigma0 == 1.5
         assert again.mu_sigma(entries[0][0], db) == model.mu_sigma(entries[0][0], db)
+
+    @pytest.mark.parametrize("body", [
+        "",
+        "tree 0\nleaf 0 value=1.0\nfunction rate\n",
+        "function rate\nfunction mu\n",
+    ])
+    def test_functions_must_match_the_kind(self, branch_domain, body):
+        schema = branch_domain[0]
+        text = "model hybrid target=visits/1 kind=poisson eta=0.5\n" + body
+        with pytest.raises(ParseError):
+            parse_hybrid(text, schema)
 
 
 class TestMixedParentModel:
@@ -329,7 +341,7 @@ predicate: y/1 continuous.
         db = FactBase(schema, facts)
         # eta below 2 sigma^2 / E[x^2] keeps the coefficient recursion stable
         model = train_mixed(ExampleSet(target, entries), db, modes, ["x"],
-                            HybridConfig(iterations=40, eta_mu=0.5, rng_seed=0))
+                            HybridConfig(iterations=40, eta_mu=0.5))
         for marked, (b0, b1) in ((True, (-1.0, -1.0)), (False, (1.0, 2.0))):
             sample = next(a for (a, _), m in zip(
                 entries, [i % 2 == 0 for i in range(800)]) if m == marked)
@@ -354,7 +366,7 @@ predicate: hits/1 count.
             entries.append((Atom(target, (e,)), int(rng.poisson(lam))))
         db = FactBase(schema, facts)
         model = train_mixed(ExampleSet(target, entries), db, modes, ["x"],
-                            HybridConfig(iterations=30, eta_poisson=0.3, rng_seed=0))
+                            HybridConfig(iterations=30, eta_poisson=0.3))
         for x_probe in (-0.8, 0.0, 0.8):
             probe = min(entries, key=lambda ev: abs(
                 model.parent_values(ev[0], db)[0] - x_probe))[0]

@@ -7,6 +7,7 @@ import pytest
 from relboost.logic import (
     Atom,
     Constant,
+    ParseError,
     Variable,
     parse_facts,
     parse_literal_list,
@@ -342,18 +343,6 @@ predicate: r/2 boolean.
                 regs, db, modes, config, schema)
 
 
-class TestWorkerEnv:
-    def test_threaded_candidate_scoring_is_deterministic(self, linked_domain,
-                                                         monkeypatch):
-        schema, db, modes, examples = linked_domain
-        rng = random.Random(29)
-        regs = [RegressionExample(a, rng.gauss(0, 1)) for a, _ in examples.entries]
-        baseline = serialize_tree(fit_tree(regs, db, modes, TreeConfig(max_leaves=6)))
-        monkeypatch.setenv("RELBOOST_THREADS", "4")
-        threaded = serialize_tree(fit_tree(regs, db, modes, TreeConfig(max_leaves=6)))
-        assert threaded == baseline
-
-
 class TestSerialization:
     def test_bit_exact_roundtrip(self, linked_domain):
         schema, db, modes, examples = linked_domain
@@ -388,3 +377,21 @@ predicate: rel/2 boolean.
             Leaf(-3.5)))
         text = serialize_tree(tree)
         assert serialize_tree(parse_tree(text, schema, target)) == text
+
+    @pytest.mark.parametrize("text", [
+        "node 0 test \"hot(V0)\" yes=0 no=0\n",
+        "node 0 test \"hot(V0)\" yes=1 no=1\nleaf 1 value=0.5\n",
+        "node 0 test \"hot(V0)\" yes=1 no=2\nleaf 1 value=0.5\nleaf 1 value=1.5\n"
+        "leaf 2 value=0.0\n",
+    ])
+    def test_cyclic_or_shared_node_ids_rejected(self, tiny_domain, text):
+        schema, _, _ = tiny_domain
+        with pytest.raises(ParseError, match="reached twice|duplicate node id"):
+            parse_tree(text, schema, schema.get("target"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "zero"])
+    def test_non_finite_leaf_value_rejected(self, tiny_domain, value):
+        schema, _, _ = tiny_domain
+        text = f'node 0 test "hot(V0)" yes=1 no=2\nleaf 1 value=0.5\nleaf 2 value={value}\n'
+        with pytest.raises(ParseError, match="line 3: leaf value must be a finite number"):
+            parse_tree(text, schema, schema.get("target"))
