@@ -28,7 +28,7 @@ from .logic import (
     parse_modes,
     parse_schema,
 )
-from .regtree import TreeConfig
+from .regtree import TreeConfig, parse_finite
 from .util import atomic_write
 
 
@@ -296,8 +296,8 @@ def cmd_train(opts: dict) -> int:
         target = _target_sig(schema, opts["target"])
         transition = rctbn.Transition(
             target.name,
-            rctbn._parse_transition_value(target, opts["from"]),
-            rctbn._parse_transition_value(target, opts["to"]))
+            rctbn._parse_event_value(target, opts["from"]),
+            rctbn._parse_event_value(target, opts["to"]))
         trajs = rctbn.parse_trajectories(_read(opts["traj"]), schema)
         config = rctbn.RctbnConfig(opts["iters"], _tree_config(opts),
                                    opts["neg-cap"], opts["seed"])
@@ -381,13 +381,15 @@ def cmd_eval(opts: dict) -> int:
 def cmd_metrics(opts: dict) -> int:
     _require(opts, "csv")
     reader = csv.reader(io.StringIO(_read(opts["csv"])))
-    rows = list(reader)
-    if not rows or [c.strip() for c in rows[0]] != ["score", "label"]:
+    if [c.strip() for c in next(reader, [])] != ["score", "label"]:
         raise DataError("predictions CSV needs a score,label header")
-    try:
-        pairs = [(float(score), int(label)) for score, label in rows[1:]]
-    except ValueError:
-        raise DataError("bad row in predictions CSV")
+    pairs = []
+    for row in reader:
+        try:
+            score, label = row
+            pairs.append((parse_finite(score, "score"), int(label)))
+        except (ParseError, ValueError) as exc:
+            raise DataError(f"line {reader.line_num}: bad row in predictions CSV: {exc}")
     if not pairs:
         raise DataError("empty predictions CSV")
     report = _prediction_report(metrics.PredictionSet(pairs), opts)

@@ -9,8 +9,8 @@ likelihood, and a mutual-information test score.  Natural logarithms
 throughout.
 
 Scoring requires complete discrete data; missing-value handling is a
-dataset-preparation concern.  Candidate moves read a shared family-score
-cache and could be scored in parallel; the climb itself is sequential.
+dataset-preparation concern.  The climb is sequential; candidate moves
+read one family-score cache.
 """
 
 from __future__ import annotations
@@ -67,21 +67,34 @@ class DiscreteDataset:
         return self.rows[:, j] if kind == "t" else self.rows[:, self.n_vars + j]
 
 
-def parse_dataset(text: str) -> DiscreteDataset:
-    """Header ``vars: name:arity, ...`` then one CSV sample per line."""
-    lines = [l.strip() for l in text.splitlines()]
-    lines = [l for l in lines if l and not l.startswith("%")]
-    if not lines or not lines[0].startswith("vars:"):
-        raise ParseError("dataset needs a 'vars:' header", 1)
+def _read_vars(text: str, what: str) -> tuple:
+    """(names, arities, body) of a file headed ``vars: name:arity, ...``.
+
+    Blank lines and ``%`` comment lines are skipped; `body` holds every
+    later (line number, stripped text) pair, numbered as in the file.
+    """
+    lines = [(n, l.strip()) for n, l in enumerate(text.splitlines(), start=1)
+             if l.strip() and not l.strip().startswith("%")]
+    if not lines or not lines[0][1].startswith("vars:"):
+        raise ParseError(f"{what} needs a 'vars:' header", lines[0][0] if lines else 1)
+    lineno, header = lines[0]
     names, arities = [], []
-    for tok in lines[0][len("vars:"):].split(","):
+    for tok in header[len("vars:"):].split(","):
         m = re.match(r"\s*([a-z][A-Za-z0-9_]*)\s*:\s*([0-9]+)\s*\Z", tok)
-        if not m:
-            raise ParseError(f"bad variable declaration {tok!r}", 1)
+        if not m or int(m.group(2)) < 1:
+            raise ParseError(f"bad variable declaration {tok.strip()!r}", lineno)
+        if m.group(1) in names:
+            raise ParseError(f"variable {m.group(1)!r} declared twice", lineno)
         names.append(m.group(1))
         arities.append(int(m.group(2)))
+    return names, arities, lines[1:]
+
+
+def parse_dataset(text: str) -> DiscreteDataset:
+    """Header ``vars: name:arity, ...`` then one CSV sample per line."""
+    names, arities, body = _read_vars(text, "dataset")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in body:
         parts = line.split(",")
         if len(parts) != 2 * len(names):
             raise ParseError(f"expected {2 * len(names)} values", lineno)
@@ -89,10 +102,14 @@ def parse_dataset(text: str) -> DiscreteDataset:
             rows.append([int(p) for p in parts])
         except ValueError:
             raise ParseError("states must be integers", lineno)
-    try:
-        return DiscreteDataset(names, arities, np.array(rows, dtype=np.int64))
-    except ValueError as exc:
-        raise ParseError(str(exc))
+    if not rows:
+        raise ParseError("dataset has no samples")
+    states = np.array(rows, dtype=np.int64)
+    bad = (states < 0) | (states >= np.array(arities * 2))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ParseError(f"state out of range for {names[col % len(names)]}", body[row][0])
+    return DiscreteDataset(names, arities, states)
 
 
 def serialize_dataset(data: DiscreteDataset) -> str:
@@ -156,27 +173,25 @@ def serialize_network(net: TwoSliceNetwork) -> str:
 
 
 def parse_network(text: str) -> TwoSliceNetwork:
-    lines = [l.strip() for l in text.splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("vars:"):
-        raise ParseError("network needs a 'vars:' header", 1)
-    names, arities = [], []
-    for tok in lines[0][len("vars:"):].split(","):
-        name, arity = tok.strip().split(":")
-        names.append(name.strip())
-        arities.append(int(arity))
+    """Header ``vars: name:arity, ...`` then ``intra a->b`` and
+    ``inter a=>b`` arc lines over the declared variables."""
+    names, arities, body = _read_vars(text, "network")
     index = {n: i for i, n in enumerate(names)}
-    intra, inter = set(), set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        m = re.match(r"intra\s+(\w+)->(\w+)\Z", line)
-        if m:
-            intra.add((index[m.group(1)], index[m.group(2)]))
-            continue
-        m = re.match(r"inter\s+(\w+)=>(\w+)\Z", line)
-        if m:
-            inter.add((index[m.group(1)], index[m.group(2)]))
-            continue
-        raise ParseError(f"bad network line {line!r}", lineno)
-    return TwoSliceNetwork(names, arities, intra, inter)
+    arcs: dict = {"intra": set(), "inter": set()}
+    for lineno, line in body:
+        m = re.match(r"(intra)\s+(\w+)->(\w+)\Z", line) or \
+            re.match(r"(inter)\s+(\w+)=>(\w+)\Z", line)
+        if not m:
+            raise ParseError(f"bad network line {line!r}", lineno)
+        kind, a, b = m.groups()
+        for name in (a, b):
+            if name not in index:
+                raise ParseError(f"arc names undeclared variable {name!r}", lineno)
+        arcs[kind].add((index[a], index[b]))
+    try:
+        return TwoSliceNetwork(names, arities, arcs["intra"], arcs["inter"])
+    except ValueError as exc:
+        raise ParseError(str(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """First-order representation, dataset parsing, and the grounding engine.
 
 Predicates are declared in a :class:`Schema`; ground facts live in an
-indexed, immutable :class:`FactBase`; clause bodies are matched against it
+indexed :class:`FactBase`; clause bodies are matched against it
 by a small deterministic engine with negation-as-failure.
 
 Textual formats are UTF-8 and line oriented.  A ``%`` starts a comment and
@@ -13,8 +13,8 @@ whitespace outside identifiers is insignificant::
     predicate: bp/2 continuous temporal.   % schema declaration
 
 Variables are uppercase-initial identifiers, constants are lowercase-initial
-identifiers or numeric literals.  A FactBase is built once (single writer)
-and never mutated afterwards, so it can be read from any number of workers.
+identifiers or numeric literals.  A FactBase's facts are fixed when it is
+built; the matcher then fills a memo of query answers on it as it goes.
 """
 
 from __future__ import annotations
@@ -266,10 +266,12 @@ def _sort_key(atom: Atom):
 class FactBase:
     """Indexed set of ground atoms.
 
-    Immutable after construction: the per-predicate, per-position index maps
-    each constant to the facts carrying it, and queries return exactly what a
-    linear scan would.  At most one fact per (predicate, argument tuple);
-    re-adding with a different payload is an error.
+    The facts are fixed at construction: the per-predicate, per-position
+    index maps each constant to the facts carrying it, and queries return
+    exactly what a linear scan would.  At most one fact per (predicate,
+    argument tuple); re-adding with a different payload is an error.
+    `_memo` is the one part that changes: the matcher caches query answers
+    there.
     """
 
     def __init__(self, schema: Schema, facts: Iterable[Atom] = ()):
@@ -358,7 +360,7 @@ def _match_slots(db: FactBase, pred: PredicateSignature, bound_args: list,
                  value: AtomValue, slot_of: dict, n_slots: int) -> list:
     """Constant tuples (one per free-variable slot) grounding the query.
 
-    Results are cached on the (immutable) fact base keyed by the
+    Results are cached in the fact base's memo, keyed by the
     variable-position pattern, so repeated queries across boosting
     iterations are answered once.
     """

@@ -7,7 +7,7 @@ polyline, and the strips are reweighted by a recursion that shifts weight
 toward the high-recall top.  gamma = 0 reproduces the conventional AUC to
 machine precision and gamma = 1 keeps only the top strip.
 
-All functions are pure and safe for arbitrary parallel use.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -19,15 +19,17 @@ from typing import Iterable, Optional
 
 @dataclass
 class PredictionSet:
-    """(score, label) pairs with label in {0, 1}."""
+    """(score, label) pairs with a finite score and label in {0, 1}."""
 
     pairs: list
 
     def __post_init__(self):
         self.pairs = [(float(s), int(l)) for s, l in self.pairs]
-        for _, l in self.pairs:
+        for s, l in self.pairs:
             if l not in (0, 1):
                 raise ValueError("labels must be 0 or 1")
+            if not math.isfinite(s):
+                raise ValueError(f"scores must be finite, not {s!r}")
         if not self.pairs:
             raise ValueError("empty prediction set")
 

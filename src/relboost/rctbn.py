@@ -45,6 +45,7 @@ from .regtree import (
     RegressionExample,
     TreeConfig,
     boost_step,
+    parse_finite,
     parse_header,
     read_trees,
     trees_value,
@@ -123,18 +124,9 @@ class Trajectory:
         if self.events and self.horizon < max(e.time for e in self.events):
             raise ValueError("horizon earlier than the last event")
 
-    def streams(self) -> list:
-        return sorted({e.stream() for e in self.events}, key=_stream_key)
-
     def transitions(self) -> list:
-        initialized = set()
-        out = []
-        for ev in self.events:
-            if ev.stream() in initialized:
-                out.append(ev)
-            else:
-                initialized.add(ev.stream())
-        return out
+        """Every event after the initializations, which all sit at t=0."""
+        return [ev for ev in self.events if ev.time > 0.0]
 
 
 def projected_schema(schema: Schema, extra: Iterable[PredicateSignature] = ()) -> Schema:
@@ -147,30 +139,37 @@ def projected_schema(schema: Schema, extra: Iterable[PredicateSignature] = ()) -
     return out
 
 
-def snapshot(traj: Trajectory, static_db: Optional[FactBase], schema: Schema,
-             t: float, exclude: Optional[tuple] = None) -> FactBase:
-    """Context fact base at time t: stream values plus static facts.
+def _context(proj: Schema, static_facts: list, streams: Iterable[tuple],
+             exclude: Optional[tuple] = None) -> FactBase:
+    """The projected context of one world state: the static facts plus one
+    atom per (stream, value) pair other than `exclude`.
 
     Boolean streams appear only while true (negation-as-failure covers the
-    false state); valued streams carry their current payload.  `exclude`
-    drops one stream, used for the target's own stream.
+    false state); valued streams carry their current payload.
     """
-    proj = projected_schema(schema)
-    atoms = list(static_db.facts()) if static_db is not None else []
+    atoms = list(static_facts)
+    for (name, args), value in streams:
+        if (name, args) == exclude:
+            continue
+        pred = proj.get(name)
+        if pred.kind != "boolean":
+            atoms.append(Atom(pred, args, value))
+        elif value is True:
+            atoms.append(Atom(pred, args, True))
+    return FactBase(proj, atoms)
+
+
+def snapshot(traj: Trajectory, static_db: Optional[FactBase], schema: Schema,
+             t: float, exclude: Optional[tuple] = None) -> FactBase:
+    """Context fact base at time t: the streams' values at t plus the static
+    facts.  `exclude` drops one stream, used for the target's own."""
     current: dict = {}
     for ev in traj.events:
         if ev.time <= t:
             current[ev.stream()] = ev.value
-    for (name, args), value in current.items():
-        if exclude is not None and (name, args) == exclude:
-            continue
-        pred = proj.get(name)
-        if pred.kind == "boolean":
-            if value is True:
-                atoms.append(Atom(pred, args, True))
-        else:
-            atoms.append(Atom(pred, args, value))
-    return FactBase(proj, atoms)
+    return _context(projected_schema(schema),
+                    static_db.facts() if static_db is not None else [],
+                    current.items(), exclude)
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +180,22 @@ _TRAJ_EVENT_RE = re.compile(
     r"t=(\S+)\s+([a-z][A-Za-z0-9_]*)\s*(?:\(\s*([^()]*?)\s*\))?\s*=\s*(\S+)\Z")
 
 
-def _parse_event_value(pred: PredicateSignature, token: str, lineno: int):
+def _parse_event_value(pred: PredicateSignature, token: str,
+                       lineno: Optional[int] = None):
+    """A value of `pred`'s stream: true/false, a class index or count, or a
+    finite real.  Trajectory events and transition states both use it."""
     if pred.kind == "boolean":
         if token not in ("true", "false"):
-            raise ParseError(f"{pred.name} events need true/false", lineno)
+            raise ParseError(f"{pred.name} values are true/false, not {token!r}", lineno)
         return token == "true"
     if pred.kind in ("multiclass", "count"):
         if not re.match(r"[0-9]+\Z", token):
-            raise ParseError(f"{pred.name} events need an integer value", lineno)
+            raise ParseError(f"{pred.name} values are integers, not {token!r}", lineno)
         v = int(token)
         if pred.kind == "multiclass" and not 0 <= v < pred.classes:
             raise ParseError(f"class index {v} out of range for {pred.name}", lineno)
         return v
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"{pred.name} events need a real value", lineno)
+    return parse_finite(token, f"{pred.name} value", lineno)
 
 
 def parse_trajectories(text: str, schema: Schema) -> list:
@@ -220,10 +219,7 @@ def parse_trajectories(text: str, schema: Schema) -> list:
         elif line.startswith("horizon="):
             if entity is None:
                 raise ParseError("horizon outside a trajectory block", lineno)
-            try:
-                horizon = float(line[len("horizon="):])
-            except ValueError:
-                raise ParseError("bad horizon", lineno)
+            horizon = parse_finite(line[len("horizon="):], "horizon", lineno)
             try:
                 trajs.append(Trajectory(entity, events, horizon))
             except ValueError as exc:
@@ -318,36 +314,43 @@ def segment(trajectories: Iterable[Trajectory], static_db: Optional[FactBase],
     some other stream transitions while the target sits in the from
     state, and the horizon closes a final negative segment.  Segments
     where the target is not in the from state produce no example.
+
+    A segment's context is `snapshot` at its start without the target
+    stream.  It depends only on the joint state of the other streams, so
+    segments in equal states share one context object.
     """
     if transition.pred not in schema:
         raise ParseError(f"unknown target predicate {transition.pred!r}")
     pred = schema.get(transition.pred)
     proj = pred.dropped_time()
+    proj_schema = projected_schema(schema)
+    static = static_db.facts() if static_db is not None else []
+    contexts: dict = {}     # joint state of the non-target streams -> FactBase
     out = []
+
+    def context(current: dict, exclude: tuple) -> FactBase:
+        state = tuple(kv for kv in current.items() if kv[0] != exclude)
+        if state not in contexts:
+            contexts[state] = _context(proj_schema, static, state)
+        return contexts[state]
+
     for traj in trajectories:
         stream_key = (pred.name, (Constant(traj.entity),))
-        stream_events = [e for e in traj.events if e.stream() == stream_key]
-        if not stream_events:
-            continue
         target_atom = Atom(proj, stream_key[1])
+        current: dict = {}      # stream -> value since t_prev
         t_prev = 0.0
-        value = stream_events[0].value
-        for ev in traj.transitions():
+        for ev in traj.events:  # initializations, all at t=0, come first
+            value = current.get(stream_key)
             if value == transition.from_value and ev.time > t_prev:
-                is_target = ev.stream() == stream_key
-                positive = is_target and ev.value == transition.to_value
-                out.append(Segment(
-                    target_atom, value, ev.time - t_prev,
-                    snapshot(traj, static_db, schema, t_prev, exclude=stream_key),
-                    positive))
-            if ev.stream() == stream_key:
-                value = ev.value
+                positive = ev.stream() == stream_key and ev.value == transition.to_value
+                out.append(Segment(target_atom, value, ev.time - t_prev,
+                                   context(current, stream_key), positive))
+            current[ev.stream()] = ev.value
             t_prev = ev.time
+        value = current.get(stream_key)
         if value == transition.from_value and traj.horizon > t_prev:
-            out.append(Segment(
-                target_atom, value, traj.horizon - t_prev,
-                snapshot(traj, static_db, schema, t_prev, exclude=stream_key),
-                False))
+            out.append(Segment(target_atom, value, traj.horizon - t_prev,
+                               context(current, stream_key), False))
     return out
 
 
@@ -466,7 +469,7 @@ def intensity(model: RctbnModel, seg: Segment) -> float:
     return math.exp(min(max(model.phi(seg), -PHI_CLAMP), PHI_CLAMP))
 
 
-def _cap_negatives(segments: list, per_traj_groups: list, cap: int,
+def _cap_negatives(per_traj_groups: list, cap: int,
                    rng: random.Random) -> list:
     kept = []
     for group in per_traj_groups:
@@ -495,8 +498,7 @@ def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schem
     models = {}
     for transition in transitions:
         groups = [segment([traj], static_db, schema, transition) for traj in trajectories]
-        segments = _cap_negatives([s for g in groups for s in g], groups,
-                                  config.neg_cap_per_traj, rng)
+        segments = _cap_negatives(groups, config.neg_cap_per_traj, rng)
         if not any(s.positive for s in segments):
             raise ValueError(f"no positive segments for {transition}")
         pred = schema.get(transition.pred).dropped_time()
@@ -519,35 +521,19 @@ def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schem
     return models
 
 
-def _transition_value_text(v) -> str:
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    return str(v)
-
-
 def serialize_rctbn(model: RctbnModel) -> str:
     t = model.transition
     return write_model(f"model rctbn target={t.pred}/{model.target.arity + 1} "
-                       f"from={_transition_value_text(t.from_value)} "
-                       f"to={_transition_value_text(t.to_value)} phi0={model.phi0!r}",
+                       f"from={_event_value_text(t.from_value)} "
+                       f"to={_event_value_text(t.to_value)} phi0={model.phi0!r}",
                        {None: model.trees})
-
-
-def _parse_transition_value(pred: PredicateSignature, token: str):
-    if pred.kind == "boolean":
-        if token not in ("true", "false"):
-            raise ParseError(f"{pred.name} states are true/false")
-        return token == "true"
-    return int(token)
 
 
 def parse_rctbn(text: str, schema: Schema) -> RctbnModel:
     fields, pred = parse_header(text, "rctbn", schema, ("from", "to", "phi0"), ("phi0",))
     transition = Transition(pred.name,
-                            _parse_transition_value(pred, fields["from"]),
-                            _parse_transition_value(pred, fields["to"]))
+                            _parse_event_value(pred, fields["from"], 1),
+                            _parse_event_value(pred, fields["to"], 1))
     proj = pred.dropped_time()
     return RctbnModel(transition, proj, fields["phi0"],
                       read_trees(text, projected_schema(schema), proj)[None])
@@ -697,51 +683,23 @@ def _state_to_value(var: VariableSpec, k: int):
     return bool(k) if var.pred.kind == "boolean" else k
 
 
-def _value_to_state(var: VariableSpec, v) -> int:
-    return int(v) if var.pred.kind != "boolean" else (1 if v else 0)
-
-
-def _world_context(spec: GroundTruthSpec, world: World, schema: Schema,
-                   states: dict, exclude: tuple) -> FactBase:
-    proj = projected_schema(schema)
-    atoms = list(world.facts)
-    for (name, args), k in states.items():
-        if (name, args) == exclude:
-            continue
-        var = spec.variables[name]
-        value = _state_to_value(var, k)
-        pred = proj.get(name)
-        if pred.kind == "boolean":
-            if value:
-                atoms.append(Atom(pred, args, True))
-        else:
-            atoms.append(Atom(pred, args, value))
-    return FactBase(proj, atoms)
-
-
 def _active_rates(spec: GroundTruthSpec, world: World, schema: Schema,
-                  states: dict, stream: tuple, cache: Optional[dict] = None) -> CIM:
-    name, args = stream
-    key = None
-    if cache is not None:
-        key = (stream, tuple(sorted(states.items(), key=lambda kv: _stream_key(kv[0]))))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    seed = {Variable(f"V{i}"): a for i, a in enumerate(args)}
-    context = _world_context(spec, world, schema, states, exclude=stream)
-    active = []
-    for clause in spec.clauses:
-        if clause.pred != name:
-            continue
-        if satisfies(clause.body, seed, context):
-            active.append(clause.cim)
-    if not active:
-        raise ValueError(f"no active clause for {name}{args} (spec incomplete)")
-    combined = add_cims(active)
-    if cache is not None:
-        cache[key] = combined
-    return combined
+                  states: dict, stream: tuple, cache: dict) -> CIM:
+    """Summed CIM of the stream's clauses whose bodies hold in the joint
+    state `states`; `cache` keeps one answer per (stream, joint state)."""
+    key = (stream, tuple(sorted(states.items(), key=lambda kv: _stream_key(kv[0]))))
+    if key not in cache:
+        name, args = stream
+        seed = {Variable(f"V{i}"): a for i, a in enumerate(args)}
+        context = _context(projected_schema(schema), world.facts,
+                           ((s, _state_to_value(spec.variables[s[0]], k))
+                            for s, k in states.items()), exclude=stream)
+        active = [clause.cim for clause in spec.clauses
+                  if clause.pred == name and satisfies(clause.body, seed, context)]
+        if not active:
+            raise ValueError(f"no active clause for {name}{args} (spec incomplete)")
+        cache[key] = add_cims(active)
+    return cache[key]
 
 
 def _derive_seed(seed: int, idx: int) -> int:

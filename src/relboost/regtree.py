@@ -92,11 +92,7 @@ class RegressionTree:
         return [Variable(f"V{i}") for i in range(self.target.arity)]
 
     def leaf_count(self) -> int:
-        def count(node):
-            if isinstance(node, Leaf):
-                return 1
-            return count(node.yes) + count(node.no)
-        return count(self.root)
+        return sum(isinstance(node, Leaf) for node in _preorder(self.root))
 
 
 @dataclass
@@ -407,10 +403,12 @@ def trees_value(trees: list, atom: Atom, db: FactBase) -> float:
     return total
 
 
-def _scaled(node, eta: float):
-    if isinstance(node, Leaf):
-        return Leaf(node.value * eta)
-    return Inner(node.test, _scaled(node.yes, eta), _scaled(node.no, eta))
+def _scaled(root, eta: float):
+    copies: dict = {}
+    for node in reversed(_preorder(root)):     # children before their parents
+        copies[id(node)] = (Leaf(node.value * eta) if isinstance(node, Leaf) else
+                            Inner(node.test, copies[id(node.yes)], copies[id(node.no)]))
+    return copies[id(root)]
 
 
 def boost_step(regs: list, db: Optional[FactBase], modes: list, tree_config: TreeConfig,
@@ -434,32 +432,28 @@ def boost_step(regs: list, db: Optional[FactBase], modes: list, tree_config: Tre
 # ---------------------------------------------------------------------------
 
 
+def _preorder(root) -> list:
+    """The nodes under `root` in preorder, yes branch first, without recursion."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, Inner):
+            stack.extend((node.no, node.yes))
+    return order
+
+
 def serialize_tree(tree: RegressionTree) -> str:
+    """One line per node in preorder; a node's id is its preorder position."""
+    order = _preorder(tree.root)
+    ids = {id(node): i for i, node in enumerate(order)}
     lines = []
-
-    def number(node, next_id):
-        my_id = next_id
-        if isinstance(node, Leaf):
-            return {id(node): my_id}, next_id + 1
-        ids = {id(node): my_id}
-        yes_ids, next_id = number(node.yes, next_id + 1)
-        no_ids, next_id = number(node.no, next_id)
-        ids.update(yes_ids)
-        ids.update(no_ids)
-        return ids, next_id
-
-    ids, _ = number(tree.root, 0)
-
-    def emit(node):
+    for node in order:
         if isinstance(node, Leaf):
             lines.append(f"leaf {ids[id(node)]} value={node.value!r}")
         else:
             lines.append(f'node {ids[id(node)]} test "{node.test.text()}" '
                          f"yes={ids[id(node.yes)]} no={ids[id(node.no)]}")
-            emit(node.yes)
-            emit(node.no)
-
-    emit(tree.root)
     return "\n".join(lines) + "\n"
 
 
@@ -474,46 +468,56 @@ def parse_finite(token: str, what: str, line: Optional[int] = None) -> float:
     return value
 
 
-def parse_tree(text: str, schema: Schema, target: PredicateSignature) -> RegressionTree:
+def parse_tree(text: str, schema: Schema, target: PredicateSignature,
+               first_line: int = 1) -> RegressionTree:
+    """Inverse of `serialize_tree`.  `first_line` is the line number of the
+    text's first line, so errors name lines of the enclosing file."""
     import re as _re
 
     node_re = _re.compile(r'node (\d+) test "(.*)" yes=(\d+) no=(\d+)\Z')
     leaf_re = _re.compile(r"leaf (\d+) value=(\S+)\Z")
-    specs: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    specs: dict = {}    # node id -> (line, Leaf) or (line, test, yes id, no id)
+    for lineno, raw in enumerate(text.splitlines(), start=first_line):
         raw = raw.strip()
         if not raw:
             continue
         node, leaf = node_re.match(raw), leaf_re.match(raw)
         if node:
             nid, test_text, yes, no = node.groups()
-            literals = tuple(parse_literal_list(test_text, schema))
-            spec = ("node", NodeTest(literals), int(yes), int(no))
+            try:
+                literals = tuple(parse_literal_list(test_text, schema))
+            except ParseError as exc:
+                raise ParseError(str(exc), lineno)
+            spec = (lineno, NodeTest(literals), int(yes), int(no))
         elif leaf:
             nid = leaf.group(1)
-            spec = ("leaf", parse_finite(leaf.group(2), "leaf value", lineno))
+            spec = (lineno, Leaf(parse_finite(leaf.group(2), "leaf value", lineno)))
         else:
             raise ParseError(f"bad tree line {raw!r}", lineno)
         if int(nid) in specs:
             raise ParseError(f"duplicate node id {nid}", lineno)
         specs[int(nid)] = spec
     if 0 not in specs:
-        raise ParseError("tree has no root node 0")
-    reached: set = set()
-
-    def build(nid):
-        spec = specs.get(nid)
-        if spec is None:
-            raise ParseError(f"dangling node id {nid}")
+        raise ParseError("tree has no root node 0", first_line)
+    order, reached = [], set()
+    stack = [(0, first_line)]       # (node id, line that names it)
+    while stack:
+        nid, named_at = stack.pop()
+        if nid not in specs:
+            raise ParseError(f"dangling node id {nid}", named_at)
         if nid in reached:
-            raise ParseError(f"node id {nid} is reached twice")
+            raise ParseError(f"node id {nid} is reached twice", named_at)
         reached.add(nid)
-        if spec[0] == "leaf":
-            return Leaf(spec[1])
-        _, test, yes, no = spec
-        return Inner(test, build(yes), build(no))
-
-    return RegressionTree(target, build(0))
+        order.append(nid)
+        spec = specs[nid]
+        if len(spec) == 4:
+            stack.extend(((spec[3], spec[0]), (spec[2], spec[0])))
+    nodes: dict = {}
+    for nid in reversed(order):     # children before their parents
+        spec = specs[nid]
+        nodes[nid] = spec[1] if len(spec) == 2 else Inner(spec[1], nodes[spec[2]],
+                                                          nodes[spec[3]])
+    return RegressionTree(target, nodes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +583,12 @@ def read_trees(text: str, schema: Schema, target: PredicateSignature,
     functions: dict = {} if keyed else {None: []}
     current = None
     block: list = []
+    start = 2       # file line of the block's first line
 
     def flush():
-        if block:
-            functions[current].append(parse_tree("\n".join(block), schema, target))
-            block.clear()
+        if any(line.strip() for line in block):
+            functions[current].append(parse_tree("\n".join(block), schema, target, start))
+        block.clear()
 
     for lineno, raw in enumerate(text.splitlines()[1:], start=2):
         if raw.startswith("function "):
@@ -592,10 +597,12 @@ def read_trees(text: str, schema: Schema, target: PredicateSignature,
             flush()
             current = raw[len("function "):].strip()
             functions.setdefault(current, [])
+            start = lineno + 1
         elif raw.startswith("tree "):
             flush()
-        elif raw.strip():
-            if current not in functions:
+            start = lineno + 1
+        else:
+            if raw.strip() and current not in functions:
                 raise ParseError("tree before any function line", lineno)
             block.append(raw)
     flush()

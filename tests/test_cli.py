@@ -189,6 +189,74 @@ class TestEvalAndMetrics:
         assert main(["eval", "--model", model, "--schema", schema]) == 2
         assert "data error: line 1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_metrics_rejects_non_finite_score_with_its_line(self, tmp_path, capsys, value):
+        path = _write(tmp_path / "preds.csv", f"score,label\n0.5,0\n{value},1\n0.2,1\n")
+        assert main(["metrics", "--csv", path]) == 2
+        assert "data error: line 3:" in capsys.readouterr().err
+
+    def test_model_tree_errors_name_the_model_file_line(self, tmp_path, capsys):
+        schema = _write(tmp_path / "schema.txt", LINKED_SCHEMA_TEXT)
+        model = _write(tmp_path / "model.txt", "\n".join([
+            "model rfgb target=target/1 kind=hard psi0=0.0",
+            "tree 0", 'node 0 test "flag(V0)" yes=1 no=2', "leaf 1 value=0.5",
+            "leaf 2 value=-0.5",
+            "tree 1", 'node 0 test "shade(V0)" yes=1 no=2', "leaf 1 value=0.25", "",
+            "leaf 2 value=oops"]) + "\n")
+        assert main(["eval", "--model", model, "--schema", schema]) == 2
+        assert "data error: line 10: leaf value must be a finite number" in \
+            capsys.readouterr().err
+
+    def test_deep_tree_model_evaluates(self, bundle):
+        # a 3,001-node chain: far deeper than Python's recursion limit
+        depth = 1500
+        lines = ["model rfgb target=target/1 kind=hard psi0=0.0", "tree 0"]
+        for k in range(depth):
+            lines.append(f'node {k} test "shade(V0)" yes={k + 1} no={depth + 1 + k}')
+        lines += [f"leaf {k} value={0.5 if k == depth else -0.5}"
+                  for k in range(depth, 2 * depth + 1)]
+        model = _write(bundle["dir"] / "deep.txt", "\n".join(lines) + "\n")
+        report = str(bundle["dir"] / "report.txt")
+        assert main(["eval", "--model", model, "--schema", bundle["schema"],
+                     "--facts", bundle["facts"], "--pos", bundle["pos"],
+                     "--neg", bundle["neg"], "--report", report]) == 0
+        assert "auc_roc=" in open(report).read()
+
+
+TRANSITION_SCHEMA = """
+predicate: cvd/2 boolean temporal.
+predicate: bp/2 multiclass(2) temporal.
+"""
+
+
+class TestTransitionStates:
+    @pytest.mark.parametrize("where", ["header", "flag"])
+    @pytest.mark.parametrize("target,state", [
+        ("cvd", "x"), ("cvd", "1"), ("bp", "x"), ("bp", "7"), ("bp", "-1")])
+    def test_bad_transition_state_is_data_error(self, tmp_path, capsys, where,
+                                                target, state):
+        schema = _write(tmp_path / "schema.txt", TRANSITION_SCHEMA)
+        to = {"cvd": "true", "bp": "1"}[target]
+        if where == "header":
+            model = _write(tmp_path / "model.txt",
+                           f"model rctbn target={target}/2 from={state} to={to} "
+                           "phi0=0.0\ntree 0\nleaf 0 value=0.5\n")
+            assert main(["eval", "--model", model, "--schema", schema]) == 2
+            err = capsys.readouterr().err
+            assert "data error: line 1:" in err
+        else:
+            traj = _write(tmp_path / "traj.txt", "traj a\nt=0.0 cvd(a)=false\n"
+                          "t=0.0 bp(a)=0\nt=1.0 bp(a)=1\nt=2.0 cvd(a)=true\n"
+                          "horizon=3.0\n")
+            modes = _write(tmp_path / "modes.txt", "mode: bp(+).\n")
+            assert main(["train", "--kind", "rctbn", "--schema", schema,
+                         "--traj", traj, "--modes", modes, "--target", target,
+                         "--from", state, "--to", to, "--iters", "1",
+                         "--out", str(tmp_path / "model.txt")]) == 2
+            err = capsys.readouterr().err
+            assert "data error:" in err
+        assert repr(state) in err or f"class index {state} out of range" in err
+
 
 SAMPLE_SCHEMA = """
 predicate: cvd/2 boolean temporal.

@@ -28,6 +28,7 @@ from relboost.dbn import (
     serialize_dataset,
     serialize_network,
 )
+from relboost.logic import ParseError
 
 
 def _dataset(rows, names=("a", "b", "c"), arities=(2, 2, 2)):
@@ -317,6 +318,20 @@ class TestIO:
     def test_dataset_width_checked(self):
         with pytest.raises(Exception, match="expected 2 values"):
             parse_dataset("vars: a:2\n0,1,1\n")
+
+    @pytest.mark.parametrize("parse,text,message", [
+        ("network", "vars: a:2, b:2\nintra a->c", "line 2: .*undeclared variable 'c'"),
+        ("network", "vars: a:2\n\n% arcs\ninter z=>a\n", "line 4: .*undeclared variable 'z'"),
+        ("network", "vars: a:2, b", "line 1: bad variable declaration 'b'"),
+        ("dataset", "vars: a:2, b", "line 1: bad variable declaration 'b'"),
+        ("network", "vars: a:2, a:3", "line 1: variable 'a' declared twice"),
+        ("dataset", "% data\nvars: a:2\n\n0,1\n% note\n0,x\n", "line 6: states must be"),
+        ("dataset", "vars: a:2\n0,1\n\n\n1,2\n", "line 5: state out of range for a"),
+        ("dataset", "\nvars: a:2\n1,1\n0\n", "line 4: expected 2 values"),
+    ])
+    def test_parse_errors_name_the_file_line(self, parse, text, message):
+        with pytest.raises(ParseError, match=message):
+            {"network": parse_network, "dataset": parse_dataset}[parse](text)
 
     def test_network_roundtrip(self):
         net = TwoSliceNetwork(["a", "b", "c"], [2, 3, 2],

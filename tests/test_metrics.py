@@ -20,6 +20,12 @@ from relboost.metrics import (
 )
 
 
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+def test_non_finite_scores_rejected(score):
+    with pytest.raises(ValueError, match="finite"):
+        PredictionSet([(0.5, 0), (score, 1)])
+
+
 def _random_predictions(rng, n):
     pairs = [(rng.random(), rng.randint(0, 1)) for _ in range(n)]
     if not any(l for _, l in pairs):

@@ -10,12 +10,14 @@ import pytest
 from relboost.logic import (
     Atom,
     Constant,
+    ParseError,
     Variable,
     parse_facts,
     parse_literal_list,
     parse_modes,
     parse_schema,
     satisfies,
+    serialize_facts,
 )
 from relboost.rctbn import (
     CIM,
@@ -122,6 +124,16 @@ horizon=2.0
         with pytest.raises(Exception, match="not initialized"):
             parse_trajectories(bad, schema)
 
+    @pytest.mark.parametrize("text,message", [
+        ("traj a\nt=0.0 cvd(a)=false\nhorizon=nan\n", "line 3: horizon must be a finite"),
+        ("traj a\nt=0.0 cvd(a)=false\nhorizon=inf\n", "line 3: horizon must be a finite"),
+        ("traj a\nt=0.0 sbp(a)=-inf\nhorizon=1.0\n", "line 2: sbp value must be a finite"),
+    ])
+    def test_non_finite_numbers_rejected(self, text, message):
+        schema = parse_schema(SCHEMA_TEXT + "predicate: sbp/2 continuous temporal.\n")
+        with pytest.raises(ParseError, match=message):
+            parse_trajectories(text, schema)
+
     def test_snapshot_is_piecewise_constant(self, schema):
         traj = parse_trajectories(JOHN_TEXT, schema)[0]
         at = snapshot(traj, None, schema, 3.5)
@@ -175,6 +187,41 @@ horizon=4.0
         b = segment([shuffled], None, schema, Transition("cvd", False, True))
         assert [(s.residence_time, s.positive) for s in a] == \
             [(s.residence_time, s.positive) for s in b]
+
+
+    def test_contexts_are_snapshots_shared_by_joint_state(self, schema):
+        # bp is a valued and diab a boolean context stream; cvd turns true at
+        # t3 and false again at t5, so segments resume from t5 on
+        text = """
+traj john
+t=0.0 cvd(john)=false
+t=0.0 bp(john)=0
+t=0.0 diab(john)=false
+t=1.0 bp(john)=1
+t=2.0 diab(john)=true
+t=3.0 cvd(john)=true
+t=4.0 bp(john)=0
+t=5.0 cvd(john)=false
+t=6.0 bp(john)=1
+t=7.0 diab(john)=false
+t=8.0 bp(john)=0
+horizon=9.0
+"""
+        traj = parse_trajectories(text, schema)[0]
+        static = parse_facts("parentOf(ann,john).\nelder(ann).", projected_schema(schema))
+        segs = segment([traj], static, schema, Transition("cvd", False, True))
+        assert [s.residence_time for s in segs] == [1.0] * 7
+        assert [s.positive for s in segs] == [False, False, True] + [False] * 4
+        target_stream = ("cvd", (Constant("john"),))
+        for seg, start in zip(segs, [0.0, 1.0, 2.0, 5.0, 6.0, 7.0, 8.0]):
+            assert serialize_facts(seg.context) == serialize_facts(
+                snapshot(traj, static, schema, start, exclude=target_stream))
+        states = [(s.context.lookup("bp", (Constant("john"),)),
+                   s.context.lookup("diab", (Constant("john"),))) for s in segs]
+        for a, state_a in zip(segs, states):
+            for b, state_b in zip(segs, states):
+                assert (a.context is b.context) == (state_a == state_b)
+        assert len({id(s.context) for s in segs}) == 4
 
 
 class TestExponentialMachinery:
