@@ -21,6 +21,7 @@ from typing import Callable, Optional, Union
 from .logic import Atom, ExampleSet, FactBase, PredicateSignature, ParseError, Schema
 from .regtree import (
     RegressionExample,
+    RoutingCache,
     TreeConfig,
     boost_step,
     parse_finite,
@@ -168,6 +169,7 @@ def train(examples: ExampleSet, db: FactBase, modes: list, config: BoostConfig,
     model = BoostedModel(examples.target, 0.0, [], kind)
     rows = [(atom, db) for atom, _ in examples.entries]
     psis = [0.0] * len(rows)
+    cache = RoutingCache()
 
     for m in range(config.iterations):
         if config.neg_subsample_ratio is not None:
@@ -182,7 +184,7 @@ def train(examples: ExampleSet, db: FactBase, modes: list, config: BoostConfig,
             atom, label = examples.entries[i]
             p = sigmoid_prob(psis[i])
             regs.append(RegressionExample(atom, _gradient(kind, label, p)))
-        model.trees.append(boost_step(regs, db, modes, config.tree, rows, psis))
+        model.trees.append(boost_step(regs, db, modes, config.tree, rows, psis, cache))
         if on_iteration is not None:
             objective = sum(
                 per_example_objective(label, psis[i], kind)

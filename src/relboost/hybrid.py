@@ -21,6 +21,7 @@ from typing import Callable, Optional, Union
 from .logic import Atom, Constant, ExampleSet, FactBase, ParseError, PredicateSignature, Schema
 from .regtree import (
     RegressionExample,
+    RoutingCache,
     TreeConfig,
     boost_step,
     parse_header,
@@ -261,11 +262,12 @@ def train_hybrid(dataset: dict, db: FactBase, modes: list,
         psis = {key: [0.0] * len(atoms) for key in model.functions}
         if isinstance(kind, Gaussian):
             psis["sigma"] = [config.sigma0] * len(atoms)
+        cache = RoutingCache()      # the target's functions route the same rows
 
         def step(key, gradients, eta):
             regs = [RegressionExample(a, g) for a, g in zip(atoms, gradients)]
             model.functions[key].append(
-                boost_step(regs, db, modes, config.tree, rows, psis[key], eta))
+                boost_step(regs, db, modes, config.tree, rows, psis[key], cache, eta))
 
         for m in range(config.iterations):
             if isinstance(kind, Multinomial):
@@ -369,6 +371,7 @@ def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
     rows = [(a, db) for a in atoms]
     coeffs = {key: [0.0] * len(atoms) for key in model.functions}
     sigma_sums = [0.0] * len(atoms)
+    cache = RoutingCache()
 
     def outputs():
         return [_mixed_output(kind, {key: col[i] for key, col in coeffs.items()}, xs[i],
@@ -384,7 +387,7 @@ def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
 
     def step(trees, gradients, psis, eta):
         regs = [RegressionExample(a, g) for a, g in zip(atoms, gradients)]
-        trees.append(boost_step(regs, db, modes, config.tree, rows, psis, eta))
+        trees.append(boost_step(regs, db, modes, config.tree, rows, psis, cache, eta))
 
     eta = {Multinomial: config.eta_multinomial, Poisson: config.eta_poisson,
            Gaussian: config.eta_mu}[type(kind)]

@@ -19,6 +19,7 @@ built; the matcher then fills a memo of query answers on it as it goes.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
@@ -182,8 +183,8 @@ def _check_payload(pred: PredicateSignature, value, line=None):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ParseError(f"{pred.name} expects a non-negative count", line)
     else:  # continuous
-        if not isinstance(value, float):
-            raise ParseError(f"{pred.name} expects a real value", line)
+        if not isinstance(value, float) or not math.isfinite(value):
+            raise ParseError(f"{pred.name} expects a finite real value", line)
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +686,12 @@ def parse_literal(text: str, schema: Schema) -> Literal:
         if pred.kind not in ("count", "continuous"):
             raise ParseError(f"'>=' tests need a numeric predicate, got {name}")
         try:
-            value = Cmp(">=", float(valuetext))
+            threshold = float(valuetext)
         except ValueError:
-            raise ParseError(f"bad threshold {valuetext!r}")
+            threshold = math.nan
+        if not math.isfinite(threshold):
+            raise ParseError(f"bad threshold {valuetext!r}: must be a finite number")
+        value = Cmp(">=", threshold)
     return Literal(Atom(pred, args, value), negated=bool(neg))
 
 

@@ -43,6 +43,7 @@ from .logic import (
 )
 from .regtree import (
     RegressionExample,
+    RoutingCache,
     TreeConfig,
     boost_step,
     parse_finite,
@@ -505,6 +506,7 @@ def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schem
         model = RctbnModel(transition, pred, 0.0, [])
         rows = [(seg.target, seg.context) for seg in segments]
         phis = [0.0] * len(segments)
+        cache = RoutingCache()
         for m in range(config.iterations):
             regs = []
             for i, seg in enumerate(segments):
@@ -512,7 +514,7 @@ def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schem
                 qt = q * seg.residence_time
                 grad = pos_gradient_rate(qt) if seg.positive else neg_gradient_rate(qt)
                 regs.append(RegressionExample(seg.target, grad, db=seg.context))
-            model.trees.append(boost_step(regs, None, modes, config.tree, rows, phis))
+            model.trees.append(boost_step(regs, None, modes, config.tree, rows, phis, cache))
             if on_iteration is not None:
                 ll = sum(segment_loglik(seg.positive, phis[i], seg.residence_time)
                          for i, seg in enumerate(segments))

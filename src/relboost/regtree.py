@@ -14,6 +14,17 @@ built on: the summed value of a tree list (`trees_value`), one
 functional-gradient step (`boost_step`), and the model-file layout of a
 header line followed by optional `function <key>` lines and `tree <i>`
 blocks (`parse_header`, `write_model`, `read_trees`).
+
+Routing is memoised for one training run by a `RoutingCache`.  An
+example's bindings at a node depend only on its target atom, its fact base
+and the yes-tests above the node, in order (a no branch adds no bindings).
+So whether a test succeeds there, and the bindings it extends them to, is
+a pure function of (yes-path of test texts, test text, target, fact base),
+and is grounded once per run: at every node and boosting iteration that
+routes the example by that test again, and in `boost_step`'s update of the
+training rows' values.  Each learner's training function creates the cache,
+passes it to every `boost_step` of the run and drops it when the run ends.
+`evaluate` routes uncached; it is the path for prediction.
 """
 
 from __future__ import annotations
@@ -129,8 +140,8 @@ def _weighted_mean(examples: list) -> float:
     return sum(e.weight * e.gradient for e in examples) / total_w
 
 
-def _seed_for(example: RegressionExample) -> dict:
-    return {Variable(f"V{i}"): arg for i, arg in enumerate(example.target.args)}
+def _seed(target: Atom) -> dict:
+    return {Variable(f"V{i}"): arg for i, arg in enumerate(target.args)}
 
 
 def score_split(parent_examples: list, test: NodeTest, db: FactBase) -> float:
@@ -140,9 +151,10 @@ def score_split(parent_examples: list, test: NodeTest, db: FactBase) -> float:
     means; lower is better, and splitting a pure node cannot improve on the
     parent SSE.  Routing is the fit's own (`_score_candidate`).
     """
-    yes, no = _score_candidate([(ex, [_seed_for(ex)]) for ex in parent_examples],
-                               test, db)
-    return _weighted_sse([ex for ex, _ in yes]) + _weighted_sse([ex for ex, _ in no])
+    cache = RoutingCache()
+    yes, no = _score_candidate(_root_rows(parent_examples, db, cache), test,
+                               cache.table((), test.text()), cache)
+    return _weighted_sse([ex for ex, _, _ in yes]) + _weighted_sse([ex for ex, _, _ in no])
 
 
 # ---------------------------------------------------------------------------
@@ -259,44 +271,87 @@ def _extend_bindings(substs: list, literals: tuple, db: FactBase) -> list:
     return out
 
 
+class RoutingCache:
+    """Routing of examples by node tests, kept for one training run.
+
+    A routing is stored per (yes-path of test texts, test text) in a table
+    keyed by the example's slot: an integer naming its (target atom, fact
+    base) pair by identity.  The cache holds both objects, so no other pair
+    can take their ids while it lives.  A table entry is the extended
+    bindings where the test succeeds and ``()`` where it fails.
+    """
+
+    def __init__(self):
+        self._slots: dict = {}      # (id(target), id(db)) -> slot
+        self._held: list = []       # (target, db) of each slot
+        self._tables: dict = {}     # (yes-path texts, test text) -> {slot: routing}
+
+    def slot(self, target: Atom, db: FactBase) -> int:
+        key = (id(target), id(db))
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self._held)
+            self._held.append((target, db))
+        return slot
+
+    def table(self, path: tuple, text: str) -> dict:
+        """The routings of the test with text `text` at the end of `path`."""
+        return self._tables.setdefault((path, text), {})
+
+    def fact_base(self, slot: int) -> FactBase:
+        return self._held[slot][1]
+
+
+def _root_rows(examples: list, db: Optional[FactBase], cache: RoutingCache) -> list:
+    return [(ex, cache.slot(ex.target, ex.db if ex.db is not None else db),
+             [_seed(ex.target)]) for ex in examples]
+
+
 @dataclass
 class _GrowLeaf:
     created: int
-    rows: list                   # (example, live bindings) pairs
+    rows: list                   # (example, slot, live bindings) triples
     bound_vars: list
     fresh_used: int
-    path_texts: frozenset
+    path_texts: frozenset        # literal texts on the path
+    path: tuple                  # test texts of the yes-path, root first
     sse: float = field(init=False)
 
     def __post_init__(self):
-        self.sse = _weighted_sse([ex for ex, _ in self.rows])
+        self.sse = _weighted_sse([ex for ex, _, _ in self.rows])
 
 
-def _score_candidate(rows: list, test: NodeTest, shared_db: FactBase) -> tuple:
-    """Route (example, bindings) rows by `test`: the yes side keeps the
-    extended bindings, the no side its old ones."""
+def _score_candidate(rows: list, test: NodeTest, table: dict, cache: RoutingCache) -> tuple:
+    """Route (item, slot, bindings) rows by `test`, whose routings at the
+    rows' node are `table`: the yes side keeps the extended bindings, the
+    no side its old ones.  Only rows missing from `table` are grounded."""
     yes, no = [], []
-    for ex, substs in rows:
-        base = ex.db if ex.db is not None else shared_db
-        ext = _extend_bindings(substs, test.literals, base)
+    for row in rows:
+        ext = table.get(row[1])
+        if ext is None:
+            ext = table[row[1]] = (_extend_bindings(row[2], test.literals,
+                                                    cache.fact_base(row[1])) or ())
         if ext:
-            yes.append((ex, ext))
+            yes.append((row[0], row[1], ext))
         else:
-            no.append((ex, substs))
+            no.append(row)
     return yes, no
 
 
 def fit_tree(examples: list, db: FactBase, modes: list,
-             config: Optional[TreeConfig] = None) -> RegressionTree:
+             config: Optional[TreeConfig] = None,
+             cache: Optional[RoutingCache] = None) -> RegressionTree:
     """Fit a relational regression tree to gradient-valued examples.
 
     Growth is greedy best-first under `config`; each leaf's value is the
     weighted mean gradient of the examples routed to it.  A root with no
-    improving candidate yields a single-leaf tree.
+    improving candidate yields a single-leaf tree.  Routings are read from
+    and added to `cache`, a fresh one when None.
     """
     if not examples:
         raise ValueError("cannot fit a tree to an empty example list")
     config = config or TreeConfig()
+    cache = cache if cache is not None else RoutingCache()
     target = examples[0].target.pred
     for ex in examples:
         if ex.target.pred != target:
@@ -310,8 +365,8 @@ def fit_tree(examples: list, db: FactBase, modes: list,
             seen_db_ids.add(id(base))
             dbs.append(base)
 
-    root_leaf = _GrowLeaf(0, [(ex, [_seed_for(ex)]) for ex in examples],
-                          list(head_vars), 0, frozenset())
+    root_leaf = _GrowLeaf(0, _root_rows(examples, db, cache), list(head_vars), 0,
+                          frozenset(), ())
     beam = [root_leaf]
     n_created = 1
     n_leaves = 1
@@ -328,29 +383,30 @@ def fit_tree(examples: list, db: FactBase, modes: list,
                                      modes, dbs, config, leaf.path_texts)
         best = None
         for test in candidates:
-            yes, no = _score_candidate(leaf.rows, test, db)
+            text = test.text()
+            yes, no = _score_candidate(leaf.rows, test, cache.table(leaf.path, text), cache)
             if len(yes) < config.min_examples_per_leaf:
                 continue
             if len(no) < config.min_examples_per_leaf:
                 continue
-            score = (_weighted_sse([ex for ex, _ in yes])
-                     + _weighted_sse([ex for ex, _ in no]))
+            score = (_weighted_sse([ex for ex, _, _ in yes])
+                     + _weighted_sse([ex for ex, _, _ in no]))
             if score >= leaf.sse - 1e-12:
                 continue
-            key = (score, test.text())
+            key = (score, text)
             if best is None or key < best[0]:
                 best = (key, test, yes, no)
         if best is None:
             continue
-        _, test, yes_rows, no_rows = best
+        (_, text), test, yes_rows, no_rows = best
         fresh = [v for lit in test.literals for v in lit.atom.variables()
                  if v not in leaf.bound_vars]
         fresh = list(dict.fromkeys(fresh))
         new_texts = leaf.path_texts | {str(l) for l in test.literals}
         yes_leaf = _GrowLeaf(n_created, yes_rows, leaf.bound_vars + fresh,
-                             leaf.fresh_used + len(fresh), new_texts)
+                             leaf.fresh_used + len(fresh), new_texts, leaf.path + (text,))
         no_leaf = _GrowLeaf(n_created + 1, no_rows, list(leaf.bound_vars),
-                            leaf.fresh_used, leaf.path_texts)
+                            leaf.fresh_used, leaf.path_texts, leaf.path)
         n_created += 2
         n_leaves += 1
         structure[id(leaf)] = (test, yes_leaf, no_leaf)
@@ -361,7 +417,7 @@ def fit_tree(examples: list, db: FactBase, modes: list,
     def build(leaf_or_root):
         entry = structure.get(id(leaf_or_root))
         if entry is None:
-            return Leaf(_weighted_mean([ex for ex, _ in leaf_or_root.rows]))
+            return Leaf(_weighted_mean([ex for ex, _, _ in leaf_or_root.rows]))
         test, yes_leaf, no_leaf = entry
         return Inner(test, build(yes_leaf), build(no_leaf))
 
@@ -377,7 +433,7 @@ def evaluate(tree: RegressionTree, target: Atom, db: FactBase) -> float:
     """
     if target.pred.name != tree.target.name or target.pred.arity != tree.target.arity:
         raise ValueError(f"{target} does not match tree target {tree.target.name}")
-    substs = [{Variable(f"V{i}"): arg for i, arg in enumerate(target.args)}]
+    substs = [_seed(target)]
     node = tree.root
     while isinstance(node, Inner):
         ext = _extend_bindings(substs, node.test.literals, db)
@@ -412,18 +468,30 @@ def _scaled(root, eta: float):
 
 
 def boost_step(regs: list, db: Optional[FactBase], modes: list, tree_config: TreeConfig,
-               rows: list, psis: list, eta: float = 1.0) -> RegressionTree:
+               rows: list, psis: list, cache: RoutingCache,
+               eta: float = 1.0) -> RegressionTree:
     """One functional-gradient step of a boosted function.
 
     Fits a tree to the gradient examples `regs`, scales its leaves by the
     step size `eta`, and adds the tree's value at the i-th (atom, db) of
     `rows` to ``psis[i]`` in place.  Leaves are scaled after the fit, never
-    the gradients, so eta = 1 leaves the fitted values exact.
+    the gradients, so eta = 1 leaves the fitted values exact.  The fit and
+    the routing of `rows` share the run's `cache`, so the rows the fit
+    routed are not grounded again.
     """
-    fitted = fit_tree(regs, db, modes, tree_config)
+    fitted = fit_tree(regs, db, modes, tree_config, cache)
     tree = RegressionTree(fitted.target, _scaled(fitted.root, eta))
-    for i, (atom, row_db) in enumerate(rows):
-        psis[i] += evaluate(tree, atom, row_db)
+    stack = [(tree.root, (), [(i, cache.slot(atom, row_db), [_seed(atom)])
+                              for i, (atom, row_db) in enumerate(rows)])]
+    while stack:
+        node, path, group = stack.pop()
+        if isinstance(node, Leaf):
+            for i, _, _ in group:
+                psis[i] += node.value
+            continue
+        text = node.test.text()
+        yes, no = _score_candidate(group, node.test, cache.table(path, text), cache)
+        stack.extend(((node.yes, path + (text,), yes), (node.no, path, no)))
     return tree
 
 

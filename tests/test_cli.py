@@ -65,6 +65,19 @@ class TestTrain:
         args[args.index("--facts") + 1] = str(bundle["dir"] / "nope.txt")
         assert main(args) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_continuous_fact_is_data_error(self, bundle, capsys, value):
+        with open(bundle["schema"], "a") as handle:
+            handle.write("predicate: bp/1 continuous.\n")
+        with open(bundle["facts"], "a") as handle:
+            handle.write(f"bp(e001)=1.5.\nbp(e002)={value}.\n")
+        n_lines = len(open(bundle["facts"]).read().splitlines())
+        out = str(bundle["dir"] / "model.txt")
+        assert main(_train_args(bundle, out)) == 2
+        assert f"data error: line {n_lines}: bp expects a finite real value" in \
+            capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_bad_flag_value_is_config_error(self, bundle):
         out = str(bundle["dir"] / "model.txt")
         assert main(_train_args(bundle, out, ["--iters", "0"])) == 3
@@ -206,6 +219,16 @@ class TestEvalAndMetrics:
         assert main(["eval", "--model", model, "--schema", schema]) == 2
         assert "data error: line 10: leaf value must be a finite number" in \
             capsys.readouterr().err
+
+    def test_non_finite_model_threshold_names_the_model_file_line(self, tmp_path, capsys):
+        schema = _write(tmp_path / "schema.txt",
+                        LINKED_SCHEMA_TEXT + "predicate: bp/1 continuous.\n")
+        model = _write(tmp_path / "model.txt", "\n".join([
+            "model rfgb target=target/1 kind=hard psi0=0.0",
+            "tree 0", 'node 0 test "bp(V0)>=nan" yes=1 no=2', "leaf 1 value=0.5",
+            "leaf 2 value=-0.5"]) + "\n")
+        assert main(["eval", "--model", model, "--schema", schema]) == 2
+        assert "data error: line 3: bad threshold 'nan'" in capsys.readouterr().err
 
     def test_deep_tree_model_evaluates(self, bundle):
         # a 3,001-node chain: far deeper than Python's recursion limit

@@ -50,6 +50,13 @@ class TestParseFacts:
         text = serialize_facts(db)
         assert serialize_facts(parse_facts(text, schema)) == text
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_continuous_fact_rejected_at_its_line(self, value):
+        schema = parse_schema("predicate: bp/1 continuous.")
+        with pytest.raises(ParseError, match="finite real value") as err:
+            parse_facts(f"bp(a)=1.0.\nbp(b)={value}.", schema)
+        assert err.value.line == 2
+
     def test_syntax_error_carries_line(self, family_schema):
         with pytest.raises(ParseError) as err:
             parse_facts("familyMember(ann,mary).\nbroken(", family_schema)
@@ -317,6 +324,12 @@ predicate: rel/2 boolean.
         for text in ("rel(V0,V1)", "!rel(V0,mary)", "color(V0)=2", "bp(V0)>=140.0"):
             lit = parse_literal(text, schema)
             assert str(lit) == text
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_threshold_rejected(self, token):
+        schema = parse_schema("predicate: bp/1 continuous.")
+        with pytest.raises(ParseError, match="finite number"):
+            parse_literal_list(f"bp(V0)>={token}", schema)
 
     def test_threshold_on_boolean_rejected(self, family_schema):
         with pytest.raises(ParseError):

@@ -531,6 +531,40 @@ clause checkup cim=[[-3.0, 3.0], [3.0, -3.0]]
         again = train_rctbn(trajs, facts, schema, [tr], modes, config)[tr]
         assert serialize_rctbn(model) == serialize_rctbn(again)
 
+    def test_segments_sharing_target_and_context_are_routed_alike(self, schema):
+        # cvd turns true at t3 and false again at t5; the segments from t0
+        # and t8 share the target atom and the context (bp=0, diab=false)
+        text = """
+traj john
+t=0.0 cvd(john)=false
+t=0.0 bp(john)=0
+t=0.0 diab(john)=false
+t=1.0 bp(john)=1
+t=2.0 diab(john)=true
+t=3.0 cvd(john)=true
+t=4.0 bp(john)=0
+t=5.0 cvd(john)=false
+t=6.0 bp(john)=1
+t=7.0 diab(john)=false
+t=8.0 bp(john)=0
+horizon=9.0
+"""
+        trajs = parse_trajectories(text, schema)
+        tr = Transition("cvd", False, True)
+        segs = segment(trajs, None, schema, tr)
+        assert segs[0].target is segs[-1].target and segs[0].context is segs[-1].context
+        modes = parse_modes("mode: diab(+).\nmode: bp(+).", projected_schema(schema))
+        lls = []
+        model = train_rctbn(trajs, None, schema, [tr], modes, RctbnConfig(iterations=4),
+                            on_iteration=lambda _, m, ll: lls.append(ll))[tr]
+        assert any(tree.leaf_count() > 1 for tree in model.trees)
+        # training sums the positive segments first, as train_rctbn keeps them
+        ordered = [s for s in segs if s.positive] + [s for s in segs if not s.positive]
+        for m, ll in enumerate(lls, start=1):
+            head = RctbnModel(tr, model.target, model.phi0, model.trees[:m])
+            assert ll == sum(segment_loglik(s.positive, head.phi(s), s.residence_time)
+                             for s in ordered)
+
     def test_no_positive_segments_rejected(self, schema):
         text = """
 traj a

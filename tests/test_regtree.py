@@ -14,19 +14,25 @@ from relboost.logic import (
     parse_modes,
     parse_schema,
 )
+from relboost import regtree
 from relboost.regtree import (
     Inner,
     Leaf,
     NodeTest,
     RegressionExample,
     RegressionTree,
+    RoutingCache,
     TreeConfig,
+    _score_candidate,
+    _weighted_sse,
+    boost_step,
     enumerate_tests,
     evaluate,
     fit_tree,
     parse_tree,
     score_split,
     serialize_tree,
+    trees_value,
 )
 
 
@@ -341,6 +347,101 @@ predicate: r/2 boolean.
             tree = fit_tree(regs, db, modes, config)
             assert _describe_tree(tree.root) == _greedy_oracle(
                 regs, db, modes, config, schema)
+
+
+def _count_groundings(monkeypatch) -> list:
+    """Record each call of the grounding engine from regtree."""
+    calls = []
+    real = regtree.solutions
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(regtree, "solutions", counted)
+    return calls
+
+
+class TestRoutingCache:
+    def test_refit_with_one_cache_grounds_nothing(self, linked_domain, monkeypatch):
+        schema, db, modes, examples = linked_domain
+        rng = random.Random(17)
+        regs = [RegressionExample(a, rng.uniform(-1, 1)) for a, _ in examples.entries]
+        config = TreeConfig(max_leaves=6)
+        uncached = serialize_tree(fit_tree(regs, db, modes, config))
+        cache = RoutingCache()
+        calls = _count_groundings(monkeypatch)
+        first = fit_tree(regs, db, modes, config, cache)
+        assert calls and first.leaf_count() > 2
+        calls.clear()
+        second = fit_tree(regs, db, modes, config, cache)
+        assert calls == []
+        assert serialize_tree(first) == serialize_tree(second) == uncached
+
+    def test_score_split_agrees_with_the_fits_routing(self, linked_domain, monkeypatch):
+        schema, db, modes, examples = linked_domain
+        rng = random.Random(23)
+        regs = [RegressionExample(a, rng.uniform(-1, 1), weight=rng.uniform(0.5, 2))
+                for a, _ in examples.entries]
+        config = TreeConfig(max_leaves=4)
+        cache = RoutingCache()
+        fit_tree(regs, db, modes, config, cache)
+        candidates = enumerate_tests([Variable("V0")], 1, modes, [db], config, frozenset())
+        fresh = [score_split(regs, test, db) for test in candidates]
+        calls = _count_groundings(monkeypatch)
+        # the fit routed every example by every root candidate: all are hits,
+        # so the bindings slot of a row is never read
+        rows = [(ex, cache.slot(ex.target, db), None) for ex in regs]
+        for test, expected in zip(candidates, fresh):
+            yes, no = _score_candidate(rows, test, cache.table((), test.text()), cache)
+            assert (_weighted_sse([ex for ex, _, _ in yes])
+                    + _weighted_sse([ex for ex, _, _ in no])) == expected
+        assert calls == []
+
+    def test_one_test_text_under_different_yes_paths(self):
+        # flag(V1) tests whoever knows(V0,V1) or likes(V0,V1) bound above
+        # it; the run's trees alternate between the two relations
+        schema = parse_schema("predicate: target/1 boolean.\npredicate: knows/2 boolean.\n"
+                              "predicate: likes/2 boolean.\npredicate: flag/1 boolean.\n")
+        modes = parse_modes("mode: knows(+,-).\nmode: likes(+,-).\nmode: flag(+).", schema)
+        rng = random.Random(1)
+        atoms, lines, friends = [], set(), {"knows": {}, "likes": {}}
+        for i in range(30):
+            atoms.append(Atom(schema.get("target"), (Constant(f"e{i:02d}"),)))
+            for rel, linked in friends.items():
+                if rng.random() < 0.7:
+                    linked[i] = f"p{rng.randrange(30):02d}"
+                    lines.add(f"{rel}(e{i:02d},{linked[i]}).")
+        flagged = {f"p{j:02d}" for j in range(30) if rng.random() < 0.5}
+        db = parse_facts("\n".join(sorted(lines) + [f"flag({p})." for p in sorted(flagged)]),
+                         schema)
+        config = TreeConfig(max_leaves=4, max_new_literals_per_node=1)
+        cache = RoutingCache()
+        rows = [(a, db) for a in atoms]
+        psis = [0.0] * len(atoms)
+        trees = []
+        for rel in ("knows", "likes", "knows", "likes"):
+            regs = [RegressionExample(a, rng.uniform(-0.1, 0.1)
+                                      + (1.0 if friends[rel].get(i) in flagged else -1.0))
+                    for i, a in enumerate(atoms)]
+            tree = boost_step(regs, db, modes, config, rows, psis, cache)
+            assert serialize_tree(tree) == serialize_tree(fit_tree(regs, db, modes, config))
+            assert serialize_tree(tree).startswith(f'node 0 test "{rel}(V0,V1)" yes=1')
+            assert '"flag(V1)"' in serialize_tree(tree)
+            trees.append(tree)
+        assert psis == [trees_value(trees, a, db) for a in atoms]
+
+    def test_boost_step_rows_get_the_evaluated_values(self, linked_domain):
+        # the fit sees half the examples; the other rows are routed afresh
+        schema, db, modes, examples = linked_domain
+        rng = random.Random(29)
+        atoms = [a for a, _ in examples.entries]
+        regs = [RegressionExample(a, rng.uniform(-1, 1)) for a in atoms[::2]]
+        psis = [0.25] * len(atoms)
+        cache = RoutingCache()
+        tree = boost_step(regs, db, modes, TreeConfig(max_leaves=6),
+                          [(a, db) for a in atoms], psis, cache, 0.5)
+        assert any(isinstance(node, Inner) for node in (tree.root.yes, tree.root.no))
+        assert psis == [0.25 + evaluate(tree, a, db) for a in atoms]
 
 
 class TestSerialization:
