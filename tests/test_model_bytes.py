@@ -5,7 +5,8 @@ A refactor of the boosting loops or the model-file code must leave these
 digests unchanged.  Each domain is seeded and small enough to train in a
 second or two, yet grows multi-leaf trees with two-literal chains, so a
 change in split choice, leaf scaling, psi accumulation or file layout
-shows up as a different digest.
+shows up as a different digest.  The DBN cases pin each hill climb's
+network file and its step log, whose scores show every float of the climb.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import random
 import pytest
 
 from relboost import boost, hybrid, rctbn
+from relboost.cli import main
 from relboost.logic import (
     Atom,
     Constant,
@@ -194,3 +196,54 @@ clause checkup cim=[[-3.0, 3.0], [3.0, -3.0]]
                                neg_cap_per_traj=3, rng_seed=7)
     model = rctbn.train_rctbn(trajs, facts, schema, [transition], modes, config)[transition]
     assert _digest(rctbn.serialize_rctbn(model)) == RCTBN_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# dbn
+# ---------------------------------------------------------------------------
+
+DBN_DIGESTS = {  # (network file, .log)
+    "bic": ("0c388262f3666f138f9e1b4d1b5c089b23a48187c449a9fe2869678857a18895",
+            "00c4c8dc2e1e153f7b3b9376a583a52312a1054cdf496da22730aaf7c3879835"),
+    "bde": ("0c388262f3666f138f9e1b4d1b5c089b23a48187c449a9fe2869678857a18895",
+            "2f367cbba59f9bfe1987863bd4859c64929e0da13e33e4d21a35bbc7c131d6b6"),
+    "mit": ("0c388262f3666f138f9e1b4d1b5c089b23a48187c449a9fe2869678857a18895",
+            "4fb87b14dc0e27978f6a6ae2f0d8a78e3681b849facdb9858a4035533d58d67f"),
+}
+
+
+def _dbn_planted_text(seed: int, n_rows: int) -> str:
+    """Six variables of arities 2 and 3.  Within slice t+1, v0 is a noisy OR
+    of v1 and v2 (a v-structure the climb first gets wrong and then
+    reverses), v3 follows v0, v5 follows v3; v2, v3 and v4 also depend on
+    slice t."""
+    arities = [2, 2, 2, 3, 2, 3]
+    rng = random.Random(seed)
+    lines = ["vars: " + ", ".join(f"v{j}:{r}" for j, r in enumerate(arities))]
+
+    def noisy(value, r, keep):
+        return value % r if rng.random() < keep else rng.randrange(r)
+
+    for _ in range(n_rows):
+        now = [rng.randrange(r) for r in arities]
+        nxt = [0] * 6
+        nxt[1] = rng.randrange(2)
+        nxt[2] = noisy(now[2], 2, 0.8)
+        nxt[0] = noisy(nxt[1] | nxt[2], 2, 0.9)
+        nxt[3] = noisy(now[3] + nxt[0], 3, 0.75)
+        nxt[4] = noisy(now[1], 2, 0.8)
+        nxt[5] = noisy(nxt[3], 3, 0.5)
+        lines.append(",".join(str(v) for v in now + nxt))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("score", sorted(DBN_DIGESTS))
+def test_dbn_model_bytes(tmp_path, score):
+    data = tmp_path / "slices.txt"
+    data.write_text(_dbn_planted_text(2, 1500))
+    out = tmp_path / "net.txt"
+    assert main(["train", "--kind", f"dbn-{score}", "--data", str(data),
+                 "--max-parents", "2", "--mit-alpha", "0.99",
+                 "--out", str(out)]) == 0
+    net, log = out.read_text(), (tmp_path / "net.txt.log").read_text()
+    assert (_digest(net), _digest(log)) == DBN_DIGESTS[score]
