@@ -9,8 +9,9 @@ likelihood, and a mutual-information test score.  Natural logarithms
 throughout.
 
 Scoring requires complete discrete data; missing-value handling is a
-dataset-preparation concern.  The climb is sequential; candidate moves
-read one family-score cache.
+dataset-preparation concern.  The greedy climb scores each move by its
+delta over the one or two families it changes, tests intra acyclicity with
+one reachability walk, and breaks ties on the smallest move.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -31,7 +32,8 @@ class DiscreteDataset:
     """N paired-slice samples of n discrete variables.
 
     `rows` has shape (N, 2n): the first n columns are slice t, the last n
-    are slice t+1.  States of variable i are 0..arities[i]-1.
+    are slice t+1.  States of variable i are 0..arities[i]-1.  It is stored
+    column-major, so each `column` is one contiguous array.
     """
 
     names: list
@@ -39,7 +41,7 @@ class DiscreteDataset:
     rows: np.ndarray
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.rows = np.asfortranarray(self.rows, dtype=np.int64)
         n = len(self.names)
         if len(self.arities) != n:
             raise ValueError("names and arities differ in length")
@@ -135,23 +137,11 @@ class TwoSliceNetwork:
     def __post_init__(self):
         self.intra = set(self.intra)
         self.inter = set(self.inter)
-        if self._has_cycle():
+        children: list = [[] for _ in self.names]
+        for a, b in self.intra:
+            children[a].append(b)
+        if _meets_grey(children, range(len(self.names)), [0] * len(self.names)):
             raise ValueError("intra-slice arcs form a cycle")
-
-    def _has_cycle(self) -> bool:
-        n = len(self.names)
-        color = [0] * n
-
-        def visit(u) -> bool:
-            color[u] = 1
-            for (a, b) in self.intra:
-                if a == u:
-                    if color[b] == 1 or (color[b] == 0 and visit(b)):
-                        return True
-            color[u] = 2
-            return False
-
-        return any(color[u] == 0 and visit(u) for u in range(n))
 
     def parents(self, i: int) -> tuple:
         """Sorted parent refs of slice t+1 variable i."""
@@ -159,8 +149,26 @@ class TwoSliceNetwork:
         refs += [("t1", a) for (a, b) in self.intra if b == i]
         return tuple(sorted(refs))
 
-    def copy(self) -> "TwoSliceNetwork":
-        return TwoSliceNetwork(self.names, self.arities, set(self.intra), set(self.inter))
+
+def _meets_grey(children: list, starts, colour: list) -> bool:
+    """Iterative depth-first walk along `children` from `starts` into white
+    (0) nodes, each grey (1) while on the path and black (2) once done.
+    True when an arc reaches a grey node: a cycle, or a node the caller
+    greyed to ask whether it is reachable."""
+    path = [(None, iter(starts))]
+    while path:
+        u, arcs = path[-1]
+        v = next(arcs, None)
+        if v is None:
+            path.pop()
+            if u is not None:
+                colour[u] = 2
+        elif colour[v] == 1:
+            return True
+        elif not colour[v]:
+            colour[v] = 1
+            path.append((v, iter(children[v])))
+    return False
 
 
 def serialize_network(net: TwoSliceNetwork) -> str:
@@ -233,15 +241,11 @@ def family_counts(data: DiscreteDataset, i: int, parents: tuple) -> np.ndarray:
     """
     r = data.arities[i]
     child = data.column(("t1", i))
-    q = 1
-    for ref in parents:
-        q *= data.arities[ref[1]]
+    q = math.prod(data.arities[j] for _, j in parents)
     config = np.zeros(data.n_samples, dtype=np.int64)
     for ref in parents:
         config = config * data.arities[ref[1]] + data.column(ref)
-    counts = np.zeros((q, r), dtype=np.int64)
-    np.add.at(counts, (config, child), 1)
-    return counts
+    return np.bincount(config * r + child, minlength=q * r).reshape(q, r)
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -388,9 +392,7 @@ def mit_family_score(data: DiscreteDataset, i: int, parents: tuple,
 def family_score(data: DiscreteDataset, i: int, parents: tuple,
                  kind: ScoreKind) -> float:
     if isinstance(kind, BIC):
-        q = 1
-        for ref in parents:
-            q *= data.arities[ref[1]]
+        q = math.prod(data.arities[j] for _, j in parents)
         return family_loglik(data, i, parents) - bic_penalty(
             q, data.arities[i], data.n_samples)
     if isinstance(kind, BDe):
@@ -412,42 +414,42 @@ def score_network(net: TwoSliceNetwork, data: DiscreteDataset,
 _EPS = 1e-9
 
 
-def _moves(net: TwoSliceNetwork, max_parents: int) -> list:
-    n = len(net.names)
-    moves = []
+def _delta_moves(parents: list, max_parents: int, fam):
+    """(delta, move, changes) for each legal single-arc move from the
+    structure whose families have the sorted parent refs `parents`.
+
+    `changes` holds the one (add, delete) or two (reversal) pairs (family,
+    new parents) a move changes, in ascending family order; only they meet
+    the cap, and `delta` adds fam(new) - fam(old) over them to 0.0.  An
+    intra add or reversal is legal unless its new arc closes a path of
+    intra arcs (for a reversal, a path not using the reversed arc).
+    """
+    n = len(parents)
+    children = [[b for b in range(n) if ("t1", a) in parents[b]] for a in range(n)]
     for i in range(n):
         for j in range(n):
-            if (i, j) in net.inter:
-                moves.append(("del-inter", i, j))
-            else:
-                moves.append(("add-inter", i, j))
-            if i == j:
-                continue
-            if (i, j) in net.intra:
-                moves.append(("del-intra", i, j))
-                moves.append(("rev-intra", i, j))
-            else:
-                moves.append(("add-intra", i, j))
-    return sorted(moves)
-
-
-def _apply(net: TwoSliceNetwork, move: tuple) -> Optional[TwoSliceNetwork]:
-    kind, i, j = move
-    out = net.copy()
-    if kind == "add-inter":
-        out.inter.add((i, j))
-    elif kind == "del-inter":
-        out.inter.discard((i, j))
-    elif kind == "add-intra":
-        out.intra.add((i, j))
-    elif kind == "del-intra":
-        out.intra.discard((i, j))
-    else:  # rev-intra
-        out.intra.discard((i, j))
-        out.intra.add((j, i))
-    if out._has_cycle():
-        return None
-    return out
+            for arc, ref in (("inter", ("t", i)), ("intra", ("t1", i))):
+                if arc == "intra" and i == j:
+                    continue
+                # (move, changes, walk starts, new intra arc's tail: unreachable)
+                if ref not in parents[j]:
+                    gain = (j, tuple(sorted(parents[j] + (ref,))))
+                    moves = [(("add-" + arc, i, j), [gain], [j] if arc == "intra" else [], i)]
+                else:
+                    drop = (j, tuple(r for r in parents[j] if r != ref))
+                    moves = [(("del-" + arc, i, j), [drop], [], None)]
+                    if arc == "intra":
+                        gain = (i, tuple(sorted(parents[i] + (("t1", j),))))
+                        moves.append((("rev-intra", i, j), sorted([drop, gain]),
+                                      [c for c in children[i] if c != j], j))
+                for move, changes, starts, tail in moves:
+                    if any(len(p) > max_parents for _, p in changes) or starts and _meets_grey(
+                            children, starts, [int(u == tail) for u in range(n)]):
+                        continue
+                    delta = 0.0
+                    for f, p in changes:
+                        delta += fam(f, p) - fam(f, parents[f])
+                    yield delta, move, changes
 
 
 def hill_climb(data: DiscreteDataset, kind: ScoreKind, max_parents: int = 3,
@@ -455,13 +457,13 @@ def hill_climb(data: DiscreteDataset, kind: ScoreKind, max_parents: int = 3,
     """Greedy structure search from the empty network.
 
     Applies the best strictly improving single-arc move (intra add, delete,
-    reverse; inter add, delete) until a local optimum; intra acyclicity and
-    the per-family parent cap are enforced, and ties break on the
-    lexicographically smallest move.
+    reverse; inter add, delete) until a local optimum; ties break on the
+    lexicographically smallest move.  Scores decompose over families, so a
+    move is scored by its delta over the families it changes, read from
+    one cache keyed by (family, sorted parent refs); see `_delta_moves`.
     """
     if max_parents < 1:
         raise ValueError("max_parents must be at least 1")
-    net = TwoSliceNetwork(data.names, data.arities, set(), set())
     cache: dict = {}
 
     def fam(i, parents):
@@ -470,28 +472,23 @@ def hill_climb(data: DiscreteDataset, kind: ScoreKind, max_parents: int = 3,
             cache[key] = family_score(data, i, parents, kind)
         return cache[key]
 
-    score = sum(fam(i, net.parents(i)) for i in range(data.n_vars))
+    parents: list = [()] * data.n_vars
+    score = sum(fam(i, parents[i]) for i in range(data.n_vars))
     step = 0
     while True:
         best = None
-        for move in _moves(net, max_parents):
-            candidate = _apply(net, move)
-            if candidate is None:
-                continue
-            if any(len(candidate.parents(i)) > max_parents
-                   for i in range(data.n_vars)):
-                continue
-            delta = 0.0
-            for i in range(data.n_vars):
-                old_p, new_p = net.parents(i), candidate.parents(i)
-                if old_p != new_p:
-                    delta += fam(i, new_p) - fam(i, old_p)
+        for delta, move, changes in _delta_moves(parents, max_parents, fam):
             if delta > _EPS and (best is None or (-delta, move) < (-best[0], best[1])):
-                best = (delta, move, candidate)
+                best = (delta, move, changes)
         if best is None:
-            return net
-        delta, move, net = best
+            break
+        delta, move, changes = best
+        for f, p in changes:
+            parents[f] = p
         score += delta
         step += 1
         if on_step is not None:
             on_step(step, move, score)
+    arcs = {side: {(a, b) for b, refs in enumerate(parents) for s, a in refs if s == side}
+            for side in ("t", "t1")}
+    return TwoSliceNetwork(data.names, data.arities, arcs["t1"], arcs["t"])

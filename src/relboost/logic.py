@@ -270,19 +270,21 @@ class FactBase:
     The facts are fixed at construction: the per-predicate, per-position
     index maps each constant to the facts carrying it, and queries return
     exactly what a linear scan would.  At most one fact per (predicate,
-    argument tuple); re-adding with a different payload is an error.
+    argument tuple); re-adding with a different payload is an error, naming
+    the fact's source line when `lines` gives one per fact.
     `_memo` is the one part that changes: the matcher caches query answers
     there.
     """
 
-    def __init__(self, schema: Schema, facts: Iterable[Atom] = ()):
+    def __init__(self, schema: Schema, facts: Iterable[Atom] = (),
+                 lines: Optional[list] = None):
         self.schema = schema
         self._by_pred: dict = {}      # name -> list of facts, canonical order
         self._index: dict = {}        # (name, pos) -> {symbol: [fact ordinal]}
         self._keys: dict = {}         # (name, args) -> payload
         self._memo: dict = {}         # query pattern -> solution tuples
         staged: dict = {}
-        for fact in facts:
+        for k, fact in enumerate(facts):
             if fact.pred.name not in schema:
                 raise ParseError(f"unknown predicate {fact.pred.name}")
             if not fact.is_ground():
@@ -291,7 +293,8 @@ class FactBase:
             key = (fact.pred.name, fact.args)
             if key in self._keys:
                 if self._keys[key] != fact.value:
-                    raise ParseError(f"conflicting values for {fact}")
+                    raise ParseError(f"conflicting values for {fact}",
+                                     lines[k] if lines else None)
                 continue
             self._keys[key] = fact.value
             staged.setdefault(fact.pred.name, []).append(fact)
@@ -602,15 +605,11 @@ def parse_facts(text: str, schema: Schema) -> FactBase:
 
     Parsing then serializing then parsing again is a fixpoint.
     """
-    atoms = []
+    atoms, linenos = [], []
     for lineno, line in _content_lines(text):
         atoms.append(_parse_ground_atom(line, schema, lineno))
-    try:
-        return FactBase(schema, atoms)
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc))
+        linenos.append(lineno)
+    return FactBase(schema, atoms, linenos)
 
 
 def serialize_facts(db: FactBase) -> str:
@@ -626,7 +625,7 @@ def parse_examples(text: str, target: PredicateSignature,
     negatives file).  Hybrid targets carry their payload inline as
     ``atom=value.`` and ``label`` must be None.
     """
-    entries = []
+    entries, seen = [], set()
     for lineno, line in _content_lines(text):
         if label is not None:
             m = _FACT_RE.match(line)
@@ -639,10 +638,10 @@ def parse_examples(text: str, target: PredicateSignature,
             if target.kind == "boolean":
                 raise ParseError("boolean targets need pos/neg files", lineno)
             entries.append((Atom(atom.pred, atom.args, None), atom.value))
-    try:
-        return ExampleSet(target, entries)
-    except ValueError as exc:
-        raise ParseError(str(exc))
+        if atom.args in seen:
+            raise ParseError(f"duplicate entry {entries[-1][0]}", lineno)
+        seen.add(atom.args)
+    return ExampleSet(target, entries)
 
 
 def serialize_examples(examples: ExampleSet) -> str:

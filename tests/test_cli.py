@@ -65,6 +65,22 @@ class TestTrain:
         args[args.index("--facts") + 1] = str(bundle["dir"] / "nope.txt")
         assert main(args) == 2
 
+    @pytest.mark.parametrize("file,lines,message", [
+        ("facts", ["bp(e001)=1.5.", "bp(e001)=2.5."], "conflicting values for bp(e001)=2.5"),
+        ("pos", ["target(e000)."], "duplicate entry target(e000)"),
+    ])
+    def test_repeated_fact_or_example_names_its_line(self, bundle, capsys, file, lines,
+                                                      message):
+        with open(bundle["schema"], "a") as handle:
+            handle.write("predicate: bp/1 continuous.\n")
+        with open(bundle[file], "a") as handle:
+            handle.write("\n".join(lines) + "\n")
+        n_lines = len(open(bundle[file]).read().splitlines())
+        out = str(bundle["dir"] / "model.txt")
+        assert main(_train_args(bundle, out)) == 2
+        assert f"data error: line {n_lines}: {message}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_continuous_fact_is_data_error(self, bundle, capsys, value):
         with open(bundle["schema"], "a") as handle:

@@ -13,6 +13,7 @@ from relboost.dbn import (
     MIT,
     DiscreteDataset,
     TwoSliceNetwork,
+    _delta_moves,
     bde_family_score,
     bic_penalty,
     chi2_quantile,
@@ -340,6 +341,126 @@ class TestIO:
         again = parse_network(text)
         assert serialize_network(again) == text
 
+    @staticmethod
+    def _chain_text(n, closed):
+        names = [f"v{k}" for k in range(n)]
+        arcs = [f"intra {a}->{b}" for a, b in zip(names, names[1:])]
+        if closed:
+            arcs.append(f"intra {names[-1]}->{names[0]}")
+        return "vars: " + ", ".join(f"{v}:2" for v in names) + "\n" + "\n".join(arcs) + "\n"
+
+    def test_long_intra_chain_parses(self):
+        net = parse_network(self._chain_text(3000, closed=False))
+        assert len(net.intra) == 2999 and net.parents(2999) == (("t1", 2998),)
+
+    def test_long_intra_cycle_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="cycle"):
+            parse_network(self._chain_text(3000, closed=True))
+
     def test_intra_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
             TwoSliceNetwork(["a", "b"], [2, 2], {(0, 1), (1, 0)}, set())
+
+
+def _acyclic(n, arcs):
+    """Peel nodes without parents until none are left (or none can be)."""
+    left = set(range(n))
+    while left:
+        roots = {u for u in left if not any((a, u) in arcs for a in left)}
+        if not roots:
+            return False
+        left -= roots
+    return True
+
+
+def _moved_arcs(net, move):
+    """(intra, inter) arc sets of `net` after `move`."""
+    name, i, j = move
+    intra, inter = set(net.intra), set(net.inter)
+    arcs = inter if name.endswith("inter") else intra
+    if name.startswith("add"):
+        arcs.add((i, j))
+    else:
+        arcs.discard((i, j))
+    if name == "rev-intra":
+        arcs.add((j, i))
+    return intra, inter
+
+
+def _old_route(net, data, kind, max_parents):
+    """{move: (delta, changes)} by the copy-and-rescore route: apply each
+    single-arc move to a copy of `net`, drop cycles and cap violations,
+    and add the family-score differences of the changed families."""
+    n = data.n_vars
+    moves = []
+    for i in range(n):
+        for j in range(n):
+            moves.append(("del-inter" if (i, j) in net.inter else "add-inter", i, j))
+            if i != j and (i, j) in net.intra:
+                moves += [("del-intra", i, j), ("rev-intra", i, j)]
+            elif i != j:
+                moves.append(("add-intra", i, j))
+    out = {}
+    for move in moves:
+        intra, inter = _moved_arcs(net, move)
+        if not _acyclic(n, intra):
+            continue
+        new = TwoSliceNetwork(net.names, net.arities, intra, inter)
+        if any(len(new.parents(f)) > max_parents for f in range(n)):
+            continue
+        delta, changes = 0.0, []
+        for f in range(n):
+            if new.parents(f) != net.parents(f):
+                delta += (family_score(data, f, new.parents(f), kind)
+                          - family_score(data, f, net.parents(f), kind))
+                changes.append((f, new.parents(f)))
+        out[move] = (delta, changes)
+    return out
+
+
+def _new_route(net, data, kind, max_parents):
+    """The same map from `_delta_moves`, uncached."""
+    def fam(f, parents):
+        return family_score(data, f, parents, kind)
+
+    parents = [net.parents(f) for f in range(data.n_vars)]
+    return {move: (delta, changes)
+            for delta, move, changes in _delta_moves(parents, max_parents, fam)}
+
+
+class TestDeltaMoves:
+    """The delta scorer against the copy-and-rescore route it replaces."""
+
+    def test_every_network_of_seeded_climbs(self):
+        from tests.test_model_bytes import _dbn_planted_text
+        data = parse_dataset(_dbn_planted_text(2, 600))
+        seen_moves = set()
+        for max_parents in (1, 2, 3):
+            for kind in (BIC(), BDe(1.0), MIT(0.99)):
+                steps = []
+                final = hill_climb(data, kind, max_parents,
+                                   on_step=lambda s, move, sc: steps.append(move))
+                net = TwoSliceNetwork(data.names, data.arities, set(), set())
+                for move in steps + [None]:
+                    old = _old_route(net, data, kind, max_parents)
+                    assert _new_route(net, data, kind, max_parents) == old
+                    seen_moves |= {m[0] for m in old}
+                    if move is not None:
+                        net = TwoSliceNetwork(data.names, data.arities,
+                                              *_moved_arcs(net, move))
+                assert serialize_network(net) == serialize_network(final)
+        assert seen_moves == {"add-inter", "del-inter", "add-intra",
+                              "del-intra", "rev-intra"}
+
+    def test_reversal_closing_a_cycle_is_rejected(self):
+        rng = random.Random(14)
+        data = _random_dataset(rng, arities=(2, 3, 2))
+        # 0->1->2 and 0->2: reversing 0->2 closes 2->0->1->2
+        net = TwoSliceNetwork(data.names, data.arities,
+                              {(0, 1), (1, 2), (0, 2)}, {(1, 1)})
+        new = _new_route(net, data, BDe(1.0), 3)
+        assert new == _old_route(net, data, BDe(1.0), 3)
+        assert ("rev-intra", 0, 2) not in new
+        assert ("rev-intra", 0, 1) in new and ("rev-intra", 1, 2) in new
+        assert ("del-intra", 0, 2) in new
+        assert ("add-intra", 2, 0) not in new and ("add-intra", 1, 0) not in new

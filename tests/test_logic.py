@@ -82,6 +82,12 @@ class TestParseFacts:
         with pytest.raises(ParseError, match="conflicting"):
             parse_facts("age(ann)=3.\nage(ann)=4.", schema)
 
+    def test_conflicting_payload_names_its_line(self):
+        schema = parse_schema("predicate: age/1 continuous.")
+        with pytest.raises(ParseError, match="conflicting values for age") as err:
+            parse_facts("age(a)=1.\nage(b)=2.\nage(a)=3.", schema)
+        assert err.value.line == 3
+
     def test_comments_and_whitespace(self, family_schema):
         db = parse_facts("  % header\n familyMember( ann , mary ). % tail\n",
                          family_schema)
@@ -112,6 +118,15 @@ class TestParseExamples:
         target = family_schema.get("diabetes")
         with pytest.raises(ParseError, match="duplicate"):
             parse_examples("diabetes(ann,t2).\ndiabetes(ann,t2).", target, label=1)
+
+    def test_duplicate_entry_names_its_line(self):
+        schema = parse_schema("predicate: t/1 boolean.\npredicate: n/1 count.")
+        with pytest.raises(ParseError, match="duplicate entry t") as err:
+            parse_examples("t(a).\nt(b).\nt(a).", schema.get("t"), 1)
+        assert err.value.line == 3
+        with pytest.raises(ParseError, match="duplicate entry n") as err:
+            parse_examples("n(a)=1.\n% note\nn(a)=2.", schema.get("n"))
+        assert err.value.line == 3
 
     def test_non_ground_rejected(self, family_schema):
         target = family_schema.get("diabetes")
