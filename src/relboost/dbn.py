@@ -431,7 +431,8 @@ def _delta_moves(parents: list, max_parents: int, fam):
             for arc, ref in (("inter", ("t", i)), ("intra", ("t1", i))):
                 if arc == "intra" and i == j:
                     continue
-                # (move, changes, walk starts, new intra arc's tail: unreachable)
+                # (move, changes, starts of the acyclicity walk, the new intra
+                # arc's tail, which that walk must not reach)
                 if ref not in parents[j]:
                     gain = (j, tuple(sorted(parents[j] + (ref,))))
                     moves = [(("add-" + arc, i, j), [gain], [j] if arc == "intra" else [], i)]
