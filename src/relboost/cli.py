@@ -220,7 +220,10 @@ def _target_sig(schema: Schema, name: str):
 def _labelled_examples(opts: dict, target) -> ExampleSet:
     _require(opts, "pos", "neg")
     pos = parse_examples(_read(opts["pos"]), target, label=1)
-    neg = parse_examples(_read(opts["neg"]), target, label=0)
+    try:    # name the negatives file: a duplicate there may repeat a positive
+        neg = parse_examples(_read(opts["neg"]), target, label=0, earlier=pos)
+    except ParseError as exc:
+        raise DataError(f"{opts['neg']}: {exc}") from None
     return pos.merged_with(neg)
 
 

@@ -16,6 +16,7 @@ one reachability walk, and breaks ties on the smallest move.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -75,8 +76,8 @@ def _read_vars(text: str, what: str) -> tuple:
     Blank lines and ``%`` comment lines are skipped; `body` holds every
     later (line number, stripped text) pair, numbered as in the file.
     """
-    lines = [(n, l.strip()) for n, l in enumerate(text.splitlines(), start=1)
-             if l.strip() and not l.strip().startswith("%")]
+    lines = [(n, line) for n, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.strip()) and not line.startswith("%")]
     if not lines or not lines[0][1].startswith("vars:"):
         raise ParseError(f"{what} needs a 'vars:' header", lines[0][0] if lines else 1)
     lineno, header = lines[0]
@@ -93,8 +94,22 @@ def _read_vars(text: str, what: str) -> tuple:
 
 
 def parse_dataset(text: str) -> DiscreteDataset:
-    """Header ``vars: name:arity, ...`` then one CSV sample per line."""
+    """Header ``vars: name:arity, ...`` then one CSV sample per line.
+
+    A body of ASCII-digit fields, 2n a line, is read in one `np.loadtxt` call;
+    any other body, or a bad state, goes to `_parse_rows`, which raises every error.
+    """
     names, arities, body = _read_vars(text, "dataset")
+    lines = [line for _, line in body]
+    decimal_row = re.compile(rf"[0-9]+(?:,[0-9]+){{{2 * len(names) - 1}}}")
+    if lines and all(map(decimal_row.fullmatch, lines)):
+        with contextlib.suppress(ValueError):   # a state past int64 or out of range
+            return DiscreteDataset(names, arities, np.loadtxt(
+                lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2))
+    return _parse_rows(names, arities, body)
+
+
+def _parse_rows(names: list, arities: list, body: list) -> DiscreteDataset:
     rows = []
     for lineno, line in body:
         parts = line.split(",")
@@ -106,7 +121,7 @@ def parse_dataset(text: str) -> DiscreteDataset:
             raise ParseError("states must be integers", lineno)
     if not rows:
         raise ParseError("dataset has no samples")
-    states = np.array(rows, dtype=np.int64)
+    states = np.array(rows, dtype=object)   # Python ints: past int64 is out of range
     bad = (states < 0) | (states >= np.array(arities * 2))
     if bad.any():
         row, col = np.argwhere(bad)[0]

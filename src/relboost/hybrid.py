@@ -269,28 +269,31 @@ def train_hybrid(dataset: dict, db: FactBase, modes: list,
             model.functions[key].append(
                 boost_step(regs, db, modes, config.tree, rows, psis[key], cache, eta))
 
-        for m in range(config.iterations):
-            if isinstance(kind, Multinomial):
-                keys = _function_keys(kind)
-                probs = [multinomial_prob([psis[key][i] for key in keys])
-                         for i in range(len(atoms))]
-                for k, key in enumerate(keys):
-                    step(key, [(1.0 if y == k else 0.0) - p[k] for y, p in zip(values, probs)],
-                         config.eta_multinomial)
-            elif isinstance(kind, Poisson):
-                step("rate", [poisson_gradient(y, psi) for y, psi in zip(values, psis["rate"])],
-                     config.eta_poisson)
-            else:
-                step("mu", [gaussian_gradients(y, mu, sigma)[0] for y, mu, sigma
-                            in zip(values, psis["mu"], psis["sigma"])], config.eta_mu)
-                # sigma gradients use the just-updated means; stale means
-                # inflate the squared residuals and blow sigma up
-                step("sigma", [gaussian_gradients(y, mu, sigma)[1] for y, mu, sigma
-                               in zip(values, psis["mu"], psis["sigma"])], config.eta_sigma)
-                # project back to the floor after each boosting step
-                psis["sigma"] = [max(SIGMA_FLOOR, sigma) for sigma in psis["sigma"]]
-            if on_iteration is not None:
-                on_iteration(name, m + 1, _loglik(kind, values, psis))
+        try:
+            for m in range(config.iterations):
+                if isinstance(kind, Multinomial):
+                    keys = _function_keys(kind)
+                    probs = [multinomial_prob([psis[key][i] for key in keys])
+                             for i in range(len(atoms))]
+                    for k, key in enumerate(keys):
+                        step(key, [(1.0 if y == k else 0.0) - p[k] for y, p in zip(values, probs)],
+                             config.eta_multinomial)
+                elif isinstance(kind, Poisson):
+                    step("rate", [poisson_gradient(y, psi) for y, psi in zip(values, psis["rate"])],
+                         config.eta_poisson)
+                else:
+                    step("mu", [gaussian_gradients(y, mu, sigma)[0] for y, mu, sigma
+                                in zip(values, psis["mu"], psis["sigma"])], config.eta_mu)
+                    # sigma gradients use the just-updated means; stale means
+                    # inflate the squared residuals and blow sigma up
+                    step("sigma", [gaussian_gradients(y, mu, sigma)[1] for y, mu, sigma
+                                   in zip(values, psis["mu"], psis["sigma"])], config.eta_sigma)
+                    # project back to the floor after each boosting step
+                    psis["sigma"] = [max(SIGMA_FLOOR, sigma) for sigma in psis["sigma"]]
+                if on_iteration is not None:
+                    on_iteration(name, m + 1, _loglik(kind, values, psis))
+        except OverflowError:   # targets so large that squared residuals pass float range
+            raise ValueError(f"target {name}: values too large for float arithmetic") from None
         models[name] = model
     return models
 

@@ -182,6 +182,8 @@ def _check_payload(pred: PredicateSignature, value, line=None):
     elif pred.kind == "count":
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ParseError(f"{pred.name} expects a non-negative count", line)
+        if value > 2 ** 53:     # past 2**53 a count is no longer exact as a float
+            raise ParseError(f"{pred.name} expects a count of at most 2**53", line)
     else:  # continuous
         if not isinstance(value, float) or not math.isfinite(value):
             raise ParseError(f"{pred.name} expects a finite real value", line)
@@ -618,23 +620,27 @@ def serialize_facts(db: FactBase) -> str:
 
 
 def parse_examples(text: str, target: PredicateSignature,
-                   label: Optional[int] = None) -> ExampleSet:
+                   label: Optional[int] = None,
+                   earlier: Optional[ExampleSet] = None) -> ExampleSet:
     """Parse ground target atoms into an ExampleSet.
 
     For boolean targets pass ``label`` (1 for a positives file, 0 for a
     negatives file).  Hybrid targets carry their payload inline as
-    ``atom=value.`` and ``label`` must be None.
+    ``atom=value.`` and ``label`` must be None.  An atom already in
+    ``earlier``, a set read from another file, is a duplicate at its line.
     """
-    entries, seen = [], set()
+    schema = Schema([target])
+    entries = []
+    seen = {atom.args for atom, _ in earlier.entries} if earlier else set()
     for lineno, line in _content_lines(text):
         if label is not None:
             m = _FACT_RE.match(line)
             if m and m.group(3) is not None:
                 raise ParseError("labelled example files carry no =value", lineno)
-            atom = _parse_ground_atom(line, Schema([target]), lineno)
+            atom = _parse_ground_atom(line, schema, lineno)
             entries.append((atom, label))
         else:
-            atom = _parse_ground_atom(line, Schema([target]), lineno)
+            atom = _parse_ground_atom(line, schema, lineno)
             if target.kind == "boolean":
                 raise ParseError("boolean targets need pos/neg files", lineno)
             entries.append((Atom(atom.pred, atom.args, None), atom.value))

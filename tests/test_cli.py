@@ -81,6 +81,16 @@ class TestTrain:
         assert f"data error: line {n_lines}: {message}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_example_in_both_pos_and_neg_names_the_negatives_line(self, bundle, capsys):
+        with open(bundle["neg"], "a") as handle:
+            handle.write("target(e000).\n")      # e000 is a positive
+        n_lines = len(open(bundle["neg"]).read().splitlines())
+        out = str(bundle["dir"] / "model.txt")
+        assert main(_train_args(bundle, out)) == 2
+        assert f"data error: {bundle['neg']}: line {n_lines}: duplicate entry target(e000)" \
+            in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_continuous_fact_is_data_error(self, bundle, capsys, value):
         with open(bundle["schema"], "a") as handle:
@@ -146,6 +156,13 @@ class TestTrain:
         assert text.startswith("vars: a:2, b:2")
         assert "inter a=>a" in text
 
+
+    def test_dbn_state_past_int64_is_data_error(self, tmp_path, capsys):
+        data = _write(tmp_path / "slices.csv", "vars: a:2\n0,99999999999999999999\n")
+        out = str(tmp_path / "net.txt")
+        assert main(["train", "--kind", "dbn-bic", "--data", data, "--out", out]) == 2
+        assert "data error: line 2: state out of range for a" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 class TestEvalAndMetrics:
     def test_eval_report_keys(self, bundle, capsys):
@@ -380,6 +397,34 @@ class TestHybridAndTemporalPaths:
         values_out = dict(l.split("=", 1) for l in open(report).read().splitlines())
         assert set(values_out) == {"mse", "mean_loglik", "examples"}
         assert float(values_out["mean_loglik"]) > -3.0
+
+    @pytest.mark.parametrize("decl,example,message", [
+        ("visits/1 count", f"visits(a)={10 ** 400}.",
+         "line 3: visits expects a count of at most 2**53"),
+        ("visits/1 count", f"visits(a)={10 ** 300}.",
+         "line 3: visits expects a count of at most 2**53"),
+        ("weight/1 continuous", "weight(a)=1e200.",
+         "target weight: values too large for float arithmetic"),
+        ("visits/1 count", f"visits(a)={2 ** 53}.", None),
+    ], ids=["count-1e400", "count-1e300", "continuous-1e200", "count-2**53"])
+    def test_oversized_hybrid_target_is_data_error(self, tmp_path, capsys, decl, example,
+                                                   message):
+        name = decl.split("/")[0]
+        schema = _write(tmp_path / "schema.txt",
+                        f"predicate: sick/1 boolean.\npredicate: {decl}.\n")
+        facts = _write(tmp_path / "facts.txt", "sick(b).\n")
+        examples = _write(tmp_path / "values.txt", f"{name}(b)=1.\n{name}(c)=2.\n{example}\n")
+        modes = _write(tmp_path / "modes.txt", "mode: sick(+).\n")
+        out = str(tmp_path / "model.txt")
+        code = main(["train", "--kind", "hybrid", "--schema", schema, "--facts", facts,
+                     "--examples", examples, "--modes", modes, "--target", name,
+                     "--iters", "3", "--out", out])
+        if message is None:     # 2**53 itself is exact as a float and trains
+            assert code == 0 and os.path.exists(out)
+            return
+        assert code == 2
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_hybrid_train_from_trajectories(self, tmp_path):
         schema = _write(tmp_path / "schema.txt", """

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from relboost import dbn
 from relboost.dbn import (
     BDe,
     BIC,
@@ -14,6 +15,8 @@ from relboost.dbn import (
     DiscreteDataset,
     TwoSliceNetwork,
     _delta_moves,
+    _parse_rows,
+    _read_vars,
     bde_family_score,
     bic_penalty,
     chi2_quantile,
@@ -329,6 +332,7 @@ class TestIO:
         ("dataset", "% data\nvars: a:2\n\n0,1\n% note\n0,x\n", "line 6: states must be"),
         ("dataset", "vars: a:2\n0,1\n\n\n1,2\n", "line 5: state out of range for a"),
         ("dataset", "\nvars: a:2\n1,1\n0\n", "line 4: expected 2 values"),
+        ("dataset", "vars: a:2\n0,99999999999999999999\n", "line 2: state out of range for a"),
     ])
     def test_parse_errors_name_the_file_line(self, parse, text, message):
         with pytest.raises(ParseError, match=message):
@@ -360,6 +364,82 @@ class TestIO:
     def test_intra_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
             TwoSliceNetwork(["a", "b"], [2, 2], {(0, 1), (1, 0)}, set())
+
+
+def _per_line(text):
+    """The line-by-line reader alone: the reference for the bulk path."""
+    return _parse_rows(*_read_vars(text, "dataset"))
+
+
+def _outcome(parse, text):
+    try:
+        data = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("ok", data.names, data.arities, data.rows.dtype, data.rows.tolist())
+
+
+# one field replaced: signs, padding, underscores, leading zeros, a non-ASCII
+# digit, an empty field and a state past int64
+_FIELD_MUTATIONS = ("+1", " 1 ", "1_0", "01", "-0", "\u0661", "", "99999999999999999999")
+
+
+def _dataset_corpus(seed, n_datasets=12):
+    """(what, text) pairs: seeded valid datasets and mutations of each."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(n_datasets):
+        arities = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        header = "vars: " + ", ".join(f"v{j}:{r}" for j, r in enumerate(arities))
+        rows = [[str(rng.randrange(r)) for r in arities * 2] for _ in range(rng.randint(1, 6))]
+        lines = [",".join(row) for row in rows]
+        i, j = rng.randrange(len(rows)), rng.randrange(2 * len(arities))
+
+        def text(body, end="\n"):
+            return end.join([header] + body) + end
+
+        def with_line(line):
+            return text(lines[:i] + [line] + lines[i + 1:])
+
+        corpus.append(("valid", text(lines)))
+        for field in _FIELD_MUTATIONS + (str(arities[j % len(arities)]),):  # last: out of range
+            row = list(rows[i])
+            row[j] = field
+            corpus.append((f"field {field!r}", with_line(",".join(row))))
+        corpus += [
+            ("trailing comma", with_line(lines[i] + ",")),
+            ("too few fields", with_line(",".join(rows[i][:-1]))),
+            ("too many fields", with_line(lines[i] + ",0")),
+            ("CRLF", text(lines, "\r\n")),
+            ("blank and comment lines", text([x for line in lines for x in (line, "", "% c")])),
+            ("header only", text([])),
+            ("one row", text(lines[:1])),
+        ]
+    return corpus
+
+
+class TestBulkParse:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bulk_and_per_line_paths_agree(self, seed):
+        outcomes = set()
+        for what, text in _dataset_corpus(seed):
+            got = _outcome(parse_dataset, text)
+            assert got == _outcome(_per_line, text), (what, text)
+            outcomes.add(got[0])
+        assert outcomes == {"ok", "error"}
+
+    def test_decimal_bodies_skip_the_per_line_reader(self, monkeypatch):
+        data = _random_dataset(random.Random(21), n_samples=40)
+        text = serialize_dataset(data)
+        texts = [text, text.replace("\n", "\r\n"), text.replace("\n", "\n\n% c\n")]
+
+        def fail(*args):
+            raise AssertionError("a decimal body was read line by line")
+
+        monkeypatch.setattr(dbn, "_parse_rows", fail)
+        for t in texts:
+            again = parse_dataset(t)
+            assert again.rows.dtype == np.int64 and (again.rows == data.rows).all()
 
 
 def _acyclic(n, arcs):

@@ -127,6 +127,18 @@ class TestParseExamples:
         with pytest.raises(ParseError, match="duplicate entry n") as err:
             parse_examples("n(a)=1.\n% note\nn(a)=2.", schema.get("n"))
         assert err.value.line == 3
+        positives = parse_examples("t(a).", schema.get("t"), 1)
+        with pytest.raises(ParseError, match="duplicate entry t") as err:
+            parse_examples("t(b).\nt(a).", schema.get("t"), 0, earlier=positives)
+        assert err.value.line == 2
+
+    def test_count_above_2_53_names_its_line(self):
+        schema = parse_schema("predicate: n/1 count.")
+        examples = parse_examples(f"n(a)={2 ** 53}.", schema.get("n"))
+        assert examples.entries[0][1] == 2 ** 53
+        with pytest.raises(ParseError, match=r"n expects a count of at most 2\*\*53") as err:
+            parse_examples(f"n(a)=1.\nn(b)={2 ** 53 + 1}.", schema.get("n"))
+        assert err.value.line == 2
 
     def test_non_ground_rejected(self, family_schema):
         target = family_schema.get("diabetes")
