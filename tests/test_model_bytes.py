@@ -7,6 +7,10 @@ second or two, yet grows multi-leaf trees with two-literal chains, so a
 change in split choice, leaf scaling, psi accumulation or file layout
 shows up as a different digest.  The DBN cases pin each hill climb's
 network file and its step log, whose scores show every float of the climb.
+
+The `eval` and `cv` reports are pinned the same way, so a change to how
+prediction routes an atom through a model's trees, or to the order its tree
+values are summed in, shows up as a different report digest.
 """
 
 import hashlib
@@ -23,14 +27,37 @@ from relboost.logic import (
     FactBase,
     parse_modes,
     parse_schema,
+    serialize_facts,
 )
 from relboost.regtree import TreeConfig, serialize_tree
 
-from tests.conftest import build_linked_domain
+from tests.conftest import LINKED_MODES_TEXT, LINKED_SCHEMA_TEXT, build_linked_domain
 
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _write(path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+def _eval_report(tmp_path, schema_text: str, db, model_text: str, *inputs) -> str:
+    """The report `relboost eval` writes for a model over `inputs`, a flat
+    list of (option, file name, text) triples, with `db` as the facts."""
+    args = ["eval", "--model", _write(tmp_path / "model.txt", model_text),
+            "--schema", _write(tmp_path / "schema.txt", schema_text),
+            "--facts", _write(tmp_path / "facts.txt", serialize_facts(db)),
+            "--report", str(tmp_path / "report.txt")]
+    for option, name, text in inputs:
+        args += [option, _write(tmp_path / name, text)]
+    assert main(args) == 0
+    return (tmp_path / "report.txt").read_text()
+
+
+def _lines(atoms) -> str:
+    return "".join(f"{atom}.\n" for atom in atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +77,17 @@ def rfgb_domain():
                                feature_rate_neg=0.15)
 
 
-@pytest.mark.parametrize("case", sorted(RFGB_DIGESTS))
-def test_rfgb_model_bytes(rfgb_domain, case):
-    _, db, modes, examples = rfgb_domain
+RFGB_EVAL_DIGESTS = {
+    "hard": "dd72b74add5365b5a640536657451d3600048afbfa07612d1fe7deba45f2f33c",
+    "soft": "aae9fc4f51c282a764869d840ee9f4d0ac5a43f686adf9fcb6a4eea3138d474e",
+    "neg-subsample": "97093afb28d1c8bea7d29ee2e861333a5f564002cb6d440f68ea24d9a9e53377",
+}
+
+CV_DIGEST = "c82d9659997598e186b5f2a5ec73f990802e272f4a3699d219566dee33d1c802"
+
+
+def _rfgb_model(domain, case: str):
+    _, db, modes, examples = domain
     tree = TreeConfig(max_leaves=4)
     if case == "hard":
         config, kind = boost.BoostConfig(4, tree, rng_seed=3), boost.Hard()
@@ -60,8 +95,41 @@ def test_rfgb_model_bytes(rfgb_domain, case):
         config, kind = boost.BoostConfig(4, tree, rng_seed=3), boost.Soft(1.0, -2.0)
     else:
         config, kind = boost.BoostConfig(4, tree, 1.5, rng_seed=5), boost.Hard()
-    model = boost.train(examples, db, modes, config, kind)
+    return boost.train(examples, db, modes, config, kind)
+
+
+def _labelled_files(examples) -> tuple:
+    return (("--pos", "pos.txt", _lines(a for a, label in examples.entries if label == 1)),
+            ("--neg", "neg.txt", _lines(a for a, label in examples.entries if label == 0)))
+
+
+@pytest.mark.parametrize("case", sorted(RFGB_DIGESTS))
+def test_rfgb_model_bytes(rfgb_domain, case):
+    model = _rfgb_model(rfgb_domain, case)
     assert _digest(boost.serialize_model(model)) == RFGB_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(RFGB_EVAL_DIGESTS))
+def test_rfgb_eval_report_bytes(rfgb_domain, tmp_path, case):
+    _, db, _, examples = rfgb_domain
+    model = _rfgb_model(rfgb_domain, case)
+    report = _eval_report(tmp_path, LINKED_SCHEMA_TEXT, db, boost.serialize_model(model),
+                          *_labelled_files(examples))
+    assert _digest(report) == RFGB_EVAL_DIGESTS[case]
+
+
+def test_cv_report_bytes(rfgb_domain, tmp_path):
+    _, db, _, examples = rfgb_domain
+    args = ["cv", "--kind", "soft-rfgb", "--alpha", "1.0", "--beta", "-2.0",
+            "--schema", _write(tmp_path / "schema.txt", LINKED_SCHEMA_TEXT),
+            "--facts", _write(tmp_path / "facts.txt", serialize_facts(db)),
+            "--modes", _write(tmp_path / "modes.txt", LINKED_MODES_TEXT),
+            "--target", "target", "--k", "3", "--iters", "3", "--leaves", "4",
+            "--seed", "3", "--report", str(tmp_path / "cv.txt")]
+    for option, name, text in _labelled_files(examples):
+        args += [option, _write(tmp_path / name, text)]
+    assert main(args) == 0
+    assert _digest((tmp_path / "cv.txt").read_text()) == CV_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +155,22 @@ HYBRID_DIGESTS = {
     "visits": "7f13905f0e9ec78b0c1ccf67432adcbb3caef2274d02b5779b366376bca4ac4f",
     "weight": "fb221f2a1e9d94a3e172be3175f38d55a87d52af3989909f56fba086f94746ec",
     "grade": "755734ce81328fb44847512d8677669867bcf55705a0c739491a894dc765aefe",
+}
+
+HYBRID_EVAL_DIGESTS = {
+    "visits": "4d2a088f759f785ec50678f0638ce908509ffec69a75b3b9e3fab9ebba8110bf",
+    "weight": "0f7d6234bb18c884b6a92b70fd4e3eb2e91f79518ea98201f74d278b4ee72de1",
+    "grade": "e1317bed9613e41613d8d969d7425c115970a750f380c7724624a4dd5509fd44",
+}
+
+MIXED_PREDICTIONS = {   # repr of MixedParentModel.predict at e000, e001, e057
+    "visits": "1.4810073022885037; 2.1225047842440197; 2.1808533672290156",
+    "weight": "(0.31762889581541276, 2.096434943680672); "
+              "(1.7254602484295536, 2.540354246699506); "
+              "(1.7546391640046353, 2.540354246699506)",
+    "grade": "[0.594010730389066, 0.2590498870945405, 0.14693938251639344]; "
+             "[0.2882269140818025, 0.49859338108161283, 0.21317970483658474]; "
+             "[0.26319098454009393, 0.5260266264841797, 0.2107823889757262]",
 }
 
 MIXED_DIGESTS = {
@@ -127,13 +211,28 @@ def hybrid_domain():
     return schema, db, modes, dataset
 
 
-@pytest.mark.parametrize("name", sorted(HYBRID_DIGESTS))
-def test_hybrid_model_bytes(hybrid_domain, name):
-    _, db, modes, dataset = hybrid_domain
+def _hybrid_model(domain, name: str):
+    _, db, modes, dataset = domain
     config = hybrid.HybridConfig(iterations=4, tree=TreeConfig(max_leaves=4),
                                  sigma0=1.5)
-    model = hybrid.train_hybrid({name: dataset[name]}, db, modes, config)[name]
+    return hybrid.train_hybrid({name: dataset[name]}, db, modes, config)[name]
+
+
+@pytest.mark.parametrize("name", sorted(HYBRID_DIGESTS))
+def test_hybrid_model_bytes(hybrid_domain, name):
+    model = _hybrid_model(hybrid_domain, name)
     assert _digest(hybrid.serialize_hybrid(model)) == HYBRID_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(HYBRID_EVAL_DIGESTS))
+def test_hybrid_eval_report_bytes(hybrid_domain, tmp_path, name):
+    _, db, _, dataset = hybrid_domain
+    model = _hybrid_model(hybrid_domain, name)
+    examples = _lines(Atom(atom.pred, atom.args, value)
+                      for atom, value in dataset[name].entries)
+    report = _eval_report(tmp_path, HYBRID_SCHEMA_TEXT, db, hybrid.serialize_hybrid(model),
+                          ("--examples", "values.txt", examples))
+    assert _digest(report) == HYBRID_EVAL_DIGESTS[name]
 
 
 def _mixed_text(model) -> str:
@@ -147,13 +246,26 @@ def _mixed_text(model) -> str:
     return "".join(parts)
 
 
-@pytest.mark.parametrize("name", sorted(MIXED_DIGESTS))
-def test_mixed_model_bytes(hybrid_domain, name):
-    _, db, modes, dataset = hybrid_domain
+def _mixed_model(domain, name: str):
+    _, db, modes, dataset = domain
     config = hybrid.HybridConfig(iterations=3, tree=TreeConfig(max_leaves=3),
                                  eta_mu=0.5, eta_poisson=0.2)
-    model = hybrid.train_mixed(dataset[name], db, modes, ["dose", "age"], config)
+    return hybrid.train_mixed(dataset[name], db, modes, ["dose", "age"], config)
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_DIGESTS))
+def test_mixed_model_bytes(hybrid_domain, name):
+    model = _mixed_model(hybrid_domain, name)
     assert _digest(_mixed_text(model)) == MIXED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_PREDICTIONS))
+def test_mixed_predictions(hybrid_domain, name):
+    _, db, _, dataset = hybrid_domain
+    model = _mixed_model(hybrid_domain, name)
+    atoms = [dataset[name].entries[i][0] for i in (0, 1, 57)]
+    assert "; ".join(repr(model.predict(atom, db)) for atom in atoms) \
+        == MIXED_PREDICTIONS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +274,20 @@ def test_mixed_model_bytes(hybrid_domain, name):
 
 RCTBN_DIGEST = "bc6e384fcfe70fa28092862500c19f44f6b6a5d0ef8c63a15513ccd98f51372c"
 
+RCTBN_EVAL_DIGEST = "646eeceaa2556940f280b4e6e092ada5b93dd029a32e88dcf9dc30c6cf87f81a"
 
-def test_rctbn_model_bytes():
-    schema = parse_schema("""
+RCTBN_SCHEMA_TEXT = """
 predicate: cvd/2 boolean temporal.
 predicate: checkup/2 boolean temporal.
 predicate: parentOf/2 boolean.
 predicate: elder/1 boolean.
-""")
+"""
+
+
+@pytest.fixture(scope="module")
+def rctbn_domain():
+    """(trajectories, static facts, fitted model) of a sampled cvd domain."""
+    schema = parse_schema(RCTBN_SCHEMA_TEXT)
     proj = rctbn.projected_schema(schema)
     spec, _ = rctbn.parse_groundtruth("""
 var cvd init=[1.0, 0.0]
@@ -195,7 +313,19 @@ clause checkup cim=[[-3.0, 3.0], [3.0, -3.0]]
     config = rctbn.RctbnConfig(iterations=3, tree=TreeConfig(max_leaves=3),
                                neg_cap_per_traj=3, rng_seed=7)
     model = rctbn.train_rctbn(trajs, facts, schema, [transition], modes, config)[transition]
+    return trajs, facts, model
+
+
+def test_rctbn_model_bytes(rctbn_domain):
+    _, _, model = rctbn_domain
     assert _digest(rctbn.serialize_rctbn(model)) == RCTBN_DIGEST
+
+
+def test_rctbn_eval_report_bytes(rctbn_domain, tmp_path):
+    trajs, facts, model = rctbn_domain
+    report = _eval_report(tmp_path, RCTBN_SCHEMA_TEXT, facts, rctbn.serialize_rctbn(model),
+                          ("--traj", "traj.txt", rctbn.serialize_trajectories(trajs)))
+    assert _digest(report) == RCTBN_EVAL_DIGEST
 
 
 # ---------------------------------------------------------------------------
