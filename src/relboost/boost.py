@@ -69,8 +69,8 @@ class BoostedModel:
     trees: list
     kind: GradientKind
 
-    def psi(self, target: Atom, db: FactBase) -> float:
-        return self.psi0 + trees_value(self.trees, target, db)
+    def psi(self, target: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> float:
+        return self.psi0 + trees_value(self.trees, target, db, cache)
 
 
 def _clamped_exp(x: float) -> float:
@@ -193,9 +193,10 @@ def train(examples: ExampleSet, db: FactBase, modes: list, config: BoostConfig,
     return model
 
 
-def predict(model: BoostedModel, target: Atom, db: FactBase) -> float:
+def predict(model: BoostedModel, target: Atom, db: FactBase,
+            cache: Optional[RoutingCache] = None) -> float:
     """Predicted probability of the target atom being true."""
-    return sigmoid_prob(model.psi(target, db))
+    return sigmoid_prob(model.psi(target, db, cache))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .logic import (
     parse_modes,
     parse_schema,
 )
-from .regtree import TreeConfig, parse_finite
+from .regtree import RoutingCache, TreeConfig, parse_finite
 from .util import atomic_write
 
 
@@ -347,18 +347,19 @@ def cmd_eval(opts: dict) -> int:
     model_text = _read(opts["model"])
     header = model_text.splitlines()[0] if model_text else ""
     facts = parse_facts(_read(opts["facts"]), schema) if opts["facts"] else None
+    cache = RoutingCache()
 
     if header.startswith("model rfgb "):
         model = boost.parse_model(model_text, schema)
         examples = _labelled_examples(opts, model.target)
-        pairs = [(boost.predict(model, atom, facts), label)
+        pairs = [(boost.predict(model, atom, facts, cache), label)
                  for atom, label in examples.entries]
         report = _prediction_report(metrics.PredictionSet(pairs), opts)
     elif header.startswith("model hybrid "):
         model = hybrid.parse_hybrid(model_text, schema)
         _require(opts, "examples")
         examples = parse_examples(_read(opts["examples"]), model.target)
-        probs = [model.prob_of_truth(atom, value, facts)
+        probs = [model.prob_of_truth(atom, value, facts, cache)
                  for atom, value in examples.entries]
         report = {"mse": metrics.mse(probs), "mean_loglik": metrics.mean_loglik(probs),
                   "examples": len(probs)}
@@ -369,11 +370,11 @@ def cmd_eval(opts: dict) -> int:
         segments = rctbn.segment(trajs, facts, schema, model.transition)
         if not segments:
             raise DataError("no segments in the trajectory file")
-        pairs = [(model.transition_probability(s), 1 if s.positive else 0)
+        pairs = [(model.transition_probability(s, cache), 1 if s.positive else 0)
                  for s in segments]
         report = _prediction_report(metrics.PredictionSet(pairs), opts)
         report["mean_loglik"] = sum(
-            rctbn.segment_loglik(s.positive, model.phi(s), s.residence_time)
+            rctbn.segment_loglik(s.positive, model.phi(s, cache), s.residence_time)
             for s in segments) / len(segments)
     else:
         raise DataError("unrecognized model file")
@@ -450,6 +451,7 @@ def cmd_cv(opts: dict) -> int:
         else boost.Soft(opts["alpha"], opts["beta"])
     lines = []
     fold_reports = []
+    cache = RoutingCache()      # a routing depends on the trees' tests, not the fold's model
     for fold_id, holdout in enumerate(folds):
         held = set(holdout)
         train_set = ExampleSet(target, [e for i, e in enumerate(examples.entries)
@@ -458,7 +460,7 @@ def cmd_cv(opts: dict) -> int:
         config = boost.BoostConfig(opts["iters"], _tree_config(opts),
                                    opts["neg-subsample"], opts["seed"] + fold_id)
         model = boost.train(train_set, facts, modes, config, gradient)
-        pairs = [(boost.predict(model, atom, facts), label) for atom, label in test_set]
+        pairs = [(boost.predict(model, atom, facts, cache), label) for atom, label in test_set]
         report = _prediction_report(metrics.PredictionSet(pairs), opts)
         fold_reports.append(report)
         for key in sorted(report):

@@ -178,35 +178,37 @@ class HybridModel:
     eta: float
     sigma0: float = 1.0
 
-    def _psi(self, key: str, atom: Atom, db: FactBase) -> float:
-        return trees_value(self.functions[key], atom, db)
+    def _psi(self, key: str, atom: Atom, db: FactBase,
+             cache: Optional[RoutingCache] = None) -> float:
+        return trees_value(self.functions[key], atom, db, cache)
 
-    def class_probs(self, atom: Atom, db: FactBase) -> list:
+    def class_probs(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> list:
         if not isinstance(self.kind, Multinomial):
             raise ValueError("not a multinomial model")
-        psis = [self._psi(f"class={k}", atom, db) for k in range(self.kind.classes)]
+        psis = [self._psi(f"class={k}", atom, db, cache) for k in range(self.kind.classes)]
         return multinomial_prob(psis)
 
-    def rate(self, atom: Atom, db: FactBase) -> float:
+    def rate(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> float:
         if not isinstance(self.kind, Poisson):
             raise ValueError("not a Poisson model")
-        return _clamped_exp(self._psi("rate", atom, db))
+        return _clamped_exp(self._psi("rate", atom, db, cache))
 
-    def mu_sigma(self, atom: Atom, db: FactBase) -> tuple:
+    def mu_sigma(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> tuple:
         if not isinstance(self.kind, Gaussian):
             raise ValueError("not a Gaussian model")
-        mu = self._psi("mu", atom, db)
-        sigma = max(SIGMA_FLOOR, self.sigma0 + self._psi("sigma", atom, db))
+        mu = self._psi("mu", atom, db, cache)
+        sigma = max(SIGMA_FLOOR, self.sigma0 + self._psi("sigma", atom, db, cache))
         return mu, sigma
 
-    def prob_of_truth(self, atom: Atom, value, db: FactBase) -> float:
+    def prob_of_truth(self, atom: Atom, value, db: FactBase,
+                      cache: Optional[RoutingCache] = None) -> float:
         """Probability (density for Gaussian) of the observed value."""
         if isinstance(self.kind, Multinomial):
-            return self.class_probs(atom, db)[value]
+            return self.class_probs(atom, db, cache)[value]
         if isinstance(self.kind, Poisson):
-            lam = self.rate(atom, db)
+            lam = self.rate(atom, db, cache)
             return math.exp(value * math.log(lam) - lam - math.lgamma(value + 1))
-        mu, sigma = self.mu_sigma(atom, db)
+        mu, sigma = self.mu_sigma(atom, db, cache)
         return math.exp(gaussian_ll(value, mu, sigma))
 
 
@@ -330,11 +332,11 @@ class MixedParentModel:
             xs.append(float(v))
         return xs
 
-    def predict(self, atom: Atom, db: FactBase):
+    def predict(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None):
         """Class probabilities, rate, or (mu, sigma) depending on the kind."""
-        coeffs = {key: trees_value(trees, atom, db) for key, trees in self.functions.items()}
+        coeffs = {key: trees_value(trees, atom, db, cache) for key, trees in self.functions.items()}
         return _mixed_output(self.kind, coeffs, self.parent_values(atom, db),
-                             self.sigma0 + trees_value(self.sigma_trees, atom, db))
+                             self.sigma0 + trees_value(self.sigma_trees, atom, db, cache))
 
 
 def _mixed_output(kind: DistributionKind, coeffs: dict, xs: list, sigma: float):
@@ -394,15 +396,18 @@ def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
 
     eta = {Multinomial: config.eta_multinomial, Poisson: config.eta_poisson,
            Gaussian: config.eta_mu}[type(kind)]
-    for _ in range(config.iterations):
-        for (k, j), trees in model.functions.items():
-            res = [residual(y, out)[k] for y, out in zip(values, outputs())]
-            step(trees, [r * (1.0 if j == 0 else x[j - 1]) for r, x in zip(res, xs)],
-                 coeffs[(k, j)], eta)
-        if isinstance(kind, Gaussian):
-            step(model.sigma_trees, [gaussian_gradients(y, *out)[1]
-                                     for y, out in zip(values, outputs())],
-                 sigma_sums, config.eta_sigma)
+    try:
+        for _ in range(config.iterations):
+            for (k, j), trees in model.functions.items():
+                res = [residual(y, out)[k] for y, out in zip(values, outputs())]
+                step(trees, [r * (1.0 if j == 0 else x[j - 1]) for r, x in zip(res, xs)],
+                     coeffs[(k, j)], eta)
+            if isinstance(kind, Gaussian):
+                step(model.sigma_trees, [gaussian_gradients(y, *out)[1]
+                                         for y, out in zip(values, outputs())],
+                     sigma_sums, config.eta_sigma)
+    except OverflowError:   # targets so large that squared residuals pass float range
+        raise ValueError(f"target {target.name}: values too large for float arithmetic") from None
     return model
 
 

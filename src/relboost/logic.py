@@ -172,13 +172,13 @@ class Atom:
 
 
 def _check_payload(pred: PredicateSignature, value, line=None):
-    """Validate a concrete fact payload against the predicate's value kind."""
+    """Validate a fact or event payload against the predicate's value kind."""
     if pred.kind == "boolean":
         if value is not True:
             raise ParseError(f"boolean predicate {pred.name} only stores true facts", line)
     elif pred.kind == "multiclass":
         if not isinstance(value, int) or isinstance(value, bool) or not (0 <= value < pred.classes):
-            raise ParseError(f"{pred.name} expects a class index in [0,{pred.classes})", line)
+            raise ParseError(f"class index {value!r} out of range for {pred.name}", line)
     elif pred.kind == "count":
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ParseError(f"{pred.name} expects a non-negative count", line)

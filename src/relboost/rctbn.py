@@ -36,6 +36,7 @@ from .logic import (
     PredicateSignature,
     Schema,
     Variable,
+    _check_payload,
     parse_literal_list,
     parse_term,
     satisfies,
@@ -193,8 +194,7 @@ def _parse_event_value(pred: PredicateSignature, token: str,
         if not re.match(r"[0-9]+\Z", token):
             raise ParseError(f"{pred.name} values are integers, not {token!r}", lineno)
         v = int(token)
-        if pred.kind == "multiclass" and not 0 <= v < pred.classes:
-            raise ParseError(f"class index {v} out of range for {pred.name}", lineno)
+        _check_payload(pred, v, lineno)
         return v
     return parse_finite(token, f"{pred.name} value", lineno)
 
@@ -458,16 +458,16 @@ class RctbnModel:
     phi0: float
     trees: list
 
-    def phi(self, seg: Segment) -> float:
-        return self.phi0 + trees_value(self.trees, seg.target, seg.context)
+    def phi(self, seg: Segment, cache: Optional[RoutingCache] = None) -> float:
+        return self.phi0 + trees_value(self.trees, seg.target, seg.context, cache)
 
-    def transition_probability(self, seg: Segment) -> float:
-        return transition_prob(intensity(self, seg), seg.residence_time)
+    def transition_probability(self, seg: Segment, cache: Optional[RoutingCache] = None) -> float:
+        return transition_prob(intensity(self, seg, cache), seg.residence_time)
 
 
-def intensity(model: RctbnModel, seg: Segment) -> float:
+def intensity(model: RctbnModel, seg: Segment, cache: Optional[RoutingCache] = None) -> float:
     """e^phi with phi clamped; always positive."""
-    return math.exp(min(max(model.phi(seg), -PHI_CLAMP), PHI_CLAMP))
+    return math.exp(min(max(model.phi(seg, cache), -PHI_CLAMP), PHI_CLAMP))
 
 
 def _cap_negatives(per_traj_groups: list, cap: int,

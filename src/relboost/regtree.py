@@ -15,16 +15,16 @@ functional-gradient step (`boost_step`), and the model-file layout of a
 header line followed by optional `function <key>` lines and `tree <i>`
 blocks (`parse_header`, `write_model`, `read_trees`).
 
-Routing is memoised for one training run by a `RoutingCache`.  An
-example's bindings at a node depend only on its target atom, its fact base
-and the yes-tests above the node, in order (a no branch adds no bindings).
-So whether a test succeeds there, and the bindings it extends them to, is
-a pure function of (yes-path of test texts, test text, target, fact base),
-and is grounded once per run: at every node and boosting iteration that
-routes the example by that test again, and in `boost_step`'s update of the
-training rows' values.  Each learner's training function creates the cache,
-passes it to every `boost_step` of the run and drops it when the run ends.
-`evaluate` routes uncached; it is the path for prediction.
+Routing is memoised by a `RoutingCache`.  An example's bindings at a node
+depend only on its target atom, its fact base and the yes-tests above the
+node, in order (a no branch adds no bindings).  So whether a test succeeds
+there, and the bindings it extends them to, is a pure function of (yes-path
+of test texts, test text, target, fact base), and is grounded once per run:
+at every node and boosting iteration that routes the example by that test
+again, and in `boost_step`'s update of the training rows' values.  Each
+learner's training function creates the cache, passes it to every
+`boost_step` of the run and drops it when the run ends.  `evaluate` routes
+a prediction the same way; `eval` and `cv` share one cache per command.
 """
 
 from __future__ import annotations
@@ -75,9 +75,13 @@ class NodeTest:
     """Literals appended to the path clause; may introduce fresh variables."""
 
     literals: tuple
+    _text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_text", ", ".join(str(l) for l in self.literals))
 
     def text(self) -> str:
-        return ", ".join(str(l) for l in self.literals)
+        return self._text
 
 
 @dataclass
@@ -272,7 +276,7 @@ def _extend_bindings(substs: list, literals: tuple, db: FactBase) -> list:
 
 
 class RoutingCache:
-    """Routing of examples by node tests, kept for one training run.
+    """Routing of examples by node tests, kept for a training run or a command.
 
     A routing is stored per (yes-path of test texts, test text) in a table
     keyed by the example's slot: an integer naming its (target atom, fact
@@ -424,22 +428,24 @@ def fit_tree(examples: list, db: FactBase, modes: list,
     return RegressionTree(target, build(root_leaf))
 
 
-def evaluate(tree: RegressionTree, target: Atom, db: FactBase) -> float:
+def evaluate(tree: RegressionTree, target: Atom, db: FactBase,
+             cache: Optional[RoutingCache] = None) -> float:
     """Regression value of one ground target atom under the tree.
 
     Pure in (tree, target, db): walks from the root taking the succeeds
     branch exactly when the accumulated path clause extended with the
-    node's test is satisfiable.
+    node's test is satisfiable.  The routing is `boost_step`'s: read from
+    and added to `cache`, a fresh one when None.
     """
     if target.pred.name != tree.target.name or target.pred.arity != tree.target.arity:
         raise ValueError(f"{target} does not match tree target {tree.target.name}")
-    substs = [_seed(target)]
-    node = tree.root
+    cache = cache if cache is not None else RoutingCache()
+    row, node, path = (target, cache.slot(target, db), [_seed(target)]), tree.root, ()
     while isinstance(node, Inner):
-        ext = _extend_bindings(substs, node.test.literals, db)
-        if ext:
-            substs = ext
-            node = node.yes
+        text = node.test.text()
+        yes, _ = _score_candidate([row], node.test, cache.table(path, text), cache)
+        if yes:
+            row, node, path = yes[0], node.yes, path + (text,)
         else:
             node = node.no
     return node.value
@@ -450,12 +456,13 @@ def evaluate(tree: RegressionTree, target: Atom, db: FactBase) -> float:
 # ---------------------------------------------------------------------------
 
 
-def trees_value(trees: list, atom: Atom, db: FactBase) -> float:
+def trees_value(trees: list, atom: Atom, db: FactBase,
+                cache: Optional[RoutingCache] = None) -> float:
     """Summed value of `trees` at one atom, added in tree order from 0.0:
     the order `boost_step` accumulates psi in, so the two agree exactly."""
     total = 0.0
     for tree in trees:
-        total += evaluate(tree, atom, db)
+        total += evaluate(tree, atom, db, cache)
     return total
 
 

@@ -314,6 +314,22 @@ class TestTransitionStates:
         assert repr(state) in err or f"class index {state} out of range" in err
 
 
+    def test_count_event_past_2_53_names_its_trajectory_line(self, tmp_path, capsys):
+        schema = _write(tmp_path / "schema.txt",
+                        TRANSITION_SCHEMA + "predicate: n/2 count temporal.\n")
+        traj = _write(tmp_path / "traj.txt", "traj a\nt=0.0 cvd(a)=false\n"
+                      f"t=0.0 n(a)={10 ** 400}\nt=0.0 bp(a)=0\nt=2.0 cvd(a)=true\n"
+                      "horizon=3.0\n")
+        modes = _write(tmp_path / "modes.txt", "mode: n(+).\n")
+        out = tmp_path / "model.txt"
+        assert main(["train", "--kind", "rctbn", "--schema", schema, "--traj", traj,
+                     "--modes", modes, "--target", "cvd", "--from", "false",
+                     "--to", "true", "--iters", "1", "--out", str(out)]) == 2
+        assert "data error: line 3: n expects a count of at most 2**53" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+
 SAMPLE_SCHEMA = """
 predicate: cvd/2 boolean temporal.
 predicate: parentOf/2 boolean.

@@ -386,6 +386,25 @@ predicate: y/1 continuous.
             train_mixed(examples, db, parse_modes("", schema), ["x"],
                         HybridConfig(iterations=1))
 
+    def test_target_too_large_for_floats_is_a_value_error(self):
+        # the squared residual of 1e200 passes float range inside the fit
+        schema = parse_schema("""
+predicate: sick/1 boolean.
+predicate: bp/1 continuous.
+predicate: weight/1 continuous.
+""")
+        names = [Constant(f"e{i:02d}") for i in range(11)]
+        db = FactBase(schema, [Atom(schema.get("bp"), (e,), float(i))
+                               for i, e in enumerate(names)]
+                      + [Atom(schema.get("sick"), (names[1],), True)])
+        values = [float(i) for i in range(10)] + [1e200]
+        target = schema.get("weight")
+        examples = ExampleSet(target, [(Atom(target, (e,)), v) for e, v in zip(names, values)])
+        with pytest.raises(ValueError,
+                           match="target weight: values too large for float arithmetic"):
+            train_mixed(examples, db, parse_modes("mode: sick(+).", schema), ["bp"],
+                        HybridConfig(iterations=3))
+
 
 class TestAggregation:
     def _trajectories(self, schema):

@@ -23,15 +23,19 @@ from relboost.cli import main
 from relboost.logic import (
     Atom,
     Constant,
-    ExampleSet,
-    FactBase,
     parse_modes,
     parse_schema,
     serialize_facts,
 )
 from relboost.regtree import TreeConfig, serialize_tree
 
-from tests.conftest import LINKED_MODES_TEXT, LINKED_SCHEMA_TEXT, build_linked_domain
+from tests.conftest import (
+    HYBRID_SCHEMA_TEXT,
+    LINKED_MODES_TEXT,
+    LINKED_SCHEMA_TEXT,
+    build_hybrid_domain,
+    build_linked_domain,
+)
 
 
 def _digest(text: str) -> str:
@@ -136,21 +140,6 @@ def test_cv_report_bytes(rfgb_domain, tmp_path):
 # hybrid and mixed parents
 # ---------------------------------------------------------------------------
 
-HYBRID_SCHEMA_TEXT = """
-predicate: sick/1 boolean.
-predicate: knows/2 boolean.
-predicate: dose/1 continuous.
-predicate: age/1 continuous.
-predicate: visits/1 count.
-predicate: weight/1 continuous.
-predicate: grade/1 multiclass(3).
-"""
-
-HYBRID_MODES_TEXT = """
-mode: sick(+).
-mode: knows(+,-).
-"""
-
 HYBRID_DIGESTS = {
     "visits": "7f13905f0e9ec78b0c1ccf67432adcbb3caef2274d02b5779b366376bca4ac4f",
     "weight": "fb221f2a1e9d94a3e172be3175f38d55a87d52af3989909f56fba086f94746ec",
@@ -182,33 +171,7 @@ MIXED_DIGESTS = {
 
 @pytest.fixture(scope="module")
 def hybrid_domain():
-    """Entities whose targets depend on their own and a friend's sickness
-    and, linearly, on two continuous parents."""
-    schema = parse_schema(HYBRID_SCHEMA_TEXT)
-    modes = parse_modes(HYBRID_MODES_TEXT, schema)
-    rng = random.Random(77)
-    n = 120
-    sick = [rng.random() < 0.4 for _ in range(n)]
-    facts, values = [], {"visits": [], "weight": [], "grade": []}
-    for i in range(n):
-        e = Constant(f"e{i:03d}")
-        friend = (i * 7 + 3) % n
-        facts.append(Atom(schema.get("knows"), (e, Constant(f"e{friend:03d}")), True))
-        if sick[i]:
-            facts.append(Atom(schema.get("sick"), (e,), True))
-        dose, age = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
-        facts.append(Atom(schema.get("dose"), (e,), dose))
-        facts.append(Atom(schema.get("age"), (e,), age))
-        level = sick[i] + 0.5 * sick[friend] + dose - 0.5 * age
-        values["visits"].append(max(0, round(2.0 * level + rng.gauss(1.0, 1.0))))
-        values["weight"].append(3.0 * level + rng.gauss(0.0, 1.0))
-        values["grade"].append(min(2, max(0, round(level + rng.gauss(0.0, 0.6)))))
-    db = FactBase(schema, facts)
-    dataset = {name: ExampleSet(schema.get(name),
-                                [(Atom(schema.get(name), (Constant(f"e{i:03d}"),)), v)
-                                 for i, v in enumerate(vals)])
-               for name, vals in values.items()}
-    return schema, db, modes, dataset
+    return build_hybrid_domain()
 
 
 def _hybrid_model(domain, name: str):

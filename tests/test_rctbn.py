@@ -134,6 +134,23 @@ horizon=2.0
         with pytest.raises(ParseError, match=message):
             parse_trajectories(text, schema)
 
+    @pytest.mark.parametrize("events,line,message", [
+        (f"t=0.0 n(p1)={10 ** 400}", 2, r"n expects a count of at most 2\*\*53"),
+        (f"t=0.0 n(p1)=0\nt=1.0 n(p1)={2 ** 53 + 1}", 3,
+         r"n expects a count of at most 2\*\*53"),
+        ("t=0.0 bp(p1)=7", 2, "class index 7 out of range for bp"),
+    ], ids=["count-1e400", "count-2**53+1", "class-7"])
+    def test_event_values_are_bounded_at_their_line(self, events, line, message):
+        schema = parse_schema(SCHEMA_TEXT + "predicate: n/2 count temporal.\n")
+        with pytest.raises(ParseError, match=message) as info:
+            parse_trajectories(f"traj p1\n{events}\nhorizon=2.0\n", schema)
+        assert info.value.line == line
+
+    def test_count_of_2_53_is_exact_and_parses(self):
+        schema = parse_schema(SCHEMA_TEXT + "predicate: n/2 count temporal.\n")
+        traj = parse_trajectories(f"traj p1\nt=0.0 n(p1)={2 ** 53}\nhorizon=1.0\n", schema)[0]
+        assert traj.events[0].value == 2 ** 53
+
     def test_snapshot_is_piecewise_constant(self, schema):
         traj = parse_trajectories(JOHN_TEXT, schema)[0]
         at = snapshot(traj, None, schema, 3.5)

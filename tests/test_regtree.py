@@ -34,6 +34,8 @@ from relboost.regtree import (
     serialize_tree,
     trees_value,
 )
+from relboost import boost, hybrid
+from tests.conftest import build_hybrid_domain, build_linked_domain
 
 
 def _atoms(target, names):
@@ -361,6 +363,32 @@ def _count_groundings(monkeypatch) -> list:
     return calls
 
 
+def _two_relation_domain():
+    """(db, modes, atoms, gradient examples of a relation, rng) of entities
+    linked to people by knows/2 and likes/2; a relation's gradients say
+    whether the person it links to is flagged."""
+    schema = parse_schema("predicate: target/1 boolean.\npredicate: knows/2 boolean.\n"
+                          "predicate: likes/2 boolean.\npredicate: flag/1 boolean.\n")
+    modes = parse_modes("mode: knows(+,-).\nmode: likes(+,-).\nmode: flag(+).", schema)
+    rng = random.Random(1)
+    atoms, lines, friends = [], set(), {"knows": {}, "likes": {}}
+    for i in range(30):
+        atoms.append(Atom(schema.get("target"), (Constant(f"e{i:02d}"),)))
+        for rel, linked in friends.items():
+            if rng.random() < 0.7:
+                linked[i] = f"p{rng.randrange(30):02d}"
+                lines.add(f"{rel}(e{i:02d},{linked[i]}).")
+    flagged = {f"p{j:02d}" for j in range(30) if rng.random() < 0.5}
+    db = parse_facts("\n".join(sorted(lines) + [f"flag({p})." for p in sorted(flagged)]),
+                     schema)
+
+    def regs_for(rel):
+        return [RegressionExample(a, rng.uniform(-0.1, 0.1)
+                                  + (1.0 if friends[rel].get(i) in flagged else -1.0))
+                for i, a in enumerate(atoms)]
+    return db, modes, atoms, regs_for, rng
+
+
 class TestRoutingCache:
     def test_refit_with_one_cache_grounds_nothing(self, linked_domain, monkeypatch):
         schema, db, modes, examples = linked_domain
@@ -400,29 +428,14 @@ class TestRoutingCache:
     def test_one_test_text_under_different_yes_paths(self):
         # flag(V1) tests whoever knows(V0,V1) or likes(V0,V1) bound above
         # it; the run's trees alternate between the two relations
-        schema = parse_schema("predicate: target/1 boolean.\npredicate: knows/2 boolean.\n"
-                              "predicate: likes/2 boolean.\npredicate: flag/1 boolean.\n")
-        modes = parse_modes("mode: knows(+,-).\nmode: likes(+,-).\nmode: flag(+).", schema)
-        rng = random.Random(1)
-        atoms, lines, friends = [], set(), {"knows": {}, "likes": {}}
-        for i in range(30):
-            atoms.append(Atom(schema.get("target"), (Constant(f"e{i:02d}"),)))
-            for rel, linked in friends.items():
-                if rng.random() < 0.7:
-                    linked[i] = f"p{rng.randrange(30):02d}"
-                    lines.add(f"{rel}(e{i:02d},{linked[i]}).")
-        flagged = {f"p{j:02d}" for j in range(30) if rng.random() < 0.5}
-        db = parse_facts("\n".join(sorted(lines) + [f"flag({p})." for p in sorted(flagged)]),
-                         schema)
+        db, modes, atoms, regs_for, rng = _two_relation_domain()
         config = TreeConfig(max_leaves=4, max_new_literals_per_node=1)
         cache = RoutingCache()
         rows = [(a, db) for a in atoms]
         psis = [0.0] * len(atoms)
         trees = []
         for rel in ("knows", "likes", "knows", "likes"):
-            regs = [RegressionExample(a, rng.uniform(-0.1, 0.1)
-                                      + (1.0 if friends[rel].get(i) in flagged else -1.0))
-                    for i, a in enumerate(atoms)]
+            regs = regs_for(rel)
             tree = boost_step(regs, db, modes, config, rows, psis, cache)
             assert serialize_tree(tree) == serialize_tree(fit_tree(regs, db, modes, config))
             assert serialize_tree(tree).startswith(f'node 0 test "{rel}(V0,V1)" yes=1')
@@ -442,6 +455,90 @@ class TestRoutingCache:
                           [(a, db) for a in atoms], psis, cache, 0.5)
         assert any(isinstance(node, Inner) for node in (tree.root.yes, tree.root.no))
         assert psis == [0.25 + evaluate(tree, a, db) for a in atoms]
+
+
+def _uncached_evaluate(tree, target, db) -> float:
+    """The reference router: a per-example walk with no cache, grounding each
+    node's test from the bindings of the yes-path above it."""
+    substs = [regtree._seed(target)]
+    node = tree.root
+    while isinstance(node, Inner):
+        ext = regtree._extend_bindings(substs, node.test.literals, db)
+        if ext:
+            substs = ext
+            node = node.yes
+        else:
+            node = node.no
+    return node.value
+
+
+@pytest.fixture(scope="module")
+def routed_models():
+    """(trees, atoms, db) of several fitted models on the rfgb and hybrid
+    test domains, mixed parents included, and of trees that test flag(V1)
+    below knows(V0,V1) and below likes(V0,V1)."""
+    db, modes, atoms, regs_for, _ = _two_relation_domain()
+    config = TreeConfig(max_leaves=4, max_new_literals_per_node=1)
+    out = [([fit_tree(regs_for(rel), db, modes, config) for rel in ("knows", "likes")],
+             atoms, db)]
+    _, db, modes, examples = build_linked_domain(15, 45, seed=41, feature_rate_pos=0.8,
+                                                 feature_rate_neg=0.15)
+    atoms = [a for a, _ in examples.entries]
+    tree = TreeConfig(max_leaves=6)
+    out += [(boost.train(examples, db, modes, config, kind).trees, atoms, db)
+            for config, kind in ((boost.BoostConfig(4, tree, rng_seed=3), boost.Hard()),
+                                 (boost.BoostConfig(4, tree, 1.5, rng_seed=5),
+                                  boost.Soft(1.0, -2.0)))]
+    _, db, modes, dataset = build_hybrid_domain()
+    config = hybrid.HybridConfig(iterations=3, tree=TreeConfig(max_leaves=4))
+    for name, examples in sorted(dataset.items()):
+        atoms = [a for a, _ in examples.entries]
+        model = hybrid.train_hybrid({name: examples}, db, modes, config)[name]
+        out += [(trees, atoms, db) for _, trees in sorted(model.functions.items())]
+        mixed = hybrid.train_mixed(examples, db, modes, ["dose", "age"], config)
+        out += [(trees, atoms, db) for _, trees in sorted(mixed.functions.items())]
+        out.append((mixed.sigma_trees, atoms, db))
+    return out
+
+
+class TestPredictionRouting:
+    def test_models_route_through_chains(self, routed_models):
+        # a yes branch below a yes branch: the cache is keyed by a longer path
+        trees = [t for trees, _, _ in routed_models for t in trees]
+        assert any(isinstance(t.root, Inner) and isinstance(t.root.yes, Inner)
+                   for t in trees)
+        assert any(len(t.root.test.literals) == 2 for t in trees if isinstance(t.root, Inner))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shared_cache_matches_the_uncached_walk(self, routed_models, seed):
+        cases = [(tree, atom, db) for trees, atoms, db in routed_models
+                 for tree in trees for atom in atoms]
+        expected = {(id(tree), id(atom)): _uncached_evaluate(tree, atom, db)
+                    for tree, atom, db in cases}
+        random.Random(seed).shuffle(cases)
+        cache = RoutingCache()
+        for tree, atom, db in cases:
+            want = expected[(id(tree), id(atom))]
+            assert evaluate(tree, atom, db, cache) == want
+            assert evaluate(tree, atom, db, cache) == want
+
+    def test_trees_value_with_and_without_a_cache(self, routed_models):
+        cache = RoutingCache()
+        for trees, atoms, db in routed_models:
+            for atom in atoms:
+                plain = trees_value(trees, atom, db)
+                assert plain == trees_value(trees, atom, db, cache)
+                assert all(evaluate(t, atom, db) == evaluate(t, atom, db, cache)
+                           for t in trees)
+
+    def test_target_mismatch_raises_with_or_without_a_cache(self, tiny_domain):
+        schema, db, _ = tiny_domain
+        tree = RegressionTree(schema.get("target"), Leaf(0.5))
+        other = Atom(schema.get("hot"), (Constant("a"),))
+        with pytest.raises(ValueError, match="does not match tree target"):
+            evaluate(tree, other, db)
+        with pytest.raises(ValueError, match="does not match tree target"):
+            evaluate(tree, other, db, RoutingCache())
 
 
 class TestSerialization:
