@@ -48,8 +48,8 @@ def _write(path, text: str) -> str:
 
 
 def _eval_report(tmp_path, schema_text: str, db, model_text: str, *inputs) -> str:
-    """The report `relboost eval` writes for a model over `inputs`, a flat
-    list of (option, file name, text) triples, with `db` as the facts."""
+    """The report `relboost eval` writes for a model, with `db` as the facts
+    and `inputs` the (option, file name, text) triples of its other files."""
     args = ["eval", "--model", _write(tmp_path / "model.txt", model_text),
             "--schema", _write(tmp_path / "schema.txt", schema_text),
             "--facts", _write(tmp_path / "facts.txt", serialize_facts(db)),

@@ -364,7 +364,7 @@ def _count_groundings(monkeypatch) -> list:
 
 
 def _two_relation_domain():
-    """(db, modes, atoms, gradient examples of a relation, rng) of entities
+    """(db, modes, atoms, gradient examples of a relation) of entities
     linked to people by knows/2 and likes/2; a relation's gradients say
     whether the person it links to is flagged."""
     schema = parse_schema("predicate: target/1 boolean.\npredicate: knows/2 boolean.\n"
@@ -386,7 +386,7 @@ def _two_relation_domain():
         return [RegressionExample(a, rng.uniform(-0.1, 0.1)
                                   + (1.0 if friends[rel].get(i) in flagged else -1.0))
                 for i, a in enumerate(atoms)]
-    return db, modes, atoms, regs_for, rng
+    return db, modes, atoms, regs_for
 
 
 class TestRoutingCache:
@@ -428,7 +428,7 @@ class TestRoutingCache:
     def test_one_test_text_under_different_yes_paths(self):
         # flag(V1) tests whoever knows(V0,V1) or likes(V0,V1) bound above
         # it; the run's trees alternate between the two relations
-        db, modes, atoms, regs_for, rng = _two_relation_domain()
+        db, modes, atoms, regs_for = _two_relation_domain()
         config = TreeConfig(max_leaves=4, max_new_literals_per_node=1)
         cache = RoutingCache()
         rows = [(a, db) for a in atoms]
@@ -477,17 +477,17 @@ def routed_models():
     """(trees, atoms, db) of several fitted models on the rfgb and hybrid
     test domains, mixed parents included, and of trees that test flag(V1)
     below knows(V0,V1) and below likes(V0,V1)."""
-    db, modes, atoms, regs_for, _ = _two_relation_domain()
+    db, modes, atoms, regs_for = _two_relation_domain()
     config = TreeConfig(max_leaves=4, max_new_literals_per_node=1)
     out = [([fit_tree(regs_for(rel), db, modes, config) for rel in ("knows", "likes")],
              atoms, db)]
     _, db, modes, examples = build_linked_domain(15, 45, seed=41, feature_rate_pos=0.8,
                                                  feature_rate_neg=0.15)
     atoms = [a for a, _ in examples.entries]
-    tree = TreeConfig(max_leaves=6)
+    six_leaves = TreeConfig(max_leaves=6)
     out += [(boost.train(examples, db, modes, config, kind).trees, atoms, db)
-            for config, kind in ((boost.BoostConfig(4, tree, rng_seed=3), boost.Hard()),
-                                 (boost.BoostConfig(4, tree, 1.5, rng_seed=5),
+            for config, kind in ((boost.BoostConfig(4, six_leaves, rng_seed=3), boost.Hard()),
+                                 (boost.BoostConfig(4, six_leaves, 1.5, rng_seed=5),
                                   boost.Soft(1.0, -2.0)))]
     _, db, modes, dataset = build_hybrid_domain()
     config = hybrid.HybridConfig(iterations=3, tree=TreeConfig(max_leaves=4))
