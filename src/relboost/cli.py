@@ -15,18 +15,22 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import random
 import sys
 
 from . import boost, dbn, hybrid, metrics, rctbn
 from .logic import (
     ExampleSet,
+    FactBase,
     ParseError,
     Schema,
+    _content_lines,
     parse_examples,
     parse_facts,
     parse_modes,
     parse_schema,
+    serialize_facts,
 )
 from .regtree import RoutingCache, TreeConfig, parse_finite
 from .util import atomic_write
@@ -157,10 +161,7 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     file_values = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        for lineno, raw in enumerate(_read(config_path).splitlines(), start=1):
-            line = raw.split("%")[0].strip()
-            if not line:
-                continue
+        for lineno, line in _content_lines(_read(config_path)):
             if "=" not in line:
                 raise ConfigError(f"{config_path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
@@ -177,6 +178,8 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
                 raise ConfigError(f"bad value for {name!r} in config file")
         if value is None:
             value = default
+        if typ is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name}={value} is not a finite number")
         if value is not None and check is not None and not check(value):
             raise ConfigError(f"--{name}={value} out of range")
         merged[name] = value
@@ -275,7 +278,6 @@ def cmd_train(opts: dict) -> int:
                 trajs, schema, opts["target"].split("/")[0],
                 opts["bool-agg"], opts["num-agg"])
             working = facts.schema if static is None else facts.schema.merged_with(static.schema)
-            from .logic import FactBase
             facts = FactBase(working, facts.facts() + (static.facts() if static else []))
         else:
             _require(opts, "examples")
@@ -413,7 +415,6 @@ def cmd_sample(opts: dict) -> int:
     trajs = rctbn.forward_sample(spec, worlds, schema, opts["horizon"], opts["seed"])
     atomic_write(opts["out"], rctbn.serialize_trajectories(trajs))
     if opts["out-facts"]:
-        from .logic import serialize_facts
         atomic_write(opts["out-facts"],
                      serialize_facts(rctbn.worlds_facts(worlds, schema)))
     return 0

@@ -13,8 +13,8 @@ whitespace outside identifiers is insignificant::
     predicate: bp/2 continuous temporal.   % schema declaration
 
 Variables are uppercase-initial identifiers, constants are lowercase-initial
-identifiers or numeric literals.  A FactBase's facts are fixed when it is
-built; the matcher then fills a memo of query answers on it as it goes.
+identifiers or numeric literals.  A FactBase's facts and indexes are fixed
+when it is built, and queries never write to it.
 """
 
 from __future__ import annotations
@@ -273,9 +273,8 @@ class FactBase:
     index maps each constant to the facts carrying it, and queries return
     exactly what a linear scan would.  At most one fact per (predicate,
     argument tuple); re-adding with a different payload is an error, naming
-    the fact's source line when `lines` gives one per fact.
-    `_memo` is the one part that changes: the matcher caches query answers
-    there.
+    the fact's source line when `lines` gives one per fact.  Queries only
+    read the base; nothing in it is written after construction.
     """
 
     def __init__(self, schema: Schema, facts: Iterable[Atom] = (),
@@ -284,7 +283,6 @@ class FactBase:
         self._by_pred: dict = {}      # name -> list of facts, canonical order
         self._index: dict = {}        # (name, pos) -> {symbol: [fact ordinal]}
         self._keys: dict = {}         # (name, args) -> payload
-        self._memo: dict = {}         # query pattern -> solution tuples
         staged: dict = {}
         for k, fact in enumerate(facts):
             if fact.pred.name not in schema:
@@ -325,10 +323,6 @@ class FactBase:
         """Payload of the fact with these ground args, or None if absent."""
         return self._keys.get((name, args))
 
-    def candidates(self, atom: Atom) -> list:
-        """Facts that could match `atom` (some args may be variables)."""
-        return self._candidates_raw(atom.pred.name, atom.args)
-
     def _candidates_raw(self, name: str, args) -> list:
         rows = self._by_pred.get(name)
         if not rows:
@@ -354,7 +348,7 @@ class FactBase:
         return sorted(vals)
 
 
-def _value_matches(query: AtomValue, pred: PredicateSignature, actual) -> bool:
+def _value_matches(query: AtomValue, actual) -> bool:
     if query is None or query is True:
         return True  # existence; boolean facts are always stored true
     if isinstance(query, Cmp):
@@ -362,72 +356,29 @@ def _value_matches(query: AtomValue, pred: PredicateSignature, actual) -> bool:
     return actual == query
 
 
-def _match_slots(db: FactBase, pred: PredicateSignature, bound_args: list,
-                 value: AtomValue, slot_of: dict, n_slots: int) -> list:
-    """Constant tuples (one per free-variable slot) grounding the query.
-
-    Results are cached in the fact base's memo, keyed by the
-    variable-position pattern, so repeated queries across boosting
-    iterations are answered once.
-    """
-    key = (pred.name,
-           tuple(a.symbol if isinstance(a, Constant) else ("?", slot_of[a])
-                 for a in bound_args),
-           value if not isinstance(value, Cmp) else ("~cmp", value.threshold))
-    hit = db._memo.get(key)
-    if hit is not None:
-        return hit
-    out = []
-    for fact in db._candidates_raw(pred.name, bound_args):
-        assignment: list = [None] * n_slots
-        ok = True
-        for pattern, actual in zip(bound_args, fact.args):
-            if isinstance(pattern, Constant):
-                if pattern != actual:
-                    ok = False
-                    break
-            else:
-                slot = slot_of[pattern]
-                if assignment[slot] is None:
-                    assignment[slot] = actual
-                elif assignment[slot] != actual:
-                    ok = False
-                    break
-        if ok and _value_matches(value, pred, fact.value):
-            out.append(tuple(assignment))
-    db._memo[key] = out
-    return out
-
-
 def match(atom: Atom, subst: Substitution, db: FactBase) -> Iterator[Substitution]:
     """Ground `atom` against `db`, extending `subst`.
 
     Yields every extension of `subst` under which the atom is a fact of the
-    base (value constraints included), in a deterministic order sorted by
-    the facts' constant symbols.  Repeated calls are identical.
+    base (value constraints included), in the base's canonical fact order,
+    sorted by the facts' constant symbols.  Repeated calls are identical.
     """
-    if atom.pred.name not in db.schema:
-        raise ParseError(f"unknown predicate {atom.pred.name}")
-    bound_args = []
-    var_order: list = []
-    slot_of: dict = {}
-    for a in atom.args:
-        if isinstance(a, Variable):
-            c = subst.get(a)
-            if c is None:
-                if a not in slot_of:
-                    slot_of[a] = len(var_order)
-                    var_order.append(a)
-                bound_args.append(a)
-            else:
-                bound_args.append(c)
-        else:
-            bound_args.append(a)
-    for assignment in _match_slots(db, atom.pred, bound_args, atom.value,
-                                   slot_of, len(var_order)):
+    name = atom.pred.name
+    if name not in db.schema:
+        raise ParseError(f"unknown predicate {name}")
+    pattern = [subst.get(a, a) for a in atom.args]
+    for fact in db._candidates_raw(name, pattern):
+        if not _value_matches(atom.value, fact.value):
+            continue
         merged = dict(subst)
-        merged.update(zip(var_order, assignment))
-        yield merged
+        for term, actual in zip(pattern, fact.args):
+            if isinstance(term, Constant):
+                if term != actual:
+                    break
+            elif merged.setdefault(term, actual) != actual:
+                break
+        else:
+            yield merged
 
 
 @dataclass(frozen=True)
@@ -452,28 +403,26 @@ def solutions(body: Iterable, seed: Substitution, db: FactBase) -> Iterator[Subs
     literals must be fully bound by the seed or by earlier literals and
     filter the stream (stratified negation-as-failure).
     """
-    lits = [_as_literal(l) for l in body]
-    if len(lits) == 1 and not lits[0].negated:
-        yield from match(lits[0].atom, dict(seed), db)
+    yield from _ground([_as_literal(l) for l in body], 0, dict(seed), db)
+
+
+def _ground(lits: list, i: int, subst: Substitution, db: FactBase) -> Iterator[Substitution]:
+    # A module-level function, not a closure: a closure that calls itself is
+    # a reference cycle, left to the cyclic collector after every query.
+    if i == len(lits):
+        yield subst
         return
-
-    def rec(i: int, subst: Substitution) -> Iterator[Substitution]:
-        if i == len(lits):
-            yield subst
-            return
-        lit = lits[i]
-        if lit.negated:
-            grounded = lit.atom.substitute(subst)
-            if grounded.variables():
-                raise ValueError(
-                    f"unbound variable in negated literal {lit}")
-            if next(match(grounded, subst, db), None) is None:
-                yield from rec(i + 1, subst)
-        else:
-            for ext in match(lit.atom, subst, db):
-                yield from rec(i + 1, ext)
-
-    yield from rec(0, dict(seed))
+    lit = lits[i]
+    if lit.negated:
+        grounded = lit.atom.substitute(subst)
+        if grounded.variables():
+            raise ValueError(
+                f"unbound variable in negated literal {lit}")
+        if next(match(grounded, subst, db), None) is None:
+            yield from _ground(lits, i + 1, subst, db)
+    else:
+        for ext in match(lit.atom, subst, db):
+            yield from _ground(lits, i + 1, ext, db)
 
 
 def satisfies(body: Iterable, seed: Substitution, db: FactBase) -> bool:

@@ -37,6 +37,8 @@ from .logic import (
     Schema,
     Variable,
     _check_payload,
+    _content_lines,
+    _parse_ground_atom,
     parse_literal_list,
     parse_term,
     satisfies,
@@ -205,13 +207,7 @@ def parse_trajectories(text: str, schema: Schema) -> list:
     trajs = []
     entity = None
     events: list = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        cut = raw.find("%")
-        if cut >= 0:
-            raw = raw[:cut]
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if line.startswith("traj "):
             if entity is not None:
                 raise ParseError(f"trajectory {entity!r} missing horizon", lineno)
@@ -802,13 +798,7 @@ def parse_groundtruth(text: str, schema: Schema):
     worlds: list = []
     current_world = None
     proj = projected_schema(schema)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        cut = raw.find("%")
-        if cut >= 0:
-            raw = raw[:cut]
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if line.startswith("var "):
             m = re.match(r"var\s+([a-z][A-Za-z0-9_]*)\s+init=(\[.*\])\s*\Z", line)
             if not m:
@@ -855,7 +845,6 @@ def parse_groundtruth(text: str, schema: Schema):
         elif line.startswith("fact "):
             if current_world is None:
                 raise ParseError("fact outside a world block", lineno)
-            from .logic import _parse_ground_atom
             current_world.facts.append(_parse_ground_atom(line[5:].strip(), proj, lineno))
         else:
             raise ParseError(f"bad ground-truth line {line!r}", lineno)

@@ -113,6 +113,13 @@ class TestTrain:
         config = _write(bundle["dir"] / "run.conf", "itres=5\n")
         assert main(_train_args(bundle, out, ["--config", config])) == 3
 
+    def test_non_finite_config_value_is_config_error(self, bundle, capsys):
+        config = _write(bundle["dir"] / "run.conf", "alpha=nan\n")
+        out = str(bundle["dir"] / "model.txt")
+        assert main(_train_args(bundle, out, ["--config", config])) == 3
+        assert "--alpha=nan is not a finite number" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_config_file_precedence(self, bundle):
         # file sets 3 iterations, the flag overrides with 2
         config = _write(bundle["dir"] / "run.conf", "iters=3\nseed=9\n")
@@ -177,6 +184,17 @@ class TestEvalAndMetrics:
         assert keys == {"accuracy", "auc_roc", "f_delta", "fnr", "fpr",
                         "negatives", "positives", "precision", "recall",
                         "threshold", "weighted_auc_roc"}
+
+    def test_non_finite_delta_is_config_error(self, bundle, capsys):
+        out = str(bundle["dir"] / "model.txt")
+        assert main(_train_args(bundle, out, ["--iters", "2"])) == 0
+        report = str(bundle["dir"] / "report.txt")
+        assert main(["eval", "--model", out, "--schema", bundle["schema"],
+                     "--facts", bundle["facts"], "--pos", bundle["pos"],
+                     "--neg", bundle["neg"], "--report", report,
+                     "--delta", "inf"]) == 3
+        assert "--delta=inf is not a finite number" in capsys.readouterr().err
+        assert not os.path.exists(report)
 
     def test_perfect_model_scores_one(self, bundle):
         out = str(bundle["dir"] / "model.txt")
@@ -372,6 +390,19 @@ class TestSample:
             assert main(["sample", "--spec", spec, "--schema", schema,
                          "--horizon", "5.0", "--seed", "4", "--out", out]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_infinite_horizon_is_config_error(self, tmp_path, capsys):
+        # all rates zero, so a sampler that accepted the horizon would stop
+        schema = _write(tmp_path / "schema.txt", SAMPLE_SCHEMA)
+        spec = _write(tmp_path / "spec.txt",
+                      "var cvd init=[1.0, 0.0]\n"
+                      "clause cvd cim=[[0.0, 0.0], [0.0, 0.0]]\n"
+                      "world p1\nstream cvd(p1)\nend\n")
+        out = str(tmp_path / "trj.txt")
+        assert main(["sample", "--spec", spec, "--schema", schema,
+                     "--horizon", "inf", "--out", out]) == 3
+        assert "--horizon=inf is not a finite number" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_zero_worlds_empty_file(self, tmp_path):
         schema = _write(tmp_path / "schema.txt", SAMPLE_SCHEMA)

@@ -1,5 +1,6 @@
 """Parsing, matching, and grounding-engine tests."""
 
+import pickle
 import random
 
 import pytest
@@ -30,6 +31,8 @@ from relboost.logic import (
     serialize_schema,
     solutions,
 )
+from relboost.regtree import RegressionExample, TreeConfig, fit_tree
+from tests.conftest import build_linked_domain
 
 
 class TestParseFacts:
@@ -262,7 +265,7 @@ def _linear_scan(atom, subst, db):
         if isinstance(bound.value, Cmp):
             if not float(fact.value) >= bound.value.threshold:
                 continue
-        elif bound.value not in (None, True):
+        elif bound.value is not None and bound.value is not True:
             if fact.value != bound.value:
                 continue
         merged = dict(subst)
@@ -271,25 +274,69 @@ def _linear_scan(atom, subst, db):
     return out
 
 
+def _random_colour_factbase(rng):
+    """Multiclass facts, drawn apart from `_random_factbase`'s stream."""
+    schema = parse_schema("""
+predicate: colour/2 multiclass(3).
+predicate: rel/2 boolean.
+""")
+    consts = [f"c{i}" for i in range(rng.randint(2, 8))]
+    lines = {}
+    for _ in range(rng.randint(0, 200)):
+        pair = f"{rng.choice(consts)},{rng.choice(consts)}"
+        if rng.random() < 0.5:
+            lines.setdefault(f"colour({pair})", f"colour({pair})={rng.randint(0, 2)}.")
+        else:
+            lines.setdefault(f"rel({pair})", f"rel({pair}).")
+    text = "\n".join(lines[k] for k in sorted(lines))
+    return schema, parse_facts(text, schema), consts
+
+
+def _random_query(rng, pred, consts, value=None):
+    """An atom over X/Y/Z and constants, with a seed binding 0-2 of X/Y/Z."""
+    args = tuple(
+        Variable(rng.choice("XYZ")) if rng.random() < 0.5
+        else Constant(rng.choice(consts))
+        for _ in range(pred.arity))
+    subst = {Variable(v): Constant(rng.choice(consts))
+             for v in rng.sample("XYZ", rng.randint(0, 2))}
+    return Atom(pred, args, value), subst
+
+
+def _assert_match_is_linear_scan(atom, subst, db):
+    want = _linear_scan(atom, subst, db)
+    for _ in range(2):      # a repeated query answers the same, in order
+        assert list(match(atom, subst, db)) == want
+
+
 class TestEngineProperties:
     def test_index_equals_linear_scan(self):
         rng = random.Random(123)
         for trial in range(25):
             schema, db, consts = _random_factbase(rng)
-            for pred_name, arity in (("rel", 2), ("attr", 1), ("size", 1)):
+            for pred_name in ("rel", "attr", "size"):
                 pred = schema.get(pred_name)
                 for _ in range(8):
-                    args = tuple(
-                        Variable(rng.choice("XYZ")) if rng.random() < 0.5
-                        else Constant(rng.choice(consts))
-                        for _ in range(arity))
                     value = Cmp(">=", float(rng.randint(0, 5))) \
                         if pred_name == "size" and rng.random() < 0.5 else None
-                    atom = Atom(pred, args, value)
-                    got = list(match(atom, {}, db))
-                    want = _linear_scan(atom, {}, db)
-                    key = lambda s: sorted((v.name, c.symbol) for v, c in s.items())
-                    assert sorted(map(key, got)) == sorted(map(key, want))
+                    _assert_match_is_linear_scan(
+                        *_random_query(rng, pred, consts, value), db)
+            rel = schema.get("rel")
+            for subst in ({}, {Variable("X"): Constant(rng.choice(consts))}):
+                _assert_match_is_linear_scan(
+                    Atom(rel, (Variable("X"), Variable("X"))), subst, db)
+
+    def test_multiclass_index_equals_linear_scan(self):
+        rng = random.Random(456)
+        for trial in range(25):
+            schema, db, consts = _random_colour_factbase(rng)
+            colour = schema.get("colour")
+            for _ in range(12):
+                _assert_match_is_linear_scan(
+                    *_random_query(rng, colour, consts, rng.randint(0, 2)), db)
+            for k in range(3):
+                _assert_match_is_linear_scan(
+                    Atom(colour, (Variable("X"), Variable("X")), k), {}, db)
 
     def test_parse_serialize_fixpoint_random(self):
         rng = random.Random(321)
@@ -313,6 +360,19 @@ class TestEngineProperties:
                 body.append(Literal(Atom(pred, args)))
             assert satisfies(body, {}, db) == (
                 next(solutions(body, {}, db), None) is not None)
+
+
+class TestQueriesLeaveFactBaseUnchanged:
+    def test_pickled_base_is_equal_after_queries_and_a_fit(self):
+        schema, db, modes, examples = build_linked_domain(6, 12, seed=2)
+        before = pickle.dumps(db)
+        body = parse_literal_list("knows(X,Y), flag(Y)", schema)
+        assert list(solutions(body, {}, db))
+        assert satisfies(parse_literal_list("shade(X)", schema), {}, db)
+        regs = [RegressionExample(atom, 1.0 if label else -1.0)
+                for atom, label in examples.entries]
+        fit_tree(regs, db, modes, TreeConfig(max_leaves=4))
+        assert pickle.dumps(db) == before
 
 
 class TestSchemaAndModes:
