@@ -11,10 +11,16 @@ network file and its step log, whose scores show every float of the climb.
 The `eval` and `cv` reports are pinned the same way, so a change to how
 prediction routes an atom through a model's trees, or to the order its tree
 values are summed in, shows up as a different report digest.
+
+The rctbn sampler's trajectories and world facts are pinned too, for three
+ground-truth specs and seeds 1-3 and for the README's `relboost sample`
+demo, so a change to how the sampler builds contexts or caches rates shows
+up as a different trajectory digest.
 """
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +295,112 @@ def test_rctbn_eval_report_bytes(rctbn_domain, tmp_path):
     report = _eval_report(tmp_path, RCTBN_SCHEMA_TEXT, facts, rctbn.serialize_rctbn(model),
                           ("--traj", "traj.txt", rctbn.serialize_trajectories(trajs)))
     assert _digest(report) == RCTBN_EVAL_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# rctbn forward sampling
+# ---------------------------------------------------------------------------
+
+SAMPLE_SCHEMA_TEXT = RCTBN_SCHEMA_TEXT + "predicate: bp/2 multiclass(3) temporal.\n"
+
+SAMPLE_SPECS = {  # name -> (spec text, streams of each entity and parent)
+    # criterion 6: a 0.1 baseline plus 0.9 while some parent is ill
+    "criterion-6": ("""
+var cvd init=[1.0, 0.0]
+var checkup init=[0.5, 0.5]
+clause cvd cim=[[-0.1, 0.1], [1.5, -1.5]]
+clause cvd cim=[[-0.9, 0.9], [0.0, 0.0]] if "parentOf(Y,V0), cvd(Y)"
+clause cvd cim=[[-0.8, 0.8], [0.0, 0.0]] if "elder(V0)"
+clause checkup cim=[[-1.0, 1.0], [1.0, -1.0]]
+clause checkup cim=[[-8.0, 8.0], [8.0, -8.0]] if "parentOf(Y,V0), cvd(Y)"
+""", ("cvd", "checkup"), ("cvd",)),
+    # negation as failure over a parent's stream, the entity's other stream
+    # and a static fact
+    "negated": ("""
+var cvd init=[0.8, 0.2]
+var checkup init=[0.5, 0.5]
+clause cvd cim=[[-0.2, 0.2], [0.5, -0.5]]
+clause cvd cim=[[-0.6, 0.6], [0.0, 0.0]] if "parentOf(Y,V0), !cvd(Y)"
+clause cvd cim=[[-0.4, 0.4], [0.3, -0.3]] if "!checkup(V0)"
+clause checkup cim=[[-1.0, 1.0], [1.0, -1.0]]
+clause checkup cim=[[-2.0, 2.0], [0.5, -0.5]] if "!elder(V0), cvd(V0)"
+""", ("cvd", "checkup"), ("cvd",)),
+    # a three-state stream that follows cvd and drives it, in the entity and
+    # through a parent
+    "multiclass": ("""
+var cvd init=[0.9, 0.1]
+var bp init=[0.5, 0.3, 0.2]
+clause cvd cim=[[-0.1, 0.1], [0.4, -0.4]]
+clause cvd cim=[[-0.6, 0.6], [0.0, 0.0]] if "bp(V0)=2"
+clause cvd cim=[[-0.3, 0.3], [0.0, 0.0]] if "parentOf(Y,V0), bp(Y)=1"
+clause bp cim=[[-1.0, 0.6, 0.4], [0.5, -1.0, 0.5], [0.2, 0.8, -1.0]]
+clause bp cim=[[-0.5, 0.5, 0.0], [0.0, -0.5, 0.5], [0.0, 0.0, 0.0]] if "cvd(V0)"
+""", ("cvd", "bp"), ("cvd", "bp")),
+}
+
+SAMPLE_FACTS_DIGESTS = {  # seed -> world facts, the same for every spec
+    1: "67307f5ec1df78a835cb7653da03a4f61db1897e60c1e20ee74a2cdd388785d2",
+    2: "64dcb3256b6e79e0a26ecaca591b622aa60dd65335f88d6d8af1c01e722834aa",
+    3: "d19665e5147be87ef338a8463332f4dfee4115ec40ea22cab9248e0e1523e63d",
+}
+
+SAMPLE_DIGESTS = {  # (spec, seed) -> trajectories
+    ("criterion-6", 1): "5129b0b130f5a4f7eb2dd372824a472cd5504c7a1f8fc7180be1ecd237f51de6",
+    ("criterion-6", 2): "70d2bb7676fe410f03210e00ae7839841bc8c34b5296307b4c91846e9b20c382",
+    ("criterion-6", 3): "e9caca08d9e64b5cc1a1d7246ab9fbbd96e880bfc9833553fe8010196878fdd4",
+    ("multiclass", 1): "6cbe2d23e6383e576ab5364f43b616aa7e537edb3c9d1ed642fa573362279d61",
+    ("multiclass", 2): "9c4fad6f2dac9185a3493c3e260d5c14f629dfb5645e77bd9b4a5dee79310e1e",
+    ("multiclass", 3): "c4fa31e06379256b05b06e1018d5e4a7c05643a574bd27538326f79fc3ba145c",
+    ("negated", 1): "adf09ca4ea6ad3d894edfe67bca8fccf1e599d0f407514eca198780a8b8417ae",
+    ("negated", 2): "bea08b4ff4bca5b004d02818a2fccab02f3352de71b57fda3b8bee95720f164b",
+    ("negated", 3): "5015dd71af4386a6d5f5ea3fe4c190b612b5790e28343827ef77fe3df9e038e1",
+}
+
+DEMO_SAMPLE_DIGESTS = (  # (--out, --out-facts)
+    "032a140d145b7ea68290d851c48b2919622b7627d5de1a51eade762cf79f3c27",
+    "e407b1e75cb60da2ad865a7519026b7c8c51e767e4bbd6cc6c30017e838cbe87",
+)
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+
+def _sample_worlds(name: str, seed: int, proj) -> list:
+    """24 worlds; about half hold a parent, and about half of those an elder
+    one, drawn from the seed."""
+    _, own, parents = SAMPLE_SPECS[name]
+    rng = random.Random(seed)
+    worlds = []
+    for i in range(24):
+        ent, par = Constant(f"p{i:03d}"), Constant(f"d{i:03d}")
+        streams = [(pred, (ent,)) for pred in own]
+        facts = []
+        if rng.random() < 0.5:
+            streams += [(pred, (par,)) for pred in parents]
+            facts.append(Atom(proj.get("parentOf"), (par, ent), True))
+            if rng.random() < 0.5:
+                facts.append(Atom(proj.get("elder"), (par,), True))
+        worlds.append(rctbn.World(ent.symbol, streams, facts))
+    return worlds
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SAMPLE_SPECS))
+def test_forward_sample_bytes(name, seed):
+    schema = parse_schema(SAMPLE_SCHEMA_TEXT)
+    spec, _ = rctbn.parse_groundtruth(SAMPLE_SPECS[name][0], schema)
+    worlds = _sample_worlds(name, seed, rctbn.projected_schema(schema))
+    trajs = rctbn.forward_sample(spec, worlds, schema, horizon=10.0, seed=seed)
+    facts = rctbn.worlds_facts(worlds, schema)
+    assert _digest(rctbn.serialize_trajectories(trajs)) == SAMPLE_DIGESTS[(name, seed)]
+    assert _digest(serialize_facts(facts)) == SAMPLE_FACTS_DIGESTS[seed]
+
+
+def test_demo_sample_bytes(tmp_path):
+    traj, facts = tmp_path / "train.txt", tmp_path / "facts.txt"
+    assert main(["sample", "--spec", str(DEMO / "groundtruth.txt"),
+                 "--schema", str(DEMO / "schema.txt"), "--horizon", "8.0",
+                 "--seed", "7", "--out", str(traj), "--out-facts", str(facts)]) == 0
+    assert (_digest(traj.read_text()), _digest(facts.read_text())) == DEMO_SAMPLE_DIGESTS
 
 
 # ---------------------------------------------------------------------------
