@@ -275,14 +275,22 @@ class FactBase:
     argument tuple); re-adding with a different payload is an error, naming
     the fact's source line when `lines` gives one per fact.  Queries only
     read the base; nothing in it is written after construction.
+
+    With `base`, the result holds `base`'s facts plus `facts`.  Only the
+    predicates that `facts` touch are re-sorted and re-indexed; the others
+    share `base`'s lists and postings.
     """
 
     def __init__(self, schema: Schema, facts: Iterable[Atom] = (),
-                 lines: Optional[list] = None):
+                 lines: Optional[list] = None, base: Optional[FactBase] = None):
         self.schema = schema
         self._by_pred: dict = {}      # name -> list of facts, canonical order
         self._index: dict = {}        # (name, pos) -> {symbol: [fact ordinal]}
         self._keys: dict = {}         # (name, args) -> payload
+        if base is not None:
+            self._by_pred.update(base._by_pred)
+            self._index.update(base._index)
+            self._keys.update(base._keys)
         staged: dict = {}
         for k, fact in enumerate(facts):
             if fact.pred.name not in schema:
@@ -299,6 +307,8 @@ class FactBase:
             self._keys[key] = fact.value
             staged.setdefault(fact.pred.name, []).append(fact)
         for name, atoms in staged.items():
+            if name in self._by_pred:
+                atoms = self._by_pred[name] + atoms
             atoms.sort(key=_sort_key)
             self._by_pred[name] = atoms
             for pos in range(schema.get(name).arity):

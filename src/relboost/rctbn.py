@@ -143,37 +143,29 @@ def projected_schema(schema: Schema, extra: Iterable[PredicateSignature] = ()) -
     return out
 
 
-def _context(proj: Schema, static_facts: list, streams: Iterable[tuple],
+def _static_base(static_db: Optional[FactBase], schema: Schema) -> FactBase:
+    """The static facts under the projected schema: the base of every context."""
+    return FactBase(projected_schema(schema), static_db.facts() if static_db else ())
+
+
+def _context(static: FactBase, streams: Iterable[tuple],
              exclude: Optional[tuple] = None) -> FactBase:
-    """The projected context of one world state: the static facts plus one
-    atom per (stream, value) pair other than `exclude`.
+    """The projected context of one world state: the static base extended
+    with one atom per (stream, value) pair other than `exclude`.
 
     Boolean streams appear only while true (negation-as-failure covers the
     false state); valued streams carry their current payload.
     """
-    atoms = list(static_facts)
+    atoms = []
     for (name, args), value in streams:
         if (name, args) == exclude:
             continue
-        pred = proj.get(name)
+        pred = static.schema.get(name)
         if pred.kind != "boolean":
             atoms.append(Atom(pred, args, value))
         elif value is True:
             atoms.append(Atom(pred, args, True))
-    return FactBase(proj, atoms)
-
-
-def snapshot(traj: Trajectory, static_db: Optional[FactBase], schema: Schema,
-             t: float, exclude: Optional[tuple] = None) -> FactBase:
-    """Context fact base at time t: the streams' values at t plus the static
-    facts.  `exclude` drops one stream, used for the target's own."""
-    current: dict = {}
-    for ev in traj.events:
-        if ev.time <= t:
-            current[ev.stream()] = ev.value
-    return _context(projected_schema(schema),
-                    static_db.facts() if static_db is not None else [],
-                    current.items(), exclude)
+    return FactBase(static.schema, atoms, base=static)
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +304,26 @@ def segment(trajectories: Iterable[Trajectory], static_db: Optional[FactBase],
     state, and the horizon closes a final negative segment.  Segments
     where the target is not in the from state produce no example.
 
-    A segment's context is `snapshot` at its start without the target
-    stream.  It depends only on the joint state of the other streams, so
-    segments in equal states share one context object.
+    A segment's context extends one base of the static facts with the
+    values of the other streams at its start, so segments in equal joint
+    states of the other streams share one context object.
     """
+    return _segments(trajectories, _static_base(static_db, schema), schema, transition)
+
+
+def _segments(trajectories: Iterable[Trajectory], static: FactBase, schema: Schema,
+              transition: Transition) -> list:
     if transition.pred not in schema:
         raise ParseError(f"unknown target predicate {transition.pred!r}")
     pred = schema.get(transition.pred)
     proj = pred.dropped_time()
-    proj_schema = projected_schema(schema)
-    static = static_db.facts() if static_db is not None else []
     contexts: dict = {}     # joint state of the non-target streams -> FactBase
     out = []
 
     def context(current: dict, exclude: tuple) -> FactBase:
         state = tuple(kv for kv in current.items() if kv[0] != exclude)
         if state not in contexts:
-            contexts[state] = _context(proj_schema, static, state)
+            contexts[state] = _context(static, state)
         return contexts[state]
 
     for traj in trajectories:
@@ -492,9 +487,10 @@ def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schem
     """
     config = config or RctbnConfig()
     rng = random.Random(config.rng_seed)
+    static = _static_base(static_db, schema)
     models = {}
     for transition in transitions:
-        groups = [segment([traj], static_db, schema, transition) for traj in trajectories]
+        groups = [_segments([traj], static, schema, transition) for traj in trajectories]
         segments = _cap_negatives(groups, config.neg_cap_per_traj, rng)
         if not any(s.positive for s in segments):
             raise ValueError(f"no positive segments for {transition}")
@@ -681,17 +677,18 @@ def _state_to_value(var: VariableSpec, k: int):
     return bool(k) if var.pred.kind == "boolean" else k
 
 
-def _active_rates(spec: GroundTruthSpec, world: World, schema: Schema,
-                  states: dict, stream: tuple, cache: dict) -> CIM:
+def _active_rates(spec: GroundTruthSpec, static: FactBase, states: dict,
+                  stream: tuple, deps: list, cache: dict) -> CIM:
     """Summed CIM of the stream's clauses whose bodies hold in the joint
-    state `states`; `cache` keeps one answer per (stream, joint state)."""
-    key = (stream, tuple(sorted(states.items(), key=lambda kv: _stream_key(kv[0]))))
+    state `states`.  A body reads only the predicates it names, so `cache`
+    keeps one answer per (stream, states of `deps`), the other streams of
+    those predicates."""
+    key = (stream, tuple(states[s] for s in deps))
     if key not in cache:
         name, args = stream
         seed = {Variable(f"V{i}"): a for i, a in enumerate(args)}
-        context = _context(projected_schema(schema), world.facts,
-                           ((s, _state_to_value(spec.variables[s[0]], k))
-                            for s, k in states.items()), exclude=stream)
+        context = _context(static, ((s, _state_to_value(spec.variables[s[0]], k))
+                                     for s, k in states.items()), exclude=stream)
         active = [clause.cim for clause in spec.clauses
                   if clause.pred == name and satisfies(clause.body, seed, context)]
         if not active:
@@ -715,12 +712,16 @@ def forward_sample(spec: GroundTruthSpec, worlds: list, schema: Schema,
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    proj = projected_schema(schema)
+    reads: dict = {}    # head predicate -> predicates its clause bodies name
+    for clause in spec.clauses:
+        reads.setdefault(clause.pred, set()).update(lit.atom.pred.name for lit in clause.body)
     trajectories = []
     for w_idx, world in enumerate(worlds):
         rng = random.Random(_derive_seed(seed, w_idx))
         states: dict = {}
         events: list = []
-        rate_cache: dict = {}  # joint states recur; contexts are rebuilt once
+        rate_cache: dict = {}  # dependent states recur; contexts are built once
         for name, args in world.streams:
             var = spec.variables.get(name)
             if var is None:
@@ -735,12 +736,15 @@ def forward_sample(spec: GroundTruthSpec, worlds: list, schema: Schema,
                     break
             states[(name, args)] = k
             events.append(Event(var.pred, args, 0.0, _state_to_value(var, k)))
+        order = sorted(states, key=_stream_key)
+        deps = {s: [o for o in order if o != s and o[0] in reads.get(s[0], ())]
+                for s in order}
+        static = FactBase(proj, world.facts)
         t_now = 0.0
         while True:
             best = None
-            for stream in sorted(states, key=_stream_key):
-                var = spec.variables[stream[0]]
-                cim = _active_rates(spec, world, schema, states, stream, rate_cache)
+            for stream in order:
+                cim = _active_rates(spec, static, states, stream, deps[stream], rate_cache)
                 k = states[stream]
                 q = cim.exit_rate(k)
                 if q <= 0.0:

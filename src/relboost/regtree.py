@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -543,20 +544,20 @@ def parse_finite(token: str, what: str, line: Optional[int] = None) -> float:
     return value
 
 
+_NODE_RE = re.compile(r'node (\d+) test "(.*)" yes=(\d+) no=(\d+)\Z')
+_LEAF_RE = re.compile(r"leaf (\d+) value=(\S+)\Z")
+
+
 def parse_tree(text: str, schema: Schema, target: PredicateSignature,
                first_line: int = 1) -> RegressionTree:
     """Inverse of `serialize_tree`.  `first_line` is the line number of the
     text's first line, so errors name lines of the enclosing file."""
-    import re as _re
-
-    node_re = _re.compile(r'node (\d+) test "(.*)" yes=(\d+) no=(\d+)\Z')
-    leaf_re = _re.compile(r"leaf (\d+) value=(\S+)\Z")
     specs: dict = {}    # node id -> (line, Leaf) or (line, test, yes id, no id)
     for lineno, raw in enumerate(text.splitlines(), start=first_line):
         raw = raw.strip()
         if not raw:
             continue
-        node, leaf = node_re.match(raw), leaf_re.match(raw)
+        node, leaf = _NODE_RE.match(raw), _LEAF_RE.match(raw)
         if node:
             nid, test_text, yes, no = node.groups()
             try:

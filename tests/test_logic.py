@@ -362,6 +362,114 @@ class TestEngineProperties:
                 next(solutions(body, {}, db), None) is not None)
 
 
+EXTENSION_SCHEMA = """
+predicate: rel/2 boolean.
+predicate: attr/1 boolean.
+predicate: size/1 count.
+predicate: colour/2 multiclass(3).
+predicate: flag/1 boolean.
+"""
+
+
+def _random_atom(rng, schema, consts):
+    """One ground atom of a random predicate; `flag` never appears in a base."""
+    name = rng.choice(["rel", "attr", "size", "colour", "flag"])
+    pred = schema.get(name)
+    args = tuple(Constant(rng.choice(consts)) for _ in range(pred.arity))
+    value = rng.randint(0, 5) if name == "size" else \
+        rng.randint(0, 2) if name == "colour" else True
+    return Atom(pred, args, value)
+
+
+def _random_extension(rng):
+    """(schema, base, delta, consts).  The base holds no `flag` facts, and
+    in half the draws no `colour` facts either.  The delta mixes fresh
+    atoms, same-value duplicates of base facts and repeats within itself,
+    none conflicting."""
+    schema = parse_schema(EXTENSION_SCHEMA)
+    consts = [f"c{i}" for i in range(rng.randint(2, 8))]
+    first: dict = {}        # the first atom drawn for each key
+    for _ in range(rng.randint(0, 120)):
+        atom = _random_atom(rng, schema, consts)
+        first.setdefault((atom.pred.name, atom.args), atom)
+    skip = {"flag"} if rng.random() < 0.5 else {"flag", "colour"}
+    base = FactBase(schema, [a for a in first.values() if a.pred.name not in skip])
+    delta, seen = [], {}
+    for _ in range(rng.randint(0, 12)):
+        if base.facts() and rng.random() < 0.2:
+            atom = rng.choice(base.facts())         # same-value duplicate
+        elif delta and rng.random() < 0.1:
+            atom = rng.choice(delta)                # repeat within the delta
+        else:
+            atom = _random_atom(rng, schema, consts)
+        key = (atom.pred.name, atom.args)
+        known = base.lookup(*key) if key not in seen else seen[key]
+        if known is None or known == atom.value:
+            seen[key] = atom.value
+            delta.append(atom)
+    return schema, base, delta, consts
+
+
+class TestExtendedBase:
+    """`FactBase(schema, delta, base=b)` answers every query as the base
+    built from scratch over `b.facts() + delta` does."""
+
+    def test_extension_equals_base_built_from_scratch(self):
+        rng = random.Random(2024)
+        merged = 0
+        for trial in range(60):
+            schema, base, delta, consts = _random_extension(rng)
+            before = serialize_facts(base)
+            ext = FactBase(schema, delta, base=base)
+            ref = FactBase(schema, base.facts() + delta)
+            assert ext.facts() == ref.facts() and len(ext) == len(ref)
+            assert serialize_facts(base) == before      # the base is not written
+            touched = {a.pred.name for a in delta}
+            merged += len(touched & {a.pred.name for a in base.facts()})
+            for sig in schema:
+                name = sig.name
+                for pos in range(sig.arity):
+                    assert ext.observed_constants(name, pos) == \
+                        ref.observed_constants(name, pos)
+                if sig.kind != "boolean":
+                    assert ext.observed_values(name) == ref.observed_values(name)
+                for _ in range(6):
+                    atom = _random_atom(rng, schema, consts)
+                    assert ext.lookup(atom.pred.name, atom.args) == \
+                        ref.lookup(atom.pred.name, atom.args)
+                for _ in range(6):
+                    value = {"size": Cmp(">=", float(rng.randint(0, 5))),
+                             "colour": rng.randint(0, 2)}.get(name)
+                    atom, subst = _random_query(rng, sig, consts, value)
+                    assert list(match(atom, subst, ext)) == list(match(atom, subst, ref))
+                if sig.arity == 2:
+                    for subst in ({}, {Variable("X"): Constant(rng.choice(consts))}):
+                        atom = Atom(sig, (Variable("X"), Variable("X")))
+                        assert list(match(atom, subst, ext)) == list(match(atom, subst, ref))
+                if name not in touched and name in base._by_pred:
+                    # untouched predicates share the base's list and postings
+                    assert ext._by_pred[name] is base._by_pred[name]
+                    assert all(ext._index[(name, pos)] is base._index[(name, pos)]
+                               for pos in range(sig.arity))
+        assert merged >= 20     # the merge path ran on many trials
+
+    @pytest.mark.parametrize("lines", [None, [7, 8]])
+    def test_conflicting_delta_raises_as_from_scratch(self, lines):
+        schema = parse_schema(EXTENSION_SCHEMA)
+        base = parse_facts("size(a)=2.\ncolour(a,b)=1.\nrel(a,b).", schema)
+        size, colour = schema.get("size"), schema.get("colour")
+        for delta in ([Atom(size, (Constant("b"),), 1), Atom(size, (Constant("a"),), 3)],
+                      [Atom(colour, (Constant("a"), Constant("a")), 0),
+                       Atom(colour, (Constant("a"), Constant("a")), 2)]):
+            with pytest.raises(ParseError) as ext:
+                FactBase(schema, delta, lines, base=base)
+            ref_lines = [1, 2, 3] + lines if lines else None
+            with pytest.raises(ParseError) as ref:
+                FactBase(schema, base.facts() + delta, ref_lines)
+            assert (str(ext.value), ext.value.line) == (str(ref.value), ref.value.line)
+            assert "conflicting values" in str(ext.value)
+
+
 class TestQueriesLeaveFactBaseUnchanged:
     def test_pickled_base_is_equal_after_queries_and_a_fit(self):
         schema, db, modes, examples = build_linked_domain(6, 12, seed=2)

@@ -10,6 +10,7 @@ import pytest
 from relboost.logic import (
     Atom,
     Constant,
+    FactBase,
     ParseError,
     Variable,
     parse_facts,
@@ -50,7 +51,6 @@ from relboost.rctbn import (
     segment_loglik,
     serialize_rctbn,
     serialize_trajectories,
-    snapshot,
     train_rctbn,
     transition_prob,
     worlds_facts,
@@ -71,6 +71,23 @@ predicate: checkup/2 boolean temporal.
 @pytest.fixture(scope="module")
 def schema():
     return parse_schema(SCHEMA_TEXT)
+
+
+def snapshot(traj, static_db, schema, t, exclude=None):
+    """Reference context at time t, built from scratch in one fact base: the
+    static facts plus each stream's value at t other than `exclude`.
+    Boolean streams appear only while true."""
+    proj = projected_schema(schema)
+    current: dict = {}
+    for ev in traj.events:
+        if ev.time <= t:
+            current[ev.stream()] = ev.value
+    atoms = static_db.facts() if static_db is not None else []
+    for (name, args), value in current.items():
+        pred = proj.get(name)
+        if (name, args) != exclude and value is not False:
+            atoms.append(Atom(pred, args, value))
+    return FactBase(proj, atoms)
 
 
 # mirrors a single-person history: blood pressure flip-flops, diabetes
