@@ -16,6 +16,11 @@ The rctbn sampler's trajectories and world facts are pinned too, for three
 ground-truth specs and seeds 1-3 and for the README's `relboost sample`
 demo, so a change to how the sampler builds contexts or caches rates shows
 up as a different trajectory digest.
+
+Last, the model file and the `.log` that `relboost train` writes are
+pinned for every relational kind, so a change to how the command reads its
+options, sets up a learner or reports its iterations shows up as a
+different digest.
 """
 
 import hashlib
@@ -36,6 +41,7 @@ from relboost.logic import (
 from relboost.regtree import TreeConfig, serialize_tree
 
 from tests.conftest import (
+    HYBRID_MODES_TEXT,
     HYBRID_SCHEMA_TEXT,
     LINKED_MODES_TEXT,
     LINKED_SCHEMA_TEXT,
@@ -452,3 +458,76 @@ def test_dbn_model_bytes(tmp_path, score):
                  "--out", str(out)]) == 0
     net, log = out.read_text(), (tmp_path / "net.txt.log").read_text()
     assert (_digest(net), _digest(log)) == DBN_DIGESTS[score]
+
+
+# ---------------------------------------------------------------------------
+# relboost train: model file and .log
+# ---------------------------------------------------------------------------
+
+TRAIN_DIGESTS = {  # case -> (model file, .log)
+    "rfgb": ("03762a9ab5e7eecbc49891d2c23e27d56fc61af42d366a88c78beb6630f19929",
+            "20e65c0f1ba7f53320e6234602a664bc77c195d8cf43d810723b6ed205ff7e26"),
+    "soft-rfgb": ("15406f379f2a7e813ee2525f89cdfb6b581e2e9a2c72351e1c2c43ac0bc4f90c",
+                 "289450bd1f00de2638f7a6fe30924e85d67a068a7aa4b51417f61650e0fadab8"),
+    "hybrid-visits": ("7f13905f0e9ec78b0c1ccf67432adcbb3caef2274d02b5779b366376bca4ac4f",
+                     "25b9ed04786e3fff6ff4b1703ffffb6b75a05e05576a1226ed50f9d6e6138f04"),
+    "hybrid-weight": ("51dc2cf4480462d05aa3f8f5c7bfc9c3a32bf70f66a7414bc15866483f7d8bdf",
+                     "7b4e2aa9452794093691793207d0d9aa1531f323bb810f4e47a94ae229a15f66"),
+    "hybrid-grade": ("755734ce81328fb44847512d8677669867bcf55705a0c739491a894dc765aefe",
+                    "c76bb307e204666749e905dc4e056adb4b510bcb54b2ed64abdb0b24689dc4f8"),
+    "hybrid-traj": ("f7a270fb71f78a4aaa3868945616daec33e1b95be01486735f360c793968de59",
+                   "7f26ab4cb03c0b7fe947cefca75ce719f812014db118c4faf068eebf1acd5eb6"),
+    "rctbn": ("bc6e384fcfe70fa28092862500c19f44f6b6a5d0ef8c63a15513ccd98f51372c",
+             "feb7e2627361173538cb165ec8035dc19832fc23561b3b08a1547d45e7f0ab82"),
+}
+
+
+def _train_files(tmp_path, case: str, rfgb_domain, hybrid_domain, rctbn_domain) -> list:
+    """The `relboost train` arguments of one case, with its input files."""
+    if case in ("rfgb", "soft-rfgb"):
+        _, db, _, examples = rfgb_domain
+        args = ["--kind", case, "--target", "target", "--iters", "4", "--leaves", "4",
+                "--schema", _write(tmp_path / "schema.txt", LINKED_SCHEMA_TEXT),
+                "--facts", _write(tmp_path / "facts.txt", serialize_facts(db)),
+                "--modes", _write(tmp_path / "modes.txt", LINKED_MODES_TEXT)]
+        for option, name, text in _labelled_files(examples):
+            args += [option, _write(tmp_path / name, text)]
+        return args + (["--neg-subsample", "1.5", "--seed", "5"] if case == "rfgb"
+                       else ["--alpha", "1.0", "--beta", "-2.0", "--seed", "3"])
+    if case in ("hybrid-grade", "hybrid-visits", "hybrid-weight"):
+        _, db, _, dataset = hybrid_domain
+        name = case[len("hybrid-"):]
+        examples = _lines(Atom(atom.pred, atom.args, value)
+                          for atom, value in dataset[name].entries)
+        return ["--kind", "hybrid", "--target", name, "--iters", "4", "--leaves", "4",
+                "--schema", _write(tmp_path / "schema.txt", HYBRID_SCHEMA_TEXT),
+                "--facts", _write(tmp_path / "facts.txt", serialize_facts(db)),
+                "--modes", _write(tmp_path / "modes.txt", HYBRID_MODES_TEXT),
+                "--examples", _write(tmp_path / "values.txt", examples)] \
+            + (["--eta", "0.5"] if name == "weight" else [])
+    trajs, facts, _ = rctbn_domain
+    args = ["--schema", _write(tmp_path / "schema.txt", RCTBN_SCHEMA_TEXT),
+            "--facts", _write(tmp_path / "facts.txt", serialize_facts(facts)),
+            "--traj", _write(tmp_path / "traj.txt", rctbn.serialize_trajectories(trajs)),
+            "--target", "cvd", "--iters", "3", "--leaves", "3"]
+    if case == "rctbn":
+        return args + ["--kind", "rctbn", "--from", "false", "--to", "true",
+                       "--neg-cap", "3", "--seed", "7", "--modes",
+                       _write(tmp_path / "modes.txt", "mode: parentOf(-,+).\nmode: cvd(+).\n"
+                              "mode: checkup(+).\nmode: elder(+).\n")]
+    # hybrid-traj: a count target aggregated from the entities' own streams
+    own = [rctbn.Trajectory(t.entity, [e for e in t.events if e.args == (Constant(t.entity),)],
+                            t.horizon) for t in trajs]
+    args[5] = _write(tmp_path / "traj.txt", rctbn.serialize_trajectories(own))
+    return args + ["--kind", "hybrid", "--bool-agg", "count", "--modes",
+                   _write(tmp_path / "modes.txt", "mode: parentOf(-,+).\n"
+                          "mode: checkup_cnt(+).\nmode: elder(+).\n")]
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_DIGESTS))
+def test_train_command_bytes(rfgb_domain, hybrid_domain, rctbn_domain, tmp_path, case):
+    out = tmp_path / "model.txt"
+    args = _train_files(tmp_path, case, rfgb_domain, hybrid_domain, rctbn_domain)
+    assert main(["train", *args, "--out", str(out)]) == 0
+    model, log = out.read_text(), (tmp_path / "model.txt.log").read_text()
+    assert (_digest(model), _digest(log)) == TRAIN_DIGESTS[case]
