@@ -123,18 +123,6 @@ def _gradient(kind: GradientKind, label: int, p: float) -> float:
     return soft_gradient(label, p, kind.alpha, kind.beta)
 
 
-def gen_soft_examples(examples: ExampleSet, model: BoostedModel, db: FactBase,
-                      kind: GradientKind) -> list:
-    """One RegressionExample per entry, gradient under the current model."""
-    if examples.target != model.target:
-        raise ValueError("model and example targets differ")
-    out = []
-    for atom, label in examples.entries:
-        p = sigmoid_prob(model.psi(atom, db))
-        out.append(RegressionExample(atom, _gradient(kind, label, p)))
-    return out
-
-
 def per_example_objective(label: int, psi: float, kind: GradientKind) -> float:
     """The penalized pseudo-log-likelihood term this gradient family optimizes.
 

@@ -18,6 +18,7 @@ import io
 import math
 import random
 import sys
+from dataclasses import replace
 
 from . import boost, dbn, hybrid, metrics, rctbn
 from .logic import (
@@ -51,33 +52,43 @@ class _Parser(argparse.ArgumentParser):
 
 TRAIN_KINDS = ("rfgb", "soft-rfgb", "hybrid", "rctbn", "dbn-bic", "dbn-bde", "dbn-mit")
 
-# name -> (type, default, validator, help)
-_COMMON_OPTS = {
-    "config": (str, None, None, "key=value option file; flags override it"),
-    "seed": (int, 0, None, "RNG seed"),
-}
+# name -> (type, default, validator, help); a command lists the options it reads
+_CONFIG_OPT = {"config": (str, None, None, "key=value option file; flags override it")}
+_SEED_OPT = {"seed": (int, 0, None, "RNG seed")}
 
-_TRAIN_OPTS = {
-    **_COMMON_OPTS,
-    "kind": (str, None, lambda v: v in TRAIN_KINDS, f"one of {', '.join(TRAIN_KINDS)}"),
+_RFGB_OPTS = {  # the rfgb inputs and learner options of train and cv
     "schema": (str, None, None, "schema file"),
     "facts": (str, None, None, "facts file"),
     "pos": (str, None, None, "positive examples file"),
     "neg": (str, None, None, "negative examples file"),
-    "examples": (str, None, None, "valued examples file (hybrid)"),
     "modes": (str, None, None, "mode declarations file"),
-    "traj": (str, None, None, "trajectory file (rctbn, hybrid aggregation)"),
-    "data": (str, None, None, "paired-slice dataset file (dbn)"),
-    "target": (str, None, None, "target predicate name"),
-    "from": (str, None, None, "rctbn from state (true/false or class index)"),
-    "to": (str, None, None, "rctbn to state"),
-    "out": (str, None, None, "output model file"),
-    "log": (str, None, None, "training log file (default: <out>.log)"),
+    "target": (str, None, None, "target predicate, as name or name/arity"),
     "iters": (int, 20, lambda v: v >= 1, "boosting iterations"),
     "leaves": (int, 8, lambda v: v >= 2, "max leaves per tree"),
     "alpha": (float, 0.0, None, "soft-margin false-negative cost"),
     "beta": (float, 0.0, None, "soft-margin false-positive cost"),
     "neg-subsample": (float, None, lambda v: v > 0, "negatives kept per positive"),
+}
+
+_SCORING_OPTS = {
+    "gamma": (float, 0.8, lambda v: 0 <= v <= 1, "weighted AUC skew"),
+    "strips": (int, 4, lambda v: v >= 1, "weighted AUC strip count N"),
+    "delta": (float, 5.0, lambda v: v > 0, "F-measure delta"),
+}
+
+_THRESHOLD_OPT = {"threshold": (float, None, lambda v: 0 <= v <= 1, "classification threshold")}
+
+_TRAIN_OPTS = {
+    **_CONFIG_OPT, **_SEED_OPT,
+    "kind": (str, None, lambda v: v in TRAIN_KINDS, f"one of {', '.join(TRAIN_KINDS)}"),
+    **_RFGB_OPTS,
+    "examples": (str, None, None, "valued examples file (hybrid)"),
+    "traj": (str, None, None, "trajectory file (rctbn, hybrid aggregation)"),
+    "data": (str, None, None, "paired-slice dataset file (dbn)"),
+    "from": (str, None, None, "rctbn from state (true/false or class index)"),
+    "to": (str, None, None, "rctbn to state"),
+    "out": (str, None, None, "output model file"),
+    "log": (str, None, None, "training log file (default: <out>.log)"),
     "neg-cap": (int, None, lambda v: v >= 1, "rctbn negatives kept per trajectory"),
     "eta": (float, None, lambda v: v > 0, "hybrid step size override"),
     "bool-agg": (str, "indicator", lambda v: v in hybrid.BOOL_AGGREGATORS,
@@ -90,7 +101,7 @@ _TRAIN_OPTS = {
 }
 
 _EVAL_OPTS = {
-    **_COMMON_OPTS,
+    **_CONFIG_OPT,
     "model": (str, None, None, "model file"),
     "schema": (str, None, None, "schema file"),
     "facts": (str, None, None, "facts file"),
@@ -99,14 +110,11 @@ _EVAL_OPTS = {
     "examples": (str, None, None, "valued examples file (hybrid)"),
     "traj": (str, None, None, "trajectory file (rctbn)"),
     "report": (str, None, None, "write the report here as key=value lines"),
-    "threshold": (float, None, lambda v: 0 <= v <= 1, "classification threshold"),
-    "gamma": (float, 0.8, lambda v: 0 <= v <= 1, "weighted AUC skew"),
-    "strips": (int, 4, lambda v: v >= 1, "weighted AUC strip count N"),
-    "delta": (float, 5.0, lambda v: v > 0, "F-measure delta"),
+    **_THRESHOLD_OPT, **_SCORING_OPTS,
 }
 
 _SAMPLE_OPTS = {
-    **_COMMON_OPTS,
+    **_CONFIG_OPT, **_SEED_OPT,
     "spec": (str, None, None, "ground-truth spec file"),
     "schema": (str, None, None, "schema file"),
     "horizon": (float, None, lambda v: v > 0, "observation horizon"),
@@ -115,37 +123,26 @@ _SAMPLE_OPTS = {
 }
 
 _CV_OPTS = {
-    **_TRAIN_OPTS,
+    **_CONFIG_OPT, **_SEED_OPT,
+    "kind": (str, None, lambda v: v in ("rfgb", "soft-rfgb"), "rfgb or soft-rfgb"),
+    **_RFGB_OPTS,
     "k": (int, 5, lambda v: v >= 2, "fold count"),
-    "gamma": (float, 0.8, lambda v: 0 <= v <= 1, "weighted AUC skew"),
-    "strips": (int, 4, lambda v: v >= 1, "weighted AUC strip count N"),
-    "delta": (float, 5.0, lambda v: v > 0, "F-measure delta"),
+    **_SCORING_OPTS,
     "report": (str, None, None, "write per-fold metrics here"),
 }
 
 _METRICS_OPTS = {
-    **_COMMON_OPTS,
+    **_CONFIG_OPT,
     "csv": (str, None, None, "score,label CSV file with header"),
     "report": (str, None, None, "write the report here"),
-    "threshold": (float, None, lambda v: 0 <= v <= 1, "classification threshold"),
-    "gamma": (float, 0.8, lambda v: 0 <= v <= 1, "weighted AUC skew"),
-    "strips": (int, 4, lambda v: v >= 1, "weighted AUC strip count N"),
-    "delta": (float, 5.0, lambda v: v > 0, "F-measure delta"),
-}
-
-_COMMANDS = {
-    "train": _TRAIN_OPTS,
-    "eval": _EVAL_OPTS,
-    "sample": _SAMPLE_OPTS,
-    "cv": _CV_OPTS,
-    "metrics": _METRICS_OPTS,
+    **_THRESHOLD_OPT, **_SCORING_OPTS,
 }
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="relboost", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, opts in _COMMANDS.items():
+    for command, (_handler, opts) in _COMMANDS.items():
         sub = subs.add_parser(command, prog=f"relboost {command}")
         for name, (typ, default, _check, help_text) in opts.items():
             text = help_text if default is None else f"{help_text} (default {default})"
@@ -156,7 +153,7 @@ def _build_parser() -> _Parser:
 
 def _merge_options(command: str, args: argparse.Namespace) -> dict:
     """Precedence: explicit flags, then config file entries, then defaults."""
-    opts = _COMMANDS[command]
+    opts = _COMMANDS[command][1]
     merged = {}
     file_values = {}
     config_path = getattr(args, "config", None)
@@ -206,18 +203,22 @@ def _load_bundle(opts: dict):
     schema = parse_schema(_read(opts["schema"]))
     facts = parse_facts(_read(opts["facts"]), schema) if opts["facts"] else None
     modes = parse_modes(_read(opts["modes"]), rctbn.projected_schema(schema)) \
-        if opts.get("modes") else []
+        if opts["modes"] else []
     return schema, facts, modes
 
 
-def _target_sig(schema: Schema, name: str):
-    if name is None:
+def _target_sig(schema: Schema, text: str):
+    """The signature `--target name` or `--target name/arity` names; the
+    arity, when given, must be the schema's, as in a model file header."""
+    if text is None:
         raise ConfigError("--target is required here")
-    if "/" in name:
-        name = name.split("/")[0]
+    name, slash, arity = text.partition("/")
     if name not in schema:
         raise DataError(f"target predicate {name!r} not in schema")
-    return schema.get(name)
+    target = schema.get(name)
+    if slash and arity != str(target.arity):
+        raise DataError(f"target {text} does not match the schema's {name}/{target.arity}")
+    return target
 
 
 def _labelled_examples(opts: dict, target) -> ExampleSet:
@@ -235,8 +236,7 @@ def _report_lines(report: dict) -> str:
                    else f"{k}={report[k]}\n" for k in sorted(report))
 
 
-def _emit_report(report: dict, path):
-    text = _report_lines(report)
+def _emit(text: str, path):
     sys.stdout.write(text)
     if path:
         atomic_write(path, text)
@@ -247,8 +247,16 @@ def _emit_report(report: dict, path):
 # ---------------------------------------------------------------------------
 
 
-def _tree_config(opts: dict) -> TreeConfig:
-    return TreeConfig(max_leaves=opts["leaves"])
+def _rfgb_setup(opts: dict) -> tuple:
+    """(facts, modes, labelled examples, gradient, BoostConfig) of rfgb train or cv."""
+    _require(opts, "kind", "schema", "facts", "modes", "target")
+    schema, facts, modes = _load_bundle(opts)
+    examples = _labelled_examples(opts, _target_sig(schema, opts["target"]))
+    gradient = boost.Hard() if opts["kind"] == "rfgb" \
+        else boost.Soft(opts["alpha"], opts["beta"])
+    config = boost.BoostConfig(opts["iters"], TreeConfig(max_leaves=opts["leaves"]),
+                               opts["neg-subsample"], opts["seed"])
+    return facts, modes, examples, gradient, config
 
 
 def cmd_train(opts: dict) -> int:
@@ -256,18 +264,13 @@ def cmd_train(opts: dict) -> int:
     kind = opts["kind"]
     log_lines = []
 
+    def log(m, objective, prefix=""):
+        log_lines.append(f"{prefix}iter={m} objective={objective!r}")
+
     if kind in ("rfgb", "soft-rfgb"):
-        _require(opts, "schema", "facts", "modes", "target")
-        schema, facts, modes = _load_bundle(opts)
-        target = _target_sig(schema, opts["target"])
-        examples = _labelled_examples(opts, target)
-        gradient = boost.Hard() if kind == "rfgb" else boost.Soft(opts["alpha"], opts["beta"])
-        config = boost.BoostConfig(opts["iters"], _tree_config(opts),
-                                   opts["neg-subsample"], opts["seed"])
-        model = boost.train(examples, facts, modes, config, gradient,
-                            on_iteration=lambda m, obj: log_lines.append(
-                                f"iter={m} objective={obj!r}"))
-        text = boost.serialize_model(model)
+        facts, modes, examples, gradient, config = _rfgb_setup(opts)
+        text = boost.serialize_model(
+            boost.train(examples, facts, modes, config, gradient, on_iteration=log))
     elif kind == "hybrid":
         _require(opts, "schema", "modes", "target")
         schema = parse_schema(_read(opts["schema"]))
@@ -275,7 +278,7 @@ def cmd_train(opts: dict) -> int:
         if opts["traj"]:
             trajs = rctbn.parse_trajectories(_read(opts["traj"]), schema)
             facts, examples = hybrid.aggregate_trajectories(
-                trajs, schema, opts["target"].split("/")[0],
+                trajs, schema, _target_sig(schema, opts["target"]).name,
                 opts["bool-agg"], opts["num-agg"])
             working = facts.schema if static is None else facts.schema.merged_with(static.schema)
             facts = FactBase(working, facts.facts() + (static.facts() if static else []))
@@ -286,15 +289,14 @@ def cmd_train(opts: dict) -> int:
             facts = static
             working = schema
         modes = parse_modes(_read(opts["modes"]), working)
-        config = hybrid.HybridConfig(iterations=opts["iters"], tree=_tree_config(opts))
+        config = hybrid.HybridConfig(iterations=opts["iters"],
+                                     tree=TreeConfig(max_leaves=opts["leaves"]))
         if opts["eta"] is not None:
             config.eta_multinomial = config.eta_poisson = opts["eta"]
             config.eta_mu = config.eta_sigma = opts["eta"]
-        models = hybrid.train_hybrid(
-            {examples.target.name: examples}, facts, modes, config,
-            on_iteration=lambda name, m, ll: log_lines.append(
-                f"target={name} iter={m} objective={ll!r}"))
-        text = hybrid.serialize_hybrid(models[examples.target.name])
+        text = hybrid.serialize_hybrid(hybrid.train_hybrid(
+            examples, facts, modes, config,
+            on_iteration=lambda m, ll: log(m, ll, f"target={examples.target.name} ")))
     elif kind == "rctbn":
         _require(opts, "schema", "traj", "modes", "target", "from", "to")
         schema, facts, modes = _load_bundle(opts)
@@ -304,13 +306,10 @@ def cmd_train(opts: dict) -> int:
             rctbn._parse_event_value(target, opts["from"]),
             rctbn._parse_event_value(target, opts["to"]))
         trajs = rctbn.parse_trajectories(_read(opts["traj"]), schema)
-        config = rctbn.RctbnConfig(opts["iters"], _tree_config(opts),
+        config = rctbn.RctbnConfig(opts["iters"], TreeConfig(max_leaves=opts["leaves"]),
                                    opts["neg-cap"], opts["seed"])
-        models = rctbn.train_rctbn(
-            trajs, facts, schema, [transition], modes, config,
-            on_iteration=lambda tr, m, ll: log_lines.append(
-                f"iter={m} objective={ll!r}"))
-        text = rctbn.serialize_rctbn(models[transition])
+        text = rctbn.serialize_rctbn(rctbn.train_rctbn(
+            trajs, facts, schema, transition, modes, config, on_iteration=log))
     else:  # dbn-*
         _require(opts, "data")
         data = dbn.parse_dataset(_read(opts["data"]))
@@ -380,7 +379,7 @@ def cmd_eval(opts: dict) -> int:
             for s in segments) / len(segments)
     else:
         raise DataError("unrecognized model file")
-    _emit_report(report, opts["report"])
+    _emit(_report_lines(report), opts["report"])
     return 0
 
 
@@ -399,7 +398,7 @@ def cmd_metrics(opts: dict) -> int:
     if not pairs:
         raise DataError("empty predictions CSV")
     report = _prediction_report(metrics.PredictionSet(pairs), opts)
-    _emit_report(report, opts["report"])
+    _emit(_report_lines(report), opts["report"])
     return 0
 
 
@@ -438,29 +437,21 @@ def _stratified_folds(examples: ExampleSet, k: int, seed: int) -> list:
 
 
 def cmd_cv(opts: dict) -> int:
-    if opts["kind"] not in ("rfgb", "soft-rfgb"):
-        raise ConfigError("cv supports the rfgb and soft-rfgb kinds")
-    _require(opts, "schema", "facts", "modes", "target")
-    schema, facts, modes = _load_bundle(opts)
-    target = _target_sig(schema, opts["target"])
-    examples = _labelled_examples(opts, target)
+    facts, modes, examples, gradient, config = _rfgb_setup(opts)
     k = opts["k"]
     if len(examples.entries) < k:
         raise DataError("fewer examples than folds")
     folds = _stratified_folds(examples, k, opts["seed"])
-    gradient = boost.Hard() if opts["kind"] == "rfgb" \
-        else boost.Soft(opts["alpha"], opts["beta"])
     lines = []
     fold_reports = []
     cache = RoutingCache()      # a routing depends on the trees' tests, not the fold's model
     for fold_id, holdout in enumerate(folds):
         held = set(holdout)
-        train_set = ExampleSet(target, [e for i, e in enumerate(examples.entries)
-                                        if i not in held])
+        train_set = ExampleSet(examples.target, [e for i, e in enumerate(examples.entries)
+                                                 if i not in held])
         test_set = [examples.entries[i] for i in holdout]
-        config = boost.BoostConfig(opts["iters"], _tree_config(opts),
-                                   opts["neg-subsample"], opts["seed"] + fold_id)
-        model = boost.train(train_set, facts, modes, config, gradient)
+        model = boost.train(train_set, facts, modes,
+                            replace(config, rng_seed=config.rng_seed + fold_id), gradient)
         pairs = [(boost.predict(model, atom, facts, cache), label) for atom, label in test_set]
         report = _prediction_report(metrics.PredictionSet(pairs), opts)
         fold_reports.append(report)
@@ -469,10 +460,7 @@ def cmd_cv(opts: dict) -> int:
     for key in sorted(fold_reports[0]):
         mean = sum(r[key] for r in fold_reports) / len(fold_reports)
         lines.append(f"aggregate {key}={mean!r}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if opts["report"]:
-        atomic_write(opts["report"], text)
+    _emit("\n".join(lines) + "\n", opts["report"])
     return 0
 
 
@@ -481,12 +469,12 @@ def cmd_cv(opts: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-_HANDLERS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "sample": cmd_sample,
-    "cv": cmd_cv,
-    "metrics": cmd_metrics,
+_COMMANDS = {  # command -> (handler, option table)
+    "train": (cmd_train, _TRAIN_OPTS),
+    "eval": (cmd_eval, _EVAL_OPTS),
+    "sample": (cmd_sample, _SAMPLE_OPTS),
+    "cv": (cmd_cv, _CV_OPTS),
+    "metrics": (cmd_metrics, _METRICS_OPTS),
 }
 
 
@@ -494,7 +482,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         opts = _merge_options(args.command, args)
-        return _HANDLERS[args.command](opts)
+        return _COMMANDS[args.command][0](opts)
     except ConfigError as exc:
         print(f"relboost: config error: {exc}", file=sys.stderr)
         return 3

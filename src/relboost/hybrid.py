@@ -238,66 +238,59 @@ def _loglik(kind: DistributionKind, values: list, psis: dict) -> float:
                for y, mu, sigma in zip(values, psis["mu"], psis["sigma"]))
 
 
-def train_hybrid(dataset: dict, db: FactBase, modes: list,
+def train_hybrid(examples: ExampleSet, db: FactBase, modes: list,
                  config: Optional[HybridConfig] = None,
-                 on_iteration: Optional[Callable[[str, int, float], None]] = None) -> dict:
-    """Boost one HybridModel per target predicate in `dataset`.
-
-    `dataset` maps predicate name to its ExampleSet; the distribution is
-    dispatched from each target's declared value kind.
-    """
+                 on_iteration: Optional[Callable[[int, float], None]] = None) -> HybridModel:
+    """Boost one HybridModel for the target of `examples`; the distribution
+    is dispatched from the target's declared value kind."""
     config = config or HybridConfig()
-    models = {}
-    for name in sorted(dataset):
-        examples = dataset[name]
-        if not examples.entries:
-            raise ValueError(f"no examples for target {name}")
-        target = examples.target
-        kind = kind_for(target)
-        atoms = [a for a, _ in examples.entries]
-        values = [v for _, v in examples.entries]
-        rows = [(a, db) for a in atoms]
-        eta = {Multinomial: config.eta_multinomial, Poisson: config.eta_poisson,
-               Gaussian: config.eta_mu}[type(kind)]
-        model = HybridModel(target, kind, {key: [] for key in _function_keys(kind)}, eta,
-                            config.sigma0)
-        psis = {key: [0.0] * len(atoms) for key in model.functions}
-        if isinstance(kind, Gaussian):
-            psis["sigma"] = [config.sigma0] * len(atoms)
-        cache = RoutingCache()      # the target's functions route the same rows
+    target = examples.target
+    if not examples.entries:
+        raise ValueError(f"no examples for target {target.name}")
+    kind = kind_for(target)
+    atoms = [a for a, _ in examples.entries]
+    values = [v for _, v in examples.entries]
+    rows = [(a, db) for a in atoms]
+    eta = {Multinomial: config.eta_multinomial, Poisson: config.eta_poisson,
+           Gaussian: config.eta_mu}[type(kind)]
+    model = HybridModel(target, kind, {key: [] for key in _function_keys(kind)}, eta,
+                        config.sigma0)
+    psis = {key: [0.0] * len(atoms) for key in model.functions}
+    if isinstance(kind, Gaussian):
+        psis["sigma"] = [config.sigma0] * len(atoms)
+    cache = RoutingCache()      # the target's functions route the same rows
 
-        def step(key, gradients, eta):
-            regs = [RegressionExample(a, g) for a, g in zip(atoms, gradients)]
-            model.functions[key].append(
-                boost_step(regs, db, modes, config.tree, rows, psis[key], cache, eta))
+    def step(key, gradients, eta):
+        regs = [RegressionExample(a, g) for a, g in zip(atoms, gradients)]
+        model.functions[key].append(
+            boost_step(regs, db, modes, config.tree, rows, psis[key], cache, eta))
 
-        try:
-            for m in range(config.iterations):
-                if isinstance(kind, Multinomial):
-                    keys = _function_keys(kind)
-                    probs = [multinomial_prob([psis[key][i] for key in keys])
-                             for i in range(len(atoms))]
-                    for k, key in enumerate(keys):
-                        step(key, [(1.0 if y == k else 0.0) - p[k] for y, p in zip(values, probs)],
-                             config.eta_multinomial)
-                elif isinstance(kind, Poisson):
-                    step("rate", [poisson_gradient(y, psi) for y, psi in zip(values, psis["rate"])],
-                         config.eta_poisson)
-                else:
-                    step("mu", [gaussian_gradients(y, mu, sigma)[0] for y, mu, sigma
-                                in zip(values, psis["mu"], psis["sigma"])], config.eta_mu)
-                    # sigma gradients use the just-updated means; stale means
-                    # inflate the squared residuals and blow sigma up
-                    step("sigma", [gaussian_gradients(y, mu, sigma)[1] for y, mu, sigma
-                                   in zip(values, psis["mu"], psis["sigma"])], config.eta_sigma)
-                    # project back to the floor after each boosting step
-                    psis["sigma"] = [max(SIGMA_FLOOR, sigma) for sigma in psis["sigma"]]
-                if on_iteration is not None:
-                    on_iteration(name, m + 1, _loglik(kind, values, psis))
-        except OverflowError:   # targets so large that squared residuals pass float range
-            raise ValueError(f"target {name}: values too large for float arithmetic") from None
-        models[name] = model
-    return models
+    try:
+        for m in range(config.iterations):
+            if isinstance(kind, Multinomial):
+                keys = _function_keys(kind)
+                probs = [multinomial_prob([psis[key][i] for key in keys])
+                         for i in range(len(atoms))]
+                for k, key in enumerate(keys):
+                    step(key, [(1.0 if y == k else 0.0) - p[k] for y, p in zip(values, probs)],
+                         config.eta_multinomial)
+            elif isinstance(kind, Poisson):
+                step("rate", [poisson_gradient(y, psi) for y, psi in zip(values, psis["rate"])],
+                     config.eta_poisson)
+            else:
+                step("mu", [gaussian_gradients(y, mu, sigma)[0] for y, mu, sigma
+                            in zip(values, psis["mu"], psis["sigma"])], config.eta_mu)
+                # sigma gradients use the just-updated means; stale means
+                # inflate the squared residuals and blow sigma up
+                step("sigma", [gaussian_gradients(y, mu, sigma)[1] for y, mu, sigma
+                               in zip(values, psis["mu"], psis["sigma"])], config.eta_sigma)
+                # project back to the floor after each boosting step
+                psis["sigma"] = [max(SIGMA_FLOOR, sigma) for sigma in psis["sigma"]]
+            if on_iteration is not None:
+                on_iteration(m + 1, _loglik(kind, values, psis))
+    except OverflowError:   # targets so large that squared residuals pass float range
+        raise ValueError(f"target {target.name}: values too large for float arithmetic") from None
+    return model
 
 
 # ---------------------------------------------------------------------------

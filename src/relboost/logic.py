@@ -326,9 +326,6 @@ class FactBase:
             out.extend(self._by_pred[name])
         return out
 
-    def facts_for(self, name: str) -> list:
-        return self._by_pred.get(name, [])
-
     def lookup(self, name: str, args: tuple):
         """Payload of the fact with these ground args, or None if absent."""
         return self._keys.get((name, args))

@@ -193,6 +193,23 @@ def _parse_event_value(pred: PredicateSignature, token: str,
     return parse_finite(token, f"{pred.name} value", lineno)
 
 
+def _stream_args(schema: Schema, name: str, argtext: Optional[str], lineno: int) -> tuple:
+    """(signature, arguments) of a stream named on a trajectory or
+    ground-truth line, checked as the fact reader checks an atom: a temporal
+    predicate, its arity less the time slot, and constants only."""
+    if name not in schema:
+        raise ParseError(f"unknown predicate {name!r}", lineno)
+    pred = schema.get(name)
+    if not pred.temporal:
+        raise ParseError(f"{name} is not temporal", lineno)
+    args = tuple(parse_term(a.strip(), lineno) for a in argtext.split(",")) if argtext else ()
+    if len(args) != pred.arity - 1:
+        raise ParseError(f"{name} streams carry {pred.arity - 1} arguments", lineno)
+    if any(isinstance(a, Variable) for a in args):
+        raise ParseError(f"{name} stream arguments must be constants", lineno)
+    return pred, args
+
+
 def parse_trajectories(text: str, schema: Schema) -> list:
     """Parse `traj` blocks: header, `t=<real> pred(args)=<value>` lines,
     then `horizon=<real>`.  Times must be numeric."""
@@ -221,23 +238,11 @@ def parse_trajectories(text: str, schema: Schema) -> list:
             if not m:
                 raise ParseError(f"bad event line {line!r}", lineno)
             ttok, name, argtext, valuetok = m.groups()
-            if name not in schema:
-                raise ParseError(f"unknown predicate {name!r}", lineno)
-            pred = schema.get(name)
-            if not pred.temporal:
-                raise ParseError(f"{name} is not temporal", lineno)
+            pred, args = _stream_args(schema, name, argtext, lineno)
             try:
                 t = float(ttok)
             except ValueError:
                 raise ParseError(f"times must be numeric, got {ttok!r}", lineno)
-            args = tuple(parse_term(a.strip(), lineno)
-                         for a in argtext.split(",")) if argtext else ()
-            if len(args) != pred.arity - 1:
-                raise ParseError(
-                    f"{name} events carry {pred.arity - 1} arguments", lineno)
-            for a in args:
-                if isinstance(a, Variable):
-                    raise ParseError("event arguments must be constants", lineno)
             events.append(Event(pred, args, t, _parse_event_value(pred, valuetok, lineno)))
     if entity is not None:
         raise ParseError(f"trajectory {entity!r} missing horizon")
@@ -476,43 +481,38 @@ def _cap_negatives(per_traj_groups: list, cap: int,
 
 
 def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schema,
-                transitions: list, modes: list,
+                transition: Transition, modes: list,
                 config: Optional[RctbnConfig] = None,
-                on_iteration: Optional[Callable[[Transition, int, float], None]] = None) -> dict:
-    """Boost one intensity model per requested target transition.
+                on_iteration: Optional[Callable[[int, float], None]] = None) -> RctbnModel:
+    """Boost the intensity model of one target transition.
 
     Deterministic under config.rng_seed; when neg_cap_per_traj is set the
-    kept negatives are drawn once per transition from the seeded RNG.
-    phi0 = 0 gives a unit baseline intensity.
+    kept negatives are drawn once from the seeded RNG.  phi0 = 0 gives a
+    unit baseline intensity.
     """
     config = config or RctbnConfig()
     rng = random.Random(config.rng_seed)
     static = _static_base(static_db, schema)
-    models = {}
-    for transition in transitions:
-        groups = [_segments([traj], static, schema, transition) for traj in trajectories]
-        segments = _cap_negatives(groups, config.neg_cap_per_traj, rng)
-        if not any(s.positive for s in segments):
-            raise ValueError(f"no positive segments for {transition}")
-        pred = schema.get(transition.pred).dropped_time()
-        model = RctbnModel(transition, pred, 0.0, [])
-        rows = [(seg.target, seg.context) for seg in segments]
-        phis = [0.0] * len(segments)
-        cache = RoutingCache()
-        for m in range(config.iterations):
-            regs = []
-            for i, seg in enumerate(segments):
-                q = math.exp(min(max(phis[i], -PHI_CLAMP), PHI_CLAMP))
-                qt = q * seg.residence_time
-                grad = pos_gradient_rate(qt) if seg.positive else neg_gradient_rate(qt)
-                regs.append(RegressionExample(seg.target, grad, db=seg.context))
-            model.trees.append(boost_step(regs, None, modes, config.tree, rows, phis, cache))
-            if on_iteration is not None:
-                ll = sum(segment_loglik(seg.positive, phis[i], seg.residence_time)
-                         for i, seg in enumerate(segments))
-                on_iteration(transition, m + 1, ll)
-        models[transition] = model
-    return models
+    groups = [_segments([traj], static, schema, transition) for traj in trajectories]
+    segments = _cap_negatives(groups, config.neg_cap_per_traj, rng)
+    if not any(s.positive for s in segments):
+        raise ValueError(f"no positive segments for {transition}")
+    model = RctbnModel(transition, schema.get(transition.pred).dropped_time(), 0.0, [])
+    rows = [(seg.target, seg.context) for seg in segments]
+    phis = [0.0] * len(segments)
+    cache = RoutingCache()
+    for m in range(config.iterations):
+        regs = []
+        for i, seg in enumerate(segments):
+            q = math.exp(min(max(phis[i], -PHI_CLAMP), PHI_CLAMP))
+            qt = q * seg.residence_time
+            grad = pos_gradient_rate(qt) if seg.positive else neg_gradient_rate(qt)
+            regs.append(RegressionExample(seg.target, grad, db=seg.context))
+        model.trees.append(boost_step(regs, None, modes, config.tree, rows, phis, cache))
+        if on_iteration is not None:
+            on_iteration(m + 1, sum(segment_loglik(seg.positive, phis[i], seg.residence_time)
+                                    for i, seg in enumerate(segments)))
+    return model
 
 
 def serialize_rctbn(model: RctbnModel) -> str:
@@ -794,8 +794,10 @@ def parse_groundtruth(text: str, schema: Schema):
     Lines: ``var <pred> init=<json list>``, ``clause <pred> cim=<json
     matrix> [if "<literals>"]``, and ``world <entity>`` blocks containing
     ``stream <pred>(<consts>)`` and ``fact <atom>.`` lines closed by
-    ``end``.  Clause bodies are evaluated over the projected context with
-    V0.. bound to the stream's arguments.
+    ``end``.  A stream names a temporal predicate with its arguments less
+    the time slot, at most once per world; a fact names an atemporal one.
+    Clause bodies are evaluated over the projected context with V0.. bound
+    to the stream's arguments.
     """
     variables: dict = {}
     clauses: list = []
@@ -842,14 +844,19 @@ def parse_groundtruth(text: str, schema: Schema):
             if not m:
                 raise ParseError(f"bad stream line {line!r}", lineno)
             name, argtext = m.groups()
-            if name not in schema:
-                raise ParseError(f"unknown predicate {name!r}", lineno)
-            args = tuple(parse_term(a.strip(), lineno) for a in argtext.split(","))
-            current_world.streams.append((name, args))
+            stream = (name, _stream_args(schema, name, argtext, lineno)[1])
+            if stream in current_world.streams:
+                raise ParseError(f"repeated stream {name}({argtext}) in world "
+                                 f"{current_world.entity}", lineno)
+            current_world.streams.append(stream)
         elif line.startswith("fact "):
             if current_world is None:
                 raise ParseError("fact outside a world block", lineno)
-            current_world.facts.append(_parse_ground_atom(line[5:].strip(), proj, lineno))
+            atom = _parse_ground_atom(line[5:].strip(), proj, lineno)
+            if schema.get(atom.pred.name).temporal:
+                raise ParseError(f"{atom.pred.name} is a stream predicate; "
+                                 "its values come from stream lines", lineno)
+            current_world.facts.append(atom)
         else:
             raise ParseError(f"bad ground-truth line {line!r}", lineno)
     if current_world is not None:

@@ -149,19 +149,6 @@ def _seed(target: Atom) -> dict:
     return {Variable(f"V{i}"): arg for i, arg in enumerate(target.args)}
 
 
-def score_split(parent_examples: list, test: NodeTest, db: FactBase) -> float:
-    """Score of splitting the examples by `test` as if at the tree root.
-
-    The score is the summed weighted SSE of the two children about their
-    means; lower is better, and splitting a pure node cannot improve on the
-    parent SSE.  Routing is the fit's own (`_score_candidate`).
-    """
-    cache = RoutingCache()
-    yes, no = _score_candidate(_root_rows(parent_examples, db, cache), test,
-                               cache.table((), test.text()), cache)
-    return _weighted_sse([ex for ex, _, _ in yes]) + _weighted_sse([ex for ex, _, _ in no])
-
-
 # ---------------------------------------------------------------------------
 # candidate enumeration
 # ---------------------------------------------------------------------------

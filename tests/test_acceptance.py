@@ -315,9 +315,9 @@ def test_criterion_06_rctbn_recovery():
     modes = parse_modes(
         "mode: parentOf(-,+).\nmode: cvd(+).\nmode: checkup(+).", proj)
     model = rctbn.train_rctbn(
-        trajs[:280], facts, schema, [transition], modes,
+        trajs[:280], facts, schema, transition, modes,
         rctbn.RctbnConfig(iterations=110, tree=TreeConfig(max_leaves=2),
-                          rng_seed=4))[transition]
+                          rng_seed=4))
 
     # the first learned tree splits on the relational body predicate
     first_root = rctbn.serialize_rctbn(model).splitlines()[2]
@@ -450,8 +450,8 @@ predicate: grade/1 multiclass(3).
     vis = [(Atom(vt, (Constant(f"e{i:05d}"),)),
             int(rng.poisson(6.0 if sick[i] else 2.0))) for i in range(n)]
     pm = hybrid.train_hybrid(
-        {"visits": ExampleSet(vt, vis)}, db, modes,
-        hybrid.HybridConfig(iterations=50, eta_poisson=0.2))["visits"]
+        ExampleSet(vt, vis), db, modes,
+        hybrid.HybridConfig(iterations=50, eta_poisson=0.2))
     for branch in (True, False):
         members = [(a, y) for (a, y), s in zip(vis, sick) if s == branch]
         branch_mean = sum(y for _, y in members) / len(members)
@@ -464,8 +464,8 @@ predicate: grade/1 multiclass(3).
             float(rng.normal(4.0 if sick[i] else 1.0, 1.0)))
            for i in range(2500)]
     gm = hybrid.train_hybrid(
-        {"weight": ExampleSet(wt, wts)}, db, modes,
-        hybrid.HybridConfig(iterations=25))["weight"]
+        ExampleSet(wt, wts), db, modes,
+        hybrid.HybridConfig(iterations=25))
     for branch in (True, False):
         members = [(a, y) for (a, y), s in zip(wts, sick) if s == branch]
         sample_mean = sum(y for _, y in members) / len(members)
@@ -477,8 +477,8 @@ predicate: grade/1 multiclass(3).
     grades = [(Atom(gt, (Constant(f"e{i:05d}"),)),
                int(rng.choice(3, p=[0.5, 0.3, 0.2]))) for i in range(2000)]
     mm = hybrid.train_hybrid(
-        {"grade": ExampleSet(gt, grades)}, db, modes,
-        hybrid.HybridConfig(iterations=30))["grade"]
+        ExampleSet(gt, grades), db, modes,
+        hybrid.HybridConfig(iterations=30))
     freq = [sum(1 for _, v in grades if v == k) / len(grades) for k in range(3)]
     probs = mm.class_probs(grades[0][0], db)
     assert max(abs(f - p) for f, p in zip(freq, probs)) < 0.02
@@ -658,9 +658,9 @@ end
     ventries = [(Atom(hschema.get("visits"), (Constant(f"e{i}"),)), i % 4)
                 for i in range(12)]
     hmodel = hybrid.train_hybrid(
-        {"visits": ExampleSet(hschema.get("visits"), ventries)}, hdb,
+        ExampleSet(hschema.get("visits"), ventries), hdb,
         parse_modes("mode: sick(+).", hschema),
-        hybrid.HybridConfig(iterations=3))["visits"]
+        hybrid.HybridConfig(iterations=3))
     htext = hybrid.serialize_hybrid(hmodel)
     assert hybrid.serialize_hybrid(hybrid.parse_hybrid(htext, hschema)) == htext
 
@@ -669,9 +669,9 @@ end
     trajs = rctbn.parse_trajectories(traj_text, tschema)
     assert rctbn.serialize_trajectories(trajs) == traj_text
     transition = rctbn.Transition("cvd", False, True)
-    rmodel = rctbn.train_rctbn(trajs, None, tschema, [transition],
+    rmodel = rctbn.train_rctbn(trajs, None, tschema, transition,
                                parse_modes("", rctbn.projected_schema(tschema)),
-                               rctbn.RctbnConfig(iterations=2, rng_seed=0))[transition]
+                               rctbn.RctbnConfig(iterations=2, rng_seed=0))
     rtext = rctbn.serialize_rctbn(rmodel)
     assert rctbn.serialize_rctbn(rctbn.parse_rctbn(rtext, tschema)) == rtext
 

@@ -10,7 +10,7 @@ from relboost.boost import (
     BoostedModel,
     Hard,
     Soft,
-    gen_soft_examples,
+    _gradient,
     hard_gradient,
     parse_model,
     per_example_objective,
@@ -22,7 +22,17 @@ from relboost.boost import (
     train,
 )
 from relboost.logic import ExampleSet
+from relboost.regtree import RegressionExample
 from tests.conftest import build_linked_domain
+
+
+def gen_soft_examples(examples, model, db, kind) -> list:
+    """Reference gradients: one RegressionExample per entry under the current
+    model, computed from scratch rather than from `train`'s running sums."""
+    if examples.target != model.target:
+        raise ValueError("model and example targets differ")
+    return [RegressionExample(atom, _gradient(kind, label, sigmoid_prob(model.psi(atom, db))))
+            for atom, label in examples.entries]
 
 
 class TestSigmoid:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from relboost.cli import main
+from relboost.cli import _build_parser, main
 from tests.conftest import LINKED_MODES_TEXT, LINKED_SCHEMA_TEXT
 
 
@@ -404,6 +404,19 @@ class TestSample:
         assert "--horizon=inf is not a finite number" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("line", ["stream cvd(X)", "stream cvd(p1,x)",
+                                      "stream parentOf(d1,p1)", "stream cvd(p1)",
+                                      "fact cvd(d1)."])
+    def test_bad_world_line_is_data_error_at_its_line(self, tmp_path, capsys, line):
+        schema = _write(tmp_path / "schema.txt", SAMPLE_SCHEMA)
+        spec = _write(tmp_path / "spec.txt", SAMPLE_SPEC.replace(
+            "fact parentOf(d1,p1).", f"fact parentOf(d1,p1).\n{line}"))
+        out = str(tmp_path / "trj.txt")
+        assert main(["sample", "--spec", spec, "--schema", schema,
+                     "--horizon", "5.0", "--out", out]) == 2
+        assert "data error: line 9: " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_zero_worlds_empty_file(self, tmp_path):
         schema = _write(tmp_path / "schema.txt", SAMPLE_SCHEMA)
         spec = _write(tmp_path / "spec.txt",
@@ -588,3 +601,84 @@ class TestCrossValidation:
     def test_cv_requires_rfgb_kind(self, wide_bundle):
         assert main(["cv", "--kind", "hybrid", "--schema", wide_bundle["schema"],
                      "--target", "target"]) == 3
+
+
+class TestTargetArity:
+    @pytest.fixture()
+    def files(self, tmp_path):
+        lines = ["traj p1", "t=0.0 angio(p1)=false", "t=1.0 angio(p1)=true", "horizon=2.0"]
+        return {
+            "schema": _write(tmp_path / "schema.txt",
+                             LINKED_SCHEMA_TEXT + "predicate: angio/2 boolean temporal.\n"),
+            "facts": _write(tmp_path / "facts.txt", "knows(e1,f1).\nflag(f1).\n"),
+            "pos": _write(tmp_path / "pos.txt", "target(e1).\n"),
+            "neg": _write(tmp_path / "neg.txt", "target(f1).\n"),
+            "modes": _write(tmp_path / "modes.txt", LINKED_MODES_TEXT),
+            "traj": _write(tmp_path / "traj.txt", "\n".join(lines) + "\n"),
+            "out": str(tmp_path / "model.txt"),
+        }
+
+    @pytest.mark.parametrize("args,message", [
+        (["train", "--kind", "rfgb", "--target", "target/2", "--out", "{out}",
+          "--facts", "{facts}", "--pos", "{pos}", "--neg", "{neg}"],
+         "target target/2 does not match the schema's target/1"),
+        (["cv", "--kind", "soft-rfgb", "--target", "target/0",
+          "--facts", "{facts}", "--pos", "{pos}", "--neg", "{neg}"],
+         "target target/0 does not match the schema's target/1"),
+        (["train", "--kind", "hybrid", "--target", "angio/3", "--out", "{out}",
+          "--traj", "{traj}"],
+         "target angio/3 does not match the schema's angio/2"),
+        (["train", "--kind", "rctbn", "--target", "angio/7", "--out", "{out}",
+          "--traj", "{traj}", "--from", "false", "--to", "true"],
+         "target angio/7 does not match the schema's angio/2"),
+    ], ids=["rfgb", "cv", "hybrid-traj", "rctbn"])
+    def test_arity_must_match_the_schema(self, files, capsys, args, message):
+        args = [a.format(**files) for a in args]
+        assert main(args + ["--schema", files["schema"], "--modes", files["modes"]]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(files["out"])
+
+    def test_matching_arity_trains_as_the_bare_name(self, files):
+        base = ["train", "--kind", "rfgb", "--schema", files["schema"], "--modes", files["modes"],
+                "--facts", files["facts"], "--pos", files["pos"], "--neg", files["neg"],
+                "--iters", "2"]
+        texts = []
+        for target in ("target", "target/1"):
+            assert main(base + ["--target", target, "--out", files["out"]]) == 0
+            texts.append(open(files["out"]).read())
+        assert texts[0] == texts[1]
+
+
+# each command's settable values, exactly the options its handler reads:
+# train 28, eval 13, sample 7, cv 19, metrics 7
+COMMAND_OPTIONS = {
+    "train": {"config", "seed", "kind", "schema", "facts", "pos", "neg", "modes", "target",
+              "iters", "leaves", "alpha", "beta", "neg-subsample", "examples", "traj", "data",
+              "from", "to", "out", "log", "neg-cap", "eta", "bool-agg", "num-agg",
+              "max-parents", "ess", "mit-alpha"},
+    "eval": {"config", "model", "schema", "facts", "pos", "neg", "examples", "traj", "report",
+             "threshold", "gamma", "strips", "delta"},
+    "sample": {"config", "seed", "spec", "schema", "horizon", "out", "out-facts"},
+    "cv": {"config", "seed", "kind", "schema", "facts", "pos", "neg", "modes", "target",
+           "iters", "leaves", "alpha", "beta", "neg-subsample", "k", "gamma", "strips",
+           "delta", "report"},
+    "metrics": {"config", "csv", "report", "threshold", "gamma", "strips", "delta"},
+}
+
+REMOVED_OPTIONS = [("eval", "seed"), ("metrics", "seed")] + [
+    ("cv", name) for name in sorted(COMMAND_OPTIONS["train"] - COMMAND_OPTIONS["cv"])]
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_each_command_accepts_exactly_its_options(self, command):
+        dests = set(vars(_build_parser().parse_args([command]))) - {"command"}
+        assert dests == {name.replace("-", "_") for name in COMMAND_OPTIONS[command]}
+
+    @pytest.mark.parametrize("command,name", REMOVED_OPTIONS)
+    def test_option_a_command_does_not_read_is_config_error(self, tmp_path, capsys,
+                                                            command, name):
+        assert main([command, f"--{name}", "1"]) == 3
+        config = _write(tmp_path / "run.conf", f"{name}=1\n")
+        assert main([command, "--config", config]) == 3
+        assert f"run.conf:1: unknown key {name!r}" in capsys.readouterr().err

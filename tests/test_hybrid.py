@@ -211,7 +211,7 @@ class TestTrainHybrid:
                    for i, y in enumerate(rng2.poisson(4.0, 2000))]
         examples = ExampleSet(target, entries)
         config = HybridConfig(iterations=40, eta_poisson=0.25)
-        model = train_hybrid({"visits": examples}, db, [], config)["visits"]
+        model = train_hybrid(examples, db, [], config)
         mean = sum(v for _, v in entries) / len(entries)
         rate = model.rate(entries[0][0], db)
         assert abs(rate - 4.0) / 4.0 < 0.05
@@ -225,7 +225,7 @@ class TestTrainHybrid:
                    for i, y in enumerate(rng2.poisson(1.5, 1200))]
         examples = ExampleSet(target, entries)
         config = HybridConfig(iterations=50, eta_poisson=0.5)
-        model = train_hybrid({"visits": examples}, db, [], config)["visits"]
+        model = train_hybrid(examples, db, [], config)
         mean = sum(v for _, v in entries) / len(entries)
         rate = model.rate(entries[0][0], db)
         assert abs(rate - mean) / mean <= 1e-3
@@ -240,8 +240,8 @@ class TestTrainHybrid:
             entries.append((Atom(target, (Constant(f"e{i:05d}"),)),
                             float(rng2.normal(mu, 1.0))))
         examples = ExampleSet(target, entries)
-        model = train_hybrid({"weight": examples}, db, modes,
-                             HybridConfig(iterations=25))["weight"]
+        model = train_hybrid(examples, db, modes,
+                             HybridConfig(iterations=25))
         for branch in (True, False):
             members = [(a, v) for (a, v), s in zip(entries, sick_flags) if s == branch]
             sample_mean = sum(v for _, v in members) / len(members)
@@ -257,8 +257,8 @@ class TestTrainHybrid:
                    for i, k in enumerate(rng2.choice(3, size=1500,
                                                      p=[0.5, 0.3, 0.2]))]
         examples = ExampleSet(target, entries)
-        model = train_hybrid({"grade": examples}, db, modes,
-                             HybridConfig(iterations=30))["grade"]
+        model = train_hybrid(examples, db, modes,
+                             HybridConfig(iterations=30))
         freq = [sum(1 for _, v in entries if v == k) / len(entries)
                 for k in range(3)]
         probs = model.class_probs(entries[0][0], db)
@@ -276,7 +276,7 @@ class TestTrainHybrid:
         schema, db, modes, _, _, _ = branch_domain
         empty = ExampleSet(schema.get("visits"), [])
         with pytest.raises(ValueError, match="no examples"):
-            train_hybrid({"visits": empty}, db, modes, HybridConfig())
+            train_hybrid(empty, db, modes, HybridConfig())
 
 
 class TestHybridModelFiles:
@@ -286,8 +286,8 @@ class TestHybridModelFiles:
         rng2 = np.random.default_rng(11)
         entries = [(Atom(target, (Constant(f"e{i:05d}"),)), int(y))
                    for i, y in enumerate(rng2.poisson(2.0, 200))]
-        model = train_hybrid({"visits": ExampleSet(target, entries)}, db, modes,
-                             HybridConfig(iterations=5))["visits"]
+        model = train_hybrid(ExampleSet(target, entries), db, modes,
+                             HybridConfig(iterations=5))
         text = serialize_hybrid(model)
         again = parse_hybrid(text, schema)
         assert serialize_hybrid(again) == text
@@ -299,8 +299,8 @@ class TestHybridModelFiles:
         rng2 = np.random.default_rng(12)
         entries = [(Atom(target, (Constant(f"e{i:05d}"),)), float(rng2.normal(0, 2)))
                    for i in range(150)]
-        model = train_hybrid({"weight": ExampleSet(target, entries)}, db, modes,
-                             HybridConfig(iterations=4, sigma0=1.5))["weight"]
+        model = train_hybrid(ExampleSet(target, entries), db, modes,
+                             HybridConfig(iterations=4, sigma0=1.5))
         again = parse_hybrid(serialize_hybrid(model), schema)
         assert again.sigma0 == 1.5
         assert again.mu_sigma(entries[0][0], db) == model.mu_sigma(entries[0][0], db)

@@ -246,7 +246,7 @@ def _linear_scan(atom, subst, db):
     """Reference matcher: no index, same semantics."""
     out = []
     bound = atom.substitute(subst)
-    for fact in db.facts_for(atom.pred.name):
+    for fact in [f for f in db.facts() if f.pred.name == atom.pred.name]:
         extra = {}
         ok = True
         for pattern, actual in zip(bound.args, fact.args):

@@ -190,7 +190,7 @@ def _hybrid_model(domain, name: str):
     _, db, modes, dataset = domain
     config = hybrid.HybridConfig(iterations=4, tree=TreeConfig(max_leaves=4),
                                  sigma0=1.5)
-    return hybrid.train_hybrid({name: dataset[name]}, db, modes, config)[name]
+    return hybrid.train_hybrid(dataset[name], db, modes, config)
 
 
 @pytest.mark.parametrize("name", sorted(HYBRID_DIGESTS))
@@ -287,7 +287,7 @@ clause checkup cim=[[-3.0, 3.0], [3.0, -3.0]]
                         "mode: elder(+).", proj)
     config = rctbn.RctbnConfig(iterations=3, tree=TreeConfig(max_leaves=3),
                                neg_cap_per_traj=3, rng_seed=7)
-    model = rctbn.train_rctbn(trajs, facts, schema, [transition], modes, config)[transition]
+    model = rctbn.train_rctbn(trajs, facts, schema, transition, modes, config)
     return trajs, facts, model
 
 

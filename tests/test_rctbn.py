@@ -525,8 +525,8 @@ clause checkup cim=[[-6.0, 6.0], [6.0, -6.0]]
         segs = segment(trajs, None, schema, tr)
         assert len(segs) >= 500
         modes = parse_modes("", projected_schema(schema))
-        model = train_rctbn(trajs, None, schema, [tr], modes,
-                            RctbnConfig(iterations=60, rng_seed=2))[tr]
+        model = train_rctbn(trajs, None, schema, tr, modes,
+                            RctbnConfig(iterations=60, rng_seed=2))
         counting_mle = (sum(1 for s in segs if s.positive)
                         / sum(s.residence_time for s in segs))
         learned = intensity(model, segs[0])
@@ -559,10 +559,10 @@ clause checkup cim=[[-3.0, 3.0], [3.0, -3.0]]
             "mode: parentOf(-,+).\nmode: cvd(+).\nmode: checkup(+).", proj)
         config = RctbnConfig(iterations=6, tree=TreeConfig(max_leaves=2),
                              rng_seed=7)
-        model = train_rctbn(trajs, facts, schema, [tr], modes, config)[tr]
+        model = train_rctbn(trajs, facts, schema, tr, modes, config)
         root_line = serialize_rctbn(model).splitlines()[2]
         assert "parentOf" in root_line and "cvd" in root_line
-        again = train_rctbn(trajs, facts, schema, [tr], modes, config)[tr]
+        again = train_rctbn(trajs, facts, schema, tr, modes, config)
         assert serialize_rctbn(model) == serialize_rctbn(again)
 
     def test_segments_sharing_target_and_context_are_routed_alike(self, schema):
@@ -589,8 +589,8 @@ horizon=9.0
         assert segs[0].target is segs[-1].target and segs[0].context is segs[-1].context
         modes = parse_modes("mode: diab(+).\nmode: bp(+).", projected_schema(schema))
         lls = []
-        model = train_rctbn(trajs, None, schema, [tr], modes, RctbnConfig(iterations=4),
-                            on_iteration=lambda _, m, ll: lls.append(ll))[tr]
+        model = train_rctbn(trajs, None, schema, tr, modes, RctbnConfig(iterations=4),
+                            on_iteration=lambda m, ll: lls.append(ll))
         assert any(tree.leaf_count() > 1 for tree in model.trees)
         # training sums the positive segments first, as train_rctbn keeps them
         ordered = [s for s in segs if s.positive] + [s for s in segs if not s.positive]
@@ -609,7 +609,7 @@ horizon=2.0
 """
         trajs = parse_trajectories(text, schema)
         with pytest.raises(ValueError, match="no positive segments"):
-            train_rctbn(trajs, None, schema, [Transition("cvd", False, True)],
+            train_rctbn(trajs, None, schema, Transition("cvd", False, True),
                         [], RctbnConfig(iterations=1))
 
     def test_negative_cap_subsamples(self, schema):
@@ -623,8 +623,8 @@ clause checkup cim=[[-4.0, 4.0], [4.0, -4.0]]
         trajs = forward_sample(spec, worlds, schema, horizon=2.0, seed=12)
         tr = Transition("cvd", False, True)
         config = RctbnConfig(iterations=2, neg_cap_per_traj=2, rng_seed=5)
-        model = train_rctbn(trajs, None, schema, [tr], parse_modes("", projected_schema(schema)),
-                            config)[tr]
+        model = train_rctbn(trajs, None, schema, tr, parse_modes("", projected_schema(schema)),
+                            config)
         assert len(model.trees) == 2
 
     def test_model_file_roundtrip(self, schema):
@@ -632,8 +632,8 @@ clause checkup cim=[[-4.0, 4.0], [4.0, -4.0]]
         tr = Transition("cvd", False, True)
         modes = parse_modes("mode: diab(+).\nmode: bp(+).",
                             projected_schema(schema))
-        model = train_rctbn(trajs, None, schema, [tr], modes,
-                            RctbnConfig(iterations=3, rng_seed=1))[tr]
+        model = train_rctbn(trajs, None, schema, tr, modes,
+                            RctbnConfig(iterations=3, rng_seed=1))
         text = serialize_rctbn(model)
         again = parse_rctbn(text, schema)
         assert serialize_rctbn(again) == text
@@ -769,6 +769,22 @@ end
         assert worlds[0].entity == "p1"
         assert worlds[0].streams == [("cvd", (Constant("p1"),))]
         assert worlds[0].facts[0].pred.name == "elder"
+
+    @pytest.mark.parametrize("line,message", [
+        ("stream cvd(X)", "cvd stream arguments must be constants"),
+        ("stream cvd(p1,x)", "cvd streams carry 1 arguments"),
+        ("stream parentOf(d1,p1)", "parentOf is not temporal"),
+        ("stream cvd(p1)", r"repeated stream cvd\(p1\) in world p1"),
+        ("fact cvd(p1).", "cvd is a stream predicate"),
+    ], ids=["variable", "arity", "atemporal", "repeated", "fact-on-stream"])
+    def test_bad_world_line_is_parse_error_at_its_line(self, schema, line, message):
+        # a world fact on a stream predicate would shadow the stream in
+        # every sampled context
+        text = ("var cvd init=[1.0, 0.0]\nclause cvd cim=[[-1.0, 1.0], [0.0, 0.0]]\n"
+                f"world p1\nstream cvd(p1)\n{line}\nend\n")
+        with pytest.raises(ParseError, match=message) as info:
+            parse_groundtruth(text, schema)
+        assert info.value.line == 5
 
     def test_clause_head_must_be_declared(self, schema):
         with pytest.raises(Exception, match="not a declared variable"):

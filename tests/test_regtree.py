@@ -23,6 +23,7 @@ from relboost.regtree import (
     RegressionTree,
     RoutingCache,
     TreeConfig,
+    _root_rows,
     _score_candidate,
     _weighted_sse,
     boost_step,
@@ -30,12 +31,24 @@ from relboost.regtree import (
     evaluate,
     fit_tree,
     parse_tree,
-    score_split,
     serialize_tree,
     trees_value,
 )
 from relboost import boost, hybrid
 from tests.conftest import build_hybrid_domain, build_linked_domain
+
+
+def score_split(parent_examples: list, test: NodeTest, db) -> float:
+    """Score of splitting the examples by `test` as if at the tree root.
+
+    The score is the summed weighted SSE of the two children about their
+    means; lower is better, and splitting a pure node cannot improve on the
+    parent SSE.  Routing is the fit's own (`_score_candidate`).
+    """
+    cache = RoutingCache()
+    yes, no = _score_candidate(_root_rows(parent_examples, db, cache), test,
+                               cache.table((), test.text()), cache)
+    return _weighted_sse([ex for ex, _, _ in yes]) + _weighted_sse([ex for ex, _, _ in no])
 
 
 def _atoms(target, names):
@@ -493,7 +506,7 @@ def routed_models():
     config = hybrid.HybridConfig(iterations=3, tree=TreeConfig(max_leaves=4))
     for name, examples in sorted(dataset.items()):
         atoms = [a for a, _ in examples.entries]
-        model = hybrid.train_hybrid({name: examples}, db, modes, config)[name]
+        model = hybrid.train_hybrid(examples, db, modes, config)
         out += [(trees, atoms, db) for _, trees in sorted(model.functions.items())]
         mixed = hybrid.train_mixed(examples, db, modes, ["dose", "age"], config)
         out += [(trees, atoms, db) for _, trees in sorted(mixed.functions.items())]
