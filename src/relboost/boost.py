@@ -3,7 +3,7 @@
 The model is a sum of relational regression trees: the regression value
 psi of a ground target atom is psi0 plus the tree contributions, and the
 predicted probability is the sigmoid of psi.  The hard gradient is
-``label - p``; the soft-margin gradient reweights it with a cost factor
+``label - p``; the soft-margin gradient scales p by a cost factor
 lambda so misclassified positives (alpha) and negatives (beta) can be
 penalized asymmetrically.  With alpha = beta = 0 the two coincide exactly.
 
@@ -20,7 +20,6 @@ from typing import Callable, Optional, Union
 
 from .logic import Atom, ExampleSet, FactBase, PredicateSignature, ParseError, Schema
 from .regtree import (
-    RegressionExample,
     RoutingCache,
     TreeConfig,
     boost_step,
@@ -166,13 +165,9 @@ def train(examples: ExampleSet, db: FactBase, modes: list, config: BoostConfig,
             chosen = sorted(rng.sample(neg_idx, keep))
         else:
             chosen = neg_idx
-        batch = pos_idx + chosen
-        regs = []
-        for i in batch:
-            atom, label = examples.entries[i]
-            p = sigmoid_prob(psis[i])
-            regs.append(RegressionExample(atom, _gradient(kind, label, p)))
-        model.trees.append(boost_step(regs, db, modes, config.tree, rows, psis, cache))
+        fit = [(i, _gradient(kind, examples.entries[i][1], sigmoid_prob(psis[i])))
+               for i in pos_idx + chosen]
+        model.trees.append(boost_step(rows, fit, modes, config.tree, psis, cache))
         if on_iteration is not None:
             objective = sum(
                 per_example_objective(label, psis[i], kind)

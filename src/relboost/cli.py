@@ -201,7 +201,7 @@ def _require(opts: dict, *names: str):
 
 def _load_bundle(opts: dict):
     schema = parse_schema(_read(opts["schema"]))
-    facts = parse_facts(_read(opts["facts"]), schema) if opts["facts"] else None
+    facts = parse_facts(_read(opts["facts"]), schema) if opts["facts"] else FactBase(schema)
     modes = parse_modes(_read(opts["modes"]), rctbn.projected_schema(schema)) \
         if opts["modes"] else []
     return schema, facts, modes
@@ -274,14 +274,14 @@ def cmd_train(opts: dict) -> int:
     elif kind == "hybrid":
         _require(opts, "schema", "modes", "target")
         schema = parse_schema(_read(opts["schema"]))
-        static = parse_facts(_read(opts["facts"]), schema) if opts["facts"] else None
+        static = parse_facts(_read(opts["facts"]), schema) if opts["facts"] else FactBase(schema)
         if opts["traj"]:
             trajs = rctbn.parse_trajectories(_read(opts["traj"]), schema)
             facts, examples = hybrid.aggregate_trajectories(
                 trajs, schema, _target_sig(schema, opts["target"]).name,
                 opts["bool-agg"], opts["num-agg"])
-            working = facts.schema if static is None else facts.schema.merged_with(static.schema)
-            facts = FactBase(working, facts.facts() + (static.facts() if static else []))
+            working = facts.schema.merged_with(static.schema)
+            facts = FactBase(working, facts.facts() + static.facts())
         else:
             _require(opts, "examples")
             target = _target_sig(schema, opts["target"])
@@ -347,7 +347,7 @@ def cmd_eval(opts: dict) -> int:
     schema = parse_schema(_read(opts["schema"]))
     model_text = _read(opts["model"])
     header = model_text.splitlines()[0] if model_text else ""
-    facts = parse_facts(_read(opts["facts"]), schema) if opts["facts"] else None
+    facts = parse_facts(_read(opts["facts"]), schema) if opts["facts"] else FactBase(schema)
     cache = RoutingCache()
 
     if header.startswith("model rfgb "):

@@ -20,7 +20,6 @@ from typing import Callable, Optional, Union
 
 from .logic import Atom, Constant, ExampleSet, FactBase, ParseError, PredicateSignature, Schema
 from .regtree import (
-    RegressionExample,
     RoutingCache,
     TreeConfig,
     boost_step,
@@ -261,19 +260,17 @@ def train_hybrid(examples: ExampleSet, db: FactBase, modes: list,
     cache = RoutingCache()      # the target's functions route the same rows
 
     def step(key, gradients, eta):
-        regs = [RegressionExample(a, g) for a, g in zip(atoms, gradients)]
-        model.functions[key].append(
-            boost_step(regs, db, modes, config.tree, rows, psis[key], cache, eta))
+        model.functions[key].append(boost_step(rows, list(enumerate(gradients)), modes,
+                                               config.tree, psis[key], cache, eta))
 
     try:
         for m in range(config.iterations):
             if isinstance(kind, Multinomial):
                 keys = _function_keys(kind)
-                probs = [multinomial_prob([psis[key][i] for key in keys])
-                         for i in range(len(atoms))]
+                grads = [multinomial_gradient(y, multinomial_prob([psis[key][i] for key in keys]))
+                         for i, y in enumerate(values)]
                 for k, key in enumerate(keys):
-                    step(key, [(1.0 if y == k else 0.0) - p[k] for y, p in zip(values, probs)],
-                         config.eta_multinomial)
+                    step(key, [g[k] for g in grads], config.eta_multinomial)
             elif isinstance(kind, Poisson):
                 step("rate", [poisson_gradient(y, psi) for y, psi in zip(values, psis["rate"])],
                      config.eta_poisson)
@@ -377,15 +374,14 @@ def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
 
     def residual(y, out) -> list:
         if isinstance(kind, Multinomial):
-            return [(1.0 if y == k else 0.0) - out[k] for k in range(n_classes)]
+            return multinomial_gradient(y, out)
         if isinstance(kind, Poisson):
             return [y - out]
-        mu, sigma = out
-        return [(y - mu) / sigma ** 2]
+        return [gaussian_gradients(y, *out)[0]]
 
     def step(trees, gradients, psis, eta):
-        regs = [RegressionExample(a, g) for a, g in zip(atoms, gradients)]
-        trees.append(boost_step(regs, db, modes, config.tree, rows, psis, cache, eta))
+        trees.append(boost_step(rows, list(enumerate(gradients)), modes, config.tree,
+                                psis, cache, eta))
 
     eta = {Multinomial: config.eta_multinomial, Poisson: config.eta_poisson,
            Gaussian: config.eta_mu}[type(kind)]
@@ -416,9 +412,10 @@ def aggregate_trajectories(trajectories: list, schema: Schema, target: str,
                            bool_agg: str = "indicator", num_agg: str = "mean"):
     """Flatten trajectories into static facts plus a count-valued target.
 
-    The target value is the number of times the target stream turns true;
-    the other streams are aggregated over the stretch before the first
-    target occurrence (the whole trajectory when there is none).  Boolean
+    The target value is the number of times the entity's target stream
+    turns true; every other stream, other entities' target streams too, is
+    aggregated over the stretch before the first target occurrence (the
+    whole trajectory when there is none).  Boolean
     streams aggregate with indicator/count into ``<name>_ind`` or
     ``<name>_cnt``; numeric streams with min/max/mean/latest into
     ``<name>_<agg>``; discrete-valued streams keep their latest value in
@@ -441,7 +438,7 @@ def aggregate_trajectories(trajectories: list, schema: Schema, target: str,
     derived.add(out_target)
     names: dict = {}
     for sig in schema:
-        if sig.name == target or not sig.temporal:
+        if not sig.temporal:
             continue
         arity = sig.arity - 1
         if sig.kind == "boolean":

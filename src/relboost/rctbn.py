@@ -45,7 +45,6 @@ from .logic import (
     serialize_facts,
 )
 from .regtree import (
-    RegressionExample,
     RoutingCache,
     TreeConfig,
     boost_step,
@@ -417,9 +416,14 @@ def neg_gradient_rate(qt: float) -> float:
     return -qt
 
 
+def _clamped_exp(phi: float) -> float:
+    """The intensity e^phi with phi clamped to +-PHI_CLAMP."""
+    return math.exp(min(max(phi, -PHI_CLAMP), PHI_CLAMP))
+
+
 def segment_loglik(positive: bool, phi: float, T: float) -> float:
     """Log of the segment's transition term at intensity q = e^phi."""
-    qt = math.exp(min(max(phi, -PHI_CLAMP), PHI_CLAMP)) * T
+    qt = _clamped_exp(phi) * T
     if positive:
         # log(1 - e^(-qt)) without cancellation
         return math.log(-math.expm1(-qt)) if qt < 700.0 else 0.0
@@ -463,7 +467,7 @@ class RctbnModel:
 
 def intensity(model: RctbnModel, seg: Segment, cache: Optional[RoutingCache] = None) -> float:
     """e^phi with phi clamped; always positive."""
-    return math.exp(min(max(model.phi(seg, cache), -PHI_CLAMP), PHI_CLAMP))
+    return _clamped_exp(model.phi(seg, cache))
 
 
 def _cap_negatives(per_traj_groups: list, cap: int,
@@ -502,13 +506,11 @@ def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schem
     phis = [0.0] * len(segments)
     cache = RoutingCache()
     for m in range(config.iterations):
-        regs = []
+        fit = []
         for i, seg in enumerate(segments):
-            q = math.exp(min(max(phis[i], -PHI_CLAMP), PHI_CLAMP))
-            qt = q * seg.residence_time
-            grad = pos_gradient_rate(qt) if seg.positive else neg_gradient_rate(qt)
-            regs.append(RegressionExample(seg.target, grad, db=seg.context))
-        model.trees.append(boost_step(regs, None, modes, config.tree, rows, phis, cache))
+            qt = _clamped_exp(phis[i]) * seg.residence_time
+            fit.append((i, pos_gradient_rate(qt) if seg.positive else neg_gradient_rate(qt)))
+        model.trees.append(boost_step(rows, fit, modes, config.tree, phis, cache))
         if on_iteration is not None:
             on_iteration(m + 1, sum(segment_loglik(seg.positive, phis[i], seg.residence_time)
                                     for i, seg in enumerate(segments)))
@@ -794,7 +796,7 @@ def parse_groundtruth(text: str, schema: Schema):
     Lines: ``var <pred> init=<json list>``, ``clause <pred> cim=<json
     matrix> [if "<literals>"]``, and ``world <entity>`` blocks containing
     ``stream <pred>(<consts>)`` and ``fact <atom>.`` lines closed by
-    ``end``.  A stream names a temporal predicate with its arguments less
+    ``end``.  A stream names a declared variable with its arguments less
     the time slot, at most once per world; a fact names an atemporal one.
     Clause bodies are evaluated over the projected context with V0.. bound
     to the stream's arguments.
@@ -803,6 +805,7 @@ def parse_groundtruth(text: str, schema: Schema):
     clauses: list = []
     worlds: list = []
     current_world = None
+    stream_lines: dict = {}     # stream predicate -> line of its first stream
     proj = projected_schema(schema)
     for lineno, line in _content_lines(text):
         if line.startswith("var "):
@@ -849,6 +852,7 @@ def parse_groundtruth(text: str, schema: Schema):
                 raise ParseError(f"repeated stream {name}({argtext}) in world "
                                  f"{current_world.entity}", lineno)
             current_world.streams.append(stream)
+            stream_lines.setdefault(name, lineno)
         elif line.startswith("fact "):
             if current_world is None:
                 raise ParseError("fact outside a world block", lineno)
@@ -861,6 +865,9 @@ def parse_groundtruth(text: str, schema: Schema):
             raise ParseError(f"bad ground-truth line {line!r}", lineno)
     if current_world is not None:
         raise ParseError("unterminated world block")
+    for name, lineno in stream_lines.items():     # var lines may follow the worlds
+        if name not in variables:
+            raise ParseError(f"stream predicate {name!r} not declared", lineno)
     try:
         return GroundTruthSpec(variables, clauses), worlds
     except ValueError as exc:

@@ -51,26 +51,6 @@ from .logic import (
 )
 
 
-@dataclass
-class RegressionExample:
-    """One gradient-valued training example.
-
-    ``db`` optionally overrides the shared fact base, which is how segment
-    contexts (one snapshot per example) are fitted.
-    """
-
-    target: Atom
-    gradient: float
-    weight: float = 1.0
-    db: Optional[FactBase] = None
-
-    def __post_init__(self):
-        if not self.target.is_ground():
-            raise ValueError(f"example target {self.target} is not ground")
-        if self.gradient != self.gradient or self.gradient in (float("inf"), float("-inf")):
-            raise ValueError("gradient must be finite")
-
-
 @dataclass(frozen=True)
 class NodeTest:
     """Literals appended to the path clause; may introduce fresh variables."""
@@ -129,20 +109,16 @@ class TreeConfig:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_sse(examples: list) -> float:
-    """Weighted sum of squared errors about the weighted mean gradient."""
-    total_w = sum(e.weight for e in examples)
-    if total_w <= 0.0:
+def _sse(gradients: list) -> float:
+    """Sum of squared errors about the mean gradient."""
+    if not gradients:
         return 0.0
-    mean = sum(e.weight * e.gradient for e in examples) / total_w
-    return sum(e.weight * (e.gradient - mean) ** 2 for e in examples)
+    mean = sum(gradients) / len(gradients)
+    return sum((g - mean) ** 2 for g in gradients)
 
 
-def _weighted_mean(examples: list) -> float:
-    total_w = sum(e.weight for e in examples)
-    if total_w <= 0.0:
-        return 0.0
-    return sum(e.weight * e.gradient for e in examples) / total_w
+def _mean(gradients: list) -> float:
+    return sum(gradients) / len(gradients) if gradients else 0.0
 
 
 def _seed(target: Atom) -> dict:
@@ -294,15 +270,10 @@ class RoutingCache:
         return self._held[slot][1]
 
 
-def _root_rows(examples: list, db: Optional[FactBase], cache: RoutingCache) -> list:
-    return [(ex, cache.slot(ex.target, ex.db if ex.db is not None else db),
-             [_seed(ex.target)]) for ex in examples]
-
-
 @dataclass
 class _GrowLeaf:
     created: int
-    rows: list                   # (example, slot, live bindings) triples
+    rows: list                   # (gradient, slot, live bindings) triples
     bound_vars: list
     fresh_used: int
     path_texts: frozenset        # literal texts on the path
@@ -310,7 +281,7 @@ class _GrowLeaf:
     sse: float = field(init=False)
 
     def __post_init__(self):
-        self.sse = _weighted_sse([ex for ex, _, _ in self.rows])
+        self.sse = _sse([g for g, _, _ in self.rows])
 
 
 def _score_candidate(rows: list, test: NodeTest, table: dict, cache: RoutingCache) -> tuple:
@@ -330,35 +301,35 @@ def _score_candidate(rows: list, test: NodeTest, table: dict, cache: RoutingCach
     return yes, no
 
 
-def fit_tree(examples: list, db: FactBase, modes: list,
+def fit_tree(rows: list, gradients: list, modes: list,
              config: Optional[TreeConfig] = None,
              cache: Optional[RoutingCache] = None) -> RegressionTree:
-    """Fit a relational regression tree to gradient-valued examples.
+    """Fit a relational regression tree to ``gradients[i]`` at the i-th
+    (ground target atom, fact base) pair of `rows`.
 
     Growth is greedy best-first under `config`; each leaf's value is the
-    weighted mean gradient of the examples routed to it.  A root with no
-    improving candidate yields a single-leaf tree.  Routings are read from
-    and added to `cache`, a fresh one when None.
+    mean gradient of the rows routed to it.  A root with no improving
+    candidate yields a single-leaf tree.  Routings are read from and added
+    to `cache`, a fresh one when None.
     """
-    if not examples:
+    if not rows:
         raise ValueError("cannot fit a tree to an empty example list")
     config = config or TreeConfig()
     cache = cache if cache is not None else RoutingCache()
-    target = examples[0].target.pred
-    for ex in examples:
-        if ex.target.pred != target:
+    target = rows[0][0].pred
+    for (atom, _), g in zip(rows, gradients):
+        if not atom.is_ground():
+            raise ValueError(f"example target {atom} is not ground")
+        if not math.isfinite(g):
+            raise ValueError("gradient must be finite")
+        if atom.pred != target:
             raise ValueError("examples mix target predicates")
     head_vars = [Variable(f"V{i}") for i in range(target.arity)]
-    dbs = []
-    seen_db_ids = set()
-    for ex in examples:
-        base = ex.db if ex.db is not None else db
-        if base is not None and id(base) not in seen_db_ids:
-            seen_db_ids.add(id(base))
-            dbs.append(base)
+    dbs = list({id(db): db for _, db in rows}.values())    # distinct, first seen first
 
-    root_leaf = _GrowLeaf(0, _root_rows(examples, db, cache), list(head_vars), 0,
-                          frozenset(), ())
+    root_leaf = _GrowLeaf(0, [(g, cache.slot(atom, db), [_seed(atom)])
+                              for (atom, db), g in zip(rows, gradients)],
+                          list(head_vars), 0, frozenset(), ())
     beam = [root_leaf]
     n_created = 1
     n_leaves = 1
@@ -381,8 +352,7 @@ def fit_tree(examples: list, db: FactBase, modes: list,
                 continue
             if len(no) < config.min_examples_per_leaf:
                 continue
-            score = (_weighted_sse([ex for ex, _, _ in yes])
-                     + _weighted_sse([ex for ex, _, _ in no]))
+            score = _sse([g for g, _, _ in yes]) + _sse([g for g, _, _ in no])
             if score >= leaf.sse - 1e-12:
                 continue
             key = (score, text)
@@ -409,7 +379,7 @@ def fit_tree(examples: list, db: FactBase, modes: list,
     def build(leaf_or_root):
         entry = structure.get(id(leaf_or_root))
         if entry is None:
-            return Leaf(_weighted_mean([ex for ex, _, _ in leaf_or_root.rows]))
+            return Leaf(_mean([g for g, _, _ in leaf_or_root.rows]))
         test, yes_leaf, no_leaf = entry
         return Inner(test, build(yes_leaf), build(no_leaf))
 
@@ -462,19 +432,20 @@ def _scaled(root, eta: float):
     return copies[id(root)]
 
 
-def boost_step(regs: list, db: Optional[FactBase], modes: list, tree_config: TreeConfig,
-               rows: list, psis: list, cache: RoutingCache,
-               eta: float = 1.0) -> RegressionTree:
-    """One functional-gradient step of a boosted function.
+def boost_step(rows: list, fit: list, modes: list, tree_config: TreeConfig,
+               psis: list, cache: RoutingCache, eta: float = 1.0) -> RegressionTree:
+    """One functional-gradient step of a boosted function over the
+    (atom, fact base) pairs `rows`.
 
-    Fits a tree to the gradient examples `regs`, scales its leaves by the
-    step size `eta`, and adds the tree's value at the i-th (atom, db) of
-    `rows` to ``psis[i]`` in place.  Leaves are scaled after the fit, never
-    the gradients, so eta = 1 leaves the fitted values exact.  The fit and
-    the routing of `rows` share the run's `cache`, so the rows the fit
-    routed are not grounded again.
+    Fits a tree to the (row index, gradient) pairs of `fit`, in their
+    order, scales its leaves by the step size `eta`, and adds the tree's
+    value at every row i to ``psis[i]`` in place.  Leaves are scaled after
+    the fit, never the gradients, so eta = 1 leaves the fitted values
+    exact.  The fit and the routing of `rows` share the run's `cache`, so
+    the rows the fit routed are not grounded again.
     """
-    fitted = fit_tree(regs, db, modes, tree_config, cache)
+    fitted = fit_tree([rows[i] for i, _ in fit], [g for _, g in fit], modes,
+                      tree_config, cache)
     tree = RegressionTree(fitted.target, _scaled(fitted.root, eta))
     stack = [(tree.root, (), [(i, cache.slot(atom, row_db), [_seed(atom)])
                               for i, (atom, row_db) in enumerate(rows)])]

@@ -31,7 +31,6 @@ from relboost.logic import (
     serialize_facts,
 )
 from relboost.regtree import (
-    RegressionExample,
     TreeConfig,
     fit_tree,
     parse_tree,
@@ -645,8 +644,9 @@ end
     examples = parse_examples(open(paths["pos"]).read(), target, label=1) \
         .merged_with(parse_examples(open(paths["neg"]).read(), target, label=0))
     modes = parse_modes(open(paths["modes"]).read(), schema)
-    regs = [RegressionExample(a, 1.0 if l else -1.0) for a, l in examples.entries]
-    tree = fit_tree(regs, db, modes, TreeConfig(max_leaves=4))
+    tree = fit_tree([(a, db) for a, _ in examples.entries],
+                    [1.0 if l else -1.0 for _, l in examples.entries], modes,
+                    TreeConfig(max_leaves=4))
     ttext = serialize_tree(tree)
     assert serialize_tree(parse_tree(ttext, schema, target)) == ttext
 

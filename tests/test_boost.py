@@ -22,16 +22,15 @@ from relboost.boost import (
     train,
 )
 from relboost.logic import ExampleSet
-from relboost.regtree import RegressionExample
 from tests.conftest import build_linked_domain
 
 
 def gen_soft_examples(examples, model, db, kind) -> list:
-    """Reference gradients: one RegressionExample per entry under the current
-    model, computed from scratch rather than from `train`'s running sums."""
+    """Reference gradients: one per entry under the current model, computed
+    from scratch rather than from `train`'s running sums."""
     if examples.target != model.target:
         raise ValueError("model and example targets differ")
-    return [RegressionExample(atom, _gradient(kind, label, sigmoid_prob(model.psi(atom, db))))
+    return [_gradient(kind, label, sigmoid_prob(model.psi(atom, db)))
             for atom, label in examples.entries]
 
 
@@ -156,20 +155,20 @@ class TestGenSoftExamples:
         pos = ExampleSet(examples.target,
                          [(a, l) for a, l in examples.entries if l == 1])
         model = BoostedModel(examples.target, 0.0, [], Hard())
-        regs = gen_soft_examples(pos, model, db, Hard())
-        assert all(r.gradient == pytest.approx(0.5) for r in regs)
+        grads = gen_soft_examples(pos, model, db, Hard())
+        assert all(g == pytest.approx(0.5) for g in grads)
 
     def test_soft_matches_scalar_recomputation(self, linked_domain):
         schema, db, modes, examples = linked_domain
         kind = Soft(0.0, -2.0)
         config = BoostConfig(iterations=2, rng_seed=4)
         model = train(examples, db, modes, config, kind)
-        regs = gen_soft_examples(examples, model, db, kind)
-        for reg, (atom, label) in zip(regs, examples.entries):
+        grads = gen_soft_examples(examples, model, db, kind)
+        for grad, (atom, label) in zip(grads, examples.entries):
             p = sigmoid_prob(model.psi(atom, db))
             lam = 1.0 / (p + (1.0 - p) * math.exp(0.0)) if label == 1 \
                 else 1.0 / (p + (1.0 - p) * math.exp(2.0))
-            assert reg.gradient == pytest.approx((1.0 if label else 0.0) - lam * p,
+            assert grad == pytest.approx((1.0 if label else 0.0) - lam * p,
                                                  rel=1e-12)
 
 

@@ -2,6 +2,7 @@
 
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +185,16 @@ class TestEvalAndMetrics:
         assert keys == {"accuracy", "auc_roc", "f_delta", "fnr", "fpr",
                         "negatives", "positives", "precision", "recall",
                         "threshold", "weighted_auc_roc"}
+
+    def test_rfgb_eval_without_facts_reads_an_empty_base(self, bundle):
+        out = str(bundle["dir"] / "model.txt")
+        assert main(_train_args(bundle, out, ["--iters", "2"])) == 0
+        report = str(bundle["dir"] / "report.txt")
+        assert main(["eval", "--model", out, "--schema", bundle["schema"],
+                     "--pos", bundle["pos"], "--neg", bundle["neg"],
+                     "--report", report]) == 0
+        # with no facts every example takes the same branches: one score
+        assert "auc_roc=0.5\n" in open(report).read()
 
     def test_non_finite_delta_is_config_error(self, bundle, capsys):
         out = str(bundle["dir"] / "model.txt")
@@ -458,6 +469,23 @@ class TestHybridAndTemporalPaths:
         assert set(values_out) == {"mse", "mean_loglik", "examples"}
         assert float(values_out["mean_loglik"]) > -3.0
 
+    def test_hybrid_train_and_eval_without_facts(self, tmp_path):
+        schema = _write(tmp_path / "schema.txt",
+                        "predicate: sick/1 boolean.\npredicate: visits/1 count.\n")
+        ex_p = _write(tmp_path / "values.txt", "visits(e0)=1.\nvisits(e1)=3.\nvisits(e2)=0.\n")
+        modes_p = _write(tmp_path / "modes.txt", "mode: sick(+).\n")
+        out = str(tmp_path / "model.txt")
+        assert main(["train", "--kind", "hybrid", "--schema", schema, "--examples", ex_p,
+                     "--modes", modes_p, "--target", "visits", "--iters", "3",
+                     "--out", out]) == 0
+        text = open(out).read()
+        assert text.startswith("model hybrid target=visits/1 kind=poisson")
+        assert "node" not in text       # no sick/1 facts, so no test splits
+        report = str(tmp_path / "report.txt")
+        assert main(["eval", "--model", out, "--schema", schema, "--examples", ex_p,
+                     "--report", report]) == 0
+        assert "examples=3\n" in open(report).read()
+
     @pytest.mark.parametrize("decl,example,message", [
         ("visits/1 count", f"visits(a)={10 ** 400}.",
          "line 3: visits expects a count of at most 2**53"),
@@ -510,6 +538,24 @@ horizon=4.0
                      "--traj", traj, "--modes", modes, "--target", "angio",
                      "--iters", "10", "--out", out]) == 0
         assert "target=angio_count/1 kind=poisson" in open(out).read()
+
+    def test_hybrid_train_from_the_demo_sample(self, tmp_path):
+        # the demo's worlds hold a parent's cvd stream beside the index
+        # entity's; it is context, aggregated into cvd_ind
+        demo = Path(__file__).resolve().parent.parent / "demo"
+        schema = str(demo / "schema.txt")
+        traj, facts = str(tmp_path / "train.txt"), str(tmp_path / "facts.txt")
+        assert main(["sample", "--spec", str(demo / "groundtruth.txt"), "--schema", schema,
+                     "--horizon", "8.0", "--seed", "7", "--out", traj,
+                     "--out-facts", facts]) == 0
+        assert "cvd(d01)" in open(traj).read()
+        modes = _write(tmp_path / "modes.txt", "mode: parentOf(-,+).\nmode: cvd_ind(+).\n"
+                       "mode: checkup_ind(+).\n")
+        out = str(tmp_path / "model.txt")
+        assert main(["train", "--kind", "hybrid", "--schema", schema, "--facts", facts,
+                     "--traj", traj, "--modes", modes, "--target", "cvd", "--iters", "5",
+                     "--out", out]) == 0
+        assert open(out).read().startswith("model hybrid target=cvd_count/1 kind=poisson")
 
     def test_rctbn_train_and_eval(self, tmp_path):
         schema_text = ("predicate: cvd/2 boolean temporal.\n"

@@ -459,6 +459,31 @@ predicate: bp/2 continuous temporal.
         db, _ = aggregate_trajectories(trajs, agg_schema, "angio", "count", "min")
         assert db.lookup("bp_min", (Constant("p2"),)) == pytest.approx(90.0)
 
+    @pytest.mark.parametrize("bool_agg,name,values", [
+        ("indicator", "angio_ind", (True, None)),
+        ("count", "angio_cnt", (1, 0)),
+    ])
+    def test_other_entities_target_streams_are_context(self, agg_schema, bool_agg,
+                                                       name, values):
+        # d1's angio stream in p1's block aggregates like any boolean stream,
+        # over p1's window (up to t=3.0), and is not p1's target
+        from relboost.rctbn import parse_trajectories
+        trajs = parse_trajectories("""
+traj p1
+t=0.0 angio(p1)=false
+t=0.0 angio(d1)=false
+t=0.0 angio(d2)=false
+t=1.0 angio(d1)=true
+t=3.0 angio(p1)=true
+t=4.0 angio(d2)=true
+horizon=5.0
+""", agg_schema)
+        db, examples = aggregate_trajectories(trajs, agg_schema, "angio", bool_agg, "mean")
+        assert [(a.args[0].symbol, v) for a, v in examples.entries] == [("p1", 1)]
+        assert (db.lookup(name, (Constant("d1"),)), db.lookup(name, (Constant("d2"),))) \
+            == values
+        assert db.lookup(name, (Constant("p1"),)) is None
+
     def test_bad_aggregator_rejected(self, agg_schema):
         with pytest.raises(ValueError):
             aggregate_trajectories([], agg_schema, "angio", "sum", "mean")

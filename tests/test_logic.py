@@ -31,7 +31,7 @@ from relboost.logic import (
     serialize_schema,
     solutions,
 )
-from relboost.regtree import RegressionExample, TreeConfig, fit_tree
+from relboost.regtree import TreeConfig, fit_tree
 from tests.conftest import build_linked_domain
 
 
@@ -477,9 +477,9 @@ class TestQueriesLeaveFactBaseUnchanged:
         body = parse_literal_list("knows(X,Y), flag(Y)", schema)
         assert list(solutions(body, {}, db))
         assert satisfies(parse_literal_list("shade(X)", schema), {}, db)
-        regs = [RegressionExample(atom, 1.0 if label else -1.0)
-                for atom, label in examples.entries]
-        fit_tree(regs, db, modes, TreeConfig(max_leaves=4))
+        fit_tree([(atom, db) for atom, _ in examples.entries],
+                 [1.0 if label else -1.0 for _, label in examples.entries], modes,
+                 TreeConfig(max_leaves=4))
         assert pickle.dumps(db) == before
 
 

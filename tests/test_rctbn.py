@@ -786,6 +786,22 @@ end
             parse_groundtruth(text, schema)
         assert info.value.line == 5
 
+    @pytest.mark.parametrize("var_after_worlds", [False, True])
+    def test_undeclared_stream_is_parse_error_at_its_line(self, schema, var_after_worlds):
+        # var lines may follow the world blocks, so only the whole file
+        # tells a stream's predicate undeclared
+        var = "var cvd init=[1.0, 0.0]\n"
+        text = ((var if not var_after_worlds else "")
+                + "clause cvd cim=[[-1.0, 1.0], [0.0, 0.0]]\n"
+                "world p1\nstream cvd(p1)\nend\n"
+                "world p2\nstream cvd(p2)\nstream checkup(p2)\nstream checkup(p3)\nend\n"
+                + (var if var_after_worlds else ""))
+        with pytest.raises(ParseError, match="stream predicate 'checkup' not declared") as info:
+            parse_groundtruth(text, schema)
+        assert info.value.line == (8 if not var_after_worlds else 7)
+        spec, worlds = parse_groundtruth(text + "var checkup init=[0.5, 0.5]\n", schema)
+        assert sorted(spec.variables) == ["checkup", "cvd"] and len(worlds) == 2
+
     def test_clause_head_must_be_declared(self, schema):
         with pytest.raises(Exception, match="not a declared variable"):
             parse_groundtruth("clause cvd cim=[[-1.0, 1.0], [0.0, 0.0]]", schema)

@@ -19,13 +19,11 @@ from relboost.regtree import (
     Inner,
     Leaf,
     NodeTest,
-    RegressionExample,
     RegressionTree,
     RoutingCache,
     TreeConfig,
-    _root_rows,
     _score_candidate,
-    _weighted_sse,
+    _sse,
     boost_step,
     enumerate_tests,
     evaluate,
@@ -38,17 +36,19 @@ from relboost import boost, hybrid
 from tests.conftest import build_hybrid_domain, build_linked_domain
 
 
-def score_split(parent_examples: list, test: NodeTest, db) -> float:
-    """Score of splitting the examples by `test` as if at the tree root.
+def score_split(rows: list, gradients: list, test: NodeTest) -> float:
+    """Score of splitting the (atom, db) rows with their gradients by `test`
+    as if at the tree root.
 
-    The score is the summed weighted SSE of the two children about their
-    means; lower is better, and splitting a pure node cannot improve on the
-    parent SSE.  Routing is the fit's own (`_score_candidate`).
+    The score is the summed SSE of the two children about their means;
+    lower is better, and splitting a pure node cannot improve on the parent
+    SSE.  Routing is the fit's own (`_score_candidate`).
     """
     cache = RoutingCache()
-    yes, no = _score_candidate(_root_rows(parent_examples, db, cache), test,
-                               cache.table((), test.text()), cache)
-    return _weighted_sse([ex for ex, _, _ in yes]) + _weighted_sse([ex for ex, _, _ in no])
+    root = [(g, cache.slot(atom, db), [regtree._seed(atom)])
+            for (atom, db), g in zip(rows, gradients)]
+    yes, no = _score_candidate(root, test, cache.table((), test.text()), cache)
+    return _sse([g for g, _, _ in yes]) + _sse([g for g, _, _ in no])
 
 
 def _atoms(target, names):
@@ -71,17 +71,16 @@ class TestFitTree:
     def test_constant_gradients_single_leaf(self, tiny_domain):
         schema, db, modes = tiny_domain
         target = schema.get("target")
-        regs = [RegressionExample(a, 0.73) for a in _atoms(target, "abcd")]
-        tree = fit_tree(regs, db, modes, TreeConfig())
+        rows = [(a, db) for a in _atoms(target, "abcd")]
+        tree = fit_tree(rows, [0.73] * len(rows), modes, TreeConfig())
         assert isinstance(tree.root, Leaf)
         assert tree.root.value == pytest.approx(0.73)
 
     def test_two_examples_one_literal_split(self, tiny_domain):
         schema, db, modes = tiny_domain
         target = schema.get("target")
-        regs = [RegressionExample(Atom(target, (Constant("a"),)), 1.0),
-                RegressionExample(Atom(target, (Constant("c"),)), -1.0)]
-        tree = fit_tree(regs, db, modes, TreeConfig())
+        rows = [(Atom(target, (Constant("a"),)), db), (Atom(target, (Constant("c"),)), db)]
+        tree = fit_tree(rows, [1.0, -1.0], modes, TreeConfig())
         assert isinstance(tree.root, Inner)
         values = {tree.root.yes.value, tree.root.no.value}
         assert values == {1.0, -1.0}
@@ -90,29 +89,48 @@ class TestFitTree:
     def test_root_matches_bruteforce_single_literal(self, linked_domain):
         schema, db, modes, examples = linked_domain
         target = schema.get("target")
-        regs = [RegressionExample(a, 1.0 if l else -1.0)
-                for a, l in examples.entries]
+        rows = [(a, db) for a, _ in examples.entries]
+        grads = [1.0 if l else -1.0 for _, l in examples.entries]
         config = TreeConfig(max_leaves=2, max_new_literals_per_node=2)
-        tree = fit_tree(regs, db, modes, config)
+        tree = fit_tree(rows, grads, modes, config)
         # oracle: score every candidate test at the root independently
         cands = enumerate_tests([Variable("V0")], 1, modes, [db], config,
                                 frozenset())
-        best = min(cands, key=lambda t: (score_split(regs, t, db), t.text()))
+        best = min(cands, key=lambda t: (score_split(rows, grads, t), t.text()))
         assert isinstance(tree.root, Inner)
         assert tree.root.test.text() == best.text()
 
     def test_empty_examples_error(self, tiny_domain):
         schema, db, modes = tiny_domain
         with pytest.raises(ValueError, match="empty"):
-            fit_tree([], db, modes, TreeConfig())
+            fit_tree([], [], modes, TreeConfig())
+
+    @pytest.mark.parametrize("case,message", [
+        ("nan", "gradient must be finite"),
+        ("inf", "gradient must be finite"),
+        ("variable", "is not ground"),
+        ("mixed", "mix target predicates"),
+    ])
+    def test_bad_rows_are_rejected(self, tiny_domain, case, message):
+        schema, db, modes = tiny_domain
+        rows = [(a, db) for a in _atoms(schema.get("target"), "abcd")]
+        grads = [1.0, -1.0, 0.5, -0.5]
+        if case in ("nan", "inf"):
+            grads[2] = float(case)
+        elif case == "variable":
+            rows[2] = (Atom(schema.get("target"), (Variable("X"),)), db)
+        else:
+            rows[2] = (Atom(schema.get("hot"), (Constant("c"),)), db)
+        with pytest.raises(ValueError, match=message):
+            fit_tree(rows, grads, modes, TreeConfig())
 
     def test_leaf_values_are_weighted_means(self, linked_domain):
         schema, db, modes, examples = linked_domain
         target = schema.get("target")
         rng = random.Random(9)
-        regs = [RegressionExample(a, rng.uniform(-1, 1), weight=rng.uniform(0.5, 2))
-                for a, _ in examples.entries]
-        tree = fit_tree(regs, db, modes, TreeConfig(max_leaves=4))
+        grads = [rng.uniform(-1, 1) for _ in examples.entries]
+        tree = fit_tree([(a, db) for a, _ in examples.entries], grads, modes,
+                        TreeConfig(max_leaves=4))
 
         def leaf_of(example):
             node = tree.root
@@ -135,25 +153,24 @@ class TestFitTree:
 
         # group examples by leaf via evaluate and recompute the mean
         groups = {}
-        for ex in regs:
-            value = evaluate(tree, ex.target, db)
-            groups.setdefault(value, []).append(ex)
+        for (a, _), g in zip(examples.entries, grads):
+            value = evaluate(tree, a, db)
+            groups.setdefault(value, []).append(g)
         for value, members in groups.items():
-            total_w = sum(e.weight for e in members)
-            mean = sum(e.weight * e.gradient for e in members) / total_w
+            mean = sum(members) / len(members)
             assert value == pytest.approx(mean, abs=1e-12)
 
     def test_more_leaves_never_increase_sse(self, linked_domain):
         schema, db, modes, examples = linked_domain
         rng = random.Random(3)
-        regs = [RegressionExample(a, rng.uniform(-1, 1))
-                for a, _ in examples.entries]
+        rows = [(a, db) for a, _ in examples.entries]
+        grads = [rng.uniform(-1, 1) for _ in rows]
 
         def training_sse(tree):
-            return sum((ex.gradient - evaluate(tree, ex.target, db)) ** 2
-                       for ex in regs)
+            return sum((g - evaluate(tree, a, db)) ** 2
+                       for (a, _), g in zip(rows, grads))
 
-        sses = [training_sse(fit_tree(regs, db, modes, TreeConfig(max_leaves=L)))
+        sses = [training_sse(fit_tree(rows, grads, modes, TreeConfig(max_leaves=L)))
                 for L in (2, 4, 8)]
         assert sses[0] >= sses[1] - 1e-12
         assert sses[1] >= sses[2] - 1e-12
@@ -163,19 +180,18 @@ class TestScoreSplit:
     def test_uniform_gradients_no_improvement(self, tiny_domain):
         schema, db, modes = tiny_domain
         target = schema.get("target")
-        regs = [RegressionExample(a, 0.4) for a in _atoms(target, "abcd")]
+        rows = [(a, db) for a in _atoms(target, "abcd")]
         test = NodeTest(tuple(parse_literal_list("hot(V0)", schema)))
         parent = 0.0
-        assert score_split(regs, test, db) == pytest.approx(parent, abs=1e-12)
+        assert score_split(rows, [0.4] * len(rows), test) == pytest.approx(parent, abs=1e-12)
 
     def test_perfect_separator_zero_sse(self, tiny_domain):
         schema, db, modes = tiny_domain
         target = schema.get("target")
-        regs = [RegressionExample(Atom(target, (Constant(c),)),
-                                  1.0 if c in "ab" else -1.0)
-                for c in "abcd"]
+        rows = [(Atom(target, (Constant(c),)), db) for c in "abcd"]
+        grads = [1.0 if c in "ab" else -1.0 for c in "abcd"]
         test = NodeTest(tuple(parse_literal_list("hot(V0)", schema)))
-        assert score_split(regs, test, db) == pytest.approx(0.0, abs=1e-12)
+        assert score_split(rows, grads, test) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_independent_sse_recomputation(self, linked_domain):
         schema, db, modes, examples = linked_domain
@@ -184,18 +200,19 @@ class TestScoreSplit:
         test = NodeTest(tuple(parse_literal_list("knows(V0,V1), flag(V1)", schema)))
         for _ in range(5):
             sample = rng.sample(examples.entries, 20)
-            regs = [RegressionExample(a, rng.gauss(0, 1)) for a, _ in sample]
-            got = score_split(regs, test, db)
+            rows = [(a, db) for a, _ in sample]
+            grads = [rng.gauss(0, 1) for _ in sample]
+            got = score_split(rows, grads, test)
             yes, no = [], []
-            for ex in regs:
-                seed = {Variable("V0"): ex.target.args[0]}
-                (yes if satisfies(test.literals, seed, db) else no).append(ex)
+            for (a, _), g in zip(rows, grads):
+                seed = {Variable("V0"): a.args[0]}
+                (yes if satisfies(test.literals, seed, db) else no).append(g)
 
             def sse(group):
                 if not group:
                     return 0.0
-                mean = sum(e.gradient for e in group) / len(group)
-                return sum((e.gradient - mean) ** 2 for e in group)
+                mean = sum(group) / len(group)
+                return sum((g - mean) ** 2 for g in group)
 
             assert got == pytest.approx(sse(yes) + sse(no), rel=1e-12)
 
@@ -232,9 +249,9 @@ class TestEvaluate:
 
     def test_pure_function(self, linked_domain):
         schema, db, modes, examples = linked_domain
-        regs = [RegressionExample(a, 1.0 if l else -1.0)
-                for a, l in examples.entries]
-        tree = fit_tree(regs, db, modes, TreeConfig(max_leaves=4))
+        tree = fit_tree([(a, db) for a, _ in examples.entries],
+                        [1.0 if l else -1.0 for _, l in examples.entries], modes,
+                        TreeConfig(max_leaves=4))
         for a, _ in examples.entries[:6]:
             first = evaluate(tree, a, db)
             assert all(evaluate(tree, a, db) == first for _ in range(3))
@@ -242,20 +259,20 @@ class TestEvaluate:
 
 def _greedy_oracle(regs, db, modes, config, schema):
     """Independent reimplementation of greedy best-first growth for tiny
-    inputs: same scoring arithmetic, brute-force candidate scan."""
+    inputs of (atom, gradient) pairs: same scoring arithmetic, brute-force
+    candidate scan."""
     from relboost.logic import satisfies
 
     def sse(group):
         if not group:
             return 0.0
-        w = sum(e.weight for e in group)
-        mean = sum(e.weight * e.gradient for e in group) / w
-        return sum(e.weight * (e.gradient - mean) ** 2 for e in group)
+        mean = sum(g for _, g in group) / len(group)
+        return sum((g - mean) ** 2 for _, g in group)
 
     def route(group, path_lits, test):
         yes, no = [], []
         for ex in group:
-            seed = {Variable("V0"): ex.target.args[0]}
+            seed = {Variable("V0"): ex[0].args[0]}
             if satisfies(path_lits + list(test.literals), seed, db):
                 yes.append(ex)
             else:
@@ -311,8 +328,7 @@ def _greedy_oracle(regs, db, modes, config, schema):
         entry = structure.get(leaf_id)
         if entry is None:
             leaf = leaf_by_id[leaf_id]
-            w = sum(e.weight for e in leaf["examples"])
-            mean = sum(e.weight * e.gradient for e in leaf["examples"]) / w
+            mean = sum(g for _, g in leaf["examples"]) / len(leaf["examples"])
             return ("leaf", round(mean, 12))
         text, yes_leaf, no_leaf = entry
         return ("node", text,
@@ -354,12 +370,11 @@ predicate: r/2 boolean.
                     lines[f"r({c},{other})"] = f"r({c},{other})."
             db = parse_facts("\n".join(lines[k] for k in sorted(lines)), schema)
             n = rng.randint(2, 6)
-            regs = [RegressionExample(Atom(target, (Constant(c),)),
-                                      rng.choice([-1.0, -0.25, 0.25, 1.0]))
+            regs = [(Atom(target, (Constant(c),)), rng.choice([-1.0, -0.25, 0.25, 1.0]))
                     for c in consts[:n]]
             config = TreeConfig(max_leaves=rng.choice([2, 3, 4]),
                                 max_new_literals_per_node=1)
-            tree = fit_tree(regs, db, modes, config)
+            tree = fit_tree([(a, db) for a, _ in regs], [g for _, g in regs], modes, config)
             assert _describe_tree(tree.root) == _greedy_oracle(
                 regs, db, modes, config, schema)
 
@@ -377,9 +392,9 @@ def _count_groundings(monkeypatch) -> list:
 
 
 def _two_relation_domain():
-    """(db, modes, atoms, gradient examples of a relation) of entities
-    linked to people by knows/2 and likes/2; a relation's gradients say
-    whether the person it links to is flagged."""
+    """(db, modes, atoms, gradients of a relation) of entities linked to
+    people by knows/2 and likes/2; a relation's gradients, one per atom,
+    say whether the person it links to is flagged."""
     schema = parse_schema("predicate: target/1 boolean.\npredicate: knows/2 boolean.\n"
                           "predicate: likes/2 boolean.\npredicate: flag/1 boolean.\n")
     modes = parse_modes("mode: knows(+,-).\nmode: likes(+,-).\nmode: flag(+).", schema)
@@ -396,9 +411,8 @@ def _two_relation_domain():
                      schema)
 
     def regs_for(rel):
-        return [RegressionExample(a, rng.uniform(-0.1, 0.1)
-                                  + (1.0 if friends[rel].get(i) in flagged else -1.0))
-                for i, a in enumerate(atoms)]
+        return [rng.uniform(-0.1, 0.1) + (1.0 if friends[rel].get(i) in flagged else -1.0)
+                for i in range(len(atoms))]
     return db, modes, atoms, regs_for
 
 
@@ -406,36 +420,37 @@ class TestRoutingCache:
     def test_refit_with_one_cache_grounds_nothing(self, linked_domain, monkeypatch):
         schema, db, modes, examples = linked_domain
         rng = random.Random(17)
-        regs = [RegressionExample(a, rng.uniform(-1, 1)) for a, _ in examples.entries]
+        rows = [(a, db) for a, _ in examples.entries]
+        grads = [rng.uniform(-1, 1) for _ in rows]
         config = TreeConfig(max_leaves=6)
-        uncached = serialize_tree(fit_tree(regs, db, modes, config))
+        uncached = serialize_tree(fit_tree(rows, grads, modes, config))
         cache = RoutingCache()
         calls = _count_groundings(monkeypatch)
-        first = fit_tree(regs, db, modes, config, cache)
+        first = fit_tree(rows, grads, modes, config, cache)
         assert calls and first.leaf_count() > 2
         calls.clear()
-        second = fit_tree(regs, db, modes, config, cache)
+        second = fit_tree(rows, grads, modes, config, cache)
         assert calls == []
         assert serialize_tree(first) == serialize_tree(second) == uncached
 
     def test_score_split_agrees_with_the_fits_routing(self, linked_domain, monkeypatch):
         schema, db, modes, examples = linked_domain
         rng = random.Random(23)
-        regs = [RegressionExample(a, rng.uniform(-1, 1), weight=rng.uniform(0.5, 2))
-                for a, _ in examples.entries]
+        pairs = [(a, db) for a, _ in examples.entries]
+        grads = [rng.uniform(-1, 1) for _ in pairs]
         config = TreeConfig(max_leaves=4)
         cache = RoutingCache()
-        fit_tree(regs, db, modes, config, cache)
+        fit_tree(pairs, grads, modes, config, cache)
         candidates = enumerate_tests([Variable("V0")], 1, modes, [db], config, frozenset())
-        fresh = [score_split(regs, test, db) for test in candidates]
+        fresh = [score_split(pairs, grads, test) for test in candidates]
         calls = _count_groundings(monkeypatch)
         # the fit routed every example by every root candidate: all are hits,
         # so the bindings slot of a row is never read
-        rows = [(ex, cache.slot(ex.target, db), None) for ex in regs]
+        rows = [(g, cache.slot(a, db), None) for (a, _), g in zip(pairs, grads)]
         for test, expected in zip(candidates, fresh):
             yes, no = _score_candidate(rows, test, cache.table((), test.text()), cache)
-            assert (_weighted_sse([ex for ex, _, _ in yes])
-                    + _weighted_sse([ex for ex, _, _ in no])) == expected
+            assert (_sse([g for g, _, _ in yes])
+                    + _sse([g for g, _, _ in no])) == expected
         assert calls == []
 
     def test_one_test_text_under_different_yes_paths(self):
@@ -448,9 +463,9 @@ class TestRoutingCache:
         psis = [0.0] * len(atoms)
         trees = []
         for rel in ("knows", "likes", "knows", "likes"):
-            regs = regs_for(rel)
-            tree = boost_step(regs, db, modes, config, rows, psis, cache)
-            assert serialize_tree(tree) == serialize_tree(fit_tree(regs, db, modes, config))
+            grads = regs_for(rel)
+            tree = boost_step(rows, list(enumerate(grads)), modes, config, psis, cache)
+            assert serialize_tree(tree) == serialize_tree(fit_tree(rows, grads, modes, config))
             assert serialize_tree(tree).startswith(f'node 0 test "{rel}(V0,V1)" yes=1')
             assert '"flag(V1)"' in serialize_tree(tree)
             trees.append(tree)
@@ -461,11 +476,11 @@ class TestRoutingCache:
         schema, db, modes, examples = linked_domain
         rng = random.Random(29)
         atoms = [a for a, _ in examples.entries]
-        regs = [RegressionExample(a, rng.uniform(-1, 1)) for a in atoms[::2]]
+        fit = [(i, rng.uniform(-1, 1)) for i in range(0, len(atoms), 2)]
         psis = [0.25] * len(atoms)
         cache = RoutingCache()
-        tree = boost_step(regs, db, modes, TreeConfig(max_leaves=6),
-                          [(a, db) for a in atoms], psis, cache, 0.5)
+        tree = boost_step([(a, db) for a in atoms], fit, modes, TreeConfig(max_leaves=6),
+                          psis, cache, 0.5)
         assert any(isinstance(node, Inner) for node in (tree.root.yes, tree.root.no))
         assert psis == [0.25 + evaluate(tree, a, db) for a in atoms]
 
@@ -492,7 +507,8 @@ def routed_models():
     below knows(V0,V1) and below likes(V0,V1)."""
     db, modes, atoms, regs_for = _two_relation_domain()
     config = TreeConfig(max_leaves=4, max_new_literals_per_node=1)
-    out = [([fit_tree(regs_for(rel), db, modes, config) for rel in ("knows", "likes")],
+    rows = [(a, db) for a in atoms]
+    out = [([fit_tree(rows, regs_for(rel), modes, config) for rel in ("knows", "likes")],
              atoms, db)]
     _, db, modes, examples = build_linked_domain(15, 45, seed=41, feature_rate_pos=0.8,
                                                  feature_rate_neg=0.15)
@@ -558,8 +574,9 @@ class TestSerialization:
     def test_bit_exact_roundtrip(self, linked_domain):
         schema, db, modes, examples = linked_domain
         rng = random.Random(11)
-        regs = [RegressionExample(a, rng.gauss(0, 1)) for a, _ in examples.entries]
-        tree = fit_tree(regs, db, modes, TreeConfig(max_leaves=6))
+        tree = fit_tree([(a, db) for a, _ in examples.entries],
+                        [rng.gauss(0, 1) for _ in examples.entries], modes,
+                        TreeConfig(max_leaves=6))
         text = serialize_tree(tree)
         again = parse_tree(text, schema, tree.target)
         assert serialize_tree(again) == text
