@@ -7,6 +7,13 @@ log-rate function for Poisson counts, and a mean plus a directly modeled
 standard deviation for Gaussian targets.  Gradient steps fit one tree per
 function per iteration; the step size eta multiplies leaf contributions.
 
+The distribution is the target's schema value kind and nothing else:
+``multiclass(K)`` is multinomial over K classes, ``count`` is Poisson and
+``continuous`` is Gaussian; boolean targets belong to the rfgb learner.  A
+model file's header repeats it as ``kind=multinomial:K``, ``kind=poisson``
+or ``kind=gaussian``, and a header whose token is not the one the schema
+implies is a ParseError at line 1.
+
 For mixed boolean-numeric parents the prediction is (log-)linear in the
 continuous parent values with tree-valued coefficients over the discrete
 context; see :class:`MixedParentModel`.
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .logic import Atom, Constant, ExampleSet, FactBase, ParseError, PredicateSignature, Schema
 from .regtree import (
@@ -28,35 +35,9 @@ from .regtree import (
     trees_value,
     write_model,
 )
+from .util import _clamped_exp
 
-EXP_CLAMP = 40.0
 SIGMA_FLOOR = 1e-3
-
-
-@dataclass(frozen=True)
-class Multinomial:
-    classes: int
-
-    def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("multinomial needs K >= 2")
-
-
-@dataclass(frozen=True)
-class Poisson:
-    pass
-
-
-@dataclass(frozen=True)
-class Gaussian:
-    pass
-
-
-DistributionKind = Union[Multinomial, Poisson, Gaussian]
-
-
-def _clamped_exp(x: float) -> float:
-    return math.exp(min(max(x, -EXP_CLAMP), EXP_CLAMP))
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +143,19 @@ class HybridConfig:
             raise ValueError("sigma0 below floor")
 
 
+def _numeric_kind(target: PredicateSignature) -> str:
+    """The target's value kind: "multiclass", "count" or "continuous"."""
+    if target.kind == "boolean":
+        raise ValueError(f"{target.name} is boolean; use the rfgb learner")
+    return target.kind
+
+
+def _eta(config: HybridConfig, kind: str) -> float:
+    """The step size of the first function fitted for a value kind."""
+    return {"multiclass": config.eta_multinomial, "count": config.eta_poisson,
+            "continuous": config.eta_mu}[kind]
+
+
 @dataclass
 class HybridModel:
     """Per-function tree lists for one target predicate.
@@ -172,28 +166,35 @@ class HybridModel:
     """
 
     target: PredicateSignature
-    kind: DistributionKind
+    # always target.kind; kept as the second field because callers build
+    # models by position, e.g. a copy with every tree removed
+    kind: str
     functions: dict
     eta: float
     sigma0: float = 1.0
+
+    def __post_init__(self):
+        if self.kind != _numeric_kind(self.target):
+            raise ValueError(f"model kind {self.kind!r} is not {self.target.name}'s "
+                             f"value kind {self.target.kind!r}")
 
     def _psi(self, key: str, atom: Atom, db: FactBase,
              cache: Optional[RoutingCache] = None) -> float:
         return trees_value(self.functions[key], atom, db, cache)
 
     def class_probs(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> list:
-        if not isinstance(self.kind, Multinomial):
+        if self.kind != "multiclass":
             raise ValueError("not a multinomial model")
-        psis = [self._psi(f"class={k}", atom, db, cache) for k in range(self.kind.classes)]
+        psis = [self._psi(f"class={k}", atom, db, cache) for k in range(self.target.classes)]
         return multinomial_prob(psis)
 
     def rate(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> float:
-        if not isinstance(self.kind, Poisson):
+        if self.kind != "count":
             raise ValueError("not a Poisson model")
         return _clamped_exp(self._psi("rate", atom, db, cache))
 
     def mu_sigma(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> tuple:
-        if not isinstance(self.kind, Gaussian):
+        if self.kind != "continuous":
             raise ValueError("not a Gaussian model")
         mu = self._psi("mu", atom, db, cache)
         sigma = max(SIGMA_FLOOR, self.sigma0 + self._psi("sigma", atom, db, cache))
@@ -202,36 +203,26 @@ class HybridModel:
     def prob_of_truth(self, atom: Atom, value, db: FactBase,
                       cache: Optional[RoutingCache] = None) -> float:
         """Probability (density for Gaussian) of the observed value."""
-        if isinstance(self.kind, Multinomial):
+        if self.kind == "multiclass":
             return self.class_probs(atom, db, cache)[value]
-        if isinstance(self.kind, Poisson):
+        if self.kind == "count":
             lam = self.rate(atom, db, cache)
             return math.exp(value * math.log(lam) - lam - math.lgamma(value + 1))
         mu, sigma = self.mu_sigma(atom, db, cache)
         return math.exp(gaussian_ll(value, mu, sigma))
 
 
-def kind_for(target: PredicateSignature) -> DistributionKind:
+def _function_keys(target: PredicateSignature) -> list:
     if target.kind == "multiclass":
-        return Multinomial(target.classes)
-    if target.kind == "count":
-        return Poisson()
-    if target.kind == "continuous":
-        return Gaussian()
-    raise ValueError(f"{target.name} is boolean; use the rfgb learner")
+        return [f"class={k}" for k in range(target.classes)]
+    return ["rate"] if target.kind == "count" else ["mu", "sigma"]
 
 
-def _function_keys(kind: DistributionKind) -> list:
-    if isinstance(kind, Multinomial):
-        return [f"class={k}" for k in range(kind.classes)]
-    return ["rate"] if isinstance(kind, Poisson) else ["mu", "sigma"]
-
-
-def _loglik(kind: DistributionKind, values: list, psis: dict) -> float:
-    if isinstance(kind, Multinomial):
-        cols = [psis[key] for key in _function_keys(kind)]
+def _loglik(target: PredicateSignature, values: list, psis: dict) -> float:
+    if target.kind == "multiclass":
+        cols = [psis[key] for key in _function_keys(target)]
         return sum(multinomial_ll(y, [c[i] for c in cols]) for i, y in enumerate(values))
-    if isinstance(kind, Poisson):
+    if target.kind == "count":
         return sum(poisson_ll(y, psi) for y, psi in zip(values, psis["rate"]))
     return sum(gaussian_ll(y, mu, sigma)
                for y, mu, sigma in zip(values, psis["mu"], psis["sigma"]))
@@ -246,16 +237,14 @@ def train_hybrid(examples: ExampleSet, db: FactBase, modes: list,
     target = examples.target
     if not examples.entries:
         raise ValueError(f"no examples for target {target.name}")
-    kind = kind_for(target)
+    kind = _numeric_kind(target)
     atoms = [a for a, _ in examples.entries]
     values = [v for _, v in examples.entries]
     rows = [(a, db) for a in atoms]
-    eta = {Multinomial: config.eta_multinomial, Poisson: config.eta_poisson,
-           Gaussian: config.eta_mu}[type(kind)]
-    model = HybridModel(target, kind, {key: [] for key in _function_keys(kind)}, eta,
-                        config.sigma0)
+    model = HybridModel(target, kind, {key: [] for key in _function_keys(target)},
+                        _eta(config, kind), config.sigma0)
     psis = {key: [0.0] * len(atoms) for key in model.functions}
-    if isinstance(kind, Gaussian):
+    if kind == "continuous":
         psis["sigma"] = [config.sigma0] * len(atoms)
     cache = RoutingCache()      # the target's functions route the same rows
 
@@ -265,13 +254,13 @@ def train_hybrid(examples: ExampleSet, db: FactBase, modes: list,
 
     try:
         for m in range(config.iterations):
-            if isinstance(kind, Multinomial):
-                keys = _function_keys(kind)
+            if kind == "multiclass":
+                keys = _function_keys(target)
                 grads = [multinomial_gradient(y, multinomial_prob([psis[key][i] for key in keys]))
                          for i, y in enumerate(values)]
                 for k, key in enumerate(keys):
                     step(key, [g[k] for g in grads], config.eta_multinomial)
-            elif isinstance(kind, Poisson):
+            elif kind == "count":
                 step("rate", [poisson_gradient(y, psi) for y, psi in zip(values, psis["rate"])],
                      config.eta_poisson)
             else:
@@ -284,7 +273,7 @@ def train_hybrid(examples: ExampleSet, db: FactBase, modes: list,
                 # project back to the floor after each boosting step
                 psis["sigma"] = [max(SIGMA_FLOOR, sigma) for sigma in psis["sigma"]]
             if on_iteration is not None:
-                on_iteration(m + 1, _loglik(kind, values, psis))
+                on_iteration(m + 1, _loglik(target, values, psis))
     except OverflowError:   # targets so large that squared residuals pass float range
         raise ValueError(f"target {target.name}: values too large for float arithmetic") from None
     return model
@@ -307,7 +296,6 @@ class MixedParentModel:
     """
 
     target: PredicateSignature
-    kind: DistributionKind
     parents: list
     functions: dict
     sigma0: float = 1.0
@@ -325,19 +313,19 @@ class MixedParentModel:
     def predict(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None):
         """Class probabilities, rate, or (mu, sigma) depending on the kind."""
         coeffs = {key: trees_value(trees, atom, db, cache) for key, trees in self.functions.items()}
-        return _mixed_output(self.kind, coeffs, self.parent_values(atom, db),
+        return _mixed_output(self.target, coeffs, self.parent_values(atom, db),
                              self.sigma0 + trees_value(self.sigma_trees, atom, db, cache))
 
 
-def _mixed_output(kind: DistributionKind, coeffs: dict, xs: list, sigma: float):
+def _mixed_output(target: PredicateSignature, coeffs: dict, xs: list, sigma: float):
     """MixedParentModel.predict from coefficient values ``coeffs[(k, j)]``,
     parent values `xs`, and the unfloored Gaussian sigma."""
-    if isinstance(kind, Multinomial):
-        intercepts = [coeffs[(k, 0)] for k in range(kind.classes)]
-        slopes = [[coeffs[(k, j + 1)] for j in range(len(xs))] for k in range(kind.classes)]
-        return [mixed_softmax_prob(intercepts, slopes, xs, k) for k in range(kind.classes)]
+    if target.kind == "multiclass":
+        intercepts = [coeffs[(k, 0)] for k in range(target.classes)]
+        slopes = [[coeffs[(k, j + 1)] for j in range(len(xs))] for k in range(target.classes)]
+        return [mixed_softmax_prob(intercepts, slopes, xs, k) for k in range(target.classes)]
     slopes = [coeffs[(0, j + 1)] for j in range(len(xs))]
-    if isinstance(kind, Poisson):
+    if target.kind == "count":
         return mixed_poisson_rate(coeffs[(0, 0)], slopes, xs)
     return mixed_gaussian_mean(coeffs[(0, 0)], slopes, xs), max(SIGMA_FLOOR, sigma)
 
@@ -354,10 +342,10 @@ def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
     """
     config = config or HybridConfig()
     target = examples.target
-    kind = kind_for(target)
-    n_classes = kind.classes if isinstance(kind, Multinomial) else 1
+    kind = _numeric_kind(target)
+    n_classes = target.classes if kind == "multiclass" else 1
     model = MixedParentModel(
-        target, kind, list(parents),
+        target, list(parents),
         {(k, j): [] for k in range(n_classes) for j in range(len(parents) + 1)},
         sigma0=config.sigma0)
     atoms = [a for a, _ in examples.entries]
@@ -369,13 +357,13 @@ def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
     cache = RoutingCache()
 
     def outputs():
-        return [_mixed_output(kind, {key: col[i] for key, col in coeffs.items()}, xs[i],
+        return [_mixed_output(target, {key: col[i] for key, col in coeffs.items()}, xs[i],
                               config.sigma0 + sigma_sums[i]) for i in range(len(atoms))]
 
     def residual(y, out) -> list:
-        if isinstance(kind, Multinomial):
+        if kind == "multiclass":
             return multinomial_gradient(y, out)
-        if isinstance(kind, Poisson):
+        if kind == "count":
             return [y - out]
         return [gaussian_gradients(y, *out)[0]]
 
@@ -383,15 +371,14 @@ def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
         trees.append(boost_step(rows, list(enumerate(gradients)), modes, config.tree,
                                 psis, cache, eta))
 
-    eta = {Multinomial: config.eta_multinomial, Poisson: config.eta_poisson,
-           Gaussian: config.eta_mu}[type(kind)]
+    eta = _eta(config, kind)
     try:
         for _ in range(config.iterations):
             for (k, j), trees in model.functions.items():
                 res = [residual(y, out)[k] for y, out in zip(values, outputs())]
                 step(trees, [r * (1.0 if j == 0 else x[j - 1]) for r, x in zip(res, xs)],
                      coeffs[(k, j)], eta)
-            if isinstance(kind, Gaussian):
+            if kind == "continuous":
                 step(model.sigma_trees, [gaussian_gradients(y, *out)[1]
                                          for y, out in zip(values, outputs())],
                      sigma_sums, config.eta_sigma)
@@ -495,32 +482,31 @@ def aggregate_trajectories(trajectories: list, schema: Schema, target: str,
 # ---------------------------------------------------------------------------
 
 
-def _kind_token(kind: DistributionKind) -> str:
-    if isinstance(kind, Multinomial):
-        return f"multinomial:{kind.classes}"
-    return "poisson" if isinstance(kind, Poisson) else "gaussian"
+def _header_kind(target: PredicateSignature) -> str:
+    """The ``kind=`` token that the target's value kind implies."""
+    if target.kind == "multiclass":
+        return f"multinomial:{target.classes}"
+    return "poisson" if target.kind == "count" else "gaussian"
 
 
 def serialize_hybrid(model: HybridModel) -> str:
     return write_model(f"model hybrid target={model.target.name}/{model.target.arity} "
-                       f"kind={_kind_token(model.kind)} eta={model.eta!r}"
-                       + (f" sigma0={model.sigma0!r}" if isinstance(model.kind, Gaussian) else ""),
+                       f"kind={_header_kind(model.target)} eta={model.eta!r}"
+                       + (f" sigma0={model.sigma0!r}" if model.kind == "continuous" else ""),
                        {key: model.functions[key] for key in sorted(model.functions)})
 
 
 def parse_hybrid(text: str, schema: Schema) -> HybridModel:
     fields, target = parse_header(text, "hybrid", schema, ("kind", "eta"), ("eta", "sigma0"))
     token = fields["kind"]
-    classes = token[len("multinomial:"):]
-    if token.startswith("multinomial:") and classes.isdigit() and int(classes) >= 2:
-        kind: DistributionKind = Multinomial(int(classes))
-    elif token == "poisson":
-        kind = Poisson()
-    elif token == "gaussian":
-        kind = Gaussian()
-    else:
-        raise ParseError(f"unknown distribution kind {token!r}", 1)
+    if target.kind == "boolean":
+        raise ParseError(f"kind={token} on boolean target {target.name}; "
+                         "use the rfgb learner", 1)
+    expected = _header_kind(target)
+    if token != expected:
+        raise ParseError(f"kind={token} does not match the schema: {target.name} is "
+                         f"{target.kind}, which needs kind={expected}", 1)
     functions = read_trees(text, schema, target, keyed=True)
-    if sorted(functions) != sorted(_function_keys(kind)):
-        raise ParseError(f"{token} models need the functions {_function_keys(kind)}")
-    return HybridModel(target, kind, functions, fields["eta"], fields.get("sigma0", 1.0))
+    if sorted(functions) != sorted(_function_keys(target)):
+        raise ParseError(f"{token} models need the functions {_function_keys(target)}")
+    return HybridModel(target, target.kind, functions, fields["eta"], fields.get("sigma0", 1.0))

@@ -54,8 +54,7 @@ from .regtree import (
     trees_value,
     write_model,
 )
-
-PHI_CLAMP = 40.0
+from .util import _clamped_exp
 
 
 def _stream_key(stream: tuple) -> tuple:
@@ -416,11 +415,6 @@ def neg_gradient_rate(qt: float) -> float:
     return -qt
 
 
-def _clamped_exp(phi: float) -> float:
-    """The intensity e^phi with phi clamped to +-PHI_CLAMP."""
-    return math.exp(min(max(phi, -PHI_CLAMP), PHI_CLAMP))
-
-
 def segment_loglik(positive: bool, phi: float, T: float) -> float:
     """Log of the segment's transition term at intensity q = e^phi."""
     qt = _clamped_exp(phi) * T
@@ -703,6 +697,18 @@ def _derive_seed(seed: int, idx: int) -> int:
     return (seed * 2654435761 + idx * 97531) % (2 ** 63)
 
 
+def _draw(u: float, weighted) -> int:
+    """The index of the first (index, weight) pair at which the running sum
+    of weights passes u, or the last index when rounding leaves u past the
+    total."""
+    acc = 0.0
+    for j, w in weighted:
+        acc += w
+        if u < acc:
+            return j
+    return j
+
+
 def forward_sample(spec: GroundTruthSpec, worlds: list, schema: Schema,
                    horizon: float, seed: int) -> list:
     """Sample trajectories by racing exponential clocks.
@@ -728,14 +734,7 @@ def forward_sample(spec: GroundTruthSpec, worlds: list, schema: Schema,
             var = spec.variables.get(name)
             if var is None:
                 raise ValueError(f"stream predicate {name!r} not declared")
-            u = rng.random()
-            acc = 0.0
-            k = var.states - 1
-            for j, p in enumerate(var.init):
-                acc += p
-                if u < acc:
-                    k = j
-                    break
+            k = _draw(rng.random(), enumerate(var.init))
             states[(name, args)] = k
             events.append(Event(var.pred, args, 0.0, _state_to_value(var, k)))
         order = sorted(states, key=_stream_key)
@@ -760,19 +759,8 @@ def forward_sample(spec: GroundTruthSpec, worlds: list, schema: Schema,
             var = spec.variables[stream[0]]
             k = states[stream]
             row = cim.rates[k]
-            total = cim.exit_rate(k)
-            u = rng.random() * total
-            acc = 0.0
-            k2 = None
-            for j in range(var.states):
-                if j == k:
-                    continue
-                acc += row[j]
-                if u < acc:
-                    k2 = j
-                    break
-            if k2 is None:
-                k2 = max(j for j in range(var.states) if j != k)
+            k2 = _draw(rng.random() * cim.exit_rate(k),
+                       ((j, row[j]) for j in range(var.states) if j != k))
             states[stream] = k2
             events.append(Event(var.pred, stream[1], t_now, _state_to_value(var, k2)))
         trajectories.append(Trajectory(world.entity, events, horizon))

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
+
+
+def _clamped_exp(x: float) -> float:
+    """e^x with x clamped to +-40, so rates and intensities stay finite."""
+    return math.exp(min(max(x, -40.0), 40.0))
 
 
 def atomic_write(path: str, text: str):

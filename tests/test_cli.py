@@ -251,6 +251,9 @@ class TestEvalAndMetrics:
         "model hybrid kind=poisson eta=0.5",
         "model hybrid target=visits/1 eta=0.5",
         "model hybrid target=visits/1 kind=poisson eta=inf",
+        "model hybrid target=visits/1 kind=gaussian eta=0.5",
+        "model hybrid target=visits/1 kind=multinomial:2 eta=0.5",
+        "model hybrid target=target/1 kind=poisson eta=0.5",
         "model rctbn target=cvd/2 from=false to=true",
         "model rctbn target=cvd/2 from=false phi0=0.0",
         "model rctbn target=cvd/2 from=false to=true phi0=-inf",
@@ -485,6 +488,38 @@ class TestHybridAndTemporalPaths:
         assert main(["eval", "--model", out, "--schema", schema, "--examples", ex_p,
                      "--report", report]) == 0
         assert "examples=3\n" in open(report).read()
+
+    def test_hybrid_header_kind_must_match_the_schema(self, tmp_path, capsys):
+        # a trained Poisson model relabelled as a two-class multinomial one
+        schema = _write(tmp_path / "schema.txt",
+                        "predicate: sick/1 boolean.\npredicate: visits/1 count.\n")
+        ex_p = _write(tmp_path / "values.txt", "visits(e0)=1.\nvisits(e1)=3.\nvisits(e2)=0.\n")
+        modes_p = _write(tmp_path / "modes.txt", "mode: sick(+).\n")
+        out = tmp_path / "model.txt"
+        assert main(["train", "--kind", "hybrid", "--schema", schema, "--examples", ex_p,
+                     "--modes", modes_p, "--target", "visits", "--iters", "2",
+                     "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "kind=poisson" in text and "function rate\n" in text
+        rate_trees = text.split("function rate\n", 1)[1]
+        out.write_text(text.split("\n", 1)[0].replace("kind=poisson", "kind=multinomial:2")
+                       + "\nfunction class=0\n" + rate_trees + "function class=1\n" + rate_trees)
+        assert main(["eval", "--model", str(out), "--schema", schema,
+                     "--examples", ex_p]) == 2
+        err = capsys.readouterr().err
+        assert "data error: line 1: kind=multinomial:2 does not match the schema" in err
+        assert "kind=poisson" in err
+
+    def test_hybrid_header_class_count_must_match_the_schema(self, tmp_path, capsys):
+        schema = _write(tmp_path / "schema.txt", "predicate: grade/1 multiclass(3).\n")
+        ex_p = _write(tmp_path / "values.txt", "grade(e0)=0.\ngrade(e1)=2.\n")
+        model = _write(tmp_path / "model.txt", "model hybrid target=grade/1 kind=multinomial:4 "
+                       "eta=1.0\n" + "".join(f"function class={k}\ntree 0\nleaf 0 value=0.0\n"
+                                             for k in range(4)))
+        assert main(["eval", "--model", model, "--schema", schema, "--examples", ex_p]) == 2
+        err = capsys.readouterr().err
+        assert "data error: line 1: kind=multinomial:4 does not match the schema" in err
+        assert "kind=multinomial:3" in err
 
     @pytest.mark.parametrize("decl,example,message", [
         ("visits/1 count", f"visits(a)={10 ** 400}.",

@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 
 from relboost.hybrid import (
-    Gaussian,
     HybridConfig,
-    Multinomial,
-    Poisson,
+    HybridModel,
     aggregate_trajectories,
     gaussian_gradients,
     gaussian_ll,
-    kind_for,
     mixed_gaussian_mean,
     mixed_poisson_rate,
     mixed_softmax_prob,
@@ -264,13 +261,53 @@ class TestTrainHybrid:
         probs = model.class_probs(entries[0][0], db)
         assert max(abs(f - p) for f, p in zip(freq, probs)) < 0.02
 
-    def test_value_kind_dispatch(self, branch_domain):
+    @pytest.mark.parametrize("name,value,header,keys", [
+        ("grade", 2, "kind=multinomial:3 ", ["class=0", "class=1", "class=2"]),
+        ("visits", 3, "kind=poisson ", ["rate"]),
+        ("weight", 1.5, "kind=gaussian ", ["mu", "sigma"]),
+    ])
+    def test_value_kind_dispatch(self, branch_domain, name, value, header, keys):
+        schema, db, modes, _, _, _ = branch_domain
+        target = schema.get(name)
+        examples = ExampleSet(target, [(Atom(target, (Constant(f"e{i:05d}"),)), value)
+                                       for i in range(20)])
+        text = serialize_hybrid(train_hybrid(examples, db, modes, HybridConfig(iterations=1)))
+        assert header in text.splitlines()[0]
+        assert [l.split()[1] for l in text.splitlines() if l.startswith("function ")] == keys
+
+    def test_boolean_target_is_for_the_rfgb_learner(self, branch_domain):
+        schema, db, modes, _, _, _ = branch_domain
+        target = schema.get("sick")
+        examples = ExampleSet(target, [(Atom(target, (Constant("e00000"),)), True)])
+        with pytest.raises(ValueError, match="sick is boolean; use the rfgb learner"):
+            train_hybrid(examples, db, modes, HybridConfig(iterations=1))
+
+    @pytest.mark.parametrize("name,value,iteration0", [
+        ("grade", 1, 1.0 / 3.0),
+        ("visits", 2, math.exp(-1.0) / 2.0),
+        ("weight", 1.0, math.exp(-0.5 / 1.5 ** 2) / (1.5 * math.sqrt(2.0 * math.pi))),
+    ])
+    def test_tree_free_copy_gives_the_iteration_0_value(self, branch_domain, name, value,
+                                                        iteration0):
+        # a model rebuilt by position with every tree removed predicts the
+        # untrained value: uniform classes, rate e^0, N(0, sigma0)
+        schema, db, modes, _, _, _ = branch_domain
+        target = schema.get(name)
+        examples = ExampleSet(target, [(Atom(target, (Constant(f"e{i:05d}"),)), value)
+                                       for i in range(20)])
+        m = parse_hybrid(serialize_hybrid(train_hybrid(
+            examples, db, modes, HybridConfig(iterations=2, sigma0=1.5))), schema)
+        empty = HybridModel(m.target, m.kind, {k: [] for k in m.functions}, m.eta, m.sigma0)
+        atom = examples.entries[0][0]
+        assert empty.prob_of_truth(atom, value, db) == pytest.approx(iteration0, rel=1e-12)
+        assert m.prob_of_truth(atom, value, db) != empty.prob_of_truth(atom, value, db)
+
+    def test_model_kind_must_be_the_target_kind(self, branch_domain):
         schema = branch_domain[0]
-        assert kind_for(schema.get("grade")) == Multinomial(3)
-        assert kind_for(schema.get("visits")) == Poisson()
-        assert kind_for(schema.get("weight")) == Gaussian()
-        with pytest.raises(ValueError):
-            kind_for(schema.get("sick"))
+        with pytest.raises(ValueError, match="is not visits's value kind 'count'"):
+            HybridModel(schema.get("visits"), "continuous", {"mu": [], "sigma": []}, 1.0)
+        with pytest.raises(ValueError, match="sick is boolean; use the rfgb learner"):
+            HybridModel(schema.get("sick"), "boolean", {}, 1.0)
 
     def test_empty_target_set_rejected(self, branch_domain):
         schema, db, modes, _, _, _ = branch_domain
