@@ -360,8 +360,12 @@ def cmd_eval(opts: dict) -> int:
         model = hybrid.parse_hybrid(model_text, schema)
         _require(opts, "examples")
         examples = parse_examples(_read(opts["examples"]), model.target)
-        probs = [model.prob_of_truth(atom, value, facts, cache)
-                 for atom, value in examples.entries]
+        try:
+            probs = [model.prob_of_truth(atom, value, facts, cache)
+                     for atom, value in examples.entries]
+        except OverflowError:   # held-out values so large that residuals pass float range
+            raise DataError(f"target {model.target.name}: "
+                            "values too large for float arithmetic") from None
         report = {"mse": metrics.mse(probs), "mean_loglik": metrics.mean_loglik(probs),
                   "examples": len(probs)}
     elif header.startswith("model rctbn "):

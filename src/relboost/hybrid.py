@@ -506,7 +506,10 @@ def parse_hybrid(text: str, schema: Schema) -> HybridModel:
     if token != expected:
         raise ParseError(f"kind={token} does not match the schema: {target.name} is "
                          f"{target.kind}, which needs kind={expected}", 1)
+    sigma0 = fields.get("sigma0", 1.0)
+    if sigma0 < SIGMA_FLOOR:
+        raise ParseError(f"sigma0 below floor {SIGMA_FLOOR}", 1)
     functions = read_trees(text, schema, target, keyed=True)
     if sorted(functions) != sorted(_function_keys(target)):
         raise ParseError(f"{token} models need the functions {_function_keys(target)}")
-    return HybridModel(target, target.kind, functions, fields["eta"], fields.get("sigma0", 1.0))
+    return HybridModel(target, target.kind, functions, fields["eta"], sigma0)

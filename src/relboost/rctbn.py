@@ -131,13 +131,11 @@ class Trajectory:
         return [ev for ev in self.events if ev.time > 0.0]
 
 
-def projected_schema(schema: Schema, extra: Iterable[PredicateSignature] = ()) -> Schema:
+def projected_schema(schema: Schema) -> Schema:
     """Schema over snapshot atoms: temporal predicates lose the time slot."""
     out = Schema()
     for sig in schema:
         out.add(sig.dropped_time())
-    for sig in extra:
-        out.add(sig)
     return out
 
 

@@ -84,20 +84,18 @@ class RegressionTree:
     target: PredicateSignature
     root: object
 
-    def head_vars(self) -> list:
-        return [Variable(f"V{i}") for i in range(self.target.arity)]
-
     def leaf_count(self) -> int:
         return sum(isinstance(node, Leaf) for node in _preorder(self.root))
+
+
+MAX_FRESH_VARIABLES = 6     # fresh variables one node test may introduce
+MAX_THRESHOLDS = 8          # cap on a numeric predicate's ">=" thresholds at one node
 
 
 @dataclass
 class TreeConfig:
     max_leaves: int = 8
     max_new_literals_per_node: int = 2
-    max_fresh_variables: int = 6
-    min_examples_per_leaf: int = 1
-    max_thresholds: int = 8
 
     def __post_init__(self):
         if self.max_leaves < 2:
@@ -130,24 +128,23 @@ def _seed(target: Atom) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _value_variants(pred: PredicateSignature, dbs: list, max_thresholds: int) -> list:
+def _value_variants(pred: PredicateSignature, dbs: list) -> list:
     """Value constraints worth testing for one predicate."""
     if pred.kind == "boolean":
         return [None]
     if pred.kind == "multiclass":
         return [None] + list(range(pred.classes))
     observed = sorted({v for db in dbs for v in db.observed_values(pred.name)})
-    if len(observed) > max_thresholds:
-        step = (len(observed) - 1) / max_thresholds
-        observed = [observed[round(step * (i + 1))] for i in range(max_thresholds)]
+    if len(observed) > MAX_THRESHOLDS:
+        step = (len(observed) - 1) / MAX_THRESHOLDS
+        observed = [observed[round(step * (i + 1))] for i in range(MAX_THRESHOLDS)]
         observed = sorted(set(observed))
     # ">= min" is implied by existence, so thresholds start above it
     return [None] + [Cmp(">=", float(v)) for v in observed[1:]]
 
 
-def _mode_literals(mode: ModeDeclaration, bound_vars: list, fresh_start: int,
-                   dbs: list, max_thresholds: int) -> list:
-    """All literals for one mode given the path's bound variables.
+def _mode_literals(mode: ModeDeclaration, bound_vars: list, dbs: list) -> list:
+    """All literals for one mode; fresh variables are numbered after `bound_vars`.
 
     Returns (literal, fresh_vars_introduced) pairs.
     """
@@ -166,9 +163,9 @@ def _mode_literals(mode: ModeDeclaration, bound_vars: list, fresh_start: int,
                 return []
             choice_lists.append([("const", Constant(s)) for s in consts])
     out = []
-    values = _value_variants(mode.pred, dbs, max_thresholds)
+    values = _value_variants(mode.pred, dbs)
     for combo in itertools.product(*choice_lists):
-        args, fresh, n = [], [], fresh_start
+        args, fresh, n = [], [], len(bound_vars)
         for kind, payload in combo:
             if kind == "fresh":
                 v = Variable(f"V{n}")
@@ -182,7 +179,7 @@ def _mode_literals(mode: ModeDeclaration, bound_vars: list, fresh_start: int,
     return out
 
 
-def enumerate_tests(bound_vars: list, fresh_start: int, modes: list, dbs: list,
+def enumerate_tests(bound_vars: list, modes: list, dbs: list,
                     config: TreeConfig, path_texts: frozenset) -> list:
     """Candidate NodeTests at a node, deterministic and duplicate free.
 
@@ -191,16 +188,13 @@ def enumerate_tests(bound_vars: list, fresh_start: int, modes: list, dbs: list,
     """
     singles = []
     for mode in modes:
-        for lit, fresh in _mode_literals(mode, bound_vars, fresh_start, dbs,
-                                         config.max_thresholds):
+        for lit, fresh in _mode_literals(mode, bound_vars, dbs):
             if str(lit) in path_texts:
                 continue
             singles.append((lit, fresh))
     tests = {}
-    budget = config.max_fresh_variables
-    used = fresh_start - len(bound_vars)  # fresh vars already on the path
     for lit, fresh in singles:
-        if used + len(fresh) > budget:
+        if len(fresh) > MAX_FRESH_VARIABLES:
             continue
         t = NodeTest((lit,))
         tests.setdefault(t.text(), t)
@@ -208,10 +202,8 @@ def enumerate_tests(bound_vars: list, fresh_start: int, modes: list, dbs: list,
             continue
         inner_vars = bound_vars + list(fresh)
         for mode in modes:
-            for lit2, fresh2 in _mode_literals(mode, inner_vars,
-                                               fresh_start + len(fresh), dbs,
-                                               config.max_thresholds):
-                if used + len(fresh) + len(fresh2) > budget:
+            for lit2, fresh2 in _mode_literals(mode, inner_vars, dbs):
+                if len(fresh) + len(fresh2) > MAX_FRESH_VARIABLES:
                     continue
                 if not any(v in fresh for v in lit2.atom.variables()):
                     continue  # chain must consume a freshly introduced variable
@@ -275,10 +267,10 @@ class _GrowLeaf:
     created: int
     rows: list                   # (gradient, slot, live bindings) triples
     bound_vars: list
-    fresh_used: int
     path_texts: frozenset        # literal texts on the path
     path: tuple                  # test texts of the yes-path, root first
     sse: float = field(init=False)
+    split: Optional[tuple] = None   # (test, yes leaf, no leaf) once grown
 
     def __post_init__(self):
         self.sse = _sse([g for g, _, _ in self.rows])
@@ -329,11 +321,9 @@ def fit_tree(rows: list, gradients: list, modes: list,
 
     root_leaf = _GrowLeaf(0, [(g, cache.slot(atom, db), [_seed(atom)])
                               for (atom, db), g in zip(rows, gradients)],
-                          list(head_vars), 0, frozenset(), ())
+                          list(head_vars), frozenset(), ())
     beam = [root_leaf]
-    n_created = 1
     n_leaves = 1
-    structure: dict = {id(root_leaf): None}
 
     while beam and n_leaves < config.max_leaves:
         # pop the worst leaf: largest SSE, ties to the oldest
@@ -341,16 +331,13 @@ def fit_tree(rows: list, gradients: list, modes: list,
         leaf = beam.pop(0)
         if leaf.sse <= 0.0:
             continue
-        candidates = enumerate_tests(leaf.bound_vars,
-                                     target.arity + leaf.fresh_used,
-                                     modes, dbs, config, leaf.path_texts)
+        candidates = enumerate_tests(leaf.bound_vars, modes, dbs, config,
+                                     leaf.path_texts)
         best = None
         for test in candidates:
             text = test.text()
             yes, no = _score_candidate(leaf.rows, test, cache.table(leaf.path, text), cache)
-            if len(yes) < config.min_examples_per_leaf:
-                continue
-            if len(no) < config.min_examples_per_leaf:
+            if not yes or not no:
                 continue
             score = _sse([g for g, _, _ in yes]) + _sse([g for g, _, _ in no])
             if score >= leaf.sse - 1e-12:
@@ -365,22 +352,18 @@ def fit_tree(rows: list, gradients: list, modes: list,
                  if v not in leaf.bound_vars]
         fresh = list(dict.fromkeys(fresh))
         new_texts = leaf.path_texts | {str(l) for l in test.literals}
-        yes_leaf = _GrowLeaf(n_created, yes_rows, leaf.bound_vars + fresh,
-                             leaf.fresh_used + len(fresh), new_texts, leaf.path + (text,))
-        no_leaf = _GrowLeaf(n_created + 1, no_rows, list(leaf.bound_vars),
-                            leaf.fresh_used, leaf.path_texts, leaf.path)
-        n_created += 2
+        yes_leaf = _GrowLeaf(2 * n_leaves - 1, yes_rows, leaf.bound_vars + fresh,
+                             new_texts, leaf.path + (text,))
+        no_leaf = _GrowLeaf(2 * n_leaves, no_rows, list(leaf.bound_vars),
+                            leaf.path_texts, leaf.path)
         n_leaves += 1
-        structure[id(leaf)] = (test, yes_leaf, no_leaf)
-        structure.setdefault(id(yes_leaf), None)
-        structure.setdefault(id(no_leaf), None)
+        leaf.split = (test, yes_leaf, no_leaf)
         beam.extend([yes_leaf, no_leaf])
 
-    def build(leaf_or_root):
-        entry = structure.get(id(leaf_or_root))
-        if entry is None:
-            return Leaf(_mean([g for g, _, _ in leaf_or_root.rows]))
-        test, yes_leaf, no_leaf = entry
+    def build(leaf):
+        if leaf.split is None:
+            return Leaf(_mean([g for g, _, _ in leaf.rows]))
+        test, yes_leaf, no_leaf = leaf.split
         return Inner(test, build(yes_leaf), build(no_leaf))
 
     return RegressionTree(target, build(root_leaf))

@@ -253,6 +253,8 @@ class TestEvalAndMetrics:
         "model hybrid target=visits/1 kind=poisson eta=inf",
         "model hybrid target=visits/1 kind=gaussian eta=0.5",
         "model hybrid target=visits/1 kind=multinomial:2 eta=0.5",
+        "model hybrid target=weight/1 kind=gaussian eta=0.5 sigma0=-3",
+        "model hybrid target=weight/1 kind=gaussian eta=0.5 sigma0=0",
         "model hybrid target=target/1 kind=poisson eta=0.5",
         "model rctbn target=cvd/2 from=false to=true",
         "model rctbn target=cvd/2 from=false phi0=0.0",
@@ -262,6 +264,7 @@ class TestEvalAndMetrics:
                                                           header):
         schema = _write(tmp_path / "schema.txt", LINKED_SCHEMA_TEXT
                         + "predicate: visits/1 count.\n"
+                        + "predicate: weight/1 continuous.\n"
                         + "predicate: cvd/2 boolean temporal.\n")
         model = _write(tmp_path / "model.txt", header + "\ntree 0\nleaf 0 value=0.5\n")
         assert main(["eval", "--model", model, "--schema", schema]) == 2
@@ -520,6 +523,19 @@ class TestHybridAndTemporalPaths:
         err = capsys.readouterr().err
         assert "data error: line 1: kind=multinomial:4 does not match the schema" in err
         assert "kind=multinomial:3" in err
+
+    def test_gaussian_eval_of_an_oversized_value_is_data_error(self, tmp_path, capsys):
+        schema = _write(tmp_path / "schema.txt", "predicate: weight/1 continuous.\n")
+        trees = "".join(f"function {key}\ntree 0\nleaf 0 value=0.0\n" for key in ("mu", "sigma"))
+        model = _write(tmp_path / "model.txt",
+                       "model hybrid target=weight/1 kind=gaussian eta=1.0 sigma0=1.0\n" + trees)
+        held = _write(tmp_path / "held.txt", "weight(a)=2.0.\nweight(b)=1e200.\n")
+        report = str(tmp_path / "report.txt")
+        assert main(["eval", "--model", model, "--schema", schema, "--examples", held,
+                     "--report", report]) == 2
+        err = capsys.readouterr().err
+        assert "data error: target weight: values too large for float arithmetic" in err
+        assert not os.path.exists(report)
 
     @pytest.mark.parametrize("decl,example,message", [
         ("visits/1 count", f"visits(a)={10 ** 400}.",

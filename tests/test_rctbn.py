@@ -55,7 +55,7 @@ from relboost.rctbn import (
     transition_prob,
     worlds_facts,
 )
-from relboost.regtree import TreeConfig
+from relboost.regtree import TreeConfig, trees_value
 
 
 SCHEMA_TEXT = """
@@ -533,7 +533,10 @@ clause checkup cim=[[-6.0, 6.0], [6.0, -6.0]]
         assert abs(learned - 1.0) / 1.0 < 0.2
         assert abs(learned - counting_mle) / counting_mle < 0.2
 
-    def test_relational_context_split_and_determinism(self, schema):
+    @staticmethod
+    def _parent_domain(schema):
+        """(trajectories, facts, modes, config) where an ill parent or an
+        elder one raises an entity's cvd rate."""
         proj = projected_schema(schema)
         spec = _spec(schema, """
 var cvd init=[1.0, 0.0]
@@ -554,16 +557,40 @@ clause checkup cim=[[-3.0, 3.0], [3.0, -3.0]]
                  Atom(proj.get("elder"), (par,), True)]))
         trajs = forward_sample(spec, worlds, schema, horizon=3.0, seed=31)
         facts = worlds_facts(worlds, schema)
-        tr = Transition("cvd", False, True)
         modes = parse_modes(
             "mode: parentOf(-,+).\nmode: cvd(+).\nmode: checkup(+).", proj)
         config = RctbnConfig(iterations=6, tree=TreeConfig(max_leaves=2),
                              rng_seed=7)
+        return trajs, facts, modes, config
+
+    def test_relational_context_split_and_determinism(self, schema):
+        trajs, facts, modes, config = self._parent_domain(schema)
+        tr = Transition("cvd", False, True)
         model = train_rctbn(trajs, facts, schema, tr, modes, config)
         root_line = serialize_rctbn(model).splitlines()[2]
         assert "parentOf" in root_line and "cvd" in root_line
         again = train_rctbn(trajs, facts, schema, tr, modes, config)
         assert serialize_rctbn(model) == serialize_rctbn(again)
+
+    def test_intensity_of_a_probe_segment_built_by_position(self, schema):
+        # the calls perfbench's rctbn check makes on a trained model file
+        trajs, facts, modes, config = self._parent_domain(schema)
+        model = parse_rctbn(serialize_rctbn(train_rctbn(
+            trajs, facts, schema, Transition("cvd", False, True), modes, config)), schema)
+        proj = projected_schema(schema)
+        ent, par = Constant("probe"), Constant("probe_parent")
+        target = Atom(proj.get("cvd"), (ent,))
+
+        def rate(atoms):
+            seg = Segment(target, False, 1.0, FactBase(proj, atoms), False)
+            q = intensity(model, seg)
+            assert q == math.exp(model.phi0 + trees_value(model.trees, target, seg.context))
+            return q
+
+        ill = rate([Atom(proj.get("parentOf"), (par, ent), True),
+                    Atom(proj.get("elder"), (par,), True),
+                    Atom(proj.get("cvd"), (par,), True)])
+        assert ill > rate([])
 
     def test_segments_sharing_target_and_context_are_routed_alike(self, schema):
         # cvd turns true at t3 and false again at t5; the segments from t0

@@ -7,6 +7,7 @@ import pytest
 from relboost.logic import (
     Atom,
     Constant,
+    FactBase,
     ParseError,
     Variable,
     parse_facts,
@@ -94,7 +95,7 @@ class TestFitTree:
         config = TreeConfig(max_leaves=2, max_new_literals_per_node=2)
         tree = fit_tree(rows, grads, modes, config)
         # oracle: score every candidate test at the root independently
-        cands = enumerate_tests([Variable("V0")], 1, modes, [db], config,
+        cands = enumerate_tests([Variable("V0")], modes, [db], config,
                                 frozenset())
         best = min(cands, key=lambda t: (score_split(rows, grads, t), t.text()))
         assert isinstance(tree.root, Inner)
@@ -217,6 +218,64 @@ class TestScoreSplit:
             assert got == pytest.approx(sse(yes) + sse(no), rel=1e-12)
 
 
+def _cap_domain(decls, mode_lines):
+    schema = parse_schema("predicate: target/1 boolean.\n"
+                          + "".join(f"predicate: {d} boolean.\n" for d in decls))
+    return schema, FactBase(schema), parse_modes("\n".join(mode_lines), schema)
+
+
+def _v(*ids):
+    return [Variable(f"V{i}") for i in ids]
+
+
+class TestCandidateCaps:
+    """The fixed caps on candidates: MAX_THRESHOLDS ">=" thresholds per
+    numeric predicate, MAX_FRESH_VARIABLES fresh variables per node test."""
+
+    def test_numeric_predicate_thresholds_at_the_quantile_positions(self):
+        schema = parse_schema("predicate: target/1 boolean.\npredicate: bp/1 continuous.\n")
+        values = [10.0 * i for i in range(20)]
+        db = parse_facts("".join(f"bp(e{i})={v}.\n" for i, v in enumerate(values)), schema)
+        tests = enumerate_tests(_v(0), parse_modes("mode: bp(+).", schema), [db],
+                                TreeConfig(), frozenset())
+        thresholds = sorted(t.literals[0].atom.value.threshold for t in tests
+                            if t.literals[0].atom.value is not None)
+        # 8 values sampled at positions round(k * 19 / 8), k = 1..8; the
+        # lowest sample is then dropped as if it were the observed minimum
+        sampled = [values[round(k * 19 / 8)] for k in range(1, 9)]
+        assert len(sampled) == regtree.MAX_THRESHOLDS
+        assert thresholds == sampled[1:]
+        assert [t.text() for t in tests].count("bp(V0)") == 1
+
+    def test_single_literal_with_seven_fresh_variables_is_no_candidate(self):
+        schema, db, modes = _cap_domain(["wide/8", "six/7"], [
+            "mode: wide(+,-,-,-,-,-,-,-).", "mode: six(+,-,-,-,-,-,-)."])
+        texts = [t.text() for t in enumerate_tests(_v(0), modes, [db], TreeConfig(),
+                                                   frozenset())]
+        assert not any("wide" in text for text in texts)
+        assert texts == ["six(V0,V1,V2,V3,V4,V5,V6)"]
+
+    def test_chain_fresh_variables_are_capped_per_test(self):
+        schema, db, modes = _cap_domain(["quad/5", "link/2"], [
+            "mode: quad(+,-,-,-,-).", "mode: link(+,-)."])
+        texts = {t.text() for t in enumerate_tests(_v(0), modes, [db], TreeConfig(),
+                                                   frozenset())}
+        # 4 + 4 fresh variables is over the cap, 4 + 1 is not
+        assert not any(text.count("quad") == 2 for text in texts)
+        assert {text for text in texts if text.startswith("quad(V0,V1,V2,V3,V4), ")} == {
+            f"quad(V0,V1,V2,V3,V4), link(V{k},V5)" for k in range(1, 5)}
+
+    def test_fresh_variables_bound_on_the_path_do_not_count(self):
+        # a leaf under "six(V0,...,V6)" has six fresh variables on its path
+        schema, db, modes = _cap_domain(["six/7", "link/2"], [
+            "mode: six(+,-,-,-,-,-,-).", "mode: link(+,-)."])
+        path = frozenset({"six(V0,V1,V2,V3,V4,V5,V6)"})
+        texts = {t.text() for t in enumerate_tests(_v(*range(7)), modes, [db],
+                                                   TreeConfig(), path)}
+        assert {f"link(V{k},V7)" for k in range(7)} <= texts
+        assert "link(V3,V7), link(V7,V8)" in texts
+
+
 class TestEvaluate:
     def test_single_leaf_everywhere(self, tiny_domain):
         schema, db, _ = tiny_domain
@@ -289,14 +348,12 @@ def _greedy_oracle(regs, db, modes, config, schema):
         if not open_leaves or n_leaves >= config.max_leaves:
             break
         leaf = sorted(open_leaves, key=lambda l: (-sse(l["examples"]), l["id"]))[0]
-        cands = enumerate_tests(leaf["vars"], 1 + leaf["fresh"], modes, [db],
+        cands = enumerate_tests(leaf["vars"], modes, [db],
                                 config, frozenset(str(l) for l in leaf["path"]))
         best = None
         for test in cands:
             yes, no = route(leaf["examples"], leaf["path"], test)
-            if len(yes) < config.min_examples_per_leaf:
-                continue
-            if len(no) < config.min_examples_per_leaf:
+            if not yes or not no:
                 continue
             score = sse(yes) + sse(no)
             if score >= sse(leaf["examples"]) - 1e-12:
@@ -441,7 +498,7 @@ class TestRoutingCache:
         config = TreeConfig(max_leaves=4)
         cache = RoutingCache()
         fit_tree(pairs, grads, modes, config, cache)
-        candidates = enumerate_tests([Variable("V0")], 1, modes, [db], config, frozenset())
+        candidates = enumerate_tests([Variable("V0")], modes, [db], config, frozenset())
         fresh = [score_split(pairs, grads, test) for test in candidates]
         calls = _count_groundings(monkeypatch)
         # the fit routed every example by every root candidate: all are hits,
