@@ -281,7 +281,7 @@ def cmd_train(opts: dict) -> int:
                 trajs, schema, _target_sig(schema, opts["target"]).name,
                 opts["bool-agg"], opts["num-agg"])
             working = facts.schema.merged_with(static.schema)
-            facts = FactBase(working, facts.facts() + static.facts())
+            facts = FactBase(working, facts.facts(), base=static)
         else:
             _require(opts, "examples")
             target = _target_sig(schema, opts["target"])
@@ -397,6 +397,8 @@ def cmd_metrics(opts: dict) -> int:
         try:
             score, label = row
             pairs.append((parse_finite(score, "score"), int(label)))
+            if pairs[-1][1] not in (0, 1):
+                raise ValueError("labels must be 0 or 1")
         except (ParseError, ValueError) as exc:
             raise DataError(f"line {reader.line_num}: bad row in predictions CSV: {exc}")
     if not pairs:

@@ -395,6 +395,25 @@ BOOL_AGGREGATORS = ("indicator", "count")
 NUM_AGGREGATORS = ("min", "max", "mean", "latest")
 
 
+def _aggregator(sig: PredicateSignature, bool_agg: str, num_agg: str):
+    """The derived signature of one temporal predicate, and the aggregate
+    that maps a stream's values up to the cutoff to the derived payload
+    (None for no fact: an indicator with no true value)."""
+    arity = sig.arity - 1
+    if sig.kind == "boolean":
+        if bool_agg == "indicator":
+            return (PredicateSignature(f"{sig.name}_ind", arity, "boolean"),
+                    lambda v: True if True in v else None)
+        return PredicateSignature(f"{sig.name}_cnt", arity, "count"), lambda v: v.count(True)
+    if sig.kind == "continuous":
+        agg = {"min": min, "max": max, "mean": lambda v: sum(v) / len(v),
+               "latest": lambda v: v[-1]}[num_agg]
+        return (PredicateSignature(f"{sig.name}_{num_agg}", arity, "continuous"),
+                lambda v: float(agg(v)))
+    return (PredicateSignature(f"{sig.name}_latest", arity, sig.kind, sig.classes),
+            lambda v: v[-1])
+
+
 def aggregate_trajectories(trajectories: list, schema: Schema, target: str,
                            bool_agg: str = "indicator", num_agg: str = "mean"):
     """Flatten trajectories into static facts plus a count-valued target.
@@ -402,11 +421,11 @@ def aggregate_trajectories(trajectories: list, schema: Schema, target: str,
     The target value is the number of times the entity's target stream
     turns true; every other stream, other entities' target streams too, is
     aggregated over the stretch before the first target occurrence (the
-    whole trajectory when there is none).  Boolean
-    streams aggregate with indicator/count into ``<name>_ind`` or
-    ``<name>_cnt``; numeric streams with min/max/mean/latest into
-    ``<name>_<agg>``; discrete-valued streams keep their latest value in
-    ``<name>_latest``.
+    whole trajectory when there is none).  Each temporal predicate has one
+    :func:`_aggregator` entry: boolean streams aggregate with
+    indicator/count, continuous ones with min/max/mean/latest, and
+    discrete-valued ones keep their latest value.  Every stream starts at
+    t=0, so no window is empty.
 
     Returns (FactBase, ExampleSet) over the derived schema.
     """
@@ -420,60 +439,25 @@ def aggregate_trajectories(trajectories: list, schema: Schema, target: str,
     if not target_sig.temporal or target_sig.kind != "boolean":
         raise ValueError("the aggregation target must be a boolean temporal predicate")
 
-    derived = Schema()
     out_target = PredicateSignature(f"{target}_count", target_sig.arity - 1, "count")
-    derived.add(out_target)
-    names: dict = {}
-    for sig in schema:
-        if not sig.temporal:
-            continue
-        arity = sig.arity - 1
-        if sig.kind == "boolean":
-            if bool_agg == "indicator":
-                names[sig.name] = PredicateSignature(f"{sig.name}_ind", arity, "boolean")
-            else:
-                names[sig.name] = PredicateSignature(f"{sig.name}_cnt", arity, "count")
-        elif sig.kind == "continuous":
-            names[sig.name] = PredicateSignature(f"{sig.name}_{num_agg}", arity, "continuous")
-        else:
-            names[sig.name] = PredicateSignature(
-                f"{sig.name}_latest", arity, sig.kind, sig.classes)
-        derived.add(names[sig.name])
-
+    table = {sig.name: _aggregator(sig, bool_agg, num_agg) for sig in schema if sig.temporal}
+    derived = Schema([out_target] + [out_sig for out_sig, _ in table.values()])
     facts, entries = [], []
     for traj in trajectories:
         streams: dict = {}
         for ev in traj.events:
             streams.setdefault(ev.stream(), []).append(ev)
         target_key = (target, (Constant(traj.entity),))
-        target_events = streams.get(target_key, [])
-        hits = [e.time for e in target_events if e.value is True]
+        hits = [e.time for e in streams.get(target_key, []) if e.value is True]
         cutoff = hits[0] if hits else traj.horizon
         entries.append((Atom(out_target, target_key[1]), len(hits)))
         for key, events in streams.items():
             if key == target_key:
                 continue
-            sig = schema.get(key[0])
-            window = [e for e in events if e.time <= cutoff]
-            out_sig = names[sig.name]
-            if sig.kind == "boolean":
-                n_true = sum(1 for e in window if e.value is True)
-                if bool_agg == "indicator":
-                    if n_true:
-                        facts.append(Atom(out_sig, key[1], True))
-                else:
-                    facts.append(Atom(out_sig, key[1], n_true))
-            elif sig.kind == "continuous":
-                values = [e.value for e in window]
-                if not values:
-                    continue
-                agg = {"min": min, "max": max,
-                       "mean": lambda v: sum(v) / len(v),
-                       "latest": lambda v: v[-1]}[num_agg]
-                facts.append(Atom(out_sig, key[1], float(agg(values))))
-            else:
-                if window:
-                    facts.append(Atom(out_sig, key[1], window[-1].value))
+            out_sig, aggregate = table[key[0]]
+            value = aggregate([e.value for e in events if e.time <= cutoff])
+            if value is not None:
+                facts.append(Atom(out_sig, key[1], value))
     return FactBase(derived, facts), ExampleSet(out_target, entries)
 
 

@@ -43,7 +43,6 @@ class ParseError(Exception):
 
 _VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 _CONSTANT_RE = re.compile(r"(?:[a-z][A-Za-z0-9_]*|-?[0-9]+(?:\.[0-9]+)?)\Z")
-_NUMERIC_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?\Z")
 
 
 @dataclass(frozen=True)
@@ -51,12 +50,6 @@ class Constant:
     """A constant symbol; equality is symbol equality."""
 
     symbol: str
-
-    def numeric(self) -> Optional[float]:
-        """Numeric value when the symbol is a numeric literal, else None."""
-        if _NUMERIC_RE.match(self.symbol):
-            return float(self.symbol)
-        return None
 
     def __str__(self) -> str:
         return self.symbol

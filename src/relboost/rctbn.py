@@ -141,7 +141,7 @@ def projected_schema(schema: Schema) -> Schema:
 
 def _static_base(static_db: Optional[FactBase], schema: Schema) -> FactBase:
     """The static facts under the projected schema: the base of every context."""
-    return FactBase(projected_schema(schema), static_db.facts() if static_db else ())
+    return FactBase(projected_schema(schema), base=static_db)
 
 
 def _context(static: FactBase, streams: Iterable[tuple],
@@ -239,6 +239,8 @@ def parse_trajectories(text: str, schema: Schema) -> list:
                 t = float(ttok)
             except ValueError:
                 raise ParseError(f"times must be numeric, got {ttok!r}", lineno)
+            if not math.isfinite(t) or t < 0:
+                raise ParseError(f"bad event time {t}", lineno)
             events.append(Event(pred, args, t, _parse_event_value(pred, valuetok, lineno)))
     if entity is not None:
         raise ParseError(f"trajectory {entity!r} missing horizon")

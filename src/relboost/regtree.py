@@ -134,13 +134,13 @@ def _value_variants(pred: PredicateSignature, dbs: list) -> list:
         return [None]
     if pred.kind == "multiclass":
         return [None] + list(range(pred.classes))
-    observed = sorted({v for db in dbs for v in db.observed_values(pred.name)})
-    if len(observed) > MAX_THRESHOLDS:
-        step = (len(observed) - 1) / MAX_THRESHOLDS
-        observed = [observed[round(step * (i + 1))] for i in range(MAX_THRESHOLDS)]
-        observed = sorted(set(observed))
-    # ">= min" is implied by existence, so thresholds start above it
-    return [None] + [Cmp(">=", float(v)) for v in observed[1:]]
+    # ">= min" is implied by existence, so thresholds start above it; past
+    # the cap, they sit at evenly spaced ranks from there to the maximum
+    above = sorted({v for db in dbs for v in db.observed_values(pred.name)})[1:]
+    if len(above) > MAX_THRESHOLDS:
+        above = [above[round(k * (len(above) - 1) / (MAX_THRESHOLDS - 1))]
+                 for k in range(MAX_THRESHOLDS)]
+    return [None] + [Cmp(">=", float(v)) for v in above]
 
 
 def _mode_literals(mode: ModeDeclaration, bound_vars: list, dbs: list) -> list:

@@ -276,6 +276,14 @@ class TestEvalAndMetrics:
         assert main(["metrics", "--csv", path]) == 2
         assert "data error: line 3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["2", "-1"])
+    def test_metrics_rejects_a_label_other_than_0_or_1_with_its_line(self, tmp_path, capsys,
+                                                                      label):
+        path = _write(tmp_path / "preds.csv", f"score,label\n0.5,1\n0.4,{label}\n0.3,0\n")
+        assert main(["metrics", "--csv", path]) == 2
+        assert "data error: line 3: bad row in predictions CSV: labels must be 0 or 1" \
+            in capsys.readouterr().err
+
     def test_model_tree_errors_name_the_model_file_line(self, tmp_path, capsys):
         schema = _write(tmp_path / "schema.txt", LINKED_SCHEMA_TEXT)
         model = _write(tmp_path / "model.txt", "\n".join([

@@ -34,6 +34,9 @@ from relboost.logic import (
     parse_facts,
     parse_modes,
     parse_schema,
+    serialize_examples,
+    serialize_facts,
+    serialize_schema,
 )
 
 
@@ -524,3 +527,272 @@ horizon=5.0
     def test_bad_aggregator_rejected(self, agg_schema):
         with pytest.raises(ValueError):
             aggregate_trajectories([], agg_schema, "angio", "sum", "mean")
+
+    PINNED_TRAJECTORIES = """
+traj p1
+t=0.0 cvd(p1)=false
+t=0.0 cvd(d1)=false
+t=0.0 smoke(p1)=false
+t=0.0 smoke(d1)=false
+t=0.0 bp(p1)=120.0
+t=0.0 visits(p1)=0
+t=0.0 grade(p1)=0
+t=1.0 cvd(d1)=true
+t=1.5 smoke(p1)=true
+t=2.0 bp(p1)=141.0
+t=2.5 visits(p1)=2
+t=3.0 cvd(p1)=true
+t=3.5 grade(p1)=2
+t=4.0 bp(p1)=160.0
+horizon=5.0
+traj p2
+t=0.0 cvd(p2)=true
+t=0.0 smoke(p2)=true
+t=0.0 bp(p2)=100.0
+t=0.0 visits(p2)=1
+t=0.0 grade(p2)=1
+t=1.0 cvd(p2)=false
+t=2.0 bp(p2)=90.0
+t=3.0 cvd(p2)=true
+horizon=4.0
+traj p3
+t=0.0 cvd(p3)=false
+t=0.0 smoke(p3)=false
+t=0.0 bp(p3)=110.1
+t=0.0 visits(p3)=3
+t=0.0 grade(p3)=2
+t=1.0 smoke(p3)=true
+t=2.0 bp(p3)=115.2
+t=3.0 smoke(p3)=false
+t=4.0 smoke(p3)=true
+t=5.0 visits(p3)=4
+horizon=6.0
+"""
+
+    # (bool_agg, num_agg) -> (derived schema, derived facts), as serialized.
+    # p1's window ends at t=3.0 and holds d1's cvd stream as context; p2's
+    # target is true at t=0.0, so its window is the t=0.0 instant; p3's
+    # target never occurs, so its window is the whole trajectory.
+    PINNED = {
+        ("indicator", "min"): (
+            """\
+predicate: bp_min/1 continuous.
+predicate: cvd_count/1 count.
+predicate: cvd_ind/1 boolean.
+predicate: grade_latest/1 multiclass(3).
+predicate: smoke_ind/1 boolean.
+predicate: visits_latest/1 count.
+""",
+            """\
+bp_min(p1)=120.0.
+bp_min(p2)=100.0.
+bp_min(p3)=110.1.
+cvd_ind(d1).
+grade_latest(p1)=0.
+grade_latest(p2)=1.
+grade_latest(p3)=2.
+smoke_ind(p1).
+smoke_ind(p2).
+smoke_ind(p3).
+visits_latest(p1)=2.
+visits_latest(p2)=1.
+visits_latest(p3)=4.
+""",
+        ),
+        ("indicator", "max"): (
+            """\
+predicate: bp_max/1 continuous.
+predicate: cvd_count/1 count.
+predicate: cvd_ind/1 boolean.
+predicate: grade_latest/1 multiclass(3).
+predicate: smoke_ind/1 boolean.
+predicate: visits_latest/1 count.
+""",
+            """\
+bp_max(p1)=141.0.
+bp_max(p2)=100.0.
+bp_max(p3)=115.2.
+cvd_ind(d1).
+grade_latest(p1)=0.
+grade_latest(p2)=1.
+grade_latest(p3)=2.
+smoke_ind(p1).
+smoke_ind(p2).
+smoke_ind(p3).
+visits_latest(p1)=2.
+visits_latest(p2)=1.
+visits_latest(p3)=4.
+""",
+        ),
+        ("indicator", "mean"): (
+            """\
+predicate: bp_mean/1 continuous.
+predicate: cvd_count/1 count.
+predicate: cvd_ind/1 boolean.
+predicate: grade_latest/1 multiclass(3).
+predicate: smoke_ind/1 boolean.
+predicate: visits_latest/1 count.
+""",
+            """\
+bp_mean(p1)=130.5.
+bp_mean(p2)=100.0.
+bp_mean(p3)=112.65.
+cvd_ind(d1).
+grade_latest(p1)=0.
+grade_latest(p2)=1.
+grade_latest(p3)=2.
+smoke_ind(p1).
+smoke_ind(p2).
+smoke_ind(p3).
+visits_latest(p1)=2.
+visits_latest(p2)=1.
+visits_latest(p3)=4.
+""",
+        ),
+        ("indicator", "latest"): (
+            """\
+predicate: bp_latest/1 continuous.
+predicate: cvd_count/1 count.
+predicate: cvd_ind/1 boolean.
+predicate: grade_latest/1 multiclass(3).
+predicate: smoke_ind/1 boolean.
+predicate: visits_latest/1 count.
+""",
+            """\
+bp_latest(p1)=141.0.
+bp_latest(p2)=100.0.
+bp_latest(p3)=115.2.
+cvd_ind(d1).
+grade_latest(p1)=0.
+grade_latest(p2)=1.
+grade_latest(p3)=2.
+smoke_ind(p1).
+smoke_ind(p2).
+smoke_ind(p3).
+visits_latest(p1)=2.
+visits_latest(p2)=1.
+visits_latest(p3)=4.
+""",
+        ),
+        ("count", "min"): (
+            """\
+predicate: bp_min/1 continuous.
+predicate: cvd_cnt/1 count.
+predicate: cvd_count/1 count.
+predicate: grade_latest/1 multiclass(3).
+predicate: smoke_cnt/1 count.
+predicate: visits_latest/1 count.
+""",
+            """\
+bp_min(p1)=120.0.
+bp_min(p2)=100.0.
+bp_min(p3)=110.1.
+cvd_cnt(d1)=1.
+grade_latest(p1)=0.
+grade_latest(p2)=1.
+grade_latest(p3)=2.
+smoke_cnt(d1)=0.
+smoke_cnt(p1)=1.
+smoke_cnt(p2)=1.
+smoke_cnt(p3)=2.
+visits_latest(p1)=2.
+visits_latest(p2)=1.
+visits_latest(p3)=4.
+""",
+        ),
+        ("count", "max"): (
+            """\
+predicate: bp_max/1 continuous.
+predicate: cvd_cnt/1 count.
+predicate: cvd_count/1 count.
+predicate: grade_latest/1 multiclass(3).
+predicate: smoke_cnt/1 count.
+predicate: visits_latest/1 count.
+""",
+            """\
+bp_max(p1)=141.0.
+bp_max(p2)=100.0.
+bp_max(p3)=115.2.
+cvd_cnt(d1)=1.
+grade_latest(p1)=0.
+grade_latest(p2)=1.
+grade_latest(p3)=2.
+smoke_cnt(d1)=0.
+smoke_cnt(p1)=1.
+smoke_cnt(p2)=1.
+smoke_cnt(p3)=2.
+visits_latest(p1)=2.
+visits_latest(p2)=1.
+visits_latest(p3)=4.
+""",
+        ),
+        ("count", "mean"): (
+            """\
+predicate: bp_mean/1 continuous.
+predicate: cvd_cnt/1 count.
+predicate: cvd_count/1 count.
+predicate: grade_latest/1 multiclass(3).
+predicate: smoke_cnt/1 count.
+predicate: visits_latest/1 count.
+""",
+            """\
+bp_mean(p1)=130.5.
+bp_mean(p2)=100.0.
+bp_mean(p3)=112.65.
+cvd_cnt(d1)=1.
+grade_latest(p1)=0.
+grade_latest(p2)=1.
+grade_latest(p3)=2.
+smoke_cnt(d1)=0.
+smoke_cnt(p1)=1.
+smoke_cnt(p2)=1.
+smoke_cnt(p3)=2.
+visits_latest(p1)=2.
+visits_latest(p2)=1.
+visits_latest(p3)=4.
+""",
+        ),
+        ("count", "latest"): (
+            """\
+predicate: bp_latest/1 continuous.
+predicate: cvd_cnt/1 count.
+predicate: cvd_count/1 count.
+predicate: grade_latest/1 multiclass(3).
+predicate: smoke_cnt/1 count.
+predicate: visits_latest/1 count.
+""",
+            """\
+bp_latest(p1)=141.0.
+bp_latest(p2)=100.0.
+bp_latest(p3)=115.2.
+cvd_cnt(d1)=1.
+grade_latest(p1)=0.
+grade_latest(p2)=1.
+grade_latest(p3)=2.
+smoke_cnt(d1)=0.
+smoke_cnt(p1)=1.
+smoke_cnt(p2)=1.
+smoke_cnt(p3)=2.
+visits_latest(p1)=2.
+visits_latest(p2)=1.
+visits_latest(p3)=4.
+""",
+        ),
+    }
+
+    @pytest.mark.parametrize("bool_agg,num_agg", sorted(PINNED))
+    def test_derived_schema_facts_and_examples_are_pinned(self, bool_agg, num_agg):
+        from relboost.rctbn import parse_trajectories
+        schema = parse_schema("""
+predicate: cvd/2 boolean temporal.
+predicate: smoke/2 boolean temporal.
+predicate: bp/2 continuous temporal.
+predicate: visits/2 count temporal.
+predicate: grade/2 multiclass(3) temporal.
+""")
+        trajs = parse_trajectories(self.PINNED_TRAJECTORIES, schema)
+        db, examples = aggregate_trajectories(trajs, schema, "cvd", bool_agg, num_agg)
+        assert (serialize_schema(db.schema), serialize_facts(db)) \
+            == self.PINNED[(bool_agg, num_agg)]
+        assert serialize_examples(examples) == \
+            "cvd_count(p1)=1.\ncvd_count(p2)=2.\ncvd_count(p3)=0.\n"

@@ -145,6 +145,12 @@ horizon=2.0
         ("traj a\nt=0.0 cvd(a)=false\nhorizon=nan\n", "line 3: horizon must be a finite"),
         ("traj a\nt=0.0 cvd(a)=false\nhorizon=inf\n", "line 3: horizon must be a finite"),
         ("traj a\nt=0.0 sbp(a)=-inf\nhorizon=1.0\n", "line 2: sbp value must be a finite"),
+        ("traj a\nt=0.0 cvd(a)=false\nt=nan cvd(a)=true\nt=1.0 cvd(a)=true\nhorizon=5.0\n",
+         "line 3: bad event time nan"),
+        ("traj a\nt=0.0 cvd(a)=false\nt=inf cvd(a)=true\nhorizon=5.0\n",
+         "line 3: bad event time inf"),
+        ("traj a\nt=0.0 cvd(a)=false\nt=-1.0 cvd(a)=true\nhorizon=5.0\n",
+         "line 3: bad event time -1.0"),
     ])
     def test_non_finite_numbers_rejected(self, text, message):
         schema = parse_schema(SCHEMA_TEXT + "predicate: sbp/2 continuous temporal.\n")

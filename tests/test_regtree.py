@@ -232,20 +232,27 @@ class TestCandidateCaps:
     """The fixed caps on candidates: MAX_THRESHOLDS ">=" thresholds per
     numeric predicate, MAX_FRESH_VARIABLES fresh variables per node test."""
 
-    def test_numeric_predicate_thresholds_at_the_quantile_positions(self):
+    @staticmethod
+    def _thresholds(values):
         schema = parse_schema("predicate: target/1 boolean.\npredicate: bp/1 continuous.\n")
-        values = [10.0 * i for i in range(20)]
         db = parse_facts("".join(f"bp(e{i})={v}.\n" for i, v in enumerate(values)), schema)
         tests = enumerate_tests(_v(0), parse_modes("mode: bp(+).", schema), [db],
                                 TreeConfig(), frozenset())
-        thresholds = sorted(t.literals[0].atom.value.threshold for t in tests
-                            if t.literals[0].atom.value is not None)
-        # 8 values sampled at positions round(k * 19 / 8), k = 1..8; the
-        # lowest sample is then dropped as if it were the observed minimum
-        sampled = [values[round(k * 19 / 8)] for k in range(1, 9)]
-        assert len(sampled) == regtree.MAX_THRESHOLDS
-        assert thresholds == sampled[1:]
         assert [t.text() for t in tests].count("bp(V0)") == 1
+        return sorted(t.literals[0].atom.value.threshold for t in tests
+                      if t.literals[0].atom.value is not None)
+
+    def test_numeric_predicate_thresholds_at_the_quantile_positions(self):
+        # the minimum 0 is dropped first; the 8 thresholds sit at ranks
+        # round(k * 18 / 7), k = 0..7, of the 19 values above it
+        assert self._thresholds([10.0 * i for i in range(20)]) == \
+            [10.0, 40.0, 60.0, 90.0, 110.0, 140.0, 160.0, 190.0]
+        assert regtree.MAX_THRESHOLDS == 8
+
+    def test_nine_values_give_every_value_above_the_minimum(self):
+        assert self._thresholds([10.0 * i for i in range(9)]) == \
+            [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]
+        assert self._thresholds([5.0, 1.0, 3.0]) == [3.0, 5.0]
 
     def test_single_literal_with_seven_fresh_variables_is_no_candidate(self):
         schema, db, modes = _cap_domain(["wide/8", "six/7"], [
