@@ -21,6 +21,11 @@ Last, the model file and the `.log` that `relboost train` writes are
 pinned for every relational kind, so a change to how the command reads its
 options, sets up a learner or reports its iterations shows up as a
 different digest.
+
+The `relboost metrics` report of a seeded 10^5-row predictions CSV with
+heavily tied scores is pinned at the default strips and gamma, at gamma 1
+and at one strip, so a change to how the ROC curve or its strip areas are
+computed shows up as a different report digest.
 """
 
 import hashlib
@@ -531,3 +536,38 @@ def test_train_command_bytes(rfgb_domain, hybrid_domain, rctbn_domain, tmp_path,
     assert main(["train", *args, "--out", str(out)]) == 0
     model, log = out.read_text(), (tmp_path / "model.txt.log").read_text()
     assert (_digest(model), _digest(log)) == TRAIN_DIGESTS[case]
+
+
+# ---------------------------------------------------------------------------
+# relboost metrics: the report of a predictions CSV
+# ---------------------------------------------------------------------------
+
+METRICS_DIGESTS = {
+    "defaults": "b1c04a3a9eddd0e6c516518d0d7ab48341e504a4c3e54d7f1765056025e6d0fb",
+    "gamma-1": "77c7357b699755173063ea09203582a4c4e9448af1cd01a6471d5d0bb8104dc2",
+    "strips-1": "e74ce52b1b7688b33df5f2812799ad62a07e0f291caa163065fe54de8291036d",
+}
+
+METRICS_OPTIONS = {"defaults": [], "gamma-1": ["--gamma", "1"], "strips-1": ["--strips", "1"]}
+
+
+@pytest.fixture(scope="module")
+def predictions_csv(tmp_path_factory):
+    """10^5 seeded rows, 10% positives, scores rounded to 3 decimals so that
+    most scores are tied with many others of both labels."""
+    rng = random.Random(23)
+    rows = ["score,label"]
+    for _ in range(100_000):
+        label = 1 if rng.random() < 0.1 else 0
+        rows.append(f"{rng.betavariate(2 + 2 * label, 3):.3f},{label}")
+    path = tmp_path_factory.mktemp("metrics") / "predictions.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(METRICS_DIGESTS))
+def test_metrics_report_bytes(predictions_csv, tmp_path, case):
+    report = tmp_path / "report.txt"
+    assert main(["metrics", "--csv", predictions_csv, *METRICS_OPTIONS[case],
+                 "--report", str(report)]) == 0
+    assert _digest(report.read_text()) == METRICS_DIGESTS[case]
