@@ -199,9 +199,18 @@ def _require(opts: dict, *names: str):
             raise ConfigError(f"--{name} is required here")
 
 
-def _load_bundle(opts: dict):
+def _read_facts(opts: dict, schema: Schema, trajectories: bool = False) -> FactBase:
+    """The --facts base, or an empty one without the option.  Beside
+    trajectories, a fact on a temporal predicate is an error at its line."""
+    if not opts["facts"]:
+        return FactBase(schema)
+    parse = rctbn.parse_static_facts if trajectories else parse_facts
+    return parse(_read(opts["facts"]), schema)
+
+
+def _load_bundle(opts: dict, trajectories: bool = False):
     schema = parse_schema(_read(opts["schema"]))
-    facts = parse_facts(_read(opts["facts"]), schema) if opts["facts"] else FactBase(schema)
+    facts = _read_facts(opts, schema, trajectories)
     modes = parse_modes(_read(opts["modes"]), rctbn.projected_schema(schema)) \
         if opts["modes"] else []
     return schema, facts, modes
@@ -274,7 +283,7 @@ def cmd_train(opts: dict) -> int:
     elif kind == "hybrid":
         _require(opts, "schema", "modes", "target")
         schema = parse_schema(_read(opts["schema"]))
-        static = parse_facts(_read(opts["facts"]), schema) if opts["facts"] else FactBase(schema)
+        static = _read_facts(opts, schema, bool(opts["traj"]))
         if opts["traj"]:
             trajs = rctbn.parse_trajectories(_read(opts["traj"]), schema)
             facts, examples = hybrid.aggregate_trajectories(
@@ -299,7 +308,7 @@ def cmd_train(opts: dict) -> int:
             on_iteration=lambda m, ll: log(m, ll, f"target={examples.target.name} ")))
     elif kind == "rctbn":
         _require(opts, "schema", "traj", "modes", "target", "from", "to")
-        schema, facts, modes = _load_bundle(opts)
+        schema, facts, modes = _load_bundle(opts, trajectories=True)
         target = _target_sig(schema, opts["target"])
         transition = rctbn.Transition(
             target.name,
@@ -347,7 +356,7 @@ def cmd_eval(opts: dict) -> int:
     schema = parse_schema(_read(opts["schema"]))
     model_text = _read(opts["model"])
     header = model_text.splitlines()[0] if model_text else ""
-    facts = parse_facts(_read(opts["facts"]), schema) if opts["facts"] else FactBase(schema)
+    facts = _read_facts(opts, schema, header.startswith("model rctbn "))
     cache = RoutingCache()
 
     if header.startswith("model rfgb "):

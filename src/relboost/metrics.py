@@ -1,5 +1,13 @@
 """Evaluation metrics for (score, label) prediction sets.
 
+A `PredictionSet` builds its ROC curve once, in its constructor: rows are
+grouped by score (tied scores make one step), the groups are swept in
+descending score order, and each group's cumulative (FPR, TPR) is one
+vertex of the polyline (Fawcett, "An introduction to ROC analysis", Pattern
+Recognition Letters, 2006).  Every curve metric of a report reads those two
+arrays and loops over no rows; each area adds its per-segment terms in
+polyline order, so it equals the per-pair Python definition bit for bit.
+
 Includes the recall-weighted AUC-ROC: the ROC plane is cut into N+1
 equal-height horizontal strips by true-positive rate, the area under the
 curve inside each strip is computed by exact linear clipping of the ROC
@@ -16,30 +24,52 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
 
-@dataclass
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class PredictionSet:
-    """(score, label) pairs with a finite score and label in {0, 1}."""
+    """(score, label) pairs with a finite score and a label equal to 0 or 1.
 
-    pairs: list
+    Only the constructor writes a set.  It keeps `pairs` (one entry per
+    row), the `scores` and integer `labels` as read-only arrays, the
+    `positives` and `negatives` counts as ints and, when both classes
+    occur, the tie-grouped ROC polyline from (0, 0) to (1, 1) as the
+    read-only arrays `fpr` and `tpr` (None otherwise).  Of several bad
+    pairs, the first one's error is raised, its label checked first.
+    """
 
-    def __post_init__(self):
-        self.pairs = [(float(s), int(l)) for s, l in self.pairs]
-        for s, l in self.pairs:
-            if l not in (0, 1):
-                raise ValueError("labels must be 0 or 1")
-            if not math.isfinite(s):
-                raise ValueError(f"scores must be finite, not {s!r}")
+    def __init__(self, pairs: Iterable):
+        self.pairs = tuple(pairs)
         if not self.pairs:
             raise ValueError("empty prediction set")
-
-    @property
-    def positives(self) -> int:
-        return sum(l for _, l in self.pairs)
-
-    @property
-    def negatives(self) -> int:
-        return len(self.pairs) - self.positives
+        table = np.array(self.pairs, dtype=np.float64)
+        if table.shape != (len(self.pairs), 2):
+            raise ValueError("predictions must be (score, label) pairs")
+        scores, labels = table[:, 0], table[:, 1]
+        bad = ((labels != 0) & (labels != 1)) | ~np.isfinite(scores)
+        if bad.any():
+            first = int(np.argmax(bad))
+            if labels[first] not in (0, 1):
+                raise ValueError("labels must be 0 or 1")
+            raise ValueError(f"scores must be finite, not {float(scores[first])!r}")
+        self.scores = _frozen(scores.copy())
+        self.labels = _frozen(labels.astype(np.int64))
+        self.positives = int(np.count_nonzero(self.labels))
+        self.negatives = len(self.pairs) - self.positives
+        self.fpr = self.tpr = None
+        if self.positives and self.negatives:
+            # positives and negatives per score group, highest score first
+            _, group = np.unique(self.scores, return_inverse=True)
+            rows = np.bincount(group)
+            tp = np.bincount(group[self.labels == 1], minlength=len(rows))[::-1]
+            fp = rows[::-1] - tp
+            self.fpr = _frozen(np.concatenate(([0.0], np.cumsum(fp) / self.negatives)))
+            self.tpr = _frozen(np.concatenate(([0.0], np.cumsum(tp) / self.positives)))
 
 
 @dataclass
@@ -82,67 +112,60 @@ def strip_weights(cfg: WeightConfig) -> list:
     return weights
 
 
-def roc_points(preds: PredictionSet) -> list:
-    """ROC polyline from (0,0) to (1,1), descending-score sweep, ties grouped."""
-    pos = preds.positives
-    neg = preds.negatives
-    if pos == 0 or neg == 0:
+def _curve(preds: PredictionSet) -> tuple:
+    """The (fpr, tpr) polyline arrays, descending-score sweep, ties grouped."""
+    if preds.fpr is None:
         raise ValueError("ROC needs at least one positive and one negative")
-    by_score: dict = {}
-    for s, l in preds.pairs:
-        tp, fp = by_score.get(s, (0, 0))
-        by_score[s] = (tp + l, fp + (1 - l))
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    for s in sorted(by_score, reverse=True):
-        dtp, dfp = by_score[s]
-        tp += dtp
-        fp += dfp
-        points.append((fp / neg, tp / pos))
-    return points
+    return preds.fpr, preds.tpr
+
+
+def _ordered_sum(terms: np.ndarray) -> float:
+    """0.0 plus each term in order, as a Python loop adds them.
+
+    A cumulative sum adds left to right; np.sum adds pairwise, which
+    changes the result bits.
+    """
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def auc_roc(preds: PredictionSet) -> float:
     """Conventional trapezoidal AUC over the tie-grouped ROC polyline."""
-    pts = roc_points(preds)
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
+    x, y = _curve(preds)
+    return _ordered_sum((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0)
 
 
-def _area_right_of_curve(points: list, lo: float, hi: float) -> float:
+def _area_right_of_curve(segments: tuple, lo: float, hi: float) -> float:
     """Integral of (1 - FPR(y)) for y in [lo, hi] along the ROC polyline.
 
-    Horizontal polyline segments have no y-extent and contribute nothing;
-    the rest are clipped to the band by exact linear interpolation.
+    `segments` holds the (x0, y0, y1, slope) arrays of the rising polyline
+    segments in order; horizontal ones have no y-extent and
+    contribute nothing.  Each is clipped to the band by exact linear
+    interpolation.
     """
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if y1 <= y0:
-            continue
-        a = max(y0, lo)
-        b = min(y1, hi)
-        if b <= a:
-            continue
-        slope = (x1 - x0) / (y1 - y0)
-        xa = x0 + slope * (a - y0)
-        xb = x0 + slope * (b - y0)
-        area += (b - a) * (1.0 - (xa + xb) / 2.0)
-    return area
+    x0, y0, y1, slope = segments
+    a = np.maximum(y0, lo)
+    b = np.minimum(y1, hi)
+    keep = b > a
+    a, b, x0, y0, slope = a[keep], b[keep], x0[keep], y0[keep], slope[keep]
+    xa = x0 + slope * (a - y0)
+    xb = x0 + slope * (b - y0)
+    return _ordered_sum((b - a) * (1.0 - (xa + xb) / 2.0))
 
 
 def weighted_auc_roc(preds: PredictionSet, cfg: Optional[WeightConfig] = None) -> float:
     """Strip-weighted area under the ROC curve, in [0, 1]."""
     cfg = cfg or WeightConfig()
-    pts = roc_points(preds)
+    x, y = _curve(preds)
+    rising = y[1:] > y[:-1]
+    x0, y0, x1, y1 = x[:-1][rising], y[:-1][rising], x[1:][rising], y[1:][rising]
+    segments = (x0, y0, y1, (x1 - x0) / (y1 - y0))
     n_regions = cfg.strips + 1
     weights = strip_weights(cfg)
     total = 0.0
     for k in range(n_regions):
         lo = k / n_regions
         hi = (k + 1) / n_regions
-        total += weights[k] * _area_right_of_curve(pts, lo, hi)
+        total += weights[k] * _area_right_of_curve(segments, lo, hi)
     return total
 
 
@@ -167,17 +190,11 @@ def confusion_report(preds: PredictionSet, threshold: Optional[float] = None,
     n = preds.negatives
     if threshold is None:
         threshold = p / (p + n)
-    tp = fp = tn = fn = 0
-    for s, l in preds.pairs:
-        predicted = s >= threshold
-        if predicted and l == 1:
-            tp += 1
-        elif predicted and l == 0:
-            fp += 1
-        elif not predicted and l == 1:
-            fn += 1
-        else:
-            tn += 1
+    predicted = preds.scores >= threshold
+    tp = int(np.count_nonzero(predicted & (preds.labels == 1)))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = p - tp
+    tn = n - fp
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / p if p else 0.0
     report = {

@@ -36,9 +36,11 @@ from .logic import (
     PredicateSignature,
     Schema,
     Variable,
+    _FACT_RE,
     _check_payload,
     _content_lines,
     _parse_ground_atom,
+    parse_facts,
     parse_literal_list,
     parse_term,
     satisfies,
@@ -204,6 +206,22 @@ def _stream_args(schema: Schema, name: str, argtext: Optional[str], lineno: int)
     if any(isinstance(a, Variable) for a in args):
         raise ParseError(f"{name} stream arguments must be constants", lineno)
     return pred, args
+
+
+def parse_static_facts(text: str, schema: Schema) -> FactBase:
+    """Parse the static facts that go with trajectories.
+
+    A temporal predicate's values come only from the trajectories, so a
+    fact on one is a `ParseError` at its line, as a world `fact` on a
+    stream predicate is in `parse_groundtruth`.
+    """
+    db = parse_facts(text, schema)
+    for lineno, line in _content_lines(text):
+        name = _FACT_RE.match(line).group(1)
+        if schema.get(name).temporal:
+            raise ParseError(f"{name} is a stream predicate; "
+                             "its values come from the trajectories", lineno)
+    return db
 
 
 def parse_trajectories(text: str, schema: Schema) -> list:

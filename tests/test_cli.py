@@ -616,6 +616,41 @@ horizon=4.0
                      "--out", out]) == 0
         assert open(out).read().startswith("model hybrid target=cvd_count/1 kind=poisson")
 
+    def test_static_fact_on_a_stream_predicate_is_parse_error_at_its_line(
+            self, tmp_path, capsys):
+        # a temporal predicate's values come only from the trajectories; such
+        # a --facts line used to change an rctbn model without any error
+        demo = Path(__file__).resolve().parent.parent / "demo"
+        schema = str(demo / "schema.txt")
+        traj, facts = str(tmp_path / "train.txt"), str(tmp_path / "facts.txt")
+        assert main(["sample", "--spec", str(demo / "groundtruth.txt"), "--schema", schema,
+                     "--horizon", "8.0", "--seed", "7", "--out", traj,
+                     "--out-facts", facts]) == 0
+        model = str(tmp_path / "model.txt")
+        rctbn_args = ["--schema", schema, "--traj", traj, "--modes", str(demo / "modes.txt"),
+                      "--target", "cvd", "--from", "false", "--to", "true", "--iters", "2"]
+        assert main(["train", "--kind", "rctbn", "--facts", facts, *rctbn_args,
+                     "--out", model]) == 0
+        text = open(facts).read()
+        bad = _write(tmp_path / "bad_facts.txt", text + "cvd(d01,0.0).\ncvd(d03,0.0).\n")
+        lineno = len(text.splitlines()) + 1
+        hybrid_modes = _write(tmp_path / "modes.txt", "mode: parentOf(-,+).\n"
+                              "mode: checkup_ind(+).\n")
+        commands = [
+            ["train", "--kind", "rctbn", "--facts", bad, *rctbn_args,
+             "--out", str(tmp_path / "rctbn.txt")],
+            ["train", "--kind", "hybrid", "--schema", schema, "--facts", bad, "--traj", traj,
+             "--modes", hybrid_modes, "--target", "cvd", "--out", str(tmp_path / "hyb.txt")],
+            ["eval", "--model", model, "--schema", schema, "--facts", bad, "--traj", traj],
+        ]
+        capsys.readouterr()
+        for argv in commands:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"relboost: data error: line {lineno}: cvd is a stream predicate; "
+                "its values come from the trajectories\n")
+        assert not (tmp_path / "rctbn.txt").exists() and not (tmp_path / "hyb.txt").exists()
+
     def test_rctbn_train_and_eval(self, tmp_path):
         schema_text = ("predicate: cvd/2 boolean temporal.\n"
                        "predicate: parentOf/2 boolean.\n")

@@ -1,4 +1,5 @@
-"""Evaluation-metric tests, including the strip-weighted AUC oracle."""
+"""Evaluation-metric tests, including the strip-weighted AUC oracle and a
+per-pair reference that the curve arrays must reproduce bit for bit."""
 
 import math
 import random
@@ -14,7 +15,6 @@ from relboost.metrics import (
     f_delta,
     mean_loglik,
     mse,
-    roc_points,
     strip_weights,
     weighted_auc_roc,
 )
@@ -22,8 +22,197 @@ from relboost.metrics import (
 
 @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
 def test_non_finite_scores_rejected(score):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=f"^scores must be finite, not {score!r}$"):
         PredictionSet([(0.5, 0), (score, 1)])
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0.5, 1.7), (0.2, 0.4), (0.9, 0)],     # int() truncation made this AUC 0.5
+    *([(0.5, label), (0.2, 0), (0.9, 1)] for label in (-1, 2, math.nan, 0.5)),
+])
+def test_labels_other_than_zero_or_one_rejected(pairs):
+    with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+        PredictionSet(pairs)
+
+
+def test_labels_equal_to_zero_or_one_accepted():
+    preds = PredictionSet([(0.5, 1.0), (0.2, False), (0.9, True), (0.1, 0.0)])
+    assert preds.labels.tolist() == [1, 0, 1, 0]
+    assert (preds.positives, preds.negatives) == (2, 2)
+    assert isinstance(preds.positives, int) and isinstance(preds.negatives, int)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0.5, 0), (math.nan, 1), (0.2, 2)], "^scores must be finite, not nan$"),
+    ([(0.5, 0), (0.2, 2), (math.inf, 1)], "^labels must be 0 or 1$"),
+    ([(0.5, 0), (-math.inf, 3), (0.2, 1)], "^labels must be 0 or 1$"),
+    ([(0.5, 1), (0.3, 0), (math.inf, 0), (math.nan, 1)], "^scores must be finite, not inf$"),
+])
+def test_first_bad_pair_names_the_error(pairs, message):
+    # pairs are checked in order, and within a pair the label first
+    with pytest.raises(ValueError, match=message):
+        PredictionSet(pairs)
+
+
+def test_empty_set_rejected():
+    with pytest.raises(ValueError, match="^empty prediction set$"):
+        PredictionSet([])
+
+
+def test_set_is_written_only_by_its_constructor():
+    preds = PredictionSet([(0.5, 1), (0.2, 0), (0.5, 0)])
+    assert len(preds.pairs) == 3
+    for array in (preds.scores, preds.labels, preds.fpr, preds.tpr):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert preds.fpr.tolist() == [0.0, 0.5, 1.0]
+    assert preds.tpr.tolist() == [0.0, 1.0, 1.0]
+
+
+def test_single_class_set_has_no_curve():
+    preds = PredictionSet([(0.5, 1), (0.2, 1)])
+    assert preds.fpr is None and preds.tpr is None
+    assert confusion_report(preds, threshold=0.3)["recall"] == 0.5
+    for metric in (auc_roc, weighted_auc_roc):
+        with pytest.raises(ValueError,
+                           match="^ROC needs at least one positive and one negative$"):
+            metric(preds)
+
+
+# ---------------------------------------------------------------------------
+# The per-pair reference: one Python pass per polyline point, per strip
+# ---------------------------------------------------------------------------
+
+
+def _ref_roc_points(pairs) -> list:
+    """ROC polyline from (0,0) to (1,1), descending-score sweep, ties grouped."""
+    pos = sum(l for _, l in pairs)
+    neg = len(pairs) - pos
+    if pos == 0 or neg == 0:
+        raise ValueError("ROC needs at least one positive and one negative")
+    by_score: dict = {}
+    for s, l in pairs:
+        tp, fp = by_score.get(s, (0, 0))
+        by_score[s] = (tp + l, fp + (1 - l))
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    for s in sorted(by_score, reverse=True):
+        dtp, dfp = by_score[s]
+        tp += dtp
+        fp += dfp
+        points.append((fp / neg, tp / pos))
+    return points
+
+
+def _ref_auc_roc(pairs) -> float:
+    pts = _ref_roc_points(pairs)
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return area
+
+
+def _ref_area_right_of_curve(points: list, lo: float, hi: float) -> float:
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if y1 <= y0:
+            continue
+        a = max(y0, lo)
+        b = min(y1, hi)
+        if b <= a:
+            continue
+        slope = (x1 - x0) / (y1 - y0)
+        xa = x0 + slope * (a - y0)
+        xb = x0 + slope * (b - y0)
+        area += (b - a) * (1.0 - (xa + xb) / 2.0)
+    return area
+
+
+def _ref_weighted_auc_roc(pairs, cfg: WeightConfig) -> float:
+    pts = _ref_roc_points(pairs)
+    n_regions = cfg.strips + 1
+    weights = strip_weights(cfg)
+    total = 0.0
+    for k in range(n_regions):
+        lo = k / n_regions
+        hi = (k + 1) / n_regions
+        total += weights[k] * _ref_area_right_of_curve(pts, lo, hi)
+    return total
+
+
+def _ref_confusion_counts(pairs, threshold: float) -> tuple:
+    tp = fp = tn = fn = 0
+    for s, l in pairs:
+        predicted = s >= threshold
+        if predicted and l == 1:
+            tp += 1
+        elif predicted and l == 0:
+            fp += 1
+        elif not predicted and l == 1:
+            fn += 1
+        else:
+            tn += 1
+    return tp, fp, tn, fn
+
+
+def _differential_case(rng) -> tuple:
+    """(pairs, WeightConfig) with both classes: continuous scores, heavy ties,
+    a single score group or every positive ranked above every negative."""
+    n = rng.randint(2, 300)
+    rate = rng.random()
+    labels = [1 if rng.random() < rate else 0 for _ in range(n)]
+    labels[0], labels[-1] = 1, 0
+    rng.shuffle(labels)
+    shape = rng.choice(("continuous", "ties", "single", "separated"))
+    if shape == "continuous":
+        scores = [rng.random() for _ in range(n)]
+    elif shape == "ties":
+        levels = rng.randint(2, 12)
+        scores = [rng.randint(0, levels) / levels for _ in range(n)]
+    elif shape == "single":
+        score = rng.choice((0.0, 0.5, rng.random()))
+        scores = [score] * n
+    else:
+        scores = [0.5 + rng.random() / 2 if label else rng.random() / 2 for label in labels]
+    gamma = rng.choice((0.0, 1.0, rng.random()))
+    return list(zip(scores, labels)), WeightConfig(rng.randint(1, 25), gamma)
+
+
+class TestAgainstThePerPairReference:
+    CASES = 1200
+
+    def test_curve_metrics_are_bit_identical(self):
+        rng = random.Random(2006)
+        strips, gammas = set(), set()
+        for _ in range(self.CASES):
+            pairs, cfg = _differential_case(rng)
+            preds = PredictionSet(pairs)
+            assert [tuple(p) for p in zip(preds.fpr.tolist(), preds.tpr.tolist())] \
+                == _ref_roc_points(pairs)
+            assert auc_roc(preds) == _ref_auc_roc(pairs)
+            assert weighted_auc_roc(preds, cfg) == _ref_weighted_auc_roc(pairs, cfg)
+            strips.add(cfg.strips)
+            gammas.add(cfg.gamma if cfg.gamma in (0.0, 1.0) else "random")
+        assert strips == set(range(1, 26)) and gammas == {0.0, 1.0, "random"}
+
+    def test_confusion_counts_match(self):
+        rng = random.Random(2007)
+        for _ in range(300):
+            pairs, _ = _differential_case(rng)
+            threshold = rng.choice((None, 0.5, rng.random()))
+            report = confusion_report(PredictionSet(pairs), threshold)
+            p = sum(l for _, l in pairs)
+            tp, fp, tn, fn = _ref_confusion_counts(pairs, report["threshold"])
+            assert report["fnr"] == fn / p
+            assert report["fpr"] == fp / (len(pairs) - p)
+            assert report["recall"] == tp / p
+            assert report["precision"] == (tp / (tp + fp) if tp + fp else 0.0)
+            assert report["accuracy"] == (tp + tn) / len(pairs)
+
+    def test_report_values_are_python_numbers(self):
+        preds = PredictionSet([(0.9, 1), (0.4, 0), (0.4, 1), (0.1, 0)])
+        values = [auc_roc(preds), weighted_auc_roc(preds), *confusion_report(preds).values()]
+        assert all(type(v) is float for v in values)
 
 
 def _random_predictions(rng, n):
@@ -87,7 +276,7 @@ class TestAucRoc:
 def _wauc_oracle(preds, cfg, grid=200_000):
     """Independent check: integrate 1 - FPR(tpr) over a fine tpr grid with
     midpoint sampling of the polyline, weighting each strip."""
-    pts = roc_points(preds)
+    pts = _ref_roc_points(preds.pairs)
     weights = strip_weights(cfg)
     regions = cfg.strips + 1
 
@@ -138,7 +327,7 @@ def _area_below_clipped(pts, level):
 
 def _wauc_exact_oracle(preds, cfg):
     """Strip areas as differences of clipped x-space integrals."""
-    pts = roc_points(preds)
+    pts = _ref_roc_points(preds.pairs)
     weights = strip_weights(cfg)
     regions = cfg.strips + 1
     total = 0.0
