@@ -1,8 +1,10 @@
 """First-order representation, dataset parsing, and the grounding engine.
 
 Predicates are declared in a :class:`Schema`; ground facts live in an
-indexed :class:`FactBase`; clause bodies are matched against it
-by a small deterministic engine with negation-as-failure.
+indexed :class:`FactBase`.  Clause bodies are grounded against it by a
+small deterministic engine with negation-as-failure: `compile_body` turns
+a body into a :class:`Plan` over a layout of bound variables, and
+`solutions` extends the binding tuples of many rows by it in one call.
 
 Textual formats are UTF-8 and line oriented.  A ``%`` starts a comment and
 whitespace outside identifiers is insignificant::
@@ -64,10 +66,6 @@ class Variable:
 
 
 Term = Union[Constant, Variable]
-
-# A substitution maps variables to constants; applying it to an atom
-# replaces exactly the mapped variables.
-Substitution = dict
 
 
 def parse_term(token: str, line: Optional[int] = None) -> Term:
@@ -145,12 +143,6 @@ class Atom:
 
     def variables(self) -> list:
         return [a for a in self.args if isinstance(a, Variable)]
-
-    def substitute(self, subst: Substitution) -> "Atom":
-        return Atom(self.pred,
-                    tuple(subst.get(a, a) if isinstance(a, Variable) else a
-                          for a in self.args),
-                    self.value)
 
     def __str__(self) -> str:
         inner = ",".join(str(a) for a in self.args)
@@ -323,20 +315,6 @@ class FactBase:
         """Payload of the fact with these ground args, or None if absent."""
         return self._keys.get((name, args))
 
-    def _candidates_raw(self, name: str, args) -> list:
-        rows = self._by_pred.get(name)
-        if not rows:
-            return []
-        best = None
-        for pos, arg in enumerate(args):
-            if isinstance(arg, Constant):
-                posting = self._index[(name, pos)].get(arg.symbol, [])
-                if best is None or len(posting) < len(best):
-                    best = posting
-        if best is None:
-            return rows
-        return [rows[i] for i in best]
-
     def observed_constants(self, name: str, pos: int) -> list:
         """Distinct constants seen at one argument position, sorted."""
         posting = self._index.get((name, pos), {})
@@ -346,39 +324,6 @@ class FactBase:
         """Distinct numeric payloads of a predicate's facts, sorted."""
         vals = {f.value for f in self._by_pred.get(name, [])}
         return sorted(vals)
-
-
-def _value_matches(query: AtomValue, actual) -> bool:
-    if query is None or query is True:
-        return True  # existence; boolean facts are always stored true
-    if isinstance(query, Cmp):
-        return float(actual) >= query.threshold
-    return actual == query
-
-
-def match(atom: Atom, subst: Substitution, db: FactBase) -> Iterator[Substitution]:
-    """Ground `atom` against `db`, extending `subst`.
-
-    Yields every extension of `subst` under which the atom is a fact of the
-    base (value constraints included), in the base's canonical fact order,
-    sorted by the facts' constant symbols.  Repeated calls are identical.
-    """
-    name = atom.pred.name
-    if name not in db.schema:
-        raise ParseError(f"unknown predicate {name}")
-    pattern = [subst.get(a, a) for a in atom.args]
-    for fact in db._candidates_raw(name, pattern):
-        if not _value_matches(atom.value, fact.value):
-            continue
-        merged = dict(subst)
-        for term, actual in zip(pattern, fact.args):
-            if isinstance(term, Constant):
-                if term != actual:
-                    break
-            elif merged.setdefault(term, actual) != actual:
-                break
-        else:
-            yield merged
 
 
 @dataclass(frozen=True)
@@ -392,46 +337,197 @@ class Literal:
         return ("!" if self.negated else "") + str(self.atom)
 
 
-def _as_literal(item) -> Literal:
-    return item if isinstance(item, Literal) else Literal(item)
+# ---------------------------------------------------------------------------
+# grounding: clause bodies over positional binding tuples
+# ---------------------------------------------------------------------------
 
 
-def solutions(body: Iterable, seed: Substitution, db: FactBase) -> Iterator[Substitution]:
-    """All substitutions grounding the whole body, in deterministic order.
+@dataclass(frozen=True)
+class _Step:
+    """One literal of a plan, by argument position.
 
-    Positive literals bind free variables via :func:`match`; negated
-    literals must be fully bound by the seed or by earlier literals and
-    filter the stream (stratified negation-as-failure).
+    `bound` pairs each argument bound by the tuple with its slot, `consts`
+    each constant argument with its symbol; `fresh` lists the positions of
+    the literal's new variables in first-appearance order, and `repeats`
+    pairs each later occurrence of a new variable with its first position.
+    A tuple probes the shortest posting of its bound and constant
+    arguments; `verify` is set when there are several, so that a probed
+    fact must still be checked against the others.
     """
-    yield from _ground([_as_literal(l) for l in body], 0, dict(seed), db)
+
+    name: str
+    negated: bool
+    value: AtomValue
+    bound: tuple
+    consts: tuple
+    fresh: tuple
+    repeats: tuple
+    verify: bool
 
 
-def _ground(lits: list, i: int, subst: Substitution, db: FactBase) -> Iterator[Substitution]:
-    # A module-level function, not a closure: a closure that calls itself is
-    # a reference cycle, left to the cyclic collector after every query.
-    if i == len(lits):
-        yield subst
-        return
-    lit = lits[i]
-    if lit.negated:
-        grounded = lit.atom.substitute(subst)
-        if grounded.variables():
-            raise ValueError(
-                f"unbound variable in negated literal {lit}")
-        if next(match(grounded, subst, db), None) is None:
-            yield from _ground(lits, i + 1, subst, db)
-    else:
-        for ext in match(lit.atom, subst, db):
-            yield from _ground(lits, i + 1, ext, db)
+@dataclass(frozen=True)
+class Plan:
+    """A clause body compiled against a layout of bound variables.
+
+    A binding is a tuple of constants, one per variable of the layout, in
+    order.  Grounding the body extends it to a tuple over `grown`: the
+    layout followed by the body's new variables in first-appearance order.
+    The plan depends on no fact base, so it is compiled once and grounded
+    on any.
+    """
+
+    grown: tuple
+    steps: tuple
 
 
-def satisfies(body: Iterable, seed: Substitution, db: FactBase) -> bool:
-    """True iff at least one full grounding of the body exists in `db`.
+def compile_body(body, layout) -> Plan:
+    """Compile the literals `body` against the variables `layout`.
+
+    A variable of the layout or of an earlier literal is a bound slot, any
+    other a fresh one.  A negated literal must be fully bound, or it is a
+    ValueError.
+    """
+    slots = {v: i for i, v in enumerate(layout)}
+    grown = list(layout)
+    steps = []
+    for lit in body:
+        bound, consts, repeats, first = [], [], [], {}
+        for pos, arg in enumerate(lit.atom.args):
+            if isinstance(arg, Constant):
+                consts.append((pos, arg.symbol))
+            elif arg in slots:
+                bound.append((pos, slots[arg]))
+            elif arg in first:
+                repeats.append((pos, first[arg]))
+            else:
+                first[arg] = pos
+        if lit.negated and first:
+            raise ValueError(f"unbound variable {next(iter(first))} in negated literal {lit}")
+        for v in first:
+            slots[v] = len(grown)
+            grown.append(v)
+        steps.append(_Step(lit.atom.pred.name, lit.negated, lit.atom.value,
+                           tuple(bound), tuple(consts), tuple(first.values()), tuple(repeats),
+                           len(bound) + len(consts) > 1))
+    return Plan(tuple(grown), tuple(steps))
+
+
+def _on_base(step: _Step, db: FactBase) -> tuple:
+    """(facts, fixed, keys) of `step` on `db`: the predicate's facts in
+    canonical order, the ordinals in the shortest posting of a constant
+    argument (None without one), and each bound argument's (posting, slot)."""
+    if step.name not in db.schema:
+        raise ParseError(f"unknown predicate {step.name}")
+    facts = db._by_pred.get(step.name)
+    if not facts:
+        return (), (), ()
+    fixed = None
+    for pos, symbol in step.consts:
+        posting = db._index[(step.name, pos)].get(symbol, ())
+        if fixed is None or len(posting) < len(fixed):
+            fixed = posting
+    return facts, fixed, tuple((db._index[(step.name, pos)], slot) for pos, slot in step.bound)
+
+
+def _extend(step: _Step, on_base: tuple, tuples: list, owners: list) -> tuple:
+    """Ground one literal over `tuples`, the i-th owned by row ``owners[i]``:
+    (extended tuples, their owners), each tuple's extensions in canonical
+    fact order.  A negated literal, or one without new variables, keeps the
+    tuples it fails, or passes, as they are."""
+    facts, fixed, keys = on_base
+    negated, fresh, repeats = step.negated, step.fresh, step.repeats
+    checks, const_checks = (step.bound, step.consts) if step.verify else ((), ())
+    check = bool(checks or const_checks or repeats)
+    value = step.value
+    threshold = value.threshold if isinstance(value, Cmp) else None
+    equal = not (value is None or value is True or threshold is not None)
+    one = fresh[0] if len(fresh) == 1 else None
+    extends = bool(fresh)
+    out, out_owners = [], []
+    for t, owner in zip(tuples, owners):
+        candidates = fixed
+        for posting, slot in keys:
+            ordinals = posting.get(t[slot].symbol)
+            if ordinals is None:
+                candidates = ()
+                break
+            if candidates is None or len(ordinals) < len(candidates):
+                candidates = ordinals
+        if candidates is None:
+            candidates = range(len(facts))
+        found = False
+        for i in candidates:
+            fact = facts[i]
+            if threshold is not None:
+                if not float(fact.value) >= threshold:
+                    continue
+            elif equal and fact.value != value:
+                continue
+            args = fact.args
+            if check:
+                if (any(args[pos].symbol != t[slot].symbol for pos, slot in checks)
+                        or any(args[pos].symbol != symbol for pos, symbol in const_checks)
+                        or any(args[pos].symbol != args[first].symbol
+                               for pos, first in repeats)):
+                    continue
+            if not extends:
+                found = True
+                break
+            out.append(t + (args[one],) if one is not None
+                       else t + tuple(args[pos] for pos in fresh))
+            out_owners.append(owner)
+        if found != negated:
+            out.append(t)
+            out_owners.append(owner)
+    return out, out_owners
+
+
+def solutions(plan: Plan, groups: list, db: FactBase) -> list:
+    """Ground a body for a group of rows on one fact base at once.
+
+    `plan` is ``compile_body(body, layout)``, and ``groups[r]`` is row r's
+    list of distinct binding tuples over `layout`.  Returns, for each row,
+    the tuples over ``plan.grown`` that extend one of its bindings to a
+    full grounding: the bindings in their order, each one's groundings in
+    canonical fact order, which is the order of a depth-first search.
+    Distinct bindings extend to distinct tuples, because a fact base holds
+    each fact once.  Each literal's postings are looked up on `db` once per
+    call, and the literal is grounded over every row's tuples together.
+    Positive literals bind new variables; negated literals keep the tuples
+    under which no fact matches (stratified negation-as-failure).
+    """
+    tuples = [t for group in groups for t in group]
+    owners = [r for r, group in enumerate(groups) for _ in group]
+    for step in plan.steps:
+        if not tuples:
+            break
+        tuples, owners = _extend(step, _on_base(step, db), tuples, owners)
+    out = [[] for _ in groups]
+    for t, owner in zip(tuples, owners):
+        out[owner].append(t)
+    return out
+
+
+def satisfies(body: Iterable, seed: dict, db: FactBase) -> bool:
+    """True iff at least one full grounding of the body exists in `db`,
+    with the variables of `seed` bound to its constants.
 
     Free variables are existentially quantified; the empty body is
-    vacuously true.
+    vacuously true.  The search is depth first and stops at the first
+    grounding.
     """
-    return next(solutions(body, seed, db), None) is not None
+    plan = compile_body(tuple(body), tuple(seed))
+    return _grounds(plan.steps, [_on_base(step, db) for step in plan.steps], 0,
+                    tuple(seed.values()))
+
+
+def _grounds(steps: tuple, on_bases: list, i: int, t: tuple) -> bool:
+    if i == len(steps):
+        return True
+    for ext in _extend(steps[i], on_bases[i], [t], [0])[0]:
+        if _grounds(steps, on_bases, i + 1, ext):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +724,8 @@ def parse_literal(text: str, schema: Schema) -> Literal:
         raise ParseError(f"unknown predicate {name!r}")
     pred = schema.get(name)
     args = tuple(parse_term(t.strip()) for t in argtext.split(",")) if argtext else ()
+    if len(args) != pred.arity:
+        raise ParseError(f"{name} expects {pred.arity} arguments, got {len(args)}")
     value: AtomValue = None
     if op == "=":
         if pred.kind != "multiclass":
@@ -667,6 +765,7 @@ def split_top_level(text: str, sep: str = ",") -> list:
 def parse_literal_list(text: str, schema: Schema) -> list:
     """Parse a comma-separated conjunction of literals; '' is the empty body."""
     return [parse_literal(part, schema) for part in split_top_level(text)]
+
 
 
 _MODE_RE = re.compile(r"mode:\s*([a-z][A-Za-z0-9_]*)\s*\(\s*([-+#,\s]*)\)\s*\.\Z")

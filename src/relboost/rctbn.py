@@ -40,6 +40,7 @@ from .logic import (
     _check_payload,
     _content_lines,
     _parse_ground_atom,
+    compile_body,
     parse_facts,
     parse_literal_list,
     parse_term,
@@ -835,7 +836,12 @@ def parse_groundtruth(text: str, schema: Schema):
                 cim = CIM(json.loads(cim_text))
             except (ValueError, json.JSONDecodeError) as exc:
                 raise ParseError(str(exc), lineno)
-            body = parse_literal_list(body_text, proj) if body_text else []
+            try:    # V0.. are bound to the stream's arguments
+                body = parse_literal_list(body_text, proj) if body_text else []
+                if name in proj:
+                    compile_body(body, [Variable(f"V{i}") for i in range(proj.get(name).arity)])
+            except (ParseError, ValueError) as exc:
+                raise ParseError(str(exc), lineno)
             clauses.append(ClauseSpec(name, cim, body))
         elif line.startswith("world "):
             if current_world is not None:

@@ -15,16 +15,25 @@ functional-gradient step (`boost_step`), and the model-file layout of a
 header line followed by optional `function <key>` lines and `tree <i>`
 blocks (`parse_header`, `write_model`, `read_trees`).
 
+An example's bindings at a node are positional: a list of distinct tuples
+of constants over the node's layout of bound variables.  The layout is the
+head variables ``V0..``, then each yes-path test's new variables in
+first-appearance order, so the root's one binding is the target atom's
+arguments.  A node test is compiled once against its layout into a
+`logic.Plan`.
+
 Routing is memoised by a `RoutingCache`.  An example's bindings at a node
 depend only on its target atom, its fact base and the yes-tests above the
 node, in order (a no branch adds no bindings).  So whether a test succeeds
 there, and the bindings it extends them to, is a pure function of (yes-path
 of test texts, test text, target, fact base), and is grounded once per run:
 at every node and boosting iteration that routes the example by that test
-again, and in `boost_step`'s update of the training rows' values.  Each
-learner's training function creates the cache, passes it to every
-`boost_step` of the run and drops it when the run ends.  `evaluate` routes
-a prediction the same way; `eval` and `cv` share one cache per command.
+again, and in `boost_step`'s update of the training rows' values.  The rows
+that a (yes-path, test) table is missing are grounded together, in one
+`logic.solutions` call per fact base.  Each learner's training function
+creates the cache, passes it to every `boost_step` of the run and drops it
+when the run ends.  `evaluate` routes a prediction the same way; `eval` and
+`cv` share one cache per command.
 """
 
 from __future__ import annotations
@@ -43,9 +52,11 @@ from .logic import (
     Literal,
     ModeDeclaration,
     ParseError,
+    Plan,
     PredicateSignature,
     Schema,
     Variable,
+    compile_body,
     parse_literal_list,
     solutions,
 )
@@ -117,10 +128,6 @@ def _sse(gradients: list) -> float:
 
 def _mean(gradients: list) -> float:
     return sum(gradients) / len(gradients) if gradients else 0.0
-
-
-def _seed(target: Atom) -> dict:
-    return {Variable(f"V{i}"): arg for i, arg in enumerate(target.args)}
 
 
 # ---------------------------------------------------------------------------
@@ -219,32 +226,49 @@ def enumerate_tests(bound_vars: list, modes: list, dbs: list,
 # ---------------------------------------------------------------------------
 
 
-def _extend_bindings(substs: list, literals: tuple, db: FactBase) -> list:
-    """Distinct full groundings of `literals` reachable from any binding."""
-    out, seen = [], set()
-    for theta in substs:
-        for ext in solutions(literals, theta, db):
-            key = tuple(sorted((v.name, c.symbol) for v, c in ext.items()))
-            if key not in seen:
-                seen.add(key)
-                out.append(ext)
-    return out
+class RoutingTable:
+    """The routings of one node test at the end of one yes-path.
+
+    `plan` is the test compiled against the yes-path's binding layout, and
+    ``plan.grown`` is the layout below its yes branch.  `routings` maps an
+    example's slot to its extended binding tuples where the test succeeds
+    and to ``()`` where it fails: the bindings the example has at every
+    node below the yes branch.  The tables of the tests there hang off
+    this one, keyed by test text.
+    """
+
+    __slots__ = ("plan", "routings", "_below")
+
+    def __init__(self, plan: Plan):
+        self.plan = plan
+        self.routings: dict = {}
+        self._below: dict = {}
+
+    def below(self, test: NodeTest) -> "RoutingTable":
+        """The table of `test` under this table's yes branch."""
+        table = self._below.get(test.text())
+        if table is None:
+            table = self._below[test.text()] = RoutingTable(
+                compile_body(test.literals, self.plan.grown))
+        return table
 
 
 class RoutingCache:
     """Routing of examples by node tests, kept for a training run or a command.
 
-    A routing is stored per (yes-path of test texts, test text) in a table
-    keyed by the example's slot: an integer naming its (target atom, fact
-    base) pair by identity.  The cache holds both objects, so no other pair
-    can take their ids while it lives.  A table entry is the extended
-    bindings where the test succeeds and ``()`` where it fails.
+    The tables form one tree per target arity.  Its root is the empty test
+    over the head variables ``V0..``, which routes each example to the one
+    binding tuple ``target.args``; a (yes-path, test) pair's table is
+    reached by `RoutingTable.below` along the path.  Routings are keyed by
+    the example's slot: an integer naming its (target atom, fact base) pair
+    by identity.  The cache holds both objects, so no other pair can take
+    their ids while it lives.
     """
 
     def __init__(self):
         self._slots: dict = {}      # (id(target), id(db)) -> slot
         self._held: list = []       # (target, db) of each slot
-        self._tables: dict = {}     # (yes-path texts, test text) -> {slot: routing}
+        self._roots: dict = {}      # target arity -> root table
 
     def slot(self, target: Atom, db: FactBase) -> int:
         key = (id(target), id(db))
@@ -252,42 +276,64 @@ class RoutingCache:
         if slot is None:
             slot = self._slots[key] = len(self._held)
             self._held.append((target, db))
+            self.root(target.pred.arity).routings[slot] = [target.args]
         return slot
 
-    def table(self, path: tuple, text: str) -> dict:
-        """The routings of the test with text `text` at the end of `path`."""
-        return self._tables.setdefault((path, text), {})
-
-    def fact_base(self, slot: int) -> FactBase:
-        return self._held[slot][1]
+    def root(self, arity: int) -> RoutingTable:
+        """The table above every test of a tree with a target of `arity`."""
+        table = self._roots.get(arity)
+        if table is None:
+            head = tuple(Variable(f"V{i}") for i in range(arity))
+            table = self._roots[arity] = RoutingTable(compile_body((), head))
+        return table
 
 
 @dataclass
 class _GrowLeaf:
     created: int
-    rows: list                   # (gradient, slot, live bindings) triples
-    bound_vars: list
+    rows: list                   # (gradient, slot) pairs
+    node: RoutingTable           # the table of the leaf's yes-path
     path_texts: frozenset        # literal texts on the path
-    path: tuple                  # test texts of the yes-path, root first
     sse: float = field(init=False)
     split: Optional[tuple] = None   # (test, yes leaf, no leaf) once grown
 
     def __post_init__(self):
-        self.sse = _sse([g for g, _, _ in self.rows])
+        self.sse = _sse([g for g, _ in self.rows])
 
 
-def _score_candidate(rows: list, test: NodeTest, table: dict, cache: RoutingCache) -> tuple:
-    """Route (item, slot, bindings) rows by `test`, whose routings at the
-    rows' node are `table`: the yes side keeps the extended bindings, the
-    no side its old ones.  Only rows missing from `table` are grounded."""
+def _ground_missing(slots: list, table: RoutingTable, above: RoutingTable,
+                   cache: RoutingCache):
+    """Route the examples of `slots` by the test of `table`, a table below
+    `above`, from their bindings in `above`: one `solutions` call per fact
+    base grounds them all."""
+    by_db: dict = {}        # id(db) -> (db, slots on it)
+    held = cache._held
+    for slot in dict.fromkeys(slots):
+        db = held[slot][1]
+        group = by_db.get(id(db))
+        if group is None:
+            by_db[id(db)] = (db, [slot])
+        else:
+            group[1].append(slot)
+    bindings, routings = above.routings, table.routings
+    for db, group in by_db.values():
+        for slot, ext in zip(group, solutions(table.plan, [bindings[s] for s in group], db)):
+            routings[slot] = ext or ()
+
+
+def _score_candidate(rows: list, table: RoutingTable, above: RoutingTable,
+                     cache: RoutingCache) -> tuple:
+    """Split (item, slot) rows by the test of `table`, a table below
+    `above`, into the rows where it succeeds and those where it fails.
+    Only the rows missing from `table` are grounded."""
+    routings = table.routings
+    missing = [slot for _, slot in rows if slot not in routings]
+    if missing:
+        _ground_missing(missing, table, above, cache)
     yes, no = [], []
     for row in rows:
-        ext = table.get(row[1])
-        if ext is None:
-            ext = table[row[1]] = (_extend_bindings(row[2], test.literals,
-                                                    cache.fact_base(row[1])) or ())
-        if ext:
-            yes.append((row[0], row[1], ext))
+        if routings[row[1]]:
+            yes.append(row)
         else:
             no.append(row)
     return yes, no
@@ -316,12 +362,10 @@ def fit_tree(rows: list, gradients: list, modes: list,
             raise ValueError("gradient must be finite")
         if atom.pred != target:
             raise ValueError("examples mix target predicates")
-    head_vars = [Variable(f"V{i}") for i in range(target.arity)]
     dbs = list({id(db): db for _, db in rows}.values())    # distinct, first seen first
 
-    root_leaf = _GrowLeaf(0, [(g, cache.slot(atom, db), [_seed(atom)])
-                              for (atom, db), g in zip(rows, gradients)],
-                          list(head_vars), frozenset(), ())
+    root_leaf = _GrowLeaf(0, [(g, cache.slot(atom, db)) for (atom, db), g in zip(rows, gradients)],
+                          cache.root(target.arity), frozenset())
     beam = [root_leaf]
     n_leaves = 1
 
@@ -331,38 +375,33 @@ def fit_tree(rows: list, gradients: list, modes: list,
         leaf = beam.pop(0)
         if leaf.sse <= 0.0:
             continue
-        candidates = enumerate_tests(leaf.bound_vars, modes, dbs, config,
+        candidates = enumerate_tests(list(leaf.node.plan.grown), modes, dbs, config,
                                      leaf.path_texts)
         best = None
         for test in candidates:
-            text = test.text()
-            yes, no = _score_candidate(leaf.rows, test, cache.table(leaf.path, text), cache)
+            table = leaf.node.below(test)
+            yes, no = _score_candidate(leaf.rows, table, leaf.node, cache)
             if not yes or not no:
                 continue
-            score = _sse([g for g, _, _ in yes]) + _sse([g for g, _, _ in no])
+            score = _sse([g for g, _ in yes]) + _sse([g for g, _ in no])
             if score >= leaf.sse - 1e-12:
                 continue
-            key = (score, text)
+            key = (score, test.text())
             if best is None or key < best[0]:
-                best = (key, test, yes, no)
+                best = (key, test, table, yes, no)
         if best is None:
             continue
-        (_, text), test, yes_rows, no_rows = best
-        fresh = [v for lit in test.literals for v in lit.atom.variables()
-                 if v not in leaf.bound_vars]
-        fresh = list(dict.fromkeys(fresh))
+        _, test, table, yes_rows, no_rows = best
         new_texts = leaf.path_texts | {str(l) for l in test.literals}
-        yes_leaf = _GrowLeaf(2 * n_leaves - 1, yes_rows, leaf.bound_vars + fresh,
-                             new_texts, leaf.path + (text,))
-        no_leaf = _GrowLeaf(2 * n_leaves, no_rows, list(leaf.bound_vars),
-                            leaf.path_texts, leaf.path)
+        yes_leaf = _GrowLeaf(2 * n_leaves - 1, yes_rows, table, new_texts)
+        no_leaf = _GrowLeaf(2 * n_leaves, no_rows, leaf.node, leaf.path_texts)
         n_leaves += 1
         leaf.split = (test, yes_leaf, no_leaf)
         beam.extend([yes_leaf, no_leaf])
 
     def build(leaf):
         if leaf.split is None:
-            return Leaf(_mean([g for g, _, _ in leaf.rows]))
+            return Leaf(_mean([g for g, _ in leaf.rows]))
         test, yes_leaf, no_leaf = leaf.split
         return Inner(test, build(yes_leaf), build(no_leaf))
 
@@ -381,12 +420,13 @@ def evaluate(tree: RegressionTree, target: Atom, db: FactBase,
     if target.pred.name != tree.target.name or target.pred.arity != tree.target.arity:
         raise ValueError(f"{target} does not match tree target {tree.target.name}")
     cache = cache if cache is not None else RoutingCache()
-    row, node, path = (target, cache.slot(target, db), [_seed(target)]), tree.root, ()
+    slot, node, at = cache.slot(target, db), tree.root, cache.root(target.pred.arity)
     while isinstance(node, Inner):
-        text = node.test.text()
-        yes, _ = _score_candidate([row], node.test, cache.table(path, text), cache)
-        if yes:
-            row, node, path = yes[0], node.yes, path + (text,)
+        table = at.below(node.test)
+        if slot not in table.routings:
+            _ground_missing([slot], table, at, cache)
+        if table.routings[slot]:
+            node, at = node.yes, table
         else:
             node = node.no
     return node.value
@@ -430,17 +470,17 @@ def boost_step(rows: list, fit: list, modes: list, tree_config: TreeConfig,
     fitted = fit_tree([rows[i] for i, _ in fit], [g for _, g in fit], modes,
                       tree_config, cache)
     tree = RegressionTree(fitted.target, _scaled(fitted.root, eta))
-    stack = [(tree.root, (), [(i, cache.slot(atom, row_db), [_seed(atom)])
-                              for i, (atom, row_db) in enumerate(rows)])]
+    stack = [(tree.root, cache.root(tree.target.arity),
+              [(i, cache.slot(atom, row_db)) for i, (atom, row_db) in enumerate(rows)])]
     while stack:
-        node, path, group = stack.pop()
+        node, at, group = stack.pop()
         if isinstance(node, Leaf):
-            for i, _, _ in group:
+            for i, _ in group:
                 psis[i] += node.value
             continue
-        text = node.test.text()
-        yes, no = _score_candidate(group, node.test, cache.table(path, text), cache)
-        stack.extend(((node.yes, path + (text,), yes), (node.no, path, no)))
+        table = at.below(node.test)
+        yes, no = _score_candidate(group, table, at, cache)
+        stack.extend(((node.yes, table, yes), (node.no, at, no)))
     return tree
 
 
@@ -517,9 +557,10 @@ def parse_tree(text: str, schema: Schema, target: PredicateSignature,
     if 0 not in specs:
         raise ParseError("tree has no root node 0", first_line)
     order, reached = [], set()
-    stack = [(0, first_line)]       # (node id, line that names it)
+    # (node id, line that names it, variables the yes-path above it binds)
+    stack = [(0, first_line, tuple(Variable(f"V{i}") for i in range(target.arity)))]
     while stack:
-        nid, named_at = stack.pop()
+        nid, named_at, bound = stack.pop()
         if nid not in specs:
             raise ParseError(f"dangling node id {nid}", named_at)
         if nid in reached:
@@ -528,7 +569,11 @@ def parse_tree(text: str, schema: Schema, target: PredicateSignature,
         order.append(nid)
         spec = specs[nid]
         if len(spec) == 4:
-            stack.extend(((spec[3], spec[0]), (spec[2], spec[0])))
+            try:    # a negated literal may use only variables bound before it
+                below = compile_body(spec[1].literals, bound).grown
+            except ValueError as exc:
+                raise ParseError(str(exc), spec[0])
+            stack.extend(((spec[3], spec[0], bound), (spec[2], spec[0], below)))
     nodes: dict = {}
     for nid in reversed(order):     # children before their parents
         spec = specs[nid]

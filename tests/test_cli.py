@@ -306,6 +306,19 @@ class TestEvalAndMetrics:
         assert main(["eval", "--model", model, "--schema", schema]) == 2
         assert "data error: line 3: bad threshold 'nan'" in capsys.readouterr().err
 
+    def test_unbound_negated_variable_names_the_model_file_line(self, bundle, capsys):
+        model = _write(bundle["dir"] / "model.txt", "\n".join([
+            "model rfgb target=target/1 kind=hard psi0=0.0",
+            "tree 0", 'node 0 test "flag(V0)" yes=1 no=2', "leaf 1 value=0.5",
+            "leaf 2 value=-0.5",
+            "tree 1", 'node 0 test "!flag(V1)" yes=1 no=2', "leaf 1 value=0.25",
+            "leaf 2 value=-0.25"]) + "\n")
+        assert main(["eval", "--model", model, "--schema", bundle["schema"],
+                     "--facts", bundle["facts"], "--pos", bundle["pos"],
+                     "--neg", bundle["neg"]]) == 2
+        assert ("data error: line 7: unbound variable V1 in negated literal !flag(V1)"
+                in capsys.readouterr().err)
+
     def test_deep_tree_model_evaluates(self, bundle):
         # a 3,001-node chain: far deeper than Python's recursion limit
         depth = 1500
@@ -440,6 +453,20 @@ class TestSample:
         assert main(["sample", "--spec", spec, "--schema", schema,
                      "--horizon", "5.0", "--out", out]) == 2
         assert "data error: line 9: " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("body,message", [
+        ("!parentOf(Y,V0)", "unbound variable Y in negated literal !parentOf(Y,V0)"),
+        ("parentOf(Y,V0", "bad literal 'parentOf(Y,V0'"),
+    ])
+    def test_bad_clause_body_is_data_error_at_its_line(self, tmp_path, capsys, body, message):
+        schema = _write(tmp_path / "schema.txt", SAMPLE_SCHEMA)
+        spec = _write(tmp_path / "spec.txt", SAMPLE_SPEC.replace(
+            '"parentOf(Y,V0), cvd(Y)"', f'"{body}"'))
+        out = str(tmp_path / "trj.txt")
+        assert main(["sample", "--spec", spec, "--schema", schema,
+                     "--horizon", "5.0", "--out", out]) == 2
+        assert f"data error: line 4: {message}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_zero_worlds_empty_file(self, tmp_path):

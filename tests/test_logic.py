@@ -17,7 +17,7 @@ from relboost.logic import (
     PredicateSignature,
     Schema,
     Variable,
-    match,
+    compile_body,
     parse_examples,
     parse_facts,
     parse_literal,
@@ -33,6 +33,20 @@ from relboost.logic import (
 )
 from relboost.regtree import TreeConfig, fit_tree
 from tests.conftest import build_linked_domain
+from tests.grounding_reference import substitute
+
+
+def groundings(body, subst: dict, db) -> list:
+    """`solutions` of `body` for one row with the one binding `subst`, as
+    substitution dicts over the grown layout."""
+    plan = compile_body(tuple(body), tuple(subst))
+    [row] = solutions(plan, [[tuple(subst.values())]], db)
+    return [dict(zip(plan.grown, t)) for t in row]
+
+
+def match(atom, subst: dict, db) -> list:
+    """`groundings` of the one-literal body `atom`."""
+    return groundings([Literal(atom)], subst, db)
 
 
 class TestParseFacts:
@@ -198,7 +212,7 @@ class TestSatisfies:
         body = parse_literal_list("familyMember(Y,mary), diabetes(Y,T)",
                                   family_schema)
         assert satisfies(body, {}, family_db) is True
-        sols = list(solutions(body, {}, family_db))
+        sols = groundings(body, {}, family_db)
         assert ({str(s[Variable("Y")]), str(s[Variable("T")])} == {"ann", "t2"}
                 for s in sols)
 
@@ -216,7 +230,7 @@ class TestSatisfies:
         body = parse_literal_list("familyMember(Y,mary), !diabetes(Y,t2)",
                                   family_schema)
         names = sorted(s[Variable("Y")].symbol
-                       for s in solutions(body, {}, family_db))
+                       for s in groundings(body, {}, family_db))
         assert names == ["bob", "eve", "tom"]
 
 
@@ -245,7 +259,7 @@ predicate: size/1 count.
 def _linear_scan(atom, subst, db):
     """Reference matcher: no index, same semantics."""
     out = []
-    bound = atom.substitute(subst)
+    bound = substitute(atom, subst)
     for fact in [f for f in db.facts() if f.pred.name == atom.pred.name]:
         extra = {}
         ok = True
@@ -358,8 +372,7 @@ class TestEngineProperties:
                     else Constant(rng.choice(consts))
                     for _ in range(pred.arity))
                 body.append(Literal(Atom(pred, args)))
-            assert satisfies(body, {}, db) == (
-                next(solutions(body, {}, db), None) is not None)
+            assert satisfies(body, {}, db) == bool(groundings(body, {}, db))
 
 
 EXTENSION_SCHEMA = """
@@ -475,7 +488,7 @@ class TestQueriesLeaveFactBaseUnchanged:
         schema, db, modes, examples = build_linked_domain(6, 12, seed=2)
         before = pickle.dumps(db)
         body = parse_literal_list("knows(X,Y), flag(Y)", schema)
-        assert list(solutions(body, {}, db))
+        assert groundings(body, {}, db)
         assert satisfies(parse_literal_list("shade(X)", schema), {}, db)
         fit_tree([(atom, db) for atom, _ in examples.entries],
                  [1.0 if label else -1.0 for _, label in examples.entries], modes,
@@ -525,6 +538,12 @@ predicate: rel/2 boolean.
         schema = parse_schema("predicate: bp/1 continuous.")
         with pytest.raises(ParseError, match="finite number"):
             parse_literal_list(f"bp(V0)>={token}", schema)
+
+    @pytest.mark.parametrize("text", ["familyMember(X)", "familyMember(X,Y,Z)",
+                                      "!familyMember"])
+    def test_wrong_argument_count_is_parse_error(self, family_schema, text):
+        with pytest.raises(ParseError, match="familyMember expects 2 arguments"):
+            parse_literal(text, family_schema)
 
     def test_threshold_on_boolean_rejected(self, family_schema):
         with pytest.raises(ParseError):

@@ -835,6 +835,27 @@ end
         spec, worlds = parse_groundtruth(text + "var checkup init=[0.5, 0.5]\n", schema)
         assert sorted(spec.variables) == ["checkup", "cvd"] and len(worlds) == 2
 
+    @pytest.mark.parametrize("body,message", [
+        ("!parentOf(Y,V0)", r"unbound variable Y in negated literal !parentOf\(Y,V0\)"),
+        ("!cvd(V1)", r"unbound variable V1 in negated literal !cvd\(V1\)"),
+        ("parentOf(Y,V0", r"bad literal 'parentOf\(Y,V0'"),
+        ("cvd(Y), parentOf(Y)", "parentOf expects 2 arguments, got 1"),
+    ], ids=["unbound-y", "past-the-head", "bad-literal", "arity"])
+    def test_bad_clause_body_is_parse_error_at_its_line(self, schema, body, message):
+        text = (f'var cvd init=[1.0, 0.0]\nclause cvd cim=[[-1.0, 1.0], [0.0, 0.0]]\n'
+                f'clause cvd cim=[[-0.5, 0.5], [0.0, 0.0]] if "{body}"\n')
+        with pytest.raises(ParseError, match=message) as info:
+            parse_groundtruth(text, schema)
+        assert info.value.line == 3
+
+    def test_negated_literal_bound_by_the_head_or_an_earlier_literal_parses(self, schema):
+        spec, _ = parse_groundtruth(
+            'var cvd init=[1.0, 0.0]\n'
+            'clause cvd cim=[[-1.0, 1.0], [0.0, 0.0]] if "!cvd(V0)"\n'
+            'clause cvd cim=[[-0.5, 0.5], [0.0, 0.0]] if "parentOf(Y,V0), !cvd(Y)"\n', schema)
+        assert [str(l) for c in spec.clauses for l in c.body] == [
+            "!cvd(V0)", "parentOf(Y,V0)", "!cvd(Y)"]
+
     def test_clause_head_must_be_declared(self, schema):
         with pytest.raises(Exception, match="not a declared variable"):
             parse_groundtruth("clause cvd cim=[[-1.0, 1.0], [0.0, 0.0]]", schema)

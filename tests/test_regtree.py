@@ -34,6 +34,7 @@ from relboost.regtree import (
     trees_value,
 )
 from relboost import boost, hybrid
+from tests import grounding_reference as reference
 from tests.conftest import build_hybrid_domain, build_linked_domain
 
 
@@ -46,10 +47,10 @@ def score_split(rows: list, gradients: list, test: NodeTest) -> float:
     SSE.  Routing is the fit's own (`_score_candidate`).
     """
     cache = RoutingCache()
-    root = [(g, cache.slot(atom, db), [regtree._seed(atom)])
-            for (atom, db), g in zip(rows, gradients)]
-    yes, no = _score_candidate(root, test, cache.table((), test.text()), cache)
-    return _sse([g for g, _, _ in yes]) + _sse([g for g, _, _ in no])
+    root = [(g, cache.slot(atom, db)) for (atom, db), g in zip(rows, gradients)]
+    above = cache.root(rows[0][0].pred.arity)
+    yes, no = _score_candidate(root, above.below(test), above, cache)
+    return _sse([g for g, _ in yes]) + _sse([g for g, _ in no])
 
 
 def _atoms(target, names):
@@ -497,6 +498,27 @@ class TestRoutingCache:
         assert calls == []
         assert serialize_tree(first) == serialize_tree(second) == uncached
 
+    def test_each_table_is_grounded_by_one_batched_call(self, linked_domain, monkeypatch):
+        schema, db, modes, examples = linked_domain
+        rng = random.Random(19)
+        rows = [(a, db) for a, _ in examples.entries]
+        cache = RoutingCache()
+        calls = _count_groundings(monkeypatch)
+        tree = fit_tree(rows, [rng.uniform(-1, 1) for _ in rows], modes,
+                        TreeConfig(max_leaves=6), cache)
+        assert tree.leaf_count() > 2
+        tables, stack = [], list(cache.root(1)._below.values())
+        while stack:
+            table = stack.pop()
+            tables.append(table)
+            stack.extend(table._below.values())
+        # every table the fit made was grounded, each by exactly one call
+        # that carried all of its rows
+        assert sorted(id(args[0]) for args in calls) == sorted(id(t.plan) for t in tables)
+        assert len(calls[0][1]) == len(rows)
+        assert all(len(args[1]) == len(t.routings) for args in calls for t in tables
+                   if args[0] is t.plan)
+
     def test_score_split_agrees_with_the_fits_routing(self, linked_domain, monkeypatch):
         schema, db, modes, examples = linked_domain
         rng = random.Random(23)
@@ -508,13 +530,13 @@ class TestRoutingCache:
         candidates = enumerate_tests([Variable("V0")], modes, [db], config, frozenset())
         fresh = [score_split(pairs, grads, test) for test in candidates]
         calls = _count_groundings(monkeypatch)
-        # the fit routed every example by every root candidate: all are hits,
-        # so the bindings slot of a row is never read
-        rows = [(g, cache.slot(a, db), None) for (a, _), g in zip(pairs, grads)]
+        # the fit routed every example by every root candidate: all are hits
+        rows = [(g, cache.slot(a, db)) for (a, _), g in zip(pairs, grads)]
+        root = cache.root(1)
         for test, expected in zip(candidates, fresh):
-            yes, no = _score_candidate(rows, test, cache.table((), test.text()), cache)
-            assert (_sse([g for g, _, _ in yes])
-                    + _sse([g for g, _, _ in no])) == expected
+            yes, no = _score_candidate(rows, root.below(test), root, cache)
+            assert (_sse([g for g, _ in yes])
+                    + _sse([g for g, _ in no])) == expected
         assert calls == []
 
     def test_one_test_text_under_different_yes_paths(self):
@@ -552,10 +574,10 @@ class TestRoutingCache:
 def _uncached_evaluate(tree, target, db) -> float:
     """The reference router: a per-example walk with no cache, grounding each
     node's test from the bindings of the yes-path above it."""
-    substs = [regtree._seed(target)]
+    substs = [reference.seed(target)]
     node = tree.root
     while isinstance(node, Inner):
-        ext = regtree._extend_bindings(substs, node.test.literals, db)
+        ext = reference.extend_bindings(substs, node.test.literals, db)
         if ext:
             substs = ext
             node = node.yes
@@ -680,6 +702,31 @@ predicate: rel/2 boolean.
         schema, _, _ = tiny_domain
         with pytest.raises(ParseError, match="reached twice|duplicate node id"):
             parse_tree(text, schema, schema.get("target"))
+
+    NEGATION_SCHEMA = ("predicate: target/1 boolean.\npredicate: knows/2 boolean.\n"
+                       "predicate: flag/1 boolean.\n")
+
+    @pytest.mark.parametrize("lines,line", [
+        (['node 0 test "!flag(V1)" yes=1 no=2', "leaf 1 value=0.5", "leaf 2 value=-0.5"], 1),
+        (['node 0 test "!flag(V1), knows(V0,V1)" yes=1 no=2', "leaf 1 value=0.5",
+          "leaf 2 value=-0.5"], 1),
+        (['node 0 test "knows(V0,V1)" yes=1 no=3', 'node 1 test "!flag(V1)" yes=2 no=4',
+          "leaf 2 value=1.0", "leaf 4 value=0.0", 'node 3 test "!flag(V1)" yes=5 no=6',
+          "leaf 5 value=0.5", "leaf 6 value=-0.5"], 5),
+    ], ids=["head-only", "later-literal", "no-branch"])
+    def test_unbound_variable_in_negated_literal_is_parse_error_at_its_line(
+            self, lines, line):
+        schema = parse_schema(self.NEGATION_SCHEMA)
+        with pytest.raises(ParseError, match=f"line {line}: unbound variable V1 in "
+                                             r"negated literal !flag\(V1\)"):
+            parse_tree("\n".join(lines) + "\n", schema, schema.get("target"))
+
+    def test_negated_literal_bound_by_the_yes_path_or_its_test_parses(self):
+        schema = parse_schema(self.NEGATION_SCHEMA)
+        text = ('node 0 test "knows(V0,V1), !flag(V1)" yes=1 no=4\n'
+                'node 1 test "!knows(V1,V0)" yes=2 no=3\n'
+                "leaf 2 value=1.0\nleaf 3 value=0.5\nleaf 4 value=-0.5\n")
+        assert serialize_tree(parse_tree(text, schema, schema.get("target"))) == text
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "zero"])
     def test_non_finite_leaf_value_rejected(self, tiny_domain, value):
