@@ -17,6 +17,7 @@ import csv
 import io
 import math
 import random
+import re
 import sys
 from dataclasses import replace
 
@@ -396,9 +397,41 @@ def cmd_eval(opts: dict) -> int:
     return 0
 
 
-def cmd_metrics(opts: dict) -> int:
-    _require(opts, "csv")
-    reader = csv.reader(io.StringIO(_read(opts["csv"])))
+_PLAIN_CHARS_RE = re.compile(r"[-.,0-9\n]*")
+
+
+def _plain_pairs(text: str) -> list | None:
+    """The (score, label) pairs of a predictions CSV in its common form, the
+    header ``score,label`` and then ``score,0`` or ``score,1`` rows of ASCII
+    digits, '.' and '-', each line ending in a newline; None for any other
+    text.
+
+    The body is read in whole-text passes, none of them per line.  When
+    every newline follows ",0" or ",1" and there are as many commas as
+    lines, each line holds one comma, so the fields alternate score, label.
+    """
+    header = "score,label\n"
+    if not (text.startswith(header) and text.endswith("\n")):
+        return None
+    body = text[len(header):]
+    lines = body.count("\n")
+    if not (lines and _PLAIN_CHARS_RE.fullmatch(body)
+            and body.count(",") == lines == body.count(",0\n") + body.count(",1\n")):
+        return None
+    fields = body.replace("\n", ",").split(",")
+    labels = list(map(int, fields[1::2]))
+    try:
+        scores = list(map(float, fields[0:-1:2]))
+    except ValueError:      # a score such as "1.2.3" or "-"
+        return None
+    del fields      # free the score strings before the pairs are made
+    if not all(map(math.isfinite, scores)):     # hundreds of digits pass float range
+        return None
+    return list(zip(scores, labels))
+
+
+def _csv_pairs(text: str) -> list:
+    reader = csv.reader(io.StringIO(text))
     if [c.strip() for c in next(reader, [])] != ["score", "label"]:
         raise DataError("predictions CSV needs a score,label header")
     pairs = []
@@ -412,6 +445,18 @@ def cmd_metrics(opts: dict) -> int:
             raise DataError(f"line {reader.line_num}: bad row in predictions CSV: {exc}")
     if not pairs:
         raise DataError("empty predictions CSV")
+    return pairs
+
+
+def cmd_metrics(opts: dict) -> int:
+    """Score a predictions CSV.  A CSV in its common form (`_plain_pairs`)
+    is read in whole-text passes; any other goes to the `csv.reader` loop,
+    which raises every error at its line."""
+    _require(opts, "csv")
+    text = _read(opts["csv"])
+    pairs = _plain_pairs(text)
+    if pairs is None:
+        pairs = _csv_pairs(text)
     report = _prediction_report(metrics.PredictionSet(pairs), opts)
     _emit(_report_lines(report), opts["report"])
     return 0

@@ -21,6 +21,7 @@ when it is built, and queries never write to it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -43,11 +44,12 @@ class ParseError(Exception):
 # terms and signatures
 # ---------------------------------------------------------------------------
 
+_CONSTANT = r"(?:[a-z][A-Za-z0-9_]*|-?[0-9]+(?:\.[0-9]+)?)"
 _VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
-_CONSTANT_RE = re.compile(r"(?:[a-z][A-Za-z0-9_]*|-?[0-9]+(?:\.[0-9]+)?)\Z")
+_CONSTANT_RE = re.compile(_CONSTANT + r"\Z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     """A constant symbol; equality is symbol equality."""
 
@@ -57,7 +59,7 @@ class Constant:
         return self.symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     name: str
 
@@ -125,7 +127,7 @@ class Cmp:
 AtomValue = Union[None, bool, int, float, Cmp]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """A (possibly non-ground) atom with an optional value constraint."""
 
@@ -647,11 +649,84 @@ def _parse_payload(pred: PredicateSignature, valuetext, lineno) -> AtomValue:
     return value
 
 
+# one line of the common form of `parse_facts`
+_COMMON_LINE_RE = re.compile(
+    rf"^([a-z][A-Za-z0-9_]*)(?:\(({_CONSTANT}(?:,{_CONSTANT})*)?\))?"
+    r"(?:=(-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))?\.\n", re.M)
+
+
+class _Interned(dict):
+    """Symbol -> Constant, each constant made once on first sight."""
+
+    def __missing__(self, symbol: str) -> Constant:
+        self[symbol] = constant = Constant(symbol)
+        return constant
+
+
+def _read_common(text: str, schema: Schema) -> Optional[list]:
+    """The (predicate, args, value) of each line of `text`, line k giving
+    entry k, if `text` is in the common form of `parse_facts` and each line
+    is a valid fact of `schema`; None otherwise.
+
+    One `findall` reads the whole text.  A match starts at a line start and
+    ends at that line's newline, so as many matches as lines cover the text.
+    Constants are interned for the call, one `Constant` per symbol.
+    """
+    if not text.endswith("\n"):
+        return None
+    rows = _COMMON_LINE_RE.findall(text)
+    if len(rows) != text.count("\n"):
+        return None
+    symbols = _Interned().__getitem__
+    out = []
+    for name, argtext, valuetext in rows:
+        pred = schema._by_name.get(name)
+        if pred is None:
+            return None
+        args = tuple(map(symbols, argtext.split(","))) if argtext else ()
+        if len(args) != pred.arity:
+            return None
+        kind = pred.kind
+        if kind == "boolean":
+            if valuetext:
+                return None
+            value = True
+        elif not valuetext:
+            return None
+        elif kind == "continuous":
+            value = float(valuetext)
+            if not math.isfinite(value):
+                return None
+        elif valuetext.isdigit():   # ASCII digits only: the pattern admits no others
+            value = int(valuetext)
+            if value >= (pred.classes if kind == "multiclass" else 2 ** 53 + 1):
+                return None
+        else:
+            return None
+        out.append((pred, args, value))
+    return out
+
+
 def parse_facts(text: str, schema: Schema) -> FactBase:
     """Parse a facts stream into a FactBase.
 
-    Parsing then serializing then parsing again is a fixpoint.
+    Text in the common form, the form `serialize_facts` writes, is read in
+    one whole-text pass: one ``name(c1,...,ck).`` or ``name(c1,...,ck)=value.``
+    a line, each line ending in a newline, with no blank lines, ``%``
+    comments or spaces.  Any other text, or one with a line that pass cannot
+    vouch for (an unknown predicate, a wrong arity, a value out of its
+    kind's range), goes to the per-line reader, which raises every error at
+    its line.  Parsing then serializing then parsing again is a fixpoint.
     """
+    common = _read_common(text, schema)
+    if common is None:
+        return _parse_fact_lines(text, schema)
+    # line k is fact k, so a conflict still names its line
+    return FactBase(schema, list(itertools.starmap(Atom, common)),
+                    range(1, len(common) + 1))
+
+
+def _parse_fact_lines(text: str, schema: Schema) -> FactBase:
     atoms, linenos = [], []
     for lineno, line in _content_lines(text):
         atoms.append(_parse_ground_atom(line, schema, lineno))
@@ -673,10 +748,29 @@ def parse_examples(text: str, target: PredicateSignature,
     negatives file).  Hybrid targets carry their payload inline as
     ``atom=value.`` and ``label`` must be None.  An atom already in
     ``earlier``, a set read from another file, is a duplicate at its line.
+
+    Text in the common form of `parse_facts`, the form `serialize_examples`
+    writes, is read in one whole-text pass: one ``name(c1,...,ck).`` a line
+    for a labelled file, one ``name(c1,...,ck)=value.`` for a hybrid one.
+    Any other text, or one with a duplicate, goes to the per-line reader,
+    which raises every error at its line.
     """
+    seen = {atom.args for atom, _ in earlier.entries} if earlier else set()
+    common = None
+    if (label is None) != (target.kind == "boolean"):
+        common = _read_common(text, Schema([target]))
+    if common is None or len({args for _, args, _ in common} - seen) != len(common):
+        return _parse_example_lines(text, target, label, seen)
+    if label is None:
+        return ExampleSet(target, [(Atom(target, args, None), value)
+                                   for _, args, value in common])
+    return ExampleSet(target, [(atom, label) for atom in itertools.starmap(Atom, common)])
+
+
+def _parse_example_lines(text: str, target: PredicateSignature,
+                         label: Optional[int], seen: set) -> ExampleSet:
     schema = Schema([target])
     entries = []
-    seen = {atom.args for atom, _ in earlier.entries} if earlier else set()
     for lineno, line in _content_lines(text):
         if label is not None:
             m = _FACT_RE.match(line)

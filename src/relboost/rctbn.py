@@ -217,11 +217,13 @@ def parse_static_facts(text: str, schema: Schema) -> FactBase:
     stream predicate is in `parse_groundtruth`.
     """
     db = parse_facts(text, schema)
-    for lineno, line in _content_lines(text):
-        name = _FACT_RE.match(line).group(1)
-        if schema.get(name).temporal:
-            raise ParseError(f"{name} is a stream predicate; "
-                             "its values come from the trajectories", lineno)
+    streams = {sig.name for sig in schema if sig.temporal and sig.name in db._by_pred}
+    if streams:     # name the first line on one
+        for lineno, line in _content_lines(text):
+            name = _FACT_RE.match(line).group(1)
+            if name in streams:
+                raise ParseError(f"{name} is a stream predicate; "
+                                 "its values come from the trajectories", lineno)
     return db
 
 

@@ -284,6 +284,43 @@ class TestEvalAndMetrics:
         assert "data error: line 3: bad row in predictions CSV: labels must be 0 or 1" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [
+        "0.5,1\n0.25,0\n", "-0.5,1\n.5,0\n5.,1\n-0,0\n", "007.50,1\n1,0\n",
+        "1_0,1\n0.5,0\n", " 0.5,1\n", "0.5 ,1\n", "0.5, 1\n", "1e5,1\n0.5,0\n",
+        "nan,1\n", "inf,0\n", "9" * 400 + ",1\n0.5,0\n", "0.5,1\n0.4,0", "0.5,1\n0.4", "0.5,1\n\n0.4,0\n",
+        "0.5,1\r\n0.4,0\r\n", ",1\n", "-,1\n", "1.2.3,0\n", "1-2,0\n", "0.5,01\n",
+        "0.5,1,0\n1\n", "0.5,2\n", "0.5,-1\n", "0.5\n", "",
+    ])
+    def test_metrics_whole_text_pass_equals_the_csv_reader(self, tmp_path, capsys, body):
+        from relboost import cli
+        text = "score,label\n" + body
+        path = _write(tmp_path / "preds.csv", text)
+        fast = cli._plain_pairs(text)
+        try:
+            slow = cli._csv_pairs(text)
+        except cli.DataError:
+            assert fast is None
+            assert main(["metrics", "--csv", path]) == 2
+            return
+        assert fast is None or fast == slow
+        assert [type(v) for pair in fast or slow for v in pair] == [float, int] * len(slow)
+
+    def test_metrics_plain_decimal_csv_takes_the_whole_text_path(self, tmp_path, monkeypatch):
+        from relboost import cli
+        rng = random.Random(3)
+        rows = [f"{rng.uniform(-1, 1):.6f},{rng.randint(0, 1)}" for _ in range(200)]
+        path = _write(tmp_path / "preds.csv", "score,label\n" + "\n".join(rows) + "\n")
+        report = str(tmp_path / "report.txt")
+        assert main(["metrics", "--csv", path, "--report", report]) == 0
+        expected = open(report).read()
+
+        def per_row(text):
+            raise AssertionError("read row by row")
+
+        monkeypatch.setattr(cli, "_csv_pairs", per_row)
+        assert main(["metrics", "--csv", path, "--report", report]) == 0
+        assert open(report).read() == expected
+
     def test_model_tree_errors_name_the_model_file_line(self, tmp_path, capsys):
         schema = _write(tmp_path / "schema.txt", LINKED_SCHEMA_TEXT)
         model = _write(tmp_path / "model.txt", "\n".join([

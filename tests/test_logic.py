@@ -1,10 +1,12 @@
 """Parsing, matching, and grounding-engine tests."""
 
+import dataclasses
 import pickle
 import random
 
 import pytest
 
+from relboost import logic
 from relboost.logic import (
     Atom,
     Cmp,
@@ -233,6 +235,162 @@ class TestSatisfies:
                        for s in groundings(body, {}, family_db))
         assert names == ["bob", "eve", "tom"]
 
+
+
+# ---------------------------------------------------------------------------
+# the whole-text reader of the common form against the per-line reader
+# ---------------------------------------------------------------------------
+
+COMMON_SCHEMA = """
+predicate: rel/2 boolean.
+predicate: attr/1 boolean.
+predicate: flag/0 boolean.
+predicate: colour/1 multiclass(3).
+predicate: size/1 count.
+predicate: bp/1 continuous.
+"""
+
+# lines that the whole-text pass must leave to the per-line reader, or read
+# as that reader does
+EDGE_LINES = [
+    "bp(a)=-1.5.", "bp(a)=.5.", "bp(a)=5..", "bp(a)=1e5.", "bp(a)=1E-5.", "bp(a)=1e999.",
+    "bp(a)=nan.", "bp(a)=inf.", "bp(a)=-inf.", "bp(a)=1_0.", "bp(a)=+1.", "bp(a)=².",
+    "size(a)=².", "rel(a²,b).", "size(a)=-1.", "size(a)=1.0.", "size(a)=007.",
+    f"size(a)={2 ** 53}.", f"size(a)={2 ** 53 + 1}.", "colour(a)=2.", "colour(a)=3.",
+    "colour(a)=02.", "rel( a , b ).", "rel(a, b).", "rel(X,b).", "rel(a,Y).", "nope(a).",
+    "rel(a).", "attr(a,b).", "attr().", "flag.", "flag().", "flag(a).", "attr(a)=1.",
+    "bp(a).", "rel(-1,2.5).", "rel(1.,a).", "attr(a) .", "attr(a). % note", "% note",
+    "", "attr(a)..", "attr(a).attr(b).", "size(a)=1.", "size(a)=2.", "attr(a).",
+]
+
+
+def _fact_outcome(read, text, schema):
+    try:
+        return serialize_facts(read(text, schema))
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _example_outcome(read, text, target, label, earlier):
+    try:
+        examples = read(text, target, label, earlier)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return examples.entries, serialize_examples(examples)
+
+
+def _example_lines(text, target, label, earlier):
+    seen = {atom.args for atom, _ in earlier.entries} if earlier else set()
+    return logic._parse_example_lines(text, target, label, seen)
+
+
+def _random_common_text(rng, names):
+    """Lines of the given predicates, mostly valid and in the common form,
+    some replaced by an edge line; joined by newlines, CRLF or U+2028, with
+    a final newline or not."""
+    consts = ["a", "b", "c7", "-1", "0", "2.5"] + [f"e{i}" for i in range(10)]
+    lines = []
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < 0.05:
+            lines.append(rng.choice(EDGE_LINES))
+            continue
+        name = rng.choice(names)
+        args = {"rel": 2, "flag": 0}.get(name, 1)
+        head = name + (f"({','.join(rng.choice(consts) for _ in range(args))})"
+                       if args or rng.random() < 0.5 else "")
+        value = {"colour": lambda: str(rng.randrange(3)),
+                 "size": lambda: str(rng.randrange(6)),
+                 "bp": lambda: repr(rng.choice([-1.0, 1.0]) * rng.uniform(0, 1e3)),
+                 }.get(name, lambda: None)()
+        lines.append(head + (f"={value}" if value is not None else "") + ".")
+    sep = rng.choice(["\n"] * 8 + ["\r\n", "\u2028"])
+    end = sep if lines and rng.random() < 0.9 else ""
+    return sep.join(lines) + end
+
+
+class TestCommonFormReader:
+    def test_facts_equal_the_per_line_reader(self):
+        schema = parse_schema(COMMON_SCHEMA)
+        names = [sig.name for sig in schema]
+        rng = random.Random(2024)
+        texts = [line + "\n" for line in EDGE_LINES] + [
+            "rel(a,b).\nrel(a,b).\n", "size(a)=1.\nsize(b)=2.\nsize(a)=3.\n",
+            "rel(a,b).\r\nattr(a).\r\n", "rel(a,b).\nattr(a).", "rel(a,b).\n\nattr(a).\n",
+            "% c\nrel(a,b).\n", "attr(a).\u2028attr(b).\n", "", "\n"]
+        texts += [_random_common_text(rng, names) for _ in range(400)]
+        fast = 0
+        for text in texts:
+            fast += logic._read_common(text, schema) is not None
+            assert (_fact_outcome(parse_facts, text, schema)
+                    == _fact_outcome(logic._parse_fact_lines, text, schema)), text
+        assert fast > len(texts) // 3
+
+    def test_examples_equal_the_per_line_reader(self):
+        schema = parse_schema(COMMON_SCHEMA + "predicate: t/1 boolean.\n")
+        rng = random.Random(2025)
+        cases = []
+        for name, label in (("attr", 1), ("attr", 0), ("attr", None), ("t", 1),
+                            ("colour", None), ("size", None), ("bp", None),
+                            ("size", 1), ("bp", 0)):
+            texts = [line + "\n" for line in EDGE_LINES]
+            texts += [_random_common_text(rng, [name]) for _ in range(60)]
+            cases += [(text, schema.get(name), label, None) for text in texts]
+        positives = parse_examples("attr(a).\nattr(b).\n", schema.get("attr"), 1)
+        sizes = parse_examples("size(a)=1.\n", schema.get("size"))
+        cases += [
+            ("attr(c).\nattr(b).\n", schema.get("attr"), 0, positives),
+            ("attr(c).\nattr(d).\n", schema.get("attr"), 0, positives),
+            ("attr(c).\nattr(c).\n", schema.get("attr"), 0, positives),
+            ("size(b)=2.\nsize(a)=2.\n", schema.get("size"), None, sizes),
+            ("size(a)=1.\nsize(a)=1.\n", schema.get("size"), None, None),
+            ("size(a)=1.\n% c\nsize(a)=2.\n", schema.get("size"), None, None),
+            ("attr(a)=1.\n", schema.get("attr"), 1, None),
+            ("colour(a)=2.\ncolour(b)=0.\n", schema.get("colour"), None, None),
+        ]
+        fast = 0
+        for text, target, label, earlier in cases:
+            fast += logic._read_common(text, Schema([target])) is not None
+            assert (_example_outcome(parse_examples, text, target, label, earlier)
+                    == _example_outcome(_example_lines, text, target, label, earlier)), text
+        assert fast > len(cases) // 4
+
+    def test_serialized_files_take_the_whole_text_path(self, monkeypatch):
+        schema = parse_schema(COMMON_SCHEMA)
+        rng = random.Random(5)
+        lines = [f"rel(e{i},-{i}).\nattr(e{i}).\ncolour(e{i})={i % 3}.\n"
+                 f"size(e{i})={rng.randrange(2 ** 53)}.\nbp(e{i})={rng.gauss(0, 1e3)!r}.\n"
+                 for i in range(50)]
+        db = parse_facts("flag.\nbp(x)=-1e-05.\nbp(y)=-1.5e+20.\n" + "".join(lines), schema)
+        assert any(f.value < 0 for f in db.facts() if f.pred.name == "bp")
+        examples = {name: ExampleSet(schema.get(name), [
+            (Atom(f.pred, f.args, None if name != "attr" else True),
+             f.value if name != "attr" else 1)
+            for f in db.facts() if f.pred.name == name]) for name in ("attr", "size", "bp")}
+
+        def per_line(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(logic, "_parse_fact_lines", per_line)
+        monkeypatch.setattr(logic, "_parse_example_lines", per_line)
+        text = serialize_facts(db)
+        assert serialize_facts(parse_facts(text, schema)) == text
+        for name, label in (("attr", 1), ("size", None), ("bp", None)):
+            text = serialize_examples(examples[name])
+            assert serialize_examples(parse_examples(text, schema.get(name), label)) == text
+
+    def test_terms_and_atoms_are_slotted_frozen_and_hash_by_value(self):
+        sig = PredicateSignature("size", 1, "count")
+        constant, variable = Constant("a"), Variable("X")
+        atom = Atom(sig, (constant,), 3)
+        for obj, name in ((constant, "symbol"), (variable, "name"), (atom, "value")):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+        assert constant == Constant("a") and constant != Variable("a")
+        assert hash(constant) == hash(Constant("a")) == hash(("a",))
+        assert hash(variable) == hash(("X",))
+        assert atom == Atom(sig, (Constant("a"),), 3) != Atom(sig, (constant,), 4)
+        assert hash(atom) == hash((sig, (constant,), 3))
 
 def _random_factbase(rng):
     schema = parse_schema("""

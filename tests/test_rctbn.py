@@ -43,6 +43,7 @@ from relboost.rctbn import (
     neg_gradient_rate,
     parse_groundtruth,
     parse_rctbn,
+    parse_static_facts,
     parse_trajectories,
     pos_gradient,
     pos_gradient_rate,
@@ -818,6 +819,22 @@ end
         with pytest.raises(ParseError, match=message) as info:
             parse_groundtruth(text, schema)
         assert info.value.line == 5
+
+    @pytest.mark.parametrize("text,line,name", [
+        ("parentOf(a,b).\nelder(a).\n", None, None),
+        ("parentOf(a,b).\ncvd(a,0.0).\nelder(a).\ncvd(a,0.0).\n", 2, "cvd"),
+        ("% header\nelder(a).\n\n  bp( a , 1.0 )=1. % late\ncvd(b,2.0).\n", 4, "bp"),
+        ("checkup(a,1.0).\ncheckup(a,1.0).\n", 1, "checkup"),
+    ], ids=["static", "common-form", "per-line", "duplicate"])
+    def test_static_fact_on_a_stream_names_the_first_such_line(self, schema, text, line,
+                                                               name):
+        if line is None:
+            assert len(parse_static_facts(text, schema)) == 2
+            return
+        with pytest.raises(ParseError, match=f"^line {line}: {name} is a stream predicate; "
+                           "its values come from the trajectories$") as info:
+            parse_static_facts(text, schema)
+        assert info.value.line == line
 
     @pytest.mark.parametrize("var_after_worlds", [False, True])
     def test_undeclared_stream_is_parse_error_at_its_line(self, schema, var_after_worlds):
