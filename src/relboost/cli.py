@@ -34,7 +34,7 @@ from .logic import (
     parse_schema,
     serialize_facts,
 )
-from .regtree import RoutingCache, TreeConfig, parse_finite
+from .regtree import RoutingCache, TreeConfig, _preroute, parse_finite
 from .util import atomic_write
 
 
@@ -363,6 +363,7 @@ def cmd_eval(opts: dict) -> int:
     if header.startswith("model rfgb "):
         model = boost.parse_model(model_text, schema)
         examples = _labelled_examples(opts, model.target)
+        _preroute(model.trees, [(atom, facts) for atom, _ in examples.entries], cache)
         pairs = [(boost.predict(model, atom, facts, cache), label)
                  for atom, label in examples.entries]
         report = _prediction_report(metrics.PredictionSet(pairs), opts)
@@ -370,6 +371,8 @@ def cmd_eval(opts: dict) -> int:
         model = hybrid.parse_hybrid(model_text, schema)
         _require(opts, "examples")
         examples = parse_examples(_read(opts["examples"]), model.target)
+        _preroute([tree for trees in model.functions.values() for tree in trees],
+                  [(atom, facts) for atom, _ in examples.entries], cache)
         try:
             probs = [model.prob_of_truth(atom, value, facts, cache)
                      for atom, value in examples.entries]
@@ -385,6 +388,7 @@ def cmd_eval(opts: dict) -> int:
         segments = rctbn.segment(trajs, facts, schema, model.transition)
         if not segments:
             raise DataError("no segments in the trajectory file")
+        _preroute(model.trees, [(s.target, s.context) for s in segments], cache)
         pairs = [(model.transition_probability(s, cache), 1 if s.positive else 0)
                  for s in segments]
         report = _prediction_report(metrics.PredictionSet(pairs), opts)
@@ -512,6 +516,7 @@ def cmd_cv(opts: dict) -> int:
         test_set = [examples.entries[i] for i in holdout]
         model = boost.train(train_set, facts, modes,
                             replace(config, rng_seed=config.rng_seed + fold_id), gradient)
+        _preroute(model.trees, [(atom, facts) for atom, _ in test_set], cache)
         pairs = [(boost.predict(model, atom, facts, cache), label) for atom, label in test_set]
         report = _prediction_report(metrics.PredictionSet(pairs), opts)
         fold_reports.append(report)

@@ -249,8 +249,20 @@ def serialize_schema(schema: Schema) -> str:
 
 
 def _sort_key(atom: Atom):
-    # lexicographic on constant symbols, then on the value's text form
-    return tuple(a.symbol for a in atom.args) + (repr(atom.value),)
+    # lexicographic on constant symbols: a base holds one fact per
+    # (predicate, arguments), so no two facts of a predicate tie
+    return tuple([a.symbol for a in atom.args])
+
+
+def _checked(schema: Schema, facts: Iterable[Atom]):
+    """`facts`, each checked as a fact of `schema` as it is taken."""
+    for fact in facts:
+        if fact.pred.name not in schema:
+            raise ParseError(f"unknown predicate {fact.pred.name}")
+        if not fact.is_ground():
+            raise ParseError(f"fact {fact} is not ground")
+        _check_payload(fact.pred, fact.value)
+        yield fact
 
 
 class FactBase:
@@ -266,10 +278,16 @@ class FactBase:
     With `base`, the result holds `base`'s facts plus `facts`.  Only the
     predicates that `facts` touch are re-sorted and re-indexed; the others
     share `base`'s lists and postings.
+
+    Each fact is checked against `schema`: a known predicate, constant
+    arguments and a payload of its value kind.  The fact readers, which
+    have checked every fact at its line already, pass ``_vouched=True``
+    to skip these checks.
     """
 
     def __init__(self, schema: Schema, facts: Iterable[Atom] = (),
-                 lines: Optional[list] = None, base: Optional[FactBase] = None):
+                 lines: Optional[list] = None, base: Optional[FactBase] = None,
+                 *, _vouched: bool = False):
         self.schema = schema
         self._by_pred: dict = {}      # name -> list of facts, canonical order
         self._index: dict = {}        # (name, pos) -> {symbol: [fact ordinal]}
@@ -278,21 +296,14 @@ class FactBase:
             self._by_pred.update(base._by_pred)
             self._index.update(base._index)
             self._keys.update(base._keys)
-        staged: dict = {}
-        for k, fact in enumerate(facts):
-            if fact.pred.name not in schema:
-                raise ParseError(f"unknown predicate {fact.pred.name}")
-            if not fact.is_ground():
-                raise ParseError(f"fact {fact} is not ground")
-            _check_payload(fact.pred, fact.value)
-            key = (fact.pred.name, fact.args)
-            if key in self._keys:
-                if self._keys[key] != fact.value:
-                    raise ParseError(f"conflicting values for {fact}",
-                                     lines[k] if lines else None)
-                continue
-            self._keys[key] = fact.value
-            staged.setdefault(fact.pred.name, []).append(fact)
+        keys, staged = self._keys, {}
+        for k, fact in enumerate(facts if _vouched else _checked(schema, facts)):
+            size = len(keys)
+            if keys.setdefault((fact.pred.name, fact.args), fact.value) != fact.value:
+                raise ParseError(f"conflicting values for {fact}",
+                                 lines[k] if lines else None)
+            if len(keys) > size:      # a new fact, not a repeat of a known one
+                staged.setdefault(fact.pred.name, []).append(fact)
         for name, atoms in staged.items():
             if name in self._by_pred:
                 atoms = self._by_pred[name] + atoms
@@ -723,7 +734,7 @@ def parse_facts(text: str, schema: Schema) -> FactBase:
         return _parse_fact_lines(text, schema)
     # line k is fact k, so a conflict still names its line
     return FactBase(schema, list(itertools.starmap(Atom, common)),
-                    range(1, len(common) + 1))
+                    range(1, len(common) + 1), _vouched=True)
 
 
 def _parse_fact_lines(text: str, schema: Schema) -> FactBase:
@@ -731,7 +742,7 @@ def _parse_fact_lines(text: str, schema: Schema) -> FactBase:
     for lineno, line in _content_lines(text):
         atoms.append(_parse_ground_atom(line, schema, lineno))
         linenos.append(lineno)
-    return FactBase(schema, atoms, linenos)
+    return FactBase(schema, atoms, linenos, _vouched=True)
 
 
 def serialize_facts(db: FactBase) -> str:

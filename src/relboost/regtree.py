@@ -33,7 +33,9 @@ that a (yes-path, test) table is missing are grounded together, in one
 `logic.solutions` call per fact base.  Each learner's training function
 creates the cache, passes it to every `boost_step` of the run and drops it
 when the run ends.  `evaluate` routes a prediction the same way; `eval` and
-`cv` share one cache per command.
+`cv` share one cache per command and first route every row they score
+through every tree (`_preroute`), so that each table is grounded by one
+call per fact base and `evaluate` of a row only reads the cache.
 """
 
 from __future__ import annotations
@@ -423,9 +425,11 @@ def evaluate(tree: RegressionTree, target: Atom, db: FactBase,
     slot, node, at = cache.slot(target, db), tree.root, cache.root(target.pred.arity)
     while isinstance(node, Inner):
         table = at.below(node.test)
-        if slot not in table.routings:
+        routing = table.routings.get(slot)
+        if routing is None:
             _ground_missing([slot], table, at, cache)
-        if table.routings[slot]:
+            routing = table.routings[slot]
+        if routing:
             node, at = node.yes, table
         else:
             node = node.no
@@ -470,18 +474,43 @@ def boost_step(rows: list, fit: list, modes: list, tree_config: TreeConfig,
     fitted = fit_tree([rows[i] for i, _ in fit], [g for _, g in fit], modes,
                       tree_config, cache)
     tree = RegressionTree(fitted.target, _scaled(fitted.root, eta))
-    stack = [(tree.root, cache.root(tree.target.arity),
-              [(i, cache.slot(atom, row_db)) for i, (atom, row_db) in enumerate(rows)])]
+    slotted = [(i, cache.slot(atom, row_db)) for i, (atom, row_db) in enumerate(rows)]
+    for leaf, group in _route(tree, slotted, cache):
+        for i, _ in group:
+            psis[i] += leaf.value
+    return tree
+
+
+def _route(tree: RegressionTree, rows: list, cache: RoutingCache) -> list:
+    """(leaf, rows routed to it) pairs of `tree` for the (item, slot) pairs
+    `rows`, level by level: each node's test grounds the rows that reach
+    it and are missing from its table in one `solutions` call per fact
+    base.  Leaves that no row reaches are left out."""
+    out = []
+    stack = [(tree.root, cache.root(tree.target.arity), rows)]
     while stack:
         node, at, group = stack.pop()
+        if not group:
+            continue
         if isinstance(node, Leaf):
-            for i, _ in group:
-                psis[i] += node.value
+            out.append((node, group))
             continue
         table = at.below(node.test)
         yes, no = _score_candidate(group, table, at, cache)
         stack.extend(((node.yes, table, yes), (node.no, at, no)))
-    return tree
+    return out
+
+
+def _preroute(trees: list, rows: list, cache: RoutingCache):
+    """Route every (atom, fact base) pair of `rows` through every tree of
+    `trees` into `cache`, so that `evaluate` of any of them by any of the
+    trees reads only cached routings and grounds nothing.  Rows that share
+    a slot, such as rctbn segments with one target and context, are routed
+    once."""
+    slots = dict.fromkeys(cache.slot(atom, db) for atom, db in rows)
+    slotted = [(None, slot) for slot in slots]
+    for tree in trees:
+        _route(tree, slotted, cache)
 
 
 # ---------------------------------------------------------------------------

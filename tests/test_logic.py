@@ -102,15 +102,83 @@ class TestParseFacts:
             parse_facts("age(ann)=3.\nage(ann)=4.", schema)
 
     def test_conflicting_payload_names_its_line(self):
-        schema = parse_schema("predicate: age/1 continuous.")
-        with pytest.raises(ParseError, match="conflicting values for age") as err:
-            parse_facts("age(a)=1.\nage(b)=2.\nage(a)=3.", schema)
-        assert err.value.line == 3
+        # without and with the final newline: the per-line and whole-text readers
+        for kind in ("continuous", "count"):
+            schema = parse_schema(f"predicate: age/1 {kind}.")
+            lines = "age(a)=1.\nage(b)=2.\nage(a)=3."
+            for text in (lines, lines + "\n"):
+                assert (logic._read_common(text, schema) is None) == (text[-1] != "\n")
+                with pytest.raises(ParseError, match="conflicting values for age") as err:
+                    parse_facts(text, schema)
+                assert err.value.line == 3
 
     def test_comments_and_whitespace(self, family_schema):
         db = parse_facts("  % header\n familyMember( ann , mary ). % tail\n",
                          family_schema)
         assert len(db) == 1
+
+
+SORT_SCHEMA = """predicate: on/0 boolean.
+predicate: rel/2 boolean.
+predicate: link/3 boolean.
+predicate: size/1 count.
+predicate: colour/2 multiclass(3).
+predicate: bp/1 continuous.
+"""
+
+
+def _old_sort_key(atom):
+    """The fact order before the payload left the sort key."""
+    return tuple(a.symbol for a in atom.args) + (repr(atom.value),)
+
+
+class TestFactBaseBuild:
+    def test_sort_key_without_the_payload_keeps_the_order(self, monkeypatch):
+        schema = parse_schema(SORT_SCHEMA)
+        rng = random.Random(2026)
+        consts = ["a", "b", "ab", "b_1", "9", "10", "-1", "-10", "2.5"]
+        texts = []
+        for _ in range(40):
+            facts: dict = {}        # (name, args) -> line, one payload per key
+            for _ in range(rng.randint(0, 80)):
+                sig = rng.choice(list(schema))
+                args = tuple(rng.choice(consts) for _ in range(sig.arity))
+                value = {"count": lambda: f"={rng.randint(0, 12)}",
+                         "multiclass": lambda: f"={rng.randint(0, 2)}",
+                         "continuous": lambda: f"={rng.uniform(-5, 5):.3f}",
+                         "boolean": lambda: ""}[sig.kind]()
+                head = f"{sig.name}({','.join(args)})" if args else sig.name
+                facts.setdefault((sig.name, args), f"{head}{value}.")
+            lines = list(facts.values())
+            rng.shuffle(lines)
+            texts.append("".join(line + "\n" for line in lines))
+        assert sum(logic._read_common(text, schema) is not None for text in texts) == 40
+
+        def built(text):
+            db = parse_facts(text, schema)
+            return [serialize_facts(db), serialize_facts(FactBase(schema, db.facts()[::-1])),
+                    serialize_facts(FactBase(schema, db.facts()[1::2],
+                                             base=FactBase(schema, db.facts()[::2])))]
+        new = [built(text) for text in texts]
+        monkeypatch.setattr(logic, "_sort_key", _old_sort_key)
+        assert new == [built(text) for text in texts]
+
+    @pytest.mark.parametrize("atom,message", [
+        (Atom(PredicateSignature("other", 1), (Constant("a"),)), "unknown predicate other"),
+        (Atom(PredicateSignature("rel", 2), (Constant("a"), Variable("X"))), "not ground"),
+        (Atom(PredicateSignature("size", 1, "count"), (Constant("a"),), -1),
+         "non-negative count"),
+        (Atom(PredicateSignature("colour", 2, "multiclass", 3),
+              (Constant("a"), Constant("b")), 3), "out of range"),
+        (Atom(PredicateSignature("bp", 1, "continuous"), (Constant("a"),), float("nan")),
+         "finite real value"),
+        (Atom(PredicateSignature("rel", 2), (Constant("a"), Constant("b")), 1),
+         "only stores true facts"),
+    ])
+    def test_a_direct_build_checks_every_fact(self, atom, message):
+        schema = parse_schema(SORT_SCHEMA)
+        with pytest.raises(ParseError, match=message):
+            FactBase(schema, [Atom(schema.get("on"), (), True), atom])
 
 
 class TestParseExamples:
