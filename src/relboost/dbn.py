@@ -12,11 +12,17 @@ Scoring requires complete discrete data; missing-value handling is a
 dataset-preparation concern.  The greedy climb scores each move by its
 delta over the one or two families it changes, tests intra acyclicity with
 one reachability walk, and breaks ties on the smallest move.
+
+A dataset body of one-digit states, each row written as fixed-width
+two-byte cells (a digit, then a comma or the row's newline), is decoded
+from its bytes by whole-array checks; any other body is read line by
+line.  Chi-square quantiles depend only on (alpha, df) and are memoised.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -48,13 +54,12 @@ class DiscreteDataset:
             raise ValueError("names and arities differ in length")
         if self.rows.ndim != 2 or self.rows.shape[1] != 2 * n:
             raise ValueError("rows must have 2n columns")
-        for i, r in enumerate(self.arities):
-            if r < 1:
-                raise ValueError("arities must be positive")
-            for col in (i, n + i):
-                bad = (self.rows[:, col] < 0) | (self.rows[:, col] >= r)
-                if bad.any():
-                    raise ValueError(f"state out of range for {self.names[i]}")
+        if any(r < 1 for r in self.arities):
+            raise ValueError("arities must be positive")
+        bad = ((self.rows < 0) | (self.rows >= np.array(self.arities * 2))).any(axis=0)
+        bad = bad[:n] | bad[n:]
+        if bad.any():   # the first variable in declaration order, either slice
+            raise ValueError(f"state out of range for {self.names[np.argmax(bad)]}")
 
     @property
     def n_vars(self) -> int:
@@ -96,9 +101,20 @@ def _read_vars(text: str, what: str) -> tuple:
 def parse_dataset(text: str) -> DiscreteDataset:
     """Header ``vars: name:arity, ...`` then one CSV sample per line.
 
-    A body of ASCII-digit fields, 2n a line, is read in one `np.loadtxt` call;
-    any other body, or a bad state, goes to `_parse_rows`, which raises every error.
+    A body of one-digit states, each row 2n fields and each line ending in a
+    newline, is decoded from its bytes in one pass; any other body of
+    ASCII-digit fields, 2n a line, is read in one `np.loadtxt` call; any other
+    body, or a bad state, goes to `_parse_rows`, which raises every error.
     """
+    header, _, rest = text.partition("\n")
+    if header.startswith("vars:"):
+        # `more` holds lines that `splitlines` broke off the header line
+        # (after a form feed, say): the full reader counts them as rows
+        names, arities, more = _read_vars(header, "dataset")
+        states = None if more else _one_digit_states(rest, len(names))
+        if states is not None:
+            with contextlib.suppress(ValueError):   # a state out of range
+                return DiscreteDataset(names, arities, states)
     names, arities, body = _read_vars(text, "dataset")
     lines = [line for _, line in body]
     decimal_row = re.compile(rf"[0-9]+(?:,[0-9]+){{{2 * len(names) - 1}}}")
@@ -107,6 +123,20 @@ def parse_dataset(text: str) -> DiscreteDataset:
             return DiscreteDataset(names, arities, np.loadtxt(
                 lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2))
     return _parse_rows(names, arities, body)
+
+
+def _one_digit_states(body: str, n: int):
+    """The (rows, 2n) states of a body of fixed-width two-byte cells, an ASCII
+    digit then ``,`` (``\\n`` closing each row), or None for any other body."""
+    cells = np.frombuffer(body.encode(), dtype=np.uint8)
+    if not cells.size or cells.size % (4 * n):
+        return None
+    cells = cells.reshape(-1, 2 * n, 2)
+    states = cells[:, :, 0] - ord("0")   # uint8: bytes below '0' wrap past 9
+    ends = cells[:, :, 1]
+    if (states > 9).any() or (ends[:, :-1] != ord(",")).any() or (ends[:, -1] != ord("\n")).any():
+        return None
+    return states
 
 
 def _parse_rows(names: list, arities: list, body: list) -> DiscreteDataset:
@@ -255,12 +285,12 @@ def family_counts(data: DiscreteDataset, i: int, parents: tuple) -> np.ndarray:
     order, first parent most significant.
     """
     r = data.arities[i]
-    child = data.column(("t1", i))
     q = math.prod(data.arities[j] for _, j in parents)
-    config = np.zeros(data.n_samples, dtype=np.int64)
-    for ref in parents:
-        config = config * data.arities[ref[1]] + data.column(ref)
-    return np.bincount(config * r + child, minlength=q * r).reshape(q, r)
+    code, scale = data.column(("t1", i)), r
+    for ref in reversed(parents):
+        code = code + scale * data.column(ref)
+        scale *= data.arities[ref[1]]
+    return np.bincount(code, minlength=q * r).reshape(q, r)
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -285,17 +315,20 @@ def bic_penalty(q_i: int, r_i: int, n_samples: float) -> float:
 
 
 def bde_family_score(counts: np.ndarray, ess: float) -> float:
-    """Dirichlet marginal log-likelihood with alpha_ijk = ess / (q_i r_i)."""
-    counts = np.asarray(counts, dtype=float)
-    q, r = counts.shape
+    """Dirichlet marginal log-likelihood with alpha_ijk = ess / (q_i r_i).
+
+    Counts are whole numbers, so each row sum D_ij is exact in any order.
+    """
+    rows = np.asarray(counts, dtype=float).tolist()
+    q, r = len(rows), len(rows[0])
     a_ijk = ess / (q * r)
     a_ij = ess / q
+    lg_ijk, lg_ij = math.lgamma(a_ijk), math.lgamma(a_ij)
     total = 0.0
-    for j in range(q):
-        d_ij = counts[j].sum()
-        total += math.lgamma(a_ij) - math.lgamma(a_ij + d_ij)
-        for k in range(r):
-            total += math.lgamma(a_ijk + counts[j, k]) - math.lgamma(a_ijk)
+    for row in rows:
+        total += lg_ij - math.lgamma(a_ij + sum(row))
+        for d_ijk in row:
+            total += math.lgamma(a_ijk + d_ijk) - lg_ijk
     return total
 
 
@@ -353,6 +386,7 @@ def _gammainc_p(a: float, x: float) -> float:
     return 1.0 - h * math.exp(-x + a * math.log(x) - lg)
 
 
+@functools.lru_cache(maxsize=1024)
 def chi2_quantile(alpha: float, df: int) -> float:
     """Chi-square quantile: Wilson-Hilferty start, Newton-refined.
 
