@@ -428,13 +428,15 @@ def _mit_df_schedule(data: DiscreteDataset, i: int, parents: tuple) -> list:
 
 def mit_family_score(data: DiscreteDataset, i: int, parents: tuple,
                      alpha: float) -> float:
-    """2N I(X_i, PA_i) minus the summed chi-square quantiles; 0 if no parents."""
+    """2N I(X_i, PA_i) minus the summed chi-square quantiles; 0 if no parents.
+    A term of 0 degrees of freedom (an arity-1 child or parent) adds none."""
     if not parents:
         return 0.0
     counts = family_counts(data, i, parents)
     score = 2.0 * data.n_samples * mutual_information(counts)
     for df in _mit_df_schedule(data, i, parents):
-        score -= chi2_quantile(alpha, df)
+        if df:
+            score -= chi2_quantile(alpha, df)
     return score
 
 

@@ -1,10 +1,11 @@
 """First-order representation, dataset parsing, and the grounding engine.
 
 Predicates are declared in a :class:`Schema`; ground facts live in an
-indexed :class:`FactBase`.  Clause bodies are grounded against it by a
-small deterministic engine with negation-as-failure: `compile_body` turns
-a body into a :class:`Plan` over a layout of bound variables, and
-`solutions` extends the binding tuples of many rows by it in one call.
+indexed :class:`FactBase` as columns of symbol tuples.  Clause bodies
+are grounded against it by a small deterministic engine with
+negation-as-failure: `compile_body` turns a body into a :class:`Plan`
+over a layout of bound variables, and `solutions` extends the symbol
+binding tuples of many rows by it in one call.
 
 Textual formats are UTF-8 and line oriented.  A ``%`` starts a comment and
 whitespace outside identifiers is insignificant::
@@ -21,10 +22,11 @@ when it is built, and queries never write to it.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 VALUE_KINDS = ("boolean", "multiclass", "count", "continuous")
@@ -248,85 +250,90 @@ def serialize_schema(schema: Schema) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sort_key(atom: Atom):
-    # lexicographic on constant symbols: a base holds one fact per
-    # (predicate, arguments), so no two facts of a predicate tie
-    return tuple([a.symbol for a in atom.args])
-
-
-def _checked(schema: Schema, facts: Iterable[Atom]):
-    """`facts`, each checked as a fact of `schema` as it is taken."""
-    for fact in facts:
-        if fact.pred.name not in schema:
-            raise ParseError(f"unknown predicate {fact.pred.name}")
-        if not fact.is_ground():
-            raise ParseError(f"fact {fact} is not ground")
-        _check_payload(fact.pred, fact.value)
-        yield fact
-
-
 class FactBase:
-    """Indexed set of ground atoms.
+    """Indexed set of ground facts, kept per predicate as columns.
 
-    The facts are fixed at construction: the per-predicate, per-position
-    index maps each constant to the facts carrying it, and queries return
-    exactly what a linear scan would.  At most one fact per (predicate,
-    argument tuple); re-adding with a different payload is an error, naming
-    the fact's source line when `lines` gives one per fact.  Queries only
-    read the base; nothing in it is written after construction.
+    A predicate's facts are two parallel lists in canonical order, the
+    order of the symbol tuples: tuples of argument symbols (`Constant`
+    symbols) and their payloads.  A posting per (predicate, position) maps
+    each symbol to the ordinals of the facts carrying it there, so queries
+    return exactly what a linear scan would.  At most one fact per
+    (predicate, argument tuple); re-adding with a different payload is an
+    error, naming the fact's source line when `lines` gives one per fact.
+    The facts are fixed at construction and queries only read them.
+    `Atom`s and `Constant`s are made only at the edges: `facts()`,
+    `observed_constants` and `lookup`'s arguments.
 
     With `base`, the result holds `base`'s facts plus `facts`.  Only the
     predicates that `facts` touch are re-sorted and re-indexed; the others
-    share `base`'s lists and postings.
+    share `base`'s columns and postings.
 
-    Each fact is checked against `schema`: a known predicate, constant
-    arguments and a payload of its value kind.  The fact readers, which
-    have checked every fact at its line already, pass ``_vouched=True``
-    to skip these checks.
+    Each of `facts` is checked against `schema`: a known predicate,
+    constant arguments and a payload of its value kind.  The fact readers
+    pass ``_columns`` instead, name -> (symbol tuples, payloads) in
+    canonical order, which they have checked already.
     """
 
     def __init__(self, schema: Schema, facts: Iterable[Atom] = (),
                  lines: Optional[list] = None, base: Optional[FactBase] = None,
-                 *, _vouched: bool = False):
+                 *, _columns: Optional[dict] = None):
         self.schema = schema
-        self._by_pred: dict = {}      # name -> list of facts, canonical order
-        self._index: dict = {}        # (name, pos) -> {symbol: [fact ordinal]}
-        self._keys: dict = {}         # (name, args) -> payload
-        if base is not None:
-            self._by_pred.update(base._by_pred)
-            self._index.update(base._index)
-            self._keys.update(base._keys)
-        keys, staged = self._keys, {}
-        for k, fact in enumerate(facts if _vouched else _checked(schema, facts)):
-            size = len(keys)
-            if keys.setdefault((fact.pred.name, fact.args), fact.value) != fact.value:
-                raise ParseError(f"conflicting values for {fact}",
-                                 lines[k] if lines else None)
-            if len(keys) > size:      # a new fact, not a repeat of a known one
-                staged.setdefault(fact.pred.name, []).append(fact)
-        for name, atoms in staged.items():
-            if name in self._by_pred:
-                atoms = self._by_pred[name] + atoms
-            atoms.sort(key=_sort_key)
-            self._by_pred[name] = atoms
-            for pos in range(schema.get(name).arity):
+        # name -> (symbol tuples, payloads); (name, pos) -> {symbol: [fact
+        # ordinal]}; (name, symbol tuple) -> payload
+        shared = (base._columns, base._index, base._keys) if base is not None else ({}, {}, {})
+        self._columns, self._index, self._keys = map(dict, shared)
+        ordered = _columns is not None      # the readers' columns come sorted
+        for name, (symbols, payloads) in (_columns or self._staged(facts, lines)).items():
+            if ordered:
+                self._keys.update(zip(zip(itertools.repeat(name), symbols), payloads))
+            if name in self._columns or not ordered:
+                known, values = self._columns.get(name, ([], []))
+                # no two facts of a predicate share a symbol tuple: no payloads are compared
+                pairs = sorted(zip(known + symbols, values + payloads))
+                symbols, payloads = map(list, zip(*pairs))
+            self._columns[name] = (symbols, payloads)
+            for pos, column in enumerate(zip(*symbols)):
                 posting: dict = {}
-                for ordinal, atom in enumerate(atoms):
-                    posting.setdefault(atom.args[pos].symbol, []).append(ordinal)
+                for ordinal, symbol in enumerate(column):
+                    posting.setdefault(symbol, []).append(ordinal)
                 self._index[(name, pos)] = posting
+
+    def _staged(self, facts: Iterable[Atom], lines: Optional[list]) -> dict:
+        """name -> (symbol tuples, payloads) of the facts of `facts` not yet
+        in the base, each checked as it is taken; their keys join `_keys`."""
+        keys, staged = self._keys, collections.defaultdict(lambda: ([], []))
+        for k, fact in enumerate(facts):
+            name = fact.pred.name
+            if name not in self.schema:
+                raise ParseError(f"unknown predicate {name}")
+            if not fact.is_ground():
+                raise ParseError(f"fact {fact} is not ground")
+            _check_payload(fact.pred, fact.value)
+            symbols = tuple([a.symbol for a in fact.args])
+            size = len(keys)
+            if keys.setdefault((name, symbols), fact.value) != fact.value:
+                raise ParseError(f"conflicting values for {fact}", lines[k] if lines else None)
+            if len(keys) > size:      # a new fact, not a repeat of a known one
+                staged[name][0].append(symbols)
+                staged[name][1].append(fact.value)
+        return staged
 
     def __len__(self) -> int:
         return len(self._keys)
 
     def facts(self) -> list:
+        """Every fact as an `Atom`, by predicate name, then in canonical order."""
         out = []
-        for name in sorted(self._by_pred):
-            out.extend(self._by_pred[name])
+        for name in sorted(self._columns):
+            pred = self.schema.get(name)
+            symbols, payloads = self._columns[name]
+            out.extend(Atom(pred, tuple(map(Constant, t)), value)
+                       for t, value in zip(symbols, payloads))
         return out
 
     def lookup(self, name: str, args: tuple):
         """Payload of the fact with these ground args, or None if absent."""
-        return self._keys.get((name, args))
+        return self._keys.get((name, tuple([a.symbol for a in args])))
 
     def observed_constants(self, name: str, pos: int) -> list:
         """Distinct constants seen at one argument position, sorted."""
@@ -335,8 +342,7 @@ class FactBase:
 
     def observed_values(self, name: str) -> list:
         """Distinct numeric payloads of a predicate's facts, sorted."""
-        vals = {f.value for f in self._by_pred.get(name, [])}
-        return sorted(vals)
+        return sorted(set(self._columns.get(name, ((), ()))[1]))
 
 
 @dataclass(frozen=True)
@@ -382,11 +388,11 @@ class _Step:
 class Plan:
     """A clause body compiled against a layout of bound variables.
 
-    A binding is a tuple of constants, one per variable of the layout, in
-    order.  Grounding the body extends it to a tuple over `grown`: the
-    layout followed by the body's new variables in first-appearance order.
-    The plan depends on no fact base, so it is compiled once and grounded
-    on any.
+    A binding is a tuple of symbols (`Constant.symbol` strings), one per
+    variable of the layout, in order.  Grounding the body extends it to a
+    tuple over `grown`: the layout followed by the body's new variables in
+    first-appearance order.  The plan depends on no fact base, so it is
+    compiled once and grounded on any.
     """
 
     grown: tuple
@@ -425,29 +431,23 @@ def compile_body(body, layout) -> Plan:
     return Plan(tuple(grown), tuple(steps))
 
 
-def _on_base(step: _Step, db: FactBase) -> tuple:
-    """(facts, fixed, keys) of `step` on `db`: the predicate's facts in
-    canonical order, the ordinals in the shortest posting of a constant
-    argument (None without one), and each bound argument's (posting, slot)."""
+def _extend(step: _Step, db: FactBase, tuples: list, owners: list) -> tuple:
+    """Ground one literal on `db` over `tuples`, the i-th owned by row
+    ``owners[i]``: (extended tuples, their owners), each tuple's extensions
+    in canonical fact order.  A negated literal, or one without new
+    variables, keeps the tuples it fails, or passes, as they are.  The
+    postings of the constant and bound arguments are looked up once."""
     if step.name not in db.schema:
         raise ParseError(f"unknown predicate {step.name}")
-    facts = db._by_pred.get(step.name)
-    if not facts:
-        return (), (), ()
-    fixed = None
+    facts, payloads = db._columns.get(step.name, ((), ()))
+    if not facts:       # no fact matches: only a negated literal keeps tuples
+        return (tuples, owners) if step.negated else ([], [])
+    keys = tuple((db._index[(step.name, pos)], slot) for pos, slot in step.bound)
+    fixed = None        # the shortest posting of a constant argument
     for pos, symbol in step.consts:
         posting = db._index[(step.name, pos)].get(symbol, ())
         if fixed is None or len(posting) < len(fixed):
             fixed = posting
-    return facts, fixed, tuple((db._index[(step.name, pos)], slot) for pos, slot in step.bound)
-
-
-def _extend(step: _Step, on_base: tuple, tuples: list, owners: list) -> tuple:
-    """Ground one literal over `tuples`, the i-th owned by row ``owners[i]``:
-    (extended tuples, their owners), each tuple's extensions in canonical
-    fact order.  A negated literal, or one without new variables, keeps the
-    tuples it fails, or passes, as they are."""
-    facts, fixed, keys = on_base
     negated, fresh, repeats = step.negated, step.fresh, step.repeats
     checks, const_checks = (step.bound, step.consts) if step.verify else ((), ())
     check = bool(checks or const_checks or repeats)
@@ -460,7 +460,7 @@ def _extend(step: _Step, on_base: tuple, tuples: list, owners: list) -> tuple:
     for t, owner in zip(tuples, owners):
         candidates = fixed
         for posting, slot in keys:
-            ordinals = posting.get(t[slot].symbol)
+            ordinals = posting.get(t[slot])
             if ordinals is None:
                 candidates = ()
                 break
@@ -470,18 +470,16 @@ def _extend(step: _Step, on_base: tuple, tuples: list, owners: list) -> tuple:
             candidates = range(len(facts))
         found = False
         for i in candidates:
-            fact = facts[i]
             if threshold is not None:
-                if not float(fact.value) >= threshold:
+                if not float(payloads[i]) >= threshold:
                     continue
-            elif equal and fact.value != value:
+            elif equal and payloads[i] != value:
                 continue
-            args = fact.args
+            args = facts[i]
             if check:
-                if (any(args[pos].symbol != t[slot].symbol for pos, slot in checks)
-                        or any(args[pos].symbol != symbol for pos, symbol in const_checks)
-                        or any(args[pos].symbol != args[first].symbol
-                               for pos, first in repeats)):
+                if (any(args[pos] != t[slot] for pos, slot in checks)
+                        or any(args[pos] != symbol for pos, symbol in const_checks)
+                        or any(args[pos] != args[first] for pos, first in repeats)):
                     continue
             if not extends:
                 found = True
@@ -499,13 +497,14 @@ def solutions(plan: Plan, groups: list, db: FactBase) -> list:
     """Ground a body for a group of rows on one fact base at once.
 
     `plan` is ``compile_body(body, layout)``, and ``groups[r]`` is row r's
-    list of distinct binding tuples over `layout`.  Returns, for each row,
-    the tuples over ``plan.grown`` that extend one of its bindings to a
-    full grounding: the bindings in their order, each one's groundings in
-    canonical fact order, which is the order of a depth-first search.
-    Distinct bindings extend to distinct tuples, because a fact base holds
-    each fact once.  Each literal's postings are looked up on `db` once per
-    call, and the literal is grounded over every row's tuples together.
+    list of distinct binding tuples over `layout`, each a tuple of symbols.
+    Returns, for each row, the symbol tuples over ``plan.grown`` that
+    extend one of its bindings to a full grounding: the bindings in their
+    order, each one's groundings in canonical fact order (symbol-tuple
+    order), which is the order of a depth-first search.  Distinct bindings
+    extend to distinct tuples, because a fact base holds each fact once.
+    Each literal's postings are looked up on `db` once per call, and the
+    literal is grounded over every row's tuples together.
     Positive literals bind new variables; negated literals keep the tuples
     under which no fact matches (stratified negation-as-failure).
     """
@@ -514,7 +513,7 @@ def solutions(plan: Plan, groups: list, db: FactBase) -> list:
     for step in plan.steps:
         if not tuples:
             break
-        tuples, owners = _extend(step, _on_base(step, db), tuples, owners)
+        tuples, owners = _extend(step, db, tuples, owners)
     out = [[] for _ in groups]
     for t, owner in zip(tuples, owners):
         out[owner].append(t)
@@ -526,21 +525,10 @@ def satisfies(body: Iterable, seed: dict, db: FactBase) -> bool:
     with the variables of `seed` bound to its constants.
 
     Free variables are existentially quantified; the empty body is
-    vacuously true.  The search is depth first and stops at the first
-    grounding.
+    vacuously true.
     """
     plan = compile_body(tuple(body), tuple(seed))
-    return _grounds(plan.steps, [_on_base(step, db) for step in plan.steps], 0,
-                    tuple(seed.values()))
-
-
-def _grounds(steps: tuple, on_bases: list, i: int, t: tuple) -> bool:
-    if i == len(steps):
-        return True
-    for ext in _extend(steps[i], on_bases[i], [t], [0])[0]:
-        if _grounds(steps, on_bases, i + 1, ext):
-            return True
-    return False
+    return bool(solutions(plan, [[tuple([c.symbol for c in seed.values()])]], db)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -550,30 +538,42 @@ def _grounds(steps: tuple, on_bases: list, i: int, t: tuple) -> bool:
 
 @dataclass
 class ExampleSet:
-    """Ground target atoms with labels (boolean targets) or values."""
+    """Ground target atoms with labels (boolean targets) or values.
+
+    Every entry's atom is a ground atom of `target`, and no two entries
+    share arguments.  The example readers, which have checked every entry
+    at its line, pass ``_vouched=True`` to skip these checks.
+    """
 
     target: PredicateSignature
     entries: list = field(default_factory=list)
+    _vouched: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _vouched: bool):
+        if _vouched:
+            return
         seen = set()
         for atom, _ in self.entries:
-            if atom.pred != self.target:
+            if atom.pred is not self.target and atom.pred != self.target:
                 raise ValueError(f"{atom} does not match target {self.target.name}")
             if not atom.is_ground():
                 raise ValueError(f"example {atom} is not ground")
-            key = (atom.pred.name, atom.args)
-            if key in seen:
+            if atom.args in seen:
                 raise ValueError(f"duplicate entry {atom}")
-            seen.add(key)
+            seen.add(atom.args)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def merged_with(self, other: "ExampleSet") -> "ExampleSet":
+        # each set is valid, so only an atom of both is an error
         if other.target != self.target:
             raise ValueError("example sets have different targets")
-        return ExampleSet(self.target, list(self.entries) + list(other.entries))
+        seen = {atom.args for atom, _ in self.entries}
+        for atom, _ in other.entries:
+            if atom.args in seen:
+                raise ValueError(f"duplicate entry {atom}")
+        return ExampleSet(self.target, list(self.entries) + list(other.entries), True)
 
 
 # ---------------------------------------------------------------------------
@@ -666,56 +666,69 @@ _COMMON_LINE_RE = re.compile(
     r"(?:=(-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))?\.\n", re.M)
 
 
-class _Interned(dict):
-    """Symbol -> Constant, each constant made once on first sight."""
-
-    def __missing__(self, symbol: str) -> Constant:
-        self[symbol] = constant = Constant(symbol)
-        return constant
-
-
-def _read_common(text: str, schema: Schema) -> Optional[list]:
-    """The (predicate, args, value) of each line of `text`, line k giving
-    entry k, if `text` is in the common form of `parse_facts` and each line
-    is a valid fact of `schema`; None otherwise.
+def _common_rows(text: str) -> Optional[list]:
+    """The (name, argument text, value text) of each line of `text`, line k
+    giving row k, if `text` is in the common form of `parse_facts`; None
+    otherwise.
 
     One `findall` reads the whole text.  A match starts at a line start and
     ends at that line's newline, so as many matches as lines cover the text.
-    Constants are interned for the call, one `Constant` per symbol.
     """
     if not text.endswith("\n"):
         return None
     rows = _COMMON_LINE_RE.findall(text)
-    if len(rows) != text.count("\n"):
+    return rows if len(rows) == text.count("\n") else None
+
+
+def _column(pred: PredicateSignature, argtexts, valuetexts) -> Optional[tuple]:
+    """(symbol tuples, payloads) of common-form lines of `pred`, given their
+    argument and value texts, if each line is a valid fact of `pred`; None
+    otherwise.  Arity, kind, range and finiteness are checked in bulk.
+    Symbols are interned for the call: equal symbols are one string."""
+    n, arity, kind = len(argtexts), pred.arity, pred.kind
+    if arity == 0 and not any(argtexts):
+        symbols = [()] * n
+    elif arity and "" not in argtexts and \
+            set(map(str.count, argtexts, itertools.repeat(","))) == {arity - 1}:
+        flat, interned = ",".join(argtexts).split(","), {}
+        flat = map(interned.setdefault, flat, flat)
+        symbols = list(zip(*[flat] * arity))     # consecutive runs of `arity` symbols
+    else:
         return None
-    symbols = _Interned().__getitem__
-    out = []
+    if kind == "boolean":
+        return None if any(valuetexts) else (symbols, [True] * n)
+    if "" in valuetexts:
+        return None
+    if kind == "continuous":
+        payloads = list(map(float, valuetexts))
+        return (symbols, payloads) if math.isfinite(sum(payloads)) else None
+    if not all(map(str.isdigit, valuetexts)):   # ASCII digits: the pattern admits no others
+        return None
+    payloads = list(map(int, valuetexts))
+    limit = pred.classes if kind == "multiclass" else 2 ** 53 + 1
+    return (symbols, payloads) if max(payloads) < limit else None
+
+
+def _fact_columns(rows: list, schema: Schema) -> Optional[dict]:
+    """The `FactBase` columns of common-form `rows` if each is a valid fact
+    of `schema` and no fact has two values; None otherwise."""
+    groups: dict = collections.defaultdict(dict)
     for name, argtext, valuetext in rows:
-        pred = schema._by_name.get(name)
-        if pred is None:
+        groups[name][argtext] = valuetext
+    # an identical repeated line is one fact; a fact with two values is not
+    size = sum(map(len, groups.values()))
+    if size != len(rows) and size != len(set(rows)):
+        return None
+    columns = {}
+    for name, values in groups.items():
+        # `,` sorts below every symbol character, so sorting the argument
+        # texts sorts the symbol tuples
+        argtexts = sorted(values)
+        if name not in schema or (column := _column(
+                schema.get(name), argtexts, list(map(values.__getitem__, argtexts)))) is None:
             return None
-        args = tuple(map(symbols, argtext.split(","))) if argtext else ()
-        if len(args) != pred.arity:
-            return None
-        kind = pred.kind
-        if kind == "boolean":
-            if valuetext:
-                return None
-            value = True
-        elif not valuetext:
-            return None
-        elif kind == "continuous":
-            value = float(valuetext)
-            if not math.isfinite(value):
-                return None
-        elif valuetext.isdigit():   # ASCII digits only: the pattern admits no others
-            value = int(valuetext)
-            if value >= (pred.classes if kind == "multiclass" else 2 ** 53 + 1):
-                return None
-        else:
-            return None
-        out.append((pred, args, value))
-    return out
+        columns[name] = column
+    return columns
 
 
 def parse_facts(text: str, schema: Schema) -> FactBase:
@@ -724,17 +737,19 @@ def parse_facts(text: str, schema: Schema) -> FactBase:
     Text in the common form, the form `serialize_facts` writes, is read in
     one whole-text pass: one ``name(c1,...,ck).`` or ``name(c1,...,ck)=value.``
     a line, each line ending in a newline, with no blank lines, ``%``
-    comments or spaces.  Any other text, or one with a line that pass cannot
-    vouch for (an unknown predicate, a wrong arity, a value out of its
-    kind's range), goes to the per-line reader, which raises every error at
-    its line.  Parsing then serializing then parsing again is a fixpoint.
+    comments or spaces.  The pass groups the lines by predicate, drops
+    repeated lines and checks each predicate's lines in bulk.  Any other
+    text, or one with a line that pass cannot vouch for (an unknown
+    predicate, a wrong arity, a value out of its kind's range, a second
+    value for a fact), goes to the per-line reader, which raises every
+    error at its line.  Parsing then serializing then parsing again is a
+    fixpoint.
     """
-    common = _read_common(text, schema)
-    if common is None:
+    rows = _common_rows(text)
+    columns = None if rows is None else _fact_columns(rows, schema)
+    if columns is None:
         return _parse_fact_lines(text, schema)
-    # line k is fact k, so a conflict still names its line
-    return FactBase(schema, list(itertools.starmap(Atom, common)),
-                    range(1, len(common) + 1), _vouched=True)
+    return FactBase(schema, _columns=columns)
 
 
 def _parse_fact_lines(text: str, schema: Schema) -> FactBase:
@@ -742,7 +757,7 @@ def _parse_fact_lines(text: str, schema: Schema) -> FactBase:
     for lineno, line in _content_lines(text):
         atoms.append(_parse_ground_atom(line, schema, lineno))
         linenos.append(lineno)
-    return FactBase(schema, atoms, linenos, _vouched=True)
+    return FactBase(schema, atoms, linenos)
 
 
 def serialize_facts(db: FactBase) -> str:
@@ -753,7 +768,7 @@ def serialize_facts(db: FactBase) -> str:
 def parse_examples(text: str, target: PredicateSignature,
                    label: Optional[int] = None,
                    earlier: Optional[ExampleSet] = None) -> ExampleSet:
-    """Parse ground target atoms into an ExampleSet.
+    """Parse ground target atoms into an ExampleSet, in file order.
 
     For boolean targets pass ``label`` (1 for a positives file, 0 for a
     negatives file).  Hybrid targets carry their payload inline as
@@ -761,43 +776,54 @@ def parse_examples(text: str, target: PredicateSignature,
     ``earlier``, a set read from another file, is a duplicate at its line.
 
     Text in the common form of `parse_facts`, the form `serialize_examples`
-    writes, is read in one whole-text pass: one ``name(c1,...,ck).`` a line
-    for a labelled file, one ``name(c1,...,ck)=value.`` for a hybrid one.
-    Any other text, or one with a duplicate, goes to the per-line reader,
-    which raises every error at its line.
+    writes, is read in the same whole-text pass: one ``name(c1,...,ck).``
+    a line for a labelled file, one ``name(c1,...,ck)=value.`` for a hybrid
+    one.  Any other text, or one with a duplicate, goes to the per-line
+    reader, which raises every error at its line.
     """
-    seen = {atom.args for atom, _ in earlier.entries} if earlier else set()
-    common = None
-    if (label is None) != (target.kind == "boolean"):
-        common = _read_common(text, Schema([target]))
-    if common is None or len({args for _, args, _ in common} - seen) != len(common):
-        return _parse_example_lines(text, target, label, seen)
+    rows = _common_rows(text)
+    entries = None if rows is None else _example_entries(rows, target, label, earlier)
+    if entries is None:
+        return _parse_example_lines(text, target, label, earlier)
+    return ExampleSet(target, entries, True)
+
+
+def _example_entries(rows: list, target: PredicateSignature, label: Optional[int],
+                     earlier: Optional[ExampleSet]) -> Optional[list]:
+    """The entries of common-form `rows`, in their order, if each is a valid
+    example of `target` in a file of its kind (labelled for a boolean
+    target), none repeats and none is in `earlier`; None otherwise."""
+    names, argtexts, valuetexts = zip(*rows)
+    if ((label is None) == (target.kind == "boolean") or set(names) != {target.name}
+            or len(set(argtexts)) != len(argtexts)
+            or (column := _column(target, argtexts, valuetexts)) is None):
+        return None
+    constant = {s: Constant(s) for s in set(itertools.chain.from_iterable(column[0]))}
+    args = [tuple(map(constant.__getitem__, t)) for t in column[0]]
+    if earlier and not {atom.args for atom, _ in earlier.entries}.isdisjoint(args):
+        return None
     if label is None:
-        return ExampleSet(target, [(Atom(target, args, None), value)
-                                   for _, args, value in common])
-    return ExampleSet(target, [(atom, label) for atom in itertools.starmap(Atom, common)])
+        return [(Atom(target, a, None), value) for a, value in zip(args, column[1])]
+    return [(Atom(target, a, True), label) for a in args]
 
 
-def _parse_example_lines(text: str, target: PredicateSignature,
-                         label: Optional[int], seen: set) -> ExampleSet:
-    schema = Schema([target])
-    entries = []
+def _parse_example_lines(text: str, target: PredicateSignature, label: Optional[int],
+                         earlier: Optional[ExampleSet]) -> ExampleSet:
+    schema, entries = Schema([target]), []
+    seen = {atom.args for atom, _ in earlier.entries} if earlier else set()
     for lineno, line in _content_lines(text):
-        if label is not None:
-            m = _FACT_RE.match(line)
-            if m and m.group(3) is not None:
-                raise ParseError("labelled example files carry no =value", lineno)
-            atom = _parse_ground_atom(line, schema, lineno)
-            entries.append((atom, label))
-        else:
-            atom = _parse_ground_atom(line, schema, lineno)
-            if target.kind == "boolean":
-                raise ParseError("boolean targets need pos/neg files", lineno)
-            entries.append((Atom(atom.pred, atom.args, None), atom.value))
+        m = _FACT_RE.match(line)
+        if label is not None and m and m.group(3) is not None:
+            raise ParseError("labelled example files carry no =value", lineno)
+        atom = _parse_ground_atom(line, schema, lineno)
+        if label is None and target.kind == "boolean":
+            raise ParseError("boolean targets need pos/neg files", lineno)
+        entries.append((atom, label) if label is not None
+                       else (Atom(target, atom.args, None), atom.value))
         if atom.args in seen:
             raise ParseError(f"duplicate entry {entries[-1][0]}", lineno)
         seen.add(atom.args)
-    return ExampleSet(target, entries)
+    return ExampleSet(target, entries, True)
 
 
 def serialize_examples(examples: ExampleSet) -> str:

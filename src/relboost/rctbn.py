@@ -217,7 +217,7 @@ def parse_static_facts(text: str, schema: Schema) -> FactBase:
     stream predicate is in `parse_groundtruth`.
     """
     db = parse_facts(text, schema)
-    streams = {sig.name for sig in schema if sig.temporal and sig.name in db._by_pred}
+    streams = {sig.name for sig in schema if sig.temporal and sig.name in db._columns}
     if streams:     # name the first line on one
         for lineno, line in _content_lines(text):
             name = _FACT_RE.match(line).group(1)

@@ -16,11 +16,11 @@ header line followed by optional `function <key>` lines and `tree <i>`
 blocks (`parse_header`, `write_model`, `read_trees`).
 
 An example's bindings at a node are positional: a list of distinct tuples
-of constants over the node's layout of bound variables.  The layout is the
+of symbols over the node's layout of bound variables.  The layout is the
 head variables ``V0..``, then each yes-path test's new variables in
-first-appearance order, so the root's one binding is the target atom's
-arguments.  A node test is compiled once against its layout into a
-`logic.Plan`.
+first-appearance order, so the root's one binding is the symbols of the
+target atom's arguments.  A node test is compiled once against its layout
+into a `logic.Plan`.
 
 Routing is memoised by a `RoutingCache`.  An example's bindings at a node
 depend only on its target atom, its fact base and the yes-tests above the
@@ -260,11 +260,12 @@ class RoutingCache:
 
     The tables form one tree per target arity.  Its root is the empty test
     over the head variables ``V0..``, which routes each example to the one
-    binding tuple ``target.args``; a (yes-path, test) pair's table is
-    reached by `RoutingTable.below` along the path.  Routings are keyed by
-    the example's slot: an integer naming its (target atom, fact base) pair
-    by identity.  The cache holds both objects, so no other pair can take
-    their ids while it lives.
+    binding tuple of its target's symbols; a (yes-path, test) pair's table
+    is reached by `RoutingTable.below` along the path.  Routings are keyed
+    by the example's slot: an integer naming its (target atom, fact base)
+    pair by identity.  The cache holds both objects, so no other pair can
+    take their ids while it lives.  `slot` checks an example once, when it
+    first registers it: a target that is not ground is a ValueError.
     """
 
     def __init__(self):
@@ -276,9 +277,12 @@ class RoutingCache:
         key = (id(target), id(db))
         slot = self._slots.get(key)
         if slot is None:
+            if not target.is_ground():
+                raise ValueError(f"example target {target} is not ground")
             slot = self._slots[key] = len(self._held)
             self._held.append((target, db))
-            self.root(target.pred.arity).routings[slot] = [target.args]
+            self.root(target.pred.arity).routings[slot] = [
+                tuple([a.symbol for a in target.args])]
         return slot
 
     def root(self, arity: int) -> RoutingTable:
@@ -358,11 +362,9 @@ def fit_tree(rows: list, gradients: list, modes: list,
     cache = cache if cache is not None else RoutingCache()
     target = rows[0][0].pred
     for (atom, _), g in zip(rows, gradients):
-        if not atom.is_ground():
-            raise ValueError(f"example target {atom} is not ground")
         if not math.isfinite(g):
             raise ValueError("gradient must be finite")
-        if atom.pred != target:
+        if atom.pred is not target and atom.pred != target:
             raise ValueError("examples mix target predicates")
     dbs = list({id(db): db for _, db in rows}.values())    # distinct, first seen first
 

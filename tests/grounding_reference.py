@@ -5,10 +5,39 @@ A substitution is a ``{Variable: Constant}`` dict.  `match` grounds one
 atom in the fact base's canonical order, `ground` chains a body depth
 first, and `extend_bindings` gathers the distinct groundings reachable
 from a list of substitutions, first occurrence kept.  `reference_solutions`
-answers a `solutions` call over binding tuples with these.
+answers a `solutions` call over binding tuples of constants with these.
+
+`solutions` binds symbols, not constants: `symbol_groups` and
+`constant_rows` translate its arguments and results, and `_facts_of` reads
+a fact base's facts as `Atom`s.
 """
 
+import weakref
+
 from relboost.logic import Atom, Cmp, Constant, FactBase, ParseError, Variable
+
+
+def symbol_groups(groups: list) -> list:
+    """Groups of binding tuples of constants as `solutions` takes them."""
+    return [[tuple(c.symbol for c in t) for t in group] for group in groups]
+
+
+def constant_rows(rows: list) -> list:
+    """A `solutions` result with every symbol made a `Constant`."""
+    return [[tuple(map(Constant, t)) for t in row] for row in rows]
+
+
+_FACTS = weakref.WeakKeyDictionary()     # fact base -> name -> its facts as Atoms
+
+
+def _facts_of(db: FactBase, name: str) -> list:
+    """The facts of predicate `name` in `db`, in canonical order."""
+    by_name = _FACTS.get(db)
+    if by_name is None:
+        by_name = _FACTS[db] = {}
+        for fact in db.facts():
+            by_name.setdefault(fact.pred.name, []).append(fact)
+    return by_name.get(name, [])
 
 
 def seed(target: Atom) -> dict:
@@ -30,7 +59,7 @@ def _value_matches(query, actual) -> bool:
 
 
 def _candidates(db: FactBase, name: str, pattern: list) -> list:
-    rows = db._by_pred.get(name)
+    rows = _facts_of(db, name)
     if not rows:
         return []
     best = None

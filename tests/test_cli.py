@@ -164,6 +164,13 @@ class TestTrain:
         assert text.startswith("vars: a:2, b:2")
         assert "inter a=>a" in text
 
+    def test_dbn_mit_with_an_arity_one_variable(self, tmp_path):
+        data = _write(tmp_path / "slices.csv",
+                      "vars: a:2, b:1\n0,0,0,0\n1,0,1,0\n0,0,1,0\n1,0,0,0\n")
+        out = str(tmp_path / "net.txt")
+        assert main(["train", "--kind", "dbn-mit", "--data", data, "--out", out]) == 0
+        assert open(out).read().startswith("vars: a:2, b:1")
+
 
     def test_dbn_state_past_int64_is_data_error(self, tmp_path, capsys):
         data = _write(tmp_path / "slices.csv", "vars: a:2\n0,99999999999999999999\n")

@@ -157,6 +157,14 @@ class TestMit:
         data = _random_dataset(rng)
         assert mit_family_score(data, 0, (), 0.95) == 0.0
 
+    def test_arity_one_variable_climbs_as_bic_does(self):
+        # b has one state, so every family with it has a df-0 term: it adds
+        # no chi-square quantile, and chi2_quantile(alpha, 0) is never asked
+        data = parse_dataset("vars: a:2, b:1\n0,0,0,0\n1,0,1,0\n0,0,1,0\n1,0,0,0\n")
+        assert mit_family_score(data, 0, (("t", 1),), 0.95) == 0.0
+        mit, bic = hill_climb(data, MIT(0.95)), hill_climb(data, BIC())
+        assert (mit.intra, mit.inter) == (bic.intra, bic.inter)
+
     def test_df_schedule_arity_descending(self):
         # child binary with parents of arity 3 then 2: df 2*1... the wider
         # parent comes first, so dfs are (r_i-1)(3-1)=2 and (r_i-1)(2-1)*3=3

@@ -16,7 +16,12 @@ from relboost.logic import (
     satisfies,
     solutions,
 )
-from tests.grounding_reference import grown_layout, reference_solutions
+from tests.grounding_reference import (
+    constant_rows,
+    grown_layout,
+    reference_solutions,
+    symbol_groups,
+)
 
 SCHEMA = parse_schema("""
 predicate: rel/2 boolean.
@@ -120,7 +125,7 @@ class TestBatchedSolutions:
                 assert plan.grown == grown_layout(body, layout)
                 for db in dbs:      # one call per fact base, as routing makes them
                     groups = _random_groups(rng, layout, consts)
-                    got = solutions(plan, groups, db)
+                    got = constant_rows(solutions(plan, symbol_groups(groups), db))
                     assert got == reference_solutions(body, layout, groups, db)
                     assert all(len(set(row)) == len(row) for row in got)
                     for tuples in groups:
@@ -143,7 +148,7 @@ class TestBatchedSolutions:
 
     def test_empty_body_returns_every_binding(self):
         db = FactBase(SCHEMA)
-        groups = [[(Constant("a"),), (Constant("b"),)], []]
+        groups = [[("a",), ("b",)], []]
         assert solutions(compile_body((), (Variable("V0"),)), groups, db) == groups
 
     def test_unbound_negated_variable_is_a_value_error(self):

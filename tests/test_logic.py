@@ -35,14 +35,14 @@ from relboost.logic import (
 )
 from relboost.regtree import TreeConfig, fit_tree
 from tests.conftest import build_linked_domain
-from tests.grounding_reference import substitute
+from tests.grounding_reference import constant_rows, substitute, symbol_groups
 
 
 def groundings(body, subst: dict, db) -> list:
     """`solutions` of `body` for one row with the one binding `subst`, as
     substitution dicts over the grown layout."""
     plan = compile_body(tuple(body), tuple(subst))
-    [row] = solutions(plan, [[tuple(subst.values())]], db)
+    [row] = constant_rows(solutions(plan, symbol_groups([[tuple(subst.values())]]), db))
     return [dict(zip(plan.grown, t)) for t in row]
 
 
@@ -107,7 +107,7 @@ class TestParseFacts:
             schema = parse_schema(f"predicate: age/1 {kind}.")
             lines = "age(a)=1.\nage(b)=2.\nage(a)=3."
             for text in (lines, lines + "\n"):
-                assert (logic._read_common(text, schema) is None) == (text[-1] != "\n")
+                assert (logic._common_rows(text) is None) == (text[-1] != "\n")
                 with pytest.raises(ParseError, match="conflicting values for age") as err:
                     parse_facts(text, schema)
                 assert err.value.line == 3
@@ -127,17 +127,12 @@ predicate: bp/1 continuous.
 """
 
 
-def _old_sort_key(atom):
-    """The fact order before the payload left the sort key."""
-    return tuple(a.symbol for a in atom.args) + (repr(atom.value),)
-
-
 class TestFactBaseBuild:
-    def test_sort_key_without_the_payload_keeps_the_order(self, monkeypatch):
+    def test_canonical_order_is_symbol_tuple_order(self):
         schema = parse_schema(SORT_SCHEMA)
         rng = random.Random(2026)
         consts = ["a", "b", "ab", "b_1", "9", "10", "-1", "-10", "2.5"]
-        texts = []
+        cases = []
         for _ in range(40):
             facts: dict = {}        # (name, args) -> line, one payload per key
             for _ in range(rng.randint(0, 80)):
@@ -151,17 +146,17 @@ class TestFactBaseBuild:
                 facts.setdefault((sig.name, args), f"{head}{value}.")
             lines = list(facts.values())
             rng.shuffle(lines)
-            texts.append("".join(line + "\n" for line in lines))
-        assert sum(logic._read_common(text, schema) is not None for text in texts) == 40
-
-        def built(text):
+            cases.append(("".join(line + "\n" for line in lines), facts))
+        assert all(logic._common_rows(text) is not None for text, _ in cases)
+        for text, facts in cases:
             db = parse_facts(text, schema)
-            return [serialize_facts(db), serialize_facts(FactBase(schema, db.facts()[::-1])),
-                    serialize_facts(FactBase(schema, db.facts()[1::2],
-                                             base=FactBase(schema, db.facts()[::2])))]
-        new = [built(text) for text in texts]
-        monkeypatch.setattr(logic, "_sort_key", _old_sort_key)
-        assert new == [built(text) for text in texts]
+            # by predicate name, then by the tuple of argument symbols
+            want = "".join(serialize_facts(parse_facts(facts[key] + "\n", schema))
+                           for key in sorted(facts))
+            assert serialize_facts(db) == want
+            assert serialize_facts(FactBase(schema, db.facts()[::-1])) == want
+            assert serialize_facts(FactBase(schema, db.facts()[1::2],
+                                            base=FactBase(schema, db.facts()[::2]))) == want
 
     @pytest.mark.parametrize("atom,message", [
         (Atom(PredicateSignature("other", 1), (Constant("a"),)), "unknown predicate other"),
@@ -347,9 +342,25 @@ def _example_outcome(read, text, target, label, earlier):
     return examples.entries, serialize_examples(examples)
 
 
-def _example_lines(text, target, label, earlier):
-    seen = {atom.args for atom, _ in earlier.entries} if earlier else set()
-    return logic._parse_example_lines(text, target, label, seen)
+def _whole_text_facts(text, schema) -> bool:
+    """Whether `parse_facts` reads `text` in its whole-text pass."""
+    rows = logic._common_rows(text)
+    return rows is not None and logic._fact_columns(rows, schema) is not None
+
+
+def _whole_text_examples(text, target, label, earlier) -> bool:
+    """Whether `parse_examples` reads `text` in its whole-text pass."""
+    rows = logic._common_rows(text)
+    return rows is not None and logic._example_entries(rows, target, label, earlier) is not None
+
+
+def _common_form_of(text, target) -> bool:
+    """Whether `text` is in the common form with each line a valid fact of
+    `target`: the whole-text pass reads it, unless a line repeats or the
+    file's kind does not match the target's."""
+    rows = logic._common_rows(text)
+    return (rows is not None and {name for name, _, _ in rows} == {target.name}
+            and logic._column(target, *list(zip(*rows))[1:]) is not None)
 
 
 def _random_common_text(rng, names):
@@ -388,7 +399,7 @@ class TestCommonFormReader:
         texts += [_random_common_text(rng, names) for _ in range(400)]
         fast = 0
         for text in texts:
-            fast += logic._read_common(text, schema) is not None
+            fast += _whole_text_facts(text, schema)
             assert (_fact_outcome(parse_facts, text, schema)
                     == _fact_outcome(logic._parse_fact_lines, text, schema)), text
         assert fast > len(texts) // 3
@@ -417,9 +428,10 @@ class TestCommonFormReader:
         ]
         fast = 0
         for text, target, label, earlier in cases:
-            fast += logic._read_common(text, Schema([target])) is not None
-            assert (_example_outcome(parse_examples, text, target, label, earlier)
-                    == _example_outcome(_example_lines, text, target, label, earlier)), text
+            fast += _common_form_of(text, target)
+            args = (text, target, label, earlier)
+            assert (_example_outcome(parse_examples, *args)
+                    == _example_outcome(logic._parse_example_lines, *args)), text
         assert fast > len(cases) // 4
 
     def test_serialized_files_take_the_whole_text_path(self, monkeypatch):
@@ -459,6 +471,103 @@ class TestCommonFormReader:
         assert hash(variable) == hash(("X",))
         assert atom == Atom(sig, (Constant("a"),), 3) != Atom(sig, (constant,), 4)
         assert hash(atom) == hash((sig, (constant,), 3))
+
+READER_SCHEMA = """
+predicate: rel/2 boolean.
+predicate: link/3 boolean.
+predicate: attr/1 boolean.
+predicate: flag/0 boolean.
+predicate: colour/2 multiclass(3).
+predicate: size/1 count.
+predicate: bp/2 continuous.
+"""
+# shared prefixes, mixed case and numerals: `,` must sort below all of them
+READER_SYMBOLS = ["a", "a_b", "a0", "aB", "a_B", "ab", "a_b0", "aZ9", "b", "bA",
+                  "-1", "-1.5", "-10", "0.5", "10", "2", "1.25", "-0.25"]
+
+
+def _payload_text(rng, sig) -> str:
+    """A valid `=value` text for `sig`, or none for a boolean predicate;
+    counts are small, with an occasional one up to 2**53."""
+    big = rng.random() < 0.1
+    return {"boolean": lambda: "",
+            "multiclass": lambda: f"={rng.randrange(sig.classes)}",
+            "count": lambda: f"={rng.randrange(2 ** 53 + 1) if big else rng.randrange(9)}",
+            "continuous": lambda: f"={rng.choice([-1.0, 1.0]) * rng.uniform(0, 1e4)!r}",
+            }[sig.kind]()
+
+
+def _random_lines(rng, sigs, n) -> dict:
+    """(name, symbols) -> common-form line, one line per key, `n` draws."""
+    lines: dict = {}
+    for _ in range(n):
+        sig = rng.choice(sigs)
+        args = tuple(rng.choice(READER_SYMBOLS) for _ in range(sig.arity))
+        head = f"{sig.name}({','.join(args)})" if args else sig.name
+        lines.setdefault((sig.name, args), head + _payload_text(rng, sig) + ".")
+    return lines
+
+
+class TestWholeTextReaderAgainstPerLineReader:
+    def test_fact_files_read_alike(self):
+        schema = parse_schema(READER_SCHEMA)
+        sigs = list(schema)
+        rng = random.Random(2027)
+        conflicts = 0
+        for _ in range(80):
+            lines = _random_lines(rng, sigs, rng.randint(1, 120))
+            order = list(lines.values())
+            rng.shuffle(order)
+            text = "".join(line + "\n" for line in order)
+            assert _whole_text_facts(text, schema)
+            fast, slow = parse_facts(text, schema), logic._parse_fact_lines(text, schema)
+            assert fast.facts() == slow.facts() and len(fast) == len(slow) == len(lines)
+            for sig in sigs:
+                for pos in range(sig.arity):
+                    assert fast.observed_constants(sig.name, pos) == \
+                        slow.observed_constants(sig.name, pos)
+                assert fast.observed_values(sig.name) == slow.observed_values(sig.name)
+            for name, args in list(lines) + list(_random_lines(rng, sigs, 20)):
+                args = tuple(map(Constant, args))
+                assert fast.lookup(name, args) == slow.lookup(name, args)
+            # an identical repeated line is the same fact
+            again = order[:]
+            again.insert(rng.randint(0, len(order)), rng.choice(order))
+            text = "".join(line + "\n" for line in again)
+            assert _whole_text_facts(text, schema)
+            assert parse_facts(text, schema).facts() == fast.facts()
+            # a second value for a fact is an error at the later of its lines
+            valued = [i for i, line in enumerate(order) if "=" in line]
+            if not valued:
+                continue
+            i = rng.choice(valued)
+            head = order[i].split("=")[0]
+            other = next(f"{head}={v}." for v in "01" if f"{head}={v}." != order[i])
+            j = rng.randint(0, len(order))
+            clash = order[:j] + [other] + order[j:]
+            with pytest.raises(ParseError, match="conflicting values for") as err:
+                parse_facts("".join(line + "\n" for line in clash), schema)
+            assert err.value.line == max(j, i + (j <= i)) + 1
+            conflicts += 1
+        assert conflicts >= 40
+
+    def test_example_files_keep_file_order(self):
+        schema = parse_schema(READER_SCHEMA)
+        rng = random.Random(2028)
+        for name, label in (("attr", 1), ("rel", 0), ("size", None), ("bp", None),
+                            ("colour", None), ("link", 1)):
+            target = schema.get(name)
+            for _ in range(15):
+                order = list(_random_lines(rng, [target], rng.randint(1, 60)).values())
+                rng.shuffle(order)
+                text = "".join(line + "\n" for line in order)
+                assert _whole_text_examples(text, target, label, None)
+                fast = parse_examples(text, target, label)
+                slow = logic._parse_example_lines(text, target, label, None)
+                assert fast.entries == slow.entries
+                assert [str(atom) for atom, _ in fast.entries] == \
+                    [line.split("=")[0].rstrip(".") for line in order]
+
 
 def _random_factbase(rng):
     schema = parse_schema("""
@@ -685,9 +794,9 @@ class TestExtendedBase:
                     for subst in ({}, {Variable("X"): Constant(rng.choice(consts))}):
                         atom = Atom(sig, (Variable("X"), Variable("X")))
                         assert list(match(atom, subst, ext)) == list(match(atom, subst, ref))
-                if name not in touched and name in base._by_pred:
-                    # untouched predicates share the base's list and postings
-                    assert ext._by_pred[name] is base._by_pred[name]
+                if name not in touched and name in base._columns:
+                    # untouched predicates share the base's columns and postings
+                    assert ext._columns[name] is base._columns[name]
                     assert all(ext._index[(name, pos)] is base._index[(name, pos)]
                                for pos in range(sig.arity))
         assert merged >= 20     # the merge path ran on many trials

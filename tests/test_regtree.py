@@ -126,6 +126,23 @@ class TestFitTree:
         with pytest.raises(ValueError, match=message):
             fit_tree(rows, grads, modes, TreeConfig())
 
+    def test_a_non_ground_target_is_one_error_in_fit_boost_and_evaluate(self, tiny_domain):
+        schema, db, modes = tiny_domain
+        target = schema.get("target")
+        rows = [(a, db) for a in _atoms(target, "abcd")] + [(Atom(target, (Variable("X"),)), db)]
+        grads = [1.0, 1.0, -1.0, -1.0, 0.5]
+        message = r"^example target target\(X\) is not ground$"
+        with pytest.raises(ValueError, match=message):
+            fit_tree(rows, grads, modes, TreeConfig())
+        for fit in (list(enumerate(grads)), list(enumerate(grads[:4]))):   # fitted or routed only
+            with pytest.raises(ValueError, match=message):
+                boost_step(rows, fit, modes, TreeConfig(), [0.0] * 5, RoutingCache())
+        tree = fit_tree(rows[:4], grads[:4], modes, TreeConfig())
+        assert isinstance(tree.root, Inner)
+        for model in (tree, RegressionTree(target, Leaf(0.5))):
+            with pytest.raises(ValueError, match=message):
+                evaluate(model, rows[4][0], db)
+
     def test_leaf_values_are_weighted_means(self, linked_domain):
         schema, db, modes, examples = linked_domain
         target = schema.get("target")
