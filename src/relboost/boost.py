@@ -23,10 +23,10 @@ from .regtree import (
     RoutingCache,
     TreeConfig,
     boost_step,
+    evaluate,
     parse_finite,
     parse_header,
     read_trees,
-    trees_value,
     write_model,
 )
 
@@ -69,11 +69,7 @@ class BoostedModel:
     kind: GradientKind
 
     def psi(self, target: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> float:
-        return self.psi0 + trees_value(self.trees, target, db, cache)
-
-
-def _clamped_exp(x: float) -> float:
-    return math.exp(min(max(x, -700.0), 700.0))
+        return self.psi0 + evaluate(self.trees, target, db, cache)
 
 
 def sigmoid_prob(psi: float) -> float:
@@ -108,7 +104,7 @@ def soft_lambda(label: int, p: float, alpha: float, beta: float) -> float:
     1 / (p + (1-p) e^-beta).  Both reduce to 1 at alpha = beta = 0.
     """
     expo = alpha if label == 1 else -beta
-    return 1.0 / (p + (1.0 - p) * _clamped_exp(expo))
+    return 1.0 / (p + (1.0 - p) * math.exp(min(max(expo, -700.0), 700.0)))
 
 
 def soft_gradient(label: int, p: float, alpha: float, beta: float) -> float:

@@ -35,7 +35,7 @@ from .logic import (
     serialize_facts,
 )
 from .regtree import RoutingCache, TreeConfig, _preroute, parse_finite
-from .util import atomic_write
+from .util import _clamped_exp, atomic_write
 
 
 class ConfigError(Exception):
@@ -389,12 +389,13 @@ def cmd_eval(opts: dict) -> int:
         if not segments:
             raise DataError("no segments in the trajectory file")
         _preroute(model.trees, [(s.target, s.context) for s in segments], cache)
-        pairs = [(model.transition_probability(s, cache), 1 if s.positive else 0)
-                 for s in segments]
+        phis = [model.phi(s, cache) for s in segments]
+        pairs = [(rctbn.transition_prob(_clamped_exp(phi), s.residence_time),
+                  1 if s.positive else 0) for s, phi in zip(segments, phis)]
         report = _prediction_report(metrics.PredictionSet(pairs), opts)
         report["mean_loglik"] = sum(
-            rctbn.segment_loglik(s.positive, model.phi(s, cache), s.residence_time)
-            for s in segments) / len(segments)
+            rctbn.segment_loglik(s.positive, phi, s.residence_time)
+            for s, phi in zip(segments, phis)) / len(segments)
     else:
         raise DataError("unrecognized model file")
     _emit(_report_lines(report), opts["report"])

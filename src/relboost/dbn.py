@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .logic import ParseError
+from .logic import ParseError, parse_int
 
 
 @dataclass
@@ -89,12 +89,12 @@ def _read_vars(text: str, what: str) -> tuple:
     names, arities = [], []
     for tok in header[len("vars:"):].split(","):
         m = re.match(r"\s*([a-z][A-Za-z0-9_]*)\s*:\s*([0-9]+)\s*\Z", tok)
-        if not m or int(m.group(2)) < 1:
+        if not m or (arity := parse_int(m.group(2), "arity", lineno)) < 1:
             raise ParseError(f"bad variable declaration {tok.strip()!r}", lineno)
         if m.group(1) in names:
             raise ParseError(f"variable {m.group(1)!r} declared twice", lineno)
         names.append(m.group(1))
-        arities.append(int(m.group(2)))
+        arities.append(arity)
     return names, arities, lines[1:]
 
 

@@ -30,9 +30,9 @@ from .regtree import (
     RoutingCache,
     TreeConfig,
     boost_step,
+    evaluate,
     parse_header,
     read_trees,
-    trees_value,
     write_model,
 )
 from .util import _clamped_exp
@@ -178,26 +178,22 @@ class HybridModel:
             raise ValueError(f"model kind {self.kind!r} is not {self.target.name}'s "
                              f"value kind {self.target.kind!r}")
 
-    def _psi(self, key: str, atom: Atom, db: FactBase,
-             cache: Optional[RoutingCache] = None) -> float:
-        return trees_value(self.functions[key], atom, db, cache)
-
     def class_probs(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> list:
         if self.kind != "multiclass":
             raise ValueError("not a multinomial model")
-        psis = [self._psi(f"class={k}", atom, db, cache) for k in range(self.target.classes)]
-        return multinomial_prob(psis)
+        return multinomial_prob([evaluate(self.functions[f"class={k}"], atom, db, cache)
+                                 for k in range(self.target.classes)])
 
     def rate(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> float:
         if self.kind != "count":
             raise ValueError("not a Poisson model")
-        return _clamped_exp(self._psi("rate", atom, db, cache))
+        return _clamped_exp(evaluate(self.functions["rate"], atom, db, cache))
 
     def mu_sigma(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> tuple:
         if self.kind != "continuous":
             raise ValueError("not a Gaussian model")
-        mu = self._psi("mu", atom, db, cache)
-        sigma = max(SIGMA_FLOOR, self.sigma0 + self._psi("sigma", atom, db, cache))
+        mu = evaluate(self.functions["mu"], atom, db, cache)
+        sigma = max(SIGMA_FLOOR, self.sigma0 + evaluate(self.functions["sigma"], atom, db, cache))
         return mu, sigma
 
     def prob_of_truth(self, atom: Atom, value, db: FactBase,
@@ -312,9 +308,9 @@ class MixedParentModel:
 
     def predict(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None):
         """Class probabilities, rate, or (mu, sigma) depending on the kind."""
-        coeffs = {key: trees_value(trees, atom, db, cache) for key, trees in self.functions.items()}
+        coeffs = {key: evaluate(trees, atom, db, cache) for key, trees in self.functions.items()}
         return _mixed_output(self.target, coeffs, self.parent_values(atom, db),
-                             self.sigma0 + trees_value(self.sigma_trees, atom, db, cache))
+                             self.sigma0 + evaluate(self.sigma_trees, atom, db, cache))
 
 
 def _mixed_output(target: PredicateSignature, coeffs: dict, xs: list, sigma: float):

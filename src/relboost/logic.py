@@ -72,6 +72,15 @@ class Variable:
 Term = Union[Constant, Variable]
 
 
+def parse_int(token: str, what: str, line: Optional[int] = None) -> int:
+    """`token`, digits a pattern has matched, as an int; past int()'s digit
+    limit (4,300 by default) a ParseError naming `what`, not a ValueError."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{what} has {len(token)} digits, too many to read", line) from None
+
+
 def parse_term(token: str, line: Optional[int] = None) -> Term:
     if _VARIABLE_RE.match(token):
         return Variable(token)
@@ -114,14 +123,9 @@ class PredicateSignature:
 
 @dataclass(frozen=True)
 class Cmp:
-    """Numeric threshold constraint on a queried atom's value (op is '>=')."""
+    """Numeric threshold constraint on a queried atom's value: value >= threshold."""
 
-    op: str
     threshold: float
-
-    def __post_init__(self):
-        if self.op != ">=":
-            raise ValueError("only '>=' threshold tests are supported")
 
 
 # Atom values: None (existence / boolean truth), bool, int (class index or
@@ -650,7 +654,7 @@ def _parse_payload(pred: PredicateSignature, valuetext, lineno) -> AtomValue:
     if pred.kind in ("multiclass", "count"):
         if not re.match(r"[0-9]+\Z", valuetext):
             raise ParseError(f"{pred.name} expects an integer value", lineno)
-        value: AtomValue = int(valuetext)
+        value: AtomValue = parse_int(valuetext, f"{pred.name} value", lineno)
     else:
         try:
             value = float(valuetext)
@@ -704,7 +708,10 @@ def _column(pred: PredicateSignature, argtexts, valuetexts) -> Optional[tuple]:
         return (symbols, payloads) if math.isfinite(sum(payloads)) else None
     if not all(map(str.isdigit, valuetexts)):   # ASCII digits: the pattern admits no others
         return None
-    payloads = list(map(int, valuetexts))
+    try:
+        payloads = list(map(int, valuetexts))
+    except ValueError:      # past int()'s digit limit: the per-line reader names the line
+        return None
     limit = pred.classes if kind == "multiclass" else 2 ** 53 + 1
     return (symbols, payloads) if max(payloads) < limit else None
 
@@ -863,7 +870,7 @@ def parse_literal(text: str, schema: Schema) -> Literal:
             raise ParseError(f"'=' tests need a multiclass predicate, got {name}")
         if not re.match(r"[0-9]+\Z", valuetext):
             raise ParseError(f"bad class index {valuetext!r}")
-        value = int(valuetext)
+        value = parse_int(valuetext, "class index")
         _check_payload(pred, value)
     elif op == ">=":
         if pred.kind not in ("count", "continuous"):
@@ -874,7 +881,7 @@ def parse_literal(text: str, schema: Schema) -> Literal:
             threshold = math.nan
         if not math.isfinite(threshold):
             raise ParseError(f"bad threshold {valuetext!r}: must be a finite number")
-        value = Cmp(">=", threshold)
+        value = Cmp(threshold)
     return Literal(Atom(pred, args, value), negated=bool(neg))
 
 

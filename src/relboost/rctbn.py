@@ -42,6 +42,7 @@ from .logic import (
     _parse_ground_atom,
     compile_body,
     parse_facts,
+    parse_int,
     parse_literal_list,
     parse_term,
     satisfies,
@@ -51,10 +52,10 @@ from .regtree import (
     RoutingCache,
     TreeConfig,
     boost_step,
+    evaluate,
     parse_finite,
     parse_header,
     read_trees,
-    trees_value,
     write_model,
 )
 from .util import _clamped_exp
@@ -186,7 +187,7 @@ def _parse_event_value(pred: PredicateSignature, token: str,
     if pred.kind in ("multiclass", "count"):
         if not re.match(r"[0-9]+\Z", token):
             raise ParseError(f"{pred.name} values are integers, not {token!r}", lineno)
-        v = int(token)
+        v = parse_int(token, f"{pred.name} value", lineno)
         _check_payload(pred, v, lineno)
         return v
     return parse_finite(token, f"{pred.name} value", lineno)
@@ -474,7 +475,7 @@ class RctbnModel:
     trees: list
 
     def phi(self, seg: Segment, cache: Optional[RoutingCache] = None) -> float:
-        return self.phi0 + trees_value(self.trees, seg.target, seg.context, cache)
+        return self.phi0 + evaluate(self.trees, seg.target, seg.context, cache)
 
     def transition_probability(self, seg: Segment, cache: Optional[RoutingCache] = None) -> float:
         return transition_prob(intensity(self, seg, cache), seg.residence_time)

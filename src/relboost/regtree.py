@@ -10,7 +10,7 @@ extended clause is satisfiable (existential semantics over the groundings
 of path variables).
 
 The module also holds the boosted-function core that every learner is
-built on: the summed value of a tree list (`trees_value`), one
+built on: the summed value of a tree list at one row (`evaluate`), one
 functional-gradient step (`boost_step`), and the model-file layout of a
 header line followed by optional `function <key>` lines and `tree <i>`
 blocks (`parse_header`, `write_model`, `read_trees`).
@@ -32,10 +32,11 @@ again, and in `boost_step`'s update of the training rows' values.  The rows
 that a (yes-path, test) table is missing are grounded together, in one
 `logic.solutions` call per fact base.  Each learner's training function
 creates the cache, passes it to every `boost_step` of the run and drops it
-when the run ends.  `evaluate` routes a prediction the same way; `eval` and
-`cv` share one cache per command and first route every row they score
-through every tree (`_preroute`), so that each table is grounded by one
-call per fact base and `evaluate` of a row only reads the cache.
+when the run ends.  `evaluate` routes a prediction the same way, walking
+every tree of a boosted function from the row's one slot; `eval` and `cv`
+share one cache per command and first route every row they score through
+every tree (`_preroute`), so that each table is grounded by one call per
+fact base and `evaluate` of a row only reads the cache.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .logic import (
     Schema,
     Variable,
     compile_body,
+    parse_int,
     parse_literal_list,
     solutions,
 )
@@ -149,7 +151,7 @@ def _value_variants(pred: PredicateSignature, dbs: list) -> list:
     if len(above) > MAX_THRESHOLDS:
         above = [above[round(k * (len(above) - 1) / (MAX_THRESHOLDS - 1))]
                  for k in range(MAX_THRESHOLDS)]
-    return [None] + [Cmp(">=", float(v)) for v in above]
+    return [None] + [Cmp(float(v)) for v in above]
 
 
 def _mode_literals(mode: ModeDeclaration, bound_vars: list, dbs: list) -> list:
@@ -412,53 +414,45 @@ def fit_tree(rows: list, gradients: list, modes: list,
     return RegressionTree(target, build(root_leaf))
 
 
-def evaluate(tree: RegressionTree, target: Atom, db: FactBase,
-             cache: Optional[RoutingCache] = None) -> float:
-    """Regression value of one ground target atom under the tree.
-
-    Pure in (tree, target, db): walks from the root taking the succeeds
-    branch exactly when the accumulated path clause extended with the
-    node's test is satisfiable.  The routing is `boost_step`'s: read from
-    and added to `cache`, a fresh one when None.
-    """
-    if target.pred.name != tree.target.name or target.pred.arity != tree.target.arity:
-        raise ValueError(f"{target} does not match tree target {tree.target.name}")
-    cache = cache if cache is not None else RoutingCache()
-    slot, node, at = cache.slot(target, db), tree.root, cache.root(target.pred.arity)
-    while isinstance(node, Inner):
-        table = at.below(node.test)
-        routing = table.routings.get(slot)
-        if routing is None:
-            _ground_missing([slot], table, at, cache)
-            routing = table.routings[slot]
-        if routing:
-            node, at = node.yes, table
-        else:
-            node = node.no
-    return node.value
-
-
 # ---------------------------------------------------------------------------
 # the boosted-function core: psi = offset + sum of tree values
 # ---------------------------------------------------------------------------
 
 
-def trees_value(trees: list, atom: Atom, db: FactBase,
-                cache: Optional[RoutingCache] = None) -> float:
-    """Summed value of `trees` at one atom, added in tree order from 0.0:
-    the order `boost_step` accumulates psi in, so the two agree exactly."""
+def evaluate(trees: list, target: Atom, db: FactBase,
+             cache: Optional[RoutingCache] = None) -> float:
+    """Summed regression value of one ground target atom under `trees`.
+
+    Pure in (trees, target, db): each tree is walked from its root, taking
+    the succeeds branch exactly when the accumulated path clause extended
+    with the node's test is satisfiable, and the leaf values are added in
+    tree order from 0.0, the order `boost_step` accumulates psi in, so the
+    two agree exactly.  The routing is `boost_step`'s: read from and added
+    to `cache`, a fresh one when None.  An empty list is 0.0.
+    """
+    key = (target.pred.name, target.pred.arity)
+    for tree in trees:
+        if (tree.target.name, tree.target.arity) != key:
+            raise ValueError(f"{target} does not match tree target {tree.target.name}")
+    if not trees:
+        return 0.0
+    cache = cache if cache is not None else RoutingCache()
+    slot, root = cache.slot(target, db), cache.root(target.pred.arity)
     total = 0.0
     for tree in trees:
-        total += evaluate(tree, atom, db, cache)
+        node, at = tree.root, root
+        while isinstance(node, Inner):
+            table = at.below(node.test)
+            routing = table.routings.get(slot)
+            if routing is None:
+                _ground_missing([slot], table, at, cache)
+                routing = table.routings[slot]
+            if routing:
+                node, at = node.yes, table
+            else:
+                node = node.no
+        total += node.value
     return total
-
-
-def _scaled(root, eta: float):
-    copies: dict = {}
-    for node in reversed(_preorder(root)):     # children before their parents
-        copies[id(node)] = (Leaf(node.value * eta) if isinstance(node, Leaf) else
-                            Inner(node.test, copies[id(node.yes)], copies[id(node.no)]))
-    return copies[id(root)]
 
 
 def boost_step(rows: list, fit: list, modes: list, tree_config: TreeConfig,
@@ -473,9 +467,11 @@ def boost_step(rows: list, fit: list, modes: list, tree_config: TreeConfig,
     exact.  The fit and the routing of `rows` share the run's `cache`, so
     the rows the fit routed are not grounded again.
     """
-    fitted = fit_tree([rows[i] for i, _ in fit], [g for _, g in fit], modes,
-                      tree_config, cache)
-    tree = RegressionTree(fitted.target, _scaled(fitted.root, eta))
+    tree = fit_tree([rows[i] for i, _ in fit], [g for _, g in fit], modes,
+                    tree_config, cache)
+    for node in _preorder(tree.root):
+        if isinstance(node, Leaf):
+            node.value *= eta
     slotted = [(i, cache.slot(atom, row_db)) for i, (atom, row_db) in enumerate(rows)]
     for leaf, group in _route(tree, slotted, cache):
         for i, _ in group:
@@ -576,15 +572,17 @@ def parse_tree(text: str, schema: Schema, target: PredicateSignature,
                 literals = tuple(parse_literal_list(test_text, schema))
             except ParseError as exc:
                 raise ParseError(str(exc), lineno)
-            spec = (lineno, NodeTest(literals), int(yes), int(no))
+            spec = (lineno, NodeTest(literals), parse_int(yes, "node id", lineno),
+                    parse_int(no, "node id", lineno))
         elif leaf:
             nid = leaf.group(1)
             spec = (lineno, Leaf(parse_finite(leaf.group(2), "leaf value", lineno)))
         else:
             raise ParseError(f"bad tree line {raw!r}", lineno)
-        if int(nid) in specs:
+        key = parse_int(nid, "node id", lineno)
+        if key in specs:
             raise ParseError(f"duplicate node id {nid}", lineno)
-        specs[int(nid)] = spec
+        specs[key] = spec
     if 0 not in specs:
         raise ParseError("tree has no root node 0", first_line)
     order, reached = [], set()

@@ -105,6 +105,18 @@ class TestTrain:
             capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_oversized_count_fact_is_data_error_at_its_line(self, bundle, capsys):
+        with open(bundle["schema"], "a") as handle:
+            handle.write("predicate: visits/1 count.\n")
+        with open(bundle["facts"], "a") as handle:
+            handle.write("visits(e001)=1.\nvisits(e002)=" + "1" * 5000 + ".\n")
+        n_lines = len(open(bundle["facts"]).read().splitlines())
+        out = str(bundle["dir"] / "model.txt")
+        assert main(_train_args(bundle, out)) == 2
+        assert f"data error: line {n_lines}: visits value has 5000 digits" in \
+            capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_bad_flag_value_is_config_error(self, bundle):
         out = str(bundle["dir"] / "model.txt")
         assert main(_train_args(bundle, out, ["--iters", "0"])) == 3

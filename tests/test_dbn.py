@@ -363,6 +363,14 @@ class TestIO:
         with pytest.raises(ParseError, match=message):
             {"network": parse_network, "dataset": parse_dataset}[parse](text)
 
+    @pytest.mark.parametrize("parse,text,line", [
+        (parse_dataset, "% data\nvars: a:{}\n0,0\n", 2),
+        (parse_network, "vars: a:2, b:{}\n", 1),
+    ], ids=["dataset", "network"])
+    def test_oversized_arity_names_its_line(self, parse, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: arity has 5000 digits"):
+            parse(text.format("1" * 5000))
+
     def test_network_roundtrip(self):
         net = TwoSliceNetwork(["a", "b", "c"], [2, 3, 2],
                               {(0, 1), (1, 2)}, {(2, 2), (0, 0)})

@@ -58,9 +58,9 @@ def _random_value(rng, pred):
     if pred.kind == "multiclass" and rng.random() < 0.5:
         return rng.randint(0, 2)
     if pred.name == "size" and rng.random() < 0.5:
-        return Cmp(">=", float(rng.randint(0, 5)))
+        return Cmp(float(rng.randint(0, 5)))
     if pred.name == "bp" and rng.random() < 0.5:
-        return Cmp(">=", rng.choice([100.0, 140.0, 150.0]))
+        return Cmp(rng.choice([100.0, 140.0, 150.0]))
     return None
 
 

@@ -56,7 +56,7 @@ from relboost.rctbn import (
     transition_prob,
     worlds_facts,
 )
-from relboost.regtree import TreeConfig, trees_value
+from relboost.regtree import TreeConfig, evaluate
 
 
 SCHEMA_TEXT = """
@@ -163,7 +163,8 @@ horizon=2.0
         (f"t=0.0 n(p1)=0\nt=1.0 n(p1)={2 ** 53 + 1}", 3,
          r"n expects a count of at most 2\*\*53"),
         ("t=0.0 bp(p1)=7", 2, "class index 7 out of range for bp"),
-    ], ids=["count-1e400", "count-2**53+1", "class-7"])
+        ("t=0.0 n(p1)=" + "1" * 5000, 2, "n value has 5000 digits"),
+    ], ids=["count-1e400", "count-2**53+1", "class-7", "count-5000-digits"])
     def test_event_values_are_bounded_at_their_line(self, events, line, message):
         schema = parse_schema(SCHEMA_TEXT + "predicate: n/2 count temporal.\n")
         with pytest.raises(ParseError, match=message) as info:
@@ -591,7 +592,7 @@ clause checkup cim=[[-3.0, 3.0], [3.0, -3.0]]
         def rate(atoms):
             seg = Segment(target, False, 1.0, FactBase(proj, atoms), False)
             q = intensity(model, seg)
-            assert q == math.exp(model.phi0 + trees_value(model.trees, target, seg.context))
+            assert q == math.exp(model.phi0 + evaluate(model.trees, target, seg.context))
             return q
 
         ill = rate([Atom(proj.get("parentOf"), (par, ent), True),
@@ -857,7 +858,8 @@ end
         ("!cvd(V1)", r"unbound variable V1 in negated literal !cvd\(V1\)"),
         ("parentOf(Y,V0", r"bad literal 'parentOf\(Y,V0'"),
         ("cvd(Y), parentOf(Y)", "parentOf expects 2 arguments, got 1"),
-    ], ids=["unbound-y", "past-the-head", "bad-literal", "arity"])
+        ("bp(V0)=" + "1" * 5000, "class index has 5000 digits"),
+    ], ids=["unbound-y", "past-the-head", "bad-literal", "arity", "class-5000-digits"])
     def test_bad_clause_body_is_parse_error_at_its_line(self, schema, body, message):
         text = (f'var cvd init=[1.0, 0.0]\nclause cvd cim=[[-1.0, 1.0], [0.0, 0.0]]\n'
                 f'clause cvd cim=[[-0.5, 0.5], [0.0, 0.0]] if "{body}"\n')

@@ -31,7 +31,6 @@ from relboost.regtree import (
     fit_tree,
     parse_tree,
     serialize_tree,
-    trees_value,
 )
 from relboost import boost, hybrid
 from tests import grounding_reference as reference
@@ -141,7 +140,7 @@ class TestFitTree:
         assert isinstance(tree.root, Inner)
         for model in (tree, RegressionTree(target, Leaf(0.5))):
             with pytest.raises(ValueError, match=message):
-                evaluate(model, rows[4][0], db)
+                evaluate([model], rows[4][0], db)
 
     def test_leaf_values_are_weighted_means(self, linked_domain):
         schema, db, modes, examples = linked_domain
@@ -173,7 +172,7 @@ class TestFitTree:
         # group examples by leaf via evaluate and recompute the mean
         groups = {}
         for (a, _), g in zip(examples.entries, grads):
-            value = evaluate(tree, a, db)
+            value = evaluate([tree], a, db)
             groups.setdefault(value, []).append(g)
         for value, members in groups.items():
             mean = sum(members) / len(members)
@@ -186,7 +185,7 @@ class TestFitTree:
         grads = [rng.uniform(-1, 1) for _ in rows]
 
         def training_sse(tree):
-            return sum((g - evaluate(tree, a, db)) ** 2
+            return sum((g - evaluate([tree], a, db)) ** 2
                        for (a, _), g in zip(rows, grads))
 
         sses = [training_sse(fit_tree(rows, grads, modes, TreeConfig(max_leaves=L)))
@@ -307,7 +306,7 @@ class TestEvaluate:
         target = schema.get("target")
         tree = RegressionTree(target, Leaf(0.31))
         for name in "abcd":
-            assert evaluate(tree, Atom(target, (Constant(name),)), db) == 0.31
+            assert evaluate([tree], Atom(target, (Constant(name),)), db) == 0.31
 
     def test_leftmost_path_regression_value(self, linked_domain):
         # a chain of satisfied tests routes to the leftmost leaf, whose
@@ -320,7 +319,7 @@ class TestEvaluate:
             Inner(NodeTest(lits("flag(V1)")), Leaf(0.827), Leaf(-0.5)),
             Leaf(-1.2)))
         positive = next(a for a, l in examples.entries if l == 1)
-        assert evaluate(tree, positive, db) == 0.827
+        assert evaluate([tree], positive, db) == 0.827
         from relboost.boost import sigmoid_prob
         assert sigmoid_prob(0.827) == pytest.approx(0.696, abs=5e-4)
 
@@ -329,7 +328,7 @@ class TestEvaluate:
         target = schema.get("target")
         lits = tuple(parse_literal_list("hot(V0)", schema))
         tree = RegressionTree(target, Inner(NodeTest(lits), Leaf(1.0), Leaf(-1.0)))
-        assert evaluate(tree, Atom(target, (Constant("zz"),)), db) == -1.0
+        assert evaluate([tree], Atom(target, (Constant("zz"),)), db) == -1.0
 
     def test_pure_function(self, linked_domain):
         schema, db, modes, examples = linked_domain
@@ -337,8 +336,8 @@ class TestEvaluate:
                         [1.0 if l else -1.0 for _, l in examples.entries], modes,
                         TreeConfig(max_leaves=4))
         for a, _ in examples.entries[:6]:
-            first = evaluate(tree, a, db)
-            assert all(evaluate(tree, a, db) == first for _ in range(3))
+            first = evaluate([tree], a, db)
+            assert all(evaluate([tree], a, db) == first for _ in range(3))
 
 
 def _greedy_oracle(regs, db, modes, config, schema):
@@ -572,7 +571,7 @@ class TestRoutingCache:
             assert serialize_tree(tree).startswith(f'node 0 test "{rel}(V0,V1)" yes=1')
             assert '"flag(V1)"' in serialize_tree(tree)
             trees.append(tree)
-        assert psis == [trees_value(trees, a, db) for a in atoms]
+        assert psis == [evaluate(trees, a, db) for a in atoms]
 
     def test_boost_step_rows_get_the_evaluated_values(self, linked_domain):
         # the fit sees half the examples; the other rows are routed afresh
@@ -585,7 +584,7 @@ class TestRoutingCache:
         tree = boost_step([(a, db) for a in atoms], fit, modes, TreeConfig(max_leaves=6),
                           psis, cache, 0.5)
         assert any(isinstance(node, Inner) for node in (tree.root.yes, tree.root.no))
-        assert psis == [0.25 + evaluate(tree, a, db) for a in atoms]
+        assert psis == [0.25 + evaluate([tree], a, db) for a in atoms]
 
 
 def _uncached_evaluate(tree, target, db) -> float:
@@ -651,16 +650,16 @@ class TestPredictionRouting:
         cache = RoutingCache()
         for tree, atom, db in cases:
             want = expected[(id(tree), id(atom))]
-            assert evaluate(tree, atom, db, cache) == want
-            assert evaluate(tree, atom, db, cache) == want
+            assert evaluate([tree], atom, db, cache) == want
+            assert evaluate([tree], atom, db, cache) == want
 
     def test_trees_value_with_and_without_a_cache(self, routed_models):
         cache = RoutingCache()
         for trees, atoms, db in routed_models:
             for atom in atoms:
-                plain = trees_value(trees, atom, db)
-                assert plain == trees_value(trees, atom, db, cache)
-                assert all(evaluate(t, atom, db) == evaluate(t, atom, db, cache)
+                plain = evaluate(trees, atom, db)
+                assert plain == evaluate(trees, atom, db, cache)
+                assert all(evaluate([t], atom, db) == evaluate([t], atom, db, cache)
                            for t in trees)
 
     def test_target_mismatch_raises_with_or_without_a_cache(self, tiny_domain):
@@ -668,9 +667,33 @@ class TestPredictionRouting:
         tree = RegressionTree(schema.get("target"), Leaf(0.5))
         other = Atom(schema.get("hot"), (Constant("a"),))
         with pytest.raises(ValueError, match="does not match tree target"):
-            evaluate(tree, other, db)
+            evaluate([tree], other, db)
         with pytest.raises(ValueError, match="does not match tree target"):
-            evaluate(tree, other, db, RoutingCache())
+            evaluate([tree], other, db, RoutingCache())
+
+    def test_a_list_sums_its_trees_in_order(self, routed_models):
+        cache = RoutingCache()
+        for trees, atoms, db in routed_models:
+            for atom in atoms:
+                total = 0.0
+                for tree in trees:
+                    total += evaluate([tree], atom, db)
+                assert evaluate(trees, atom, db).hex() == total.hex()
+                assert evaluate(trees, atom, db, cache).hex() == total.hex()
+
+    def test_an_empty_list_is_zero_and_registers_no_slot(self, tiny_domain):
+        schema, db, _ = tiny_domain
+        cache = RoutingCache()
+        assert evaluate([], Atom(schema.get("target"), (Variable("X"),)), db, cache) == 0.0
+        assert cache._held == [] and cache._slots == {}
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_another_target_anywhere_in_the_list_raises(self, tiny_domain, position):
+        schema, db, _ = tiny_domain
+        trees = [RegressionTree(schema.get("target"), Leaf(0.5)) for _ in range(3)]
+        trees[position] = RegressionTree(schema.get("hot"), Leaf(0.5))
+        with pytest.raises(ValueError, match="does not match tree target hot"):
+            evaluate(trees, Atom(schema.get("target"), (Constant("a"),)), db)
 
 
 class TestSerialization:
@@ -744,6 +767,16 @@ predicate: rel/2 boolean.
                 'node 1 test "!knows(V1,V0)" yes=2 no=3\n'
                 "leaf 2 value=1.0\nleaf 3 value=0.5\nleaf 4 value=-0.5\n")
         assert serialize_tree(parse_tree(text, schema, schema.get("target"))) == text
+
+    @pytest.mark.parametrize("node,message", [
+        ('node 0 test "colour(V0)=' + "1" * 5000 + '" yes=1 no=2', "class index"),
+        ('node 0 test "colour(V0)=1" yes=1 no=' + "2" * 5000, "node id"),
+    ], ids=["class-index", "node-id"])
+    def test_oversized_integer_is_parse_error_at_its_line(self, node, message):
+        schema = parse_schema("predicate: target/1 boolean.\npredicate: colour/1 multiclass(3).\n")
+        with pytest.raises(ParseError, match=f"^line 2: {message} has 5000 digits"):
+            parse_tree(f"leaf 1 value=0.5\n{node}\nleaf 2 value=0.0\n", schema,
+                       schema.get("target"))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "zero"])
     def test_non_finite_leaf_value_rejected(self, tiny_domain, value):
