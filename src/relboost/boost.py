@@ -150,9 +150,9 @@ def train(examples: ExampleSet, db: FactBase, modes: list, config: BoostConfig,
         raise ValueError("training needs at least one positive and one negative")
     rng = random.Random(config.rng_seed)
     model = BoostedModel(examples.target, 0.0, [], kind)
-    rows = [(atom, db) for atom, _ in examples.entries]
-    psis = [0.0] * len(rows)
     cache = RoutingCache()
+    slots = cache.register([(atom, db) for atom, _ in examples.entries])
+    psis = [0.0] * len(slots)
 
     for m in range(config.iterations):
         if config.neg_subsample_ratio is not None:
@@ -163,7 +163,7 @@ def train(examples: ExampleSet, db: FactBase, modes: list, config: BoostConfig,
             chosen = neg_idx
         fit = [(i, _gradient(kind, examples.entries[i][1], sigmoid_prob(psis[i])))
                for i in pos_idx + chosen]
-        model.trees.append(boost_step(rows, fit, modes, config.tree, psis, cache))
+        model.trees.append(boost_step(slots, fit, modes, config.tree, psis, cache))
         if on_iteration is not None:
             objective = sum(
                 per_example_objective(label, psis[i], kind)

@@ -139,6 +139,23 @@ def _one_digit_states(body: str, n: int):
     return states
 
 
+# what `int()` takes as a decimal: Unicode digits, `_` between digits, and
+# around them any whitespace but the separators \x1c-\x1f
+_DECIMAL = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
+
+
+def _state(token: str, lineno: int) -> int:
+    """One state cell that the row's bulk `int` pass rejected: a decimal
+    integer past `int()`'s digit limit is -1, which every range check
+    rejects; anything else is not an integer."""
+    try:
+        return int(token)
+    except ValueError:
+        if _DECIMAL.fullmatch(token):
+            return -1
+        raise ParseError("states must be integers", lineno) from None
+
+
 def _parse_rows(names: list, arities: list, body: list) -> DiscreteDataset:
     rows = []
     for lineno, line in body:
@@ -148,7 +165,7 @@ def _parse_rows(names: list, arities: list, body: list) -> DiscreteDataset:
         try:
             rows.append([int(p) for p in parts])
         except ValueError:
-            raise ParseError("states must be integers", lineno)
+            rows.append([_state(p, lineno) for p in parts])
     if not rows:
         raise ParseError("dataset has no samples")
     states = np.array(rows, dtype=object)   # Python ints: past int64 is out of range

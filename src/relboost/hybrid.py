@@ -102,8 +102,7 @@ def mixed_softmax_prob(intercepts: list, coeffs: list, x_values: list,
     """
     if any(len(c) != len(x_values) for c in coeffs):
         raise ValueError("coefficient lists do not align with x_values")
-    scores = [b + sum(x * w for x, w in zip(x_values, row))
-              for b, row in zip(intercepts, coeffs)]
+    scores = [mixed_gaussian_mean(b, row, x_values) for b, row in zip(intercepts, coeffs)]
     return multinomial_prob(scores)[k]
 
 
@@ -236,16 +235,16 @@ def train_hybrid(examples: ExampleSet, db: FactBase, modes: list,
     kind = _numeric_kind(target)
     atoms = [a for a, _ in examples.entries]
     values = [v for _, v in examples.entries]
-    rows = [(a, db) for a in atoms]
     model = HybridModel(target, kind, {key: [] for key in _function_keys(target)},
                         _eta(config, kind), config.sigma0)
     psis = {key: [0.0] * len(atoms) for key in model.functions}
     if kind == "continuous":
         psis["sigma"] = [config.sigma0] * len(atoms)
     cache = RoutingCache()      # the target's functions route the same rows
+    slots = cache.register([(a, db) for a in atoms])
 
     def step(key, gradients, eta):
-        model.functions[key].append(boost_step(rows, list(enumerate(gradients)), modes,
+        model.functions[key].append(boost_step(slots, list(enumerate(gradients)), modes,
                                                config.tree, psis[key], cache, eta))
 
     try:
@@ -308,22 +307,30 @@ class MixedParentModel:
 
     def predict(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None):
         """Class probabilities, rate, or (mu, sigma) depending on the kind."""
-        coeffs = {key: evaluate(trees, atom, db, cache) for key, trees in self.functions.items()}
+        coeffs = [evaluate(self.functions[key], atom, db, cache)
+                  for key in _mixed_keys(self.target, self.parents)]
         return _mixed_output(self.target, coeffs, self.parent_values(atom, db),
                              self.sigma0 + evaluate(self.sigma_trees, atom, db, cache))
 
 
-def _mixed_output(target: PredicateSignature, coeffs: dict, xs: list, sigma: float):
-    """MixedParentModel.predict from coefficient values ``coeffs[(k, j)]``,
-    parent values `xs`, and the unfloored Gaussian sigma."""
+def _mixed_keys(target: PredicateSignature, parents: list) -> list:
+    """The coefficient function keys ``(k, j)`` of a mixed-parent model, in
+    the order `_mixed_output` takes their values."""
+    n_classes = target.classes if target.kind == "multiclass" else 1
+    return [(k, j) for k in range(n_classes) for j in range(len(parents) + 1)]
+
+
+def _mixed_output(target: PredicateSignature, coeffs, xs: list, sigma: float):
+    """MixedParentModel.predict from the coefficient values `coeffs` in
+    `_mixed_keys` order, parent values `xs`, and the unfloored Gaussian
+    sigma."""
+    width = len(xs) + 1
     if target.kind == "multiclass":
-        intercepts = [coeffs[(k, 0)] for k in range(target.classes)]
-        slopes = [[coeffs[(k, j + 1)] for j in range(len(xs))] for k in range(target.classes)]
-        return [mixed_softmax_prob(intercepts, slopes, xs, k) for k in range(target.classes)]
-    slopes = [coeffs[(0, j + 1)] for j in range(len(xs))]
+        return multinomial_prob([mixed_gaussian_mean(coeffs[at], coeffs[at + 1:at + width], xs)
+                                 for at in range(0, len(coeffs), width)])
     if target.kind == "count":
-        return mixed_poisson_rate(coeffs[(0, 0)], slopes, xs)
-    return mixed_gaussian_mean(coeffs[(0, 0)], slopes, xs), max(SIGMA_FLOOR, sigma)
+        return mixed_poisson_rate(coeffs[0], coeffs[1:width], xs)
+    return mixed_gaussian_mean(coeffs[0], coeffs[1:width], xs), max(SIGMA_FLOOR, sigma)
 
 
 def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
@@ -339,22 +346,21 @@ def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
     config = config or HybridConfig()
     target = examples.target
     kind = _numeric_kind(target)
-    n_classes = target.classes if kind == "multiclass" else 1
-    model = MixedParentModel(
-        target, list(parents),
-        {(k, j): [] for k in range(n_classes) for j in range(len(parents) + 1)},
-        sigma0=config.sigma0)
+    model = MixedParentModel(target, list(parents),
+                             {key: [] for key in _mixed_keys(target, parents)},
+                             sigma0=config.sigma0)
     atoms = [a for a, _ in examples.entries]
     values = [v for _, v in examples.entries]
     xs = [model.parent_values(a, db) for a in atoms]
-    rows = [(a, db) for a in atoms]
     coeffs = {key: [0.0] * len(atoms) for key in model.functions}
     sigma_sums = [0.0] * len(atoms)
     cache = RoutingCache()
+    slots = cache.register([(a, db) for a in atoms])
 
     def outputs():
-        return [_mixed_output(target, {key: col[i] for key, col in coeffs.items()}, xs[i],
-                              config.sigma0 + sigma_sums[i]) for i in range(len(atoms))]
+        # row i's coefficient values, in _mixed_keys order, are column i of coeffs
+        return [_mixed_output(target, row, x, config.sigma0 + sigma)
+                for row, x, sigma in zip(zip(*coeffs.values()), xs, sigma_sums)]
 
     def residual(y, out) -> list:
         if kind == "multiclass":
@@ -364,7 +370,7 @@ def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
         return [gaussian_gradients(y, *out)[0]]
 
     def step(trees, gradients, psis, eta):
-        trees.append(boost_step(rows, list(enumerate(gradients)), modes, config.tree,
+        trees.append(boost_step(slots, list(enumerate(gradients)), modes, config.tree,
                                 psis, cache, eta))
 
     eta = _eta(config, kind)

@@ -518,15 +518,15 @@ def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schem
     if not any(s.positive for s in segments):
         raise ValueError(f"no positive segments for {transition}")
     model = RctbnModel(transition, schema.get(transition.pred).dropped_time(), 0.0, [])
-    rows = [(seg.target, seg.context) for seg in segments]
-    phis = [0.0] * len(segments)
     cache = RoutingCache()
+    slots = cache.register([(seg.target, seg.context) for seg in segments])
+    phis = [0.0] * len(segments)
     for m in range(config.iterations):
         fit = []
         for i, seg in enumerate(segments):
             qt = _clamped_exp(phis[i]) * seg.residence_time
             fit.append((i, pos_gradient_rate(qt) if seg.positive else neg_gradient_rate(qt)))
-        model.trees.append(boost_step(rows, fit, modes, config.tree, phis, cache))
+        model.trees.append(boost_step(slots, fit, modes, config.tree, phis, cache))
         if on_iteration is not None:
             on_iteration(m + 1, sum(segment_loglik(seg.positive, phis[i], seg.residence_time)
                                     for i, seg in enumerate(segments)))

@@ -31,12 +31,15 @@ at every node and boosting iteration that routes the example by that test
 again, and in `boost_step`'s update of the training rows' values.  The rows
 that a (yes-path, test) table is missing are grounded together, in one
 `logic.solutions` call per fact base.  Each learner's training function
-creates the cache, passes it to every `boost_step` of the run and drops it
-when the run ends.  `evaluate` routes a prediction the same way, walking
-every tree of a boosted function from the row's one slot; `eval` and `cv`
-share one cache per command and first route every row they score through
-every tree (`_preroute`), so that each table is grounded by one call per
-fact base and `evaluate` of a row only reads the cache.
+creates the cache, registers its (target, fact base) rows in it once
+before the boosting loop (`RoutingCache.register`, which checks them), and
+passes their slots to every `boost_step` of the run; fitting and routing
+then work on slot integers only, and the cache is dropped when the run
+ends.  `evaluate` routes a prediction the same way, walking every tree of
+a boosted function from the row's one slot; `eval` and `cv` share one
+cache per command and first route every row they score through every tree
+(`_preroute`), so that each table is grounded by one call per fact base
+and `evaluate` of a row only reads the cache.
 """
 
 from __future__ import annotations
@@ -287,6 +290,17 @@ class RoutingCache:
                 tuple([a.symbol for a in target.args])]
         return slot
 
+    def register(self, rows: list) -> list:
+        """The slots of a training run's (target atom, fact base) `rows`, in
+        order: every target ground and of one predicate, or a ValueError."""
+        if rows:
+            target = rows[0][0].pred
+            for atom, _ in rows:
+                if atom.pred is not target and atom.pred != target:
+                    raise ValueError("examples mix target predicates")
+        slot = self.slot
+        return [slot(atom, db) for atom, db in rows]
+
     def root(self, arity: int) -> RoutingTable:
         """The table above every test of a tree with a target of `arity`."""
         table = self._roots.get(arity)
@@ -350,28 +364,36 @@ def _score_candidate(rows: list, table: RoutingTable, above: RoutingTable,
 def fit_tree(rows: list, gradients: list, modes: list,
              config: Optional[TreeConfig] = None,
              cache: Optional[RoutingCache] = None) -> RegressionTree:
-    """Fit a relational regression tree to ``gradients[i]`` at the i-th
-    (ground target atom, fact base) pair of `rows`.
+    """Fit a relational regression tree to ``gradients[i]`` at the i-th row
+    of `rows`.
 
+    A row is a (ground target atom, fact base) pair, which is registered in
+    `cache` first (a fresh cache when None), or the slot of such a pair
+    that `cache` already registered: a boosting run registers its rows once,
+    which checks them, and fits every tree from their slots (`boost_step`).
+    Slots without their cache, or past its last slot, are a ValueError.
     Growth is greedy best-first under `config`; each leaf's value is the
     mean gradient of the rows routed to it.  A root with no improving
     candidate yields a single-leaf tree.  Routings are read from and added
-    to `cache`, a fresh one when None.
+    to `cache`.
     """
     if not rows:
         raise ValueError("cannot fit a tree to an empty example list")
     config = config or TreeConfig()
-    cache = cache if cache is not None else RoutingCache()
-    target = rows[0][0].pred
-    for (atom, _), g in zip(rows, gradients):
-        if not math.isfinite(g):
-            raise ValueError("gradient must be finite")
-        if atom.pred is not target and atom.pred != target:
-            raise ValueError("examples mix target predicates")
-    dbs = list({id(db): db for _, db in rows}.values())    # distinct, first seen first
+    if not isinstance(rows[0], int):
+        cache = cache if cache is not None else RoutingCache()
+        slots = cache.register(rows)
+    elif cache is None or min(rows) < 0 or max(rows) >= len(cache._held):
+        raise ValueError("slots must be registered in the given cache")
+    else:
+        slots = rows
+    if not all(map(math.isfinite, gradients)):
+        raise ValueError("gradient must be finite")
+    held = cache._held
+    target = held[slots[0]][0].pred
+    dbs = list(dict.fromkeys([held[s][1] for s in slots]))    # distinct, first seen first
 
-    root_leaf = _GrowLeaf(0, [(g, cache.slot(atom, db)) for (atom, db), g in zip(rows, gradients)],
-                          cache.root(target.arity), frozenset())
+    root_leaf = _GrowLeaf(0, list(zip(gradients, slots)), cache.root(target.arity), frozenset())
     beam = [root_leaf]
     n_leaves = 1
 
@@ -455,25 +477,25 @@ def evaluate(trees: list, target: Atom, db: FactBase,
     return total
 
 
-def boost_step(rows: list, fit: list, modes: list, tree_config: TreeConfig,
+def boost_step(slots: list, fit: list, modes: list, tree_config: TreeConfig,
                psis: list, cache: RoutingCache, eta: float = 1.0) -> RegressionTree:
-    """One functional-gradient step of a boosted function over the
-    (atom, fact base) pairs `rows`.
+    """One functional-gradient step of a boosted function over a run's
+    rows, given as their `slots` in the run's `cache`: the run registers
+    its rows once, before its first step (`RoutingCache.register`).
 
     Fits a tree to the (row index, gradient) pairs of `fit`, in their
     order, scales its leaves by the step size `eta`, and adds the tree's
     value at every row i to ``psis[i]`` in place.  Leaves are scaled after
     the fit, never the gradients, so eta = 1 leaves the fitted values
-    exact.  The fit and the routing of `rows` share the run's `cache`, so
-    the rows the fit routed are not grounded again.
+    exact.  The fit and the routing of the rows share `cache`, so the rows
+    the fit routed are not grounded again.
     """
-    tree = fit_tree([rows[i] for i, _ in fit], [g for _, g in fit], modes,
+    tree = fit_tree([slots[i] for i, _ in fit], [g for _, g in fit], modes,
                     tree_config, cache)
     for node in _preorder(tree.root):
         if isinstance(node, Leaf):
             node.value *= eta
-    slotted = [(i, cache.slot(atom, row_db)) for i, (atom, row_db) in enumerate(rows)]
-    for leaf, group in _route(tree, slotted, cache):
+    for leaf, group in _route(tree, list(enumerate(slots)), cache):
         for i, _ in group:
             psis[i] += leaf.value
     return tree

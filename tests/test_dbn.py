@@ -363,6 +363,18 @@ class TestIO:
         with pytest.raises(ParseError, match=message):
             {"network": parse_network, "dataset": parse_dataset}[parse](text)
 
+    @pytest.mark.parametrize("digits", [50, 5000])
+    @pytest.mark.parametrize("digit", ["1", "1_", "\u0661"])   # \u0661: Arabic-Indic one
+    def test_an_oversized_state_is_out_of_range_at_its_line(self, digits, digit):
+        # 5,000 digits is past int()'s default limit of 4,300
+        state = (digit * digits).rstrip("_")
+        with pytest.raises(ParseError, match="^line 2: state out of range for a$"):
+            parse_dataset("vars: a:2\n0," + state + "\n")
+        with pytest.raises(ParseError, match="^line 3: state out of range for b$"):
+            parse_dataset("vars: a:2, b:2\n0,1,0,1\n0,0,1,-" + state + "\n")
+        with pytest.raises(ParseError, match="^line 2: states must be integers$"):
+            parse_dataset("vars: a:2\n0," + state + "_\n")
+
     @pytest.mark.parametrize("parse,text,line", [
         (parse_dataset, "% data\nvars: a:{}\n0,0\n", 2),
         (parse_network, "vars: a:2, b:{}\n", 1),

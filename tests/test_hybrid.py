@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from relboost import hybrid
 from relboost.hybrid import (
     HybridConfig,
     HybridModel,
@@ -38,6 +39,8 @@ from relboost.logic import (
     serialize_facts,
     serialize_schema,
 )
+from relboost.regtree import TreeConfig, evaluate
+from tests.conftest import build_hybrid_domain
 
 
 class TestMultinomialProb:
@@ -413,6 +416,53 @@ predicate: hits/1 count.
             x = model.parent_values(probe, db)[0]
             assert model.predict(probe, db) == pytest.approx(
                 math.exp(0.5 + 0.8 * x), rel=0.15)
+
+    @pytest.mark.parametrize("name", ["visits", "weight", "grade"])
+    def test_training_outputs_equal_predict_bit_for_bit(self, name, monkeypatch):
+        # a 3-iteration run computes, before its third iteration's first
+        # step, the outputs of the 2-iteration model on every training row
+        _, db, modes, dataset = build_hybrid_domain()
+        examples = dataset[name]
+        config = HybridConfig(iterations=3, tree=TreeConfig(max_leaves=4))
+        blocks, current = [], []
+        real_output, real_step = hybrid._mixed_output, hybrid.boost_step
+
+        def output(*args):
+            current.append(real_output(*args))
+            return current[-1]
+
+        def step(*args):
+            blocks.append(list(current))
+            current.clear()
+            return real_step(*args)
+        with monkeypatch.context() as patched:
+            patched.setattr(hybrid, "_mixed_output", output)
+            patched.setattr(hybrid, "boost_step", step)
+            train_mixed(examples, db, modes, ["dose", "age"], config)
+        config.iterations = 2
+        model = train_mixed(examples, db, modes, ["dose", "age"], config)
+        steps = len(model.functions) + (name == "weight")    # a Gaussian adds sigma
+        assert len(blocks) == 3 * steps
+        final = blocks[2 * steps]
+        assert len(final) == len(examples.entries)
+        assert [repr(model.predict(atom, db)) for atom, _ in examples.entries] \
+            == [repr(out) for out in final]
+
+        def from_formulas(atom):
+            # the predicted value from each evaluated coefficient function and
+            # the public formulas, apart from _mixed_output
+            c = {key: evaluate(trees, atom, db) for key, trees in model.functions.items()}
+            xs = model.parent_values(atom, db)
+            slopes = [[c[(k, j + 1)] for j in range(len(xs))] for k in range(len(c) // (len(xs) + 1))]
+            if name == "grade":
+                return [mixed_softmax_prob([c[(k, 0)] for k in range(len(slopes))], slopes, xs, k)
+                        for k in range(len(slopes))]
+            if name == "visits":
+                return mixed_poisson_rate(c[(0, 0)], slopes[0], xs)
+            sigma = model.sigma0 + evaluate(model.sigma_trees, atom, db)
+            return mixed_gaussian_mean(c[(0, 0)], slopes[0], xs), max(hybrid.SIGMA_FLOOR, sigma)
+        assert [repr(from_formulas(atom)) for atom, _ in examples.entries] \
+            == [repr(out) for out in final]
 
     def test_missing_parent_fact_rejected(self):
         schema = parse_schema("""

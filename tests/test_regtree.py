@@ -32,7 +32,7 @@ from relboost.regtree import (
     parse_tree,
     serialize_tree,
 )
-from relboost import boost, hybrid
+from relboost import boost, hybrid, rctbn
 from tests import grounding_reference as reference
 from tests.conftest import build_hybrid_domain, build_linked_domain
 
@@ -124,6 +124,22 @@ class TestFitTree:
             rows[2] = (Atom(schema.get("hot"), (Constant("c"),)), db)
         with pytest.raises(ValueError, match=message):
             fit_tree(rows, grads, modes, TreeConfig())
+        if case in ("variable", "mixed"):   # checked where a run registers its rows
+            with pytest.raises(ValueError, match=message):
+                RoutingCache().register(rows)
+
+    def test_slots_need_the_cache_that_registered_them(self, tiny_domain):
+        schema, db, modes = tiny_domain
+        rows = [(a, db) for a in _atoms(schema.get("target"), "abcd")]
+        grads = [1.0, 1.0, -1.0, -1.0]
+        cache = RoutingCache()
+        slots = cache.register(rows)
+        for bad, in_cache in (([0], None), ([0], RoutingCache()), (slots + [4], cache),
+                              ([-1] + slots, cache)):
+            with pytest.raises(ValueError, match="^slots must be registered in the given cache$"):
+                fit_tree(bad, [1.0] * len(bad), modes, TreeConfig(), in_cache)
+        assert serialize_tree(fit_tree(slots, grads, modes, TreeConfig(), cache)) \
+            == serialize_tree(fit_tree(rows, grads, modes, TreeConfig()))
 
     def test_a_non_ground_target_is_one_error_in_fit_boost_and_evaluate(self, tiny_domain):
         schema, db, modes = tiny_domain
@@ -133,9 +149,10 @@ class TestFitTree:
         message = r"^example target target\(X\) is not ground$"
         with pytest.raises(ValueError, match=message):
             fit_tree(rows, grads, modes, TreeConfig())
-        for fit in (list(enumerate(grads)), list(enumerate(grads[:4]))):   # fitted or routed only
-            with pytest.raises(ValueError, match=message):
-                boost_step(rows, fit, modes, TreeConfig(), [0.0] * 5, RoutingCache())
+        # a boosting run registers every row, fitted or only routed, before
+        # its first step
+        with pytest.raises(ValueError, match=message):
+            RoutingCache().register(rows)
         tree = fit_tree(rows[:4], grads[:4], modes, TreeConfig())
         assert isinstance(tree.root, Inner)
         for model in (tree, RegressionTree(target, Leaf(0.5))):
@@ -562,11 +579,12 @@ class TestRoutingCache:
         config = TreeConfig(max_leaves=4, max_new_literals_per_node=1)
         cache = RoutingCache()
         rows = [(a, db) for a in atoms]
+        slots = cache.register(rows)
         psis = [0.0] * len(atoms)
         trees = []
         for rel in ("knows", "likes", "knows", "likes"):
             grads = regs_for(rel)
-            tree = boost_step(rows, list(enumerate(grads)), modes, config, psis, cache)
+            tree = boost_step(slots, list(enumerate(grads)), modes, config, psis, cache)
             assert serialize_tree(tree) == serialize_tree(fit_tree(rows, grads, modes, config))
             assert serialize_tree(tree).startswith(f'node 0 test "{rel}(V0,V1)" yes=1')
             assert '"flag(V1)"' in serialize_tree(tree)
@@ -581,10 +599,81 @@ class TestRoutingCache:
         fit = [(i, rng.uniform(-1, 1)) for i in range(0, len(atoms), 2)]
         psis = [0.25] * len(atoms)
         cache = RoutingCache()
-        tree = boost_step([(a, db) for a in atoms], fit, modes, TreeConfig(max_leaves=6),
-                          psis, cache, 0.5)
+        tree = boost_step(cache.register([(a, db) for a in atoms]), fit, modes,
+                          TreeConfig(max_leaves=6), psis, cache, 0.5)
         assert any(isinstance(node, Inner) for node in (tree.root.yes, tree.root.no))
         assert psis == [0.25 + evaluate([tree], a, db) for a in atoms]
+
+
+_SLOT_TRAJECTORIES = """
+traj ann
+t=0.0 cvd(ann)=false
+t=0.0 diab(ann)=false
+t=1.0 diab(ann)=true
+t=2.0 cvd(ann)=true
+horizon=4.0
+traj bob
+t=0.0 cvd(bob)=false
+t=0.0 diab(bob)=false
+t=3.0 diab(bob)=true
+horizon=5.0
+traj cal
+t=0.0 cvd(cal)=false
+t=0.0 diab(cal)=true
+t=0.5 cvd(cal)=true
+t=1.0 cvd(cal)=false
+t=2.0 diab(cal)=false
+horizon=3.0
+"""
+
+
+@pytest.fixture(scope="module")
+def slotting_runs():
+    """(row count, learner run taking an iteration count) of rfgb with
+    negative subsampling, a multiclass `train_hybrid`, `train_mixed` and
+    `train_rctbn`."""
+    small = TreeConfig(max_leaves=3)
+    _, db, modes, examples = build_linked_domain(12, 24, seed=5)
+    rfgb = (len(examples.entries), lambda n: boost.train(
+        examples, db, modes, boost.BoostConfig(n, small, neg_subsample_ratio=1.0, rng_seed=3),
+        boost.Hard()))
+    _, hdb, hmodes, dataset = build_hybrid_domain()
+    grade, weight = dataset["grade"], dataset["weight"]
+    multiclass = (len(grade.entries), lambda n: hybrid.train_hybrid(
+        grade, hdb, hmodes, hybrid.HybridConfig(n, small)))
+    mixed = (len(weight.entries), lambda n: hybrid.train_mixed(
+        weight, hdb, hmodes, ["dose", "age"], hybrid.HybridConfig(n, small)))
+    schema = parse_schema("predicate: cvd/2 boolean temporal.\n"
+                          "predicate: diab/2 boolean temporal.\n")
+    trajs = rctbn.parse_trajectories(_SLOT_TRAJECTORIES, schema)
+    tr = rctbn.Transition("cvd", False, True)
+    rmodes = parse_modes("mode: diab(+).", rctbn.projected_schema(schema))
+    segments = rctbn.segment(trajs, None, schema, tr)
+    intensity = (len(segments), lambda n: rctbn.train_rctbn(
+        trajs, None, schema, tr, rmodes, rctbn.RctbnConfig(n, small)))
+    return {"rfgb-neg-subsample": rfgb, "train_hybrid-multiclass": multiclass,
+            "train_mixed": mixed, "train_rctbn": intensity}
+
+
+@pytest.mark.parametrize("learner", ["rfgb-neg-subsample", "train_hybrid-multiclass",
+                                     "train_mixed", "train_rctbn"])
+def test_a_run_slots_each_row_once(slotting_runs, learner, monkeypatch):
+    rows, run = slotting_runs[learner]
+    calls = []
+    real = RoutingCache.slot
+
+    def counted(self, target, db):
+        calls.append(target)
+        return real(self, target, db)
+    monkeypatch.setattr(RoutingCache, "slot", counted)
+    counts = []
+    for iterations in (1, 3):
+        calls.clear()
+        model = run(iterations)
+        counts.append(len(calls))
+    trees = getattr(model, "trees", None) or [t for ts in model.functions.values() for t in ts]
+    assert any(isinstance(t.root, Inner) for t in trees)
+    assert counts == [rows, rows]
 
 
 def _uncached_evaluate(tree, target, db) -> float:
