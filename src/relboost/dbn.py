@@ -9,9 +9,15 @@ likelihood, and a mutual-information test score.  Natural logarithms
 throughout.
 
 Scoring requires complete discrete data; missing-value handling is a
-dataset-preparation concern.  The greedy climb scores each move by its
-delta over the one or two families it changes, tests intra acyclicity with
-one reachability walk, and breaks ties on the smallest move.
+dataset-preparation concern, and a family table past `_MAX_CELLS` cells is
+a `ValueError` raised before it is allocated.  The greedy climb scores each
+move by its delta over the one or two families it changes and keeps those
+records until one of their families changes.  It ranks the improving moves
+by (gain, move) and tests intra acyclicity, one reachability walk each,
+only down that ranking until a move passes.  Counts of every small family
+that adds one parent to a child's current parents (at most
+`_POPCOUNT_CELLS` cells) come from one pass of popcounts over per-state
+row bitsets; larger tables come from one `np.bincount` each.
 
 A dataset body of one-digit states, each row written as fixed-width
 two-byte cells (a digit, then a comma or the row's newline), is decoded
@@ -21,6 +27,7 @@ line.  Chi-square quantiles depend only on (alpha, df) and are memoised.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import math
@@ -295,6 +302,13 @@ class MIT:
 ScoreKind = Union[BIC, BDe, MIT]
 
 
+# a family table of more cells is refused before it is allocated
+_MAX_CELLS = 1 << 22
+# the climb counts families of at most this many cells from state bitsets:
+# past it one `np.bincount` per family is as fast
+_POPCOUNT_CELLS = 64
+
+
 def family_counts(data: DiscreteDataset, i: int, parents: tuple) -> np.ndarray:
     """Counts matrix of shape (q_i, r_i): parent configuration by child state.
 
@@ -303,11 +317,60 @@ def family_counts(data: DiscreteDataset, i: int, parents: tuple) -> np.ndarray:
     """
     r = data.arities[i]
     q = math.prod(data.arities[j] for _, j in parents)
+    if q * r > _MAX_CELLS:
+        names = ", ".join(data.names[j] + ("@t" if side == "t" else "@t+1") for side, j in parents)
+        raise ValueError(f"family of {data.names[i]} with parents {names} has {q * r} cells, "
+                         f"past the limit of {_MAX_CELLS}")
     code, scale = data.column(("t1", i)), r
     for ref in reversed(parents):
         code = code + scale * data.column(ref)
         scale *= data.arities[ref[1]]
     return np.bincount(code, minlength=q * r).reshape(q, r)
+
+
+def _state_bitsets(data: DiscreteDataset, ref: tuple) -> np.ndarray:
+    """(arity, words) uint64 rows: bit n of row s is set when sample n of
+    column `ref` is in state s; the bits past the last sample are clear."""
+    r = data.arities[ref[1]]
+    bits = np.packbits(data.column(ref) == np.arange(r)[:, None], axis=1, bitorder="little")
+    out = np.zeros((r, -(-data.n_samples // 64) * 8), dtype=np.uint8)
+    out[:, :bits.shape[1]] = bits
+    return out.view(np.uint64)
+
+
+def _add_counts(data: DiscreteDataset, i: int, parents: tuple, refs: list,
+                bitsets) -> dict:
+    """{(i, family): counts} for each family of child i with the sorted
+    `parents` and one more ref of `refs`, each table as `family_counts`
+    builds it.  `bitsets(ref)` gives a column's `_state_bitsets`.
+
+    One row mask per (parent configuration, child state) is ANDed with the
+    stacked state masks of every ref, and the popcounts are summed.  Each
+    table is gathered from those sums by an index shared by the refs of one
+    (arity, sorted position).
+    """
+    r = data.arities[i]
+    rows = bitsets(("t1", i))
+    for ref in reversed(parents):   # the first parent ends most significant
+        rows = (bitsets(ref)[:, None] & rows).reshape(-1, rows.shape[1])
+    stack = np.concatenate([bitsets(ref) for ref in refs])
+    buf = np.empty_like(stack)
+    hits = np.empty((len(rows), len(stack)), dtype=np.int64)
+    for row, out in zip(rows, hits):
+        np.bitwise_count(np.bitwise_and(stack, row, out=buf), out=buf)
+        buf.sum(axis=1, out=out)
+    dims = [data.arities[j] for _, j in parents] + [r]
+    cells = np.arange(hits.size).reshape(hits.shape)
+    gathers: dict = {}   # (arity, position) -> C-order flat index of the table at offset 0
+    tables, offset, flat = {}, 0, hits.ravel()
+    for ref in refs:
+        size, pos = data.arities[ref[1]], bisect.bisect(parents, ref)
+        if (size, pos) not in gathers:
+            block = cells[:, :size].reshape(dims + [size])
+            gathers[size, pos] = np.ascontiguousarray(np.moveaxis(block, -1, pos).reshape(-1, r))
+        tables[(i, parents[:pos] + (ref,) + parents[pos:])] = flat[gathers[size, pos] + offset]
+        offset += size
+    return tables
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -317,9 +380,13 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def family_loglik(data: DiscreteDataset, i: int, parents: tuple) -> float:
-    """Maximum-likelihood family log-likelihood: sum D_ijk ln(D_ijk / D_ij)."""
-    counts = family_counts(data, i, parents).astype(float)
+def family_loglik(data: DiscreteDataset, i: int, parents: tuple,
+                  counts: np.ndarray = None) -> float:
+    """Maximum-likelihood family log-likelihood: sum D_ijk ln(D_ijk / D_ij).
+    `counts`, when given, is the family's `family_counts` table."""
+    if counts is None:
+        counts = family_counts(data, i, parents)
+    counts = counts.astype(float)
     row = counts.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.divide(counts, row, out=np.ones_like(counts), where=row > 0)
@@ -444,12 +511,14 @@ def _mit_df_schedule(data: DiscreteDataset, i: int, parents: tuple) -> list:
 
 
 def mit_family_score(data: DiscreteDataset, i: int, parents: tuple,
-                     alpha: float) -> float:
+                     alpha: float, counts: np.ndarray = None) -> float:
     """2N I(X_i, PA_i) minus the summed chi-square quantiles; 0 if no parents.
-    A term of 0 degrees of freedom (an arity-1 child or parent) adds none."""
+    A term of 0 degrees of freedom (an arity-1 child or parent) adds none.
+    `counts`, when given, is the family's `family_counts` table."""
     if not parents:
         return 0.0
-    counts = family_counts(data, i, parents)
+    if counts is None:
+        counts = family_counts(data, i, parents)
     score = 2.0 * data.n_samples * mutual_information(counts)
     for df in _mit_df_schedule(data, i, parents):
         if df:
@@ -458,14 +527,17 @@ def mit_family_score(data: DiscreteDataset, i: int, parents: tuple,
 
 
 def family_score(data: DiscreteDataset, i: int, parents: tuple,
-                 kind: ScoreKind) -> float:
+                 kind: ScoreKind, counts: np.ndarray = None) -> float:
+    """`counts`, when given, is the family's `family_counts` table."""
     if isinstance(kind, BIC):
         q = math.prod(data.arities[j] for _, j in parents)
-        return family_loglik(data, i, parents) - bic_penalty(
+        return family_loglik(data, i, parents, counts) - bic_penalty(
             q, data.arities[i], data.n_samples)
     if isinstance(kind, BDe):
-        return bde_family_score(family_counts(data, i, parents), kind.ess)
-    return mit_family_score(data, i, parents, kind.alpha)
+        if counts is None:
+            counts = family_counts(data, i, parents)
+        return bde_family_score(counts, kind.ess)
+    return mit_family_score(data, i, parents, kind.alpha, counts)
 
 
 def score_network(net: TwoSliceNetwork, data: DiscreteDataset,
@@ -482,43 +554,46 @@ def score_network(net: TwoSliceNetwork, data: DiscreteDataset,
 _EPS = 1e-9
 
 
-def _delta_moves(parents: list, max_parents: int, fam):
-    """(delta, move, changes) for each legal single-arc move from the
-    structure whose families have the sorted parent refs `parents`.
+def _arc_moves(parents: list, arc: str, i: int, j: int, max_parents: int, fam) -> list:
+    """(delta, move, changes) of each move of the `arc` ("inter" or "intra")
+    arc i -> j from the structure whose families have the sorted parent
+    refs `parents`: an add, or a delete and (intra) a reversal.
 
-    `changes` holds the one (add, delete) or two (reversal) pairs (family,
-    new parents) a move changes, in ascending family order; only they meet
-    the cap, and `delta` adds fam(new) - fam(old) over them to 0.0.  An
-    intra add or reversal is legal unless its new arc closes a path of
-    intra arcs (for a reversal, a path not using the reversed arc).
+    `changes` holds the one or two pairs (family, new parents) a move
+    changes, in ascending family order; only they meet the cap, and `delta`
+    adds fam(new) - fam(old) over them to 0.0.  Acyclicity is not tested
+    here; see `_closes_cycle`.
     """
-    n = len(parents)
-    children = [[b for b in range(n) if ("t1", a) in parents[b]] for a in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for arc, ref in (("inter", ("t", i)), ("intra", ("t1", i))):
-                if arc == "intra" and i == j:
-                    continue
-                # (move, changes, starts of the acyclicity walk, the new intra
-                # arc's tail, which that walk must not reach)
-                if ref not in parents[j]:
-                    gain = (j, tuple(sorted(parents[j] + (ref,))))
-                    moves = [(("add-" + arc, i, j), [gain], [j] if arc == "intra" else [], i)]
-                else:
-                    drop = (j, tuple(r for r in parents[j] if r != ref))
-                    moves = [(("del-" + arc, i, j), [drop], [], None)]
-                    if arc == "intra":
-                        gain = (i, tuple(sorted(parents[i] + (("t1", j),))))
-                        moves.append((("rev-intra", i, j), sorted([drop, gain]),
-                                      [c for c in children[i] if c != j], j))
-                for move, changes, starts, tail in moves:
-                    if any(len(p) > max_parents for _, p in changes) or starts and _meets_grey(
-                            children, starts, [int(u == tail) for u in range(n)]):
-                        continue
-                    delta = 0.0
-                    for f, p in changes:
-                        delta += fam(f, p) - fam(f, parents[f])
-                    yield delta, move, changes
+    ref = ("t", i) if arc == "inter" else ("t1", i)
+    if ref not in parents[j]:
+        moves = [(("add-" + arc, i, j), [(j, tuple(sorted(parents[j] + (ref,))))])]
+    else:
+        drop = (j, tuple(r for r in parents[j] if r != ref))
+        moves = [(("del-" + arc, i, j), [drop])]
+        if arc == "intra":
+            gain = (i, tuple(sorted(parents[i] + (("t1", j),))))
+            moves.append((("rev-intra", i, j), sorted([drop, gain])))
+    records = []
+    for move, changes in moves:
+        if all(len(p) <= max_parents for _, p in changes):
+            delta = 0.0
+            for f, p in changes:
+                delta += fam(f, p) - fam(f, parents[f])
+            records.append((delta, move, changes))
+    return records
+
+
+def _closes_cycle(children: list, move: tuple) -> bool:
+    """Whether an intra add or reversal closes a path of the intra arcs
+    `children` (for a reversal, a path not using the reversed arc)."""
+    name, i, j = move
+    if name == "add-intra":
+        starts, tail = [j], i
+    elif name == "rev-intra":
+        starts, tail = [c for c in children[i] if c != j], j
+    else:
+        return False
+    return _meets_grey(children, starts, [int(u == tail) for u in range(len(children))])
 
 
 def hill_climb(data: DiscreteDataset, kind: ScoreKind, max_parents: int = 3,
@@ -529,26 +604,60 @@ def hill_climb(data: DiscreteDataset, kind: ScoreKind, max_parents: int = 3,
     reverse; inter add, delete) until a local optimum; ties break on the
     lexicographically smallest move.  Scores decompose over families, so a
     move is scored by its delta over the families it changes, read from
-    one cache keyed by (family, sorted parent refs); see `_delta_moves`.
+    one cache keyed by (family, sorted parent refs); see `_arc_moves`.
+    A step rebuilds only the records of the moves into a changed family and
+    the reversals whose gained family changed.
     """
     if max_parents < 1:
         raise ValueError("max_parents must be at least 1")
+    n, arities = data.n_vars, data.arities
+    every_ref = [(side, a) for side in ("t", "t1") for a in range(n)]
     cache: dict = {}
+    tables: dict = {}     # popcount counts of families not yet scored
+    bitsets: dict = {}
+
+    def bits(ref):
+        if ref not in bitsets:
+            bitsets[ref] = _state_bitsets(data, ref)
+        return bitsets[ref]
 
     def fam(i, parents):
         key = (i, parents)
         if key not in cache:
-            cache[key] = family_score(data, i, parents, kind)
+            cache[key] = family_score(data, i, parents, kind, tables.pop(key, None))
         return cache[key]
 
-    parents: list = [()] * data.n_vars
-    score = sum(fam(i, parents[i]) for i in range(data.n_vars))
+    def count_adds(i):
+        """Counts of each unscored small family that adds one parent to i's."""
+        if len(parents[i]) >= max_parents:
+            return
+        cells = math.prod(arities[a] for _, a in parents[i]) * arities[i]
+        adds = [ref for ref in every_ref if ref != ("t1", i) and ref not in parents[i]
+                and cells * arities[ref[1]] <= _POPCOUNT_CELLS
+                and (i, tuple(sorted(parents[i] + (ref,)))) not in cache]
+        if adds:
+            tables.update(_add_counts(data, i, parents[i], adds, bits))
+
+    def into(j):
+        """The (arc, tail, head) slots of the arcs into j."""
+        return [(arc, i, j) for i in range(n) for arc in ("inter", "intra")
+                if arc == "inter" or i != j]
+
+    parents: list = [()] * n
+    score = sum(fam(i, parents[i]) for i in range(n))
+    records = {}
+    changed = range(n)
+    stale = [slot for j in changed for slot in into(j)]
     step = 0
     while True:
-        best = None
-        for delta, move, changes in _delta_moves(parents, max_parents, fam):
-            if delta > _EPS and (best is None or (-delta, move) < (-best[0], best[1])):
-                best = (delta, move, changes)
+        for f in changed:
+            count_adds(f)
+        for slot in stale:
+            records[slot] = _arc_moves(parents, *slot, max_parents, fam)
+        ranked = sorted((rec for recs in records.values() for rec in recs if rec[0] > _EPS),
+                        key=lambda rec: (-rec[0], rec[1]))
+        children = [[b for b in range(n) if ("t1", a) in parents[b]] for a in range(n)]
+        best = next((rec for rec in ranked if not _closes_cycle(children, rec[1])), None)
         if best is None:
             break
         delta, move, changes = best
@@ -558,6 +667,10 @@ def hill_climb(data: DiscreteDataset, kind: ScoreKind, max_parents: int = 3,
         step += 1
         if on_step is not None:
             on_step(step, move, score)
+        changed = [f for f, _ in changes]
+        stale = [slot for f in changed for slot in into(f)]
+        stale += [("intra", f, j) for f in changed for j in range(n)
+                  if ("t1", f) in parents[j] and j not in changed]
     arcs = {side: {(a, b) for b, refs in enumerate(parents) for s, a in refs if s == side}
             for side in ("t", "t1")}
     return TwoSliceNetwork(data.names, data.arities, arcs["t1"], arcs["t"])

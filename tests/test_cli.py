@@ -191,6 +191,23 @@ class TestTrain:
         assert "data error: line 2: state out of range for a" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("kind,header,cells,parents", [
+        *((kind, "vars: a:1000000, b:1000000", 10 ** 12, "a@t")
+          for kind in ("dbn-bic", "dbn-bde", "dbn-mit")),
+        ("dbn-bde", "vars: a:3000, b:3000, c:3000", 9 * 10 ** 6, "a@t"),
+    ])
+    def test_dbn_family_table_past_the_cell_bound_is_data_error(
+            self, tmp_path, capsys, kind, header, cells, parents):
+        width = 2 * (header.count(",") + 1)   # 2n states a row
+        data = _write(tmp_path / "slices.csv", header + "\n" + ",".join("0" * width) + "\n"
+                      + ",".join("1" * width) + "\n")
+        out = str(tmp_path / "net.txt")
+        assert main(["train", "--kind", kind, "--data", data, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: family of a with parents {parents} has {cells} cells" in err
+        assert not os.path.exists(out)
+
+
 class TestEvalAndMetrics:
     def test_eval_report_keys(self, bundle, capsys):
         out = str(bundle["dir"] / "model.txt")

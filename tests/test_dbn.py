@@ -14,7 +14,9 @@ from relboost.dbn import (
     MIT,
     DiscreteDataset,
     TwoSliceNetwork,
-    _delta_moves,
+    _arc_moves,
+    _closes_cycle,
+    _meets_grey,
     _parse_rows,
     _read_vars,
     bde_family_score,
@@ -572,6 +574,15 @@ class TestBitIdenticalScores:
             assert score == _score_or_error(data, i, parents, kind), (i, parents, kind)
 
 
+def test_family_counts_refuses_a_table_past_the_cell_bound(monkeypatch):
+    data = _random_dataset(random.Random(23), arities=(2, 3, 2))
+    monkeypatch.setattr(dbn, "_MAX_CELLS", 12)
+    assert family_counts(data, 1, (("t", 0), ("t1", 2))).shape == (4, 3)
+    with pytest.raises(ValueError, match=r"^family of b with parents a@t, b@t, c@t\+1 "
+                                         r"has 36 cells, past the limit of 12$"):
+        family_counts(data, 1, (("t", 0), ("t", 1), ("t1", 2)))
+
+
 def _acyclic(n, arcs):
     """Peel nodes without parents until none are left (or none can be)."""
     left = set(range(n))
@@ -629,17 +640,23 @@ def _old_route(net, data, kind, max_parents):
 
 
 def _new_route(net, data, kind, max_parents):
-    """The same map from `_delta_moves`, uncached."""
+    """The same map from the climb's move records (`_arc_moves`) that
+    `_closes_cycle` passes, uncached."""
     def fam(f, parents):
         return family_score(data, f, parents, kind)
 
-    parents = [net.parents(f) for f in range(data.n_vars)]
+    n = data.n_vars
+    parents = [net.parents(f) for f in range(n)]
+    children = [[b for b in range(n) if ("t1", a) in parents[b]] for a in range(n)]
     return {move: (delta, changes)
-            for delta, move, changes in _delta_moves(parents, max_parents, fam)}
+            for i in range(n) for j in range(n) for arc in ("inter", "intra")
+            if arc == "inter" or i != j
+            for delta, move, changes in _arc_moves(parents, arc, i, j, max_parents, fam)
+            if not _closes_cycle(children, move)}
 
 
 class TestDeltaMoves:
-    """The delta scorer against the copy-and-rescore route it replaces."""
+    """The climb's move records against the copy-and-rescore route they replace."""
 
     def test_every_network_of_seeded_climbs(self):
         from tests.test_model_bytes import _dbn_planted_text
@@ -662,6 +679,43 @@ class TestDeltaMoves:
         assert seen_moves == {"add-inter", "del-inter", "add-intra",
                               "del-intra", "rev-intra"}
 
+    def test_the_climb_holds_no_stale_record(self, monkeypatch):
+        """At each step, the record the climb holds for every arc equals
+        one built afresh from the network it ranked; so does the last."""
+        arc_moves = dbn._arc_moves
+        held = {}
+
+        def recording(parents, arc, i, j, max_parents, fam):
+            held[arc, i, j] = arc_moves(parents, arc, i, j, max_parents, fam)
+            return held[arc, i, j]
+
+        monkeypatch.setattr(dbn, "_arc_moves", recording)
+        from tests.test_model_bytes import _dbn_planted_text
+        rng = random.Random(26)
+        datasets = [parse_dataset(_dbn_planted_text(2, 600))]
+        datasets += [_climb_dataset(rng) for _ in range(8)]
+        for data in datasets:
+            n = data.n_vars
+            for max_parents in (1, 2, 3):
+                for kind in (BIC(), BDe(1.0), MIT(0.99)):
+                    net = TwoSliceNetwork(data.names, data.arities, set(), set())
+
+                    def fresh():
+                        parents = [net.parents(f) for f in range(n)]
+                        assert len(held) == n * (2 * n - 1)
+                        return {slot: arc_moves(parents, *slot, max_parents, lambda f, p:
+                                                family_score(data, f, p, kind))
+                                for slot in held}
+
+                    def on_step(step, move, score):
+                        nonlocal net
+                        assert held == fresh()
+                        net = TwoSliceNetwork(data.names, data.arities, *_moved_arcs(net, move))
+
+                    held.clear()
+                    hill_climb(data, kind, max_parents, on_step=on_step)
+                    assert held == fresh()
+
     def test_reversal_closing_a_cycle_is_rejected(self):
         rng = random.Random(14)
         data = _random_dataset(rng, arities=(2, 3, 2))
@@ -674,3 +728,138 @@ class TestDeltaMoves:
         assert ("rev-intra", 0, 1) in new and ("rev-intra", 1, 2) in new
         assert ("del-intra", 0, 2) in new
         assert ("add-intra", 2, 0) not in new and ("add-intra", 1, 0) not in new
+
+
+def _reference_delta_moves(parents, max_parents, fam):
+    """The climb's move list as first written: every move's legality, its
+    intra acyclicity walk included, tested before it is scored."""
+    n = len(parents)
+    children = [[b for b in range(n) if ("t1", a) in parents[b]] for a in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for arc, ref in (("inter", ("t", i)), ("intra", ("t1", i))):
+                if arc == "intra" and i == j:
+                    continue
+                if ref not in parents[j]:
+                    gain = (j, tuple(sorted(parents[j] + (ref,))))
+                    moves = [(("add-" + arc, i, j), [gain], [j] if arc == "intra" else [], i)]
+                else:
+                    drop = (j, tuple(r for r in parents[j] if r != ref))
+                    moves = [(("del-" + arc, i, j), [drop], [], None)]
+                    if arc == "intra":
+                        gain = (i, tuple(sorted(parents[i] + (("t1", j),))))
+                        moves.append((("rev-intra", i, j), sorted([drop, gain]),
+                                      [c for c in children[i] if c != j], j))
+                for move, changes, starts, tail in moves:
+                    if any(len(p) > max_parents for _, p in changes) or starts and _meets_grey(
+                            children, starts, [int(u == tail) for u in range(n)]):
+                        continue
+                    delta = 0.0
+                    for f, p in changes:
+                        delta += fam(f, p) - fam(f, parents[f])
+                    yield delta, move, changes
+
+
+def _reference_hill_climb(data, kind, max_parents=3, on_step=None):
+    """`hill_climb` as first written: every move rescored and checked on
+    every step, each family counted by `family_counts`."""
+    cache = {}
+
+    def fam(i, parents):
+        key = (i, parents)
+        if key not in cache:
+            cache[key] = family_score(data, i, parents, kind)
+        return cache[key]
+
+    parents = [()] * data.n_vars
+    score = sum(fam(i, parents[i]) for i in range(data.n_vars))
+    step = 0
+    while True:
+        best = None
+        for delta, move, changes in _reference_delta_moves(parents, max_parents, fam):
+            if delta > dbn._EPS and (best is None or (-delta, move) < (-best[0], best[1])):
+                best = (delta, move, changes)
+        if best is None:
+            break
+        delta, move, changes = best
+        for f, p in changes:
+            parents[f] = p
+        score += delta
+        step += 1
+        if on_step is not None:
+            on_step(step, move, score)
+    arcs = {side: {(a, b) for b, refs in enumerate(parents) for s, a in refs if s == side}
+            for side in ("t", "t1")}
+    return TwoSliceNetwork(data.names, data.arities, arcs["t1"], arcs["t"])
+
+
+_CLIMB_ARITIES = (1, 2, 3, 4, 5, 8, 12)
+_CLIMB_KINDS = (BIC(), BDe(1.0), BDe(3.0), MIT(0.95), MIT(0.9999))
+
+
+def _climb_dataset(rng):
+    """2-6 variables of mixed arities, 50-1024 samples; each slice t+1
+    column is the sum (mod its arity) of one or two slice t columns or
+    earlier slice t+1 columns with its own probability, which may be 0."""
+    n = rng.randint(2, 6)
+    arities = [rng.choice(_CLIMB_ARITIES) for _ in range(n)]
+    sources = [rng.sample([("t", a) for a in range(n)] + [("t1", a) for a in range(j)],
+                          rng.randint(1, 2)) for j in range(n)]
+    keep = [rng.choice((0.0, 0.6, 0.8, 0.95)) for _ in range(n)]
+    rows = []
+    for _ in range(rng.choice((50, 300, 1000, 1024))):
+        now = [rng.randrange(r) for r in arities]
+        nxt = []
+        for j, r in enumerate(arities):
+            copied = sum((now if side == "t" else nxt)[a] for side, a in sources[j]) % r
+            nxt.append(copied if rng.random() < keep[j] else rng.randrange(r))
+        rows.append(now + nxt)
+    return DiscreteDataset([f"v{j}" for j in range(n)], arities, np.array(rows))
+
+
+def _climb_record(climb, data, kind, max_parents):
+    steps = []
+    net = climb(data, kind, max_parents,
+                on_step=lambda step, move, score: steps.append((step, move, repr(score))))
+    return serialize_network(net), steps
+
+
+class TestClimbMatchesReference:
+    """The bitset-counted, lazily checked climb against the climb it replaced."""
+
+    def test_networks_and_steps_equal_the_reference_climb(self, monkeypatch):
+        routes = {"popcount": 0, "bincount": 0}
+        add_counts, counts = dbn._add_counts, dbn.family_counts
+
+        def checked_add_counts(data, i, parents, refs, bitsets):
+            tables = add_counts(data, i, parents, refs, bitsets)
+            assert len(tables) == len(refs)
+            for (child, family), got in tables.items():
+                want = counts(data, child, family)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.flags.c_contiguous and np.array_equal(got, want)
+                assert got.size <= dbn._POPCOUNT_CELLS
+            routes["popcount"] += len(tables)
+            return tables
+
+        def counted_family_counts(data, i, parents):
+            routes["bincount"] += 1
+            return counts(data, i, parents)
+
+        rng = random.Random(25)
+        moves, whole_words = set(), set()
+        for _ in range(48):
+            data = _climb_dataset(rng)
+            whole_words.add(data.n_samples % 64 == 0)
+            for kind in _CLIMB_KINDS:
+                for max_parents in (1, 2, 3):
+                    want = _climb_record(_reference_hill_climb, data, kind, max_parents)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(dbn, "_add_counts", checked_add_counts)
+                        patch.setattr(dbn, "family_counts", counted_family_counts)
+                        got = _climb_record(hill_climb, data, kind, max_parents)
+                    assert got == want, (data.arities, data.n_samples, kind, max_parents)
+                    moves |= {move[0] for _, move, _ in got[1]}
+        assert routes["popcount"] and routes["bincount"]
+        assert whole_words == {True, False}
+        assert moves == {"add-inter", "del-inter", "add-intra", "del-intra", "rev-intra"}
