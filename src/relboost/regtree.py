@@ -126,11 +126,20 @@ class TreeConfig:
 
 
 def _sse(gradients: list) -> float:
-    """Sum of squared errors about the mean gradient."""
+    """Sum of squared errors about the mean gradient.
+
+    Squares are products: float ``** 2`` goes through the C library's pow,
+    which may round differently.  A sum past float range is an
+    OverflowError, as ``** 2`` raises for a square past it, so trainers
+    can report targets too large for float arithmetic.
+    """
     if not gradients:
         return 0.0
     mean = sum(gradients) / len(gradients)
-    return sum((g - mean) ** 2 for g in gradients)
+    total = sum((g - mean) * (g - mean) for g in gradients)
+    if total == math.inf:
+        raise OverflowError("sum of squared errors out of float range")
+    return total
 
 
 def _mean(gradients: list) -> float:
@@ -395,6 +404,7 @@ def fit_tree(rows: list, gradients: list, modes: list,
 
     root_leaf = _GrowLeaf(0, list(zip(gradients, slots)), cache.root(target.arity), frozenset())
     beam = [root_leaf]
+    grown = [root_leaf]     # every leaf, each after its parent
     n_leaves = 1
 
     while beam and n_leaves < config.max_leaves:
@@ -426,14 +436,16 @@ def fit_tree(rows: list, gradients: list, modes: list,
         n_leaves += 1
         leaf.split = (test, yes_leaf, no_leaf)
         beam.extend([yes_leaf, no_leaf])
+        grown.extend([yes_leaf, no_leaf])
 
-    def build(leaf):
+    nodes: dict = {}        # created -> the leaf's node in the fitted tree
+    for leaf in reversed(grown):    # children before their parents
         if leaf.split is None:
-            return Leaf(_mean([g for g, _ in leaf.rows]))
-        test, yes_leaf, no_leaf = leaf.split
-        return Inner(test, build(yes_leaf), build(no_leaf))
-
-    return RegressionTree(target, build(root_leaf))
+            nodes[leaf.created] = Leaf(_mean([g for g, _ in leaf.rows]))
+        else:
+            test, yes_leaf, no_leaf = leaf.split
+            nodes[leaf.created] = Inner(test, nodes[yes_leaf.created], nodes[no_leaf.created])
+    return RegressionTree(target, nodes[root_leaf.created])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """End-to-end command-line tests over temporary dataset bundles."""
 
+import gc
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from relboost import cli
 from relboost.cli import _build_parser, main
 from tests.conftest import LINKED_MODES_TEXT, LINKED_SCHEMA_TEXT
 
@@ -922,3 +926,161 @@ class TestOptionTables:
         config = _write(tmp_path / "run.conf", f"{name}=1\n")
         assert main([command, "--config", config]) == 3
         assert f"run.conf:1: unknown key {name!r}" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def collector_state():
+    """Put the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _garbage_after(argv) -> int:
+    """Unreachable objects that `main(argv)` leaves, found by one collection
+    after running it with the collector off."""
+    gc.collect()
+    gc.disable()
+    assert main(argv) == 0
+    return gc.collect()
+
+
+HYBRID_TARGETS = {
+    "count": ("visits", "predicate: visits/1 count.\n", lambda s, r: r.randint(0, 3) + 4 * s),
+    "continuous": ("weight", "predicate: weight/1 continuous.\n",
+                   lambda s, r: round(r.gauss(2.0 + 3 * s, 0.5), 3)),
+    "multiclass": ("grade", "predicate: grade/1 multiclass(3).\n",
+                   lambda s, r: r.randint(0, 1) + s),
+}
+
+
+class TestCollectorPolicy:
+    """`main` pauses the cyclic collector for one command and puts it back."""
+
+    @staticmethod
+    def _training_argv(name, bundle) -> list:
+        """A command of case `name` that trains, without its --iters."""
+        root = bundle["dir"]
+        inputs = ["--schema", bundle["schema"], "--facts", bundle["facts"], "--pos", bundle["pos"],
+                  "--neg", bundle["neg"], "--modes", bundle["modes"], "--target", "target"]
+        if name in ("rfgb", "soft-rfgb"):
+            return ["train", "--kind", name, *inputs, "--out", str(root / "model.txt")]
+        if name == "cv":
+            return ["cv", "--kind", "rfgb", *inputs, "--k", "2", "--report", str(root / "cv.txt")]
+        if name == "rctbn":
+            schema = _write(root / "rctbn_schema.txt", SAMPLE_SCHEMA)
+            spec = _write(root / "spec.txt", SAMPLE_SPEC)
+            traj, static = str(root / "traj.txt"), str(root / "static.txt")
+            assert main(["sample", "--spec", spec, "--schema", schema, "--horizon", "12.0",
+                         "--seed", "2", "--out", traj, "--out-facts", static]) == 0
+            modes = _write(root / "rctbn_modes.txt", "mode: parentOf(-,+).\nmode: cvd(+).\n")
+            return ["train", "--kind", "rctbn", "--schema", schema, "--facts", static,
+                    "--traj", traj, "--modes", modes, "--target", "cvd", "--from", "false",
+                    "--to", "true", "--out", str(root / "rctbn_model.txt")]
+        target, decl, value = HYBRID_TARGETS[name.removeprefix("hybrid-")]
+        rng = random.Random(5)
+        sick = [rng.random() < 0.5 for _ in range(60)]
+        return ["train", "--kind", "hybrid",
+                "--schema", _write(root / "hybrid_schema.txt",
+                                   "predicate: sick/1 boolean.\n" + decl),
+                "--facts", _write(root / "sick.txt", "".join(
+                    f"sick(e{i:02d}).\n" for i, s in enumerate(sick) if s)),
+                "--examples", _write(root / "values.txt", "".join(
+                    f"{target}(e{i:02d})={value(s, rng)}.\n" for i, s in enumerate(sick))),
+                "--modes", _write(root / "sick_modes.txt", "mode: sick(+).\n"),
+                "--target", target, "--out", str(root / "hybrid_model.txt")]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("code", [0, 2, 3, 4])
+    def test_main_puts_the_collector_back_on_every_exit(self, tmp_path, monkeypatch, capsys,
+                                                        collector_state, enabled, code):
+        body = "a,b\n0.5,1\n" if code == 2 else "score,label\n0.9,1\n0.2,0\n"
+        argv = ["metrics", "--csv", _write(tmp_path / "preds.csv", body),
+                "--report", str(tmp_path / "report.txt")]
+        if code == 3:
+            argv += ["--no-such-option", "1"]
+        if code == 4:
+            def broken(_opts):
+                raise RuntimeError("handler failed")
+            monkeypatch.setitem(cli._COMMANDS, "metrics", (broken, cli._COMMANDS["metrics"][1]))
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+        if code == 4:
+            assert "relboost: internal error: handler failed" in capsys.readouterr().err
+
+    def test_no_collection_runs_during_a_command(self, bundle, collector_state):
+        collections = []
+
+        def record(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            code = main(_train_args(bundle, str(bundle["dir"] / "model.txt"), ["--iters", "8"]))
+        finally:
+            gc.callbacks.remove(record)
+        assert code == 0
+        assert collections == []
+
+    @pytest.mark.parametrize("name", ["rfgb", "soft-rfgb", "hybrid-count", "hybrid-continuous",
+                                      "hybrid-multiclass", "rctbn", "cv"])
+    def test_cyclic_garbage_does_not_grow_with_iterations(self, bundle, collector_state, name):
+        argv = self._training_argv(name, bundle)
+        _garbage_after(argv + ["--iters", "2"])   # first calls may fill caches, import lazily
+        assert (_garbage_after(argv + ["--iters", "6"])
+                == _garbage_after(argv + ["--iters", "2"]))
+
+
+def _run_process(args, cwd):
+    """Exit code and standard error of `python <args>` run as its own process,
+    importing relboost from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+# what the `relboost` console script (entry point relboost.cli:main) runs
+CONSOLE_SCRIPT = ["-c", "import sys; from relboost.cli import main; sys.exit(main())"]
+
+
+class TestProcessEntryPoint:
+    def test_module_metrics_matches_the_in_process_report(self, tmp_path):
+        rng = random.Random(12)
+        body = "score,label\n" + "".join(f"{rng.random():.5f},{i % 3 == 0:d}\n"
+                                          for i in range(50))
+        csv_path = _write(tmp_path / "preds.csv", body)
+        inproc, child = tmp_path / "inproc.txt", tmp_path / "child.txt"
+        assert main(["metrics", "--csv", csv_path, "--report", str(inproc)]) == 0
+        code, err = _run_process(["-m", "relboost.cli", "metrics", "--csv", csv_path,
+                                  "--report", str(child)], tmp_path)
+        assert (code, err) == (0, "")
+        assert child.read_bytes() == inproc.read_bytes()
+
+    def test_console_script_eval_matches_the_in_process_report(self, bundle):
+        root = bundle["dir"]
+        model = str(root / "model.txt")
+        assert main(_train_args(bundle, model, ["--iters", "3"])) == 0
+        data = ["--schema", bundle["schema"], "--facts", bundle["facts"],
+                "--pos", bundle["pos"], "--neg", bundle["neg"]]
+        inproc, child = root / "inproc.txt", root / "child.txt"
+        assert main(["eval", "--model", model, *data, "--report", str(inproc)]) == 0
+        code, err = _run_process([*CONSOLE_SCRIPT, "eval", "--model", model, *data,
+                                  "--report", str(child)], root)
+        assert (code, err) == (0, "")
+        assert child.read_bytes() == inproc.read_bytes()
+
+    @pytest.mark.parametrize("entry", [["-m", "relboost.cli"], CONSOLE_SCRIPT])
+    def test_malformed_csv_exits_2_and_unknown_option_exits_3(self, tmp_path, entry):
+        bad = _write(tmp_path / "bad.csv", "score,label\n0.5,1\n0.5\n")
+        code, err = _run_process([*entry, "metrics", "--csv", bad], tmp_path)
+        assert code == 2 and "relboost: data error:" in err
+        code, err = _run_process([*entry, "metrics", "--csv", bad, "--no-such-option", "1"],
+                                 tmp_path)
+        assert code == 3 and "relboost: config error:" in err

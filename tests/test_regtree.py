@@ -1,5 +1,6 @@
 """Relational regression-tree learner tests, with brute-force oracles."""
 
+import gc
 import random
 
 import pytest
@@ -195,6 +196,21 @@ class TestFitTree:
             mean = sum(members) / len(members)
             assert value == pytest.approx(mean, abs=1e-12)
 
+    def test_fitting_leaves_no_cyclic_garbage(self, linked_domain):
+        schema, db, modes, examples = linked_domain
+        rows = [(a, db) for a, _ in examples.entries]
+        grads = [1.0 if l else -1.0 for _, l in examples.entries]
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            trees = [fit_tree(rows, grads, modes, TreeConfig()) for _ in range(5)]
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert all(isinstance(tree.root, Inner) for tree in trees)
+
     def test_more_leaves_never_increase_sse(self, linked_domain):
         schema, db, modes, examples = linked_domain
         rng = random.Random(3)
@@ -212,6 +228,22 @@ class TestFitTree:
 
 
 class TestScoreSplit:
+    def test_sse_squares_by_multiplication(self):
+        # float ** calls the C library's pow, which can round a square
+        # differently from x * x (in about 1 of 1,300 random floats with
+        # glibc 2.36); _sse must add correctly rounded products left to
+        # right, as Python's float sum does through 3.11.  Short lists keep
+        # a one-ulp difference in one square from being rounded away.
+        rng = random.Random(26)
+        for _ in range(20000):
+            gradients = [rng.gauss(0, 1) * 10 ** rng.uniform(-3, 3)
+                         for _ in range(rng.randint(1, 4))]
+            mean = sum(gradients) / len(gradients)
+            total = 0.0
+            for g in gradients:
+                total += (g - mean) * (g - mean)
+            assert _sse(gradients) == total
+
     def test_uniform_gradients_no_improvement(self, tiny_domain):
         schema, db, modes = tiny_domain
         target = schema.get("target")
