@@ -438,17 +438,17 @@ def _plain_pairs(text: str) -> list | None:
 
 def _csv_pairs(text: str) -> list:
     reader = csv.reader(io.StringIO(text))
-    if [c.strip() for c in next(reader, [])] != ["score", "label"]:
-        raise DataError("predictions CSV needs a score,label header")
     pairs = []
-    for row in reader:
-        try:
+    try:    # csv.Error: a row `csv.reader` cannot read, such as a field past its size limit
+        if [c.strip() for c in next(reader, [])] != ["score", "label"]:
+            raise DataError("predictions CSV needs a score,label header")
+        for row in reader:
             score, label = row
             pairs.append((parse_finite(score, "score"), int(label)))
             if pairs[-1][1] not in (0, 1):
                 raise ValueError("labels must be 0 or 1")
-        except (ParseError, ValueError) as exc:
-            raise DataError(f"line {reader.line_num}: bad row in predictions CSV: {exc}")
+    except (csv.Error, ParseError, ValueError) as exc:
+        raise DataError(f"line {reader.line_num}: bad row in predictions CSV: {exc}")
     if not pairs:
         raise DataError("empty predictions CSV")
     return pairs

@@ -21,14 +21,13 @@ row bitsets; larger tables come from one `np.bincount` each.
 
 A dataset body of one-digit states, each row written as fixed-width
 two-byte cells (a digit, then a comma or the row's newline), is decoded
-from its bytes by whole-array checks; any other body is read line by
-line.  Chi-square quantiles depend only on (alpha, df) and are memoised.
+from its bytes by whole-array checks; any other body is split into its
+fields at once.  Chi-square quantiles depend only on (alpha, df) and are memoised.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextlib
 import functools
 import math
 import re
@@ -109,27 +108,38 @@ def parse_dataset(text: str) -> DiscreteDataset:
     """Header ``vars: name:arity, ...`` then one CSV sample per line.
 
     A body of one-digit states, each row 2n fields and each line ending in a
-    newline, is decoded from its bytes in one pass; any other body of
-    ASCII-digit fields, 2n a line, is read in one `np.loadtxt` call; any other
-    body, or a bad state, goes to `_parse_rows`, which raises every error.
+    newline, is decoded from its bytes in one pass; any other body is split
+    into its fields at once and read by `int`.  The first line with a wrong
+    field count or a field that is no integer is an error at that line,
+    else the first row with a state out of `DiscreteDataset`'s range.
     """
     header, _, rest = text.partition("\n")
     if header.startswith("vars:"):
         # `more` holds lines that `splitlines` broke off the header line
-        # (after a form feed, say): the full reader counts them as rows
+        # (after a form feed, say): the bulk route counts them as rows
         names, arities, more = _read_vars(header, "dataset")
         states = None if more else _one_digit_states(rest, len(names))
         if states is not None:
-            with contextlib.suppress(ValueError):   # a state out of range
-                return DiscreteDataset(names, arities, states)
+            return _dataset(names, arities, states, range(2, len(states) + 2))
     names, arities, body = _read_vars(text, "dataset")
-    lines = [line for _, line in body]
-    decimal_row = re.compile(rf"[0-9]+(?:,[0-9]+){{{2 * len(names) - 1}}}")
-    if lines and all(map(decimal_row.fullmatch, lines)):
-        with contextlib.suppress(ValueError):   # a state past int64 or out of range
-            return DiscreteDataset(names, arities, np.loadtxt(
-                lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2))
-    return _parse_rows(names, arities, body)
+    if not body:
+        raise ParseError("dataset has no samples")
+    width, linenos, lines = 2 * len(names), *zip(*body)
+    short = next((k for k, line in enumerate(lines) if line.count(",") != width - 1),
+                 len(lines))
+    fields = ",".join(lines[:short]).split(",") if short else []
+    try:
+        states = list(map(int, fields))
+    except ValueError:
+        states = list(map(_field, fields))
+        if None in states:
+            short = states.index(None) // width
+            raise ParseError("states must be integers", linenos[short]) from None
+    if short < len(lines):
+        raise ParseError(f"expected {width} values", linenos[short])
+    # a state past int64 is out of every range
+    states = [state if -2 ** 63 <= state < 2 ** 63 else -1 for state in states]
+    return _dataset(names, arities, np.array(states, dtype=np.int64).reshape(-1, width), linenos)
 
 
 def _one_digit_states(body: str, n: int):
@@ -146,41 +156,27 @@ def _one_digit_states(body: str, n: int):
     return states
 
 
-# what `int()` takes as a decimal: Unicode digits, `_` between digits, and
-# around them any whitespace but the separators \x1c-\x1f
-_DECIMAL = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
-
-
-def _state(token: str, lineno: int) -> int:
-    """One state cell that the row's bulk `int` pass rejected: a decimal
-    integer past `int()`'s digit limit is -1, which every range check
-    rejects; anything else is not an integer."""
+def _field(field: str):
+    """`int` of a field; -1, out of every range, for an integer past its
+    digit limit (it reads each numeral shrunk to ``0``); else None."""
     try:
-        return int(token)
+        return int(field)
     except ValueError:
-        if _DECIMAL.fullmatch(token):
-            return -1
-        raise ParseError("states must be integers", lineno) from None
-
-
-def _parse_rows(names: list, arities: list, body: list) -> DiscreteDataset:
-    rows = []
-    for lineno, line in body:
-        parts = line.split(",")
-        if len(parts) != 2 * len(names):
-            raise ParseError(f"expected {2 * len(names)} values", lineno)
-        try:
-            rows.append([int(p) for p in parts])
+        try:    # a numeral as `int()` reads one: digits, single `_` between them
+            int(re.sub(r"\d+(?:_\d+)*", "0", field))
         except ValueError:
-            rows.append([_state(p, lineno) for p in parts])
-    if not rows:
-        raise ParseError("dataset has no samples")
-    states = np.array(rows, dtype=object)   # Python ints: past int64 is out of range
-    bad = (states < 0) | (states >= np.array(arities * 2))
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ParseError(f"state out of range for {names[col % len(names)]}", body[row][0])
-    return DiscreteDataset(names, arities, states)
+            return None
+        return -1
+
+
+def _dataset(names: list, arities: list, states: np.ndarray, linenos) -> DiscreteDataset:
+    """The dataset of (rows, 2n) `states`, row k read at line ``linenos[k]``."""
+    try:
+        return DiscreteDataset(names, arities, states)
+    except ValueError:      # a state out of range: name the first row holding one
+        row, col = np.argwhere((states < 0) | (states >= np.array(arities * 2)))[0]
+        raise ParseError(f"state out of range for {names[col % len(names)]}",
+                         linenos[row]) from None
 
 
 def serialize_dataset(data: DiscreteDataset) -> str:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 import re
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Iterator, Optional, Union
@@ -263,8 +264,7 @@ class FactBase:
     each symbol to the ordinals of the facts carrying it there, so queries
     return exactly what a linear scan would.  At most one fact per
     (predicate, argument tuple); re-adding with a different payload is an
-    error, naming the fact's source line when `lines` gives one per fact.
-    The facts are fixed at construction and queries only read them.
+    error.  The facts are fixed at construction and queries only read them.
     `Atom`s and `Constant`s are made only at the edges: `facts()`,
     `observed_constants` and `lookup`'s arguments.
 
@@ -279,15 +279,14 @@ class FactBase:
     """
 
     def __init__(self, schema: Schema, facts: Iterable[Atom] = (),
-                 lines: Optional[list] = None, base: Optional[FactBase] = None,
-                 *, _columns: Optional[dict] = None):
+                 base: Optional[FactBase] = None, *, _columns: Optional[dict] = None):
         self.schema = schema
         # name -> (symbol tuples, payloads); (name, pos) -> {symbol: [fact
         # ordinal]}; (name, symbol tuple) -> payload
         shared = (base._columns, base._index, base._keys) if base is not None else ({}, {}, {})
         self._columns, self._index, self._keys = map(dict, shared)
         ordered = _columns is not None      # the readers' columns come sorted
-        for name, (symbols, payloads) in (_columns or self._staged(facts, lines)).items():
+        for name, (symbols, payloads) in (_columns or self._staged(facts)).items():
             if ordered:
                 self._keys.update(zip(zip(itertools.repeat(name), symbols), payloads))
             if name in self._columns or not ordered:
@@ -302,11 +301,11 @@ class FactBase:
                     posting.setdefault(symbol, []).append(ordinal)
                 self._index[(name, pos)] = posting
 
-    def _staged(self, facts: Iterable[Atom], lines: Optional[list]) -> dict:
+    def _staged(self, facts: Iterable[Atom]) -> dict:
         """name -> (symbol tuples, payloads) of the facts of `facts` not yet
         in the base, each checked as it is taken; their keys join `_keys`."""
         keys, staged = self._keys, collections.defaultdict(lambda: ([], []))
-        for k, fact in enumerate(facts):
+        for fact in facts:
             name = fact.pred.name
             if name not in self.schema:
                 raise ParseError(f"unknown predicate {name}")
@@ -316,7 +315,7 @@ class FactBase:
             symbols = tuple([a.symbol for a in fact.args])
             size = len(keys)
             if keys.setdefault((name, symbols), fact.value) != fact.value:
-                raise ParseError(f"conflicting values for {fact}", lines[k] if lines else None)
+                raise ParseError(f"conflicting values for {fact}")
             if len(keys) > size:      # a new fact, not a repeat of a known one
                 staged[name][0].append(symbols)
                 staged[name][1].append(fact.value)
@@ -612,12 +611,8 @@ class ModeDeclaration:
 def _content_lines(text: str):
     """(lineno, stripped content) pairs with comments and blanks removed."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        cut = raw.find("%")
-        if cut >= 0:
-            raw = raw[:cut]
-        raw = raw.strip()
-        if raw:
-            yield lineno, raw
+        if line := raw.split("%", 1)[0].strip():
+            yield lineno, line
 
 
 _FACT_RE = re.compile(
@@ -625,146 +620,174 @@ _FACT_RE = re.compile(
 
 
 def _parse_ground_atom(line: str, schema: Schema, lineno: int) -> Atom:
-    m = _FACT_RE.match(line)
-    if not m:
-        raise ParseError(f"syntax error in {line!r}", lineno)
-    name, argtext, valuetext = m.groups()
-    if name not in schema:
-        raise ParseError(f"unknown predicate {name!r}", lineno)
-    pred = schema.get(name)
-    args = tuple(parse_term(t.strip(), lineno)
-                 for t in argtext.split(",")) if argtext else ()
-    if len(args) != pred.arity:
-        raise ParseError(
-            f"{name} expects {pred.arity} arguments, got {len(args)}", lineno)
-    for a in args:
-        if isinstance(a, Variable):
-            raise ParseError(f"non-ground atom in {line!r}", lineno)
-    value = _parse_payload(pred, valuetext, lineno)
-    return Atom(pred, args, value)
+    """The ground atom of one content line, read and checked as
+    `parse_facts` reads a line; an error is raised at `lineno`."""
+    rows, _, faults = _rows(line)
+    for name, argtext, valuetext in rows:
+        payloads, fault = _column(schema, name, [argtext], [valuetext])
+        if fault is None and not faults:
+            return _atom(schema.get(name), argtext, payloads[0])
+        faults += [fault] if fault else []
+    raise ParseError(min(faults, key=lambda fault: fault[1])[2], lineno)
 
 
-def _parse_payload(pred: PredicateSignature, valuetext, lineno) -> AtomValue:
-    if valuetext is None:
-        if pred.kind != "boolean":
-            raise ParseError(f"{pred.name} facts need an =value payload", lineno)
-        return True
-    if pred.kind == "boolean":
-        raise ParseError(f"boolean predicate {pred.name} takes no =value", lineno)
-    if pred.kind in ("multiclass", "count"):
-        if not re.match(r"[0-9]+\Z", valuetext):
-            raise ParseError(f"{pred.name} expects an integer value", lineno)
-        value: AtomValue = parse_int(valuetext, f"{pred.name} value", lineno)
-    else:
-        try:
-            value = float(valuetext)
-        except ValueError:
-            raise ParseError(f"{pred.name} expects a real value", lineno)
-    _check_payload(pred, value, lineno)
-    return value
-
-
-# one line of the common form of `parse_facts`
-_COMMON_LINE_RE = re.compile(
+# a line in the common form of `parse_facts`: name, argument text, value text
+_COMMON_RE = re.compile(
     rf"^([a-z][A-Za-z0-9_]*)(?:\(({_CONSTANT}(?:,{_CONSTANT})*)?\))?"
     r"(?:=(-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))?\.\n", re.M)
 
-
-def _common_rows(text: str) -> Optional[list]:
-    """The (name, argument text, value text) of each line of `text`, line k
-    giving row k, if `text` is in the common form of `parse_facts`; None
-    otherwise.
-
-    One `findall` reads the whole text.  A match starts at a line start and
-    ends at that line's newline, so as many matches as lines cover the text.
-    """
-    if not text.endswith("\n"):
-        return None
-    rows = _COMMON_LINE_RE.findall(text)
-    return rows if len(rows) == text.count("\n") else None
+# the ranks of a line's checks, in order: of two errors at a line, the lower is raised
+_SYNTAX, _LABELLED, _UNKNOWN, _TERM, _ARITY, _GROUND, _PAYLOAD, _TARGET, _REPEAT = range(9)
 
 
-def _column(pred: PredicateSignature, argtexts, valuetexts) -> Optional[tuple]:
-    """(symbol tuples, payloads) of common-form lines of `pred`, given their
-    argument and value texts, if each line is a valid fact of `pred`; None
-    otherwise.  Arity, kind, range and finiteness are checked in bulk.
-    Symbols are interned for the call: equal symbols are one string."""
-    n, arity, kind = len(argtexts), pred.arity, pred.kind
-    if arity == 0 and not any(argtexts):
-        symbols = [()] * n
-    elif arity and "" not in argtexts and \
-            set(map(str.count, argtexts, itertools.repeat(","))) == {arity - 1}:
-        flat, interned = ",".join(argtexts).split(","), {}
-        flat = map(interned.setdefault, flat, flat)
-        symbols = list(zip(*[flat] * arity))     # consecutive runs of `arity` symbols
-    else:
-        return None
+def _rows(text: str) -> tuple:
+    """(rows, lines, faults): the (name, argument text, value text) of each
+    fact line, a text empty when absent; row k's line number ``lines[k]``,
+    as `str.splitlines` counts; and the (line, rank, message) of each line
+    that is no fact or has a bad term or a variable.  One `findall` reads
+    a text in the common form.  If it leaves a line (spaces, ``%`` comments,
+    blank lines, any other form), the text is read line by line and
+    `_FACT_RE` reads each line the common form does not cover; only such a
+    line's terms need checking here, as the common form admits constants."""
+    text = text if text.endswith("\n") else text + "\n"
+    found = _COMMON_RE.findall(text)
+    if len(found) == text.count("\n"):     # each match is a whole line
+        return found, range(1, len(found) + 1), []
+    rows, lines, faults = [], [], []
+    for lineno, line in _content_lines(text):
+        m = _COMMON_RE.match(line + "\n") or _FACT_RE.match(line)
+        if m is None:
+            faults.append((lineno, _SYNTAX, f"syntax error in {line!r}"))
+            continue
+        name, argtext, valuetext = m.groups("")
+        terms = [t.strip() for t in argtext.split(",")] if argtext else []
+        bad = [t for t in terms if not (_CONSTANT_RE.match(t) or _VARIABLE_RE.match(t))]
+        if bad or not all(map(_CONSTANT_RE.match, terms)):
+            faults.append((lineno, _TERM, f"bad term {bad[0]!r}") if bad
+                          else (lineno, _GROUND, f"non-ground atom in {line!r}"))
+        rows.append((name, ",".join(terms), valuetext))
+        lines.append(lineno)
+    return rows, lines, faults
+
+
+def _column(schema: Schema, name: str, argtexts: list, valuetexts: list,
+            seen: Optional[set] = None) -> tuple:
+    """(payloads, fault) of rows of predicate `name` from their argument and
+    value texts: the payloads in row order, and the (row, rank, message) of
+    the first bad row, or None.  In an example file a row repeating an
+    earlier one, or one of `seen`, is a duplicate.  The checks run in rank
+    order; each screens every row in bulk, and looks for its first bad row
+    only if the screen fails.  One that needs the earlier ones reads only
+    the rows before the first bad row so far."""
+    if name not in schema:
+        return [], (0, _UNKNOWN, f"unknown predicate {name!r}")
+    pred = schema.get(name)
+    n, kind, arity = len(argtexts), pred.kind, pred.arity
+    fault = [n, None]       # the first bad row, and its (row, rank, message)
+
+    def fail(k, message, rank=_PAYLOAD):
+        if k < fault[0]:
+            fault[:] = k, (k, rank, message(k))
+
+    def check(screen, good, values, message, rank=_PAYLOAD):
+        if not screen:
+            fail(next((k for k in range(fault[0]) if not good(values[k])), n), message, rank)
+
+    check(not any(argtexts) if arity == 0 else "" not in argtexts
+          and set(map(str.count, argtexts, itertools.repeat(","))) == {arity - 1},
+          lambda a: len(a.split(",")) == arity if a else not arity, argtexts,
+          lambda k: f"{name} expects {arity} arguments, got "
+                    f"{len(argtexts[k].split(',')) if argtexts[k] else 0}", _ARITY)
     if kind == "boolean":
-        return None if any(valuetexts) else (symbols, [True] * n)
-    if "" in valuetexts:
-        return None
-    if kind == "continuous":
-        payloads = list(map(float, valuetexts))
-        return (symbols, payloads) if math.isfinite(sum(payloads)) else None
-    if not all(map(str.isdigit, valuetexts)):   # ASCII digits: the pattern admits no others
-        return None
-    try:
-        payloads = list(map(int, valuetexts))
-    except ValueError:      # past int()'s digit limit: the per-line reader names the line
-        return None
-    limit = pred.classes if kind == "multiclass" else 2 ** 53 + 1
-    return (symbols, payloads) if max(payloads) < limit else None
+        check(not any(valuetexts), operator.not_, valuetexts,
+              lambda k: f"boolean predicate {name} takes no =value")
+        payloads = [True] * n
+    else:
+        check("" not in valuetexts, bool, valuetexts,
+              lambda k: f"{name} facts need an =value payload")
+        if kind != "continuous":    # ASCII digits only: `str.isdigit` alone takes others
+            digits = "".join(valuetexts)
+            check(digits.isascii() and digits.isdigit(), lambda v: v.isascii() and v.isdigit(),
+                  valuetexts, lambda k: f"{name} expects an integer value")
+        payloads = []
+        try:    # `extend` keeps the payloads read before the first it cannot read
+            payloads.extend(map(float if kind == "continuous" else int, valuetexts[:fault[0]]))
+        except ValueError:
+            fail(len(payloads), lambda k: f"{name} expects a real value" if kind == "continuous"
+                 else f"{name} value has {len(valuetexts[k])} digits, too many to read")
+        if kind == "continuous":
+            check(math.isfinite(sum(payloads)), math.isfinite, payloads,
+                  lambda k: f"{name} expects a finite real value")
+        else:   # past 2**53 a count is no longer exact as a float
+            limit = pred.classes if kind == "multiclass" else 2 ** 53 + 1
+            check(max(payloads, default=0) < limit, limit.__gt__, payloads,
+                  lambda k: f"class index {payloads[k]!r} out of range for {name}"
+                  if kind == "multiclass" else f"{name} expects a count of at most 2**53")
+    if seen is not None:    # the first time a row's arguments are seen (`add` gives None)
+        check(len(set(argtexts)) == n and seen.isdisjoint(argtexts),
+              lambda a: a not in seen and not seen.add(a), argtexts,
+              lambda k: f"duplicate entry {_atom(pred, argtexts[k])}", _REPEAT)
+    return payloads, fault[1]
 
 
-def _fact_columns(rows: list, schema: Schema) -> Optional[dict]:
-    """The `FactBase` columns of common-form `rows` if each is a valid fact
-    of `schema` and no fact has two values; None otherwise."""
-    groups: dict = collections.defaultdict(dict)
-    for name, argtext, valuetext in rows:
-        groups[name][argtext] = valuetext
-    # an identical repeated line is one fact; a fact with two values is not
-    size = sum(map(len, groups.values()))
-    if size != len(rows) and size != len(set(rows)):
-        return None
-    columns = {}
-    for name, values in groups.items():
-        # `,` sorts below every symbol character, so sorting the argument
-        # texts sorts the symbol tuples
-        argtexts = sorted(values)
-        if name not in schema or (column := _column(
-                schema.get(name), argtexts, list(map(values.__getitem__, argtexts)))) is None:
-            return None
-        columns[name] = column
-    return columns
+def _symbols(argtexts, arity: int) -> list:
+    """The symbol tuples of argument texts, equal symbols one string."""
+    if not (arity and argtexts):
+        return [()] * len(argtexts)
+    flat, interned = ",".join(argtexts).split(","), {}
+    flat = map(interned.setdefault, flat, flat)
+    return list(zip(*[flat] * arity))      # consecutive runs of `arity` symbols
+
+
+def _atom(pred: PredicateSignature, argtext: str, value: AtomValue = None) -> Atom:
+    return Atom(pred, tuple(map(Constant, argtext.split(","))) if argtext else (), value)
+
+
+def _raise_first(faults: list) -> None:
+    """Raise the fault at the lowest (line, rank), if there is one."""
+    if faults:
+        lineno, _, message = min(faults, key=lambda fault: fault[:2])
+        raise ParseError(message, lineno)
 
 
 def parse_facts(text: str, schema: Schema) -> FactBase:
     """Parse a facts stream into a FactBase.
 
-    Text in the common form, the form `serialize_facts` writes, is read in
-    one whole-text pass: one ``name(c1,...,ck).`` or ``name(c1,...,ck)=value.``
-    a line, each line ending in a newline, with no blank lines, ``%``
-    comments or spaces.  The pass groups the lines by predicate, drops
-    repeated lines and checks each predicate's lines in bulk.  Any other
-    text, or one with a line that pass cannot vouch for (an unknown
-    predicate, a wrong arity, a value out of its kind's range, a second
-    value for a fact), goes to the per-line reader, which raises every
-    error at its line.  Parsing then serializing then parsing again is a
-    fixpoint.
+    One tokenising pass (`_rows`) reads the lines, and each predicate's
+    rows are checked in bulk (`_column`).  The first bad line is raised at
+    its line; a second value for a fact, at its later line, once every line
+    is good.  Parsing then serializing then parsing again is a fixpoint.
     """
-    rows = _common_rows(text)
-    columns = None if rows is None else _fact_columns(rows, schema)
-    if columns is None:
-        return _parse_fact_lines(text, schema)
+    rows, lines, faults = _rows(text)
+    groups = collections.defaultdict(list)      # name -> its rows
+    for row in rows:
+        groups[row[0]].append(row)
+
+    def line(name, k):      # of the k-th row of `name`
+        return lines[[i for i, row in enumerate(rows) if row[0] == name][k]]
+
+    columns, conflicts = {}, []
+    for name, group in groups.items():
+        argtexts = list(map(operator.itemgetter(1), group))
+        payloads, fault = _column(schema, name, argtexts, list(map(operator.itemgetter(2), group)))
+        if fault is not None:
+            faults.append((line(name, fault[0]), *fault[1:]))
+            continue
+        pred = schema.get(name)
+        # each fact's first value; a boolean fact's is true
+        first = dict.fromkeys(argtexts, True) if pred.kind == "boolean" \
+            else dict(zip(reversed(argtexts), reversed(payloads)))
+        if len(first) < len(argtexts):
+            conflicts += [(line(name, k), _REPEAT, f"conflicting values for "
+                           f"{_atom(pred, a, payloads[k])}")
+                          for k, a in enumerate(argtexts) if payloads[k] != first[a]][:1]
+        # `,` sorts below every symbol character: sorting argument texts sorts symbol tuples
+        keys = sorted(first)
+        columns[name] = (_symbols(keys, pred.arity), [True] * len(keys)
+                         if pred.kind == "boolean" else list(map(first.__getitem__, keys)))
+    _raise_first(faults)
+    _raise_first(conflicts)
     return FactBase(schema, _columns=columns)
-
-
-def _parse_fact_lines(text: str, schema: Schema) -> FactBase:
-    atoms, linenos = [], []
-    for lineno, line in _content_lines(text):
-        atoms.append(_parse_ground_atom(line, schema, lineno))
-        linenos.append(lineno)
-    return FactBase(schema, atoms, linenos)
 
 
 def serialize_facts(db: FactBase) -> str:
@@ -781,56 +804,29 @@ def parse_examples(text: str, target: PredicateSignature,
     negatives file).  Hybrid targets carry their payload inline as
     ``atom=value.`` and ``label`` must be None.  An atom already in
     ``earlier``, a set read from another file, is a duplicate at its line.
-
-    Text in the common form of `parse_facts`, the form `serialize_examples`
-    writes, is read in the same whole-text pass: one ``name(c1,...,ck).``
-    a line for a labelled file, one ``name(c1,...,ck)=value.`` for a hybrid
-    one.  Any other text, or one with a duplicate, goes to the per-line
-    reader, which raises every error at its line.
+    The text is read and checked as `parse_facts` reads one.
     """
-    rows = _common_rows(text)
-    entries = None if rows is None else _example_entries(rows, target, label, earlier)
-    if entries is None:
-        return _parse_example_lines(text, target, label, earlier)
-    return ExampleSet(target, entries, True)
-
-
-def _example_entries(rows: list, target: PredicateSignature, label: Optional[int],
-                     earlier: Optional[ExampleSet]) -> Optional[list]:
-    """The entries of common-form `rows`, in their order, if each is a valid
-    example of `target` in a file of its kind (labelled for a boolean
-    target), none repeats and none is in `earlier`; None otherwise."""
-    names, argtexts, valuetexts = zip(*rows)
-    if ((label is None) == (target.kind == "boolean") or set(names) != {target.name}
-            or len(set(argtexts)) != len(argtexts)
-            or (column := _column(target, argtexts, valuetexts)) is None):
-        return None
-    constant = {s: Constant(s) for s in set(itertools.chain.from_iterable(column[0]))}
-    args = [tuple(map(constant.__getitem__, t)) for t in column[0]]
-    if earlier and not {atom.args for atom, _ in earlier.entries}.isdisjoint(args):
-        return None
-    if label is None:
-        return [(Atom(target, a, None), value) for a, value in zip(args, column[1])]
-    return [(Atom(target, a, True), label) for a in args]
-
-
-def _parse_example_lines(text: str, target: PredicateSignature, label: Optional[int],
-                         earlier: Optional[ExampleSet]) -> ExampleSet:
-    schema, entries = Schema([target]), []
-    seen = {atom.args for atom, _ in earlier.entries} if earlier else set()
-    for lineno, line in _content_lines(text):
-        m = _FACT_RE.match(line)
-        if label is not None and m and m.group(3) is not None:
-            raise ParseError("labelled example files carry no =value", lineno)
-        atom = _parse_ground_atom(line, schema, lineno)
-        if label is None and target.kind == "boolean":
-            raise ParseError("boolean targets need pos/neg files", lineno)
-        entries.append((atom, label) if label is not None
-                       else (Atom(target, atom.args, None), atom.value))
-        if atom.args in seen:
-            raise ParseError(f"duplicate entry {entries[-1][0]}", lineno)
-        seen.add(atom.args)
-    return ExampleSet(target, entries, True)
+    rows, lines, faults = _rows(text)
+    names, argtexts, valuetexts = (list(map(operator.itemgetter(i), rows)) for i in range(3))
+    if names.count(target.name) < len(names):
+        k = next(k for k, name in enumerate(names) if name != target.name)
+        faults.append((lines[k], _UNKNOWN, f"unknown predicate {names[k]!r}"))
+    if label is not None and any(valuetexts):
+        k = next(k for k, value in enumerate(valuetexts) if value)
+        faults.append((lines[k], _LABELLED, "labelled example files carry no =value"))
+    if label is None and target.kind == "boolean" and rows:
+        faults.append((lines[0], _TARGET, "boolean targets need pos/neg files"))
+    seen = {",".join(a.symbol for a in atom.args) for atom, _ in earlier.entries} \
+        if earlier else set()
+    payloads, fault = _column(Schema([target]), target.name, argtexts, valuetexts, seen)
+    if fault is not None:
+        faults.append((lines[fault[0]], *fault[1:]))
+    _raise_first(faults)
+    symbols = _symbols(argtexts, target.arity)
+    constant = {s: Constant(s) for s in set(itertools.chain.from_iterable(symbols))}
+    args = [tuple(map(constant.__getitem__, t)) for t in symbols]
+    truth, values = (None, payloads) if label is None else (True, itertools.repeat(label))
+    return ExampleSet(target, [(Atom(target, a, truth), v) for a, v in zip(args, values)], True)
 
 
 def serialize_examples(examples: ExampleSet) -> str:

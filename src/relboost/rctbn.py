@@ -31,22 +31,21 @@ from .logic import (
     Atom,
     Constant,
     FactBase,
-    Literal,
     ParseError,
     PredicateSignature,
     Schema,
     Variable,
-    _FACT_RE,
+    _CONSTANT_RE,
     _check_payload,
     _content_lines,
     _parse_ground_atom,
+    _rows,
     compile_body,
     parse_facts,
     parse_int,
     parse_literal_list,
     parse_term,
     satisfies,
-    serialize_facts,
 )
 from .regtree import (
     RoutingCache,
@@ -219,13 +218,20 @@ def parse_static_facts(text: str, schema: Schema) -> FactBase:
     """
     db = parse_facts(text, schema)
     streams = {sig.name for sig in schema if sig.temporal and sig.name in db._columns}
-    if streams:     # name the first line on one
-        for lineno, line in _content_lines(text):
-            name = _FACT_RE.match(line).group(1)
-            if name in streams:
-                raise ParseError(f"{name} is a stream predicate; "
-                                 "its values come from the trajectories", lineno)
+    if streams:     # name the first line on one, from the reader's rows
+        rows, lines, _ = _rows(text)
+        k = next(k for k, row in enumerate(rows) if row[0] in streams)
+        raise ParseError(f"{rows[k][0]} is a stream predicate; "
+                         "its values come from the trajectories", lines[k])
     return db
+
+
+def _entity(text: str, lineno: int) -> str:
+    """The entity of a `traj` or `world` header: a constant."""
+    entity = text.strip()
+    if not _CONSTANT_RE.match(entity):
+        raise ParseError(f"bad entity {entity!r}: must be a constant", lineno)
+    return entity
 
 
 def parse_trajectories(text: str, schema: Schema) -> list:
@@ -238,7 +244,7 @@ def parse_trajectories(text: str, schema: Schema) -> list:
         if line.startswith("traj "):
             if entity is not None:
                 raise ParseError(f"trajectory {entity!r} missing horizon", lineno)
-            entity = line[5:].strip()
+            entity = _entity(line[5:], lineno)
             events = []
         elif line.startswith("horizon="):
             if entity is None:
@@ -849,7 +855,7 @@ def parse_groundtruth(text: str, schema: Schema):
         elif line.startswith("world "):
             if current_world is not None:
                 raise ParseError("nested world block", lineno)
-            current_world = World(line[6:].strip(), [], [])
+            current_world = World(_entity(line[6:], lineno), [], [])
         elif line == "end":
             if current_world is None:
                 raise ParseError("end outside a world block", lineno)

@@ -324,6 +324,20 @@ class TestEvalAndMetrics:
         assert "data error: line 3: bad row in predictions CSV: labels must be 0 or 1" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row,code", [("0.{},1", 0), ("0.{}, 1", 2)],
+                             ids=["plain", "spaced"])
+    def test_metrics_a_field_past_the_csv_size_limit_is_a_data_error(self, tmp_path, capsys,
+                                                                      row, code):
+        # a score of 140,000 digits, past `csv.reader`'s field limit of 131,072
+        # characters: the plain form reads it, and in any other `csv.reader`
+        # refuses the row, an error at its line
+        path = _write(tmp_path / "preds.csv",
+                      "score,label\n0.9,1\n" + row.format("5" * 140_000) + "\n0.1,0\n")
+        assert main(["metrics", "--csv", path]) == code
+        if code:
+            assert "data error: line 3: bad row in predictions CSV: field larger than " \
+                "field limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("body", [
         "0.5,1\n0.25,0\n", "-0.5,1\n.5,0\n5.,1\n-0,0\n", "007.50,1\n1,0\n",
         "1_0,1\n0.5,0\n", " 0.5,1\n", "0.5 ,1\n", "0.5, 1\n", "1e5,1\n0.5,0\n",
@@ -447,6 +461,22 @@ class TestTransitionStates:
         assert repr(state) in err or f"class index {state} out of range" in err
 
 
+    @pytest.mark.parametrize("entity", ["John", "a b", "p(1)", "X"])
+    def test_a_trajectory_entity_that_is_no_constant_is_a_data_error(self, tmp_path, capsys,
+                                                                     entity):
+        schema = _write(tmp_path / "schema.txt", TRANSITION_SCHEMA)
+        traj = _write(tmp_path / "traj.txt", "traj a\nt=0.0 cvd(a)=false\nt=1.0 cvd(a)=true\n"
+                      f"horizon=2.0\n% the second\ntraj {entity}\nt=0.0 cvd(b)=false\n"
+                      "horizon=2.0\n")
+        modes = _write(tmp_path / "modes.txt", "mode: bp(+).\n")
+        out = tmp_path / "model.txt"
+        assert main(["train", "--kind", "rctbn", "--schema", schema, "--traj", traj,
+                     "--modes", modes, "--target", "cvd", "--from", "false",
+                     "--to", "true", "--iters", "1", "--out", str(out)]) == 2
+        assert f"data error: line 6: bad entity {entity!r}: must be a constant" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_count_event_past_2_53_names_its_trajectory_line(self, tmp_path, capsys):
         schema = _write(tmp_path / "schema.txt",
                         TRANSITION_SCHEMA + "predicate: n/2 count temporal.\n")
@@ -530,6 +560,18 @@ class TestSample:
         assert main(["sample", "--spec", spec, "--schema", schema,
                      "--horizon", "5.0", "--out", out]) == 2
         assert "data error: line 9: " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("entity", ["John", "a b", "p(1)", "X"])
+    def test_a_world_entity_that_is_no_constant_is_a_data_error(self, tmp_path, capsys,
+                                                                entity):
+        schema = _write(tmp_path / "schema.txt", SAMPLE_SCHEMA)
+        spec = _write(tmp_path / "spec.txt", SAMPLE_SPEC.replace("world p2", f"world {entity}"))
+        out = str(tmp_path / "trj.txt")
+        assert main(["sample", "--spec", spec, "--schema", schema,
+                     "--horizon", "5.0", "--out", out]) == 2
+        assert f"data error: line 10: bad entity {entity!r}: must be a constant" \
+            in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("body,message", [

@@ -17,7 +17,6 @@ from relboost.dbn import (
     _arc_moves,
     _closes_cycle,
     _meets_grey,
-    _parse_rows,
     _read_vars,
     bde_family_score,
     bic_penalty,
@@ -35,6 +34,7 @@ from relboost.dbn import (
     serialize_network,
 )
 from relboost.logic import ParseError
+from tests.reader_reference import _parse_rows
 
 
 def _dataset(rows, names=("a", "b", "c"), arities=(2, 2, 2)):
@@ -473,6 +473,32 @@ def _dataset_corpus(seed, n_datasets=12):
     return corpus
 
 
+def _dataset_line_mutations(seed):
+    """(what, text) pairs: seeded valid datasets, each with one row mutated
+    by a `%` at each position, spaces around each field and each of the
+    field texts below in each field; and each with its rows joined by the
+    separators \\x1c, \\f and U+2028."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(3):
+        arities = [rng.randint(2, 4) for _ in range(rng.randint(1, 3))]
+        header = "vars: " + ", ".join(f"v{j}:{r}" for j, r in enumerate(arities))
+        lines = [",".join(str(rng.randrange(r)) for r in arities * 2)
+                 for _ in range(rng.randint(2, 4))]
+        i = rng.randrange(len(lines))
+        fields = lines[i].split(",")
+        mutated = [lines[i][:k] + "%" + lines[i][k:] for k in range(len(lines[i]) + 1)]
+        for j in range(len(fields)):
+            for text in (" ", "\t", "1.", ".5", "1_0", "+1", "inf", "\u0663", "1 1"):
+                spaced = f" {fields[j]} " if text in (" ", "\t") else text
+                mutated.append(",".join(fields[:j] + [spaced] + fields[j + 1:]))
+        corpus += [("mutated row", "\n".join([header] + lines[:i] + [m] + lines[i + 1:]) + "\n")
+                   for m in mutated]
+        corpus += [(f"rows joined by {sep!r}", header + "\n" + sep.join(lines) + sep)
+                   for sep in ("\x1c", "\f", "\u2028")]
+    return corpus
+
+
 class TestBulkParse:
     @pytest.mark.parametrize("seed", range(4))
     def test_bulk_and_per_line_paths_agree(self, seed):
@@ -483,15 +509,24 @@ class TestBulkParse:
             outcomes.add(got[0])
         assert outcomes == {"ok", "error"}
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_line_mutations_read_as_the_per_line_reader(self, seed):
+        outcomes = set()
+        for what, text in _dataset_line_mutations(seed):
+            got = _outcome(parse_dataset, text)
+            assert got == _outcome(_per_line, text), (what, text)
+            outcomes.add(got[0] if got[0] == "ok" else got[1].split(": ", 1)[1])
+        assert {"ok", "states must be integers"} <= outcomes, outcomes
+
     def test_decimal_bodies_skip_the_per_line_reader(self, monkeypatch):
         data = _random_dataset(random.Random(21), n_samples=40)
         text = serialize_dataset(data)
         texts = [text, text.replace("\n", "\r\n"), text.replace("\n", "\n\n% c\n")]
 
         def fail(*args):
-            raise AssertionError("a decimal body was read line by line")
+            raise AssertionError("a decimal body was read field by field")
 
-        monkeypatch.setattr(dbn, "_parse_rows", fail)
+        monkeypatch.setattr(dbn, "_field", fail)
         for t in texts:
             again = parse_dataset(t)
             assert again.rows.dtype == np.int64 and (again.rows == data.rows).all()
@@ -504,11 +539,20 @@ class TestBulkParse:
         def fail(*args, **kwargs):
             raise AssertionError("a one-digit body was not decoded from its bytes")
 
+        decoded = []
+
+        def one_digit_states(body, n):
+            decoded.append(dbn_one_digit_states(body, n))
+            return decoded[-1]
+
+        dbn_one_digit_states = dbn._one_digit_states
         monkeypatch.setattr(np, "loadtxt", fail)
-        monkeypatch.setattr(dbn, "_parse_rows", fail)
+        monkeypatch.setattr(dbn, "_field", fail)
+        monkeypatch.setattr(dbn, "_one_digit_states", one_digit_states)
         for t in texts:
             again = parse_dataset(t)
             assert serialize_dataset(again) == t and again.rows.dtype == np.int64
+        assert len(decoded) == len(texts) and all(s is not None for s in decoded)
 
 
 def _reference_family_counts(data, i, parents):

@@ -1,5 +1,6 @@
 """Parsing, matching, and grounding-engine tests."""
 
+import collections
 import dataclasses
 import pickle
 import random
@@ -36,6 +37,8 @@ from relboost.logic import (
 from relboost.regtree import TreeConfig, fit_tree
 from tests.conftest import build_linked_domain
 from tests.grounding_reference import constant_rows, substitute, symbol_groups
+from tests.reader_reference import _parse_example_lines, _parse_fact_lines
+from tests import reader_reference
 
 
 def groundings(body, subst: dict, db) -> list:
@@ -102,15 +105,16 @@ class TestParseFacts:
             parse_facts("age(ann)=3.\nage(ann)=4.", schema)
 
     def test_conflicting_payload_names_its_line(self):
-        # without and with the final newline: the per-line and whole-text readers
+        # without and with the final newline, every line in the common form;
+        # after a comment line, which the tokenising pass re-reads
         for kind in ("continuous", "count"):
             schema = parse_schema(f"predicate: age/1 {kind}.")
             lines = "age(a)=1.\nage(b)=2.\nage(a)=3."
-            for text in (lines, lines + "\n"):
-                assert (logic._common_rows(text) is None) == (text[-1] != "\n")
+            for text, line in ((lines, 3), (lines + "\n", 3), ("% ages\n" + lines, 4)):
+                assert _common_form(text) == (line == 3)
                 with pytest.raises(ParseError, match="conflicting values for age") as err:
                     parse_facts(text, schema)
-                assert err.value.line == 3
+                assert err.value.line == line
 
     def test_comments_and_whitespace(self, family_schema):
         db = parse_facts("  % header\n familyMember( ann , mary ). % tail\n",
@@ -147,7 +151,7 @@ class TestFactBaseBuild:
             lines = list(facts.values())
             rng.shuffle(lines)
             cases.append(("".join(line + "\n" for line in lines), facts))
-        assert all(logic._common_rows(text) is not None for text, _ in cases)
+        assert all(_common_form(text) for text, _ in cases)
         for text, facts in cases:
             db = parse_facts(text, schema)
             # by predicate name, then by the tuple of argument symbols
@@ -226,10 +230,10 @@ class TestParseExamples:
         parse_facts,
         lambda text, schema: parse_examples(text, schema.get("n")),
     ], ids=["facts", "examples"])
-    @pytest.mark.parametrize("end", ["\n", ""], ids=["common-form", "per-line"])
+    @pytest.mark.parametrize("end", ["\n", " % note"], ids=["common-form", "per-line"])
     def test_an_oversized_integer_names_its_line(self, read, end):
-        # past int()'s limit of 4,300 digits: the whole-text pass declines
-        # the text, and the per-line reader raises at the line
+        # past int()'s limit of 4,300 digits, on a line in the common form
+        # and on one the tokenising pass re-reads for its comment
         schema = parse_schema("predicate: n/1 count.")
         with pytest.raises(ParseError, match="^line 2: n value has 5000 digits") as err:
             read("n(a)=1.\nn(b)=" + "1" * 5000 + "." + end, schema)
@@ -314,7 +318,7 @@ class TestSatisfies:
 
 
 # ---------------------------------------------------------------------------
-# the whole-text reader of the common form against the per-line reader
+# the one reader of facts and examples against the frozen per-line reader
 # ---------------------------------------------------------------------------
 
 COMMON_SCHEMA = """
@@ -355,25 +359,26 @@ def _example_outcome(read, text, target, label, earlier):
     return examples.entries, serialize_examples(examples)
 
 
-def _whole_text_facts(text, schema) -> bool:
-    """Whether `parse_facts` reads `text` in its whole-text pass."""
-    rows = logic._common_rows(text)
-    return rows is not None and logic._fact_columns(rows, schema) is not None
+class _Reread(Exception):
+    pass
 
 
-def _whole_text_examples(text, target, label, earlier) -> bool:
-    """Whether `parse_examples` reads `text` in its whole-text pass."""
-    rows = logic._common_rows(text)
-    return rows is not None and logic._example_entries(rows, target, label, earlier) is not None
+def _no_reread(*args):
+    """A stand-in for `logic._content_lines`, which re-reads each line that
+    the common-form pattern leaves: no line may be re-read."""
+    raise _Reread()
 
 
-def _common_form_of(text, target) -> bool:
-    """Whether `text` is in the common form with each line a valid fact of
-    `target`: the whole-text pass reads it, unless a line repeats or the
-    file's kind does not match the target's."""
-    rows = logic._common_rows(text)
-    return (rows is not None and {name for name, _, _ in rows} == {target.name}
-            and logic._column(target, *list(zip(*rows))[1:]) is not None)
+def _common_form(text) -> bool:
+    """Whether the tokenising pass reads every line of `text` with the
+    common-form pattern, re-reading none."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logic, "_content_lines", _no_reread)
+        try:
+            logic._rows(text)
+        except _Reread:
+            return False
+    return True
 
 
 def _random_common_text(rng, names):
@@ -400,6 +405,49 @@ def _random_common_text(rng, names):
     return sep.join(lines) + end
 
 
+# value texts outside the common form: `float` reads each but `inf` as a
+# finite number, `int` none of them
+MUTATED_VALUES = ["1.", ".5", "1_0", "+1", "inf", "\u0663"]
+
+
+def _line_mutations(line: str) -> list:
+    """Mutations of one common-form fact line: a space before and after
+    each token, a `%` at each position, a variable in each argument slot,
+    one argument fewer and one more, each of `MUTATED_VALUES` as its value,
+    and a variable with each of the last two: a line with two errors."""
+    head, _, value = line[:-1].partition("=")
+    name, _, args = head.partition("(")
+    args = args[:-1].split(",") if args else []
+
+    def build(args, value):
+        head = name + (f"({','.join(args)})" if args else "")
+        return head + (f"={value}" if value else "") + "."
+
+    out = [line[:i] + " " + line[i:] for i, ch in enumerate(line)
+           if ch in "(),=." or line[i - 1:i] in ("(", ",", "=")]
+    out += [line[:i] + "%" + line[i:] for i in range(len(line) + 1)]
+    out += [build(args[:j] + ["X"] + args[j + 1:], value) for j in range(len(args))]
+    out += [build(args[:-1], value), build(args + ["z"], value)]
+    out += [build(args, v) for v in MUTATED_VALUES]
+    out += [build(["X"] + args[1:-1], value), build(["X"] + args[1:] + ["z"], value)]
+    return out + [build(["X"] + args[1:], v) for v in MUTATED_VALUES]
+
+
+def _mutated_texts(lines: list) -> list:
+    """Texts of `lines` with each mutation of each line in turn; the lines
+    joined by the separators \\x1c, \\f and U+2028; and, after a comment
+    line, a second value for each valued line."""
+    texts = ["".join(line + "\n" for line in lines[:k] + [mutated] + lines[k + 1:])
+             for k, line in enumerate(lines) for mutated in _line_mutations(line)]
+    texts += [sep.join(lines) + sep for sep in ("\x1c", "\f", "\u2028")]
+    for line in lines:
+        head, _, value = line[:-1].partition("=")
+        if value:
+            other = "2" if value in ("1", "1.0") else "1"
+            texts.append("".join(x + "\n" for x in lines) + f"% more\n{head}={other}.\n")
+    return texts
+
+
 class TestCommonFormReader:
     def test_facts_equal_the_per_line_reader(self):
         schema = parse_schema(COMMON_SCHEMA)
@@ -410,12 +458,12 @@ class TestCommonFormReader:
             "rel(a,b).\r\nattr(a).\r\n", "rel(a,b).\nattr(a).", "rel(a,b).\n\nattr(a).\n",
             "% c\nrel(a,b).\n", "attr(a).\u2028attr(b).\n", "", "\n"]
         texts += [_random_common_text(rng, names) for _ in range(400)]
-        fast = 0
+        common = 0
         for text in texts:
-            fast += _whole_text_facts(text, schema)
+            common += _common_form(text)
             assert (_fact_outcome(parse_facts, text, schema)
-                    == _fact_outcome(logic._parse_fact_lines, text, schema)), text
-        assert fast > len(texts) // 3
+                    == _fact_outcome(_parse_fact_lines, text, schema)), text
+        assert len(texts) // 3 < common < len(texts) - 40
 
     def test_examples_equal_the_per_line_reader(self):
         schema = parse_schema(COMMON_SCHEMA + "predicate: t/1 boolean.\n")
@@ -439,15 +487,67 @@ class TestCommonFormReader:
             ("attr(a)=1.\n", schema.get("attr"), 1, None),
             ("colour(a)=2.\ncolour(b)=0.\n", schema.get("colour"), None, None),
         ]
-        fast = 0
+        common = 0
         for text, target, label, earlier in cases:
-            fast += _common_form_of(text, target)
+            common += _common_form(text)
             args = (text, target, label, earlier)
             assert (_example_outcome(parse_examples, *args)
-                    == _example_outcome(logic._parse_example_lines, *args)), text
-        assert fast > len(cases) // 4
+                    == _example_outcome(_parse_example_lines, *args)), text
+        assert len(cases) // 4 < common < len(cases) - 40
+
+    def test_line_mutations_read_as_the_per_line_reader(self):
+        schema = parse_schema(COMMON_SCHEMA)
+        bases = [["rel(a,b).", "size(c7)=3.", "bp(-1)=2.5."],
+                 ["flag.", "colour(e1)=2.", "attr(0)."],
+                 ["bp(a)=-1e-05.", "size(b)=9007199254740992.", "rel(2.5,e9)."]]
+        outcomes = collections.Counter()
+        for text in (text for lines in bases for text in _mutated_texts(lines)):
+            got = _fact_outcome(parse_facts, text, schema)
+            assert got == _fact_outcome(_parse_fact_lines, text, schema), text
+            outcomes[got[0].split(":")[1].split()[0] if isinstance(got, tuple) else "ok"] += 1
+        # every kind of error occurs, and some texts read
+        assert {"ok", "syntax", "bad", "non-ground", "conflicting", "rel", "size", "bp",
+                "boolean"} <= set(outcomes), outcomes
+
+    def test_example_line_mutations_read_as_the_per_line_reader(self):
+        schema = parse_schema(COMMON_SCHEMA)
+        positives = parse_examples("attr(a).\n", schema.get("attr"), 1)
+        cases = [(["attr(b).", "attr(c7).", "attr(-1)."], "attr", 1, None),
+                 (["attr(b).", "attr(a)."], "attr", 0, positives),
+                 (["size(a)=1.", "size(b)=20."], "size", None, None),
+                 (["bp(a)=1.5.", "bp(b)=-2e3."], "bp", None, None),
+                 (["colour(x)=2.", "colour(y)=0."], "colour", None, None),
+                 (["rel(a,b).", "rel(b,a)."], "rel", None, None)]
+        count = 0
+        for lines, name, label, earlier in cases:
+            for text in _mutated_texts(lines):
+                args = (text, schema.get(name), label, earlier)
+                assert (_example_outcome(parse_examples, *args)
+                        == _example_outcome(_parse_example_lines, *args)), text
+                count += 1
+        assert count > 300
+
+    def test_one_line_reads_as_the_per_line_atom_reader(self):
+        # a world `fact` line of a ground-truth spec, read by `_parse_ground_atom`
+        schema = parse_schema(COMMON_SCHEMA)
+        lines = EDGE_LINES + [m for line in ("rel(a,b).", "size(c7)=3.", "bp(-1)=2.5.", "flag.")
+                              for m in _line_mutations(line)]
+        count = 0
+        for line in (line.split("%")[0].strip() for line in lines):
+            if not line:
+                continue
+            outcomes = []
+            for read in (logic._parse_ground_atom, reader_reference._parse_ground_atom):
+                try:
+                    outcomes.append(read(line, schema, 7))
+                except ParseError as exc:
+                    outcomes.append((str(exc), exc.line))
+            assert outcomes[0] == outcomes[1], line
+            count += 1
+        assert count > 150
 
     def test_serialized_files_take_the_whole_text_path(self, monkeypatch):
+        # the common-form pattern reads every line: none is re-read
         schema = parse_schema(COMMON_SCHEMA)
         rng = random.Random(5)
         lines = [f"rel(e{i},-{i}).\nattr(e{i}).\ncolour(e{i})={i % 3}.\n"
@@ -460,11 +560,7 @@ class TestCommonFormReader:
              f.value if name != "attr" else 1)
             for f in db.facts() if f.pred.name == name]) for name in ("attr", "size", "bp")}
 
-        def per_line(*args):
-            raise AssertionError("read line by line")
-
-        monkeypatch.setattr(logic, "_parse_fact_lines", per_line)
-        monkeypatch.setattr(logic, "_parse_example_lines", per_line)
+        monkeypatch.setattr(logic, "_content_lines", _no_reread)
         text = serialize_facts(db)
         assert serialize_facts(parse_facts(text, schema)) == text
         for name, label in (("attr", 1), ("size", None), ("bp", None)):
@@ -532,8 +628,8 @@ class TestWholeTextReaderAgainstPerLineReader:
             order = list(lines.values())
             rng.shuffle(order)
             text = "".join(line + "\n" for line in order)
-            assert _whole_text_facts(text, schema)
-            fast, slow = parse_facts(text, schema), logic._parse_fact_lines(text, schema)
+            assert _common_form(text)
+            fast, slow = parse_facts(text, schema), _parse_fact_lines(text, schema)
             assert fast.facts() == slow.facts() and len(fast) == len(slow) == len(lines)
             for sig in sigs:
                 for pos in range(sig.arity):
@@ -547,7 +643,7 @@ class TestWholeTextReaderAgainstPerLineReader:
             again = order[:]
             again.insert(rng.randint(0, len(order)), rng.choice(order))
             text = "".join(line + "\n" for line in again)
-            assert _whole_text_facts(text, schema)
+            assert _common_form(text)
             assert parse_facts(text, schema).facts() == fast.facts()
             # a second value for a fact is an error at the later of its lines
             valued = [i for i, line in enumerate(order) if "=" in line]
@@ -574,13 +670,29 @@ class TestWholeTextReaderAgainstPerLineReader:
                 order = list(_random_lines(rng, [target], rng.randint(1, 60)).values())
                 rng.shuffle(order)
                 text = "".join(line + "\n" for line in order)
-                assert _whole_text_examples(text, target, label, None)
+                assert _common_form(text)
                 fast = parse_examples(text, target, label)
-                slow = logic._parse_example_lines(text, target, label, None)
+                slow = _parse_example_lines(text, target, label, None)
                 assert fast.entries == slow.entries
                 assert [str(atom) for atom, _ in fast.entries] == \
                     [line.split("=")[0].rstrip(".") for line in order]
 
+
+    def test_mutated_files_read_alike(self):
+        schema = parse_schema(READER_SCHEMA)
+        rng = random.Random(2030)
+        for _ in range(6):
+            lines = list(_random_lines(rng, list(schema), 5).values())
+            for text in _mutated_texts(lines):
+                assert (_fact_outcome(parse_facts, text, schema)
+                        == _fact_outcome(_parse_fact_lines, text, schema)), text
+            for name, label in (("attr", 1), ("size", None), ("link", 0)):
+                target = schema.get(name)
+                own = [line for line in _random_lines(rng, [target], 4).values()]
+                for text in _mutated_texts(own):
+                    assert (_example_outcome(parse_examples, text, target, label, None)
+                            == _example_outcome(_parse_example_lines, text, target, label,
+                                                None)), text
 
 def _random_factbase(rng):
     schema = parse_schema("""
@@ -814,8 +926,7 @@ class TestExtendedBase:
                                for pos in range(sig.arity))
         assert merged >= 20     # the merge path ran on many trials
 
-    @pytest.mark.parametrize("lines", [None, [7, 8]])
-    def test_conflicting_delta_raises_as_from_scratch(self, lines):
+    def test_conflicting_delta_raises_as_from_scratch(self):
         schema = parse_schema(EXTENSION_SCHEMA)
         base = parse_facts("size(a)=2.\ncolour(a,b)=1.\nrel(a,b).", schema)
         size, colour = schema.get("size"), schema.get("colour")
@@ -823,10 +934,9 @@ class TestExtendedBase:
                       [Atom(colour, (Constant("a"), Constant("a")), 0),
                        Atom(colour, (Constant("a"), Constant("a")), 2)]):
             with pytest.raises(ParseError) as ext:
-                FactBase(schema, delta, lines, base=base)
-            ref_lines = [1, 2, 3] + lines if lines else None
+                FactBase(schema, delta, base=base)
             with pytest.raises(ParseError) as ref:
-                FactBase(schema, base.facts() + delta, ref_lines)
+                FactBase(schema, base.facts() + delta)
             assert (str(ext.value), ext.value.line) == (str(ref.value), ref.value.line)
             assert "conflicting values" in str(ext.value)
 
