@@ -141,11 +141,18 @@ _METRICS_OPTS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv=None) -> _Parser:
+    """The parser of every command, or with `argv` one that registers every
+    command but gives options only to the one `argv` names: its first
+    argument that is not an option, as `relboost` takes no options of its
+    own besides --help."""
+    built = _COMMANDS if argv is None else {next((a for a in argv if not a.startswith("-")), None)}
     parser = _Parser(prog="relboost", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (_handler, opts) in _COMMANDS.items():
         sub = subs.add_parser(command, prog=f"relboost {command}")
+        if command not in built:
+            continue
         for name, (typ, default, _check, help_text) in opts.items():
             text = help_text if default is None else f"{help_text} (default {default})"
             sub.add_argument(f"--{name}", type=typ, default=None,
@@ -555,7 +562,8 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv).parse_args(argv)
         opts = _merge_options(args.command, args)
         return _COMMANDS[args.command][0](opts)
     except ConfigError as exc:

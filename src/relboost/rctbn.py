@@ -45,7 +45,7 @@ from .logic import (
     parse_int,
     parse_literal_list,
     parse_term,
-    satisfies,
+    solutions,
 )
 from .regtree import (
     RoutingCache,
@@ -95,6 +95,10 @@ class Trajectory:
     later events are true transitions: the value changes, times within a
     stream strictly increase, and no two streams transition at the same
     time.
+
+    Each event's key, (time, (name, argument symbols)), is computed once:
+    the events are sorted on it and checked on it, and an error names the
+    stream as `Event.stream()` does.
     """
 
     entity: str
@@ -102,31 +106,33 @@ class Trajectory:
     horizon: float
 
     def __post_init__(self):
-        self.events = sorted(self.events,
-                             key=lambda e: (e.time,) + _stream_key(e.stream()))
+        keys = [(ev.time, (ev.pred.name, tuple([a.symbol for a in ev.args])))
+                for ev in self.events]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.events = [self.events[i] for i in order]
         last: dict = {}
         seen_times: set = set()
-        for ev in self.events:
-            if not math.isfinite(ev.time) or ev.time < 0:
-                raise ValueError(f"bad event time {ev.time}")
-            key = ev.stream()
+        for ev, i in zip(self.events, order):
+            t, key = keys[i]
+            if not math.isfinite(t) or t < 0:
+                raise ValueError(f"bad event time {t}")
             if key not in last:
-                if ev.time != 0.0:
-                    raise ValueError(
-                        f"stream {key} not initialized at time 0 (first event at {ev.time})")
+                if t != 0.0:
+                    raise ValueError(f"stream {ev.stream()} not initialized at time 0 "
+                                     f"(first event at {t})")
             else:
                 prev_t, prev_v = last[key]
-                if ev.time <= prev_t:
-                    raise ValueError(f"non-increasing times in stream {key}")
+                if t <= prev_t:
+                    raise ValueError(f"non-increasing times in stream {ev.stream()}")
                 if ev.value == prev_v:
                     raise ValueError(
-                        f"stream {key} repeats value {ev.value!r} at t={ev.time}")
-                if ev.time in seen_times:
+                        f"stream {ev.stream()} repeats value {ev.value!r} at t={t}")
+                if t in seen_times:
                     raise ValueError(
-                        f"simultaneous transitions at t={ev.time} in trajectory {self.entity}")
-                seen_times.add(ev.time)
-            last[key] = (ev.time, ev.value)
-        if self.events and self.horizon < max(e.time for e in self.events):
+                        f"simultaneous transitions at t={t} in trajectory {self.entity}")
+                seen_times.add(t)
+            last[key] = (t, ev.value)
+        if self.events and self.horizon < self.events[-1].time:   # times ascend
             raise ValueError("horizon earlier than the last event")
 
     def transitions(self) -> list:
@@ -147,18 +153,15 @@ def _static_base(static_db: Optional[FactBase], schema: Schema) -> FactBase:
     return FactBase(projected_schema(schema), base=static_db)
 
 
-def _context(static: FactBase, streams: Iterable[tuple],
-             exclude: Optional[tuple] = None) -> FactBase:
+def _context(static: FactBase, streams: Iterable[tuple]) -> FactBase:
     """The projected context of one world state: the static base extended
-    with one atom per (stream, value) pair other than `exclude`.
+    with one atom per (stream, value) pair.
 
     Boolean streams appear only while true (negation-as-failure covers the
     false state); valued streams carry their current payload.
     """
     atoms = []
     for (name, args), value in streams:
-        if (name, args) == exclude:
-            continue
         pred = static.schema.get(name)
         if pred.kind != "boolean":
             atoms.append(Atom(pred, args, value))
@@ -236,10 +239,17 @@ def _entity(text: str, lineno: int) -> str:
 
 def parse_trajectories(text: str, schema: Schema) -> list:
     """Parse `traj` blocks: header, `t=<real> pred(args)=<value>` lines,
-    then `horizon=<real>`.  Times must be numeric."""
+    then `horizon=<real>`.  Times must be numeric.
+
+    A stream's (name, argument text) is checked against the schema once
+    per call, at its first line, and its (signature, arguments) reused on
+    later lines: the check reads nothing else, so a bad stream fails at its
+    first line.
+    """
     trajs = []
     entity = None
     events: list = []
+    streams: dict = {}      # (name, argument text) -> (signature, arguments)
     for lineno, line in _content_lines(text):
         if line.startswith("traj "):
             if entity is not None:
@@ -262,7 +272,10 @@ def parse_trajectories(text: str, schema: Schema) -> list:
             if not m:
                 raise ParseError(f"bad event line {line!r}", lineno)
             ttok, name, argtext, valuetok = m.groups()
-            pred, args = _stream_args(schema, name, argtext, lineno)
+            stream = streams.get((name, argtext))
+            if stream is None:
+                stream = streams[(name, argtext)] = _stream_args(schema, name, argtext, lineno)
+            pred, args = stream
             try:
                 t = float(ttok)
             except ValueError:
@@ -596,7 +609,12 @@ def add_cims(cims: list) -> CIM:
     for c in cims:
         if c.states != r:
             raise ValueError("inconsistent state-space dimensions")
-    return CIM([[sum(c.rates[i][j] for c in cims) for j in range(r)] for i in range(r)])
+    rates = [[0.0] * r for _ in range(r)]
+    for c in cims:      # left to right, so no float total depends on `sum`
+        for row, added in zip(rates, c.rates):
+            for j in range(r):
+                row[j] += added[j]
+    return CIM(rates)
 
 
 def amalgamate(state_counts: list, active_cims: Callable[[int, tuple], list]) -> np.ndarray:
@@ -701,26 +719,6 @@ def _state_to_value(var: VariableSpec, k: int):
     return bool(k) if var.pred.kind == "boolean" else k
 
 
-def _active_rates(spec: GroundTruthSpec, static: FactBase, states: dict,
-                  stream: tuple, deps: list, cache: dict) -> CIM:
-    """Summed CIM of the stream's clauses whose bodies hold in the joint
-    state `states`.  A body reads only the predicates it names, so `cache`
-    keeps one answer per (stream, states of `deps`), the other streams of
-    those predicates."""
-    key = (stream, tuple(states[s] for s in deps))
-    if key not in cache:
-        name, args = stream
-        seed = {Variable(f"V{i}"): a for i, a in enumerate(args)}
-        context = _context(static, ((s, _state_to_value(spec.variables[s[0]], k))
-                                     for s, k in states.items()), exclude=stream)
-        active = [clause.cim for clause in spec.clauses
-                  if clause.pred == name and satisfies(clause.body, seed, context)]
-        if not active:
-            raise ValueError(f"no active clause for {name}{args} (spec incomplete)")
-        cache[key] = add_cims(active)
-    return cache[key]
-
-
 def _derive_seed(seed: int, idx: int) -> int:
     return (seed * 2654435761 + idx * 97531) % (2 ** 63)
 
@@ -745,6 +743,15 @@ def forward_sample(spec: GroundTruthSpec, worlds: list, schema: Schema,
     currently active intensity; the earliest wins, its state updates, and
     the race restarts (memorylessness makes this exact).  Worlds are
     independent, each with an RNG stream derived from the seed.
+
+    A world's streams are raced by index, in `_stream_key` order.  A clause
+    body reads only the predicates it names, so each stream keeps a table
+    from the states of its dependencies (the other streams of those
+    predicates) to the rows and exit rates of its summed CIM, and looks its
+    entry up again only when a dependency moves.  A miss grounds each body
+    of the head, compiled once per call against V0.. bound to the stream's
+    arguments, on one context: the static facts and the dependencies'
+    values.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -752,45 +759,72 @@ def forward_sample(spec: GroundTruthSpec, worlds: list, schema: Schema,
     reads: dict = {}    # head predicate -> predicates its clause bodies name
     for clause in spec.clauses:
         reads.setdefault(clause.pred, set()).update(lit.atom.pred.name for lit in clause.body)
+    heads: dict = {}    # head predicate -> [(CIM, compiled body)], compiled on first use
+
     trajectories = []
     for w_idx, world in enumerate(worlds):
         rng = random.Random(_derive_seed(seed, w_idx))
-        states: dict = {}
+        initial: dict = {}
         events: list = []
-        rate_cache: dict = {}  # dependent states recur; contexts are built once
         for name, args in world.streams:
             var = spec.variables.get(name)
             if var is None:
                 raise ValueError(f"stream predicate {name!r} not declared")
             k = _draw(rng.random(), enumerate(var.init))
-            states[(name, args)] = k
+            initial[(name, args)] = k
             events.append(Event(var.pred, args, 0.0, _state_to_value(var, k)))
-        order = sorted(states, key=_stream_key)
-        deps = {s: [o for o in order if o != s and o[0] in reads.get(s[0], ())]
-                for s in order}
+        order = sorted(initial, key=_stream_key)
+        states = [initial[s] for s in order]
+        variables = [spec.variables[name] for name, _ in order]
+        deps = [tuple(j for j, other in enumerate(order)
+                      if j != i and other[0] in reads.get(order[i][0], ()))
+                for i in range(len(order))]
+        tables: list = [{} for _ in order]  # states of a stream's deps -> its rates
         static = FactBase(proj, world.facts)
+
+        def rates(i: int) -> tuple:
+            key = tuple([states[j] for j in deps[i]])
+            if key not in tables[i]:
+                name, args = order[i]
+                if name not in heads:
+                    layout = tuple(Variable(f"V{v}") for v in range(variables[i].pred.arity - 1))
+                    heads[name] = [(clause.cim, compile_body(tuple(clause.body), layout))
+                                   for clause in spec.clauses if clause.pred == name]
+                context = _context(static, ((order[j], _state_to_value(variables[j], states[j]))
+                                            for j in deps[i]))
+                binding = [[tuple([a.symbol for a in args])]]
+                active = [cim for cim, plan in heads[name]
+                          if solutions(plan, binding, context)[0]]
+                if not active:
+                    raise ValueError(f"no active clause for {name}{args} (spec incomplete)")
+                cim = add_cims(active)
+                tables[i][key] = (cim.rates, [cim.exit_rate(k) for k in range(cim.states)])
+            return tables[i][key]
+
+        dependents = [tuple(j for j, d in enumerate(deps) if i in d) for i in range(len(order))]
+        current = [rates(i) for i in range(len(order))]
         t_now = 0.0
         while True:
             best = None
-            for stream in order:
-                cim = _active_rates(spec, static, states, stream, deps[stream], rate_cache)
-                k = states[stream]
-                q = cim.exit_rate(k)
+            for i, k in enumerate(states):
+                entry = current[i]
+                q = entry[1][k]
                 if q <= 0.0:
                     continue
                 dt = rng.expovariate(q)
                 if best is None or t_now + dt < best[0]:
-                    best = (t_now + dt, stream, cim)
+                    best = (t_now + dt, i, entry)
             if best is None or best[0] > horizon:
                 break
-            t_now, stream, cim = best
-            var = spec.variables[stream[0]]
-            k = states[stream]
-            row = cim.rates[k]
-            k2 = _draw(rng.random() * cim.exit_rate(k),
+            t_now, i, (rows, exits) = best
+            var, k = variables[i], states[i]
+            row = rows[k]
+            k2 = _draw(rng.random() * exits[k],
                        ((j, row[j]) for j in range(var.states) if j != k))
-            states[stream] = k2
-            events.append(Event(var.pred, stream[1], t_now, _state_to_value(var, k2)))
+            states[i] = k2
+            events.append(Event(var.pred, order[i][1], t_now, _state_to_value(var, k2)))
+            for j in dependents[i]:
+                current[j] = rates(j)
         trajectories.append(Trajectory(world.entity, events, horizon))
     return trajectories
 

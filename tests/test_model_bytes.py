@@ -15,7 +15,9 @@ values are summed in, shows up as a different report digest.
 The rctbn sampler's trajectories and world facts are pinned too, for three
 ground-truth specs and seeds 1-3 and for the README's `relboost sample`
 demo, so a change to how the sampler builds contexts or caches rates shows
-up as a different trajectory digest.
+up as a different trajectory digest.  They are checked again with `sum`
+swapped for the compensated float sum of Python 3.12 and later, so that no
+sampled byte depends on how `sum` adds floats.
 
 Last, the model file and the `.log` that `relboost train` writes are
 pinned for every relational kind, so a change to how the command reads its
@@ -28,7 +30,9 @@ and at one strip, so a change to how the ROC curve or its strip areas are
 computed shows up as a different report digest.
 """
 
+import builtins
 import hashlib
+import math
 import random
 from pathlib import Path
 
@@ -412,6 +416,46 @@ def test_demo_sample_bytes(tmp_path):
                  "--schema", str(DEMO / "schema.txt"), "--horizon", "8.0",
                  "--seed", "7", "--out", str(traj), "--out-facts", str(facts)]) == 0
     assert (_digest(traj.read_text()), _digest(facts.read_text())) == DEMO_SAMPLE_DIGESTS
+
+
+_builtin_sum = builtins.sum
+
+
+def _compensated_sum(iterable, start=0):
+    """`sum` as Python 3.12 and later compute it: a float total carries a
+    Neumaier compensation term, added in at the end when it is finite and
+    non-zero.  Totals without floats are summed as before."""
+    items = list(iterable)
+    if not (type(start) in (int, float) and all(type(x) in (int, float) for x in items)
+            and any(type(x) is float for x in items)):
+        return _builtin_sum(items, start)
+    total, compensation = float(start), 0.0
+    for x in map(float, items):
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_compensated_sum_differs_from_a_left_to_right_sum():
+    assert _compensated_sum([0.1] * 10) == 1.0 != _builtin_sum([0.1] * 10)
+    assert _compensated_sum([1, 2, 3]) == 6 and _compensated_sum([], 0.5) == 0.5
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SAMPLE_SPECS))
+def test_forward_sample_bytes_under_a_compensated_sum(monkeypatch, name, seed):
+    """The sampler's bytes do not depend on how `sum` adds floats."""
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    test_forward_sample_bytes(name, seed)
+
+
+def test_demo_sample_bytes_under_a_compensated_sum(monkeypatch, tmp_path):
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    test_demo_sample_bytes(tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,8 @@ from relboost.rctbn import (
 )
 from relboost.regtree import TreeConfig, evaluate
 
+from tests import sampler_reference
+
 
 SCHEMA_TEXT = """
 predicate: cvd/2 boolean temporal.
@@ -170,6 +172,46 @@ horizon=2.0
         with pytest.raises(ParseError, match=message) as info:
             parse_trajectories(f"traj p1\n{events}\nhorizon=2.0\n", schema)
         assert info.value.line == line
+
+    @pytest.mark.parametrize("events,line,message", [
+        ("t=0.0 cvd(a)=false\nt=nan cvd(a)=true", 3, "bad event time nan"),
+        ("t=1.0 cvd(a)=true", 3,
+         "stream ('cvd', (Constant(symbol='a'),)) not initialized at time 0 "
+         "(first event at 1.0)"),
+        ("t=0.0 cvd(a)=false\nt=1.0 cvd(a)=true\nt=1.0 cvd(a)=false", 5,
+         "non-increasing times in stream ('cvd', (Constant(symbol='a'),))"),
+        ("t=0.0 bp(a)=0\nt=1.0 bp(a)=1\nt=2.0 bp(a)=1", 5,
+         "stream ('bp', (Constant(symbol='a'),)) repeats value 1 at t=2.0"),
+        ("t=0.0 cvd(a)=false\nt=0.0 diab(a)=false\nt=1.0 diab(a)=true\nt=1.0 cvd(a)=true", 6,
+         "simultaneous transitions at t=1.0 in trajectory a"),
+        ("t=0.0 cvd(a)=false\nt=3.0 cvd(a)=true", 4, "horizon earlier than the last event"),
+    ], ids=["bad-time", "not-initialized", "non-increasing", "repeats", "simultaneous",
+            "horizon"])
+    def test_trajectory_errors_are_pinned_at_their_line(self, schema, events, line, message):
+        # a bad time is the event line's error; the others are the block's,
+        # raised at its horizon line
+        with pytest.raises(ParseError) as info:
+            parse_trajectories(f"traj a\n{events}\nhorizon=2.0\n", schema)
+        assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
+
+    def test_bad_event_time_of_a_built_trajectory(self):
+        pred = parse_schema(SCHEMA_TEXT).get("cvd")
+        with pytest.raises(ValueError, match=r"\Abad event time -1.0\Z"):
+            Trajectory("a", [Event(pred, (Constant("a"),), -1.0, False)], 2.0)
+
+    @pytest.mark.parametrize("stream,message", [
+        ("zzz(a)", "unknown predicate 'zzz'"),
+        ("elder(a)", "elder is not temporal"),
+        ("cvd(a,b)", "cvd streams carry 1 arguments"),
+        ("cvd(X)", "cvd stream arguments must be constants"),
+    ])
+    def test_bad_stream_text_names_its_first_line(self, schema, stream, message):
+        # the same bad text on a later line, also in a later block
+        text = (f"traj b\nt=0.0 cvd(b)=false\nt=0.0 {stream}=true\nhorizon=1.0\n"
+                f"traj c\nt=0.0 {stream}=true\nhorizon=1.0\n")
+        with pytest.raises(ParseError) as info:
+            parse_trajectories(text, schema)
+        assert (info.value.line, str(info.value)) == (3, f"line 3: {message}")
 
     def test_count_of_2_53_is_exact_and_parses(self):
         schema = parse_schema(SCHEMA_TEXT + "predicate: n/2 count temporal.\n")
@@ -490,6 +532,129 @@ clause cvd cim=[[-1.0, 1.0], [0.0, 0.0]] if "checkup(V0)"
         worlds = [World("solo", [("cvd", (Constant("solo"),))], [])]
         with pytest.raises(ValueError, match="no active clause"):
             forward_sample(spec, worlds, schema, 10.0, 1)
+
+
+DIFF_SCHEMA_TEXT = SCHEMA_TEXT + """
+predicate: stage/2 multiclass(3) temporal.
+predicate: sib/2 boolean.
+"""
+
+DIFF_STATES = {"cvd": 2, "diab": 2, "bp": 2, "stage": 3}
+DIFF_INITS = {2: ([1.0, 0.0], [0.5, 0.5], [0.25, 0.75]),
+              3: ([1.0, 0.0, 0.0], [0.5, 0.25, 0.25], [0.125, 0.125, 0.75])}
+DIFF_BODIES = (     # negated, valued, and chained through one or two parents
+    "cvd(V0)", "!cvd(V0)", "bp(V0)=1", "!bp(V0)=0", "stage(V0)=2", "elder(V0)",
+    "!elder(V0)", "diab(V0), !stage(V0)=1", "parentOf(Y,V0), cvd(Y)",
+    "parentOf(Y,V0), !cvd(Y)", "parentOf(Y,V0), stage(Y)=1",
+    "parentOf(Y,V0), parentOf(Z,Y), diab(Z)", "sib(V0,Y), !elder(Y), bp(Y)=1",
+    "parentOf(Y,V0), elder(Y), !stage(Y)=0",
+)
+
+
+def _random_cim(rng: random.Random, states: int) -> str:
+    rows = []
+    for k in range(states):
+        absorbing = rng.random() < 0.25
+        off = [0.0 if absorbing or rng.random() < 0.3 else round(rng.uniform(0.1, 2.0), 3)
+               for _ in range(states - 1)]
+        off.insert(k, -sum(off) if any(off) else 0.0)
+        rows.append(off)
+    return repr(rows)
+
+
+def _random_spec_text(seed: int) -> str:
+    """Every variable with one unconditional clause and up to three
+    conditional ones, any of whose rows may be absorbing."""
+    rng = random.Random(seed)
+    lines = []
+    for name, states in DIFF_STATES.items():
+        lines.append(f"var {name} init={rng.choice(DIFF_INITS[states])}")
+        lines.append(f"clause {name} cim={_random_cim(rng, states)}")
+        for _ in range(rng.randint(0, 3)):
+            lines.append(f'clause {name} cim={_random_cim(rng, states)} '
+                         f'if "{rng.choice(DIFF_BODIES)}"')
+    return "\n".join(lines) + "\n"
+
+
+def _random_worlds(seed: int, proj) -> list:
+    """Worlds of 1-4 entities, each entity with some of the streams, linked
+    by parentOf, sib and elder facts."""
+    rng = random.Random(seed)
+    worlds = []
+    for w in range(8):
+        ents = [Constant(f"e{w}x{j}") for j in range(rng.randint(1, 4))]
+        streams = [(name, (e,)) for e in ents for name in DIFF_STATES
+                   if rng.random() < 0.7]
+        facts = []
+        for j, e in enumerate(ents):
+            if j and rng.random() < 0.7:
+                facts.append(Atom(proj.get("parentOf"), (ents[rng.randrange(j)], e), True))
+            if rng.random() < 0.4:
+                facts.append(Atom(proj.get("elder"), (e,), True))
+            if rng.random() < 0.3:
+                facts.append(Atom(proj.get("sib"), (e, rng.choice(ents)), True))
+        worlds.append(World(ents[0].symbol, streams, facts))
+    return worlds
+
+
+class TestSamplerAgainstReference:
+    """`forward_sample` against the sampler that raced streams by their
+    (name, arguments) keys: the same trajectories byte for byte, and the
+    same errors."""
+
+    @pytest.fixture(scope="class")
+    def diff_schema(self):
+        return parse_schema(DIFF_SCHEMA_TEXT)
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_random_specs_sample_the_same_bytes(self, diff_schema, seed):
+        spec, _ = parse_groundtruth(_random_spec_text(seed), diff_schema)
+        worlds = _random_worlds(seed, projected_schema(diff_schema))
+        want = serialize_trajectories(
+            sampler_reference.forward_sample(spec, worlds, diff_schema, 6.0, seed))
+        assert serialize_trajectories(forward_sample(spec, worlds, diff_schema, 6.0, seed)) \
+            == want
+        assert any(line.startswith("t=") and not line.startswith("t=0.0 ")
+                   for line in want.splitlines())     # some stream transitions
+
+    def test_absorbing_spec_samples_no_transitions(self, diff_schema):
+        spec = _spec(diff_schema, """
+var stage init=[0.0, 1.0, 0.0]
+clause stage cim=[[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+clause stage cim=[[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]] if "elder(V0)"
+""")
+        worlds = _random_worlds(4, projected_schema(diff_schema))
+        worlds = [World(w.entity, [s for s in w.streams if s[0] == "stage"], w.facts)
+                  for w in worlds]
+        got = serialize_trajectories(forward_sample(spec, worlds, diff_schema, 6.0, 4))
+        assert got == serialize_trajectories(
+            sampler_reference.forward_sample(spec, worlds, diff_schema, 6.0, 4))
+        assert "t=0.0 " in got and all(line.startswith(("traj", "t=0.0", "horizon"))
+                                       for line in got.splitlines())
+
+    @pytest.mark.parametrize("spec_text,streams", [
+        # checkup is not a declared variable
+        ("var cvd init=[1.0, 0.0]\nclause cvd cim=[[-1.0, 1.0], [0.0, 0.0]]\n",
+         ["cvd", "checkup"]),
+        # no clause of cvd holds at the start
+        ('var cvd init=[1.0, 0.0]\nclause cvd cim=[[-1.0, 1.0], [0.0, 0.0]] if "diab(V0)"\n'
+         "var diab init=[1.0, 0.0]\nclause diab cim=[[-1.0, 1.0], [1.0, -1.0]]\n",
+         ["diab", "cvd"]),
+        # the only clause of cvd stops holding once diab turns off
+        ('var cvd init=[1.0, 0.0]\nclause cvd cim=[[-0.1, 0.1], [0.0, 0.0]] if "diab(V0)"\n'
+         "var diab init=[0.0, 1.0]\nclause diab cim=[[0.0, 0.0], [1.0, -1.0]]\n",
+         ["cvd", "diab"]),
+    ], ids=["undeclared", "incomplete-at-start", "incomplete-later"])
+    def test_the_same_errors(self, diff_schema, spec_text, streams):
+        spec = _spec(diff_schema, spec_text)
+        worlds = [World("solo", [(name, (Constant("solo"),)) for name in streams], [])]
+        with pytest.raises(ValueError) as want:
+            sampler_reference.forward_sample(spec, worlds, diff_schema, 50.0, 3)
+        with pytest.raises(ValueError) as got:
+            forward_sample(spec, worlds, diff_schema, 50.0, 3)
+        assert str(got.value) == str(want.value)
+        assert ("not declared" if len(spec.variables) == 1 else "no active clause") \
+            in str(got.value)
 
 
 class TestIntensityAndModel:
