@@ -22,6 +22,7 @@ when it is built, and queries never write to it.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import itertools
 import math
@@ -260,17 +261,17 @@ class FactBase:
 
     A predicate's facts are two parallel lists in canonical order, the
     order of the symbol tuples: tuples of argument symbols (`Constant`
-    symbols) and their payloads.  A posting per (predicate, position) maps
-    each symbol to the ordinals of the facts carrying it there, so queries
-    return exactly what a linear scan would.  At most one fact per
-    (predicate, argument tuple); re-adding with a different payload is an
-    error.  The facts are fixed at construction and queries only read them.
-    `Atom`s and `Constant`s are made only at the edges: `facts()`,
-    `observed_constants` and `lookup`'s arguments.
+    symbols) and their payloads.  `lookup` bisects the tuples; a posting
+    per (predicate, position) maps each symbol to the ordinals of the facts
+    carrying it there, so queries return exactly what a linear scan would.
+    At most one fact per (predicate, argument tuple); re-adding with a
+    different payload is an error.  The facts are fixed at construction
+    and queries only read them.  `Atom`s and `Constant`s are made only at
+    the edges: `facts()`, `observed_constants` and `lookup`'s arguments.
 
     With `base`, the result holds `base`'s facts plus `facts`.  Only the
     predicates that `facts` touch are re-sorted and re-indexed; the others
-    share `base`'s columns and postings.
+    share `base`'s columns and postings; nothing is copied per fact.
 
     Each of `facts` is checked against `schema`: a known predicate,
     constant arguments and a payload of its value kind.  The fact readers
@@ -281,16 +282,13 @@ class FactBase:
     def __init__(self, schema: Schema, facts: Iterable[Atom] = (),
                  base: Optional[FactBase] = None, *, _columns: Optional[dict] = None):
         self.schema = schema
-        # name -> (symbol tuples, payloads); (name, pos) -> {symbol: [fact
-        # ordinal]}; (name, symbol tuple) -> payload
-        shared = (base._columns, base._index, base._keys) if base is not None else ({}, {}, {})
-        self._columns, self._index, self._keys = map(dict, shared)
-        ordered = _columns is not None      # the readers' columns come sorted
+        # name -> (symbol tuples, payloads), the only store of the facts;
+        # (name, pos) -> {symbol: [fact ordinal]}, their only index
+        shared = (base._columns, base._index) if base is not None else ({}, {})
+        self._columns, self._index = map(dict, shared)
         for name, (symbols, payloads) in (_columns or self._staged(facts)).items():
-            if ordered:
-                self._keys.update(zip(zip(itertools.repeat(name), symbols), payloads))
-            if name in self._columns or not ordered:
-                known, values = self._columns.get(name, ([], []))
+            if name in self._columns:
+                known, values = self._columns[name]
                 # no two facts of a predicate share a symbol tuple: no payloads are compared
                 pairs = sorted(zip(known + symbols, values + payloads))
                 symbols, payloads = map(list, zip(*pairs))
@@ -303,8 +301,8 @@ class FactBase:
 
     def _staged(self, facts: Iterable[Atom]) -> dict:
         """name -> (symbol tuples, payloads) of the facts of `facts` not yet
-        in the base, each checked as it is taken; their keys join `_keys`."""
-        keys, staged = self._keys, collections.defaultdict(lambda: ([], []))
+        in the base, in canonical order, each checked as it is taken."""
+        added: dict = {}        # name -> {symbol tuple: payload}
         for fact in facts:
             name = fact.pred.name
             if name not in self.schema:
@@ -313,16 +311,16 @@ class FactBase:
                 raise ParseError(f"fact {fact} is not ground")
             _check_payload(fact.pred, fact.value)
             symbols = tuple([a.symbol for a in fact.args])
-            size = len(keys)
-            if keys.setdefault((name, symbols), fact.value) != fact.value:
+            staged = added.setdefault(name, {})
+            known = staged[symbols] if symbols in staged else self.lookup(name, fact.args)
+            if known is None:
+                staged[symbols] = fact.value
+            elif known != fact.value:
                 raise ParseError(f"conflicting values for {fact}")
-            if len(keys) > size:      # a new fact, not a repeat of a known one
-                staged[name][0].append(symbols)
-                staged[name][1].append(fact.value)
-        return staged
+        return {name: tuple(map(list, zip(*sorted(s.items())))) for name, s in added.items() if s}
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return sum(len(payloads) for _, payloads in self._columns.values())
 
     def facts(self) -> list:
         """Every fact as an `Atom`, by predicate name, then in canonical order."""
@@ -336,7 +334,9 @@ class FactBase:
 
     def lookup(self, name: str, args: tuple):
         """Payload of the fact with these ground args, or None if absent."""
-        return self._keys.get((name, tuple([a.symbol for a in args])))
+        symbols, payloads = self._columns.get(name, ((), ()))
+        i = bisect.bisect_left(symbols, key := tuple([a.symbol for a in args]))
+        return payloads[i] if i < len(symbols) and symbols[i] == key else None
 
     def observed_constants(self, name: str, pos: int) -> list:
         """Distinct constants seen at one argument position, sorted."""

@@ -60,6 +60,11 @@ from .regtree import (
 from .util import _clamped_exp
 
 
+def _head(name: str, symbols) -> str:
+    """A stream as trajectory files write it: `cvd(a)`, or `name` at arity 0."""
+    return f"{name}({','.join(symbols)})" if symbols else name
+
+
 def _stream_key(stream: tuple) -> tuple:
     name, args = stream
     return (name, tuple(a.symbol for a in args))
@@ -98,7 +103,7 @@ class Trajectory:
 
     Each event's key, (time, (name, argument symbols)), is computed once:
     the events are sorted on it and checked on it, and an error names the
-    stream as `Event.stream()` does.
+    stream as trajectory files write it, `cvd(a)`.
     """
 
     entity: str
@@ -118,15 +123,15 @@ class Trajectory:
                 raise ValueError(f"bad event time {t}")
             if key not in last:
                 if t != 0.0:
-                    raise ValueError(f"stream {ev.stream()} not initialized at time 0 "
+                    raise ValueError(f"stream {_head(*key)} not initialized at time 0 "
                                      f"(first event at {t})")
             else:
                 prev_t, prev_v = last[key]
                 if t <= prev_t:
-                    raise ValueError(f"non-increasing times in stream {ev.stream()}")
+                    raise ValueError(f"non-increasing times in stream {_head(*key)}")
                 if ev.value == prev_v:
                     raise ValueError(
-                        f"stream {ev.stream()} repeats value {ev.value!r} at t={t}")
+                        f"stream {_head(*key)} repeats value {ev.value!r} at t={t}")
                 if t in seen_times:
                     raise ValueError(
                         f"simultaneous transitions at t={t} in trajectory {self.entity}")
@@ -297,12 +302,16 @@ def _event_value_text(value) -> str:
 
 
 def serialize_trajectories(trajs: Iterable[Trajectory]) -> str:
+    """Trajectory blocks; each stream's head text is built once per block."""
     lines = []
     for traj in trajs:
         lines.append(f"traj {traj.entity}")
+        heads: dict = {}        # (name, args) -> the stream's head text
         for ev in traj.events:
-            inner = ",".join(str(a) for a in ev.args)
-            head = f"{ev.pred.name}({inner})" if ev.args else ev.pred.name
+            stream = (ev.pred.name, ev.args)
+            head = heads.get(stream)
+            if head is None:
+                head = heads[stream] = _head(ev.pred.name, [a.symbol for a in ev.args])
             lines.append(f"t={ev.time!r} {head}={_event_value_text(ev.value)}")
         lines.append(f"horizon={traj.horizon!r}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -458,7 +467,11 @@ def neg_gradient_rate(qt: float) -> float:
 
 def segment_loglik(positive: bool, phi: float, T: float) -> float:
     """Log of the segment's transition term at intensity q = e^phi."""
-    qt = _clamped_exp(phi) * T
+    return _loglik_rate(positive, _clamped_exp(phi) * T)
+
+
+def _loglik_rate(positive: bool, qt: float) -> float:
+    """Log of a transition term at qt = q*T: log(1 - e^-qt), or -qt."""
     if positive:
         # log(1 - e^(-qt)) without cancellation
         return math.log(-math.expm1(-qt)) if qt < 700.0 else 0.0
@@ -540,15 +553,16 @@ def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schem
     cache = RoutingCache()
     slots = cache.register([(seg.target, seg.context) for seg in segments])
     phis = [0.0] * len(segments)
+    qts = [seg.residence_time for seg in segments]      # e^phi * T at phi = 0
     for m in range(config.iterations):
-        fit = []
-        for i, seg in enumerate(segments):
-            qt = _clamped_exp(phis[i]) * seg.residence_time
-            fit.append((i, pos_gradient_rate(qt) if seg.positive else neg_gradient_rate(qt)))
+        fit = [(i, pos_gradient_rate(qt) if seg.positive else neg_gradient_rate(qt))
+               for i, (seg, qt) in enumerate(zip(segments, qts))]
         model.trees.append(boost_step(slots, fit, modes, config.tree, phis, cache))
+        # each segment's e^phi once per step, for the objective and the next gradients
+        qts = [_clamped_exp(phi) * seg.residence_time for phi, seg in zip(phis, segments)]
         if on_iteration is not None:
-            on_iteration(m + 1, sum(segment_loglik(seg.positive, phis[i], seg.residence_time)
-                                    for i, seg in enumerate(segments)))
+            on_iteration(m + 1, sum(_loglik_rate(seg.positive, qt)
+                                    for seg, qt in zip(segments, qts)))
     return model
 
 

@@ -926,6 +926,33 @@ class TestExtendedBase:
                                for pos in range(sig.arity))
         assert merged >= 20     # the merge path ran on many trials
 
+    def test_lookup_at_column_boundaries(self):
+        schema = parse_schema(EXTENSION_SCHEMA + "predicate: on/0 boolean.\n"
+                              "predicate: off/0 boolean.\n")
+        base = parse_facts("on.\nsize(b)=2.\nsize(d)=0.\ncolour(b,c)=1.\ncolour(c,a)=2.",
+                           schema)
+        probes = [("on", (), True), ("off", (), None),      # arity 0, present and absent
+                  ("flag", ("b",), None), ("rel", ("b", "c"), None),    # no column
+                  ("size", ("a",), None), ("size", ("b",), 2), ("size", ("c",), None),
+                  ("size", ("d",), 0), ("size", ("e",), None),
+                  ("colour", ("a", "z"), None), ("colour", ("b", "c"), 1),
+                  ("colour", ("c", "a"), 2), ("colour", ("c", "b"), None),
+                  ("colour", ("d", "a"), None)]
+        for name, args, want in probes:
+            assert base.lookup(name, tuple(map(Constant, args))) == want, (name, args)
+        size, on = schema.get("size"), schema.get("on")
+        # repeats of base facts, of a zero payload too, and of a new fact are kept once
+        delta = [Atom(size, (Constant("d"),), 0), Atom(on, (), True),
+                 Atom(size, (Constant("a"),), 5), Atom(size, (Constant("a"),), 5)]
+        ext = FactBase(schema, delta, base=base)
+        assert (len(base), len(ext)) == (5, 6)
+        assert len(ext) == len(ext.facts()) == len(FactBase(schema, base.facts() + delta))
+        assert ext.lookup("size", (Constant("a"),)) == 5
+        assert base.lookup("size", (Constant("a"),)) is None
+        for name, args, want in probes:
+            if (name, args) != ("size", ("a",)):
+                assert ext.lookup(name, tuple(map(Constant, args))) == want, (name, args)
+
     def test_conflicting_delta_raises_as_from_scratch(self):
         schema = parse_schema(EXTENSION_SCHEMA)
         base = parse_facts("size(a)=2.\ncolour(a,b)=1.\nrel(a,b).", schema)

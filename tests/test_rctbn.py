@@ -176,12 +176,12 @@ horizon=2.0
     @pytest.mark.parametrize("events,line,message", [
         ("t=0.0 cvd(a)=false\nt=nan cvd(a)=true", 3, "bad event time nan"),
         ("t=1.0 cvd(a)=true", 3,
-         "stream ('cvd', (Constant(symbol='a'),)) not initialized at time 0 "
+         "stream cvd(a) not initialized at time 0 "
          "(first event at 1.0)"),
         ("t=0.0 cvd(a)=false\nt=1.0 cvd(a)=true\nt=1.0 cvd(a)=false", 5,
-         "non-increasing times in stream ('cvd', (Constant(symbol='a'),))"),
+         "non-increasing times in stream cvd(a)"),
         ("t=0.0 bp(a)=0\nt=1.0 bp(a)=1\nt=2.0 bp(a)=1", 5,
-         "stream ('bp', (Constant(symbol='a'),)) repeats value 1 at t=2.0"),
+         "stream bp(a) repeats value 1 at t=2.0"),
         ("t=0.0 cvd(a)=false\nt=0.0 diab(a)=false\nt=1.0 diab(a)=true\nt=1.0 cvd(a)=true", 6,
          "simultaneous transitions at t=1.0 in trajectory a"),
         ("t=0.0 cvd(a)=false\nt=3.0 cvd(a)=true", 4, "horizon earlier than the last event"),
