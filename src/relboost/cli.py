@@ -22,6 +22,8 @@ import re
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import boost, dbn, hybrid, metrics, rctbn
 from .logic import (
     ExampleSet,
@@ -36,7 +38,7 @@ from .logic import (
     serialize_facts,
 )
 from .regtree import RoutingCache, TreeConfig, _preroute, parse_finite
-from .util import _clamped_exp, atomic_write
+from .util import _clamped_exp, atomic_write, ordered_sum
 
 
 class ConfigError(Exception):
@@ -360,6 +362,15 @@ def _prediction_report(preds: metrics.PredictionSet, opts: dict) -> dict:
     return report
 
 
+def _rfgb_predictions(model, facts: FactBase, entries: list,
+                      cache: RoutingCache) -> metrics.PredictionSet:
+    """The model's score and the label of each (atom, label) entry."""
+    _preroute(model.trees, [(atom, facts) for atom, _ in entries], cache)
+    return metrics.PredictionSet.from_columns(
+        [boost.predict(model, atom, facts, cache) for atom, _ in entries],
+        [label for _, label in entries])
+
+
 def cmd_eval(opts: dict) -> int:
     _require(opts, "model", "schema")
     schema = parse_schema(_read(opts["schema"]))
@@ -371,10 +382,8 @@ def cmd_eval(opts: dict) -> int:
     if header.startswith("model rfgb "):
         model = boost.parse_model(model_text, schema)
         examples = _labelled_examples(opts, model.target)
-        _preroute(model.trees, [(atom, facts) for atom, _ in examples.entries], cache)
-        pairs = [(boost.predict(model, atom, facts, cache), label)
-                 for atom, label in examples.entries]
-        report = _prediction_report(metrics.PredictionSet(pairs), opts)
+        preds = _rfgb_predictions(model, facts, examples.entries, cache)
+        report = _prediction_report(preds, opts)
     elif header.startswith("model hybrid "):
         model = hybrid.parse_hybrid(model_text, schema)
         _require(opts, "examples")
@@ -398,10 +407,12 @@ def cmd_eval(opts: dict) -> int:
             raise DataError("no segments in the trajectory file")
         _preroute(model.trees, [(s.target, s.context) for s in segments], cache)
         phis = [model.phi(s, cache) for s in segments]
-        pairs = [(rctbn.transition_prob(_clamped_exp(phi), s.residence_time),
-                  1 if s.positive else 0) for s, phi in zip(segments, phis)]
-        report = _prediction_report(metrics.PredictionSet(pairs), opts)
-        report["mean_loglik"] = sum(
+        preds = metrics.PredictionSet.from_columns(
+            [rctbn.transition_prob(_clamped_exp(phi), s.residence_time)
+             for s, phi in zip(segments, phis)],
+            [s.positive for s in segments])
+        report = _prediction_report(preds, opts)
+        report["mean_loglik"] = ordered_sum(
             rctbn.segment_loglik(s.positive, phi, s.residence_time)
             for s, phi in zip(segments, phis)) / len(segments)
     else:
@@ -413,15 +424,17 @@ def cmd_eval(opts: dict) -> int:
 _PLAIN_CHARS_RE = re.compile(r"[-.,0-9\n]*")
 
 
-def _plain_pairs(text: str) -> list | None:
-    """The (score, label) pairs of a predictions CSV in its common form, the
-    header ``score,label`` and then ``score,0`` or ``score,1`` rows of ASCII
-    digits, '.' and '-', each line ending in a newline; None for any other
-    text.
+def _plain_columns(text: str) -> tuple | None:
+    """The (scores, labels) arrays of a predictions CSV in its common form,
+    the header ``score,label`` and then ``score,0`` or ``score,1`` rows of
+    ASCII digits, '.' and '-', each line ending in a newline; None for any
+    other text.
 
     The body is read in whole-text passes, none of them per line.  When
     every newline follows ",0" or ",1" and there are as many commas as
-    lines, each line holds one comma, so the fields alternate score, label.
+    lines, each line holds one comma, so the fields alternate score, label
+    and each label is the character before its newline.  numpy reads the
+    score fields as `float` would, bit for bit, and makes no Python float.
     """
     header = "score,label\n"
     if not (text.startswith(header) and text.endswith("\n")):
@@ -431,46 +444,46 @@ def _plain_pairs(text: str) -> list | None:
     if not (lines and _PLAIN_CHARS_RE.fullmatch(body)
             and body.count(",") == lines == body.count(",0\n") + body.count(",1\n")):
         return None
-    fields = body.replace("\n", ",").split(",")
-    labels = list(map(int, fields[1::2]))
     try:
-        scores = list(map(float, fields[0:-1:2]))
+        scores = np.array(body.replace("\n", ",").split(",")[0:-1:2], dtype=np.float64)
     except ValueError:      # a score such as "1.2.3" or "-"
         return None
-    del fields      # free the score strings before the pairs are made
-    if not all(map(math.isfinite, scores)):     # hundreds of digits pass float range
+    if not np.isfinite(scores).all():     # hundreds of digits pass float range
         return None
-    return list(zip(scores, labels))
+    codes = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    labels = codes[np.flatnonzero(codes == ord("\n")) - 1] - ord("0")
+    return scores, labels
 
 
-def _csv_pairs(text: str) -> list:
+def _csv_columns(text: str) -> tuple:
+    """The (scores, labels) lists of a predictions CSV in any form that
+    `csv.reader` reads; a bad row is an error at its line."""
     reader = csv.reader(io.StringIO(text))
-    pairs = []
+    scores, labels = [], []
     try:    # csv.Error: a row `csv.reader` cannot read, such as a field past its size limit
         if [c.strip() for c in next(reader, [])] != ["score", "label"]:
             raise DataError("predictions CSV needs a score,label header")
         for row in reader:
             score, label = row
-            pairs.append((parse_finite(score, "score"), int(label)))
-            if pairs[-1][1] not in (0, 1):
+            scores.append(parse_finite(score, "score"))
+            labels.append(int(label))
+            if labels[-1] not in (0, 1):
                 raise ValueError("labels must be 0 or 1")
     except (csv.Error, ParseError, ValueError) as exc:
         raise DataError(f"line {reader.line_num}: bad row in predictions CSV: {exc}")
-    if not pairs:
+    if not scores:
         raise DataError("empty predictions CSV")
-    return pairs
+    return scores, labels
 
 
 def cmd_metrics(opts: dict) -> int:
-    """Score a predictions CSV.  A CSV in its common form (`_plain_pairs`)
+    """Score a predictions CSV.  A CSV in its common form (`_plain_columns`)
     is read in whole-text passes; any other goes to the `csv.reader` loop,
     which raises every error at its line."""
     _require(opts, "csv")
     text = _read(opts["csv"])
-    pairs = _plain_pairs(text)
-    if pairs is None:
-        pairs = _csv_pairs(text)
-    report = _prediction_report(metrics.PredictionSet(pairs), opts)
+    columns = _plain_columns(text) or _csv_columns(text)
+    report = _prediction_report(metrics.PredictionSet.from_columns(*columns), opts)
     _emit(_report_lines(report), opts["report"])
     return 0
 
@@ -525,14 +538,12 @@ def cmd_cv(opts: dict) -> int:
         test_set = [examples.entries[i] for i in holdout]
         model = boost.train(train_set, facts, modes,
                             replace(config, rng_seed=config.rng_seed + fold_id), gradient)
-        _preroute(model.trees, [(atom, facts) for atom, _ in test_set], cache)
-        pairs = [(boost.predict(model, atom, facts, cache), label) for atom, label in test_set]
-        report = _prediction_report(metrics.PredictionSet(pairs), opts)
+        report = _prediction_report(_rfgb_predictions(model, facts, test_set, cache), opts)
         fold_reports.append(report)
         for key in sorted(report):
             lines.append(f"fold={fold_id} {key}={report[key]!r}")
     for key in sorted(fold_reports[0]):
-        mean = sum(r[key] for r in fold_reports) / len(fold_reports)
+        mean = ordered_sum(r[key] for r in fold_reports) / len(fold_reports)
         lines.append(f"aggregate {key}={mean!r}")
     _emit("\n".join(lines) + "\n", opts["report"])
     return 0

@@ -35,7 +35,7 @@ from .regtree import (
     read_trees,
     write_model,
 )
-from .util import _clamped_exp
+from .util import _clamped_exp, ordered_sum
 
 SIGMA_FLOOR = 1e-3
 
@@ -49,7 +49,7 @@ def multinomial_prob(psis: list) -> list:
     """Softmax of the class scores; shift invariant, sums to one."""
     m = max(psis)
     exps = [math.exp(p - m) for p in psis]
-    z = sum(exps)
+    z = ordered_sum(exps)
     return [e / z for e in exps]
 
 

@@ -1,12 +1,16 @@
 """Evaluation metrics for (score, label) prediction sets.
 
-A `PredictionSet` builds its ROC curve once, in its constructor: rows are
-grouped by score (tied scores make one step), the groups are swept in
-descending score order, and each group's cumulative (FPR, TPR) is one
-vertex of the polyline (Fawcett, "An introduction to ROC analysis", Pattern
-Recognition Letters, 2006).  Every curve metric of a report reads those two
-arrays and loops over no rows; each area adds its per-segment terms in
-polyline order, so it equals the per-pair Python definition bit for bit.
+A `PredictionSet` keeps its rows as a score column and a label column, read
+from two arrays or from (score, label) pairs.  It builds its ROC curve once,
+in its constructor: rows are grouped by score (tied scores make one step),
+the groups are swept in descending score order, and each group's cumulative
+(FPR, TPR) is one vertex of the polyline (Fawcett, "An introduction to ROC
+analysis", Pattern Recognition Letters, 2006).  Every curve metric of a
+report reads those two arrays and loops over no rows; each area adds its
+per-segment terms in polyline order, so it equals the per-pair Python
+definition bit for bit.  The mean-probability metrics add left to right
+from 0.0 (`util.ordered_sum`), so no report depends on how a Python
+version's `sum` adds floats.
 
 Includes the recall-weighted AUC-ROC: the ROC plane is cut into N+1
 equal-height horizontal strips by true-positive rate, the area under the
@@ -26,6 +30,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .util import ordered_sum
+
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
@@ -33,34 +39,47 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class PredictionSet:
-    """(score, label) pairs with a finite score and a label equal to 0 or 1.
+    """Rows of a finite score and a label equal to 0 or 1, kept as columns.
 
-    Only the constructor writes a set.  It keeps `pairs` (one entry per
-    row), the `scores` and integer `labels` as read-only arrays, the
-    `positives` and `negatives` counts as ints and, when both classes
-    occur, the tie-grouped ROC polyline from (0, 0) to (1, 1) as the
-    read-only arrays `fpr` and `tpr` (None otherwise).  Of several bad
-    pairs, the first one's error is raised, its label checked first.
+    `PredictionSet(pairs)` reads (score, label) pairs and
+    `PredictionSet.from_columns(scores, labels)` reads the two columns;
+    both end in one check, and only they write a set.  A set keeps the
+    `scores` and integer `labels` as read-only arrays, the `positives` and
+    `negatives` counts as ints and, when both classes occur, the
+    tie-grouped ROC polyline from (0, 0) to (1, 1) as the read-only arrays
+    `fpr` and `tpr` (None otherwise).  Of several bad rows, the first one's
+    error is raised, its label checked first.  `pairs` rebuilds the rows
+    as (float, int) tuples on each read.
     """
 
     def __init__(self, pairs: Iterable):
-        self.pairs = tuple(pairs)
-        if not self.pairs:
-            raise ValueError("empty prediction set")
-        table = np.array(self.pairs, dtype=np.float64)
-        if table.shape != (len(self.pairs), 2):
+        table = np.array(tuple(pairs), dtype=np.float64)
+        if len(table) and table.shape != (len(table), 2):
             raise ValueError("predictions must be (score, label) pairs")
-        scores, labels = table[:, 0], table[:, 1]
+        self._set_columns(*table.reshape(-1, 2).T)
+
+    @classmethod
+    def from_columns(cls, scores, labels) -> "PredictionSet":
+        """The set whose row i is (scores[i], labels[i])."""
+        preds = cls.__new__(cls)
+        preds._set_columns(np.asarray(scores, dtype=np.float64), np.asarray(labels))
+        return preds
+
+    def _set_columns(self, scores: np.ndarray, labels: np.ndarray):
+        if scores.ndim != 1 or scores.shape != labels.shape:
+            raise ValueError("predictions must be (score, label) pairs")
+        if not len(scores):
+            raise ValueError("empty prediction set")
         bad = ((labels != 0) & (labels != 1)) | ~np.isfinite(scores)
         if bad.any():
             first = int(np.argmax(bad))
             if labels[first] not in (0, 1):
                 raise ValueError("labels must be 0 or 1")
             raise ValueError(f"scores must be finite, not {float(scores[first])!r}")
-        self.scores = _frozen(scores.copy())
+        self.scores = _frozen(np.array(scores))
         self.labels = _frozen(labels.astype(np.int64))
         self.positives = int(np.count_nonzero(self.labels))
-        self.negatives = len(self.pairs) - self.positives
+        self.negatives = len(self.labels) - self.positives
         self.fpr = self.tpr = None
         if self.positives and self.negatives:
             # positives and negatives per score group, highest score first
@@ -70,6 +89,10 @@ class PredictionSet:
             fp = rows[::-1] - tp
             self.fpr = _frozen(np.concatenate(([0.0], np.cumsum(fp) / self.negatives)))
             self.tpr = _frozen(np.concatenate(([0.0], np.cumsum(tp) / self.positives)))
+
+    @property
+    def pairs(self) -> tuple:
+        return tuple(zip(self.scores.tolist(), self.labels.tolist()))
 
 
 @dataclass
@@ -119,8 +142,8 @@ def _curve(preds: PredictionSet) -> tuple:
     return preds.fpr, preds.tpr
 
 
-def _ordered_sum(terms: np.ndarray) -> float:
-    """0.0 plus each term in order, as a Python loop adds them.
+def _ordered_array_sum(terms: np.ndarray) -> float:
+    """`util.ordered_sum` of an array's terms.
 
     A cumulative sum adds left to right; np.sum adds pairwise, which
     changes the result bits.
@@ -131,7 +154,7 @@ def _ordered_sum(terms: np.ndarray) -> float:
 def auc_roc(preds: PredictionSet) -> float:
     """Conventional trapezoidal AUC over the tie-grouped ROC polyline."""
     x, y = _curve(preds)
-    return _ordered_sum((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0)
+    return _ordered_array_sum((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0)
 
 
 def _area_right_of_curve(segments: tuple, lo: float, hi: float) -> float:
@@ -149,7 +172,7 @@ def _area_right_of_curve(segments: tuple, lo: float, hi: float) -> float:
     a, b, x0, y0, slope = a[keep], b[keep], x0[keep], y0[keep], slope[keep]
     xa = x0 + slope * (a - y0)
     xb = x0 + slope * (b - y0)
-    return _ordered_sum((b - a) * (1.0 - (xa + xb) / 2.0))
+    return _ordered_array_sum((b - a) * (1.0 - (xa + xb) / 2.0))
 
 
 def weighted_auc_roc(preds: PredictionSet, cfg: Optional[WeightConfig] = None) -> float:
@@ -217,7 +240,7 @@ def mse(probs_of_truth: Iterable[float]) -> float:
     probs = list(probs_of_truth)
     if not probs:
         raise ValueError("empty probability list")
-    return sum((1.0 - p) ** 2 for p in probs) / len(probs)
+    return ordered_sum((1.0 - p) ** 2 for p in probs) / len(probs)
 
 
 PROB_FLOOR = 1e-300
@@ -228,4 +251,4 @@ def mean_loglik(probs_of_truth: Iterable[float]) -> float:
     probs = list(probs_of_truth)
     if not probs:
         raise ValueError("empty probability list")
-    return sum(math.log(max(p, PROB_FLOOR)) for p in probs) / len(probs)
+    return ordered_sum(math.log(max(p, PROB_FLOOR)) for p in probs) / len(probs)

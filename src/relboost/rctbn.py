@@ -370,32 +370,40 @@ def _segments(trajectories: Iterable[Trajectory], static: FactBase, schema: Sche
         raise ParseError(f"unknown target predicate {transition.pred!r}")
     pred = schema.get(transition.pred)
     proj = pred.dropped_time()
-    contexts: dict = {}     # joint state of the non-target streams -> FactBase
+    # joint state of the non-target streams, as ((name, symbols), value)
+    # pairs -> FactBase; symbol tuples hash as strings, not as Constants
+    contexts: dict = {}
     out = []
 
     def context(current: dict, exclude: tuple) -> FactBase:
         state = tuple(kv for kv in current.items() if kv[0] != exclude)
         if state not in contexts:
-            contexts[state] = _context(static, state)
+            contexts[state] = _context(static, [((name, tuple(map(Constant, symbols))), value)
+                                                for (name, symbols), value in state])
         return contexts[state]
 
     for traj in trajectories:
-        stream_key = (pred.name, (Constant(traj.entity),))
-        target_atom = Atom(proj, stream_key[1])
-        current: dict = {}      # stream -> value since t_prev
+        target = (pred.name, (traj.entity,))
+        target_atom = Atom(proj, (Constant(traj.entity),))
+        keys: dict = {}         # stream -> (name, symbols), made once per stream
+        current: dict = {}      # (name, symbols) -> value since t_prev
         t_prev = 0.0
         for ev in traj.events:  # initializations, all at t=0, come first
-            value = current.get(stream_key)
+            stream = ev.stream()
+            key = keys.get(stream)
+            if key is None:
+                key = keys[stream] = (stream[0], tuple([a.symbol for a in stream[1]]))
+            value = current.get(target)
             if value == transition.from_value and ev.time > t_prev:
-                positive = ev.stream() == stream_key and ev.value == transition.to_value
+                positive = key == target and ev.value == transition.to_value
                 out.append(Segment(target_atom, value, ev.time - t_prev,
-                                   context(current, stream_key), positive))
-            current[ev.stream()] = ev.value
+                                   context(current, target), positive))
+            current[key] = ev.value
             t_prev = ev.time
-        value = current.get(stream_key)
+        value = current.get(target)
         if value == transition.from_value and traj.horizon > t_prev:
             out.append(Segment(target_atom, value, traj.horizon - t_prev,
-                               context(current, stream_key), False))
+                               context(current, target), False))
     return out
 
 

@@ -12,6 +12,18 @@ def _clamped_exp(x: float) -> float:
     return math.exp(min(max(x, -40.0), 40.0))
 
 
+def ordered_sum(terms) -> float:
+    """0.0 plus each term, left to right.
+
+    This is what `sum` of floats gives up to Python 3.11; from 3.12 `sum`
+    compensates float rounding, which changes the result bits.
+    """
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def atomic_write(path: str, text: str):
     """Write via a temp file and rename so readers never see partial output."""
     directory = os.path.dirname(os.path.abspath(path))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relboost import cli
@@ -346,21 +347,24 @@ class TestEvalAndMetrics:
         "0.5,1,0\n1\n", "0.5,2\n", "0.5,-1\n", "0.5\n", "",
     ])
     def test_metrics_whole_text_pass_equals_the_csv_reader(self, tmp_path, capsys, body):
-        from relboost import cli
+        # the columns are compared bit for bit, so "-0" read as 0.0 would fail
         text = "score,label\n" + body
         path = _write(tmp_path / "preds.csv", text)
-        fast = cli._plain_pairs(text)
+        fast = cli._plain_columns(text)
         try:
-            slow = cli._csv_pairs(text)
+            slow = cli._csv_columns(text)
         except cli.DataError:
             assert fast is None
             assert main(["metrics", "--csv", path]) == 2
             return
-        assert fast is None or fast == slow
-        assert [type(v) for pair in fast or slow for v in pair] == [float, int] * len(slow)
+        scores, labels = slow
+        assert [type(v) for v in scores + labels] == [float] * len(scores) + [int] * len(labels)
+        if fast is not None:
+            assert fast[0].dtype == np.float64 and fast[1].dtype.kind in "iu"
+            assert fast[0].tobytes() == np.array(scores, dtype=np.float64).tobytes()
+            assert fast[1].tolist() == labels
 
     def test_metrics_plain_decimal_csv_takes_the_whole_text_path(self, tmp_path, monkeypatch):
-        from relboost import cli
         rng = random.Random(3)
         rows = [f"{rng.uniform(-1, 1):.6f},{rng.randint(0, 1)}" for _ in range(200)]
         path = _write(tmp_path / "preds.csv", "score,label\n" + "\n".join(rows) + "\n")
@@ -371,7 +375,7 @@ class TestEvalAndMetrics:
         def per_row(text):
             raise AssertionError("read row by row")
 
-        monkeypatch.setattr(cli, "_csv_pairs", per_row)
+        monkeypatch.setattr(cli, "_csv_columns", per_row)
         assert main(["metrics", "--csv", path, "--report", report]) == 0
         assert open(report).read() == expected
 

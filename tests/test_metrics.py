@@ -20,10 +20,18 @@ from relboost.metrics import (
 )
 
 
+def _by_columns(pairs) -> PredictionSet:
+    return PredictionSet.from_columns([s for s, _ in pairs], [l for _, l in pairs])
+
+
+BUILDERS = [PredictionSet, _by_columns]     # the pairs and the column constructor
+
+
 @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
 def test_non_finite_scores_rejected(score):
-    with pytest.raises(ValueError, match=f"^scores must be finite, not {score!r}$"):
-        PredictionSet([(0.5, 0), (score, 1)])
+    for build in BUILDERS:
+        with pytest.raises(ValueError, match=f"^scores must be finite, not {score!r}$"):
+            build([(0.5, 0), (score, 1)])
 
 
 @pytest.mark.parametrize("pairs", [
@@ -31,8 +39,9 @@ def test_non_finite_scores_rejected(score):
     *([(0.5, label), (0.2, 0), (0.9, 1)] for label in (-1, 2, math.nan, 0.5)),
 ])
 def test_labels_other_than_zero_or_one_rejected(pairs):
-    with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
-        PredictionSet(pairs)
+    for build in BUILDERS:
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            build(pairs)
 
 
 def test_labels_equal_to_zero_or_one_accepted():
@@ -50,13 +59,40 @@ def test_labels_equal_to_zero_or_one_accepted():
 ])
 def test_first_bad_pair_names_the_error(pairs, message):
     # pairs are checked in order, and within a pair the label first
-    with pytest.raises(ValueError, match=message):
-        PredictionSet(pairs)
+    for build in BUILDERS:
+        with pytest.raises(ValueError, match=message):
+            build(pairs)
+
+
+@pytest.mark.parametrize("positive_rate", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("decimals", [0, 1, 6])
+def test_column_constructor_equals_the_pairs_constructor(decimals, positive_rate):
+    # rounding to 0 or 1 decimals ties most scores, -0.0 among them; a
+    # positive rate of 0 or 1 makes a one-class set
+    rng = random.Random(decimals * 10 + int(positive_rate * 10))
+    pairs = [(round(rng.uniform(-1, 1), decimals), int(rng.random() < positive_rate))
+             for _ in range(rng.randrange(200, 400))]
+    by_pairs, by_columns = PredictionSet(pairs), _by_columns(pairs)
+    for name in ("scores", "labels", "fpr", "tpr"):
+        got, want = getattr(by_columns, name), getattr(by_pairs, name)
+        if want is None:
+            assert got is None and positive_rate in (0.0, 1.0)
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert by_columns.pairs == by_pairs.pairs == tuple(pairs)
+    assert (by_columns.positives, by_columns.negatives) == \
+        (by_pairs.positives, by_pairs.negatives)
+
+
+def test_columns_of_unequal_length_rejected():
+    with pytest.raises(ValueError, match=r"^predictions must be \(score, label\) pairs$"):
+        PredictionSet.from_columns([0.5, 0.2], [1])
 
 
 def test_empty_set_rejected():
-    with pytest.raises(ValueError, match="^empty prediction set$"):
-        PredictionSet([])
+    for build in BUILDERS:
+        with pytest.raises(ValueError, match="^empty prediction set$"):
+            build([])
 
 
 def test_set_is_written_only_by_its_constructor():
