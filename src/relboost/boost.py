@@ -29,6 +29,7 @@ from .regtree import (
     read_trees,
     write_model,
 )
+from .util import ordered_sum
 
 PSI_CLAMP = 40.0  # |psi| beyond this saturates the sigmoid anyway
 
@@ -165,7 +166,7 @@ def train(examples: ExampleSet, db: FactBase, modes: list, config: BoostConfig,
                for i in pos_idx + chosen]
         model.trees.append(boost_step(slots, fit, modes, config.tree, psis, cache))
         if on_iteration is not None:
-            objective = sum(
+            objective = ordered_sum(
                 per_example_objective(label, psis[i], kind)
                 for i, (_, label) in enumerate(examples.entries))
             on_iteration(m + 1, objective)

@@ -1,11 +1,19 @@
 """Exponential-family gradient boosting for multinomial, Poisson, and
-Gaussian relational targets.
+Gaussian relational targets, with optional continuous parents.
 
-Each target predicate gets one boosted regression function per natural
-parameter: K class functions for multinomial targets (softmax link), one
-log-rate function for Poisson counts, and a mean plus a directly modeled
-standard deviation for Gaussian targets.  Gradient steps fit one tree per
-function per iteration; the step size eta multiplies leaf contributions.
+A target has K class scores if multinomial (softmax link), one log-rate
+score if Poisson, and a mean score plus a directly modeled deviation sigma
+if Gaussian.  A score is psi_0 + sum_j x_j psi_j over the continuous
+parents x_1..x_P of a :class:`MixedParentModel`, each psi_j a boosted
+function of the discrete context; a :class:`HybridModel` has no parents.
+
+One loop trains both.  Each iteration fits the columns j = 0..P in order
+(x_0 = 1): the K class functions of a column share one set of residuals,
+computed from the scores after the columns before it, and fit the residual
+times x_j.  A Gaussian's sigma function is fitted last, against the
+updated means.  sigma is read as max(SIGMA_FLOOR, sigma0 + the sum of its
+leaves) in fitting and prediction alike, so a model predicts exactly the
+values it was fitted at.  The step size eta multiplies leaf contributions.
 
 The distribution is the target's schema value kind and nothing else:
 ``multiclass(K)`` is multinomial over K classes, ``count`` is Poisson and
@@ -13,15 +21,12 @@ The distribution is the target's schema value kind and nothing else:
 model file's header repeats it as ``kind=multinomial:K``, ``kind=poisson``
 or ``kind=gaussian``, and a header whose token is not the one the schema
 implies is a ParseError at line 1.
-
-For mixed boolean-numeric parents the prediction is (log-)linear in the
-continuous parent values with tree-valued coefficients over the discrete
-context; see :class:`MixedParentModel`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -62,7 +67,7 @@ def multinomial_gradient(true_class: int, probs: list) -> list:
 
 def multinomial_ll(true_class: int, psis: list) -> float:
     m = max(psis)
-    return psis[true_class] - m - math.log(sum(math.exp(p - m) for p in psis))
+    return psis[true_class] - m - math.log(ordered_sum(math.exp(p - m) for p in psis))
 
 
 def poisson_gradient(y: int, psi: float) -> float:
@@ -94,34 +99,15 @@ def gaussian_ll(y: float, mu: float, sigma: float) -> float:
         - (y - mu) ** 2 / (2.0 * sigma ** 2)
 
 
-def mixed_softmax_prob(intercepts: list, coeffs: list, x_values: list,
-                       k: int) -> float:
-    """Softmax probability of class k with scores linear in the parents.
-
-    ``coeffs[k][j]`` multiplies ``x_values[j]`` in class k's score.
-    """
-    if any(len(c) != len(x_values) for c in coeffs):
-        raise ValueError("coefficient lists do not align with x_values")
-    scores = [mixed_gaussian_mean(b, row, x_values) for b, row in zip(intercepts, coeffs)]
-    return multinomial_prob(scores)[k]
-
-
-def mixed_poisson_rate(intercept: float, coeffs: list, x_values: list) -> float:
-    """e^(psi0 + sum_j x_j psi_j) with the exponent clamped."""
-    if len(coeffs) != len(x_values):
-        raise ValueError("coefficient list does not align with x_values")
-    return _clamped_exp(intercept + sum(x * w for x, w in zip(x_values, coeffs)))
-
-
 def mixed_gaussian_mean(intercept: float, coeffs: list, x_values: list) -> float:
     """psi0 + sum_j x_j psi_j."""
     if len(coeffs) != len(x_values):
         raise ValueError("coefficient list does not align with x_values")
-    return intercept + sum(x * w for x, w in zip(x_values, coeffs))
+    return intercept + ordered_sum(map(operator.mul, x_values, coeffs))
 
 
 # ---------------------------------------------------------------------------
-# boosted hybrid models
+# hybrid and mixed-parent models
 # ---------------------------------------------------------------------------
 
 
@@ -157,7 +143,8 @@ def _eta(config: HybridConfig, kind: str) -> float:
 
 @dataclass
 class HybridModel:
-    """Per-function tree lists for one target predicate.
+    """Per-function tree lists for one target predicate: a mixed-parent
+    model with no parents.
 
     functions: multinomial targets use keys ``class=k``; Poisson uses
     ``rate``; Gaussian uses ``mu`` and ``sigma``.  Leaf contributions are
@@ -176,107 +163,26 @@ class HybridModel:
         if self.kind != _numeric_kind(self.target):
             raise ValueError(f"model kind {self.kind!r} is not {self.target.name}'s "
                              f"value kind {self.target.kind!r}")
+        # the score functions, in class order: with no parents a score is
+        # its intercept function
+        self._scores = [key for key in _function_keys(self.target) if key != "sigma"]
 
-    def class_probs(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> list:
-        if self.kind != "multiclass":
-            raise ValueError("not a multinomial model")
-        return multinomial_prob([evaluate(self.functions[f"class={k}"], atom, db, cache)
-                                 for k in range(self.target.classes)])
-
-    def rate(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> float:
-        if self.kind != "count":
-            raise ValueError("not a Poisson model")
-        return _clamped_exp(evaluate(self.functions["rate"], atom, db, cache))
-
-    def mu_sigma(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None) -> tuple:
-        if self.kind != "continuous":
-            raise ValueError("not a Gaussian model")
-        mu = evaluate(self.functions["mu"], atom, db, cache)
-        sigma = max(SIGMA_FLOOR, self.sigma0 + evaluate(self.functions["sigma"], atom, db, cache))
-        return mu, sigma
+    def predict(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None):
+        """Class probabilities, rate, or (mu, sigma) depending on the kind."""
+        scores = [evaluate(self.functions[key], atom, db, cache) for key in self._scores]
+        sigma = self.sigma0 + evaluate(self.functions["sigma"], atom, db, cache) \
+            if self.kind == "continuous" else None
+        return _mixed_output(self.target, scores, sigma)
 
     def prob_of_truth(self, atom: Atom, value, db: FactBase,
                       cache: Optional[RoutingCache] = None) -> float:
         """Probability (density for Gaussian) of the observed value."""
+        out = self.predict(atom, db, cache)
         if self.kind == "multiclass":
-            return self.class_probs(atom, db, cache)[value]
+            return out[value]
         if self.kind == "count":
-            lam = self.rate(atom, db, cache)
-            return math.exp(value * math.log(lam) - lam - math.lgamma(value + 1))
-        mu, sigma = self.mu_sigma(atom, db, cache)
-        return math.exp(gaussian_ll(value, mu, sigma))
-
-
-def _function_keys(target: PredicateSignature) -> list:
-    if target.kind == "multiclass":
-        return [f"class={k}" for k in range(target.classes)]
-    return ["rate"] if target.kind == "count" else ["mu", "sigma"]
-
-
-def _loglik(target: PredicateSignature, values: list, psis: dict) -> float:
-    if target.kind == "multiclass":
-        cols = [psis[key] for key in _function_keys(target)]
-        return sum(multinomial_ll(y, [c[i] for c in cols]) for i, y in enumerate(values))
-    if target.kind == "count":
-        return sum(poisson_ll(y, psi) for y, psi in zip(values, psis["rate"]))
-    return sum(gaussian_ll(y, mu, sigma)
-               for y, mu, sigma in zip(values, psis["mu"], psis["sigma"]))
-
-
-def train_hybrid(examples: ExampleSet, db: FactBase, modes: list,
-                 config: Optional[HybridConfig] = None,
-                 on_iteration: Optional[Callable[[int, float], None]] = None) -> HybridModel:
-    """Boost one HybridModel for the target of `examples`; the distribution
-    is dispatched from the target's declared value kind."""
-    config = config or HybridConfig()
-    target = examples.target
-    if not examples.entries:
-        raise ValueError(f"no examples for target {target.name}")
-    kind = _numeric_kind(target)
-    atoms = [a for a, _ in examples.entries]
-    values = [v for _, v in examples.entries]
-    model = HybridModel(target, kind, {key: [] for key in _function_keys(target)},
-                        _eta(config, kind), config.sigma0)
-    psis = {key: [0.0] * len(atoms) for key in model.functions}
-    if kind == "continuous":
-        psis["sigma"] = [config.sigma0] * len(atoms)
-    cache = RoutingCache()      # the target's functions route the same rows
-    slots = cache.register([(a, db) for a in atoms])
-
-    def step(key, gradients, eta):
-        model.functions[key].append(boost_step(slots, list(enumerate(gradients)), modes,
-                                               config.tree, psis[key], cache, eta))
-
-    try:
-        for m in range(config.iterations):
-            if kind == "multiclass":
-                keys = _function_keys(target)
-                grads = [multinomial_gradient(y, multinomial_prob([psis[key][i] for key in keys]))
-                         for i, y in enumerate(values)]
-                for k, key in enumerate(keys):
-                    step(key, [g[k] for g in grads], config.eta_multinomial)
-            elif kind == "count":
-                step("rate", [poisson_gradient(y, psi) for y, psi in zip(values, psis["rate"])],
-                     config.eta_poisson)
-            else:
-                step("mu", [gaussian_gradients(y, mu, sigma)[0] for y, mu, sigma
-                            in zip(values, psis["mu"], psis["sigma"])], config.eta_mu)
-                # sigma gradients use the just-updated means; stale means
-                # inflate the squared residuals and blow sigma up
-                step("sigma", [gaussian_gradients(y, mu, sigma)[1] for y, mu, sigma
-                               in zip(values, psis["mu"], psis["sigma"])], config.eta_sigma)
-                # project back to the floor after each boosting step
-                psis["sigma"] = [max(SIGMA_FLOOR, sigma) for sigma in psis["sigma"]]
-            if on_iteration is not None:
-                on_iteration(m + 1, _loglik(target, values, psis))
-    except OverflowError:   # targets so large that squared residuals pass float range
-        raise ValueError(f"target {target.name}: values too large for float arithmetic") from None
-    return model
-
-
-# ---------------------------------------------------------------------------
-# mixed boolean-numeric parents
-# ---------------------------------------------------------------------------
+            return math.exp(value * math.log(out) - out - math.lgamma(value + 1))
+        return math.exp(gaussian_ll(value, *out))
 
 
 @dataclass
@@ -297,96 +203,144 @@ class MixedParentModel:
     sigma_trees: list = field(default_factory=list)
 
     def parent_values(self, atom: Atom, db: FactBase) -> list:
-        xs = []
-        for p in self.parents:
-            v = db.lookup(p, atom.args)
-            if v is None:
-                raise ValueError(f"no {p} fact for {atom}")
-            xs.append(float(v))
-        return xs
+        return _parent_values(self.parents, atom, db)
 
     def predict(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None):
         """Class probabilities, rate, or (mu, sigma) depending on the kind."""
         coeffs = [evaluate(self.functions[key], atom, db, cache)
                   for key in _mixed_keys(self.target, self.parents)]
-        return _mixed_output(self.target, coeffs, self.parent_values(atom, db),
+        xs = self.parent_values(atom, db)
+        width = len(xs) + 1
+        scores = [mixed_gaussian_mean(coeffs[at], coeffs[at + 1:at + width], xs)
+                  for at in range(0, len(coeffs), width)]
+        return _mixed_output(self.target, scores,
                              self.sigma0 + evaluate(self.sigma_trees, atom, db, cache))
 
 
+def _parent_values(parents: list, atom: Atom, db: FactBase) -> list:
+    """x_1..x_P at `atom`: each parent's fact payload at its arguments."""
+    xs = []
+    for p in parents:
+        v = db.lookup(p, atom.args)
+        if v is None:
+            raise ValueError(f"no {p} fact for {atom}")
+        xs.append(float(v))
+    return xs
+
+
+def _function_keys(target: PredicateSignature) -> list:
+    if target.kind == "multiclass":
+        return [f"class={k}" for k in range(target.classes)]
+    return ["rate"] if target.kind == "count" else ["mu", "sigma"]
+
+
 def _mixed_keys(target: PredicateSignature, parents: list) -> list:
-    """The coefficient function keys ``(k, j)`` of a mixed-parent model, in
-    the order `_mixed_output` takes their values."""
+    """The coefficient function keys ``(k, j)`` of a mixed-parent model:
+    class by class, the intercept first, then the parents in order."""
     n_classes = target.classes if target.kind == "multiclass" else 1
     return [(k, j) for k in range(n_classes) for j in range(len(parents) + 1)]
 
 
-def _mixed_output(target: PredicateSignature, coeffs, xs: list, sigma: float):
-    """MixedParentModel.predict from the coefficient values `coeffs` in
-    `_mixed_keys` order, parent values `xs`, and the unfloored Gaussian
-    sigma."""
-    width = len(xs) + 1
+def _mixed_output(target: PredicateSignature, scores: list, sigma: float):
+    """The prediction of both models from the class scores (one score for
+    Poisson and Gaussian targets) and the unfloored Gaussian sigma."""
     if target.kind == "multiclass":
-        return multinomial_prob([mixed_gaussian_mean(coeffs[at], coeffs[at + 1:at + width], xs)
-                                 for at in range(0, len(coeffs), width)])
+        return multinomial_prob(scores)
     if target.kind == "count":
-        return mixed_poisson_rate(coeffs[0], coeffs[1:width], xs)
-    return mixed_gaussian_mean(coeffs[0], coeffs[1:width], xs), max(SIGMA_FLOOR, sigma)
+        return _clamped_exp(scores[0])
+    return scores[0], max(SIGMA_FLOOR, sigma)
+
+
+def _loglik(kind: str, values: list, scores: list, sigmas: list) -> float:
+    if kind == "multiclass":
+        return ordered_sum(multinomial_ll(y, row) for y, row in zip(values, zip(*scores)))
+    if kind == "count":
+        return ordered_sum(poisson_ll(y, psi) for y, psi in zip(values, scores[0]))
+    return ordered_sum(gaussian_ll(y, mu, sigma)
+                       for y, mu, sigma in zip(values, scores[0], sigmas))
+
+
+def _boost(examples: ExampleSet, db: FactBase, modes: list, parents: list,
+           config: HybridConfig, on_iteration=None) -> tuple:
+    """The loop of both models, in the order the module docstring gives:
+    the coefficient trees of `examples`' target keyed ``(k, j)``, and the
+    sigma trees.  Its state is columns: each function's leaf sums and each
+    class's score at every row."""
+    target = examples.target
+    kind = _numeric_kind(target)
+    if not examples.entries:
+        raise ValueError(f"no examples for target {target.name}")
+    atoms = [a for a, _ in examples.entries]
+    values = [v for _, v in examples.entries]
+    x_cols = [[1.0] * len(atoms), *zip(*(_parent_values(parents, a, db) for a in atoms))]
+    trees = {key: [] for key in _mixed_keys(target, parents)}
+    sums = {key: [0.0] * len(atoms) for key in trees}
+    sigma_trees, sigma_sums = [], [0.0] * len(atoms)
+    n_classes = len(trees) // len(x_cols)
+    cache = RoutingCache()      # the target's functions route the same rows
+    slots = cache.register([(a, db) for a in atoms])
+
+    def score(k) -> list:
+        # mixed_gaussian_mean's order: the parent terms from 0.0, then the intercept
+        total = [0.0] * len(atoms)
+        for j in range(1, len(x_cols)):
+            total = [t + x * c for t, x, c in zip(total, x_cols[j], sums[(k, j)])]
+        return [b + t for b, t in zip(sums[(k, 0)], total)]
+
+    def sigmas() -> list:
+        return [max(SIGMA_FLOOR, config.sigma0 + s) for s in sigma_sums]
+
+    def residuals(scores) -> list:
+        if kind == "multiclass":
+            return list(zip(*(multinomial_gradient(y, multinomial_prob(row))
+                              for y, row in zip(values, zip(*scores)))))
+        if kind == "count":
+            return [[poisson_gradient(y, psi) for y, psi in zip(values, scores[0])]]
+        return [[gaussian_gradients(y, mu, sigma)[0]
+                 for y, mu, sigma in zip(values, scores[0], sigmas())]]
+
+    def step(fitted, gradients, column, eta):
+        fitted.append(boost_step(slots, list(enumerate(gradients)), modes, config.tree,
+                                 column, cache, eta))
+
+    scores, eta = [score(k) for k in range(n_classes)], _eta(config, kind)
+    try:
+        for m in range(config.iterations):
+            for j, xs in enumerate(x_cols):
+                for k, res in enumerate(residuals(scores)):
+                    step(trees[(k, j)], [r * x for r, x in zip(res, xs)], sums[(k, j)], eta)
+                scores = [score(k) for k in range(n_classes)]
+            if kind == "continuous":
+                step(sigma_trees, [gaussian_gradients(y, mu, sigma)[1] for y, mu, sigma
+                                   in zip(values, scores[0], sigmas())],
+                     sigma_sums, config.eta_sigma)
+            if on_iteration is not None:
+                on_iteration(m + 1, _loglik(kind, values, scores, sigmas()))
+    except OverflowError:   # targets so large that squared residuals pass float range
+        raise ValueError(f"target {target.name}: values too large for float arithmetic") from None
+    return trees, sigma_trees
+
+
+def train_hybrid(examples: ExampleSet, db: FactBase, modes: list,
+                 config: Optional[HybridConfig] = None,
+                 on_iteration: Optional[Callable[[int, float], None]] = None) -> HybridModel:
+    """Boost one HybridModel for the target of `examples`: the loop with no
+    parents, dispatched on the target's declared value kind."""
+    config = config or HybridConfig()
+    target = examples.target
+    trees, sigma_trees = _boost(examples, db, modes, [], config, on_iteration)
+    # zip drops the sigma trees of targets without a sigma function
+    functions = dict(zip(_function_keys(target), [*trees.values(), sigma_trees]))
+    return HybridModel(target, target.kind, functions, _eta(config, target.kind), config.sigma0)
 
 
 def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
                 config: Optional[HybridConfig] = None) -> MixedParentModel:
-    """Fit a MixedParentModel: one coefficient tree per parent per iteration.
-
-    The gradient for coefficient function psi_j is the chain rule through
-    the (log-)linear link: the distribution residual times x_j (x_0 = 1 for
-    the intercept).  Coefficients fitted earlier in the same iteration feed
-    the residuals of later ones.  Each example's coefficient and sigma sums
-    are updated tree by tree, so each tree is evaluated once per example.
-    """
+    """Fit a MixedParentModel: one coefficient tree per class, parent and
+    iteration, each fitted to the distribution residual times x_j."""
     config = config or HybridConfig()
-    target = examples.target
-    kind = _numeric_kind(target)
-    model = MixedParentModel(target, list(parents),
-                             {key: [] for key in _mixed_keys(target, parents)},
-                             sigma0=config.sigma0)
-    atoms = [a for a, _ in examples.entries]
-    values = [v for _, v in examples.entries]
-    xs = [model.parent_values(a, db) for a in atoms]
-    coeffs = {key: [0.0] * len(atoms) for key in model.functions}
-    sigma_sums = [0.0] * len(atoms)
-    cache = RoutingCache()
-    slots = cache.register([(a, db) for a in atoms])
-
-    def outputs():
-        # row i's coefficient values, in _mixed_keys order, are column i of coeffs
-        return [_mixed_output(target, row, x, config.sigma0 + sigma)
-                for row, x, sigma in zip(zip(*coeffs.values()), xs, sigma_sums)]
-
-    def residual(y, out) -> list:
-        if kind == "multiclass":
-            return multinomial_gradient(y, out)
-        if kind == "count":
-            return [y - out]
-        return [gaussian_gradients(y, *out)[0]]
-
-    def step(trees, gradients, psis, eta):
-        trees.append(boost_step(slots, list(enumerate(gradients)), modes, config.tree,
-                                psis, cache, eta))
-
-    eta = _eta(config, kind)
-    try:
-        for _ in range(config.iterations):
-            for (k, j), trees in model.functions.items():
-                res = [residual(y, out)[k] for y, out in zip(values, outputs())]
-                step(trees, [r * (1.0 if j == 0 else x[j - 1]) for r, x in zip(res, xs)],
-                     coeffs[(k, j)], eta)
-            if kind == "continuous":
-                step(model.sigma_trees, [gaussian_gradients(y, *out)[1]
-                                         for y, out in zip(values, outputs())],
-                     sigma_sums, config.eta_sigma)
-    except OverflowError:   # targets so large that squared residuals pass float range
-        raise ValueError(f"target {target.name}: values too large for float arithmetic") from None
-    return model
+    trees, sigma_trees = _boost(examples, db, modes, list(parents), config)
+    return MixedParentModel(examples.target, list(parents), trees, config.sigma0, sigma_trees)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +362,7 @@ def _aggregator(sig: PredicateSignature, bool_agg: str, num_agg: str):
                     lambda v: True if True in v else None)
         return PredicateSignature(f"{sig.name}_cnt", arity, "count"), lambda v: v.count(True)
     if sig.kind == "continuous":
-        agg = {"min": min, "max": max, "mean": lambda v: sum(v) / len(v),
+        agg = {"min": min, "max": max, "mean": lambda v: ordered_sum(v) / len(v),
                "latest": lambda v: v[-1]}[num_agg]
         return (PredicateSignature(f"{sig.name}_{num_agg}", arity, "continuous"),
                 lambda v: float(agg(v)))

@@ -57,7 +57,7 @@ from .regtree import (
     read_trees,
     write_model,
 )
-from .util import _clamped_exp
+from .util import _clamped_exp, ordered_sum
 
 
 def _head(name: str, symbols) -> str:
@@ -412,25 +412,6 @@ def _segments(trajectories: Iterable[Trajectory], static: FactBase, schema: Sche
 # ---------------------------------------------------------------------------
 
 
-def exp_pdf(q: float, t: float) -> float:
-    """Density q e^(-q t) of the transition time, t >= 0."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return q * math.exp(-q * t)
-
-
-def exp_cdf(q: float, t: float) -> float:
-    """1 - e^(-q t)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return -math.expm1(-q * t)
-
-
-def expected_transition_time(q: float) -> float:
-    """Mean residence time 1/q of an exponential clock with rate q."""
-    return 1.0 / q
-
-
 def transition_prob(q: float, T: float) -> float:
     """Probability 1 - e^(-qT) that the transition happens within T."""
     if q <= 0 or T <= 0:
@@ -438,27 +419,9 @@ def transition_prob(q: float, T: float) -> float:
     return -math.expm1(-q * T)
 
 
-def pos_gradient(p: float) -> float:
-    """-(1-p) ln(1-p) / p: the positive segment's log-likelihood gradient.
-
-    Non-negative on (0, 1]; tends to 1 as p -> 0 and to 0 as p -> 1.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    if p == 1.0:
-        return 0.0
-    return -(1.0 - p) * math.log1p(-p) / p
-
-
-def neg_gradient(p: float) -> float:
-    """ln(1-p): the negative segment's gradient, 0 at p = 0."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError("p must lie in [0, 1)")
-    return math.log1p(-p)
-
-
 def pos_gradient_rate(qt: float) -> float:
-    """pos_gradient at p = 1 - e^(-qt), computed stably as qt/(e^qt - 1)."""
+    """The positive segment's log-likelihood gradient -(1-p) ln(1-p) / p at
+    p = 1 - e^(-qt), computed stably as qt/(e^qt - 1)."""
     if qt <= 0:
         raise ValueError("qt must be positive")
     if qt > 700.0:
@@ -467,7 +430,8 @@ def pos_gradient_rate(qt: float) -> float:
 
 
 def neg_gradient_rate(qt: float) -> float:
-    """neg_gradient at p = 1 - e^(-qt), which is exactly -qt."""
+    """The negative segment's gradient ln(1-p) at p = 1 - e^(-qt), which is
+    exactly -qt."""
     if qt <= 0:
         raise ValueError("qt must be positive")
     return -qt
@@ -569,8 +533,8 @@ def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schem
         # each segment's e^phi once per step, for the objective and the next gradients
         qts = [_clamped_exp(phi) * seg.residence_time for phi, seg in zip(phis, segments)]
         if on_iteration is not None:
-            on_iteration(m + 1, sum(_loglik_rate(seg.positive, qt)
-                                    for seg, qt in zip(segments, qts)))
+            on_iteration(m + 1, ordered_sum(_loglik_rate(seg.positive, qt)
+                                            for seg, qt in zip(segments, qts)))
     return model
 
 

@@ -67,6 +67,7 @@ from .logic import (
     parse_literal_list,
     solutions,
 )
+from .util import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -135,15 +136,18 @@ def _sse(gradients: list) -> float:
     """
     if not gradients:
         return 0.0
-    mean = sum(gradients) / len(gradients)
-    total = sum((g - mean) * (g - mean) for g in gradients)
+    mean = ordered_sum(gradients) / len(gradients)
+    total = 0.0     # as ordered_sum adds, with no generator in the split scorer
+    for g in gradients:
+        d = g - mean
+        total += d * d
     if total == math.inf:
         raise OverflowError("sum of squared errors out of float range")
     return total
 
 
 def _mean(gradients: list) -> float:
-    return sum(gradients) / len(gradients) if gradients else 0.0
+    return ordered_sum(gradients) / len(gradients) if gradients else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +468,10 @@ def evaluate(trees: list, target: Atom, db: FactBase,
     two agree exactly.  The routing is `boost_step`'s: read from and added
     to `cache`, a fresh one when None.  An empty list is 0.0.
     """
-    key = (target.pred.name, target.pred.arity)
+    pred = target.pred
     for tree in trees:
-        if (tree.target.name, tree.target.arity) != key:
+        if tree.target is not pred \
+                and (tree.target.name, tree.target.arity) != (pred.name, pred.arity):
             raise ValueError(f"{target} does not match tree target {tree.target.name}")
     if not trees:
         return 0.0

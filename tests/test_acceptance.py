@@ -454,7 +454,7 @@ predicate: grade/1 multiclass(3).
     for branch in (True, False):
         members = [(a, y) for (a, y), s in zip(vis, sick) if s == branch]
         branch_mean = sum(y for _, y in members) / len(members)
-        rate = pm.rate(members[0][0], db)
+        rate = pm.predict(members[0][0], db)
         assert abs(rate - branch_mean) / branch_mean < 0.05
 
     # Gaussian branch means within 0.05 of the sample means
@@ -468,7 +468,7 @@ predicate: grade/1 multiclass(3).
     for branch in (True, False):
         members = [(a, y) for (a, y), s in zip(wts, sick) if s == branch]
         sample_mean = sum(y for _, y in members) / len(members)
-        mu, _sigma = gm.mu_sigma(members[0][0], db)
+        mu, _sigma = gm.predict(members[0][0], db)
         assert abs(mu - sample_mean) < 0.05
 
     # multinomial class probabilities within 0.02 of the frequencies
@@ -479,7 +479,7 @@ predicate: grade/1 multiclass(3).
         ExampleSet(gt, grades), db, modes,
         hybrid.HybridConfig(iterations=30))
     freq = [sum(1 for _, v in grades if v == k) / len(grades) for k in range(3)]
-    probs = mm.class_probs(grades[0][0], db)
+    probs = mm.predict(grades[0][0], db)
     assert max(abs(f - p) for f, p in zip(freq, probs)) < 0.02
     _passed(8, "Poisson rates, Gaussian means, and class frequencies recovered",
             60.0, time.time() - start)

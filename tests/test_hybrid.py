@@ -14,8 +14,6 @@ from relboost.hybrid import (
     gaussian_gradients,
     gaussian_ll,
     mixed_gaussian_mean,
-    mixed_poisson_rate,
-    mixed_softmax_prob,
     multinomial_gradient,
     multinomial_ll,
     multinomial_prob,
@@ -39,8 +37,9 @@ from relboost.logic import (
     serialize_facts,
     serialize_schema,
 )
-from relboost.regtree import TreeConfig, evaluate
+from relboost.regtree import TreeConfig, evaluate, serialize_tree
 from tests.conftest import build_hybrid_domain
+from tests.formula_reference import mixed_poisson_rate, mixed_softmax_prob
 
 
 class TestMultinomialProb:
@@ -216,7 +215,7 @@ class TestTrainHybrid:
         config = HybridConfig(iterations=40, eta_poisson=0.25)
         model = train_hybrid(examples, db, [], config)
         mean = sum(v for _, v in entries) / len(entries)
-        rate = model.rate(entries[0][0], db)
+        rate = model.predict(entries[0][0], db)
         assert abs(rate - 4.0) / 4.0 < 0.05
         assert rate == pytest.approx(mean, rel=1e-6)
 
@@ -230,7 +229,7 @@ class TestTrainHybrid:
         config = HybridConfig(iterations=50, eta_poisson=0.5)
         model = train_hybrid(examples, db, [], config)
         mean = sum(v for _, v in entries) / len(entries)
-        rate = model.rate(entries[0][0], db)
+        rate = model.predict(entries[0][0], db)
         assert abs(rate - mean) / mean <= 1e-3
 
     def test_gaussian_branch_means(self, branch_domain):
@@ -248,7 +247,7 @@ class TestTrainHybrid:
         for branch in (True, False):
             members = [(a, v) for (a, v), s in zip(entries, sick_flags) if s == branch]
             sample_mean = sum(v for _, v in members) / len(members)
-            mu, sigma = model.mu_sigma(members[0][0], db)
+            mu, sigma = model.predict(members[0][0], db)
             assert abs(mu - sample_mean) < 0.05
             assert 0.8 < sigma < 1.2
 
@@ -264,7 +263,7 @@ class TestTrainHybrid:
                              HybridConfig(iterations=30))
         freq = [sum(1 for _, v in entries if v == k) / len(entries)
                 for k in range(3)]
-        probs = model.class_probs(entries[0][0], db)
+        probs = model.predict(entries[0][0], db)
         assert max(abs(f - p) for f, p in zip(freq, probs)) < 0.02
 
     @pytest.mark.parametrize("name,value,header,keys", [
@@ -334,7 +333,7 @@ class TestHybridModelFiles:
         text = serialize_hybrid(model)
         again = parse_hybrid(text, schema)
         assert serialize_hybrid(again) == text
-        assert again.rate(entries[0][0], db) == model.rate(entries[0][0], db)
+        assert again.predict(entries[0][0], db) == model.predict(entries[0][0], db)
 
     def test_gaussian_roundtrip_keeps_sigma0(self, branch_domain):
         schema, db, modes, _, sick_flags, n = branch_domain
@@ -346,7 +345,7 @@ class TestHybridModelFiles:
                              HybridConfig(iterations=4, sigma0=1.5))
         again = parse_hybrid(serialize_hybrid(model), schema)
         assert again.sigma0 == 1.5
-        assert again.mu_sigma(entries[0][0], db) == model.mu_sigma(entries[0][0], db)
+        assert again.predict(entries[0][0], db) == model.predict(entries[0][0], db)
 
     @pytest.mark.parametrize("body", [
         "",
@@ -418,51 +417,90 @@ predicate: hits/1 count.
                 math.exp(0.5 + 0.8 * x), rel=0.15)
 
     @pytest.mark.parametrize("name", ["visits", "weight", "grade"])
-    def test_training_outputs_equal_predict_bit_for_bit(self, name, monkeypatch):
-        # a 3-iteration run computes, before its third iteration's first
-        # step, the outputs of the 2-iteration model on every training row
+    def test_a_hybrid_model_is_the_mixed_model_with_no_parents(self, name):
+        _, db, modes, dataset = build_hybrid_domain()
+        config = HybridConfig(iterations=4, tree=TreeConfig(max_leaves=4), sigma0=1.5)
+        plain = train_hybrid(dataset[name], db, modes, config)
+        mixed = train_mixed(dataset[name], db, modes, [], config)
+        functions = [mixed.functions[(k, 0)] for k in range(len(mixed.functions))]
+        if name == "weight":
+            functions.append(mixed.sigma_trees)
+        assert [[serialize_tree(tree) for tree in trees] for trees in functions] \
+            == [[serialize_tree(tree) for tree in trees] for trees in plain.functions.values()]
+
+    @pytest.mark.parametrize("parents", [[], ["dose", "age"]])
+    @pytest.mark.parametrize("name", ["visits", "weight", "grade"])
+    def test_training_outputs_equal_predict_bit_for_bit(self, name, parents, monkeypatch):
+        # the leaf sums of every function, the last column boost_step was
+        # given for it, are the finished model's values at every training
+        # row; and a 3-iteration run first fits, in its third iteration, the
+        # residuals of the 2-iteration model's predictions
         _, db, modes, dataset = build_hybrid_domain()
         examples = dataset[name]
-        config = HybridConfig(iterations=3, tree=TreeConfig(max_leaves=4))
-        blocks, current = [], []
-        real_output, real_step = hybrid._mixed_output, hybrid.boost_step
+        atoms = [atom for atom, _ in examples.entries]
 
-        def output(*args):
-            current.append(real_output(*args))
-            return current[-1]
+        def train(iterations):
+            calls, real_step = [], hybrid.boost_step
 
-        def step(*args):
-            blocks.append(list(current))
-            current.clear()
-            return real_step(*args)
-        with monkeypatch.context() as patched:
-            patched.setattr(hybrid, "_mixed_output", output)
-            patched.setattr(hybrid, "boost_step", step)
-            train_mixed(examples, db, modes, ["dose", "age"], config)
-        config.iterations = 2
-        model = train_mixed(examples, db, modes, ["dose", "age"], config)
-        steps = len(model.functions) + (name == "weight")    # a Gaussian adds sigma
-        assert len(blocks) == 3 * steps
-        final = blocks[2 * steps]
-        assert len(final) == len(examples.entries)
-        assert [repr(model.predict(atom, db)) for atom, _ in examples.entries] \
-            == [repr(out) for out in final]
+            def step(*args):
+                calls.append((args[1], args[4], real_step(*args)))
+                return calls[-1][2]
+            config = HybridConfig(iterations=iterations, tree=TreeConfig(max_leaves=4))
+            with monkeypatch.context() as patched:
+                patched.setattr(hybrid, "boost_step", step)
+                if parents:
+                    return train_mixed(examples, db, modes, parents, config), calls
+                return train_hybrid(examples, db, modes, config), calls
+
+        model, calls = train(3)
+        if parents:
+            coefficients, sigma_trees = model.functions, model.sigma_trees
+        else:
+            keys = {"visits": ["rate"], "weight": ["mu"], "grade": ["class=0", "class=1", "class=2"]}
+            coefficients = {(k, 0): model.functions[key] for k, key in enumerate(keys[name])}
+            sigma_trees = model.functions.get("sigma", [])
+        columns = []
+        for trees in [*coefficients.values()] + ([sigma_trees] if name == "weight" else []):
+            assert len(trees) == 3
+            columns.append(next(psis for _, psis, tree in reversed(calls) if tree is trees[-1]))
+            assert [repr(s) for s in columns[-1]] \
+                == [repr(evaluate(trees, atom, db)) for atom in atoms]
+        if name == "weight":
+            assert [repr(max(hybrid.SIGMA_FLOOR, model.sigma0 + s)) for s in columns[-1]] \
+                == [repr(model.predict(atom, db)[1]) for atom in atoms]
 
         def from_formulas(atom):
             # the predicted value from each evaluated coefficient function and
             # the public formulas, apart from _mixed_output
-            c = {key: evaluate(trees, atom, db) for key, trees in model.functions.items()}
-            xs = model.parent_values(atom, db)
-            slopes = [[c[(k, j + 1)] for j in range(len(xs))] for k in range(len(c) // (len(xs) + 1))]
+            c = {key: evaluate(trees, atom, db) for key, trees in coefficients.items()}
+            xs = [float(db.lookup(p, atom.args)) for p in parents]
+            n_classes = len(c) // (len(xs) + 1)
+            slopes = [[c[(k, j + 1)] for j in range(len(xs))] for k in range(n_classes)]
             if name == "grade":
-                return [mixed_softmax_prob([c[(k, 0)] for k in range(len(slopes))], slopes, xs, k)
-                        for k in range(len(slopes))]
+                return [mixed_softmax_prob([c[(k, 0)] for k in range(n_classes)], slopes, xs, k)
+                        for k in range(n_classes)]
             if name == "visits":
                 return mixed_poisson_rate(c[(0, 0)], slopes[0], xs)
-            sigma = model.sigma0 + evaluate(model.sigma_trees, atom, db)
+            sigma = model.sigma0 + evaluate(sigma_trees, atom, db)
             return mixed_gaussian_mean(c[(0, 0)], slopes[0], xs), max(hybrid.SIGMA_FLOOR, sigma)
-        assert [repr(from_formulas(atom)) for atom, _ in examples.entries] \
-            == [repr(out) for out in final]
+        assert [repr(model.predict(atom, db)) for atom in atoms] \
+            == [repr(from_formulas(atom)) for atom in atoms]
+
+        # one fit per function per iteration; the third iteration's first
+        # column is one fit per class
+        assert len(calls) == 3 * (len(coefficients) + (name == "weight"))
+        first = calls[2 * len(calls) // 3:][:len(coefficients) // (len(parents) + 1)]
+        earlier, _ = train(2)
+        out = [earlier.predict(atom, db) for atom in atoms]
+        for k, (fit, _, _) in enumerate(first):
+            if name == "grade":
+                want = [multinomial_gradient(y, p)[k] for (_, y), p in zip(examples.entries, out)]
+            elif name == "visits":
+                want = [y - rate for (_, y), rate in zip(examples.entries, out)]
+            else:
+                want = [gaussian_gradients(y, *mu_sigma)[0]
+                        for (_, y), mu_sigma in zip(examples.entries, out)]
+            assert [repr(g) for _, g in fit] == [repr(w) for w in want]
 
     def test_missing_parent_fact_rejected(self):
         schema = parse_schema("""

@@ -34,18 +34,13 @@ from relboost.rctbn import (
     World,
     add_cims,
     amalgamate,
-    exp_cdf,
-    exp_pdf,
-    expected_transition_time,
     forward_sample,
     intensity,
-    neg_gradient,
     neg_gradient_rate,
     parse_groundtruth,
     parse_rctbn,
     parse_static_facts,
     parse_trajectories,
-    pos_gradient,
     pos_gradient_rate,
     projected_schema,
     segment,
@@ -59,6 +54,13 @@ from relboost.rctbn import (
 from relboost.regtree import TreeConfig, evaluate
 
 from tests import sampler_reference
+from tests.formula_reference import (
+    exp_cdf,
+    exp_pdf,
+    expected_transition_time,
+    neg_gradient,
+    pos_gradient,
+)
 
 
 SCHEMA_TEXT = """
