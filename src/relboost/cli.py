@@ -388,8 +388,8 @@ def cmd_eval(opts: dict) -> int:
         model = hybrid.parse_hybrid(model_text, schema)
         _require(opts, "examples")
         examples = parse_examples(_read(opts["examples"]), model.target)
-        _preroute([tree for trees in model.functions.values() for tree in trees],
-                  [(atom, facts) for atom, _ in examples.entries], cache)
+        _preroute([tree for trees in [*model.functions.values(), model.sigma_trees]
+                   for tree in trees], [(atom, facts) for atom, _ in examples.entries], cache)
         try:
             probs = [model.prob_of_truth(atom, value, facts, cache)
                      for atom, value in examples.entries]

@@ -38,6 +38,7 @@ from typing import Union
 import numpy as np
 
 from .logic import ParseError, parse_int
+from .util import ordered_sum
 
 
 @dataclass
@@ -539,8 +540,8 @@ def family_score(data: DiscreteDataset, i: int, parents: tuple,
 def score_network(net: TwoSliceNetwork, data: DiscreteDataset,
                   kind: ScoreKind) -> float:
     """Sum of family scores; decomposable over the slice t+1 families."""
-    return sum(family_score(data, i, net.parents(i), kind)
-               for i in range(data.n_vars))
+    return ordered_sum(family_score(data, i, net.parents(i), kind)
+                       for i in range(data.n_vars))
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +641,7 @@ def hill_climb(data: DiscreteDataset, kind: ScoreKind, max_parents: int = 3,
                 if arc == "inter" or i != j]
 
     parents: list = [()] * n
-    score = sum(fam(i, parents[i]) for i in range(n))
+    score = ordered_sum(fam(i, parents[i]) for i in range(n))
     records = {}
     changed = range(n)
     stale = [slot for j in changed for slot in into(j)]

@@ -3,11 +3,11 @@ Gaussian relational targets, with optional continuous parents.
 
 A target has K class scores if multinomial (softmax link), one log-rate
 score if Poisson, and a mean score plus a directly modeled deviation sigma
-if Gaussian.  A score is psi_0 + sum_j x_j psi_j over the continuous
-parents x_1..x_P of a :class:`MixedParentModel`, each psi_j a boosted
-function of the discrete context; a :class:`HybridModel` has no parents.
+if Gaussian.  A :class:`HybridModel`'s score is psi_0 + sum_j x_j psi_j
+over its continuous parents x_1..x_P, each psi_j a boosted function of the
+discrete context; a plain hybrid model has no parents.
 
-One loop trains both.  Each iteration fits the columns j = 0..P in order
+One loop trains every model.  Each iteration fits the columns j = 0..P in order
 (x_0 = 1): the K class functions of a column share one set of residuals,
 computed from the scores after the columns before it, and fit the residual
 times x_j.  A Gaussian's sigma function is fitted last, against the
@@ -20,7 +20,9 @@ The distribution is the target's schema value kind and nothing else:
 ``continuous`` is Gaussian; boolean targets belong to the rfgb learner.  A
 model file's header repeats it as ``kind=multinomial:K``, ``kind=poisson``
 or ``kind=gaussian``, and a header whose token is not the one the schema
-implies is a ParseError at line 1.
+implies is a ParseError at line 1.  The file names class k's psi_0
+``class=k``, ``rate`` or ``mu``, appends ``*<parent>`` for psi_j, and
+lists the parents as ``parents=`` in the header only when there are some.
 """
 
 from __future__ import annotations
@@ -143,12 +145,12 @@ def _eta(config: HybridConfig, kind: str) -> float:
 
 @dataclass
 class HybridModel:
-    """Per-function tree lists for one target predicate: a mixed-parent
-    model with no parents.
+    """Per-function tree lists for one target predicate.
 
-    functions: multinomial targets use keys ``class=k``; Poisson uses
-    ``rate``; Gaussian uses ``mu`` and ``sigma``.  Leaf contributions are
-    already scaled by the step size at training time.
+    ``functions[(k, j)]`` is class k's psi_j (one class k = 0 for Poisson
+    and Gaussian targets), ``sigma_trees`` a Gaussian's sigma function.  A
+    parent's fact payload at the target atom's arguments is its x_j.  Leaf
+    contributions are already scaled by the step size at training time.
     """
 
     target: PredicateSignature
@@ -158,21 +160,32 @@ class HybridModel:
     functions: dict
     eta: float
     sigma0: float = 1.0
+    sigma_trees: list = field(default_factory=list)
+    parents: tuple = ()
 
     def __post_init__(self):
         if self.kind != _numeric_kind(self.target):
             raise ValueError(f"model kind {self.kind!r} is not {self.target.name}'s "
                              f"value kind {self.target.kind!r}")
-        # the score functions, in class order: with no parents a score is
-        # its intercept function
-        self._scores = [key for key in _function_keys(self.target) if key != "sigma"]
+        # each class's coefficient keys, the intercept first
+        n_classes = self.target.classes if self.kind == "multiclass" else 1
+        self._keys = [[(k, j) for j in range(len(self.parents) + 1)] for k in range(n_classes)]
 
     def predict(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None):
         """Class probabilities, rate, or (mu, sigma) depending on the kind."""
-        scores = [evaluate(self.functions[key], atom, db, cache) for key in self._scores]
-        sigma = self.sigma0 + evaluate(self.functions["sigma"], atom, db, cache) \
-            if self.kind == "continuous" else None
-        return _mixed_output(self.target, scores, sigma)
+        if self.parents:
+            xs = _parent_values(self.parents, atom, db)
+            coeffs = [[evaluate(self.functions[key], atom, db, cache) for key in keys]
+                      for keys in self._keys]
+            scores = [mixed_gaussian_mean(c[0], c[1:], xs) for c in coeffs]
+        else:   # a score is its intercept function
+            scores = [evaluate(self.functions[keys[0]], atom, db, cache) for keys in self._keys]
+        if self.kind == "multiclass":
+            return multinomial_prob(scores)
+        if self.kind == "count":
+            return _clamped_exp(scores[0])
+        return scores[0], max(SIGMA_FLOOR,
+                              self.sigma0 + evaluate(self.sigma_trees, atom, db, cache))
 
     def prob_of_truth(self, atom: Atom, value, db: FactBase,
                       cache: Optional[RoutingCache] = None) -> float:
@@ -185,70 +198,40 @@ class HybridModel:
         return math.exp(gaussian_ll(value, *out))
 
 
-@dataclass
-class MixedParentModel:
-    """Tree-valued coefficients over the discrete context, one list per
-    continuous parent plus an intercept list.
-
-    The continuous parents are predicates whose fact payload, looked up at
-    the target atom's arguments, supplies x_j.  For multinomial targets the
-    coefficient and intercept lists are per class: ``functions[(k, j)]``
-    with j = 0 the intercept and j >= 1 the parents in order.
-    """
-
-    target: PredicateSignature
-    parents: list
-    functions: dict
-    sigma0: float = 1.0
-    sigma_trees: list = field(default_factory=list)
-
-    def parent_values(self, atom: Atom, db: FactBase) -> list:
-        return _parent_values(self.parents, atom, db)
-
-    def predict(self, atom: Atom, db: FactBase, cache: Optional[RoutingCache] = None):
-        """Class probabilities, rate, or (mu, sigma) depending on the kind."""
-        coeffs = [evaluate(self.functions[key], atom, db, cache)
-                  for key in _mixed_keys(self.target, self.parents)]
-        xs = self.parent_values(atom, db)
-        width = len(xs) + 1
-        scores = [mixed_gaussian_mean(coeffs[at], coeffs[at + 1:at + width], xs)
-                  for at in range(0, len(coeffs), width)]
-        return _mixed_output(self.target, scores,
-                             self.sigma0 + evaluate(self.sigma_trees, atom, db, cache))
+# perfbench/layertrace.py wraps ``MixedParentModel.predict`` through the
+# class's own __dict__; the alias goes with that tracer (ROADMAP item 1)
+MixedParentModel = HybridModel
 
 
-def _parent_values(parents: list, atom: Atom, db: FactBase) -> list:
+def _check_parents(parents: list, target: PredicateSignature, schema: Schema) -> tuple:
+    """The parents of a model of `target`: distinct schema predicates of the
+    target's arity, other than the target."""
+    for i, name in enumerate(parents):
+        problem = ("is empty" if not name else "is the target" if name == target.name
+                   else "is not in the schema" if name not in schema
+                   else f"does not have arity {target.arity}"
+                   if schema.get(name).arity != target.arity
+                   else "appears twice" if name in parents[:i] else None)
+        if problem:
+            raise ValueError(f"parent {name!r} {problem}")
+    return tuple(parents)
+
+
+def _parent_values(parents: tuple, atom: Atom, db: FactBase) -> list:
     """x_1..x_P at `atom`: each parent's fact payload at its arguments."""
-    xs = []
-    for p in parents:
-        v = db.lookup(p, atom.args)
-        if v is None:
-            raise ValueError(f"no {p} fact for {atom}")
-        xs.append(float(v))
-    return xs
+    xs = [db.lookup(p, atom.args) for p in parents]
+    if None in xs:
+        raise ValueError(f"no {parents[xs.index(None)]} fact for {atom}")
+    return [float(x) for x in xs]
 
 
-def _function_keys(target: PredicateSignature) -> list:
-    if target.kind == "multiclass":
-        return [f"class={k}" for k in range(target.classes)]
-    return ["rate"] if target.kind == "count" else ["mu", "sigma"]
-
-
-def _mixed_keys(target: PredicateSignature, parents: list) -> list:
-    """The coefficient function keys ``(k, j)`` of a mixed-parent model:
-    class by class, the intercept first, then the parents in order."""
-    n_classes = target.classes if target.kind == "multiclass" else 1
-    return [(k, j) for k in range(n_classes) for j in range(len(parents) + 1)]
-
-
-def _mixed_output(target: PredicateSignature, scores: list, sigma: float):
-    """The prediction of both models from the class scores (one score for
-    Poisson and Gaussian targets) and the unfloored Gaussian sigma."""
-    if target.kind == "multiclass":
-        return multinomial_prob(scores)
-    if target.kind == "count":
-        return _clamped_exp(scores[0])
-    return scores[0], max(SIGMA_FLOOR, sigma)
+def _function_names(target: PredicateSignature, parents: tuple) -> dict:
+    """The model-file name of each coefficient key ``(k, j)``, class by
+    class and the intercept first."""
+    bases = ([f"class={k}" for k in range(target.classes)] if target.kind == "multiclass"
+             else ["rate" if target.kind == "count" else "mu"])
+    return {(k, j): base + suffix for k, base in enumerate(bases)
+            for j, suffix in enumerate(["", *(f"*{p}" for p in parents)])}
 
 
 def _loglik(kind: str, values: list, scores: list, sigmas: list) -> float:
@@ -260,12 +243,11 @@ def _loglik(kind: str, values: list, scores: list, sigmas: list) -> float:
                        for y, mu, sigma in zip(values, scores[0], sigmas))
 
 
-def _boost(examples: ExampleSet, db: FactBase, modes: list, parents: list,
-           config: HybridConfig, on_iteration=None) -> tuple:
-    """The loop of both models, in the order the module docstring gives:
-    the coefficient trees of `examples`' target keyed ``(k, j)``, and the
-    sigma trees.  Its state is columns: each function's leaf sums and each
-    class's score at every row."""
+def _boost(examples: ExampleSet, db: FactBase, modes: list, parents: tuple,
+           config: HybridConfig, on_iteration=None) -> HybridModel:
+    """The model of `examples`' target over `parents`, boosted in the order
+    the module docstring gives.  The loop's state is columns: each
+    function's leaf sums and each class's score at every row."""
     target = examples.target
     kind = _numeric_kind(target)
     if not examples.entries:
@@ -273,7 +255,7 @@ def _boost(examples: ExampleSet, db: FactBase, modes: list, parents: list,
     atoms = [a for a, _ in examples.entries]
     values = [v for _, v in examples.entries]
     x_cols = [[1.0] * len(atoms), *zip(*(_parent_values(parents, a, db) for a in atoms))]
-    trees = {key: [] for key in _mixed_keys(target, parents)}
+    trees = {key: [] for key in _function_names(target, parents)}
     sums = {key: [0.0] * len(atoms) for key in trees}
     sigma_trees, sigma_sums = [], [0.0] * len(atoms)
     n_classes = len(trees) // len(x_cols)
@@ -318,29 +300,24 @@ def _boost(examples: ExampleSet, db: FactBase, modes: list, parents: list,
                 on_iteration(m + 1, _loglik(kind, values, scores, sigmas()))
     except OverflowError:   # targets so large that squared residuals pass float range
         raise ValueError(f"target {target.name}: values too large for float arithmetic") from None
-    return trees, sigma_trees
+    return HybridModel(target, kind, trees, eta, config.sigma0, sigma_trees, parents)
 
 
 def train_hybrid(examples: ExampleSet, db: FactBase, modes: list,
                  config: Optional[HybridConfig] = None,
                  on_iteration: Optional[Callable[[int, float], None]] = None) -> HybridModel:
-    """Boost one HybridModel for the target of `examples`: the loop with no
-    parents, dispatched on the target's declared value kind."""
-    config = config or HybridConfig()
-    target = examples.target
-    trees, sigma_trees = _boost(examples, db, modes, [], config, on_iteration)
-    # zip drops the sigma trees of targets without a sigma function
-    functions = dict(zip(_function_keys(target), [*trees.values(), sigma_trees]))
-    return HybridModel(target, target.kind, functions, _eta(config, target.kind), config.sigma0)
+    """Boost a HybridModel with no parents for the target of `examples`,
+    dispatched on the target's declared value kind."""
+    return _boost(examples, db, modes, (), config or HybridConfig(), on_iteration)
 
 
 def train_mixed(examples: ExampleSet, db: FactBase, modes: list, parents: list,
-                config: Optional[HybridConfig] = None) -> MixedParentModel:
-    """Fit a MixedParentModel: one coefficient tree per class, parent and
-    iteration, each fitted to the distribution residual times x_j."""
-    config = config or HybridConfig()
-    trees, sigma_trees = _boost(examples, db, modes, list(parents), config)
-    return MixedParentModel(examples.target, list(parents), trees, config.sigma0, sigma_trees)
+                config: Optional[HybridConfig] = None) -> HybridModel:
+    """Boost a HybridModel over the continuous `parents`: one coefficient
+    tree per class, parent and iteration, each fitted to the distribution
+    residual times x_j."""
+    parents = _check_parents(list(parents), examples.target, db.schema)
+    return _boost(examples, db, modes, parents, config or HybridConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +407,20 @@ def _header_kind(target: PredicateSignature) -> str:
 
 
 def serialize_hybrid(model: HybridModel) -> str:
+    functions = {name: model.functions[key]
+                 for key, name in _function_names(model.target, model.parents).items()}
+    if model.kind == "continuous":
+        functions["sigma"] = model.sigma_trees
     return write_model(f"model hybrid target={model.target.name}/{model.target.arity} "
                        f"kind={_header_kind(model.target)} eta={model.eta!r}"
-                       + (f" sigma0={model.sigma0!r}" if model.kind == "continuous" else ""),
-                       {key: model.functions[key] for key in sorted(model.functions)})
+                       + (f" sigma0={model.sigma0!r}" if model.kind == "continuous" else "")
+                       + (f" parents={','.join(model.parents)}" if model.parents else ""),
+                       {name: functions[name] for name in sorted(functions)})
 
 
 def parse_hybrid(text: str, schema: Schema) -> HybridModel:
-    fields, target = parse_header(text, "hybrid", schema, ("kind", "eta"), ("eta", "sigma0"))
+    fields, target = parse_header(text, "hybrid", schema, ("kind", "eta"), ("eta", "sigma0"),
+                                  ("sigma0", "parents"))
     token = fields["kind"]
     if target.kind == "boolean":
         raise ParseError(f"kind={token} on boolean target {target.name}; "
@@ -449,7 +432,15 @@ def parse_hybrid(text: str, schema: Schema) -> HybridModel:
     sigma0 = fields.get("sigma0", 1.0)
     if sigma0 < SIGMA_FLOOR:
         raise ParseError(f"sigma0 below floor {SIGMA_FLOOR}", 1)
-    functions = read_trees(text, schema, target, keyed=True)
-    if sorted(functions) != sorted(_function_keys(target)):
-        raise ParseError(f"{token} models need the functions {_function_keys(target)}")
-    return HybridModel(target, target.kind, functions, fields["eta"], sigma0)
+    try:
+        parents = _check_parents(fields["parents"].split(","), target, schema) \
+            if "parents" in fields else ()
+    except ValueError as exc:
+        raise ParseError(str(exc), 1) from None
+    names = _function_names(target, parents)
+    needed = [*names.values(), *(["sigma"] if target.kind == "continuous" else [])]
+    trees = read_trees(text, schema, target, keyed=True)
+    if sorted(trees) != sorted(needed):
+        raise ParseError(f"{token} models need the functions {needed}")
+    return HybridModel(target, target.kind, {key: trees[name] for key, name in names.items()},
+                       fields["eta"], sigma0, trees.get("sigma", []), parents)

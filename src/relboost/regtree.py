@@ -658,12 +658,13 @@ def parse_tree(text: str, schema: Schema, target: PredicateSignature,
 
 
 def parse_header(text: str, kind: str, schema: Schema, required: tuple = (),
-                 numbers: tuple = ()) -> tuple:
+                 numbers: tuple = (), optional: tuple = ()) -> tuple:
     """(fields, target signature) of a model file's header line.
 
     ``target=<name>/<arity>`` and every field in `required` must be
-    present; every field in `numbers` that is present becomes a finite
-    float.  Every defect is a ParseError at line 1.
+    present, and no field outside them and `optional` may be; every field
+    in `numbers` that is present becomes a finite float.  Every defect is a
+    ParseError at line 1.
     """
     lines = text.splitlines()
     tokens = lines[0].split() if lines else []
@@ -674,6 +675,8 @@ def parse_header(text: str, kind: str, schema: Schema, required: tuple = (),
         key, eq, value = token.partition("=")
         if not key or not eq or key in fields:
             raise ParseError(f"malformed header field {token!r}", 1)
+        if key not in ("target",) + required + optional:
+            raise ParseError(f"unknown header field {key!r}", 1)
         fields[key] = value
     for key in ("target",) + required:
         if key not in fields:

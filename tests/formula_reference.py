@@ -3,7 +3,7 @@ the tests check the learners' own forms against.
 
 `mixed_softmax_prob` and `mixed_poisson_rate` are the multinomial and
 Poisson mixed-parent predictions from intercepts and slope lists;
-`MixedParentModel.predict` computes the same scores from its coefficient
+`HybridModel.predict` computes the same scores from its coefficient
 functions, with `relboost.hybrid.mixed_gaussian_mean`.  The exponential
 clock helpers and the probability forms of the segment gradients are the
 textbook forms of what `relboost.rctbn` computes from the rate q*T.

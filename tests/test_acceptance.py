@@ -653,16 +653,20 @@ end
     rfgb_text = outs[0].decode()
     assert boost.serialize_model(boost.parse_model(rfgb_text, schema)) == rfgb_text
 
-    hschema = parse_schema("predicate: sick/1 boolean.\npredicate: visits/1 count.")
-    hdb = FactBase(hschema, [Atom(hschema.get("sick"), (Constant("e0"),), True)])
+    hschema = parse_schema("predicate: sick/1 boolean.\npredicate: visits/1 count.\n"
+                           "predicate: dose/1 continuous.")
+    hdb = FactBase(hschema, [Atom(hschema.get("sick"), (Constant("e0"),), True)]
+                   + [Atom(hschema.get("dose"), (Constant(f"e{i}"),), i / 7.0)
+                      for i in range(12)])
     ventries = [(Atom(hschema.get("visits"), (Constant(f"e{i}"),)), i % 4)
                 for i in range(12)]
-    hmodel = hybrid.train_hybrid(
-        ExampleSet(hschema.get("visits"), ventries), hdb,
-        parse_modes("mode: sick(+).", hschema),
-        hybrid.HybridConfig(iterations=3))
-    htext = hybrid.serialize_hybrid(hmodel)
-    assert hybrid.serialize_hybrid(hybrid.parse_hybrid(htext, hschema)) == htext
+    hargs = (ExampleSet(hschema.get("visits"), ventries), hdb,
+             parse_modes("mode: sick(+).", hschema))
+    config = hybrid.HybridConfig(iterations=3)
+    for hmodel in (hybrid.train_hybrid(*hargs, config),
+                   hybrid.train_mixed(*hargs, ["dose"], config)):   # plain, one parent
+        htext = hybrid.serialize_hybrid(hmodel)
+        assert hybrid.serialize_hybrid(hybrid.parse_hybrid(htext, hschema)) == htext
 
     tschema = parse_schema(open(str(sample_schema)).read())
     traj_text = samples[0].decode()

@@ -10,9 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relboost import cli
+from relboost import boost, cli, hybrid, metrics, rctbn
 from relboost.cli import _build_parser, main
-from tests.conftest import LINKED_MODES_TEXT, LINKED_SCHEMA_TEXT
+from relboost.logic import ParseError, parse_schema, serialize_examples, serialize_facts
+from tests.conftest import (
+    HYBRID_SCHEMA_TEXT,
+    LINKED_MODES_TEXT,
+    LINKED_SCHEMA_TEXT,
+    build_hybrid_domain,
+)
 
 
 def _write(path, text):
@@ -310,6 +316,26 @@ class TestEvalAndMetrics:
         model = _write(tmp_path / "model.txt", header + "\ntree 0\nleaf 0 value=0.5\n")
         assert main(["eval", "--model", model, "--schema", schema]) == 2
         assert "data error: line 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parse,header,body", [
+        (boost.parse_model, "model rfgb target=target/1 kind=hard psi0=0.0", ""),
+        (hybrid.parse_hybrid, "model hybrid target=visits/1 kind=poisson eta=0.5 parents=dose",
+         "function rate\ntree 0\nleaf 0 value=0.5\nfunction rate*dose\n"),
+        (rctbn.parse_rctbn, "model rctbn target=cvd/2 from=false to=true phi0=0.0", ""),
+    ], ids=["rfgb", "hybrid", "rctbn"])
+    def test_unknown_model_header_field_is_a_line_1_data_error(self, tmp_path, capsys, parse,
+                                                                 header, body):
+        schema_text = (LINKED_SCHEMA_TEXT + "predicate: visits/1 count.\n"
+                       "predicate: dose/1 continuous.\npredicate: cvd/2 boolean temporal.\n")
+        body = body or "tree 0\nleaf 0 value=0.5\n"
+        parse(f"{header}\n{body}", parse_schema(schema_text))     # well formed without it
+        text = f"{header} bogus=1\n{body}"
+        with pytest.raises(ParseError, match="^line 1: unknown header field 'bogus'$"):
+            parse(text, parse_schema(schema_text))
+        model = _write(tmp_path / "model.txt", text)
+        assert main(["eval", "--model", model,
+                     "--schema", _write(tmp_path / "schema.txt", schema_text)]) == 2
+        assert "data error: line 1: unknown header field 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_metrics_rejects_non_finite_score_with_its_line(self, tmp_path, capsys, value):
@@ -694,6 +720,40 @@ class TestHybridAndTemporalPaths:
         err = capsys.readouterr().err
         assert "data error: target weight: values too large for float arithmetic" in err
         assert not os.path.exists(report)
+
+    @pytest.mark.parametrize("name", ["visits", "weight", "grade"])
+    def test_eval_of_a_saved_mixed_model(self, tmp_path, name):
+        # the report equals one computed in-process from the trained model
+        _, db, modes, dataset = build_hybrid_domain()
+        model = hybrid.train_mixed(dataset[name], db, modes, ["dose", "age"],
+                                   hybrid.HybridConfig(iterations=2, eta_poisson=0.2))
+        probs = [model.prob_of_truth(atom, value, db) for atom, value in dataset[name].entries]
+        want = cli._report_lines({"mse": metrics.mse(probs), "examples": len(probs),
+                                  "mean_loglik": metrics.mean_loglik(probs)})
+        report = tmp_path / "report.txt"
+        assert main(["eval", "--model", _write(tmp_path / "model.txt",
+                                                hybrid.serialize_hybrid(model)),
+                     "--schema", _write(tmp_path / "schema.txt", HYBRID_SCHEMA_TEXT),
+                     "--facts", _write(tmp_path / "facts.txt", serialize_facts(db)),
+                     "--examples", _write(tmp_path / "values.txt",
+                                          serialize_examples(dataset[name])),
+                     "--report", str(report)]) == 0
+        assert report.read_text() == want
+
+    def test_eval_of_a_mixed_model_without_a_parent_fact_is_data_error(self, tmp_path,
+                                                                       capsys):
+        _, db, modes, dataset = build_hybrid_domain()
+        model = hybrid.train_mixed(dataset["visits"], db, modes, ["dose"],
+                                   hybrid.HybridConfig(iterations=1))
+        facts = "".join(line + "\n" for line in serialize_facts(db).splitlines()
+                        if not line.startswith("dose(e005)"))
+        assert main(["eval", "--model", _write(tmp_path / "model.txt",
+                                                hybrid.serialize_hybrid(model)),
+                     "--schema", _write(tmp_path / "schema.txt", HYBRID_SCHEMA_TEXT),
+                     "--facts", _write(tmp_path / "facts.txt", facts),
+                     "--examples", _write(tmp_path / "values.txt",
+                                          serialize_examples(dataset["visits"]))]) == 2
+        assert "data error: no dose fact for visits(e005)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("decl,example,message", [
         ("visits/1 count", f"visits(a)={10 ** 400}.",

@@ -38,7 +38,7 @@ from relboost.logic import (
     serialize_schema,
 )
 from relboost.regtree import TreeConfig, evaluate, serialize_tree
-from tests.conftest import build_hybrid_domain
+from tests.conftest import HYBRID_SCHEMA_TEXT, build_hybrid_domain
 from tests.formula_reference import mixed_poisson_rate, mixed_softmax_prob
 
 
@@ -359,6 +359,45 @@ class TestHybridModelFiles:
             parse_hybrid(text, schema)
 
 
+_BAD_PARENTS = [
+    ("", "parent '' is empty"),
+    ("dose,", "parent '' is empty"),
+    ("visits", "parent 'visits' is the target"),
+    ("dose,height", "parent 'height' is not in the schema"),
+    ("knows", "parent 'knows' does not have arity 1"),
+    ("dose,age,dose", "parent 'dose' appears twice"),
+]
+
+
+class TestMixedModelFiles:
+    @pytest.mark.parametrize("parents,message", _BAD_PARENTS)
+    def test_malformed_parents_are_a_line_1_parse_error(self, parents, message):
+        text = (f"model hybrid target=visits/1 kind=poisson eta=0.5 parents={parents}\n"
+                "function rate\ntree 0\nleaf 0 value=0.0\n")
+        with pytest.raises(ParseError, match=f"^line 1: {message}$") as caught:
+            parse_hybrid(text, parse_schema(HYBRID_SCHEMA_TEXT))
+        assert caught.value.line == 1
+
+    @pytest.mark.parametrize("parents,message", _BAD_PARENTS)
+    def test_train_mixed_rejects_the_same_parents(self, parents, message):
+        _, db, modes, dataset = build_hybrid_domain()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_mixed(dataset["visits"], db, modes, parents.split(","),
+                        HybridConfig(iterations=1))
+
+    def test_functions_must_match_the_parents(self):
+        schema = parse_schema(HYBRID_SCHEMA_TEXT)
+        header = "model hybrid target=weight/1 kind=gaussian eta=0.5 sigma0=1.0 parents=dose\n"
+        trees = "".join(f"function {name}\ntree 0\nleaf 0 value=0.5\n"
+                        for name in ("mu", "mu*dose", "sigma"))
+        model = parse_hybrid(header + trees, schema)
+        assert model.parents == ("dose",) and sorted(model.functions) == [(0, 0), (0, 1)]
+        assert serialize_hybrid(model) == header + trees
+        with pytest.raises(ParseError, match=r"gaussian models need the functions "
+                                             r"\['mu', 'mu\*dose', 'sigma'\]"):
+            parse_hybrid(header + trees.replace("mu*dose", "mu*age"), schema)
+
+
 class TestMixedParentModel:
     def test_gaussian_coefficient_recovery(self):
         # y = 1 + 2 x for plain entities, y = -1 - x for marked ones
@@ -388,7 +427,7 @@ predicate: y/1 continuous.
             sample = next(a for (a, _), m in zip(
                 entries, [i % 2 == 0 for i in range(800)]) if m == marked)
             mu, sigma = model.predict(sample, db)
-            x = model.parent_values(sample, db)[0]
+            x = db.lookup("x", sample.args)
             assert mu == pytest.approx(b0 + b1 * x, abs=0.25)
 
     def test_poisson_log_linear_recovery(self):
@@ -410,9 +449,8 @@ predicate: hits/1 count.
         model = train_mixed(ExampleSet(target, entries), db, modes, ["x"],
                             HybridConfig(iterations=30, eta_poisson=0.3))
         for x_probe in (-0.8, 0.0, 0.8):
-            probe = min(entries, key=lambda ev: abs(
-                model.parent_values(ev[0], db)[0] - x_probe))[0]
-            x = model.parent_values(probe, db)[0]
+            probe = min(entries, key=lambda ev: abs(db.lookup("x", ev[0].args) - x_probe))[0]
+            x = db.lookup("x", probe.args)
             assert model.predict(probe, db) == pytest.approx(
                 math.exp(0.5 + 0.8 * x), rel=0.15)
 
@@ -422,11 +460,7 @@ predicate: hits/1 count.
         config = HybridConfig(iterations=4, tree=TreeConfig(max_leaves=4), sigma0=1.5)
         plain = train_hybrid(dataset[name], db, modes, config)
         mixed = train_mixed(dataset[name], db, modes, [], config)
-        functions = [mixed.functions[(k, 0)] for k in range(len(mixed.functions))]
-        if name == "weight":
-            functions.append(mixed.sigma_trees)
-        assert [[serialize_tree(tree) for tree in trees] for trees in functions] \
-            == [[serialize_tree(tree) for tree in trees] for trees in plain.functions.values()]
+        assert serialize_hybrid(mixed) == serialize_hybrid(plain)
 
     @pytest.mark.parametrize("parents", [[], ["dose", "age"]])
     @pytest.mark.parametrize("name", ["visits", "weight", "grade"])
@@ -453,12 +487,7 @@ predicate: hits/1 count.
                 return train_hybrid(examples, db, modes, config), calls
 
         model, calls = train(3)
-        if parents:
-            coefficients, sigma_trees = model.functions, model.sigma_trees
-        else:
-            keys = {"visits": ["rate"], "weight": ["mu"], "grade": ["class=0", "class=1", "class=2"]}
-            coefficients = {(k, 0): model.functions[key] for k, key in enumerate(keys[name])}
-            sigma_trees = model.functions.get("sigma", [])
+        coefficients, sigma_trees = model.functions, model.sigma_trees
         columns = []
         for trees in [*coefficients.values()] + ([sigma_trees] if name == "weight" else []):
             assert len(trees) == 3
@@ -471,7 +500,7 @@ predicate: hits/1 count.
 
         def from_formulas(atom):
             # the predicted value from each evaluated coefficient function and
-            # the public formulas, apart from _mixed_output
+            # the public formulas
             c = {key: evaluate(trees, atom, db) for key, trees in coefficients.items()}
             xs = [float(db.lookup(p, atom.args)) for p in parents]
             n_classes = len(c) // (len(xs) + 1)

@@ -45,7 +45,7 @@ from pathlib import Path
 
 import pytest
 
-from relboost import boost, hybrid, rctbn
+from relboost import boost, dbn, hybrid, rctbn
 from relboost.cli import main
 from relboost.logic import (
     Atom,
@@ -189,7 +189,7 @@ HYBRID_EVAL_DIGESTS = {
     "grade": "e1317bed9613e41613d8d969d7425c115970a750f380c7724624a4dd5509fd44",
 }
 
-MIXED_PREDICTIONS = {   # repr of MixedParentModel.predict at e000, e001, e057
+MIXED_PREDICTIONS = {   # repr of a mixed model's predict at e000, e001, e057
     "visits": "1.4810073022885037; 2.1225047842440197; 2.1808533672290156",
     "weight": "(0.31762889581541276, 2.096434943680672); "
               "(1.7254602484295536, 2.540354246699506); "
@@ -203,6 +203,12 @@ MIXED_DIGESTS = {
     "visits": "0ca32e85a6708449c890c141890acf350a68a0dff2e8e188438d354a884b0d99",
     "weight": "9dbe63ec3b167c7671651067a15327bd6fe95f425f71b3316dce21cc56345afe",
     "grade": "5858ff463599fef4f4e8142bf50db84be7a540403fc8e413ca04ab269585e948",
+}
+
+MIXED_FILE_DIGESTS = {  # the same models as serialize_hybrid writes them
+    "visits": "b7ec1ec6c21aa7062e1566482dff78bf7640a8b28b0528e58e9ea841b0dd6ef9",
+    "weight": "6c62eb9a1820da7c7b7675308dff94d080b2a98a9404d65536338634e1479b00",
+    "grade": "476a4908ed55d95fb32ad1794acf77cd69c127f8fffd322c677ab5cf92104c05",
 }
 
 
@@ -236,7 +242,8 @@ def test_hybrid_eval_report_bytes(hybrid_domain, tmp_path, name):
 
 
 def _mixed_text(model) -> str:
-    """Every coefficient and sigma tree in key order, with sigma0."""
+    """Every coefficient and sigma tree in key order, with sigma0: a text
+    of the trees alone, independent of the model-file format."""
     parts = [f"sigma0={model.sigma0!r}\n"]
     for key in sorted(model.functions):
         for i, tree in enumerate(model.functions[key]):
@@ -257,6 +264,21 @@ def _mixed_model(domain, name: str):
 def test_mixed_model_bytes(hybrid_domain, float_sum, name):
     model = _mixed_model(hybrid_domain, name)
     assert _digest(_mixed_text(model)) == MIXED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_FILE_DIGESTS))
+def test_mixed_model_file_round_trip(hybrid_domain, float_sum, name):
+    """A mixed model's file is pinned, reads back to the same bytes, and
+    the model read back predicts bit for bit what the trained one does."""
+    schema, db, _, dataset = hybrid_domain
+    model = _mixed_model(hybrid_domain, name)
+    text = hybrid.serialize_hybrid(model)
+    assert _digest(text) == MIXED_FILE_DIGESTS[name]
+    assert text.splitlines()[0].endswith(" parents=dose,age")
+    again = hybrid.parse_hybrid(text, schema)
+    assert hybrid.serialize_hybrid(again) == text
+    assert [repr(again.predict(atom, db)) for atom, _ in dataset[name].entries] \
+        == [repr(model.predict(atom, db)) for atom, _ in dataset[name].entries]
 
 
 @pytest.mark.parametrize("name", sorted(MIXED_PREDICTIONS))
@@ -555,6 +577,28 @@ def test_dbn_model_bytes(tmp_path, float_sum, score):
                  "--out", str(out)]) == 0
     net, log = out.read_text(), (tmp_path / "net.txt.log").read_text()
     assert (_digest(net), _digest(log)) == DBN_DIGESTS[score]
+
+
+def test_dbn_totals_add_family_scores_left_to_right(monkeypatch):
+    """`score_network` and `hill_climb`'s starting score, the base of every
+    `.log` score= line, add family scores from 0.0 left to right: with
+    family scores 1e16, 1.0, -1e16 that gives 0.0 under a compensated
+    `sum` too, where the compensated total is 1.0."""
+    data = dbn.parse_dataset("vars: a:2, b:2, c:2\n0,1,0,1,0,1\n1,0,1,0,1,0\n0,0,1,1,1,0\n")
+    base = [1e16, 1.0, -1e16]
+
+    def family_score(data, i, parents, kind, counts=None):
+        # only b's arc from its own slice-t value gains, by 0.5
+        return base[i] + (0.5 if (i, parents) == (1, (("t", 1),)) else -1.0 if parents else 0.0)
+
+    monkeypatch.setattr(dbn, "family_score", family_score)
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert _compensated_sum(base) == 1.0
+    empty = dbn.TwoSliceNetwork(data.names, data.arities, set(), set())
+    assert dbn.score_network(empty, data, dbn.BIC()) == 0.0
+    steps = []
+    net = dbn.hill_climb(data, dbn.BIC(), 1, on_step=lambda *step: steps.append(step))
+    assert [score for _, _, score in steps] == [0.5] and net.inter == {(1, 1)}
 
 
 # ---------------------------------------------------------------------------
