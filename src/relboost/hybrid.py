@@ -204,13 +204,17 @@ MixedParentModel = HybridModel
 
 
 def _check_parents(parents: list, target: PredicateSignature, schema: Schema) -> tuple:
-    """The parents of a model of `target`: distinct schema predicates of the
-    target's arity, other than the target."""
+    """The parents of a model of `target`: distinct count or continuous
+    schema predicates of the target's arity, other than the target.  A
+    parent's value is a factor of the linear score, so a boolean or class
+    parent, which has no number at the atoms where it is false, is refused."""
     for i, name in enumerate(parents):
         problem = ("is empty" if not name else "is the target" if name == target.name
                    else "is not in the schema" if name not in schema
                    else f"does not have arity {target.arity}"
                    if schema.get(name).arity != target.arity
+                   else f"is {schema.get(name).kind}, not count or continuous"
+                   if schema.get(name).kind not in ("count", "continuous")
                    else "appears twice" if name in parents[:i] else None)
         if problem:
             raise ValueError(f"parent {name!r} {problem}")
@@ -234,7 +238,7 @@ def _function_names(target: PredicateSignature, parents: tuple) -> dict:
             for j, suffix in enumerate(["", *(f"*{p}" for p in parents)])}
 
 
-def _loglik(kind: str, values: list, scores: list, sigmas: list) -> float:
+def _loglik(kind: str, values: list, scores: list, sigmas: Optional[list]) -> float:
     if kind == "multiclass":
         return ordered_sum(multinomial_ll(y, row) for y, row in zip(values, zip(*scores)))
     if kind == "count":
@@ -278,14 +282,14 @@ def _boost(examples: ExampleSet, db: FactBase, modes: list, parents: tuple,
                               for y, row in zip(values, zip(*scores)))))
         if kind == "count":
             return [[poisson_gradient(y, psi) for y, psi in zip(values, scores[0])]]
-        return [[gaussian_gradients(y, mu, sigma)[0]
-                 for y, mu, sigma in zip(values, scores[0], sigmas())]]
+        return [[gaussian_gradients(y, mu, s)[0] for y, mu, s in zip(values, scores[0], sigma)]]
 
     def step(fitted, gradients, column, eta):
         fitted.append(boost_step(slots, list(enumerate(gradients)), modes, config.tree,
                                  column, cache, eta))
 
     scores, eta = [score(k) for k in range(n_classes)], _eta(config, kind)
+    sigma = sigmas() if kind == "continuous" else None    # rebuilt after each sigma step
     try:
         for m in range(config.iterations):
             for j, xs in enumerate(x_cols):
@@ -293,11 +297,12 @@ def _boost(examples: ExampleSet, db: FactBase, modes: list, parents: tuple,
                     step(trees[(k, j)], [r * x for r, x in zip(res, xs)], sums[(k, j)], eta)
                 scores = [score(k) for k in range(n_classes)]
             if kind == "continuous":
-                step(sigma_trees, [gaussian_gradients(y, mu, sigma)[1] for y, mu, sigma
-                                   in zip(values, scores[0], sigmas())],
+                step(sigma_trees, [gaussian_gradients(y, mu, s)[1] for y, mu, s
+                                   in zip(values, scores[0], sigma)],
                      sigma_sums, config.eta_sigma)
+                sigma = sigmas()
             if on_iteration is not None:
-                on_iteration(m + 1, _loglik(kind, values, scores, sigmas()))
+                on_iteration(m + 1, _loglik(kind, values, scores, sigma))
     except OverflowError:   # targets so large that squared residuals pass float range
         raise ValueError(f"target {target.name}: values too large for float arithmetic") from None
     return HybridModel(target, kind, trees, eta, config.sigma0, sigma_trees, parents)

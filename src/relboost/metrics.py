@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .util import ordered_sum
+from .util import ordered_array_sum, ordered_sum
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -142,19 +142,10 @@ def _curve(preds: PredictionSet) -> tuple:
     return preds.fpr, preds.tpr
 
 
-def _ordered_array_sum(terms: np.ndarray) -> float:
-    """`util.ordered_sum` of an array's terms.
-
-    A cumulative sum adds left to right; np.sum adds pairwise, which
-    changes the result bits.
-    """
-    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
-
-
 def auc_roc(preds: PredictionSet) -> float:
     """Conventional trapezoidal AUC over the tie-grouped ROC polyline."""
     x, y = _curve(preds)
-    return _ordered_array_sum((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0)
+    return ordered_array_sum((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0)
 
 
 def _area_right_of_curve(segments: tuple, lo: float, hi: float) -> float:
@@ -172,7 +163,7 @@ def _area_right_of_curve(segments: tuple, lo: float, hi: float) -> float:
     a, b, x0, y0, slope = a[keep], b[keep], x0[keep], y0[keep], slope[keep]
     xa = x0 + slope * (a - y0)
     xb = x0 + slope * (b - y0)
-    return _ordered_array_sum((b - a) * (1.0 - (xa + xb) / 2.0))
+    return ordered_array_sum((b - a) * (1.0 - (xa + xb) / 2.0))
 
 
 def weighted_auc_roc(preds: PredictionSet, cfg: Optional[WeightConfig] = None) -> float:

@@ -35,7 +35,20 @@ creates the cache, registers its (target, fact base) rows in it once
 before the boosting loop (`RoutingCache.register`, which checks them), and
 passes their slots to every `boost_step` of the run; fitting and routing
 then work on slot integers only, and the cache is dropped when the run
-ends.  `evaluate` routes a prediction the same way, walking every tree of
+ends.
+
+Besides its routings, each table keeps a state column: a `uint8` array
+over the cache's slots, grown as the cache registers more, that holds 0
+where the example is not grounded yet, 1 where the test fails and 2 where
+it holds.  A growing leaf keeps its rows as a gradient array and a slot
+array, so scoring a candidate test is one mask, ``state[slots] == 2``,
+after grounding the slots still at 0, and the two children's squared
+errors are array sums.  Those sums add left to right from 0.0
+(`util.ordered_array_sum`), as a Python loop over the rows does, so every
+split and leaf value is the one a per-row loop gives.  Fitting, the
+routing of `boost_step`'s rows and `_preroute` share that one scorer.
+
+`evaluate` routes one prediction by the same tables, walking every tree of
 a boosted function from the row's one slot; `eval` and `cv` share one
 cache per command and first route every row they score through every tree
 (`_preroute`), so that each table is grounded by one call per fact base
@@ -49,6 +62,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .logic import (
     Atom,
@@ -67,7 +82,7 @@ from .logic import (
     parse_literal_list,
     solutions,
 )
-from .util import ordered_sum
+from .util import ordered_array_sum
 
 
 @dataclass(frozen=True)
@@ -126,28 +141,24 @@ class TreeConfig:
 # ---------------------------------------------------------------------------
 
 
-def _sse(gradients: list) -> float:
-    """Sum of squared errors about the mean gradient.
+def _sse(gradients: np.ndarray) -> float:
+    """Sum of squared errors about the mean of a float64 gradient array.
 
-    Squares are products: float ``** 2`` goes through the C library's pow,
-    which may round differently.  A sum past float range is an
-    OverflowError, as ``** 2`` raises for a square past it, so trainers
-    can report targets too large for float arithmetic.
+    The mean and the squares are added left to right from 0.0, as a Python
+    loop over the gradients adds them.  Squares are products: float
+    ``** 2`` goes through the C library's pow, which may round differently.
+    A sum past float range is an OverflowError, as ``** 2`` raises for a
+    square past it, so trainers can report targets too large for float
+    arithmetic; numpy's overflow warnings on the way there are silenced.
     """
-    if not gradients:
+    if not len(gradients):
         return 0.0
-    mean = ordered_sum(gradients) / len(gradients)
-    total = 0.0     # as ordered_sum adds, with no generator in the split scorer
-    for g in gradients:
-        d = g - mean
-        total += d * d
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = gradients - ordered_array_sum(gradients) / len(gradients)
+        total = ordered_array_sum(d * d)
     if total == math.inf:
         raise OverflowError("sum of squared errors out of float range")
     return total
-
-
-def _mean(gradients: list) -> float:
-    return ordered_sum(gradients) / len(gradients) if gradients else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +264,31 @@ class RoutingTable:
     ``plan.grown`` is the layout below its yes branch.  `routings` maps an
     example's slot to its extended binding tuples where the test succeeds
     and to ``()`` where it fails: the bindings the example has at every
-    node below the yes branch.  The tables of the tests there hang off
-    this one, keyed by test text.
+    node below the yes branch.  `state` holds, at each slot, 0 until the
+    example is grounded, then 1 where the test fails and 2 where it
+    succeeds; `column` grows it to the cache's slot count.  A root table's
+    state is not kept: its empty test holds at every registered slot.  The
+    tables of the tests below the yes branch hang off this one, keyed by
+    test text.
     """
 
-    __slots__ = ("plan", "routings", "_below")
+    __slots__ = ("plan", "routings", "state", "_below")
 
     def __init__(self, plan: Plan):
         self.plan = plan
         self.routings: dict = {}
+        self.state = np.zeros(0, dtype=np.uint8)
         self._below: dict = {}
+
+    def column(self, n_slots: int) -> np.ndarray:
+        """`state`, first grown to cover `n_slots` slots; doubling keeps
+        slot-by-slot growth linear."""
+        state = self.state
+        if len(state) < n_slots:
+            state = np.zeros(max(n_slots, 2 * len(state)), dtype=np.uint8)
+            state[:len(self.state)] = self.state
+            self.state = state
+        return state
 
     def below(self, test: NodeTest) -> "RoutingTable":
         """The table of `test` under this table's yes branch."""
@@ -326,21 +352,22 @@ class RoutingCache:
 @dataclass
 class _GrowLeaf:
     created: int
-    rows: list                   # (gradient, slot) pairs
+    gradients: np.ndarray        # float64, one per row
+    slots: np.ndarray            # intp, the slot of each row
     node: RoutingTable           # the table of the leaf's yes-path
     path_texts: frozenset        # literal texts on the path
     sse: float = field(init=False)
     split: Optional[tuple] = None   # (test, yes leaf, no leaf) once grown
 
     def __post_init__(self):
-        self.sse = _sse([g for g, _ in self.rows])
+        self.sse = _sse(self.gradients)
 
 
 def _ground_missing(slots: list, table: RoutingTable, above: RoutingTable,
                    cache: RoutingCache):
     """Route the examples of `slots` by the test of `table`, a table below
-    `above`, from their bindings in `above`: one `solutions` call per fact
-    base grounds them all."""
+    `above`, from their bindings in `above`, into its routings and state:
+    one `solutions` call per fact base grounds them all."""
     by_db: dict = {}        # id(db) -> (db, slots on it)
     held = cache._held
     for slot in dict.fromkeys(slots):
@@ -351,27 +378,24 @@ def _ground_missing(slots: list, table: RoutingTable, above: RoutingTable,
         else:
             group[1].append(slot)
     bindings, routings = above.routings, table.routings
+    state = table.column(len(held))
     for db, group in by_db.values():
         for slot, ext in zip(group, solutions(table.plan, [bindings[s] for s in group], db)):
             routings[slot] = ext or ()
+            state[slot] = 2 if ext else 1
 
 
-def _score_candidate(rows: list, table: RoutingTable, above: RoutingTable,
-                     cache: RoutingCache) -> tuple:
-    """Split (item, slot) rows by the test of `table`, a table below
-    `above`, into the rows where it succeeds and those where it fails.
-    Only the rows missing from `table` are grounded."""
-    routings = table.routings
-    missing = [slot for _, slot in rows if slot not in routings]
-    if missing:
-        _ground_missing(missing, table, above, cache)
-    yes, no = [], []
-    for row in rows:
-        if routings[row[1]]:
-            yes.append(row)
-        else:
-            no.append(row)
-    return yes, no
+def _score_candidate(slots: np.ndarray, table: RoutingTable, above: RoutingTable,
+                     cache: RoutingCache) -> np.ndarray:
+    """The mask of the `slots` where the test of `table`, a table below
+    `above`, succeeds.  Only the slots that `table` has not grounded are
+    grounded."""
+    state = table.column(len(cache._held))
+    at = state[slots]
+    if not at.all():
+        _ground_missing(slots[at == 0].tolist(), table, above, cache)
+        at = state[slots]
+    return at == 2
 
 
 def fit_tree(rows: list, gradients: list, modes: list,
@@ -395,18 +419,18 @@ def fit_tree(rows: list, gradients: list, modes: list,
     config = config or TreeConfig()
     if not isinstance(rows[0], int):
         cache = cache if cache is not None else RoutingCache()
-        slots = cache.register(rows)
+        rows = cache.register(rows)
     elif cache is None or min(rows) < 0 or max(rows) >= len(cache._held):
         raise ValueError("slots must be registered in the given cache")
-    else:
-        slots = rows
-    if not all(map(math.isfinite, gradients)):
+    slots = np.asarray(rows, dtype=np.intp)
+    gradients = np.asarray(gradients, dtype=np.float64)
+    if not np.isfinite(gradients).all():
         raise ValueError("gradient must be finite")
     held = cache._held
     target = held[slots[0]][0].pred
-    dbs = list(dict.fromkeys([held[s][1] for s in slots]))    # distinct, first seen first
+    dbs = list(dict.fromkeys([held[s][1] for s in rows]))    # distinct, first seen first
 
-    root_leaf = _GrowLeaf(0, list(zip(gradients, slots)), cache.root(target.arity), frozenset())
+    root_leaf = _GrowLeaf(0, gradients, slots, cache.root(target.arity), frozenset())
     beam = [root_leaf]
     grown = [root_leaf]     # every leaf, each after its parent
     n_leaves = 1
@@ -420,23 +444,25 @@ def fit_tree(rows: list, gradients: list, modes: list,
         candidates = enumerate_tests(list(leaf.node.plan.grown), modes, dbs, config,
                                      leaf.path_texts)
         best = None
+        gradients, slots, n = leaf.gradients, leaf.slots, len(leaf.slots)
         for test in candidates:
             table = leaf.node.below(test)
-            yes, no = _score_candidate(leaf.rows, table, leaf.node, cache)
-            if not yes or not no:
+            hits = _score_candidate(slots, table, leaf.node, cache)
+            if not 0 < np.count_nonzero(hits) < n:
                 continue
-            score = _sse([g for g, _ in yes]) + _sse([g for g, _ in no])
+            score = _sse(gradients[hits]) + _sse(gradients[~hits])
             if score >= leaf.sse - 1e-12:
                 continue
             key = (score, test.text())
             if best is None or key < best[0]:
-                best = (key, test, table, yes, no)
+                best = (key, test, table, hits)
         if best is None:
             continue
-        _, test, table, yes_rows, no_rows = best
+        _, test, table, hits = best
         new_texts = leaf.path_texts | {str(l) for l in test.literals}
-        yes_leaf = _GrowLeaf(2 * n_leaves - 1, yes_rows, table, new_texts)
-        no_leaf = _GrowLeaf(2 * n_leaves, no_rows, leaf.node, leaf.path_texts)
+        yes_leaf = _GrowLeaf(2 * n_leaves - 1, gradients[hits], slots[hits], table, new_texts)
+        no_leaf = _GrowLeaf(2 * n_leaves, gradients[~hits], slots[~hits], leaf.node,
+                            leaf.path_texts)
         n_leaves += 1
         leaf.split = (test, yes_leaf, no_leaf)
         beam.extend([yes_leaf, no_leaf])
@@ -445,7 +471,8 @@ def fit_tree(rows: list, gradients: list, modes: list,
     nodes: dict = {}        # created -> the leaf's node in the fitted tree
     for leaf in reversed(grown):    # children before their parents
         if leaf.split is None:
-            nodes[leaf.created] = Leaf(_mean([g for g, _ in leaf.rows]))
+            # the rows' _sse was finite, so their sum is too
+            nodes[leaf.created] = Leaf(ordered_array_sum(leaf.gradients) / len(leaf.gradients))
         else:
             test, yes_leaf, no_leaf = leaf.split
             nodes[leaf.created] = Inner(test, nodes[yes_leaf.created], nodes[no_leaf.created])
@@ -512,29 +539,30 @@ def boost_step(slots: list, fit: list, modes: list, tree_config: TreeConfig,
     for node in _preorder(tree.root):
         if isinstance(node, Leaf):
             node.value *= eta
-    for leaf, group in _route(tree, list(enumerate(slots)), cache):
-        for i, _ in group:
-            psis[i] += leaf.value
+    for leaf, group in _route(tree, np.asarray(slots, dtype=np.intp), cache):
+        value = leaf.value
+        for i in group.tolist():
+            psis[i] += value
     return tree
 
 
-def _route(tree: RegressionTree, rows: list, cache: RoutingCache) -> list:
-    """(leaf, rows routed to it) pairs of `tree` for the (item, slot) pairs
-    `rows`, level by level: each node's test grounds the rows that reach
-    it and are missing from its table in one `solutions` call per fact
-    base.  Leaves that no row reaches are left out."""
+def _route(tree: RegressionTree, slots: np.ndarray, cache: RoutingCache) -> list:
+    """(leaf, positions of the `slots` routed to it) pairs of `tree`, level
+    by level: each node's test grounds the slots that reach it and are
+    missing from its table in one `solutions` call per fact base.  Leaves
+    that no slot reaches are left out."""
     out = []
-    stack = [(tree.root, cache.root(tree.target.arity), rows)]
+    stack = [(tree.root, cache.root(tree.target.arity), np.arange(len(slots)))]
     while stack:
         node, at, group = stack.pop()
-        if not group:
+        if not len(group):
             continue
         if isinstance(node, Leaf):
             out.append((node, group))
             continue
         table = at.below(node.test)
-        yes, no = _score_candidate(group, table, at, cache)
-        stack.extend(((node.yes, table, yes), (node.no, at, no)))
+        hits = _score_candidate(slots[group], table, at, cache)
+        stack.extend(((node.yes, table, group[hits]), (node.no, at, group[~hits])))
     return out
 
 
@@ -544,10 +572,10 @@ def _preroute(trees: list, rows: list, cache: RoutingCache):
     trees reads only cached routings and grounds nothing.  Rows that share
     a slot, such as rctbn segments with one target and context, are routed
     once."""
-    slots = dict.fromkeys(cache.slot(atom, db) for atom, db in rows)
-    slotted = [(None, slot) for slot in slots]
+    slots = np.fromiter(dict.fromkeys(cache.slot(atom, db) for atom, db in rows),
+                        dtype=np.intp)
     for tree in trees:
-        _route(tree, slotted, cache)
+        _route(tree, slots, cache)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 
 def _clamped_exp(x: float) -> float:
     """e^x with x clamped to +-40, so rates and intensities stay finite."""
@@ -22,6 +24,16 @@ def ordered_sum(terms) -> float:
     for term in terms:
         total += term
     return total
+
+
+def ordered_array_sum(terms: np.ndarray) -> float:
+    """`ordered_sum` of an array's terms.
+
+    A cumulative sum adds left to right; np.sum adds pairwise, which
+    changes the result bits.  The leading 0.0 makes an all -0.0 array sum
+    to 0.0, as `ordered_sum` does.
+    """
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def atomic_write(path: str, text: str):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
+import math
 import random
 
 import pytest
@@ -15,6 +17,30 @@ from relboost.logic import (
     parse_modes,
     parse_schema,
 )
+
+
+_builtin_sum = builtins.sum
+
+
+def compensated_sum(iterable, start=0):
+    """`sum` as Python 3.12 and later compute it: a float total carries a
+    Neumaier compensation term, added in at the end when it is finite and
+    non-zero.  Totals without floats are summed as before.  Tests swap it
+    in for `builtins.sum` so that a float total which depends on how `sum`
+    adds fails on every Python version."""
+    items = list(iterable)
+    if not (type(start) in (int, float) and all(type(x) in (int, float) for x in items)
+            and any(type(x) is float for x in items)):
+        return _builtin_sum(items, start)
+    total, compensation = float(start), 0.0
+    for x in map(float, items):
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
 
 
 FAMILY_SCHEMA_TEXT = """

@@ -5,10 +5,13 @@ with.
 Each race step looks up every stream's summed CIM in one cache keyed by the
 stream and the states of the streams its clause bodies read, and a miss
 tests each clause body with `satisfies` on a fresh context.  The CIMs of a
-head are added with the built-in `sum`.
+head are added rate by rate, left to right from 0.0, as the built-in `sum`
+added them through Python 3.11.
 """
 
+import operator
 import random
+from functools import reduce
 
 from relboost.logic import FactBase, Variable, satisfies
 from relboost.rctbn import (
@@ -26,7 +29,8 @@ from relboost.rctbn import (
 
 def add_cims(cims: list) -> CIM:
     r = cims[0].states
-    return CIM([[sum(c.rates[i][j] for c in cims) for j in range(r)] for i in range(r)])
+    return CIM([[reduce(operator.add, (c.rates[i][j] for c in cims), 0.0) for j in range(r)]
+                for i in range(r)])
 
 
 def _active_rates(spec, static: FactBase, states: dict, stream: tuple, deps: list,

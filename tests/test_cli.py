@@ -337,6 +337,19 @@ class TestEvalAndMetrics:
                      "--schema", _write(tmp_path / "schema.txt", schema_text)]) == 2
         assert "data error: line 1: unknown header field 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parent,kind", [("sick", "boolean"), ("grade", "multiclass")])
+    def test_a_non_numeric_mixed_model_parent_is_a_line_1_data_error(self, tmp_path, capsys,
+                                                                     parent, kind):
+        # a boolean or class parent has no value where its fact is absent
+        model = _write(tmp_path / "model.txt",
+                       f"model hybrid target=visits/1 kind=poisson eta=0.5 parents={parent}\n"
+                       f"function rate\ntree 0\nleaf 0 value=0.5\n"
+                       f"function rate*{parent}\ntree 0\nleaf 0 value=0.5\n")
+        schema = _write(tmp_path / "schema.txt", HYBRID_SCHEMA_TEXT)
+        assert main(["eval", "--model", model, "--schema", schema]) == 2
+        assert (f"data error: line 1: parent {parent!r} is {kind}, not count or continuous"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_metrics_rejects_non_finite_score_with_its_line(self, tmp_path, capsys, value):
         path = _write(tmp_path / "preds.csv", f"score,label\n0.5,0\n{value},1\n0.2,1\n")

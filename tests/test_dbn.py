@@ -1,5 +1,6 @@
 """Two-slice structure scoring and search tests with brute-force oracles."""
 
+import builtins
 import itertools
 import math
 import random
@@ -34,6 +35,7 @@ from relboost.dbn import (
     serialize_network,
 )
 from relboost.logic import ParseError
+from tests.conftest import compensated_sum
 from tests.reader_reference import _parse_rows
 
 
@@ -816,7 +818,9 @@ def _reference_hill_climb(data, kind, max_parents=3, on_step=None):
         return cache[key]
 
     parents = [()] * data.n_vars
-    score = sum(fam(i, parents[i]) for i in range(data.n_vars))
+    score = 0.0     # family scores add left to right from 0.0
+    for i in range(data.n_vars):
+        score += fam(i, parents[i])
     step = 0
     while True:
         best = None
@@ -907,3 +911,8 @@ class TestClimbMatchesReference:
         assert routes["popcount"] and routes["bincount"]
         assert whole_words == {True, False}
         assert moves == {"add-inter", "del-inter", "add-intra", "del-intra", "rev-intra"}
+
+    def test_networks_and_steps_equal_the_reference_climb_under_a_compensated_sum(
+            self, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        self.test_networks_and_steps_equal_the_reference_climb(monkeypatch)

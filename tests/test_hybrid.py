@@ -366,6 +366,8 @@ _BAD_PARENTS = [
     ("dose,height", "parent 'height' is not in the schema"),
     ("knows", "parent 'knows' does not have arity 1"),
     ("dose,age,dose", "parent 'dose' appears twice"),
+    ("sick", "parent 'sick' is boolean, not count or continuous"),
+    ("dose,grade", "parent 'grade' is multiclass, not count or continuous"),
 ]
 
 

@@ -39,7 +39,6 @@ computed shows up as a different report digest.
 
 import builtins
 import hashlib
-import math
 import random
 from pathlib import Path
 
@@ -63,6 +62,7 @@ from tests.conftest import (
     LINKED_SCHEMA_TEXT,
     build_hybrid_domain,
     build_linked_domain,
+    compensated_sum,
 )
 
 
@@ -98,7 +98,7 @@ def float_sum(request, monkeypatch):
     for the compensated float sum of Python 3.12 and later, so that a pin
     that holds both ways does not depend on how `sum` adds floats."""
     if request.param == "compensated-sum":
-        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -460,43 +460,21 @@ def test_demo_sample_bytes(tmp_path):
     assert (_digest(traj.read_text()), _digest(facts.read_text())) == DEMO_SAMPLE_DIGESTS
 
 
-_builtin_sum = builtins.sum
-
-
-def _compensated_sum(iterable, start=0):
-    """`sum` as Python 3.12 and later compute it: a float total carries a
-    Neumaier compensation term, added in at the end when it is finite and
-    non-zero.  Totals without floats are summed as before."""
-    items = list(iterable)
-    if not (type(start) in (int, float) and all(type(x) in (int, float) for x in items)
-            and any(type(x) is float for x in items)):
-        return _builtin_sum(items, start)
-    total, compensation = float(start), 0.0
-    for x in map(float, items):
-        t = total + x
-        if abs(total) >= abs(x):
-            compensation += (total - t) + x
-        else:
-            compensation += (x - t) + total
-        total = t
-    return total + compensation if compensation and math.isfinite(compensation) else total
-
-
 def test_compensated_sum_differs_from_a_left_to_right_sum():
-    assert _compensated_sum([0.1] * 10) == 1.0 != _builtin_sum([0.1] * 10)
-    assert _compensated_sum([1, 2, 3]) == 6 and _compensated_sum([], 0.5) == 0.5
+    assert compensated_sum([0.1] * 10) == 1.0 != builtins.sum([0.1] * 10)
+    assert compensated_sum([1, 2, 3]) == 6 and compensated_sum([], 0.5) == 0.5
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(SAMPLE_SPECS))
 def test_forward_sample_bytes_under_a_compensated_sum(monkeypatch, name, seed):
     """The sampler's bytes do not depend on how `sum` adds floats."""
-    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
     test_forward_sample_bytes(name, seed)
 
 
 def test_demo_sample_bytes_under_a_compensated_sum(monkeypatch, tmp_path):
-    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
     test_demo_sample_bytes(tmp_path)
 
 
@@ -524,7 +502,7 @@ def test_eval_report_bytes_under_a_compensated_sum(rfgb_domain, hybrid_domain, r
         model = rctbn.serialize_rctbn(fitted)
         schema, digest = RCTBN_SCHEMA_TEXT, RCTBN_EVAL_DIGEST
         inputs = [("--traj", "traj.txt", rctbn.serialize_trajectories(trajs))]
-    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
     assert _digest(_eval_report(tmp_path, schema, db, model, *inputs)) == digest
 
 
@@ -592,8 +570,8 @@ def test_dbn_totals_add_family_scores_left_to_right(monkeypatch):
         return base[i] + (0.5 if (i, parents) == (1, (("t", 1),)) else -1.0 if parents else 0.0)
 
     monkeypatch.setattr(dbn, "family_score", family_score)
-    monkeypatch.setattr(builtins, "sum", _compensated_sum)
-    assert _compensated_sum(base) == 1.0
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert compensated_sum(base) == 1.0
     empty = dbn.TwoSliceNetwork(data.names, data.arities, set(), set())
     assert dbn.score_network(empty, data, dbn.BIC()) == 0.0
     steps = []

@@ -1,8 +1,11 @@
 """Continuous-time model tests: segmentation, gradients, sampling,
 amalgamation, and intensity recovery."""
 
+import builtins
 import math
+import operator
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -54,6 +57,7 @@ from relboost.rctbn import (
 from relboost.regtree import TreeConfig, evaluate
 
 from tests import sampler_reference
+from tests.conftest import compensated_sum
 from tests.formula_reference import (
     exp_cdf,
     exp_pdf,
@@ -619,6 +623,12 @@ class TestSamplerAgainstReference:
         assert any(line.startswith("t=") and not line.startswith("t=0.0 ")
                    for line in want.splitlines())     # some stream transitions
 
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_random_specs_sample_the_same_bytes_under_a_compensated_sum(
+            self, diff_schema, seed, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        self.test_random_specs_sample_the_same_bytes(diff_schema, seed)
+
     def test_absorbing_spec_samples_no_transitions(self, diff_schema):
         spec = _spec(diff_schema, """
 var stage init=[0.0, 1.0, 0.0]
@@ -794,12 +804,19 @@ horizon=9.0
         model = train_rctbn(trajs, None, schema, tr, modes, RctbnConfig(iterations=4),
                             on_iteration=lambda m, ll: lls.append(ll))
         assert any(tree.leaf_count() > 1 for tree in model.trees)
-        # training sums the positive segments first, as train_rctbn keeps them
+        # training sums the positive segments first, as train_rctbn keeps
+        # them, left to right from 0.0
         ordered = [s for s in segs if s.positive] + [s for s in segs if not s.positive]
         for m, ll in enumerate(lls, start=1):
             head = RctbnModel(tr, model.target, model.phi0, model.trees[:m])
-            assert ll == sum(segment_loglik(s.positive, head.phi(s), s.residence_time)
-                             for s in ordered)
+            assert ll == reduce(operator.add, (segment_loglik(s.positive, head.phi(s),
+                                                              s.residence_time)
+                                               for s in ordered), 0.0)
+
+    def test_segments_sharing_target_and_context_are_routed_alike_under_a_compensated_sum(
+            self, schema, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        self.test_segments_sharing_target_and_context_are_routed_alike(schema)
 
     def test_no_positive_segments_rejected(self, schema):
         text = """

@@ -1,8 +1,13 @@
 """Relational regression-tree learner tests, with brute-force oracles."""
 
+import builtins
 import gc
+import math
+import operator
 import random
+from functools import reduce
 
+import numpy as np
 import pytest
 
 from relboost.logic import (
@@ -35,7 +40,7 @@ from relboost.regtree import (
 )
 from relboost import boost, hybrid, rctbn
 from tests import grounding_reference as reference
-from tests.conftest import build_hybrid_domain, build_linked_domain
+from tests.conftest import build_hybrid_domain, build_linked_domain, compensated_sum
 
 
 def score_split(rows: list, gradients: list, test: NodeTest) -> float:
@@ -47,10 +52,11 @@ def score_split(rows: list, gradients: list, test: NodeTest) -> float:
     SSE.  Routing is the fit's own (`_score_candidate`).
     """
     cache = RoutingCache()
-    root = [(g, cache.slot(atom, db)) for (atom, db), g in zip(rows, gradients)]
+    slots = np.array([cache.slot(atom, db) for atom, db in rows], dtype=np.intp)
     above = cache.root(rows[0][0].pred.arity)
-    yes, no = _score_candidate(root, above.below(test), above, cache)
-    return _sse([g for g, _ in yes]) + _sse([g for g, _ in no])
+    hits = _score_candidate(slots, above.below(test), above, cache)
+    gradients = np.array(gradients, dtype=np.float64)
+    return _sse(gradients[hits]) + _sse(gradients[~hits])
 
 
 def _atoms(target, names):
@@ -232,17 +238,22 @@ class TestScoreSplit:
         # float ** calls the C library's pow, which can round a square
         # differently from x * x (in about 1 of 1,300 random floats with
         # glibc 2.36); _sse must add correctly rounded products left to
-        # right, as Python's float sum does through 3.11.  Short lists keep
-        # a one-ulp difference in one square from being rounded away.
+        # right from 0.0, as Python's float sum does through 3.11 (but not
+        # from 3.12, which compensates).  Short lists keep a one-ulp
+        # difference in one square from being rounded away.
         rng = random.Random(26)
         for _ in range(20000):
             gradients = [rng.gauss(0, 1) * 10 ** rng.uniform(-3, 3)
                          for _ in range(rng.randint(1, 4))]
-            mean = sum(gradients) / len(gradients)
+            mean = reduce(operator.add, gradients, 0.0) / len(gradients)
             total = 0.0
             for g in gradients:
                 total += (g - mean) * (g - mean)
-            assert _sse(gradients) == total
+            assert _sse(np.array(gradients)) == total
+
+    def test_sse_squares_by_multiplication_under_a_compensated_sum(self, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        self.test_sse_squares_by_multiplication()
 
     def test_uniform_gradients_no_improvement(self, tiny_domain):
         schema, db, modes = tiny_domain
@@ -282,6 +293,152 @@ class TestScoreSplit:
                 return sum((g - mean) ** 2 for g in group)
 
             assert got == pytest.approx(sse(yes) + sse(no), rel=1e-12)
+
+
+def _loop_sse(gradients: list) -> float:
+    """`_sse` as a Python loop over a list: the mean and the squared
+    deviations added left to right from 0.0, an infinite total an
+    OverflowError."""
+    if not gradients:
+        return 0.0
+    total = 0.0
+    for g in gradients:
+        total += g
+    mean = total / len(gradients)
+    total = 0.0
+    for g in gradients:
+        d = g - mean
+        total += d * d
+    if total == math.inf:
+        raise OverflowError("sum of squared errors out of float range")
+    return total
+
+
+def _two_database_rows(linked_domain) -> list:
+    """(target, fact base) rows over the linked domain's fact base and a
+    second one on the same entities, with friends of their own, where some
+    rows repeat: rows that share a slot, as rctbn segments with one target
+    and context do."""
+    schema, db, _, examples = linked_domain
+    rng = random.Random(41)
+    atoms = [a for a, _ in examples.entries]
+    lines = []
+    for a in atoms:
+        for friend in rng.sample(range(len(atoms)), rng.randint(1, 2)):
+            lines.append(f"knows({a.args[0].symbol},g{friend:04d}).")
+            if rng.random() < 0.3:
+                lines.append(f"flag(g{friend:04d}).")
+        if rng.random() < 0.5:
+            lines.append(f"shade({a.args[0].symbol}).")
+    other = parse_facts("\n".join(lines), schema)
+    rows = [(a, db) for a in atoms] + [(a, other) for a in atoms]
+    return rows + rng.sample(rows, 30)
+
+
+class TestArrayScorer:
+    """`_score_candidate` and `_sse` against a per-row Python loop: the
+    mask over a leaf's slot array, the state column it reads and the
+    children's squared errors."""
+
+    @staticmethod
+    def _check(rows: list, gradients: list, modes: list):
+        config = TreeConfig()
+        cache = RoutingCache()
+        slots = np.array(cache.register(rows), dtype=np.intp)
+        column = np.array(gradients, dtype=np.float64)
+        dbs = list(dict.fromkeys(db for _, db in rows))
+        root = cache.root(1)
+        checked = 0
+
+        def check(at, table, body, positions):
+            """The partition of the rows at `positions` by the path clause
+            `body`, through the array scorer and through a loop."""
+            hits = _score_candidate(slots[positions], table, at, cache)
+            holds = [next(reference.solutions(body, reference.seed(rows[i][0]), rows[i][1]),
+                          None) is not None for i in positions]
+            yes = [i for i, h in zip(positions, holds) if h]
+            no = [i for i, h in zip(positions, holds) if not h]
+            assert hits.dtype == bool and hits.tolist() == holds
+            assert slots[positions][hits].tolist() == [slots[i] for i in yes]
+            assert slots[positions][~hits].tolist() == [slots[i] for i in no]
+            got = (_sse(column[positions][hits]), _sse(column[positions][~hits]))
+            assert got == (_loop_sse([gradients[i] for i in yes]),
+                           _loop_sse([gradients[i] for i in no]))
+            nonlocal checked
+            checked += 1
+            return yes, no
+
+        everyone = list(range(len(rows)))
+        tables = []
+        for test in enumerate_tests([Variable("V0")], modes, dbs, config, frozenset()):
+            table = root.below(test)
+            tables.append(table)
+            yes, no = check(root, table, test.literals, everyone)
+            texts = frozenset(str(l) for l in test.literals)
+            for below in enumerate_tests(list(table.plan.grown), modes, dbs, config, texts):
+                tables.append(table.below(below))
+                check(table, tables[-1], test.literals + below.literals, yes)
+            for other in enumerate_tests([Variable("V0")], modes, dbs, config, frozenset()):
+                check(root, root.below(other), other.literals, no)     # read, not grounded
+        # each table's state column agrees with its routings, slot by slot
+        for table in tables:
+            state = table.state[:len(cache._held)].tolist()
+            assert state == [0 if s not in table.routings else 2 if table.routings[s] else 1
+                             for s in range(len(cache._held))]
+        return checked
+
+    def test_root_and_depth_2_candidates_match_a_row_loop(self, linked_domain):
+        schema, db, modes, examples = linked_domain
+        rng = random.Random(37)
+        rows = [(a, db) for a, _ in examples.entries]
+        assert self._check(rows, [rng.gauss(0, 1) * 10 ** rng.uniform(-3, 3) for _ in rows],
+                           modes) > 50
+
+    def test_rows_sharing_slots_on_two_fact_bases_match_a_row_loop(self, linked_domain):
+        rows = _two_database_rows(linked_domain)
+        rng = random.Random(43)
+        assert self._check(rows, [rng.gauss(0, 1) for _ in rows], linked_domain[2]) > 50
+
+    def test_all_negative_zero_gradients_give_positive_zero(self, linked_domain):
+        schema, db, modes, examples = linked_domain
+        rows = [(a, db) for a, _ in examples.entries]
+        zeros = np.full(len(rows), -0.0)
+        assert _loop_sse(zeros.tolist()) == _sse(zeros) == 0.0
+        assert math.copysign(1.0, _sse(zeros)) == 1.0
+        assert serialize_tree(fit_tree(rows, zeros.tolist(), modes)) == "leaf 0 value=0.0\n"
+        # a child of all -0.0 gradients is a leaf of value 0.0 too
+        grads = [1.0 if label else -0.0 for _, label in examples.entries]
+        text = serialize_tree(fit_tree(rows, grads, modes))
+        assert text.startswith("node 0") and "value=0.0\n" in text and "value=-0.0" not in text
+        self._check(rows, grads, modes)
+
+    def test_an_overflowing_set_is_an_overflow_error(self, linked_domain):
+        schema, db, modes, examples = linked_domain
+        for gradients in ([1e200, -1e200, 3e200], [1e308, 1e308], [1.7e308, -1.7e308]):
+            with pytest.raises(OverflowError):
+                _loop_sse(gradients)
+            with pytest.raises(OverflowError):     # and no numpy overflow warning
+                _sse(np.array(gradients))
+        rows = [(a, db) for a, _ in examples.entries]
+        with pytest.raises(OverflowError):
+            fit_tree(rows, [1e200 * (-1) ** i for i in range(len(rows))], modes)
+
+    def test_the_state_column_grows_with_the_cache(self, linked_domain):
+        schema, db, modes, examples = linked_domain
+        atoms = [a for a, _ in examples.entries]
+        cache = RoutingCache()
+        rng = random.Random(47)
+        tree = fit_tree([(a, db) for a in atoms[:10]], [rng.uniform(-1, 1) for _ in range(10)],
+                        modes, TreeConfig(), cache)
+        assert isinstance(tree.root, Inner)
+        table = cache.root(1).below(tree.root.test)
+        before = table.state[:10].tolist()
+        assert 0 not in before and len(table.state) == 10
+        values = [evaluate([tree], a, db, cache) for a in atoms]   # registers 26 more slots
+        assert len(table.state) >= len(atoms) and table.state[:10].tolist() == before
+        assert table.state[:len(atoms)].tolist() == [2 if table.routings[s] else 1
+                                                     for s in range(len(atoms))]
+        assert values == [evaluate([tree], a, db) for a in atoms]
 
 
 def _cap_domain(decls, mode_lines):
@@ -596,12 +753,12 @@ class TestRoutingCache:
         fresh = [score_split(pairs, grads, test) for test in candidates]
         calls = _count_groundings(monkeypatch)
         # the fit routed every example by every root candidate: all are hits
-        rows = [(g, cache.slot(a, db)) for (a, _), g in zip(pairs, grads)]
+        slots = np.array([cache.slot(a, db) for a, _ in pairs], dtype=np.intp)
+        gradients = np.array(grads)
         root = cache.root(1)
         for test, expected in zip(candidates, fresh):
-            yes, no = _score_candidate(rows, root.below(test), root, cache)
-            assert (_sse([g for g, _ in yes])
-                    + _sse([g for g, _ in no])) == expected
+            hits = _score_candidate(slots, root.below(test), root, cache)
+            assert _sse(gradients[hits]) + _sse(gradients[~hits]) == expected
         assert calls == []
 
     def test_one_test_text_under_different_yes_paths(self):
