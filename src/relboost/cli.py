@@ -270,6 +270,10 @@ def _emit(text: str, path):
 def _rfgb_setup(opts: dict) -> tuple:
     """(facts, modes, labelled examples, gradient, BoostConfig) of rfgb train or cv."""
     _require(opts, "kind", "schema", "facts", "modes", "target")
+    for name in ("alpha", "beta"):     # the hard gradient has no soft-margin costs
+        if opts["kind"] == "rfgb" and opts[name] != 0.0:
+            raise ConfigError(f"--{name}={opts[name]} needs --kind soft-rfgb; "
+                              "--kind rfgb takes no soft-margin cost")
     schema, facts, modes = _load_bundle(opts)
     examples = _labelled_examples(opts, _target_sig(schema, opts["target"]))
     gradient = boost.Hard() if opts["kind"] == "rfgb" \

@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .logic import Atom, Constant, ExampleSet, FactBase, ParseError, PredicateSignature, Schema
+from .logic import Atom, ExampleSet, FactBase, ParseError, PredicateSignature, Schema
 from .regtree import (
     RoutingCache,
     TreeConfig,
@@ -385,7 +385,7 @@ def aggregate_trajectories(trajectories: list, schema: Schema, target: str,
         streams: dict = {}
         for ev in traj.events:
             streams.setdefault(ev.stream(), []).append(ev)
-        target_key = (target, (Constant(traj.entity),))
+        target_key = (target, (traj.entity,))
         hits = [e.time for e in streams.get(target_key, []) if e.value is True]
         cutoff = hits[0] if hits else traj.horizon
         entries.append((Atom(out_target, target_key[1]), len(hits)))

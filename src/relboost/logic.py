@@ -1,11 +1,13 @@
 """First-order representation, dataset parsing, and the grounding engine.
 
 Predicates are declared in a :class:`Schema`; ground facts live in an
-indexed :class:`FactBase` as columns of symbol tuples.  Clause bodies
-are grounded against it by a small deterministic engine with
+indexed :class:`FactBase` as columns of argument tuples.  A constant is
+its symbol, a `str`, so an atom's arguments, a fact base's columns and
+a grounding's bindings are the same tuples.  Clause bodies are grounded
+against a fact base by a small deterministic engine with
 negation-as-failure: `compile_body` turns a body into a :class:`Plan`
-over a layout of bound variables, and `solutions` extends the symbol
-binding tuples of many rows by it in one call.
+over a layout of bound variables, and `solutions` extends the binding
+tuples of many rows by it in one call.
 
 Textual formats are UTF-8 and line oriented.  A ``%`` starts a comment and
 whitespace outside identifiers is insignificant::
@@ -53,14 +55,8 @@ _VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 _CONSTANT_RE = re.compile(_CONSTANT + r"\Z")
 
 
-@dataclass(frozen=True, slots=True)
-class Constant:
-    """A constant symbol; equality is symbol equality."""
-
-    symbol: str
-
-    def __str__(self) -> str:
-        return self.symbol
+# a constant term is its symbol: `isinstance(term, Constant)` tells it from a Variable
+Constant = str
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +83,7 @@ def parse_term(token: str, line: Optional[int] = None) -> Term:
     if _VARIABLE_RE.match(token):
         return Variable(token)
     if _CONSTANT_RE.match(token):
-        return Constant(token)
+        return token
     raise ParseError(f"bad term {token!r}", line)
 
 
@@ -260,14 +256,13 @@ class FactBase:
     """Indexed set of ground facts, kept per predicate as columns.
 
     A predicate's facts are two parallel lists in canonical order, the
-    order of the symbol tuples: tuples of argument symbols (`Constant`
-    symbols) and their payloads.  `lookup` bisects the tuples; a posting
-    per (predicate, position) maps each symbol to the ordinals of the facts
-    carrying it there, so queries return exactly what a linear scan would.
-    At most one fact per (predicate, argument tuple); re-adding with a
-    different payload is an error.  The facts are fixed at construction
-    and queries only read them.  `Atom`s and `Constant`s are made only at
-    the edges: `facts()`, `observed_constants` and `lookup`'s arguments.
+    order of the argument tuples: the facts' `args` and their payloads.
+    `lookup` bisects the tuples; a posting per (predicate, position) maps
+    each constant to the ordinals of the facts carrying it there, so
+    queries return exactly what a linear scan would.  At most one fact per
+    (predicate, argument tuple); re-adding with a different payload is an
+    error.  The facts are fixed at construction and queries only read
+    them.  `facts()` rebuilds `Atom`s around the stored tuples.
 
     With `base`, the result holds `base`'s facts plus `facts`.  Only the
     predicates that `facts` touch are re-sorted and re-indexed; the others
@@ -310,9 +305,9 @@ class FactBase:
             if not fact.is_ground():
                 raise ParseError(f"fact {fact} is not ground")
             _check_payload(fact.pred, fact.value)
-            symbols = tuple([a.symbol for a in fact.args])
+            symbols = tuple(fact.args)
             staged = added.setdefault(name, {})
-            known = staged[symbols] if symbols in staged else self.lookup(name, fact.args)
+            known = staged[symbols] if symbols in staged else self.lookup(name, symbols)
             if known is None:
                 staged[symbols] = fact.value
             elif known != fact.value:
@@ -328,20 +323,18 @@ class FactBase:
         for name in sorted(self._columns):
             pred = self.schema.get(name)
             symbols, payloads = self._columns[name]
-            out.extend(Atom(pred, tuple(map(Constant, t)), value)
-                       for t, value in zip(symbols, payloads))
+            out.extend(Atom(pred, t, value) for t, value in zip(symbols, payloads))
         return out
 
     def lookup(self, name: str, args: tuple):
         """Payload of the fact with these ground args, or None if absent."""
         symbols, payloads = self._columns.get(name, ((), ()))
-        i = bisect.bisect_left(symbols, key := tuple([a.symbol for a in args]))
+        i = bisect.bisect_left(symbols, key := tuple(args))
         return payloads[i] if i < len(symbols) and symbols[i] == key else None
 
     def observed_constants(self, name: str, pos: int) -> list:
         """Distinct constants seen at one argument position, sorted."""
-        posting = self._index.get((name, pos), {})
-        return [Constant(sym) for sym in sorted(posting)]
+        return sorted(self._index.get((name, pos), {}))
 
     def observed_values(self, name: str) -> list:
         """Distinct numeric payloads of a predicate's facts, sorted."""
@@ -369,7 +362,7 @@ class _Step:
     """One literal of a plan, by argument position.
 
     `bound` pairs each argument bound by the tuple with its slot, `consts`
-    each constant argument with its symbol; `fresh` lists the positions of
+    each constant argument with its position; `fresh` lists the positions of
     the literal's new variables in first-appearance order, and `repeats`
     pairs each later occurrence of a new variable with its first position.
     A tuple probes the shortest posting of its bound and constant
@@ -391,11 +384,11 @@ class _Step:
 class Plan:
     """A clause body compiled against a layout of bound variables.
 
-    A binding is a tuple of symbols (`Constant.symbol` strings), one per
-    variable of the layout, in order.  Grounding the body extends it to a
-    tuple over `grown`: the layout followed by the body's new variables in
-    first-appearance order.  The plan depends on no fact base, so it is
-    compiled once and grounded on any.
+    A binding is a tuple of constants, one per variable of the layout, in
+    order.  Grounding the body extends it to a tuple over `grown`: the
+    layout followed by the body's new variables in first-appearance order.
+    The plan depends on no fact base, so it is compiled once and grounded
+    on any.
     """
 
     grown: tuple
@@ -416,7 +409,7 @@ def compile_body(body, layout) -> Plan:
         bound, consts, repeats, first = [], [], [], {}
         for pos, arg in enumerate(lit.atom.args):
             if isinstance(arg, Constant):
-                consts.append((pos, arg.symbol))
+                consts.append((pos, arg))
             elif arg in slots:
                 bound.append((pos, slots[arg]))
             elif arg in first:
@@ -531,7 +524,7 @@ def satisfies(body: Iterable, seed: dict, db: FactBase) -> bool:
     vacuously true.
     """
     plan = compile_body(tuple(body), tuple(seed))
-    return bool(solutions(plan, [[tuple([c.symbol for c in seed.values()])]], db)[0])
+    return bool(solutions(plan, [[tuple(seed.values())]], db)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +733,7 @@ def _symbols(argtexts, arity: int) -> list:
 
 
 def _atom(pred: PredicateSignature, argtext: str, value: AtomValue = None) -> Atom:
-    return Atom(pred, tuple(map(Constant, argtext.split(","))) if argtext else (), value)
+    return Atom(pred, tuple(argtext.split(",")) if argtext else (), value)
 
 
 def _raise_first(faults: list) -> None:
@@ -816,15 +809,12 @@ def parse_examples(text: str, target: PredicateSignature,
         faults.append((lines[k], _LABELLED, "labelled example files carry no =value"))
     if label is None and target.kind == "boolean" and rows:
         faults.append((lines[0], _TARGET, "boolean targets need pos/neg files"))
-    seen = {",".join(a.symbol for a in atom.args) for atom, _ in earlier.entries} \
-        if earlier else set()
+    seen = {",".join(atom.args) for atom, _ in earlier.entries} if earlier else set()
     payloads, fault = _column(Schema([target]), target.name, argtexts, valuetexts, seen)
     if fault is not None:
         faults.append((lines[fault[0]], *fault[1:]))
     _raise_first(faults)
-    symbols = _symbols(argtexts, target.arity)
-    constant = {s: Constant(s) for s in set(itertools.chain.from_iterable(symbols))}
-    args = [tuple(map(constant.__getitem__, t)) for t in symbols]
+    args = _symbols(argtexts, target.arity)
     truth, values = (None, payloads) if label is None else (True, itertools.repeat(label))
     return ExampleSet(target, [(Atom(target, a, truth), v) for a, v in zip(args, values)], True)
 

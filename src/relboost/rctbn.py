@@ -29,7 +29,6 @@ import numpy as np
 
 from .logic import (
     Atom,
-    Constant,
     FactBase,
     ParseError,
     PredicateSignature,
@@ -60,14 +59,9 @@ from .regtree import (
 from .util import _clamped_exp, ordered_sum
 
 
-def _head(name: str, symbols) -> str:
+def _head(name: str, args) -> str:
     """A stream as trajectory files write it: `cvd(a)`, or `name` at arity 0."""
-    return f"{name}({','.join(symbols)})" if symbols else name
-
-
-def _stream_key(stream: tuple) -> tuple:
-    name, args = stream
-    return (name, tuple(a.symbol for a in args))
+    return f"{name}({','.join(args)})" if args else name
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +95,9 @@ class Trajectory:
     stream strictly increase, and no two streams transition at the same
     time.
 
-    Each event's key, (time, (name, argument symbols)), is computed once:
-    the events are sorted on it and checked on it, and an error names the
-    stream as trajectory files write it, `cvd(a)`.
+    Each event's key, (time, stream), is computed once: the events are
+    sorted on it and checked on it, and an error names the stream as
+    trajectory files write it, `cvd(a)`.
     """
 
     entity: str
@@ -111,8 +105,7 @@ class Trajectory:
     horizon: float
 
     def __post_init__(self):
-        keys = [(ev.time, (ev.pred.name, tuple([a.symbol for a in ev.args])))
-                for ev in self.events]
+        keys = [(ev.time, ev.stream()) for ev in self.events]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         self.events = [self.events[i] for i in order]
         last: dict = {}
@@ -306,12 +299,12 @@ def serialize_trajectories(trajs: Iterable[Trajectory]) -> str:
     lines = []
     for traj in trajs:
         lines.append(f"traj {traj.entity}")
-        heads: dict = {}        # (name, args) -> the stream's head text
+        heads: dict = {}        # stream -> its head text
         for ev in traj.events:
-            stream = (ev.pred.name, ev.args)
+            stream = ev.stream()
             head = heads.get(stream)
             if head is None:
-                head = heads[stream] = _head(ev.pred.name, [a.symbol for a in ev.args])
+                head = heads[stream] = _head(*stream)
             lines.append(f"t={ev.time!r} {head}={_event_value_text(ev.value)}")
         lines.append(f"horizon={traj.horizon!r}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -370,35 +363,29 @@ def _segments(trajectories: Iterable[Trajectory], static: FactBase, schema: Sche
         raise ParseError(f"unknown target predicate {transition.pred!r}")
     pred = schema.get(transition.pred)
     proj = pred.dropped_time()
-    # joint state of the non-target streams, as ((name, symbols), value)
-    # pairs -> FactBase; symbol tuples hash as strings, not as Constants
+    # joint state of the non-target streams, as (stream, value) pairs -> FactBase
     contexts: dict = {}
     out = []
 
     def context(current: dict, exclude: tuple) -> FactBase:
         state = tuple(kv for kv in current.items() if kv[0] != exclude)
         if state not in contexts:
-            contexts[state] = _context(static, [((name, tuple(map(Constant, symbols))), value)
-                                                for (name, symbols), value in state])
+            contexts[state] = _context(static, state)
         return contexts[state]
 
     for traj in trajectories:
         target = (pred.name, (traj.entity,))
-        target_atom = Atom(proj, (Constant(traj.entity),))
-        keys: dict = {}         # stream -> (name, symbols), made once per stream
-        current: dict = {}      # (name, symbols) -> value since t_prev
+        target_atom = Atom(proj, target[1])
+        current: dict = {}      # stream -> value since t_prev
         t_prev = 0.0
         for ev in traj.events:  # initializations, all at t=0, come first
             stream = ev.stream()
-            key = keys.get(stream)
-            if key is None:
-                key = keys[stream] = (stream[0], tuple([a.symbol for a in stream[1]]))
             value = current.get(target)
             if value == transition.from_value and ev.time > t_prev:
-                positive = key == target and ev.value == transition.to_value
+                positive = stream == target and ev.value == transition.to_value
                 out.append(Segment(target_atom, value, ev.time - t_prev,
                                    context(current, target), positive))
-            current[key] = ev.value
+            current[stream] = ev.value
             t_prev = ev.time
         value = current.get(target)
         if value == transition.from_value and traj.horizon > t_prev:
@@ -561,6 +548,18 @@ def parse_rctbn(text: str, schema: Schema) -> RctbnModel:
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(entries: list, what: str) -> None:
+    """A ValueError naming the first entry that is no finite int or float;
+    a bool is not a number here, and an int must fit a float."""
+    for x in entries:
+        try:
+            ok = isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{what} entries must be finite numbers, not {x!r}")
+
+
 @dataclass
 class CIM:
     """Transition-rate matrix over one variable's states; rows sum to zero."""
@@ -570,8 +569,9 @@ class CIM:
     def __post_init__(self):
         r = len(self.rates)
         for row in self.rates:
-            if len(row) != r:
+            if not isinstance(row, (list, tuple)) or len(row) != r:
                 raise ValueError("CIM must be square")
+            _check_finite(row, "CIM")
         for k, row in enumerate(self.rates):
             for k2, q in enumerate(row):
                 if k2 != k and q < 0:
@@ -660,6 +660,7 @@ class VariableSpec:
     def __post_init__(self):
         if not self.pred.temporal:
             raise ValueError(f"{self.pred.name} must be temporal")
+        _check_finite(self.init, f"{self.pred.name} init")
         if len(self.init) != self.states or abs(sum(self.init) - 1.0) > 1e-9 \
                 or any(p < 0 for p in self.init):
             raise ValueError(f"bad initial distribution for {self.pred.name}")
@@ -730,9 +731,9 @@ def forward_sample(spec: GroundTruthSpec, worlds: list, schema: Schema,
     the race restarts (memorylessness makes this exact).  Worlds are
     independent, each with an RNG stream derived from the seed.
 
-    A world's streams are raced by index, in `_stream_key` order.  A clause
-    body reads only the predicates it names, so each stream keeps a table
-    from the states of its dependencies (the other streams of those
+    A world's streams are raced by index, in sorted (name, args) order.  A
+    clause body reads only the predicates it names, so each stream keeps a
+    table from the states of its dependencies (the other streams of those
     predicates) to the rows and exit rates of its summed CIM, and looks its
     entry up again only when a dependency moves.  A miss grounds each body
     of the head, compiled once per call against V0.. bound to the stream's
@@ -759,7 +760,7 @@ def forward_sample(spec: GroundTruthSpec, worlds: list, schema: Schema,
             k = _draw(rng.random(), enumerate(var.init))
             initial[(name, args)] = k
             events.append(Event(var.pred, args, 0.0, _state_to_value(var, k)))
-        order = sorted(initial, key=_stream_key)
+        order = sorted(initial)
         states = [initial[s] for s in order]
         variables = [spec.variables[name] for name, _ in order]
         deps = [tuple(j for j, other in enumerate(order)
@@ -778,7 +779,7 @@ def forward_sample(spec: GroundTruthSpec, worlds: list, schema: Schema,
                                    for clause in spec.clauses if clause.pred == name]
                 context = _context(static, ((order[j], _state_to_value(variables[j], states[j]))
                                             for j in deps[i]))
-                binding = [[tuple([a.symbol for a in args])]]
+                binding = [[tuple(args)]]
                 active = [cim for cim, plan in heads[name]
                           if solutions(plan, binding, context)[0]]
                 if not active:

@@ -16,11 +16,11 @@ header line followed by optional `function <key>` lines and `tree <i>`
 blocks (`parse_header`, `write_model`, `read_trees`).
 
 An example's bindings at a node are positional: a list of distinct tuples
-of symbols over the node's layout of bound variables.  The layout is the
+of constants over the node's layout of bound variables.  The layout is the
 head variables ``V0..``, then each yes-path test's new variables in
-first-appearance order, so the root's one binding is the symbols of the
-target atom's arguments.  A node test is compiled once against its layout
-into a `logic.Plan`.
+first-appearance order, so the root's one binding is the target atom's
+arguments.  A node test is compiled once against its layout into a
+`logic.Plan`.
 
 Routing is memoised by a `RoutingCache`.  An example's bindings at a node
 depend only on its target atom, its fact base and the yes-tests above the
@@ -68,7 +68,6 @@ import numpy as np
 from .logic import (
     Atom,
     Cmp,
-    Constant,
     FactBase,
     Literal,
     ModeDeclaration,
@@ -195,11 +194,10 @@ def _mode_literals(mode: ModeDeclaration, bound_vars: list, dbs: list) -> list:
         elif flag == "-":
             choice_lists.append([("fresh", pos)])
         else:  # '#'
-            consts = sorted({c.symbol for db in dbs
-                             for c in db.observed_constants(mode.pred.name, pos)})
+            consts = sorted({c for db in dbs for c in db.observed_constants(mode.pred.name, pos)})
             if not consts:
                 return []
-            choice_lists.append([("const", Constant(s)) for s in consts])
+            choice_lists.append([("const", c) for c in consts])
     out = []
     values = _value_variants(mode.pred, dbs)
     for combo in itertools.product(*choice_lists):
@@ -304,7 +302,7 @@ class RoutingCache:
 
     The tables form one tree per target arity.  Its root is the empty test
     over the head variables ``V0..``, which routes each example to the one
-    binding tuple of its target's symbols; a (yes-path, test) pair's table
+    binding tuple of its target's arguments; a (yes-path, test) pair's table
     is reached by `RoutingTable.below` along the path.  Routings are keyed
     by the example's slot: an integer naming its (target atom, fact base)
     pair by identity.  The cache holds both objects, so no other pair can
@@ -325,8 +323,7 @@ class RoutingCache:
                 raise ValueError(f"example target {target} is not ground")
             slot = self._slots[key] = len(self._held)
             self._held.append((target, db))
-            self.root(target.pred.arity).routings[slot] = [
-                tuple([a.symbol for a in target.args])]
+            self.root(target.pred.arity).routings[slot] = [tuple(target.args)]
         return slot
 
     def register(self, rows: list) -> list:

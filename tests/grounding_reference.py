@@ -5,26 +5,14 @@ A substitution is a ``{Variable: Constant}`` dict.  `match` grounds one
 atom in the fact base's canonical order, `ground` chains a body depth
 first, and `extend_bindings` gathers the distinct groundings reachable
 from a list of substitutions, first occurrence kept.  `reference_solutions`
-answers a `solutions` call over binding tuples of constants with these.
-
-`solutions` binds symbols, not constants: `symbol_groups` and
-`constant_rows` translate its arguments and results, and `_facts_of` reads
-a fact base's facts as `Atom`s.
+answers a `solutions` call over binding tuples of constants with these,
+and `_facts_of` reads a fact base's facts as `Atom`s.  A constant is its
+symbol, so `solutions` takes and returns the same tuples.
 """
 
 import weakref
 
 from relboost.logic import Atom, Cmp, Constant, FactBase, ParseError, Variable
-
-
-def symbol_groups(groups: list) -> list:
-    """Groups of binding tuples of constants as `solutions` takes them."""
-    return [[tuple(c.symbol for c in t) for t in group] for group in groups]
-
-
-def constant_rows(rows: list) -> list:
-    """A `solutions` result with every symbol made a `Constant`."""
-    return [[tuple(map(Constant, t)) for t in row] for row in rows]
 
 
 _FACTS = weakref.WeakKeyDictionary()     # fact base -> name -> its facts as Atoms
@@ -65,7 +53,7 @@ def _candidates(db: FactBase, name: str, pattern: list) -> list:
     best = None
     for pos, arg in enumerate(pattern):
         if isinstance(arg, Constant):
-            posting = db._index[(name, pos)].get(arg.symbol, [])
+            posting = db._index[(name, pos)].get(arg, [])
             if best is None or len(posting) < len(best):
                 best = posting
     return rows if best is None else [rows[i] for i in best]
@@ -118,7 +106,7 @@ def extend_bindings(substs: list, literals, db: FactBase) -> list:
     out, seen = [], set()
     for theta in substs:
         for ext in solutions(literals, theta, db):
-            key = tuple(sorted((v.name, c.symbol) for v, c in ext.items()))
+            key = tuple(sorted((v.name, c) for v, c in ext.items()))
             if key not in seen:
                 seen.add(key)
                 out.append(ext)

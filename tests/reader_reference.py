@@ -91,8 +91,7 @@ def _parse_fact_lines(text: str, schema: Schema) -> FactBase:
     # the check `FactBase` made when it was given each fact's line
     keys = {}
     for atom, lineno in zip(atoms, linenos):
-        symbols = tuple(a.symbol for a in atom.args)
-        if keys.setdefault((atom.pred.name, symbols), atom.value) != atom.value:
+        if keys.setdefault((atom.pred.name, atom.args), atom.value) != atom.value:
             raise ParseError(f"conflicting values for {atom}", lineno)
     return FactBase(schema, atoms)
 

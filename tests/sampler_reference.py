@@ -22,7 +22,6 @@ from relboost.rctbn import (
     _derive_seed,
     _draw,
     _state_to_value,
-    _stream_key,
     projected_schema,
 )
 
@@ -69,7 +68,7 @@ def forward_sample(spec, worlds: list, schema, horizon: float, seed: int) -> lis
             k = _draw(rng.random(), enumerate(var.init))
             states[(name, args)] = k
             events.append(Event(var.pred, args, 0.0, _state_to_value(var, k)))
-        order = sorted(states, key=_stream_key)
+        order = sorted(states)     # (name, args) tuples of strings
         deps = {s: [o for o in order if o != s and o[0] in reads.get(s[0], ())]
                 for s in order}
         static = FactBase(proj, world.facts)

@@ -144,6 +144,39 @@ class TestTrain:
         assert "--alpha=nan is not a finite number" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("name,value,via", [
+        ("alpha", "5", "flag"), ("beta", "-9", "flag"),
+        ("alpha", "0.5", "config"), ("beta", "-1", "config"),
+    ])
+    def test_a_soft_margin_cost_with_the_hard_gradient_is_config_error(
+            self, bundle, capsys, command, name, value, via):
+        # the hard gradient ignores --alpha and --beta, so a model or report
+        # made with them would not be the one asked for
+        out = str(bundle["dir"] / "model.txt")
+        extra = ["--config", _write(bundle["dir"] / "run.conf", f"{name}={value}\n")] \
+            if via == "config" else [f"--{name}", value]
+        args = _train_args(bundle, out, ["--iters", "2", *extra])
+        args[args.index("--kind") + 1] = "rfgb"
+        if command == "cv":     # cv writes no model: it takes --k, not --out
+            i = args.index("--out")
+            args = ["cv", *args[1:i], *args[i + 2:], "--k", "2"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert f"config error: --{name}={float(value)} needs --kind soft-rfgb" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_zero_soft_margin_costs_with_the_hard_gradient_are_the_defaults(
+            self, bundle, command):
+        args = _train_args(bundle, str(bundle["dir"] / "model.txt"),
+                           ["--iters", "2", "--alpha", "0", "--beta", "-0"])
+        args[args.index("--kind") + 1] = "rfgb"
+        if command == "cv":     # cv writes no model: it takes --k, not --out
+            i = args.index("--out")
+            args = ["cv", *args[1:i], *args[i + 2:], "--k", "2"]
+        assert main(args) == 0
+
     def test_config_file_precedence(self, bundle):
         # file sets 3 iterations, the flag overrides with 2
         config = _write(bundle["dir"] / "run.conf", "iters=3\nseed=9\n")
@@ -629,6 +662,27 @@ class TestSample:
         assert main(["sample", "--spec", spec, "--schema", schema,
                      "--horizon", "5.0", "--out", out]) == 2
         assert f"data error: line 4: {message}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", '"a"', "[1]", "{}",
+                                       "true", pytest.param("1" + "0" * 400, id="10**400")])
+    @pytest.mark.parametrize("line", ["var", "clause"])
+    def test_a_ground_truth_entry_that_is_no_finite_number_is_a_data_error(
+            self, tmp_path, capsys, entry, line):
+        # a NaN intensity once kept the sampler running without end, and a
+        # NaN initial probability started every stream in its last state
+        schema = _write(tmp_path / "schema.txt", SAMPLE_SCHEMA)
+        if line == "var":
+            old, new = "var cvd init=[1.0, 0.0]", f"var cvd init=[{entry}, 0.0]"
+        else:
+            old, new = "cim=[[-0.4, 0.4]", f"cim=[[{entry}, 0.4]"
+        spec = _write(tmp_path / "spec.txt", SAMPLE_SPEC.replace(old, new))
+        out = str(tmp_path / "trj.txt")
+        assert main(["sample", "--spec", spec, "--schema", schema,
+                     "--horizon", "5.0", "--out", out]) == 2
+        what = "cvd init" if line == "var" else "CIM"
+        assert f"data error: line {2 if line == 'var' else 3}: {what} entries must be " \
+            "finite numbers, not " in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_zero_worlds_empty_file(self, tmp_path):

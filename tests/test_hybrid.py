@@ -599,7 +599,7 @@ predicate: bp/2 continuous temporal.
         trajs = self._trajectories(agg_schema)
         db, examples = aggregate_trajectories(trajs, agg_schema, "angio",
                                               "indicator", "mean")
-        values = {a.args[0].symbol: v for a, v in examples.entries}
+        values = {a.args[0]: v for a, v in examples.entries}
         assert values == {"p1": 1, "p2": 0}
         assert db.lookup("smoke_ind", (Constant("p1"),)) is True
         assert db.lookup("smoke_ind", (Constant("p2"),)) is None
@@ -638,7 +638,7 @@ t=4.0 angio(d2)=true
 horizon=5.0
 """, agg_schema)
         db, examples = aggregate_trajectories(trajs, agg_schema, "angio", bool_agg, "mean")
-        assert [(a.args[0].symbol, v) for a, v in examples.entries] == [("p1", 1)]
+        assert [(a.args[0], v) for a, v in examples.entries] == [("p1", 1)]
         assert (db.lookup(name, (Constant("d1"),)), db.lookup(name, (Constant("d2"),))) \
             == values
         assert db.lookup(name, (Constant("p1"),)) is None

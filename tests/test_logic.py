@@ -36,7 +36,7 @@ from relboost.logic import (
 )
 from relboost.regtree import TreeConfig, fit_tree
 from tests.conftest import build_linked_domain
-from tests.grounding_reference import constant_rows, substitute, symbol_groups
+from tests.grounding_reference import substitute
 from tests.reader_reference import _parse_example_lines, _parse_fact_lines
 from tests import reader_reference
 
@@ -45,7 +45,7 @@ def groundings(body, subst: dict, db) -> list:
     """`solutions` of `body` for one row with the one binding `subst`, as
     substitution dicts over the grown layout."""
     plan = compile_body(tuple(body), tuple(subst))
-    [row] = constant_rows(solutions(plan, symbol_groups([[tuple(subst.values())]]), db))
+    [row] = solutions(plan, [[tuple(subst.values())]], db)
     return [dict(zip(plan.grown, t)) for t in row]
 
 
@@ -180,6 +180,45 @@ class TestFactBaseBuild:
             FactBase(schema, [Atom(schema.get("on"), (), True), atom])
 
 
+class TestOneConstantRepresentation:
+    """A constant is its symbol: parsed atoms, hand-built atoms, fact-base
+    columns and grounding bindings hold the same `str` tuples."""
+
+    SCHEMA = "predicate: rel/2 boolean.\npredicate: size/2 count.\npredicate: link/2 boolean.\n"
+
+    def _read(self):
+        schema = parse_schema(self.SCHEMA)
+        db = parse_facts("rel(a,b).\nsize(a,b)=3.\nrel(b,c).\n", schema)
+        examples = parse_examples("link(a,b).\n", schema.get("link"), label=1)
+        return schema, db, examples.entries[0][0]
+
+    def test_example_args_are_the_fact_base_column_tuple(self):
+        _, db, atom = self._read()
+        column = db._columns["rel"][0][0]
+        assert atom.args == column == ("a", "b") == (Constant("a"), Constant("b"))
+        assert hash(atom.args) == hash(column) == hash(("a", "b"))
+        assert all(type(c) is str for c in atom.args + column)
+
+    def test_lookup_facts_and_observed_constants_speak_str(self):
+        schema, db, atom = self._read()
+        assert db.lookup("size", atom.args) == 3
+        assert db.lookup("size", ["a", "b"]) == 3 and db.lookup("size", ("b", "a")) is None
+        rel, size = schema.get("rel"), schema.get("size")
+        assert db.facts() == [Atom(rel, ("a", "b"), True), Atom(rel, ("b", "c"), True),
+                              Atom(size, ("a", "b"), 3)]
+        assert all(type(c) is str for fact in db.facts() for c in fact.args)
+        assert db.observed_constants("rel", 1) == ["b", "c"]
+        assert all(type(c) is str for c in db.observed_constants("rel", 0))
+
+    def test_an_example_binds_a_body_by_its_own_args(self):
+        schema, db, atom = self._read()
+        x, y, z = Variable("X"), Variable("Y"), Variable("Z")
+        body = parse_literal_list("rel(X,Y), rel(Y,Z)", schema)
+        [[row]] = solutions(compile_body(body, (x, y)), [[atom.args]], db)
+        assert row == ("a", "b", "c") and row[:2] == atom.args
+        assert satisfies(body, {x: atom.args[0], y: atom.args[1]}, db)
+
+
 class TestParseExamples:
     def test_positive_file(self, family_schema):
         target = family_schema.get("diabetes")
@@ -250,7 +289,7 @@ class TestMatch:
         atom = Atom(family_schema.get("familyMember"),
                     (Variable("Y"), Constant("mary")))
         subs = list(match(atom, {}, family_db))
-        found = sorted(s[Variable("Y")].symbol for s in subs)
+        found = sorted(s[Variable("Y")] for s in subs)
         assert found == ["ann", "bob", "eve", "tom"]
 
     def test_empty_db(self, family_schema):
@@ -268,12 +307,12 @@ class TestMatch:
     def test_deterministic_sorted_order(self, family_schema, family_db):
         atom = Atom(family_schema.get("familyMember"),
                     (Variable("Y"), Variable("Z")))
-        first = [tuple(sorted((v.name, c.symbol) for v, c in s.items()))
+        first = [tuple(sorted((v.name, c) for v, c in s.items()))
                  for s in match(atom, {}, family_db)]
-        second = [tuple(sorted((v.name, c.symbol) for v, c in s.items()))
+        second = [tuple(sorted((v.name, c) for v, c in s.items()))
                   for s in match(atom, {}, family_db)]
         assert first == second
-        ys = [s[Variable("Y")].symbol for s in match(atom, {}, family_db)]
+        ys = [s[Variable("Y")] for s in match(atom, {}, family_db)]
         assert ys == sorted(ys)
 
     def test_repeated_variable_must_unify(self, family_schema):
@@ -283,7 +322,7 @@ class TestMatch:
                     (Variable("Y"), Variable("Y")))
         subs = list(match(atom, {}, db))
         assert len(subs) == 1
-        assert subs[0][Variable("Y")].symbol == "ann"
+        assert subs[0][Variable("Y")] == "ann"
 
 
 class TestSatisfies:
@@ -311,7 +350,7 @@ class TestSatisfies:
     def test_negation_as_failure(self, family_schema, family_db):
         body = parse_literal_list("familyMember(Y,mary), !diabetes(Y,t2)",
                                   family_schema)
-        names = sorted(s[Variable("Y")].symbol
+        names = sorted(s[Variable("Y")]
                        for s in groundings(body, {}, family_db))
         assert names == ["bob", "eve", "tom"]
 
@@ -571,12 +610,17 @@ class TestCommonFormReader:
         sig = PredicateSignature("size", 1, "count")
         constant, variable = Constant("a"), Variable("X")
         atom = Atom(sig, (constant,), 3)
-        for obj, name in ((constant, "symbol"), (variable, "name"), (atom, "value")):
+        for obj, name in ((variable, "name"), (atom, "value")):
             assert not hasattr(obj, "__dict__")
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, None)
-        assert constant == Constant("a") and constant != Variable("a")
-        assert hash(constant) == hash(Constant("a")) == hash(("a",))
+        # a constant is its symbol: an immutable str, with no state of its own
+        assert type(constant) is str and not hasattr(constant, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(constant, "symbol", None)
+        assert constant == Constant("a") == "a" and constant != Variable("a")
+        assert hash(constant) == hash(Constant("a")) == hash("a")
+        assert isinstance(constant, Constant) and not isinstance(variable, Constant)
         assert hash(variable) == hash(("X",))
         assert atom == Atom(sig, (Constant("a"),), 3) != Atom(sig, (constant,), 4)
         assert hash(atom) == hash((sig, (constant,), 3))

@@ -436,7 +436,7 @@ def _sample_worlds(name: str, seed: int, proj) -> list:
             facts.append(Atom(proj.get("parentOf"), (par, ent), True))
             if rng.random() < 0.5:
                 facts.append(Atom(proj.get("elder"), (par,), True))
-        worlds.append(rctbn.World(ent.symbol, streams, facts))
+        worlds.append(rctbn.World(ent, streams, facts))
     return worlds
 
 

@@ -520,6 +520,31 @@ clause checkup cim=[[-2.0, 2.0], [2.0, -2.0]]
             mean_residence = time_in[ctx] / fired[ctx]
             assert mean_residence == pytest.approx(1.0 / q_active, rel=0.03)
 
+    def test_a_worlds_streams_are_its_trajectorys_event_streams(self, schema):
+        # a parsed world's (name, args) is the Event.stream() of what it samples,
+        # and the segment target is the entity itself
+        spec, worlds = parse_groundtruth("""
+var cvd init=[0.5, 0.5]
+var checkup init=[0.5, 0.5]
+clause cvd cim=[[-1.0, 1.0], [1.0, -1.0]] if "parentOf(Y,V0), checkup(Y)"
+clause cvd cim=[[-0.5, 0.5], [0.5, -0.5]]
+clause checkup cim=[[-2.0, 2.0], [2.0, -2.0]]
+world p1
+stream cvd(p1)
+stream checkup(d1)
+fact parentOf(d1,p1).
+end
+""", schema)
+        [traj] = forward_sample(spec, worlds, schema, horizon=5.0, seed=3)
+        streams = [ev.stream() for ev in traj.events if ev.time == 0.0]
+        assert sorted(streams) == sorted(worlds[0].streams) == [("checkup", ("d1",)),
+                                                               ("cvd", ("p1",))]
+        assert {ev.stream() for ev in traj.events} == set(worlds[0].streams)
+        assert all(type(c) is str for name, args in streams for c in args)
+        segs = segment([traj], worlds_facts(worlds, schema), schema,
+                       Transition("cvd", False, True))
+        assert segs and all(s.target.args == (traj.entity,) == ("p1",) for s in segs)
+
     def test_seed_determinism(self, schema):
         spec = _spec(schema, """
 var cvd init=[0.5, 0.5]
@@ -599,7 +624,7 @@ def _random_worlds(seed: int, proj) -> list:
                 facts.append(Atom(proj.get("elder"), (e,), True))
             if rng.random() < 0.3:
                 facts.append(Atom(proj.get("sib"), (e, rng.choice(ents)), True))
-        worlds.append(World(ents[0].symbol, streams, facts))
+        worlds.append(World(ents[0], streams, facts))
     return worlds
 
 
@@ -1066,3 +1091,20 @@ end
     def test_bad_init_rejected(self, schema):
         with pytest.raises(Exception, match="initial distribution"):
             parse_groundtruth("var cvd init=[0.9, 0.3]", schema)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, "a", [1], {}, True,
+                                       pytest.param(10 ** 400, id="10**400")])
+    def test_an_entry_that_is_no_finite_number_is_rejected(self, schema, entry):
+        # json.loads reads NaN, Infinity and true; none is a rate or a probability
+        with pytest.raises(ValueError, match="^CIM entries must be finite numbers, not "):
+            CIM([[-1.0, entry], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="^cvd init entries must be finite numbers, not "):
+            VariableSpec(schema.get("cvd"), [entry, 0.0])
+
+    def test_integer_entries_are_numbers(self, schema):
+        assert CIM([[-1, 1], [0, 0]]).exit_rate(0) == 1
+        assert VariableSpec(schema.get("cvd"), [0, 1]).init == [0, 1]
+
+    def test_a_cim_row_that_is_no_list_is_rejected(self):
+        with pytest.raises(ValueError, match="CIM must be square"):
+            CIM([1, 2])

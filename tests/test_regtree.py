@@ -325,11 +325,11 @@ def _two_database_rows(linked_domain) -> list:
     lines = []
     for a in atoms:
         for friend in rng.sample(range(len(atoms)), rng.randint(1, 2)):
-            lines.append(f"knows({a.args[0].symbol},g{friend:04d}).")
+            lines.append(f"knows({a.args[0]},g{friend:04d}).")
             if rng.random() < 0.3:
                 lines.append(f"flag(g{friend:04d}).")
         if rng.random() < 0.5:
-            lines.append(f"shade({a.args[0].symbol}).")
+            lines.append(f"shade({a.args[0]}).")
     other = parse_facts("\n".join(lines), schema)
     rows = [(a, db) for a in atoms] + [(a, other) for a in atoms]
     return rows + rng.sample(rows, 30)
