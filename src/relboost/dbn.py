@@ -17,7 +17,10 @@ by (gain, move) and tests intra acyclicity, one reachability walk each,
 only down that ranking until a move passes.  Counts of every small family
 that adds one parent to a child's current parents (at most
 `_POPCOUNT_CELLS` cells) come from one pass of popcounts over per-state
-row bitsets; larger tables come from one `np.bincount` each.
+row bitsets, and those tables are scored as they come, one stacked numpy
+pass per table shape; larger tables come from one `np.bincount` each.  Each
+score's formula is written once, over a stack of tables, and a single family
+is scored as a stack of one.
 
 A dataset body of one-digit states, each row written as fixed-width
 two-byte cells (a digit, then a comma or the row's newline), is decoded
@@ -377,17 +380,26 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def family_loglik(data: DiscreteDataset, i: int, parents: tuple,
-                  counts: np.ndarray = None) -> float:
-    """Maximum-likelihood family log-likelihood: sum D_ijk ln(D_ijk / D_ij).
-    `counts`, when given, is the family's `family_counts` table."""
-    if counts is None:
-        counts = family_counts(data, i, parents)
-    counts = counts.astype(float)
-    row = counts.sum(axis=1, keepdims=True)
+def _totals(cells: np.ndarray) -> list:
+    """The sum of each table of a stack.  numpy adds one contiguous row of a
+    2-d array pairwise, as it adds a whole array, so each total has the
+    bits of that table's own `.sum()`."""
+    return cells.reshape(len(cells), -1).sum(axis=1).tolist()
+
+
+def _logliks(stack: np.ndarray) -> list:
+    """Maximum-likelihood log-likelihood sum D_ijk ln(D_ijk / D_ij) of each
+    (q, r) counts table of a (K, q, r) stack."""
+    counts = stack.astype(float)
+    row = counts.sum(axis=2, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.divide(counts, row, out=np.ones_like(counts), where=row > 0)
-    return float(_xlogy(counts, ratio).sum())
+    return _totals(_xlogy(counts, ratio))
+
+
+def family_loglik(data: DiscreteDataset, i: int, parents: tuple) -> float:
+    """Maximum-likelihood family log-likelihood: sum D_ijk ln(D_ijk / D_ij)."""
+    return _logliks(family_counts(data, i, parents)[None])[0]
 
 
 def bic_penalty(q_i: int, r_i: int, n_samples: float) -> float:
@@ -395,36 +407,48 @@ def bic_penalty(q_i: int, r_i: int, n_samples: float) -> float:
     return q_i * (r_i - 1) / 2.0 * math.log(n_samples)
 
 
-def bde_family_score(counts: np.ndarray, ess: float) -> float:
-    """Dirichlet marginal log-likelihood with alpha_ijk = ess / (q_i r_i).
+def _bde_scores(stack: np.ndarray, ess: float) -> list:
+    """Dirichlet marginal log-likelihood with alpha_ijk = ess / (q_i r_i) of
+    each (q, r) counts table of a (K, q, r) stack.
 
     Counts are whole numbers, so each row sum D_ij is exact in any order.
     """
-    rows = np.asarray(counts, dtype=float).tolist()
-    q, r = len(rows), len(rows[0])
+    _, q, r = stack.shape
     a_ijk = ess / (q * r)
     a_ij = ess / q
     lg_ijk, lg_ij = math.lgamma(a_ijk), math.lgamma(a_ij)
-    total = 0.0
-    for row in rows:
-        total += lg_ij - math.lgamma(a_ij + sum(row))
-        for d_ijk in row:
-            total += math.lgamma(a_ijk + d_ijk) - lg_ijk
-    return total
+    scores = []
+    for rows in stack.astype(float).tolist():
+        total = 0.0
+        for row in rows:
+            total += lg_ij - math.lgamma(a_ij + sum(row))
+            for d_ijk in row:
+                total += math.lgamma(a_ijk + d_ijk) - lg_ijk
+        scores.append(total)
+    return scores
+
+
+def bde_family_score(counts: np.ndarray, ess: float) -> float:
+    """Dirichlet marginal log-likelihood of one (q, r) counts table."""
+    return _bde_scores(np.asarray(counts)[None], ess)[0]
+
+
+def _mutual_informations(stack: np.ndarray) -> list:
+    """Empirical MI between child and joint parent of each (q, r) counts
+    table of a (K, q, r) stack; 0.0 for an all-zero table."""
+    counts = stack.astype(float)
+    n = counts.sum(axis=(1, 2), keepdims=True)  # whole numbers: exact in any order
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pj = counts.sum(axis=2, keepdims=True) / n
+        pk = counts.sum(axis=1, keepdims=True) / n
+        p = counts / n      # NaN in an all-zero table, which no `p > 0` mask keeps
+        ratio = np.divide(p, pj * pk, out=np.ones_like(p), where=p > 0)
+    return _totals(_xlogy(p, ratio))
 
 
 def mutual_information(counts: np.ndarray) -> float:
     """Empirical MI between child and joint parent, from a counts matrix."""
-    counts = np.asarray(counts, dtype=float)
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    pj = counts.sum(axis=1, keepdims=True) / n
-    pk = counts.sum(axis=0, keepdims=True) / n
-    p = counts / n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.divide(p, pj * pk, out=np.ones_like(p), where=p > 0)
-    return float(_xlogy(p, ratio).sum())
+    return _mutual_informations(np.asarray(counts)[None])[0]
 
 
 def _gammainc_p(a: float, x: float) -> float:
@@ -507,34 +531,56 @@ def _mit_df_schedule(data: DiscreteDataset, i: int, parents: tuple) -> list:
     return dfs
 
 
-def mit_family_score(data: DiscreteDataset, i: int, parents: tuple,
-                     alpha: float, counts: np.ndarray = None) -> float:
-    """2N I(X_i, PA_i) minus the summed chi-square quantiles; 0 if no parents.
-    A term of 0 degrees of freedom (an arity-1 child or parent) adds none.
-    `counts`, when given, is the family's `family_counts` table."""
-    if not parents:
-        return 0.0
-    if counts is None:
-        counts = family_counts(data, i, parents)
-    score = 2.0 * data.n_samples * mutual_information(counts)
-    for df in _mit_df_schedule(data, i, parents):
-        if df:
-            score -= chi2_quantile(alpha, df)
-    return score
+def _mit_scores(data: DiscreteDataset, i: int, families: list, stack: np.ndarray,
+                alpha: float) -> list:
+    """2N I(X_i, PA_i) minus the summed chi-square quantiles of each family
+    of child i with the parents in `families`, from their (K, q, r) stack of
+    `family_counts` tables; 0 if no parents.  A term of 0 degrees of freedom
+    (an arity-1 child or parent) adds none."""
+    scores = []
+    for parents, mi in zip(families, _mutual_informations(stack)):
+        score = 2.0 * data.n_samples * mi if parents else 0.0
+        for df in _mit_df_schedule(data, i, parents):
+            if df:
+                score -= chi2_quantile(alpha, df)
+        scores.append(score)
+    return scores
 
 
-def family_score(data: DiscreteDataset, i: int, parents: tuple,
-                 kind: ScoreKind, counts: np.ndarray = None) -> float:
-    """`counts`, when given, is the family's `family_counts` table."""
+def mit_family_score(data: DiscreteDataset, i: int, parents: tuple, alpha: float) -> float:
+    """The MIT score of one family; see `_mit_scores`."""
+    return _mit_scores(data, i, [parents], family_counts(data, i, parents)[None], alpha)[0]
+
+
+def _family_scores(data: DiscreteDataset, i: int, families: list, stack: np.ndarray,
+                   kind: ScoreKind) -> list:
+    """The scores of child i's families with the sorted parent refs in
+    `families`, from their `family_counts` tables of one shape stacked along
+    a leading axis."""
     if isinstance(kind, BIC):
-        q = math.prod(data.arities[j] for _, j in parents)
-        return family_loglik(data, i, parents, counts) - bic_penalty(
-            q, data.arities[i], data.n_samples)
+        _, q, r = stack.shape
+        penalty = bic_penalty(q, r, data.n_samples)
+        return [loglik - penalty for loglik in _logliks(stack)]
     if isinstance(kind, BDe):
-        if counts is None:
-            counts = family_counts(data, i, parents)
-        return bde_family_score(counts, kind.ess)
-    return mit_family_score(data, i, parents, kind.alpha, counts)
+        return _bde_scores(stack, kind.ess)
+    return _mit_scores(data, i, families, stack, kind.alpha)
+
+
+def family_score(data: DiscreteDataset, i: int, parents: tuple, kind: ScoreKind) -> float:
+    return _family_scores(data, i, [parents], family_counts(data, i, parents)[None], kind)[0]
+
+
+def _score_tables(data: DiscreteDataset, i: int, tables: dict, kind: ScoreKind) -> dict:
+    """{(i, family): score} of child i's {(i, family): counts} `tables`,
+    those of one shape scored as one stack."""
+    stacks: dict = {}   # table shape -> [(i, family)]
+    for key, table in tables.items():
+        stacks.setdefault(table.shape, []).append(key)
+    scores = {}
+    for keys in stacks.values():
+        stack = np.stack([tables[key] for key in keys])
+        scores.update(zip(keys, _family_scores(data, i, [f for _, f in keys], stack, kind)))
+    return scores
 
 
 def score_network(net: TwoSliceNetwork, data: DiscreteDataset,
@@ -602,6 +648,9 @@ def hill_climb(data: DiscreteDataset, kind: ScoreKind, max_parents: int = 3,
     lexicographically smallest move.  Scores decompose over families, so a
     move is scored by its delta over the families it changes, read from
     one cache keyed by (family, sorted parent refs); see `_arc_moves`.
+    When a child's parents change, every small family that adds one parent
+    to them is counted by `_add_counts` and scored into that cache at once,
+    one stack per table shape; other families are scored one by one.
     A step rebuilds only the records of the moves into a changed family and
     the reversals whose gained family changed.
     """
@@ -610,7 +659,6 @@ def hill_climb(data: DiscreteDataset, kind: ScoreKind, max_parents: int = 3,
     n, arities = data.n_vars, data.arities
     every_ref = [(side, a) for side in ("t", "t1") for a in range(n)]
     cache: dict = {}
-    tables: dict = {}     # popcount counts of families not yet scored
     bitsets: dict = {}
 
     def bits(ref):
@@ -621,11 +669,12 @@ def hill_climb(data: DiscreteDataset, kind: ScoreKind, max_parents: int = 3,
     def fam(i, parents):
         key = (i, parents)
         if key not in cache:
-            cache[key] = family_score(data, i, parents, kind, tables.pop(key, None))
+            cache[key] = family_score(data, i, parents, kind)
         return cache[key]
 
-    def count_adds(i):
-        """Counts of each unscored small family that adds one parent to i's."""
+    def score_adds(i):
+        """Score each unscored small family that adds one parent to i's,
+        one stack of popcount tables per table shape."""
         if len(parents[i]) >= max_parents:
             return
         cells = math.prod(arities[a] for _, a in parents[i]) * arities[i]
@@ -633,7 +682,8 @@ def hill_climb(data: DiscreteDataset, kind: ScoreKind, max_parents: int = 3,
                 and cells * arities[ref[1]] <= _POPCOUNT_CELLS
                 and (i, tuple(sorted(parents[i] + (ref,)))) not in cache]
         if adds:
-            tables.update(_add_counts(data, i, parents[i], adds, bits))
+            tables = _add_counts(data, i, parents[i], adds, bits)
+            cache.update(_score_tables(data, i, tables, kind))
 
     def into(j):
         """The (arc, tail, head) slots of the arcs into j."""
@@ -648,7 +698,7 @@ def hill_climb(data: DiscreteDataset, kind: ScoreKind, max_parents: int = 3,
     step = 0
     while True:
         for f in changed:
-            count_adds(f)
+            score_adds(f)
         for slot in stale:
             records[slot] = _arc_moves(parents, *slot, max_parents, fam)
         ranked = sorted((rec for recs in records.values() for rec in recs if rec[0] > _EPS),

@@ -597,10 +597,15 @@ def add_cims(cims: list) -> CIM:
             raise ValueError("inconsistent state-space dimensions")
     rates = [[0.0] * r for _ in range(r)]
     for c in cims:      # left to right, so no float total depends on `sum`
-        for row, added in zip(rates, c.rates):
-            for j in range(r):
-                row[j] += added[j]
+        _add_rates(rates, c)
     return CIM(rates)
+
+
+def _add_rates(rates: list, cim: CIM) -> None:
+    """Add `cim`'s intensities into the matrix `rates`, entry by entry."""
+    for row, added in zip(rates, cim.rates):
+        for j, rate in enumerate(added):
+            row[j] += rate
 
 
 def amalgamate(state_counts: list, active_cims: Callable[[int, tuple], list]) -> np.ndarray:
@@ -836,10 +841,15 @@ def parse_groundtruth(text: str, schema: Schema):
     ``end``.  A stream names a declared variable with its arguments less
     the time slot, at most once per world; a fact names an atemporal one.
     Clause bodies are evaluated over the projected context with V0.. bound
-    to the stream's arguments.
+    to the stream's arguments.  A clause whose intensities, added to those
+    of the earlier clauses of its head, leave float range is an error at its
+    line, whatever their bodies: which bodies can hold at once is known only
+    in a sampled context, so the sum of every clause of a head is the bound
+    that holds for each sum the sampler forms.
     """
     variables: dict = {}
     clauses: list = []
+    totals: dict = {}       # clause head -> its clauses' intensities added so far
     worlds: list = []
     current_world = None
     stream_lines: dict = {}     # stream predicate -> line of its first stream
@@ -873,6 +883,12 @@ def parse_groundtruth(text: str, schema: Schema):
             except (ParseError, ValueError) as exc:
                 raise ParseError(str(exc), lineno)
             clauses.append(ClauseSpec(name, cim, body))
+            total = totals.setdefault(name, [[0.0] * cim.states for _ in range(cim.states)])
+            if len(total) == cim.states:    # else GroundTruthSpec refuses the size
+                _add_rates(total, cim)      # as `add_cims` adds them
+                if not all(math.isfinite(rate) for row in total for rate in row):
+                    raise ParseError(f"the intensities of the {name} clauses sum past "
+                                     "float range", lineno)
         elif line.startswith("world "):
             if current_world is not None:
                 raise ParseError("nested world block", lineno)

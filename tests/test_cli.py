@@ -685,6 +685,39 @@ class TestSample:
             "finite numbers, not " in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_clause_intensities_summing_past_float_range_are_a_data_error_at_the_clause(
+            self, tmp_path, capsys):
+        # each clause is finite; the sampler adds the active ones, and two
+        # of these sum to -inf
+        schema = _write(tmp_path / "schema.txt", SAMPLE_SCHEMA)
+        spec = _write(tmp_path / "spec.txt",
+                      "var cvd init=[1.0, 0.0]\n"
+                      + "clause cvd cim=[[-1e308, 1e308], [0.0, 0.0]]\n" * 3
+                      + "world p1\nstream cvd(p1)\nend\n")
+        out = str(tmp_path / "trj.txt")
+        assert main(["sample", "--spec", spec, "--schema", schema,
+                     "--horizon", "5.0", "--out", out]) == 2
+        assert "data error: line 3: the intensities of the cvd clauses sum past float range" \
+            in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_clause_intensities_summing_past_float_range_are_refused_whatever_the_bodies(
+            self, tmp_path, capsys):
+        # no context satisfies both bodies, so the sampler never adds the two
+        # CIMs; the bound is on the sum of every clause of a head all the same
+        schema = _write(tmp_path / "schema.txt", SAMPLE_SCHEMA)
+        spec = _write(tmp_path / "spec.txt",
+                      "var cvd init=[1.0, 0.0]\n"
+                      'clause cvd cim=[[-1e308, 1e308], [0.0, 0.0]] if "parentOf(V0,V0)"\n'
+                      'clause cvd cim=[[-1e308, 1e308], [0.0, 0.0]] if "!parentOf(V0,V0)"\n'
+                      "world p1\nstream cvd(p1)\nend\n")
+        out = str(tmp_path / "trj.txt")
+        assert main(["sample", "--spec", spec, "--schema", schema,
+                     "--horizon", "5.0", "--out", out]) == 2
+        assert "data error: line 3: the intensities of the cvd clauses sum past float range" \
+            in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_zero_worlds_empty_file(self, tmp_path):
         schema = _write(tmp_path / "schema.txt", SAMPLE_SCHEMA)
         spec = _write(tmp_path / "spec.txt",

@@ -614,10 +614,124 @@ class TestBitIdenticalScores:
             assert bde_family_score(counts, 2.0) == _reference_bde(counts, 2.0)
 
         monkeypatch.setattr(dbn, "family_counts", _reference_family_counts)
-        monkeypatch.setattr(dbn, "bde_family_score", _reference_bde)
+        monkeypatch.setattr(dbn, "_bde_scores",
+                            lambda stack, ess: [_reference_bde(table, ess) for table in stack])
         monkeypatch.setattr(dbn, "chi2_quantile", chi2_quantile.__wrapped__)
         for (i, parents, kind), score in got.items():
             assert score == _score_or_error(data, i, parents, kind), (i, parents, kind)
+
+
+def _one_table_loglik(counts):
+    """`family_loglik`'s formula as first written, over one table."""
+    counts = counts.astype(float)
+    row = counts.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.divide(counts, row, out=np.ones_like(counts), where=row > 0)
+    return float(dbn._xlogy(counts, ratio).sum())
+
+
+def _one_table_mutual_information(counts):
+    """`mutual_information` as first written, over one table."""
+    counts = counts.astype(float)
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    pj = counts.sum(axis=1, keepdims=True) / n
+    pk = counts.sum(axis=0, keepdims=True) / n
+    p = counts / n
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.divide(p, pj * pk, out=np.ones_like(p), where=p > 0)
+    return float(dbn._xlogy(p, ratio).sum())
+
+
+def _one_table_score(data, i, parents, kind):
+    """`family_score` as first written, over one family's counts table: the
+    BIC penalty's q from the parents' arities, the BDe cell loop of
+    `_reference_bde` and no MIT term for a parentless family."""
+    counts = family_counts(data, i, parents)
+    if isinstance(kind, BIC):
+        q = math.prod(data.arities[j] for _, j in parents)
+        return _one_table_loglik(counts) - bic_penalty(q, data.arities[i], data.n_samples)
+    if isinstance(kind, BDe):
+        return _reference_bde(counts, kind.ess)
+    if not parents:
+        return 0.0
+    score = 2.0 * data.n_samples * _one_table_mutual_information(counts)
+    for df in dbn._mit_df_schedule(data, i, parents):
+        if df:
+            score -= chi2_quantile(kind.alpha, df)
+    return score
+
+
+def _hexes(scores):
+    return [score.hex() for score in scores]
+
+
+class TestStackedScores:
+    """A stack of counts tables scores each table to the bits it gets alone."""
+
+    KINDS = (BIC(), BDe(1.0), BDe(3.5), MIT(0.95))
+
+    def test_stack_scores_equal_family_scores(self):
+        rng = random.Random(31)
+        names, arities = ("a", "b", "c", "d", "e"), (2, 3, 5, 1, 4)
+        data = _dataset([[rng.randrange(r) for r in arities * 2] for _ in range(60)],
+                        names=names, arities=arities)
+        refs = [(side, j) for side in ("t", "t1") for j in range(len(names))]
+        stacks: dict = {}     # (child, table shape) -> [parents]
+        for i in range(len(names)):
+            others = [ref for ref in refs if ref != ("t1", i)]
+            for k in range(4):
+                for parents in itertools.combinations(others, k):
+                    shape = family_counts(data, i, parents).shape
+                    stacks.setdefault((i, shape), []).append(parents)
+        for (i, _), families in stacks.items():
+            stack = np.stack([family_counts(data, i, parents) for parents in families])
+            for kind in self.KINDS:
+                want = [family_score(data, i, parents, kind) for parents in families]
+                assert _hexes(dbn._family_scores(data, i, families, stack, kind)) == \
+                    _hexes(want), (i, families, kind)
+                assert _hexes(want) == _hexes(_one_table_score(data, i, parents, kind)
+                                              for parents in families), (i, families, kind)
+        cells = {q * r for _, (q, r) in stacks}
+        assert min(cells) <= 2 and max(cells) > 128     # past numpy's pairwise block
+        assert 1 in map(len, stacks.values())
+        assert any((family_counts(data, i, parents).sum(axis=1) == 0).any()
+                   for (i, _), families in stacks.items() for parents in families)
+
+    def test_a_batch_of_mixed_shapes_scores_as_family_score(self):
+        data = _random_dataset(random.Random(32), n_samples=90, arities=(2, 3, 4))
+
+        def bits(ref):
+            return dbn._state_bitsets(data, ref)
+
+        refs = [(side, j) for side in ("t", "t1") for j in range(3)]
+        for i, parents in ((0, ()), (1, (("t", 2),)), (2, (("t", 0), ("t1", 1)))):
+            adds = [ref for ref in refs if ref != ("t1", i) and ref not in parents]
+            tables = dbn._add_counts(data, i, parents, adds, bits)
+            assert len({table.shape for table in tables.values()}) > 1
+            for kind in self.KINDS:
+                scores = dbn._score_tables(data, i, tables, kind)
+                assert scores.keys() == tables.keys()
+                assert {key: score.hex() for key, score in scores.items()} == {
+                    key: family_score(data, *key, kind).hex() for key in tables} == {
+                    key: _one_table_score(data, *key, kind).hex() for key in tables}
+
+    @pytest.mark.parametrize("q,r", [(1, 2), (3, 3), (16, 9), (50, 3), (129, 1),
+                                     (1024, 9)])   # past numpy's 8192-element buffer
+    def test_zero_rows_and_an_all_zero_table(self, q, r):
+        counts = np.random.default_rng(q * r).integers(0, 4, size=(4, q, r))
+        counts[1] = 0
+        counts[2, 0] = 0
+        mis = dbn._mutual_informations(counts)
+        assert mis[1] == 0.0
+        assert _hexes(mis) == _hexes(map(_one_table_mutual_information, counts))
+        assert _hexes(dbn._logliks(counts)) == _hexes(map(_one_table_loglik, counts))
+        assert _hexes(dbn._bde_scores(counts, 2.0)) == \
+            _hexes(_reference_bde(table, 2.0) for table in counts)
+        for score in (dbn._logliks, dbn._mutual_informations,
+                      lambda stack: dbn._bde_scores(stack, 2.0)):
+            assert _hexes(score(counts)) == _hexes(score(table[None])[0] for table in counts)
 
 
 def test_family_counts_refuses_a_table_past_the_cell_bound(monkeypatch):

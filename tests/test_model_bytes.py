@@ -565,11 +565,12 @@ def test_dbn_totals_add_family_scores_left_to_right(monkeypatch):
     data = dbn.parse_dataset("vars: a:2, b:2, c:2\n0,1,0,1,0,1\n1,0,1,0,1,0\n0,0,1,1,1,0\n")
     base = [1e16, 1.0, -1e16]
 
-    def family_score(data, i, parents, kind, counts=None):
+    def family_scores(data, i, families, stack, kind):
         # only b's arc from its own slice-t value gains, by 0.5
-        return base[i] + (0.5 if (i, parents) == (1, (("t", 1),)) else -1.0 if parents else 0.0)
+        return [base[i] + (0.5 if (i, parents) == (1, (("t", 1),)) else -1.0 if parents else 0.0)
+                for parents in families]
 
-    monkeypatch.setattr(dbn, "family_score", family_score)
+    monkeypatch.setattr(dbn, "_family_scores", family_scores)
     monkeypatch.setattr(builtins, "sum", compensated_sum)
     assert compensated_sum(base) == 1.0
     empty = dbn.TwoSliceNetwork(data.names, data.arities, set(), set())
