@@ -9,6 +9,13 @@ penalized asymmetrically.  With alpha = beta = 0 the two coincide exactly.
 
 Sign convention: positive beta punishes false positives harder; negative
 beta tolerates them (the high-recall setting for imbalanced data).
+
+Each iteration computes a row's sigmoid and gradient, and its ``.log``
+objective term, once per distinct (label, psi) pair (`util.per_distinct`).
+psi is constant on each leaf-path cell of the trees so far, so thousands
+of rows hold a handful of pairs.  The rctbn learner keeps its segment terms
+per row: a segment's key would hold its residence time, a continuous value
+that rarely repeats.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .regtree import (
     read_trees,
     write_model,
 )
-from .util import ordered_sum
+from .util import ordered_sum, per_distinct
 
 PSI_CLAMP = 40.0  # |psi| beyond this saturates the sigmoid anyway
 
@@ -153,7 +160,14 @@ def train(examples: ExampleSet, db: FactBase, modes: list, config: BoostConfig,
     model = BoostedModel(examples.target, 0.0, [], kind)
     cache = RoutingCache()
     slots = cache.register([(atom, db) for atom, _ in examples.entries])
+    labels = [label for _, label in examples.entries]
     psis = [0.0] * len(slots)
+
+    def gradient(label: int, psi: float) -> float:
+        return _gradient(kind, label, sigmoid_prob(psi))
+
+    def objective(label: int, psi: float) -> float:
+        return per_example_objective(label, psi, kind)
 
     for m in range(config.iterations):
         if config.neg_subsample_ratio is not None:
@@ -162,14 +176,12 @@ def train(examples: ExampleSet, db: FactBase, modes: list, config: BoostConfig,
             chosen = sorted(rng.sample(neg_idx, keep))
         else:
             chosen = neg_idx
-        fit = [(i, _gradient(kind, examples.entries[i][1], sigmoid_prob(psis[i])))
-               for i in pos_idx + chosen]
-        model.trees.append(boost_step(slots, fit, modes, config.tree, psis, cache))
+        rows = pos_idx + chosen
+        gradients = per_distinct(gradient, ((labels[i], psis[i]) for i in rows))
+        model.trees.append(boost_step(slots, list(zip(rows, gradients)), modes,
+                                      config.tree, psis, cache))
         if on_iteration is not None:
-            objective = ordered_sum(
-                per_example_objective(label, psis[i], kind)
-                for i, (_, label) in enumerate(examples.entries))
-            on_iteration(m + 1, objective)
+            on_iteration(m + 1, ordered_sum(per_distinct(objective, zip(labels, psis))))
     return model
 
 

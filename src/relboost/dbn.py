@@ -355,10 +355,12 @@ def _add_counts(data: DiscreteDataset, i: int, parents: tuple, refs: list,
         rows = (bitsets(ref)[:, None] & rows).reshape(-1, rows.shape[1])
     stack = np.concatenate([bitsets(ref) for ref in refs])
     buf = np.empty_like(stack)
+    popcounts = np.empty(stack.shape, dtype=np.uint8)
     hits = np.empty((len(rows), len(stack)), dtype=np.int64)
     for row, out in zip(rows, hits):
-        np.bitwise_count(np.bitwise_and(stack, row, out=buf), out=buf)
-        buf.sum(axis=1, out=out)
+        np.bitwise_count(np.bitwise_and(stack, row, out=buf), out=popcounts)
+        # a row's sum is at most the sample count, which a uint32 holds
+        popcounts.sum(axis=1, dtype=np.uint32, out=out)
     dims = [data.arities[j] for _, j in parents] + [r]
     cells = np.arange(hits.size).reshape(hits.shape)
     gathers: dict = {}   # (arity, position) -> C-order flat index of the table at offset 0

@@ -15,6 +15,13 @@ updated means.  sigma is read as max(SIGMA_FLOOR, sigma0 + the sum of its
 leaves) in fitting and prediction alike, so a model predicts exactly the
 values it was fitted at.  The step size eta multiplies leaf contributions.
 
+Count and multiclass residuals and their log-likelihood terms are computed
+once per distinct (value, score) pair, the score a class-score tuple for
+multiclass (`util.per_distinct`): counts and classes are discrete, and a
+model without parents has a score constant on each leaf-path cell, so
+rows share few pairs.  Gaussian mu and sigma terms stay per row: their key
+would hold a continuous value, which rarely repeats.
+
 The distribution is the target's schema value kind and nothing else:
 ``multiclass(K)`` is multinomial over K classes, ``count`` is Poisson and
 ``continuous`` is Gaussian; boolean targets belong to the rfgb learner.  A
@@ -42,7 +49,7 @@ from .regtree import (
     read_trees,
     write_model,
 )
-from .util import _clamped_exp, ordered_sum
+from .util import _clamped_exp, ordered_sum, per_distinct
 
 SIGMA_FLOOR = 1e-3
 
@@ -238,11 +245,15 @@ def _function_names(target: PredicateSignature, parents: tuple) -> dict:
             for j, suffix in enumerate(["", *(f"*{p}" for p in parents)])}
 
 
+def _multinomial_residual(y: int, scores: tuple) -> list:
+    return multinomial_gradient(y, multinomial_prob(scores))
+
+
 def _loglik(kind: str, values: list, scores: list, sigmas: Optional[list]) -> float:
     if kind == "multiclass":
-        return ordered_sum(multinomial_ll(y, row) for y, row in zip(values, zip(*scores)))
+        return ordered_sum(per_distinct(multinomial_ll, zip(values, zip(*scores))))
     if kind == "count":
-        return ordered_sum(poisson_ll(y, psi) for y, psi in zip(values, scores[0]))
+        return ordered_sum(per_distinct(poisson_ll, zip(values, scores[0])))
     return ordered_sum(gaussian_ll(y, mu, sigma)
                        for y, mu, sigma in zip(values, scores[0], sigmas))
 
@@ -278,10 +289,9 @@ def _boost(examples: ExampleSet, db: FactBase, modes: list, parents: tuple,
 
     def residuals(scores) -> list:
         if kind == "multiclass":
-            return list(zip(*(multinomial_gradient(y, multinomial_prob(row))
-                              for y, row in zip(values, zip(*scores)))))
+            return list(zip(*per_distinct(_multinomial_residual, zip(values, zip(*scores)))))
         if kind == "count":
-            return [[poisson_gradient(y, psi) for y, psi in zip(values, scores[0])]]
+            return [per_distinct(poisson_gradient, zip(values, scores[0]))]
         return [[gaussian_gradients(y, mu, s)[0] for y, mu, s in zip(values, scores[0], sigma)]]
 
     def step(fitted, gradients, column, eta):

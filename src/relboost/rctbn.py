@@ -707,6 +707,11 @@ class World:
     facts: list = field(default_factory=list)
 
 
+# expected transitions of one stream over the horizon past which the
+# sampler refuses a spec, rather than drawing them one by one
+MAX_EXPECTED_TRANSITIONS = 10 ** 7
+
+
 def _state_to_value(var: VariableSpec, k: int):
     return bool(k) if var.pred.kind == "boolean" else k
 
@@ -744,13 +749,27 @@ def forward_sample(spec: GroundTruthSpec, worlds: list, schema: Schema,
     of the head, compiled once per call against V0.. bound to the stream's
     arguments, on one context: the static facts and the dependencies'
     values.
+
+    Every transition is drawn one by one, so a head whose summed clauses
+    (the bound on any sum of its active ones) reach an exit rate whose
+    product with the horizon passes MAX_EXPECTED_TRANSITIONS is refused
+    before any world is sampled.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     proj = projected_schema(schema)
     reads: dict = {}    # head predicate -> predicates its clause bodies name
+    totals: dict = {}   # head predicate -> its clauses' intensities added up
     for clause in spec.clauses:
         reads.setdefault(clause.pred, set()).update(lit.atom.pred.name for lit in clause.body)
+        r = clause.cim.states
+        _add_rates(totals.setdefault(clause.pred, [[0.0] * r for _ in range(r)]), clause.cim)
+    for name, total in totals.items():
+        rate = max(-row[k] for k, row in enumerate(total))
+        if rate * horizon > MAX_EXPECTED_TRANSITIONS:
+            raise ValueError(f"the {name} clauses reach exit rate {rate!r}: over horizon "
+                             f"{horizon!r} a {name} stream could expect {rate * horizon:.3g} "
+                             f"transitions, past the limit of {MAX_EXPECTED_TRANSITIONS:.0e}")
     heads: dict = {}    # head predicate -> [(CIM, compiled body)], compiled on first use
 
     trajectories = []

@@ -36,6 +36,30 @@ def ordered_array_sum(terms: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
+class _Memo(dict):
+    """fn(*key) at each key, computed at the key's first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(*key)
+        return value
+
+
+def per_distinct(fn, keys) -> list:
+    """[fn(*key) for key in keys], calling fn once per distinct key.
+
+    Rows that share a key share the one result object, so fn must be pure
+    and its result must not be mutated.  Keys that compare equal are one
+    key: 0.0 and -0.0, or 1 and 1.0, share the result of the first, so fn
+    must give the same bits at each.  The memo lives for this call only.
+    """
+    return list(map(_Memo(fn).__getitem__, keys))
+
+
 def atomic_write(path: str, text: str):
     """Write via a temp file and rename so readers never see partial output."""
     directory = os.path.dirname(os.path.abspath(path))

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -715,6 +716,23 @@ class TestSample:
         assert main(["sample", "--spec", spec, "--schema", schema,
                      "--horizon", "5.0", "--out", out]) == 2
         assert "data error: line 3: the intensities of the cvd clauses sum past float range" \
+            in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_finite_rates_too_high_to_sample_are_a_data_error_at_once(self, tmp_path, capsys):
+        # about 5e300 transitions over the horizon, each drawn one by one,
+        # would never end; the head's summed exit rate refuses it first
+        schema = _write(tmp_path / "schema.txt", SAMPLE_SCHEMA)
+        spec = _write(tmp_path / "spec.txt",
+                      "var cvd init=[1.0, 0.0]\n"
+                      "clause cvd cim=[[-1e300, 1e300], [1e300, -1e300]]\n"
+                      "world p1\nstream cvd(p1)\nend\n")
+        out = str(tmp_path / "trj.txt")
+        start = time.perf_counter()
+        assert main(["sample", "--spec", spec, "--schema", schema,
+                     "--horizon", "5", "--out", out]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "data error: the cvd clauses reach exit rate 1e+300: over horizon 5.0" \
             in capsys.readouterr().err
         assert not os.path.exists(out)
 

@@ -734,6 +734,36 @@ class TestStackedScores:
             assert _hexes(score(counts)) == _hexes(score(table[None])[0] for table in counts)
 
 
+def test_popcount_tables_equal_family_counts_past_two_to_the_sixteen_rows():
+    """70,001 rows: past 2^16, so a cell can pass a uint16, and not a whole
+    number of 64-bit words.  Variable a is in state 0 about 99% of the time,
+    so the cell of a@t and a@t+1 both 0 counts past 65,535."""
+    rng = np.random.default_rng(36)
+    n, arities = 70_001, (2, 3, 4)
+    skewed = (rng.random((n, 2)) < 0.01).astype(np.int64)
+    rows = np.column_stack([skewed[:, 0], rng.integers(0, 3, n), rng.integers(0, 4, n),
+                            skewed[:, 1], rng.integers(0, 3, n), rng.integers(0, 4, n)])
+    data = _dataset(rows, arities=arities)
+
+    def bits(ref):
+        return dbn._state_bitsets(data, ref)
+
+    refs = [(side, j) for side in ("t", "t1") for j in range(3)]
+    biggest = 0
+    for i, parents in ((0, ()), (1, (("t", 0),)), (2, (("t", 0), ("t1", 1))),
+                       (0, (("t", 1),))):
+        adds = [ref for ref in refs if ref != ("t1", i) and ref not in parents]
+        tables = dbn._add_counts(data, i, parents, adds, bits)
+        assert len(tables) == len(adds)
+        for (child, family), got in tables.items():
+            want = family_counts(data, child, family)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want), (child, family)
+            assert got.sum() == n
+            biggest = max(biggest, int(got.max()))
+    assert biggest > 2 ** 16
+
+
 def test_family_counts_refuses_a_table_past_the_cell_bound(monkeypatch):
     data = _random_dataset(random.Random(23), arities=(2, 3, 2))
     monkeypatch.setattr(dbn, "_MAX_CELLS", 12)

@@ -25,6 +25,7 @@ from relboost.logic import (
 )
 from relboost.rctbn import (
     CIM,
+    MAX_EXPECTED_TRANSITIONS,
     ClauseSpec,
     Event,
     GroundTruthSpec,
@@ -456,6 +457,20 @@ clause cvd cim=[[0.0, 0.0], [0.0, 0.0]]
         worlds = [World("solo", [("cvd", (Constant("solo"),))], [])]
         trajs = forward_sample(spec, worlds, schema, horizon=100.0, seed=5)
         assert len(trajs[0].transitions()) == 0
+
+    def test_a_head_expecting_too_many_transitions_is_refused_before_sampling(self, schema):
+        # the bound is on the sum of every clause of a head, bodies aside:
+        # 4e5 + 6e5 = 1e6 per time unit, so horizon 10 is exactly at the limit
+        spec = _spec(schema, """
+var cvd init=[1.0, 0.0]
+clause cvd cim=[[-4e5, 4e5], [0.0, 0.0]]
+clause cvd cim=[[-6e5, 6e5], [0.0, 0.0]] if "parentOf(Y,V0), cvd(Y)"
+""")
+        assert MAX_EXPECTED_TRANSITIONS == 10 ** 7
+        assert forward_sample(spec, [], schema, horizon=10.0, seed=5) == []
+        with pytest.raises(ValueError, match=r"the cvd clauses reach exit rate 1000000\.0: "
+                                             r"over horizon 10\.5 .* past the limit of 1e\+07"):
+            forward_sample(spec, [], schema, horizon=10.5, seed=5)
 
     def test_competing_clocks_sum_rates(self, schema):
         qa, qb = 0.8, 1.7
