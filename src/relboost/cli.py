@@ -5,6 +5,9 @@ Commands: ``train``, ``eval``, ``sample``, ``cv``, and ``metrics``
 file via ``--config``; explicit flags override file entries, which
 override defaults, and unknown keys are rejected.
 
+Train, eval and cv read a kind's rows through one reader, so eval scores the
+rows train fits; a row-input option the kind does not read is a config error.
+
 Exit codes: 0 success, 2 dataset errors, 3 configuration errors,
 4 internal errors.  Every command is deterministic given its inputs and
 seed, and all file writes are atomic (temp file plus rename).
@@ -210,28 +213,9 @@ def _require(opts: dict, *names: str):
             raise ConfigError(f"--{name} is required here")
 
 
-def _read_facts(opts: dict, schema: Schema, trajectories: bool = False) -> FactBase:
-    """The --facts base, or an empty one without the option.  Beside
-    trajectories, a fact on a temporal predicate is an error at its line."""
-    if not opts["facts"]:
-        return FactBase(schema)
-    parse = rctbn.parse_static_facts if trajectories else parse_facts
-    return parse(_read(opts["facts"]), schema)
-
-
-def _load_bundle(opts: dict, trajectories: bool = False):
-    schema = parse_schema(_read(opts["schema"]))
-    facts = _read_facts(opts, schema, trajectories)
-    modes = parse_modes(_read(opts["modes"]), rctbn.projected_schema(schema)) \
-        if opts["modes"] else []
-    return schema, facts, modes
-
-
 def _target_sig(schema: Schema, text: str):
     """The signature `--target name` or `--target name/arity` names; the
     arity, when given, must be the schema's, as in a model file header."""
-    if text is None:
-        raise ConfigError("--target is required here")
     name, slash, arity = text.partition("/")
     if name not in schema:
         raise DataError(f"target predicate {name!r} not in schema")
@@ -241,14 +225,60 @@ def _target_sig(schema: Schema, text: str):
     return target
 
 
-def _labelled_examples(opts: dict, target) -> ExampleSet:
-    _require(opts, "pos", "neg")
+# ---------------------------------------------------------------------------
+# input readers: one per model kind, shared by train, eval and cv
+# ---------------------------------------------------------------------------
+
+
+def _row_inputs(command: str, kind: str, opts: dict) -> tuple:
+    """The row-input options that `command` reads for a model of `kind`,
+    each required; any other one given is a config error naming it.  Hybrid
+    train reads --traj in place of --examples; eval cannot rebuild that yet."""
+    reads = {"hybrid": ("traj",) if command == "train" and opts.get("traj") else ("examples",),
+             "rctbn": ("traj",), "dbn": ("data",)}.get(kind.split("-")[0], ("pos", "neg"))
+    for name in ("pos", "neg", "examples", "traj", "data"):
+        if opts.get(name) is not None and name not in reads:
+            raise ConfigError(f"{command} of {kind} models reads "
+                              f"{' and '.join('--' + r for r in reads)}, not --{name}")
+    _require(opts, *reads)
+    return reads
+
+
+def _inputs(kind: str, opts: dict, schema: Schema, target, command: str = "train") -> tuple:
+    """(facts, rows) of a `kind` model of target signature `target`: rfgb's
+    labelled --pos/--neg examples, hybrid's --examples values or --traj
+    aggregation (facts over the derived schema), or rctbn's trajectories."""
+    trajectories = _row_inputs(command, kind, opts) == ("traj",)
+    facts = FactBase(schema) if not opts["facts"] else \
+        (rctbn.parse_static_facts if trajectories else parse_facts)(_read(opts["facts"]), schema)
+    if trajectories:
+        trajs = rctbn.parse_trajectories(_read(opts["traj"]), schema)
+        if kind == "rctbn":
+            return facts, trajs
+        derived, examples = hybrid.aggregate_trajectories(
+            trajs, schema, target.name, opts["bool-agg"], opts["num-agg"])
+        return FactBase(derived.schema.merged_with(facts.schema), derived.facts(),
+                        base=facts), examples
+    if kind == "hybrid":
+        return facts, parse_examples(_read(opts["examples"]), target)
     pos = parse_examples(_read(opts["pos"]), target, label=1)
     try:    # name the negatives file: a duplicate there may repeat a positive
         neg = parse_examples(_read(opts["neg"]), target, label=0, earlier=pos)
     except ParseError as exc:
         raise DataError(f"{opts['neg']}: {exc}") from None
-    return pos.merged_with(neg)
+    return facts, pos.merged_with(neg)
+
+
+def _train_inputs(opts: dict) -> tuple:
+    """(schema, target, facts, rows, modes) of train or cv: rctbn modes read
+    the projected schema of segment contexts, the others the facts' schema."""
+    _require(opts, "schema", "modes", "target")
+    schema = parse_schema(_read(opts["schema"]))
+    target = _target_sig(schema, opts["target"])
+    facts, rows = _inputs(opts["kind"], opts, schema, target)
+    modes = parse_modes(_read(opts["modes"]), rctbn.projected_schema(schema)
+                        if opts["kind"] == "rctbn" else facts.schema)
+    return schema, target, facts, rows, modes
 
 
 def _report_lines(report: dict) -> str:
@@ -269,15 +299,13 @@ def _emit(text: str, path):
 
 def _rfgb_setup(opts: dict) -> tuple:
     """(facts, modes, labelled examples, gradient, BoostConfig) of rfgb train or cv."""
-    _require(opts, "kind", "schema", "facts", "modes", "target")
+    _require(opts, "kind", "facts")
     for name in ("alpha", "beta"):     # the hard gradient has no soft-margin costs
         if opts["kind"] == "rfgb" and opts[name] != 0.0:
             raise ConfigError(f"--{name}={opts[name]} needs --kind soft-rfgb; "
                               "--kind rfgb takes no soft-margin cost")
-    schema, facts, modes = _load_bundle(opts)
-    examples = _labelled_examples(opts, _target_sig(schema, opts["target"]))
-    gradient = boost.Hard() if opts["kind"] == "rfgb" \
-        else boost.Soft(opts["alpha"], opts["beta"])
+    _, _, facts, examples, modes = _train_inputs(opts)
+    gradient = boost.Hard() if opts["kind"] == "rfgb" else boost.Soft(opts["alpha"], opts["beta"])
     config = boost.BoostConfig(opts["iters"], TreeConfig(max_leaves=opts["leaves"]),
                                opts["neg-subsample"], opts["seed"])
     return facts, modes, examples, gradient, config
@@ -296,23 +324,7 @@ def cmd_train(opts: dict) -> int:
         text = boost.serialize_model(
             boost.train(examples, facts, modes, config, gradient, on_iteration=log))
     elif kind == "hybrid":
-        _require(opts, "schema", "modes", "target")
-        schema = parse_schema(_read(opts["schema"]))
-        static = _read_facts(opts, schema, bool(opts["traj"]))
-        if opts["traj"]:
-            trajs = rctbn.parse_trajectories(_read(opts["traj"]), schema)
-            facts, examples = hybrid.aggregate_trajectories(
-                trajs, schema, _target_sig(schema, opts["target"]).name,
-                opts["bool-agg"], opts["num-agg"])
-            working = facts.schema.merged_with(static.schema)
-            facts = FactBase(working, facts.facts(), base=static)
-        else:
-            _require(opts, "examples")
-            target = _target_sig(schema, opts["target"])
-            examples = parse_examples(_read(opts["examples"]), target)
-            facts = static
-            working = schema
-        modes = parse_modes(_read(opts["modes"]), working)
+        _, _, facts, examples, modes = _train_inputs(opts)
         config = hybrid.HybridConfig(iterations=opts["iters"],
                                      tree=TreeConfig(max_leaves=opts["leaves"]))
         if opts["eta"] is not None:
@@ -322,20 +334,16 @@ def cmd_train(opts: dict) -> int:
             examples, facts, modes, config,
             on_iteration=lambda m, ll: log(m, ll, f"target={examples.target.name} ")))
     elif kind == "rctbn":
-        _require(opts, "schema", "traj", "modes", "target", "from", "to")
-        schema, facts, modes = _load_bundle(opts, trajectories=True)
-        target = _target_sig(schema, opts["target"])
-        transition = rctbn.Transition(
-            target.name,
-            rctbn._parse_event_value(target, opts["from"]),
-            rctbn._parse_event_value(target, opts["to"]))
-        trajs = rctbn.parse_trajectories(_read(opts["traj"]), schema)
+        _require(opts, "from", "to")
+        schema, target, facts, trajs, modes = _train_inputs(opts)
+        transition = rctbn.Transition(target.name, *(
+            rctbn._parse_event_value(target, opts[state]) for state in ("from", "to")))
         config = rctbn.RctbnConfig(opts["iters"], TreeConfig(max_leaves=opts["leaves"]),
                                    opts["neg-cap"], opts["seed"])
         text = rctbn.serialize_rctbn(rctbn.train_rctbn(
             trajs, facts, schema, transition, modes, config, on_iteration=log))
     else:  # dbn-*
-        _require(opts, "data")
+        _row_inputs("train", kind, opts)
         data = dbn.parse_dataset(_read(opts["data"]))
         score = {"dbn-bic": dbn.BIC(),
                  "dbn-bde": dbn.BDe(opts["ess"]),
@@ -375,38 +383,37 @@ def _rfgb_predictions(model, facts: FactBase, entries: list,
         [label for _, label in entries])
 
 
+_MODEL_PARSERS = {"rfgb": boost.parse_model, "hybrid": hybrid.parse_hybrid,
+                  "rctbn": rctbn.parse_rctbn}   # a model header's kind token -> parser
+
+
 def cmd_eval(opts: dict) -> int:
     _require(opts, "model", "schema")
     schema = parse_schema(_read(opts["schema"]))
     model_text = _read(opts["model"])
-    header = model_text.splitlines()[0] if model_text else ""
-    facts = _read_facts(opts, schema, header.startswith("model rctbn "))
+    words = (model_text.splitlines() or [""])[0].split(" ", 2)
+    kind = words[1] if len(words) == 3 and words[0] == "model" else None
+    if kind not in _MODEL_PARSERS:
+        raise DataError("unrecognized model file")
+    model = _MODEL_PARSERS[kind](model_text, schema)
+    facts, rows = _inputs(kind, opts, schema, model.target, "eval")
     cache = RoutingCache()
 
-    if header.startswith("model rfgb "):
-        model = boost.parse_model(model_text, schema)
-        examples = _labelled_examples(opts, model.target)
-        preds = _rfgb_predictions(model, facts, examples.entries, cache)
-        report = _prediction_report(preds, opts)
-    elif header.startswith("model hybrid "):
-        model = hybrid.parse_hybrid(model_text, schema)
-        _require(opts, "examples")
-        examples = parse_examples(_read(opts["examples"]), model.target)
+    if kind == "rfgb":
+        report = _prediction_report(_rfgb_predictions(model, facts, rows.entries, cache), opts)
+    elif kind == "hybrid":
         _preroute([tree for trees in [*model.functions.values(), model.sigma_trees]
-                   for tree in trees], [(atom, facts) for atom, _ in examples.entries], cache)
+                   for tree in trees], [(atom, facts) for atom, _ in rows.entries], cache)
         try:
             probs = [model.prob_of_truth(atom, value, facts, cache)
-                     for atom, value in examples.entries]
+                     for atom, value in rows.entries]
         except OverflowError:   # held-out values so large that residuals pass float range
             raise DataError(f"target {model.target.name}: "
                             "values too large for float arithmetic") from None
         report = {"mse": metrics.mse(probs), "mean_loglik": metrics.mean_loglik(probs),
                   "examples": len(probs)}
-    elif header.startswith("model rctbn "):
-        model = rctbn.parse_rctbn(model_text, schema)
-        _require(opts, "traj")
-        trajs = rctbn.parse_trajectories(_read(opts["traj"]), schema)
-        segments = rctbn.segment(trajs, facts, schema, model.transition)
+    else:
+        segments = rctbn.segment(rows, facts, schema, model.transition)
         if not segments:
             raise DataError("no segments in the trajectory file")
         _preroute(model.trees, [(s.target, s.context) for s in segments], cache)
@@ -419,8 +426,6 @@ def cmd_eval(opts: dict) -> int:
         report["mean_loglik"] = ordered_sum(
             rctbn.segment_loglik(s.positive, phi, s.residence_time)
             for s, phi in zip(segments, phis)) / len(segments)
-    else:
-        raise DataError("unrecognized model file")
     _emit(_report_lines(report), opts["report"])
     return 0
 

@@ -23,6 +23,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -144,11 +145,6 @@ def projected_schema(schema: Schema) -> Schema:
     for sig in schema:
         out.add(sig.dropped_time())
     return out
-
-
-def _static_base(static_db: Optional[FactBase], schema: Schema) -> FactBase:
-    """The static facts under the projected schema: the base of every context."""
-    return FactBase(projected_schema(schema), base=static_db)
 
 
 def _context(static: FactBase, streams: Iterable[tuple]) -> FactBase:
@@ -350,19 +346,18 @@ def segment(trajectories: Iterable[Trajectory], static_db: Optional[FactBase],
     state, and the horizon closes a final negative segment.  Segments
     where the target is not in the from state produce no example.
 
-    A segment's context extends one base of the static facts with the
-    values of the other streams at its start, so segments in equal joint
-    states of the other streams share one context object.
+    A segment's context extends one base of the static facts, under the
+    projected schema, with the values of the other streams at its start,
+    so segments in equal joint states of the other streams share one
+    context object.  Each trajectory's segments are consecutive and share
+    one target `Atom`.  `train_rctbn` fits the segments built here and
+    `relboost eval` scores them, so both see the same rows.
     """
-    return _segments(trajectories, _static_base(static_db, schema), schema, transition)
-
-
-def _segments(trajectories: Iterable[Trajectory], static: FactBase, schema: Schema,
-              transition: Transition) -> list:
     if transition.pred not in schema:
         raise ParseError(f"unknown target predicate {transition.pred!r}")
     pred = schema.get(transition.pred)
     proj = pred.dropped_time()
+    static = FactBase(projected_schema(schema), base=static_db)
     # joint state of the non-target streams, as (stream, value) pairs -> FactBase
     contexts: dict = {}
     out = []
@@ -477,16 +472,18 @@ def intensity(model: RctbnModel, seg: Segment, cache: Optional[RoutingCache] = N
     return _clamped_exp(model.phi(seg, cache))
 
 
-def _cap_negatives(per_traj_groups: list, cap: int,
-                   rng: random.Random) -> list:
+def _cap_negatives(segments: list, cap: Optional[int], rng: random.Random) -> list:
+    """Each trajectory's positive segments, then at most `cap` of its
+    negatives drawn from `rng`.  A trajectory's segments are the run that
+    shares its one target atom, so two trajectories of one entity are
+    capped apart."""
     kept = []
-    for group in per_traj_groups:
+    for _, run in groupby(segments, key=lambda s: id(s.target)):
+        group = list(run)
         negs = [s for s in group if not s.positive]
-        pos = [s for s in group if s.positive]
         if cap is not None and len(negs) > cap:
-            idx = sorted(rng.sample(range(len(negs)), cap))
-            negs = [negs[i] for i in idx]
-        kept.extend(pos)
+            negs = [negs[i] for i in sorted(rng.sample(range(len(negs)), cap))]
+        kept.extend(s for s in group if s.positive)
         kept.extend(negs)
     return kept
 
@@ -502,10 +499,8 @@ def train_rctbn(trajectories: list, static_db: Optional[FactBase], schema: Schem
     unit baseline intensity.
     """
     config = config or RctbnConfig()
-    rng = random.Random(config.rng_seed)
-    static = _static_base(static_db, schema)
-    groups = [_segments([traj], static, schema, transition) for traj in trajectories]
-    segments = _cap_negatives(groups, config.neg_cap_per_traj, rng)
+    segments = _cap_negatives(segment(trajectories, static_db, schema, transition),
+                              config.neg_cap_per_traj, random.Random(config.rng_seed))
     if not any(s.positive for s in segments):
         raise ValueError(f"no positive segments for {transition}")
     model = RctbnModel(transition, schema.get(transition.pred).dropped_time(), 0.0, [])

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from relboost import boost, cli, hybrid, metrics, rctbn
 from relboost.cli import _build_parser, main
 from relboost.logic import ParseError, parse_schema, serialize_examples, serialize_facts
+from relboost.regtree import RoutingCache
 from tests.conftest import (
     HYBRID_SCHEMA_TEXT,
     LINKED_MODES_TEXT,
@@ -1150,6 +1152,179 @@ class TestOptionTables:
         config = _write(tmp_path / "run.conf", f"{name}=1\n")
         assert main([command, "--config", config]) == 3
         assert f"run.conf:1: unknown key {name!r}" in capsys.readouterr().err
+
+
+ROWS_SCHEMA_TEXT = """
+predicate: target/1 boolean.
+predicate: flag/1 boolean.
+predicate: visits/1 count.
+predicate: cvd/2 boolean temporal.
+predicate: smoke/2 boolean temporal.
+"""
+
+
+class _KindFiles:
+    """One schema's input files for a model of every kind, and the train
+    and eval commands of each.  "hybrid-traj" is a hybrid model trained
+    from --traj; train writes each model to <kind>.txt."""
+
+    def __init__(self, root):
+        rng = random.Random(8)
+        self.root = root
+        facts, pos, neg, values, trajs = [], [], [], [], []
+        for i in range(24):
+            e, flag = f"e{i:02d}", i % 3 == 0
+            if flag:
+                facts.append(f"flag({e}).")
+            (pos if flag or rng.random() < 0.2 else neg).append(f"target({e}).")
+            values.append(f"visits({e})={rng.randint(0, 2) + 3 * flag}.")
+            smoke = rng.random() < 0.5
+            trajs += [f"traj {e}", f"t=0.0 cvd({e})=false",
+                      f"t=0.0 smoke({e})={'true' if smoke else 'false'}",
+                      f"t={1.0 + i / 100} smoke({e})={'false' if smoke else 'true'}"]
+            if flag or rng.random() < 0.3:
+                trajs.append(f"t={2.0 + i / 100} cvd({e})=true")
+            trajs.append("horizon=4.0")
+        data = "vars: a:2, b:2\n" + "".join(f"{i % 2},{i // 2 % 2},{i // 2 % 2},{i % 2}\n"
+                                              for i in range(16))
+        texts = {"schema": ROWS_SCHEMA_TEXT, "facts": facts, "pos": pos, "neg": neg,
+                 "examples": values, "traj": trajs, "modes": ["mode: flag(+)."], "data": data}
+        self.files = {name: _write(root / f"{name}_in.txt", text if isinstance(text, str)
+                                   else "\n".join(text) + "\n")
+                      for name, text in texts.items()}
+
+    def model(self, kind) -> str:
+        return str(self.root / f"{kind}.txt")
+
+    def train(self, kind) -> list:
+        f = self.files
+        if kind == "dbn-bic":
+            return ["train", "--kind", kind, "--data", f["data"], "--out", self.model(kind)]
+        rows = {"rfgb": ["--pos", f["pos"], "--neg", f["neg"], "--target", "target"],
+                "hybrid": ["--examples", f["examples"], "--target", "visits"],
+                "hybrid-traj": ["--traj", f["traj"], "--target", "cvd"],
+                "rctbn": ["--traj", f["traj"], "--target", "cvd", "--from", "false",
+                          "--to", "true"]}[kind]
+        return ["train", "--kind", kind.split("-")[0], "--schema", f["schema"],
+                "--facts", f["facts"], "--modes", f["modes"], *rows, "--iters", "2",
+                "--out", self.model(kind)]
+
+    def eval(self, kind) -> list:
+        f = self.files
+        rows = {"rfgb": ["--pos", f["pos"], "--neg", f["neg"]],
+                "hybrid": ["--examples", f["examples"]], "rctbn": ["--traj", f["traj"]]}[kind]
+        return ["eval", "--model", self.model(kind), "--schema", f["schema"],
+                "--facts", f["facts"], *rows]
+
+
+def _record_calls(monkeypatch, owner, name, record):
+    """Wrap `owner.name` so that each call hands its result and its
+    positional arguments to `record`."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        record(result, *args)
+        return result
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.fixture()
+def kind_files(tmp_path):
+    return _KindFiles(tmp_path)
+
+
+# (command, kind, a row-input option that the command does not read for the kind)
+STRAY_ROW_INPUTS = [
+    ("train", "rfgb", "examples"), ("train", "rfgb", "traj"), ("train", "rfgb", "data"),
+    ("train", "hybrid", "pos"), ("train", "hybrid", "data"),
+    ("train", "hybrid-traj", "examples"), ("train", "hybrid-traj", "neg"),
+    ("train", "rctbn", "pos"), ("train", "rctbn", "examples"), ("train", "rctbn", "data"),
+    ("train", "dbn-bic", "pos"), ("train", "dbn-bic", "traj"),
+    ("eval", "rfgb", "examples"), ("eval", "rfgb", "traj"),
+    ("eval", "hybrid", "traj"), ("eval", "hybrid", "neg"),
+    ("eval", "rctbn", "examples"), ("eval", "rctbn", "pos"),
+]
+
+
+class TestRowInputs:
+    @pytest.mark.parametrize("command,kind,stray", STRAY_ROW_INPUTS)
+    def test_a_row_input_the_kind_does_not_read_is_config_error(self, kind_files, capsys,
+                                                                command, kind, stray):
+        # the same command without the stray option runs
+        assert main(kind_files.train(kind)) == 0
+        argv = kind_files.eval(kind) if command == "eval" else kind_files.train(kind)
+        if command == "eval":
+            assert main(argv) == 0
+        else:
+            os.remove(kind_files.model(kind))
+        capsys.readouterr()
+        assert main(argv + [f"--{stray}", kind_files.files[stray]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"relboost: config error: {command} of "
+                              f"{kind.split('-traj')[0]} models reads --")
+        assert err.endswith(f", not --{stray}\n")
+        assert os.path.exists(kind_files.model(kind)) == (command == "eval")
+
+    def test_rfgb_modes_read_a_temporal_predicate_with_its_time_slot(self, tmp_path, capsys):
+        # as the facts and the model file that eval parses do
+        files = {name: _write(tmp_path / f"{name}.txt", text) for name, text in {
+            "schema": "predicate: target/1 boolean.\npredicate: sick/2 boolean temporal.\n",
+            "facts": "sick(a,t1).\nsick(c,t2).\n", "pos": "target(a).\ntarget(c).\n",
+            "neg": "target(b).\ntarget(d).\n", "modes": "mode: sick(+,-).\n",
+            "projected": "mode: sick(+).\n"}.items()}
+        model = str(tmp_path / "model.txt")
+        argv = ["train", "--kind", "rfgb", "--schema", files["schema"], "--facts", files["facts"],
+                "--pos", files["pos"], "--neg", files["neg"], "--target", "target",
+                "--iters", "2", "--out", model]
+        assert main(argv + ["--modes", files["modes"]]) == 0
+        assert 'test "sick(V0,' in open(model).read()
+        report = str(tmp_path / "report.txt")
+        assert main(["eval", "--model", model, "--schema", files["schema"], "--facts",
+                     files["facts"], "--pos", files["pos"], "--neg", files["neg"],
+                     "--report", report]) == 0
+        assert "auc_roc=1.0\n" in open(report).read()
+        capsys.readouterr()
+        assert main(argv + ["--modes", files["projected"]]) == 2
+        assert "data error: line 1: mode for sick has wrong length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["rfgb", "hybrid", "rctbn"])
+    def test_eval_scores_the_rows_that_train_fitted(self, kind_files, monkeypatch, kind):
+        # on its own training files, eval reads the rows train registered:
+        # their target atoms, labels, values or segments, and context facts
+        registered, labels, rows, segments = [], [], [], []
+        _record_calls(monkeypatch, RoutingCache, "register",
+                      lambda slots, cache, pairs: registered.append(list(pairs)))
+        for module, name in ((boost, "train"), (hybrid, "train_hybrid")):
+            _record_calls(monkeypatch, module, name, lambda model, examples, *rest:
+                          labels.extend(y for _, y in examples.entries))
+        _record_calls(monkeypatch, cli, "_rfgb_predictions",
+                      lambda preds, model, facts, entries, cache:
+                      rows.extend((atom, y, facts) for atom, y in entries))
+        _record_calls(monkeypatch, hybrid.HybridModel, "prob_of_truth",
+                      lambda p, model, atom, value, facts, *rest:
+                      rows.append((atom, value, facts)))
+        _record_calls(monkeypatch, rctbn, "segment", lambda segs, *args: segments.append(segs))
+
+        assert main(kind_files.train(kind)) == 0
+        fitted_rows = registered[0]
+        rows.clear()
+        assert main(kind_files.eval(kind)) == 0
+
+        def key(atom, label, facts):
+            return atom, label, tuple(facts.facts())
+
+        if kind == "rctbn":   # one segment call each; train fits positives first
+            train_segments, eval_segments = segments
+            assert Counter(key(a, None, db) for a, db in fitted_rows) == Counter(
+                key(s.target, None, s.context) for s in train_segments)
+            fitted, scored_rows = [[key(s.target, (s.positive, s.residence_time, s.start_state),
+                                        s.context) for s in segs]
+                                   for segs in (train_segments, eval_segments)]
+        else:
+            fitted = [key(a, y, db) for (a, db), y in zip(fitted_rows, labels, strict=True)]
+            scored_rows = [key(*row) for row in rows]
+        assert len(fitted) > 10 and scored_rows == fitted
 
 
 @pytest.fixture()

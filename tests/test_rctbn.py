@@ -10,6 +10,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from relboost import rctbn
 from relboost.logic import (
     Atom,
     Constant,
@@ -885,6 +886,53 @@ clause checkup cim=[[-4.0, 4.0], [4.0, -4.0]]
         model = train_rctbn(trajs, None, schema, tr, parse_modes("", projected_schema(schema)),
                             config)
         assert len(model.trees) == 2
+
+    def test_negative_cap_groups_by_trajectory_not_by_entity(self, schema, monkeypatch):
+        # two trajectories of one entity a: the first has one positive and
+        # four negative segments, the second four negatives
+        trajs = parse_trajectories("""
+traj a
+t=0.0 cvd(a)=false
+t=0.0 bp(a)=0
+t=1.0 bp(a)=1
+t=2.0 bp(a)=0
+t=3.0 bp(a)=1
+t=4.0 bp(a)=0
+t=5.0 cvd(a)=true
+horizon=6.0
+traj a
+t=0.0 cvd(a)=false
+t=0.0 bp(a)=1
+t=1.5 bp(a)=0
+t=2.5 bp(a)=1
+t=3.5 bp(a)=0
+horizon=4.0
+""", schema)
+        tr = Transition("cvd", False, True)
+        modes = parse_modes("mode: bp(+).", projected_schema(schema))
+        config = RctbnConfig(iterations=3, neg_cap_per_traj=2, rng_seed=4)
+        lls = []
+        model = train_rctbn(trajs, None, schema, tr, modes, config,
+                            on_iteration=lambda m, ll: lls.append(ll))
+        # the reference caps each trajectory's own segments, in file order,
+        # from one RNG seeded as train_rctbn's
+        rng = random.Random(config.rng_seed)
+        reference = []
+        for traj in trajs:
+            segs = segment([traj], None, schema, tr)
+            negs = [s for s in segs if not s.positive]
+            if len(negs) > config.neg_cap_per_traj:
+                negs = [negs[i] for i in sorted(rng.sample(range(len(negs)),
+                                                           config.neg_cap_per_traj))]
+            reference += [s for s in segs if s.positive] + negs
+        assert len(reference) == 5      # capping entity a as one group keeps 3
+        monkeypatch.setattr(rctbn, "segment", lambda *args: reference)
+        ref_lls = []
+        ref_model = train_rctbn(trajs, None, schema, tr, modes,
+                                RctbnConfig(iterations=3, rng_seed=4),
+                                on_iteration=lambda m, ll: ref_lls.append(ll))
+        assert serialize_rctbn(model) == serialize_rctbn(ref_model)
+        assert lls == ref_lls
 
     def test_model_file_roundtrip(self, schema):
         trajs = parse_trajectories(JOHN_TEXT, schema)
